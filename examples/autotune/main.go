@@ -8,10 +8,14 @@
 //
 //  1. screen tile sizes on the replay engine: each nb's task DAG is
 //     captured once and re-simulated many times with no scheduler at all;
+//
 //  2. sweep the shortlisted tile sizes against StarPU scheduling policies
 //     in full simulation (replay pins one ready-queue ordering, so
 //     comparing policies needs the real scheduler);
+//
 //  3. validate the winner with one real run.
+//
+// Usage:
 //
 //	go run ./examples/autotune -n 960 -workers 8
 package main
@@ -29,6 +33,7 @@ import (
 	"supersim/internal/factor"
 	"supersim/internal/kernels"
 	"supersim/internal/sched/starpu"
+	"supersim/internal/tile"
 	"supersim/internal/workload"
 )
 
@@ -83,7 +88,7 @@ func main() {
 	screenWall := time.Duration(0)
 	for _, nb := range tileSizes {
 		nt := *n / nb
-		a := workload.RandomSPD(nt, nb, 11)
+		a := tile.NewShape(nt, nb) // nothing executes: tile handles suffice
 		s, err := starpu.New(starpu.Conf{NCPUs: 1})
 		if err != nil {
 			log.Fatal(err)
@@ -153,7 +158,7 @@ func main() {
 	for _, nb := range shortlist {
 		for _, policy := range policies {
 			nt := *n / nb
-			a := workload.RandomSPD(nt, nb, 11)
+			a := tile.NewShape(nt, nb)
 			s, err := starpu.New(starpu.Conf{NCPUs: *workers, Policy: policy})
 			if err != nil {
 				log.Fatal(err)

@@ -246,7 +246,7 @@ func AcceleratorExperiment(spec Spec, accelerators int, accelSpeedup float64, mo
 // simulatedHybrid is Simulated with codelet-style tasks that may run on
 // both worker kinds.
 func simulatedHybrid(spec Spec, model core.DurationModel) (Result, error) {
-	ops, _, _, err := buildOps(spec)
+	ops, err := Ops(spec)
 	if err != nil {
 		return Result{}, err
 	}

@@ -19,7 +19,6 @@ import (
 	"supersim/internal/sched/ompss"
 	"supersim/internal/sched/quark"
 	"supersim/internal/sched/starpu"
-	"supersim/internal/tile"
 	"supersim/internal/trace"
 	"supersim/internal/workload"
 )
@@ -147,25 +146,18 @@ func resultFrom(spec Spec, tr *trace.Trace, wall time.Duration, st sched.Stats) 
 	}
 }
 
-// Ops builds the spec's task stream (input matrices are generated and
-// discarded). The simulation service uses it to drive runs it instruments
-// itself; in-package callers that also need the matrices use buildOps.
+// Ops builds the spec's task stream over shape-only tiles
+// (workload.Shapes): no matrix is generated, so the cost depends on NT and
+// not on NB. Everything that captures or simulates the stream — Simulated,
+// CaptureSpec, the simulation service's direct runs — starts here; the ops'
+// bodies report an error if executed. Measured, the one run that executes
+// kernels, builds its stream over generated inputs itself.
 func Ops(spec Spec) ([]factor.Op, error) {
-	ops, _, _, err := buildOps(spec)
-	return ops, err
-}
-
-// buildOps creates the input matrices and the op stream for the spec.
-func buildOps(spec Spec) ([]factor.Op, *tile.Matrix, *tile.Matrix, error) {
-	a, t := workload.ForAlgorithm(spec.Algorithm, spec.NT, spec.NB, spec.Seed)
+	a, t := workload.Shapes(spec.Algorithm, spec.NT, spec.NB)
 	if a == nil {
-		return nil, nil, nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
+		return nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
 	}
-	ops, err := factor.Stream(spec.Algorithm, a, t)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ops, a, t, nil
+	return factor.Stream(spec.Algorithm, a, t)
 }
 
 // Measured performs the reproduction's "real run": the scheduler executes
@@ -175,7 +167,13 @@ func buildOps(spec Spec) ([]factor.Op, *tile.Matrix, *tile.Matrix, error) {
 // (Section V-B1: "using the actual execution of the algorithm to provide
 // the actual empirical data").
 func Measured(spec Spec) (Result, *perfmodel.Collector, error) {
-	ops, _, _, err := buildOps(spec)
+	// The kernels need real operands: a seeded SPD, general or diagonally
+	// dominant matrix, so every factorization stays numerically valid.
+	a, t := workload.ForAlgorithm(spec.Algorithm, spec.NT, spec.NB, spec.Seed)
+	if a == nil {
+		return Result{}, nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
+	}
+	ops, err := factor.Stream(spec.Algorithm, a, t)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -223,7 +221,7 @@ func Measured(spec Spec) (Result, *perfmodel.Collector, error) {
 // same task stream, but kernel bodies are replaced by model-sampled
 // durations and no useful work is performed.
 func Simulated(spec Spec, model core.DurationModel) (Result, error) {
-	ops, _, _, err := buildOps(spec)
+	ops, err := Ops(spec)
 	if err != nil {
 		return Result{}, err
 	}

@@ -33,11 +33,7 @@ type DAGReport struct {
 // tile count and returns its structural summary plus Graphviz DOT source.
 // Fig. 1 of the paper is DAGExperiment("qr", 4).
 func DAGExperiment(algorithm string, nt int) (DAGReport, error) {
-	a, t := workload.ForAlgorithm(algorithm, nt, 2, 1)
-	if a == nil {
-		return DAGReport{}, fmt.Errorf("bench: unknown algorithm %q", algorithm)
-	}
-	ops, err := factor.Stream(algorithm, a, t)
+	ops, err := Ops(Spec{Algorithm: algorithm, NT: nt, NB: 1})
 	if err != nil {
 		return DAGReport{}, err
 	}
@@ -80,11 +76,7 @@ func DAGExperiment(algorithm string, nt int) (DAGReport, error) {
 // of the paper's Fig. 2 (F0 geqrt(A00^rw, T00^w), ...). Fig. 2 is
 // TaskListExperiment("qr", 3).
 func TaskListExperiment(algorithm string, nt int) ([]string, error) {
-	a, t := workload.ForAlgorithm(algorithm, nt, 2, 1)
-	if a == nil {
-		return nil, fmt.Errorf("bench: unknown algorithm %q", algorithm)
-	}
-	ops, err := factor.Stream(algorithm, a, t)
+	ops, err := Ops(Spec{Algorithm: algorithm, NT: nt, NB: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"supersim/internal/rng"
 	"supersim/internal/sched"
 	"supersim/internal/sched/quark"
+	"supersim/internal/workload"
 )
 
 // Hot-path micro-benchmarks, exported so cmd/simbench can run the exact
@@ -152,7 +153,7 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			// the full scheduler (runtime construction, hazard tracking,
 			// worker handoffs), with the op stream pre-built as the
 			// capture path pre-builds its DAG.
-			ops, _, _, err := buildOps(replayBenchSpec)
+			ops, err := Ops(replayBenchSpec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -170,6 +171,34 @@ func microSuite(counters *perf.Counters) []MicroBench {
 				}
 				rt.Barrier()
 				rt.Shutdown()
+			}
+		}},
+		{Name: "SweepCapture15", Bench: func(b *testing.B) {
+			// The capture half of one serve-sweep request (BENCHMARK.json):
+			// cholesky through QUARK at nt 2..16, nb 32, one capture per
+			// point. A sweep spends the rest of its time replaying these.
+			points := workload.PerfSweep(32, 16) // SweepParallel's own point list
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, sw := range points {
+					if _, err := CaptureSpec(Spec{
+						Algorithm: "cholesky", Scheduler: "quark",
+						NT: sw.NT, NB: 32, Workers: 8, Seed: 1,
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}},
+		{Name: "BuildOpsNB256", Bench: func(b *testing.B) {
+			// An op stream at a production tile size: it names tiles and
+			// holds no elements, so nb must not show in time or bytes.
+			spec := Spec{Algorithm: "cholesky", Scheduler: "quark", NT: 8, NB: 256, Workers: 8, Seed: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Ops(spec); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{Name: "ReplayArenaSerial", Bench: func(b *testing.B) {

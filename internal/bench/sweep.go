@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"supersim/internal/core"
+	"supersim/internal/factor"
 	"supersim/internal/kernels"
 	"supersim/internal/replay"
 	"supersim/internal/sched"
@@ -22,10 +23,18 @@ import (
 // recorded ready order deterministic. The returned DAG carries the spec's
 // worker count as its default replay width.
 func CaptureSpec(spec Spec) (*replay.DAG, error) {
-	ops, _, _, err := buildOps(spec)
+	ops, err := Ops(spec)
 	if err != nil {
 		return nil, err
 	}
+	return captureOps(spec, ops)
+}
+
+// captureOps is CaptureSpec on a stream the caller built. The recorded DAG
+// depends on the ops' classes, labels, priorities and argument handles
+// only — whether the tiles behind the handles hold data makes no
+// difference, which TestCaptureFrameSameOverShapesAndMatrices pins.
+func captureOps(spec Spec, ops []factor.Op) (*replay.DAG, error) {
 	capSpec := spec
 	capSpec.Workers = 1
 	rt, err := NewRuntime(capSpec)
@@ -37,18 +46,40 @@ func CaptureSpec(spec Spec) (*replay.DAG, error) {
 		rt.Shutdown()
 		return nil, err
 	}
+	nargs := 0
+	for i := range ops {
+		nargs += len(ops[i].Args)
+	}
+	rec.Reserve(len(ops), nargs)
+	// A runtime whose master only inserts (StarPU) runs the tasks on a
+	// dedicated worker, concurrently with the insertion loop below; whether
+	// a task then finds its predecessors complete — ready at insertion — or
+	// is released by them later, and so the recorded ready order, would
+	// depend on goroutine timing. Hold that worker until the stream is in.
+	// A master that executes tasks itself (QUARK, OmpSs) is the only
+	// executor of a 1-worker run and must not wait for itself.
+	body := noopTask
+	inserted := make(chan struct{})
+	if m, ok := rt.(interface{ MasterParticipates() bool }); ok && !m.MasterParticipates() {
+		body = func(*sched.Ctx) { <-inserted }
+	}
+	var insErr error
 	for i := range ops {
 		op := ops[i]
-		if err := rt.Insert(&sched.Task{
+		if insErr = rt.Insert(&sched.Task{
 			Class:    string(op.Class),
 			Label:    op.Label(),
 			Args:     op.SchedArgs(),
 			Priority: op.Priority,
-			Func:     noopTask,
-		}); err != nil {
-			rt.Shutdown()
-			return nil, err
+			Func:     body,
+		}); insErr != nil {
+			break
 		}
+	}
+	close(inserted)
+	if insErr != nil {
+		rt.Shutdown()
+		return nil, insErr
 	}
 	rt.Barrier()
 	rt.Shutdown()

@@ -9,10 +9,13 @@ package factor
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"supersim/internal/hazard"
 	"supersim/internal/kernels"
 	"supersim/internal/sched"
+	"supersim/internal/slab"
 	"supersim/internal/tile"
 )
 
@@ -24,28 +27,59 @@ type OpArg struct {
 	Mode   hazard.Access
 }
 
-// Op is one task of a tile algorithm: the kernel class, a human-readable
-// instance label, the access-annotated arguments, a relative priority, and
-// the real compute body.
+// Op is one task of a tile algorithm: the kernel class, the
+// access-annotated arguments, a relative priority, and the real compute
+// body.
 type Op struct {
 	Class    kernels.Class
 	Args     []OpArg
 	Priority int
-	// Body performs the real computation. It returns an error only for
-	// numerical failures (currently: Cholesky on a non-SPD pivot tile).
-	Body func() error
+	// run is the kernel call on the argument tiles, which it receives in
+	// Args order. It captures nothing, so all ops of a kind share one
+	// function value and building a stream allocates no closures.
+	run func(t argTiles) error
+}
+
+// argTiles holds an op's argument tiles by value, so Body allocates
+// nothing; TSMQR's four arguments are the most any kernel takes.
+type argTiles [4]*tile.Tile
+
+// Body performs the real computation on the op's argument tiles. It
+// returns an error for numerical failures (a non-SPD Cholesky pivot tile,
+// a zero LU pivot) and for an op whose stream was built over shape-only
+// tiles: such a stream exists to be captured or simulated, and executing
+// it is a caller bug that must not pass for a successful kernel.
+func (o Op) Body() error {
+	var tiles argTiles
+	for i, a := range o.Args {
+		t := a.Handle.(*tile.Tile)
+		if t.Data == nil {
+			return fmt.Errorf("factor: %s cannot execute: argument %s is a shape-only tile without element storage (build the stream over workload.ForAlgorithm matrices to run kernels)",
+				o.Label(), a.Name)
+		}
+		tiles[i] = t
+	}
+	return o.run(tiles)
 }
 
 // Label renders the instance like "DTSMQR(1,2,0)" — class plus tile indices.
 func (o Op) Label() string {
-	s := string(o.Class) + "("
+	n := len(o.Class) + 2 + max(len(o.Args)-1, 0) // class, parentheses, commas
+	for _, a := range o.Args {
+		n += len(a.Name)
+	}
+	var b strings.Builder
+	b.Grow(n) // the label's one allocation; every inserted task renders one
+	b.WriteString(string(o.Class))
+	b.WriteByte('(')
 	for i, a := range o.Args {
 		if i > 0 {
-			s += ","
+			b.WriteByte(',')
 		}
-		s += a.Name
+		b.WriteString(a.Name)
 	}
-	return s + ")"
+	b.WriteByte(')')
+	return b.String()
 }
 
 // String renders the op in the style of the paper's Fig. 2 task listing,
@@ -70,8 +104,43 @@ func (o Op) SchedArgs() []sched.Arg {
 	return out
 }
 
-func argA(prefix string, t *tile.Tile, i, j int, mode hazard.Access) OpArg {
-	return OpArg{Name: fmt.Sprintf("%s%d%d", prefix, i, j), Handle: t, Mode: mode}
+// operands hands out the tiles of one matrix as task arguments. A tile's
+// argument name ("A10": prefix, tile row, tile column) is built the first
+// time the tile is used and shared by every op that touches it.
+type operands struct {
+	m      *tile.Matrix
+	prefix string
+	names  []string // indexed like m.Tiles; "" until first use
+}
+
+func newOperands(prefix string, m *tile.Matrix) *operands {
+	return &operands{m: m, prefix: prefix, names: make([]string, len(m.Tiles))}
+}
+
+func (o *operands) at(i, j int, mode hazard.Access) OpArg {
+	idx := i + j*o.m.NT
+	if o.names[idx] == "" {
+		o.names[idx] = o.prefix + strconv.Itoa(i) + strconv.Itoa(j)
+	}
+	return OpArg{Name: o.names[idx], Handle: o.m.Tiles[idx], Mode: mode}
+}
+
+// stream accumulates the ops of one algorithm. Both slices are sized
+// exactly by the caller; the ops' argument lists are cut from args.
+type stream struct {
+	ops  []Op
+	args []OpArg
+}
+
+func newStream(nops, nargs int) *stream {
+	return &stream{ops: make([]Op, 0, nops), args: make([]OpArg, 0, nargs)}
+}
+
+// add appends one op. run receives the argument tiles in args order.
+func (s *stream) add(class kernels.Class, priority int, run func(t argTiles) error, args ...OpArg) {
+	own := slab.Carve(&s.args, len(args))
+	copy(own, args)
+	s.ops = append(s.ops, Op{Class: class, Args: own, Priority: priority, run: run})
 }
 
 // Task priorities: panel-factorization kernels ahead of updates, so that
@@ -88,59 +157,37 @@ const (
 // factored in place (lower triangle).
 func Cholesky(a *tile.Matrix) []Op {
 	nt := a.NT
-	ops := make([]Op, 0, nt*nt*nt/6+nt*nt)
+	nops, nargs := 0, 0
+	for r := 0; r < nt; r++ { // step k leaves r = nt-k-1 tile rows below the panel
+		nops += 1 + 2*r + r*(r-1)/2      // POTRF, r TRSM, r SYRK, r(r-1)/2 GEMM
+		nargs += 1 + 4*r + 3*(r*(r-1)/2) // with 1, 2, 2 and 3 arguments
+	}
+	s := newStream(nops, nargs)
+	A := newOperands("A", a)
 	for k := 0; k < nt; k++ {
-		akk := a.Tile(k, k)
-		ops = append(ops, Op{
-			Class:    kernels.ClassPOTRF,
-			Args:     []OpArg{argA("A", akk, k, k, hazard.ReadWrite)},
-			Priority: prioPanel,
-			Body:     func() error { return kernels.Potrf(akk) },
-		})
+		s.add(kernels.ClassPOTRF, prioPanel,
+			func(t argTiles) error { return kernels.Potrf(t[0]) },
+			A.at(k, k, hazard.ReadWrite))
 		for i := k + 1; i < nt; i++ {
-			aik := a.Tile(i, k)
-			aii := a.Tile(i, i)
-			ops = append(ops, Op{
-				Class: kernels.ClassTRSM,
-				Args: []OpArg{
-					argA("A", akk, k, k, hazard.Read),
-					argA("A", aik, i, k, hazard.ReadWrite),
-				},
-				Priority: prioSolve,
-				Body:     func() error { kernels.Trsm(akk, aik); return nil },
-			})
-			ops = append(ops, Op{
-				Class: kernels.ClassSYRK,
-				Args: []OpArg{
-					argA("A", aik, i, k, hazard.Read),
-					argA("A", aii, i, i, hazard.ReadWrite),
-				},
-				Priority: prioUpdate,
-				Body:     func() error { kernels.Syrk(-1, aik, 1, aii); return nil },
-			})
+			s.add(kernels.ClassTRSM, prioSolve,
+				func(t argTiles) error { kernels.Trsm(t[0], t[1]); return nil },
+				A.at(k, k, hazard.Read), A.at(i, k, hazard.ReadWrite))
+			s.add(kernels.ClassSYRK, prioUpdate,
+				func(t argTiles) error { kernels.Syrk(-1, t[0], 1, t[1]); return nil },
+				A.at(i, k, hazard.Read), A.at(i, i, hazard.ReadWrite))
 		}
 		for i := k + 2; i < nt; i++ {
-			aik := a.Tile(i, k)
 			for j := k + 1; j < i; j++ {
-				ajk := a.Tile(j, k)
-				aij := a.Tile(i, j)
-				ops = append(ops, Op{
-					Class: kernels.ClassGEMM,
-					Args: []OpArg{
-						argA("A", aij, i, j, hazard.ReadWrite),
-						argA("A", aik, i, k, hazard.Read),
-						argA("A", ajk, j, k, hazard.Read),
-					},
-					Priority: prioUpdate,
-					Body: func() error {
-						kernels.Gemm(false, true, -1, aik, ajk, 1, aij)
+				s.add(kernels.ClassGEMM, prioUpdate,
+					func(t argTiles) error {
+						kernels.Gemm(false, true, -1, t[1], t[2], 1, t[0])
 						return nil
 					},
-				})
+					A.at(i, j, hazard.ReadWrite), A.at(i, k, hazard.Read), A.at(j, k, hazard.Read))
 			}
 		}
 	}
-	return ops
+	return s.ops
 }
 
 // QR returns the serial task stream of the tile QR factorization
@@ -152,66 +199,37 @@ func QR(a, t *tile.Matrix) []Op {
 		panic("factor: QR T matrix shape mismatch")
 	}
 	nt := a.NT
-	ops := make([]Op, 0, nt*nt*nt/2+nt*nt)
+	nops, nargs := 0, 0
+	for r := 0; r < nt; r++ { // step k leaves r = nt-k-1 trailing tile rows and columns
+		nops += 1 + 2*r + r*r    // GEQRT, r ORMQR, r TSQRT, r² TSMQR
+		nargs += 2 + 6*r + 4*r*r // with 2, 3, 3 and 4 arguments
+	}
+	s := newStream(nops, nargs)
+	A, T := newOperands("A", a), newOperands("T", t)
 	for k := 0; k < nt; k++ {
-		akk := a.Tile(k, k)
-		tkk := t.Tile(k, k)
-		ops = append(ops, Op{
-			Class: kernels.ClassGEQRT,
-			Args: []OpArg{
-				argA("A", akk, k, k, hazard.ReadWrite),
-				argA("T", tkk, k, k, hazard.Write),
-			},
-			Priority: prioPanel,
-			Body:     func() error { kernels.Geqrt(akk, tkk); return nil },
-		})
+		s.add(kernels.ClassGEQRT, prioPanel,
+			func(t argTiles) error { kernels.Geqrt(t[0], t[1]); return nil },
+			A.at(k, k, hazard.ReadWrite), T.at(k, k, hazard.Write))
 		for n := k + 1; n < nt; n++ {
-			akn := a.Tile(k, n)
-			ops = append(ops, Op{
-				Class: kernels.ClassORMQR,
-				Args: []OpArg{
-					argA("A", akk, k, k, hazard.Read),
-					argA("T", tkk, k, k, hazard.Read),
-					argA("A", akn, k, n, hazard.ReadWrite),
-				},
-				Priority: prioSolve,
-				Body:     func() error { kernels.Ormqr(akk, tkk, akn); return nil },
-			})
+			s.add(kernels.ClassORMQR, prioSolve,
+				func(t argTiles) error { kernels.Ormqr(t[0], t[1], t[2]); return nil },
+				A.at(k, k, hazard.Read), T.at(k, k, hazard.Read), A.at(k, n, hazard.ReadWrite))
 		}
 		for m := k + 1; m < nt; m++ {
-			amk := a.Tile(m, k)
-			tmk := t.Tile(m, k)
-			ops = append(ops, Op{
-				Class: kernels.ClassTSQRT,
-				Args: []OpArg{
-					argA("A", akk, k, k, hazard.ReadWrite),
-					argA("A", amk, m, k, hazard.ReadWrite),
-					argA("T", tmk, m, k, hazard.Write),
-				},
-				Priority: prioSolve,
-				Body:     func() error { kernels.Tsqrt(akk, amk, tmk); return nil },
-			})
+			s.add(kernels.ClassTSQRT, prioSolve,
+				func(t argTiles) error { kernels.Tsqrt(t[0], t[1], t[2]); return nil },
+				A.at(k, k, hazard.ReadWrite), A.at(m, k, hazard.ReadWrite), T.at(m, k, hazard.Write))
 			for n := k + 1; n < nt; n++ {
-				akn := a.Tile(k, n)
-				amn := a.Tile(m, n)
-				ops = append(ops, Op{
-					Class: kernels.ClassTSMQR,
-					Args: []OpArg{
-						argA("A", amk, m, k, hazard.Read),
-						argA("T", tmk, m, k, hazard.Read),
-						argA("A", akn, k, n, hazard.ReadWrite),
-						argA("A", amn, m, n, hazard.ReadWrite),
-					},
-					Priority: prioUpdate,
-					Body: func() error {
-						kernels.Tsmqr(akn, amn, amk, tmk)
+				s.add(kernels.ClassTSMQR, prioUpdate,
+					func(t argTiles) error {
+						kernels.Tsmqr(t[2], t[3], t[0], t[1])
 						return nil
 					},
-				})
+					A.at(m, k, hazard.Read), T.at(m, k, hazard.Read), A.at(k, n, hazard.ReadWrite), A.at(m, n, hazard.ReadWrite))
 			}
 		}
 	}
-	return ops
+	return s.ops
 }
 
 // Stream identifies a tile algorithm by name and builds its op stream.

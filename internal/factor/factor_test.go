@@ -1,6 +1,7 @@
 package factor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -309,6 +310,80 @@ func TestDAGSequentialOrderIsTopological(t *testing.T) {
 	for _, e := range g.Edges {
 		if e.From >= e.To {
 			t.Fatalf("edge %d -> %d against insertion order", e.From, e.To)
+		}
+	}
+}
+
+// shapeStream builds alg's stream over storage-less tiles and returns the
+// matrices with it, keyed by their argument-name prefix.
+func shapeStream(t *testing.T, alg string, nt int) ([]Op, map[string]*tile.Matrix) {
+	t.Helper()
+	a, tm := workload.Shapes(alg, nt, 4)
+	ops, err := Stream(alg, a, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := map[string]*tile.Matrix{"A": a}
+	if tm != nil {
+		ms["T"] = tm
+	}
+	return ops, ms
+}
+
+func TestArgumentNamesAndLabels(t *testing.T) {
+	// Names are built once per tile and labels in one allocation; both must
+	// read exactly as the per-argument fmt.Sprintf("%s%d%d") and the
+	// concatenation they replace did — frames and fingerprints carry them.
+	// nt=12 covers two-digit tile indices.
+	for _, alg := range []string{"cholesky", "qr", "lu"} {
+		ops, ms := shapeStream(t, alg, 12)
+		want := map[any]string{}
+		for prefix, m := range ms {
+			for i := 0; i < m.NT; i++ {
+				for j := 0; j < m.NT; j++ {
+					want[m.Tile(i, j)] = fmt.Sprintf("%s%d%d", prefix, i, j)
+				}
+			}
+		}
+		for _, op := range ops {
+			names := make([]string, len(op.Args))
+			for i, a := range op.Args {
+				if a.Name != want[a.Handle] {
+					t.Fatalf("%s: argument named %q, want %q", alg, a.Name, want[a.Handle])
+				}
+				names[i] = a.Name
+			}
+			if label := string(op.Class) + "(" + strings.Join(names, ",") + ")"; op.Label() != label {
+				t.Fatalf("%s: label %q, want %q", alg, op.Label(), label)
+			}
+		}
+	}
+}
+
+func TestStreamsAreSizedExactly(t *testing.T) {
+	// The op slice and the argument slab behind it are allocated once at
+	// their final size: beyond a fixed handful of objects a stream costs one
+	// allocation per tile it names, so an undersized slab shows as an extra.
+	for _, alg := range []string{"cholesky", "qr", "lu"} {
+		var fixed float64
+		for nt := 1; nt <= 7; nt++ {
+			ops, ms := shapeStream(t, alg, nt)
+			if len(ops) != cap(ops) {
+				t.Errorf("%s nt=%d: %d ops in a slice of capacity %d", alg, nt, len(ops), cap(ops))
+			}
+			named := map[any]bool{}
+			for _, op := range ops {
+				for _, a := range op.Args {
+					named[a.Handle] = true
+				}
+			}
+			a, tm := ms["A"], ms["T"]
+			allocs := testing.AllocsPerRun(10, func() { Stream(alg, a, tm) })
+			if nt == 1 {
+				fixed = allocs - float64(len(named))
+			} else if allocs != fixed+float64(len(named)) {
+				t.Errorf("%s nt=%d: %.0f allocations for %d named tiles, want %.0f", alg, nt, allocs, len(named), fixed+float64(len(named)))
+			}
 		}
 	}
 }

@@ -16,61 +16,39 @@ import (
 // diagonal implicit).
 func LU(a *tile.Matrix) []Op {
 	nt := a.NT
-	ops := make([]Op, 0, nt*nt*nt/3+nt*nt)
+	nops, nargs := 0, 0
+	for r := 0; r < nt; r++ { // step k leaves r = nt-k-1 trailing tile rows and columns
+		nops += 1 + 2*r + r*r    // GETRF, r TRSMU, r TRSML, r² GEMM
+		nargs += 1 + 4*r + 3*r*r // with 1, 2, 2 and 3 arguments
+	}
+	s := newStream(nops, nargs)
+	A := newOperands("A", a)
 	for k := 0; k < nt; k++ {
-		akk := a.Tile(k, k)
-		ops = append(ops, Op{
-			Class:    kernels.ClassGETRF,
-			Args:     []OpArg{argA("A", akk, k, k, hazard.ReadWrite)},
-			Priority: prioPanel,
-			Body:     func() error { return kernels.Getrf(akk) },
-		})
+		s.add(kernels.ClassGETRF, prioPanel,
+			func(t argTiles) error { return kernels.Getrf(t[0]) },
+			A.at(k, k, hazard.ReadWrite))
 		for j := k + 1; j < nt; j++ {
-			akj := a.Tile(k, j)
-			ops = append(ops, Op{
-				Class: kernels.ClassTRSMU,
-				Args: []OpArg{
-					argA("A", akk, k, k, hazard.Read),
-					argA("A", akj, k, j, hazard.ReadWrite),
-				},
-				Priority: prioSolve,
-				Body:     func() error { kernels.TrsmLowerUnit(akk, akj); return nil },
-			})
+			s.add(kernels.ClassTRSMU, prioSolve,
+				func(t argTiles) error { kernels.TrsmLowerUnit(t[0], t[1]); return nil },
+				A.at(k, k, hazard.Read), A.at(k, j, hazard.ReadWrite))
 		}
 		for i := k + 1; i < nt; i++ {
-			aik := a.Tile(i, k)
-			ops = append(ops, Op{
-				Class: kernels.ClassTRSML,
-				Args: []OpArg{
-					argA("A", akk, k, k, hazard.Read),
-					argA("A", aik, i, k, hazard.ReadWrite),
-				},
-				Priority: prioSolve,
-				Body:     func() error { kernels.TrsmUpperRight(akk, aik); return nil },
-			})
+			s.add(kernels.ClassTRSML, prioSolve,
+				func(t argTiles) error { kernels.TrsmUpperRight(t[0], t[1]); return nil },
+				A.at(k, k, hazard.Read), A.at(i, k, hazard.ReadWrite))
 		}
 		for i := k + 1; i < nt; i++ {
-			aik := a.Tile(i, k)
 			for j := k + 1; j < nt; j++ {
-				akj := a.Tile(k, j)
-				aij := a.Tile(i, j)
-				ops = append(ops, Op{
-					Class: kernels.ClassGEMM,
-					Args: []OpArg{
-						argA("A", aij, i, j, hazard.ReadWrite),
-						argA("A", aik, i, k, hazard.Read),
-						argA("A", akj, k, j, hazard.Read),
-					},
-					Priority: prioUpdate,
-					Body: func() error {
-						kernels.Gemm(false, false, -1, aik, akj, 1, aij)
+				s.add(kernels.ClassGEMM, prioUpdate,
+					func(t argTiles) error {
+						kernels.Gemm(false, false, -1, t[1], t[2], 1, t[0])
 						return nil
 					},
-				})
+					A.at(i, j, hazard.ReadWrite), A.at(i, k, hazard.Read), A.at(k, j, hazard.Read))
 			}
 		}
 	}
-	return ops
+	return s.ops
 }
 
 // LUResidual returns ||A - L*U||_F / ||A||_F where factored holds the

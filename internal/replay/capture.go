@@ -1,10 +1,12 @@
 package replay
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"supersim/internal/sched"
+	"supersim/internal/slab"
 )
 
 // observable is the runtime-side capability Attach needs: the shared
@@ -20,17 +22,25 @@ type observable interface {
 // virtual durations, wire CompletionHook() into the run's simulator via
 // core.WithCompletionHook.
 //
-// A Recorder serves one run; it is not resettable.
+// A Recorder serves one run; it is not resettable. The tasks' Footprint
+// and Deps slices are cut from two slabs instead of allocated one per task,
+// and DAG() hands tasks and slabs over to the graph it returns rather than
+// copying them; from then on the Recorder ignores further callbacks.
 type Recorder struct {
 	label   string
 	workers int
 
-	mu       sync.Mutex
-	tasks    []Task      // guarded-by: mu
-	handles  map[any]int // guarded-by: mu — opaque handle -> dense index
-	readySeq int         // guarded-by: mu
-	err      error       // guarded-by: mu — first capture inconsistency
+	mu         sync.Mutex
+	tasks      []Task      // guarded-by: mu
+	footprints []Footprint // guarded-by: mu — slab behind tasks[i].Footprint
+	deps       []sched.Dep // guarded-by: mu — slab behind tasks[i].Deps
+	handles    map[any]int // guarded-by: mu — opaque handle -> dense index
+	readySeq   int         // guarded-by: mu
+	err        error       // guarded-by: mu — first capture inconsistency, or errTaken
 }
+
+// errTaken marks a Recorder whose DAG() already gave its storage away.
+var errTaken = errors.New("replay: the recorder's DAG was already taken (a Recorder serves one run)")
 
 // Attach creates a Recorder and installs it as rt's dependence-stream
 // observer. rt must expose the shared engine's SetObserver (all three
@@ -47,6 +57,22 @@ func Attach(rt sched.Runtime, label string) (*Recorder, error) {
 	r := &Recorder{label: label, workers: rt.NumWorkers(), handles: make(map[any]int)}
 	o.SetObserver(r)
 	return r, nil
+}
+
+// Reserve pre-sizes the Recorder for a stream of known size: tasks tasks
+// declaring args arguments between them. The dependence slab gets the same
+// room as the footprints — the tile algorithms resolve just under one edge
+// per argument — and, like every slab here, takes another chunk if a
+// stream needs more.
+func (r *Recorder) Reserve(tasks, args int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.tasks) > 0 || tasks <= 0 {
+		return
+	}
+	r.tasks = make([]Task, 0, tasks)
+	r.footprints = make([]Footprint, 0, args)
+	r.deps = make([]sched.Dep, 0, args)
 }
 
 // TaskInserted implements sched.Observer: it records the task's identity,
@@ -75,7 +101,7 @@ func (r *Recorder) TaskInserted(t *sched.Task, deps []sched.Dep) {
 		Duration:   -1,
 	}
 	if len(t.Args) > 0 {
-		rec.Footprint = make([]Footprint, len(t.Args))
+		rec.Footprint = slab.Carve(&r.footprints, len(t.Args))
 		for i, a := range t.Args {
 			id, ok := r.handles[a.Handle]
 			if !ok {
@@ -86,7 +112,8 @@ func (r *Recorder) TaskInserted(t *sched.Task, deps []sched.Dep) {
 		}
 	}
 	if len(deps) > 0 {
-		rec.Deps = append([]sched.Dep(nil), deps...)
+		rec.Deps = slab.Carve(&r.deps, len(deps))
+		copy(rec.Deps, deps)
 	}
 	r.tasks = append(r.tasks, rec)
 }
@@ -121,10 +148,11 @@ func (r *Recorder) CompletionHook() func(taskID, worker int, class string, start
 	}
 }
 
-// DAG returns the captured graph. Call after the run's barrier; the
-// returned DAG must not be read while the instrumented run is still
-// executing. An inconsistent capture (recorder attached mid-run) or an
-// empty one returns an error.
+// DAG returns the captured graph. Call once, after the run's barrier: the
+// graph takes ownership of the recorded tasks and of the slabs their
+// footprints and dependences live in, so a second call — like an
+// inconsistent capture (recorder attached mid-run) or an empty one —
+// returns an error.
 func (r *Recorder) DAG() (*DAG, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -134,10 +162,12 @@ func (r *Recorder) DAG() (*DAG, error) {
 	if len(r.tasks) == 0 {
 		return nil, fmt.Errorf("replay: no tasks captured")
 	}
-	return &DAG{
+	dag := &DAG{
 		Label:   r.label,
 		Workers: r.workers,
 		Handles: len(r.handles),
-		Tasks:   append([]Task(nil), r.tasks...),
-	}, nil
+		Tasks:   r.tasks,
+	}
+	r.tasks, r.footprints, r.deps, r.err = nil, nil, nil, errTaken
+	return dag, nil
 }

@@ -1,7 +1,9 @@
 package replay
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"supersim/internal/core"
@@ -336,5 +338,72 @@ func TestRunRejectsGangAndMissingDurations(t *testing.T) {
 	dag.Tasks[0].NumThreads = 3
 	if _, err := Run(dag, Options{Workers: 2, Model: core.FixedModel(1)}); err == nil {
 		t.Error("Run accepted a gang task")
+	}
+}
+
+// captureChain records n tasks that each read one handle and update
+// another (two footprints and up to two dependences per task), after
+// reserving room for reserveTasks tasks and reserveArgs arguments.
+func captureChain(t *testing.T, n, reserveTasks, reserveArgs int) (*Recorder, *DAG) {
+	t.Helper()
+	e, err := sched.NewEngine(sched.Config{Workers: 1, Policy: sched.NewFIFOPolicy(), Name: "chain"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Attach(e, "chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Reserve(reserveTasks, reserveArgs)
+	a, b := new(int), new(int)
+	for i := 0; i < n; i++ {
+		args := []sched.Arg{sched.R(a), sched.RW(b)}
+		if i%3 == 0 {
+			args = []sched.Arg{sched.RW(a), sched.R(b)}
+		}
+		if err := e.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Args: args, Func: func(*sched.Ctx) {}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Barrier()
+	e.Shutdown()
+	dag, err := rec.DAG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec, dag
+}
+
+func TestRecorderSlabsAndOwnership(t *testing.T) {
+	// Footprints and dependences are carved from slabs: the graph must not
+	// depend on how much was reserved — nothing, too little (the slabs take
+	// new chunks mid-run and earlier carvings must survive), or exactly.
+	const n = 300
+	_, want := captureChain(t, n, 0, 0)
+	if err := want.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct{ tasks, args int }{{1, 1}, {n, 2 * n}} {
+		_, got := captureChain(t, n, r.tasks, r.args)
+		if !reflect.DeepEqual(got.Tasks, want.Tasks) {
+			t.Errorf("Reserve(%d, %d) changed the captured graph", r.tasks, r.args)
+		}
+	}
+	// Appending to one task's lists must not spill into its neighbour's.
+	_, dag := captureChain(t, n, n, 2*n)
+	next := dag.Tasks[6].Footprint[0]
+	_ = append(dag.Tasks[5].Footprint, Footprint{Handle: 99})
+	if dag.Tasks[6].Footprint[0] != next {
+		t.Error("append to a task's footprint overwrote the next task's")
+	}
+	// DAG() hands the storage over: no second graph, and late callbacks do
+	// not reach the one already returned.
+	rec, dag := captureChain(t, 4, 0, 0)
+	if _, err := rec.DAG(); err == nil {
+		t.Error("second DAG() on one recorder succeeded")
+	}
+	rec.TaskInserted(&sched.Task{Class: "LATE"}, nil)
+	if len(dag.Tasks) != 4 {
+		t.Errorf("callback after DAG() grew the returned graph to %d tasks", len(dag.Tasks))
 	}
 }

@@ -207,6 +207,11 @@ func (e *Engine) NumWorkers() int { return e.cfg.Workers }
 // WorkerKind implements Runtime.
 func (e *Engine) WorkerKind(w int) WorkerKind { return e.cfg.Kinds[w] }
 
+// MasterParticipates reports whether the inserting goroutine executes
+// tasks itself (as worker 0, in Barrier and while blocked on a full
+// window) or every task runs on a dedicated worker goroutine.
+func (e *Engine) MasterParticipates() bool { return e.cfg.MasterParticipates }
+
 // park blocks worker w on its own condition variable until a wakeup is
 // directed at it. Caller holds e.mu; the parked flag is set before waiting
 // under the same lock acquisition, so a push that happens after this

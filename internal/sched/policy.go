@@ -327,13 +327,21 @@ type CostModel func(class string, kind WorkerKind) float64
 
 // DMPolicy reproduces StarPU's dm scheduler: at release time each task is
 // dispatched to the worker with the minimum expected completion time
-// (current queued load plus the model estimate on that worker's kind).
-// Workers only execute their own queue; the placement decision is the
-// scheduling decision.
+// (current load plus the model estimate on that worker's kind). Workers
+// only execute their own queue; the placement decision is the scheduling
+// decision.
+//
+// A worker's load covers its queued tasks and the task it is running: a
+// started task stays charged until the worker completes it, which the
+// policy observes as that worker's next Pop or as a Push the completion
+// released. Discharging at start instead would make a worker that is busy
+// in virtual time read as idle, so placement would depend on which worker
+// goroutine happened to pop first.
 type DMPolicy struct {
 	queues     [][]*Task
 	kinds      []WorkerKind
 	load       []float64
+	running    []float64 // cost of the task each worker started and has not completed
 	model      CostModel
 	total      int
 	dead       []bool
@@ -347,17 +355,30 @@ func NewDMPolicy(kinds []WorkerKind, model CostModel) *DMPolicy {
 		model = func(string, WorkerKind) float64 { return 1 }
 	}
 	return &DMPolicy{
-		queues: make([][]*Task, len(kinds)),
-		kinds:  append([]WorkerKind(nil), kinds...),
-		load:   make([]float64, len(kinds)),
-		model:  model,
-		dead:   make([]bool, len(kinds)),
+		queues:  make([][]*Task, len(kinds)),
+		kinds:   append([]WorkerKind(nil), kinds...),
+		load:    make([]float64, len(kinds)),
+		running: make([]float64, len(kinds)),
+		model:   model,
+		dead:    make([]bool, len(kinds)),
 	}
+}
+
+// discharge removes worker w's completed task from its load.
+func (p *DMPolicy) discharge(w int) {
+	p.load[w] -= p.running[w]
+	if p.load[w] < 0 {
+		p.load[w] = 0
+	}
+	p.running[w] = 0
 }
 
 // Push implements Policy: earliest-expected-finish placement across the
 // live workers (dead cores are never assigned new tasks).
-func (p *DMPolicy) Push(t *Task, _ int) {
+func (p *DMPolicy) Push(t *Task, by int) {
+	if by >= 0 && by < len(p.running) {
+		p.discharge(by) // by just completed the task that released t
+	}
 	best := -1
 	var bestFinish float64
 	for w, kind := range p.kinds {
@@ -387,15 +408,16 @@ func (p *DMPolicy) Push(t *Task, _ int) {
 
 // Pop implements Policy: strictly the worker's own queue.
 func (p *DMPolicy) Pop(w int, kind WorkerKind) *Task {
-	if w < 0 || w >= len(p.queues) || len(p.queues[w]) == 0 {
+	if w < 0 || w >= len(p.queues) {
+		return nil
+	}
+	p.discharge(w) // w asks for work, so whatever it ran has completed
+	if len(p.queues[w]) == 0 {
 		return nil
 	}
 	t := p.queues[w][0]
 	p.queues[w] = p.queues[w][1:]
-	p.load[w] -= p.model(t.Class, kind)
-	if p.load[w] < 0 {
-		p.load[w] = 0
-	}
+	p.running[w] = p.model(t.Class, kind)
 	p.total--
 	return t
 }
@@ -420,6 +442,7 @@ func (p *DMPolicy) SetWorkerDead(w int) int {
 	orphans := p.queues[w]
 	p.queues[w] = nil
 	p.load[w] = 0
+	p.running[w] = 0
 	p.total -= len(orphans)
 	for _, t := range orphans {
 		p.Push(t, -1)

@@ -165,6 +165,35 @@ func TestDMPolicyNilModelDegradesToLoadBalance(t *testing.T) {
 	}
 }
 
+func TestDMPolicyChargesRunningTaskUntilCompletion(t *testing.T) {
+	// Placement must read virtual state only: a worker that started a task
+	// is busy until it completes it, whether or not its goroutine has
+	// popped yet when the next task is released.
+	p := NewDMPolicy(cpuKinds(2), nil)
+	p.Push(mkTask(0, 0, 0), -1) // both idle: worker 0
+	if p.Pop(0, KindCPU) == nil {
+		t.Fatal("worker 0 did not get the first task")
+	}
+	p.Push(mkTask(0, 1, 0), -1)
+	if len(p.queues[1]) != 1 {
+		t.Fatalf("second task queued on %v, want worker 1 (worker 0 is running)", p.queues)
+	}
+	// Worker 0 completes and its completion releases a task: it is idle
+	// again, worker 1 still holds one.
+	p.Push(mkTask(0, 2, 0), 0)
+	if len(p.queues[0]) != 1 {
+		t.Fatalf("released task queued on %v, want worker 0 (just completed)", p.queues)
+	}
+	// A completion that releases nothing is seen at the worker's next Pop,
+	// also when that Pop finds the queue empty.
+	q := NewDMPolicy(cpuKinds(2), nil)
+	q.Push(mkTask(0, 0, 0), -1)
+	q.Pop(0, KindCPU)
+	if q.Pop(0, KindCPU) != nil || q.load[0] != 0 {
+		t.Errorf("idle worker 0 still carries load %g", q.load[0])
+	}
+}
+
 func TestClaimable(t *testing.T) {
 	kinds := []WorkerKind{KindCPU, KindAccelerator}
 	// FIFO: CPU task claimable by a free CPU worker only.

@@ -10,7 +10,8 @@ import (
 )
 
 // Tile is a dense NB x NB block stored column-major: element (i, j) lives
-// at Data[i + j*NB], matching LAPACK conventions.
+// at Data[i + j*NB], matching LAPACK conventions. A shape-only tile (see
+// NewShape) has NB set and Data nil.
 type Tile struct {
 	NB   int
 	Data []float64
@@ -65,6 +66,25 @@ func NewMatrix(nt, nb int) *Matrix {
 	m := &Matrix{NT: nt, NB: nb, Tiles: make([]*Tile, nt*nt)}
 	for i := range m.Tiles {
 		m.Tiles[i] = NewTile(nb)
+	}
+	return m
+}
+
+// NewShape returns an nt x nt tiled matrix of tile size nb whose tiles have
+// no element storage: NB is set, Data is nil. Capturing or simulating a
+// tile algorithm runs no kernel, so all it needs of a tile is a distinct
+// handle to track dependences on; a shape costs nt² small structs whatever
+// nb is, where NewMatrix allocates and the workload generators fill
+// (nt·nb)² elements. Element access on a shape panics.
+func NewShape(nt, nb int) *Matrix {
+	if nt < 1 || nb < 1 {
+		panic(fmt.Sprintf("tile: NewShape(%d, %d) with non-positive dimensions", nt, nb))
+	}
+	m := &Matrix{NT: nt, NB: nb, Tiles: make([]*Tile, nt*nt)}
+	tiles := make([]Tile, nt*nt)
+	for i := range tiles {
+		tiles[i].NB = nb
+		m.Tiles[i] = &tiles[i]
 	}
 	return m
 }

@@ -182,3 +182,23 @@ func TestNewMatrixPanicsOnBadShape(t *testing.T) {
 	}()
 	NewMatrix(0, 4)
 }
+
+func TestNewShapeHasDistinctStoragelessTiles(t *testing.T) {
+	m := NewShape(3, 64)
+	if m.NT != 3 || m.NB != 64 || m.N() != 192 || len(m.Tiles) != 9 {
+		t.Fatalf("shape %dx%d with %d tiles", m.NT, m.NB, len(m.Tiles))
+	}
+	seen := map[*Tile]bool{}
+	for _, tl := range m.Tiles {
+		if tl.NB != 64 || tl.Data != nil {
+			t.Fatalf("shape tile has NB %d and %d elements, want 64 and none", tl.NB, len(tl.Data))
+		}
+		seen[tl] = true
+	}
+	if len(seen) != 9 {
+		t.Errorf("%d distinct tile handles, want 9", len(seen))
+	}
+	if m.Tile(1, 2) != m.Tiles[1+2*3] {
+		t.Error("Tile(i,j) does not index a shape like a matrix")
+	}
+}

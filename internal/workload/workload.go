@@ -71,6 +71,20 @@ func ForAlgorithm(algorithm string, nt, nb int, seed uint64) (a, t *tile.Matrix)
 	}
 }
 
+// Shapes returns what ForAlgorithm returns for the same algorithm, without
+// element storage (tile.NewShape): the inputs of every run that executes no
+// kernel. Capture and simulation read only which tiles a task touches.
+func Shapes(algorithm string, nt, nb int) (a, t *tile.Matrix) {
+	switch algorithm {
+	case "cholesky", "chol", "lu":
+		return tile.NewShape(nt, nb), nil
+	case "qr":
+		return tile.NewShape(nt, nb), tile.NewShape(nt, nb)
+	default:
+		return nil, nil
+	}
+}
+
 // Sweep is one performance-sweep point (matrix size in tiles at a fixed
 // tile size), matching the x-axis of the paper's Figs. 8-10.
 type Sweep struct {

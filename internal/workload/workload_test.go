@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"supersim/internal/lapackref"
+	"supersim/internal/tile"
 )
 
 func TestRandomGeneralDeterministic(t *testing.T) {
@@ -63,6 +64,22 @@ func TestForAlgorithm(t *testing.T) {
 	a, tm = ForAlgorithm("nope", 2, 3, 1)
 	if a != nil || tm != nil {
 		t.Error("unknown algorithm should return nils")
+	}
+}
+
+func TestShapesMirrorForAlgorithm(t *testing.T) {
+	for _, alg := range []string{"cholesky", "chol", "qr", "lu", "nope"} {
+		a, tm := ForAlgorithm(alg, 2, 3, 1)
+		sa, st := Shapes(alg, 2, 3)
+		if (a == nil) != (sa == nil) || (tm == nil) != (st == nil) {
+			t.Errorf("%s: Shapes returns (%v, %v) where ForAlgorithm returns (%v, %v)", alg, sa != nil, st != nil, a != nil, tm != nil)
+			continue
+		}
+		for _, m := range []*tile.Matrix{sa, st} {
+			if m != nil && (m.NT != 2 || m.NB != 3 || m.Tiles[0].Data != nil) {
+				t.Errorf("%s: shape is %dx%d with %d elements per tile", alg, m.NT, m.NB, len(m.Tiles[0].Data))
+			}
+		}
 	}
 }
 
