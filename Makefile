@@ -20,6 +20,7 @@ race-pdes:
 	$(GO) test -race -run 'PDES' -count 2 ./internal/replay
 
 lint:
+	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v testdata))"
 	$(GO) vet ./...
 	$(GO) run ./cmd/simlint ./...
 

@@ -10,10 +10,10 @@ import (
 // else at package level draws from the shared, run-dependent global
 // generator and breaks simulation reproducibility.
 var detrandExempt = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true,
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true,
 	"NewChaCha8": true,
 }
 

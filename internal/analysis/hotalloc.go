@@ -25,9 +25,12 @@ import (
 //     unless the callee is itself //simlint:hotpath (then it is checked
 //     on its own) or provably allocation-free via the call-graph fact.
 //
-// sync, sync/atomic and math are exempt callees: mutex operations are
-// allocation-free and sync.Pool is the sanctioned amortization boundary
-// (the repo's pooled-scratch idiom — steady-state zero alloc). Interface
+// sync, sync/atomic, math and math/bits are exempt callees: mutex
+// operations are allocation-free, sync.Pool is the sanctioned
+// amortization boundary (the repo's pooled-scratch idiom — steady-state
+// zero alloc), and the two math packages are leaf packages of pure
+// arithmetic, mostly compiler intrinsics. Any other callee outside the
+// module has no body to inspect and is charged as allocating. Interface
 // dispatch resolves to no static callee and is deliberately not charged;
 // the dynamic ceiling test covers it.
 func NewHotAlloc() *Analyzer {
@@ -109,14 +112,15 @@ func NewHotAlloc() *Analyzer {
 
 // hotallocExemptCallee reports callees never charged as allocating:
 // sync (Pool is the audited amortization boundary, mutexes are
-// allocation-free), sync/atomic and math.
+// allocation-free), sync/atomic, and the allocation-free leaf packages
+// math and math/bits.
 func hotallocExemptCallee(fn *types.Func) bool {
 	pkg := fn.Pkg()
 	if pkg == nil {
 		return true // error interface methods and friends
 	}
 	switch pkg.Path() {
-	case "sync", "sync/atomic", "math":
+	case "sync", "sync/atomic", "math", "math/bits":
 		return true
 	}
 	return false

@@ -2,6 +2,8 @@
 // //simlint:hotpath functions.
 package hotfix
 
+import "strconv"
+
 type point struct{ x, y int }
 
 //simlint:hotpath
@@ -41,4 +43,12 @@ func callsAllocating() {
 // callers through the call-graph fact.
 func helper() []int {
 	return make([]int, 4)
+}
+
+// Only math and math/bits are known allocation-free; any other callee
+// outside the module is charged.
+//
+//simlint:hotpath
+func callsStd(v int) int {
+	return len(strconv.Itoa(v)) // want `calls strconv\.Itoa which may allocate`
 }

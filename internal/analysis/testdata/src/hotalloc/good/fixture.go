@@ -1,7 +1,13 @@
 // Fixture: the sanctioned hot-path shapes — index arithmetic, struct
-// value writes into pre-sized storage, hotpath-to-hotpath calls, and a
+// value writes into pre-sized storage, hotpath-to-hotpath calls, calls
+// into the allocation-free std leaf packages (math, math/bits), and a
 // reasoned allow on the cold resize branch.
 package hotfix
+
+import (
+	"math"
+	"math/bits"
+)
 
 type event struct {
 	worker int
@@ -47,4 +53,12 @@ func (p *plan) reset(n int) {
 	for i := range p.clock {
 		p.clock[i] = 0
 	}
+}
+
+// highest mirrors the replay ready queue's level search: math and
+// math/bits are pure arithmetic and need no annotation.
+//
+//simlint:hotpath
+func highest(word uint64, x float64) int {
+	return bits.Len64(word) - 1 + bits.TrailingZeros64(math.Float64bits(x))
 }

@@ -229,19 +229,47 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			}
 		}},
 		{Name: "ReplayLargeSerial", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 0)
+			benchLargeReplay(b, 0, runTrace)
+		}},
+		{Name: "ReplayMakespanLarge", Bench: func(b *testing.B) {
+			// ReplayLargeSerial's replay when only the makespan is wanted —
+			// every replica of a sweep: the same loop, no events built.
+			benchLargeReplay(b, 0, func(d *replay.DAG, opt replay.Options) error {
+				_, err := replay.Makespan(d, opt)
+				return err
+			})
+		}},
+		{Name: "ReplayManyLevels", Bench: func(b *testing.B) {
+			// The ready queue away from its common case of one to three
+			// priority levels: 2000 of them, so every push searches the
+			// level table and every pop walks two bitmap layers.
+			dag := manyLevelsDAG(20000, 2000)
+			if _, err := dag.Arena(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := replay.Run(dag, replay.Options{
+					Workers: 8,
+					Model:   replayJitter{},
+					Seed:    uint64(i) + 1,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}},
 		{Name: "ReplayParallel1", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 1)
+			benchLargeReplay(b, 1, runTrace)
 		}},
 		{Name: "ReplayParallel2", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 2)
+			benchLargeReplay(b, 2, runTrace)
 		}},
 		{Name: "ReplayParallel4", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 4)
+			benchLargeReplay(b, 4, runTrace)
 		}},
 		{Name: "ReplayParallel8", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 8)
+			benchLargeReplay(b, 8, runTrace)
 		}},
 		{Name: "ReplayArenaParallel4", Bench: func(b *testing.B) {
 			// The 113k-task PDES replay driven from the arena directly.
@@ -291,6 +319,26 @@ func microSuite(counters *perf.Counters) []MicroBench {
 	}
 }
 
+// manyLevelsDAG is a seeded random layered graph (layers of up to 64
+// tasks, up to three predecessors in the layer before) whose priorities
+// are drawn uniformly from [0, levels).
+func manyLevelsDAG(n, levels int) *replay.DAG {
+	src := rng.New(1)
+	d := &replay.DAG{Label: "many-levels", Workers: 8, Handles: 1, Tasks: make([]replay.Task, 0, n)}
+	prev, first := 0, 0 // the layer before is [prev, first)
+	for len(d.Tasks) < n {
+		prev, first = first, len(d.Tasks)
+		for k := min(1+src.Intn(64), n-first); k > 0; k-- {
+			t := replay.Task{ID: len(d.Tasks), Class: "K", Label: "k", Priority: src.Intn(levels), Ready: -1, Duration: -1}
+			for j := src.Intn(4); j > 0 && first > prev; j-- {
+				t.Deps = append(t.Deps, sched.Dep{Pred: prev + src.Intn(first-prev)})
+			}
+			d.Tasks = append(d.Tasks, t)
+		}
+	}
+	return d
+}
+
 // largeReplaySpec sizes the ReplayLargeSerial/ReplayParallelN workload: a
 // >100k-task Cholesky DAG (NT=85 → 113k tasks) at 8 virtual workers, the
 // scale where the PDES executor is meant to win. The capture runs once
@@ -319,7 +367,7 @@ func largeReplay() (*replay.DAG, error) {
 // LP channel protocol. ReplayParallelN vs ReplayLargeSerial is the
 // ISSUE's speedup gate; ReplayParallelN vs ReplayParallel1 isolates the
 // parallel-execution speedup at identical semantics.
-func benchLargeReplay(b *testing.B, parallelism int) {
+func benchLargeReplay(b *testing.B, parallelism int, run func(*replay.DAG, replay.Options) error) {
 	dag, err := largeReplay()
 	if err != nil {
 		b.Fatal(err)
@@ -327,7 +375,7 @@ func benchLargeReplay(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := replay.Run(dag, replay.Options{
+		if err := run(dag, replay.Options{
 			Workers:          largeReplaySpec.Workers,
 			Model:            replayJitter{},
 			Seed:             uint64(i) + 1,
@@ -337,6 +385,12 @@ func benchLargeReplay(b *testing.B, parallelism int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// runTrace is the replay whose result is the whole trace.
+func runTrace(d *replay.DAG, opt replay.Options) error {
+	_, err := replay.Run(d, opt)
+	return err
 }
 
 // replayBenchSpec is the workload of the ReplayVsDirect benchmark pair: a

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"supersim/internal/dist"
+	"supersim/internal/kernels"
+	"supersim/internal/perfmodel"
 	"supersim/internal/workload"
 )
 
@@ -68,7 +71,36 @@ func TestPolicyStudyRandomDAGValid(t *testing.T) {
 
 func TestScalingStudyShape(t *testing.T) {
 	spec := Spec{Algorithm: "cholesky", Scheduler: "quark", NT: 6, NB: 24, Seed: 5, Workers: 2}
-	points, err := ScalingStudy(spec, 6, []int{1, 4})
+
+	// Speedup <= workers holds only when the 1-worker run and the w-worker
+	// run charge the same durations: then the 1-worker makespan is the
+	// total work and w workers cannot finish it in less than a w-th. A
+	// calibrated model is fitted to noisy measured kernels and each run
+	// draws its own samples from it, so there the bound is a tendency, not
+	// an invariant (it failed about one run in ten). Assert it where it is
+	// one: a constant duration per kernel class.
+	fixed := perfmodel.NewModel()
+	for i, class := range kernels.CholeskyClasses {
+		fixed.Dists[string(class)] = dist.Constant{Value: float64(i+1) * 1e-3}
+	}
+	points, err := scalingWithModel(spec, 6, nil, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range points {
+		if p.Speedup > float64(p.Workers)+1e-9 {
+			t.Errorf("superlinear speedup %g on %d workers", p.Speedup, p.Workers)
+		}
+		if p.RealMakespan != 0 {
+			t.Errorf("%d workers measured without being a validation point", p.Workers)
+		}
+	}
+	if points[5].Speedup <= points[0].Speedup {
+		t.Error("no scaling at all")
+	}
+
+	// The calibrated study: shape only.
+	points, err = ScalingStudy(spec, 6, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +109,6 @@ func TestScalingStudyShape(t *testing.T) {
 	}
 	if points[0].Speedup != 1 {
 		t.Errorf("1-worker speedup %g", points[0].Speedup)
-	}
-	// Speedup must be monotone non-decreasing-ish and bounded by workers.
-	for _, p := range points {
-		if p.Speedup > float64(p.Workers)+0.01 {
-			t.Errorf("superlinear speedup %g on %d workers", p.Speedup, p.Workers)
-		}
-	}
-	if points[5].Speedup <= points[0].Speedup {
-		t.Error("no scaling at all")
 	}
 	// Validated points carry measured numbers.
 	if points[0].RealMakespan <= 0 || points[3].RealMakespan <= 0 {

@@ -282,7 +282,7 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 				}
 				p, rep := j/len(owned), owned[j%len(owned)]
 				j0 := time.Now()
-				tr, err := replay.Run(dags[p], replay.Options{
+				ms, err := replay.Makespan(dags[p], replay.Options{
 					Workers:          workers,
 					Model:            opt.Model,
 					Seed:             ReplicaSeed(opt.Seed, points[p].NT, rep),
@@ -293,7 +293,7 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 					errs[shard] = fmt.Errorf("bench: replay nt=%d replica %d: %w", points[p].NT, rep, err)
 					return
 				}
-				points[p].Makespans[rep] = tr.Makespan()
+				points[p].Makespans[rep] = ms
 				replayNs[p].Add(time.Since(j0).Nanoseconds())
 			}
 		}(s)

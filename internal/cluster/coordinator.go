@@ -84,8 +84,8 @@ const (
 // falsely-declared-dead worker's completion is recognized and deduplicated
 // by fingerprint instead of double-counted.
 type attempt struct {
-	Worker string `json:"worker"`
-	JobID  string `json:"job_id,omitempty"`
+	Worker string          `json:"worker"`
+	JobID  string          `json:"job_id,omitempty"`
 	view   *server.JobView // guarded by Coordinator.mu — last poll
 	// settled marks the attempt resolved (terminal status seen, job gone,
 	// or abandoned on a dead worker): the tracker stops polling it. An

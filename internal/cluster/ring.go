@@ -31,7 +31,7 @@ import (
 // with its own mutex.
 type Ring struct {
 	vnodes int
-	points []ringPoint         // sorted by hash
+	points []ringPoint // sorted by hash
 	nodes  map[string]struct{}
 }
 

@@ -101,9 +101,9 @@ func TestTornTailTruncated(t *testing.T) {
 
 	logPath := filepath.Join(dir, "log.jsonl")
 	for _, tear := range []string{
-		`{"crc":123,"rec":{"seq":`,          // torn mid-line
+		`{"crc":123,"rec":{"seq":`,                   // torn mid-line
 		`{"crc":1,"rec":{"seq":6,"type":""}}` + "\n", // complete line, wrong CRC
-		"garbage\n",                         // not JSON at all
+		"garbage\n", // not JSON at all
 	} {
 		f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
 		if err != nil {

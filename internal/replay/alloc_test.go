@@ -40,6 +40,33 @@ func TestSerialRunAllocs(t *testing.T) {
 	}
 }
 
+// makespanAllocCeiling bounds a steady-state serial replay.Makespan: it is
+// the same loop with no trace to return, so nothing at all.
+const makespanAllocCeiling = 0
+
+func TestMakespanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if testing.Short() {
+		t.Skip("allocation calibration is slow")
+	}
+	dag, _ := captureRun(t, core.FixedModel(1e-3), 7)
+	var model core.DurationModel = jitterModel{base: 1e-3}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Makespan(dag, Options{Workers: 4, Model: model, Seed: uint64(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if a := res.AllocsPerOp(); a > makespanAllocCeiling {
+		t.Errorf("serial replay.Makespan allocates %d objects/op, ceiling %d (%s)",
+			a, makespanAllocCeiling, res.MemString())
+	}
+}
+
 // pdesRunAllocCeiling bounds the serial-execution PDES path (Parallelism
 // >= 1 below the crossover) at the same arena floor: the plan is pooled
 // and aliases the arena's precomputed schedule, so per op it is again

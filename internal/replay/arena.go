@@ -28,6 +28,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 
 	"supersim/internal/graph"
 	"supersim/internal/hazard"
@@ -109,8 +110,13 @@ type Arena struct {
 	succList []int32
 	rank     []int32 // PDES static rank (pdes.go): task -> rank
 	order    []int32 // rank -> task
-	hasDur   bool    // every task carries a captured duration
-	buf      []byte  // encoded bytes this arena aliases (Load), else nil
+	// Ready-queue layout (readyQueue, replay.go): the distinct priority
+	// values ascending and the prefix sums of their task counts. O(levels)
+	// — three for the tile algorithms — never a per-task column.
+	levelPrio []int32
+	levelOff  []int32 // len(levelPrio)+1; level l owns slots [levelOff[l], levelOff[l+1])
+	hasDur    bool    // every task carries a captured duration
+	buf       []byte  // encoded bytes this arena aliases (Load), else nil
 }
 
 // NumTasks returns the task count.
@@ -261,8 +267,9 @@ func BuildArena(d *DAG) (*Arena, error) {
 // deriveStatic computes the redundant-but-hot views: the successor CSR
 // (filled in ascending task order, reproducing the engine's insertion
 // release order), the PDES static rank — the capture ready order when it
-// is a valid topological permutation, else task id — and the
-// has-durations flag. succOff/succList/rank/order must be pre-sized.
+// is a valid topological permutation, else task id — the ready-queue
+// level tables and the has-durations flag. succOff/succList/rank/order
+// must be pre-sized.
 func (a *Arena) deriveStatic() {
 	n := a.n
 	scratch := make([]int32, n)
@@ -323,6 +330,8 @@ func (a *Arena) deriveStatic() {
 		a.order[a.rank[i]] = int32(i)
 	}
 
+	a.deriveLevels(scratch)
+
 	a.hasDur = true
 	for _, dur := range a.duration {
 		if dur < 0 {
@@ -330,6 +339,85 @@ func (a *Arena) deriveStatic() {
 			break
 		}
 	}
+}
+
+// deriveLevels fills the ready-queue level tables from the priority
+// column, using scratch (len n) as working space. The column arrives from
+// disk and from peers as well as from captures, so the cost is bounded for
+// any content: when the values span fewer than n integers — every real
+// capture; the tile algorithms use three — scratch is the counting table
+// and two passes suffice; otherwise one sort of a copy, O(n log n).
+func (a *Arena) deriveLevels(scratch []int32) {
+	n := a.n
+	lo, hi := a.priority[0], a.priority[0]
+	for _, p := range a.priority {
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	if span := int64(hi) - int64(lo); span < int64(n) {
+		pops := scratch[:span+1]
+		clear(pops)
+		for _, p := range a.priority {
+			pops[p-lo]++
+		}
+		levels := 0
+		for _, c := range pops {
+			if c != 0 {
+				levels++
+			}
+		}
+		a.sizeLevels(levels)
+		l, off := 0, int32(0)
+		for v, c := range pops {
+			if c != 0 {
+				a.levelPrio[l], a.levelOff[l] = lo+int32(v), off
+				off += c
+				l++
+			}
+		}
+		return
+	}
+	vals := scratch
+	copy(vals, a.priority)
+	slices.Sort(vals)
+	levels := 1
+	for i := 1; i < n; i++ {
+		if vals[i] != vals[i-1] {
+			levels++
+		}
+	}
+	a.sizeLevels(levels)
+	l := 0
+	for i := 0; i < n; i++ {
+		if i == 0 || vals[i] != vals[i-1] {
+			a.levelPrio[l], a.levelOff[l] = vals[i], int32(i)
+			l++
+		}
+	}
+}
+
+// sizeLevels allocates the level tables; levelOff's closing entry is n.
+func (a *Arena) sizeLevels(levels int) {
+	tab := make([]int32, 2*levels+1)
+	a.levelPrio, a.levelOff = tab[:levels:levels], tab[levels:]
+	a.levelOff[levels] = int32(a.n)
+}
+
+// level returns the ready-queue level of a priority value present in the
+// arena: its index in levelPrio. A binary search over the distinct values,
+// not a per-task column — two steps for the tile algorithms' three levels.
+//
+//simlint:hotpath
+func (a *Arena) level(prio int32) int32 {
+	lo, hi := 0, len(a.levelPrio)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a.levelPrio[mid] < prio {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return int32(lo)
 }
 
 // firstMissingDuration returns the lowest task id without a captured
@@ -433,7 +521,35 @@ func RunArena(a *Arena, opt Options) (*trace.Trace, error) {
 	if opt.Parallelism >= 1 {
 		return runPDES(a, &opt)
 	}
-	return runArenaSerial(a, &opt)
+	tr := trace.New(arenaLabel(a, &opt), arenaWorkers(a, &opt))
+	if _, err := runArenaSerial(a, &opt, tr); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// Makespan re-simulates the captured DAG and returns only the virtual time
+// at which its last task completes — bit-equal to Run(d, opt).Makespan()
+// for every Options value. A sweep needs nothing else from a replica, so
+// the serial executor runs the same loop with no trace to append to: no
+// event is built and nothing is allocated in steady state. With
+// Options.Parallelism >= 1 it is the makespan of the PDES trace.
+func Makespan(d *DAG, opt Options) (float64, error) {
+	if opt.Parallelism >= 1 {
+		tr, err := Run(d, opt)
+		if err != nil {
+			return 0, err
+		}
+		return tr.Makespan(), nil
+	}
+	if len(d.Tasks) == 0 {
+		return 0, fmt.Errorf("replay: empty DAG")
+	}
+	a, err := d.Arena()
+	if err != nil {
+		return 0, err
+	}
+	return runArenaSerial(a, &opt, nil)
 }
 
 // serialRun is the per-run state of the serial executor, kept in a struct
@@ -446,7 +562,6 @@ type serialRun struct {
 	sc       *serialScratch
 	clock    float64
 	startSeq uint64
-	pushSeq  int32
 }
 
 // source returns worker w's sampling stream, lazily (re)seeded with the
@@ -468,36 +583,35 @@ func (r *serialRun) source(w int32) *rng.Source {
 	return sc.sources[w]
 }
 
-// pushReady queues a newly-ready task with the PriorityPolicy ordering
-// key (priority desc, readiness seq asc).
+// pushReady queues a newly-ready task behind the tasks of its priority
+// level already waiting (the PriorityPolicy order: priority desc,
+// readiness order asc); IgnorePriorities runs have one level.
 //
 //simlint:hotpath
 func (r *serialRun) pushReady(id int32) {
-	prio := r.a.priority[id]
-	if r.opt.IgnorePriorities {
-		prio = 0
+	var level int32
+	if !r.opt.IgnorePriorities {
+		level = r.a.level(r.a.priority[id])
 	}
-	//simlint:allow hotalloc — the ready heap is pooled and retains capacity; steady-state pushes never grow it
-	r.sc.ready.Push(readyItem{id: id, prio: prio, seq: r.pushSeq})
-	r.pushSeq++
+	r.sc.ready.push(level, id)
 }
 
-// mkEntry starts ready task it on worker w at the current clock, sampling
+// start begins ready task id on worker w at the current clock, sampling
 // its duration from the worker's stream (or replaying the captured one).
 //
 //simlint:hotpath
-func (r *serialRun) mkEntry(it readyItem, w int32) runEntry {
+func (r *serialRun) start(id, w int32) runEntry {
 	a := r.a
 	var dur float64
 	if r.opt.Model != nil {
-		dur = r.opt.Model.Duration(a.strTab[a.classIdx[it.id]], sched.KindCPU, r.source(w))
+		dur = r.opt.Model.Duration(a.strTab[a.classIdx[id]], sched.KindCPU, r.source(w))
 		if dur < 0 {
 			dur = 0
 		}
 	} else {
-		dur = a.duration[it.id]
+		dur = a.duration[id]
 	}
-	e := runEntry{end: r.clock + dur, seq: r.startSeq, start: r.clock, id: it.id, worker: w}
+	e := runEntry{end: r.clock + dur, seq: r.startSeq, start: r.clock, id: id, worker: w}
 	r.startSeq++
 	return e
 }
@@ -505,28 +619,35 @@ func (r *serialRun) mkEntry(it readyItem, w int32) runEntry {
 // runArenaSerial is the greedy virtual-time list scheduler of replay.Run,
 // iterating arena columns: wait counts come from the dependence CSR
 // offsets, releases walk the precomputed successor CSR, and every field
-// read is a flat column load. See Run for the scheduling contract. The
-// inner-loop helpers (pushReady, mkEntry, source) carry the hotpath
-// annotation; this driver also owns the per-run allocations the
-// alloc-ceiling test admits (the returned trace) and the cold error
-// paths.
-func runArenaSerial(a *Arena, opt *Options) (*trace.Trace, error) {
+// read is a flat column load. See Run for the scheduling contract. It
+// appends one event per completion to tr — sizing it first — or, when tr
+// is nil, records nothing, and returns the final clock: the latest
+// completion time, which is what Trace.Makespan computes from the events.
+// The inner-loop helpers (pushReady, start, source and the queue methods)
+// carry the hotpath annotation; this driver owns the cold error paths and
+// the scratch sizing.
+func runArenaSerial(a *Arena, opt *Options, tr *trace.Trace) (float64, error) {
 	if opt.Model == nil && !a.hasDur {
 		id := a.firstMissingDuration()
-		return nil, fmt.Errorf("replay: task %d (%s) has no captured duration and no model was given",
+		return 0, fmt.Errorf("replay: task %d (%s) has no captured duration and no model was given",
 			id, a.strTab[a.labelIdx[id]])
 	}
 	n := a.n
 	workers := arenaWorkers(a, opt)
-	label := arenaLabel(a, opt)
 
 	sc := serialPool.Get().(*serialScratch)
 	defer func() {
-		sc.ready.Clear()
-		sc.running.Clear()
 		sc.free.Clear()
 		serialPool.Put(sc)
 	}()
+	// The event buffer is the one large allocation of a run, so the one
+	// likely to start a GC cycle. It is sized here, with the scratch checked
+	// out: sized before the Get, the cycle's pool clean-up (and the
+	// reschedule after its stop-the-world) tripled how often the Get missed
+	// and rebuilt ~1 MB of scratch on the 117k-task frame.
+	if tr != nil {
+		tr.Reserve(n)
+	}
 
 	sc.waits = growInt32(sc.waits, n)
 	for i := 0; i < n; i++ {
@@ -549,43 +670,50 @@ func runArenaSerial(a *Arena, opt *Options) (*trace.Trace, error) {
 		sc.seeded[w] = false
 	}
 
+	if opt.IgnorePriorities {
+		sc.ready.reset([]int32{0, int32(n)}) // one level: plain FIFO
+	} else {
+		sc.ready.reset(a.levelOff)
+	}
+	if cap(sc.running) < workers {
+		sc.running = make(runHeap, 0, workers)
+	}
+
 	r := serialRun{a: a, opt: opt, sc: sc}
 
-	ready, running, free := sc.ready, sc.running, sc.free
+	ready, running, free := &sc.ready, sc.running[:0], sc.free
 	for w := 0; w < workers; w++ {
 		free.Push(int32(w))
 	}
-
-	tr := trace.New(label, workers)
-	tr.Reserve(n)
 
 	for id := 0; id < n; id++ {
 		if sc.waits[id] == 0 {
 			r.pushReady(int32(id))
 		}
 	}
-	for !ready.Empty() && !free.Empty() {
+	for ready.count > 0 && !free.Empty() {
 		w, _ := free.Pop()
-		it, _ := ready.Pop()
-		running.Push(r.mkEntry(it, w))
+		running.push(r.start(ready.pop(), w))
 	}
 
 	for done := 0; done < n; done++ {
-		e, ok := running.Peek()
-		if !ok {
-			return nil, fmt.Errorf("replay: deadlock after %d of %d tasks (cycle in captured DAG?)", done, n)
+		if len(running) == 0 {
+			return 0, fmt.Errorf("replay: deadlock after %d of %d tasks (cycle in captured DAG?)", done, n)
 		}
+		e := running[0]
 		if e.end > r.clock {
 			r.clock = e.end
 		}
-		tr.Append(trace.Event{
-			Worker: int(e.worker),
-			Class:  a.strTab[a.classIdx[e.id]],
-			Label:  a.strTab[a.labelIdx[e.id]],
-			TaskID: int(e.id),
-			Start:  e.start,
-			End:    e.end,
-		})
+		if tr != nil {
+			tr.Append(trace.Event{
+				Worker: int(e.worker),
+				Class:  a.strTab[a.classIdx[e.id]],
+				Label:  a.strTab[a.labelIdx[e.id]],
+				TaskID: int(e.id),
+				Start:  e.start,
+				End:    e.end,
+			})
+		}
 		for _, s := range a.succList[a.succOff[e.id]:a.succOff[e.id+1]] {
 			sc.waits[s]--
 			if sc.waits[s] == 0 {
@@ -594,17 +722,16 @@ func runArenaSerial(a *Arena, opt *Options) (*trace.Trace, error) {
 		}
 		// Chain handoff: the completing task's worker takes the best ready
 		// task in place, one sift instead of two.
-		if it, ok := ready.Pop(); ok {
-			running.ReplaceTop(r.mkEntry(it, e.worker))
+		if ready.count > 0 {
+			running.replaceTop(r.start(ready.pop(), e.worker))
 		} else {
-			running.Pop()
+			running.pop()
 			free.Push(e.worker)
 		}
-		for !ready.Empty() && !free.Empty() {
+		for ready.count > 0 && !free.Empty() {
 			w, _ := free.Pop()
-			it, _ := ready.Pop()
-			running.Push(r.mkEntry(it, w))
+			running.push(r.start(ready.pop(), w))
 		}
 	}
-	return tr, nil
+	return r.clock, nil
 }

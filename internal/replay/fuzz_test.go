@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"supersim/internal/core"
@@ -66,6 +67,52 @@ func FuzzDecode(f *testing.F) {
 		}
 		if tr.Fingerprint() != tr2.Fingerprint() {
 			t.Fatalf("re-encode round trip changed the fingerprint: %#x != %#x", tr2.Fingerprint(), tr.Fingerprint())
+		}
+	})
+}
+
+// FuzzLoadRun aims the fuzzer at the one column whose content shapes a
+// derived structure: the input bytes become the priority column (four
+// bytes a task) of a fixed random graph, framed with a valid CRC so Load
+// always gets as far as deriving the ready-queue levels. Whatever the
+// column holds, the level tables must partition it and the replay must
+// match the naive oracle — with priorities and without.
+func FuzzLoadRun(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0xff}) // MinInt32, MaxInt32, -1
+	// 300 distinct values spread over int32: sort derivation, two bitmap layers.
+	wide := make([]byte, 4*300)
+	for i := 0; i < 300; i++ {
+		binary.LittleEndian.PutUint32(wide[4*i:], uint32(i)*2654435761)
+	}
+	f.Add(wide)
+
+	var model core.DurationModel = jitterModel{base: 1e-3}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		n := min(len(b)/4, 4096)
+		d := syntheticDAG(max(n, 1), 3, 4, 9)
+		for i := 0; i < n; i++ {
+			d.Tasks[i].Priority = int(int32(binary.LittleEndian.Uint32(b[4*i:])))
+		}
+		built, err := BuildArena(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Load(built.Encode())
+		if err != nil {
+			t.Fatalf("Load rejects an encoded arena: %v", err)
+		}
+		checkLevels(t, a)
+		for _, fifo := range []bool{false, true} {
+			opt := Options{Workers: 3, Model: model, Seed: 3, IgnorePriorities: fifo}
+			tr, err := RunArena(a, opt)
+			if err != nil {
+				t.Fatalf("loaded arena does not replay: %v", err)
+			}
+			if got, want := tr.Fingerprint(), oracleRun(d, opt).Fingerprint(); got != want {
+				t.Fatalf("fifo=%v: fingerprint %#x, oracle %#x", fifo, got, want)
+			}
 		}
 	})
 }

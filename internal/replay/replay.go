@@ -21,6 +21,7 @@ package replay
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -180,13 +181,6 @@ type Options struct {
 // sequences for the same (seed, worker) pair.
 const seedMix = 0x9e3779b97f4a7c15
 
-// readyItem is one entry of the serial executor's ready heap.
-type readyItem struct {
-	id   int32
-	prio int32
-	seq  int32
-}
-
 // runEntry is one entry of the serial executor's replay Task Execution
 // Queue: completions are processed in (end, start order).
 type runEntry struct {
@@ -197,37 +191,189 @@ type runEntry struct {
 	worker int32
 }
 
+// runHeap is the serial executor's Task Execution Queue: a binary
+// min-heap of running tasks keyed (end, seq). It is concrete rather than a
+// pq.Heap[runEntry] because the comparison is the hottest branch of a
+// replay — inlined here, an indirect call per sift step there — and it
+// sifts with a hole (children move up, the displaced entry is written
+// once) instead of swapping. The backing array is sized to the worker
+// count before a run, so push never grows it.
+type runHeap []runEntry
+
+// before is the queue order: earlier completion first, start order as the
+// tiebreak. seq is unique per run, so the order is total.
+func (e *runEntry) before(o *runEntry) bool {
+	return e.end < o.end || (e.end == o.end && e.seq < o.seq)
+}
+
+// push inserts x; the caller guarantees len(h) < cap(h).
+//
+//simlint:hotpath
+func (h *runHeap) push(x runEntry) {
+	s := (*h)[:len(*h)+1]
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = x
+	*h = s
+}
+
+// replaceTop overwrites the minimum with x and restores heap order with
+// one sift-down — a completing task handing its worker to the next ready
+// task. The heap must be non-empty.
+//
+//simlint:hotpath
+func (h runHeap) replaceTop(x runEntry) {
+	n := len(h)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
+// pop removes the minimum. The heap must be non-empty.
+//
+//simlint:hotpath
+func (h *runHeap) pop() {
+	s := *h
+	last := s[len(s)-1]
+	s = s[:len(s)-1]
+	if len(s) > 0 {
+		s.replaceTop(last)
+	}
+	*h = s
+}
+
+// readyQueue is the serial executor's ready structure. The ready order is
+// (priority desc, push sequence asc), and the push sequence is a counter
+// the executor itself increments, so within one priority value the order
+// is plain FIFO: no comparisons are needed, only "which is the highest
+// non-empty priority level". One slab of n task slots is split into a
+// region per level (arena.levelOff); a task is pushed at most once per
+// run and a region is as large as its level's population, so each region
+// is a queue that needs a head and a tail but never wraps. A hierarchical
+// bitmap over the levels (64-way: layer k+1 has one bit per word of layer
+// k, the top layer is one word) finds the best level in one bits.Len64
+// per layer — one layer up to 64 levels, two up to 4096, six at most.
+type readyQueue struct {
+	slots []int32  // n task ids, level l queued in slots[head[l]:tail[l]]
+	head  []int32  // per level: next slot to pop
+	tail  []int32  // per level: next slot to fill
+	words []uint64 // bitmap layers, finest first, back to back
+	layer [6]int32 // layer k starts at words[layer[k]]
+	depth int      // layers in use
+	count int      // queued tasks
+}
+
+// reset empties the queue and lays it out for one run: off is the region
+// table (len levels+1, off[levels] == n).
+func (q *readyQueue) reset(off []int32) {
+	levels := len(off) - 1
+	q.slots = growInt32(q.slots, int(off[levels]))
+	q.head = growInt32(q.head, levels)
+	q.tail = growInt32(q.tail, levels)
+	copy(q.head, off)
+	copy(q.tail, off)
+	total := 0
+	q.depth = 0
+	for w := levels; ; {
+		w = (w + 63) / 64
+		q.layer[q.depth] = int32(total)
+		q.depth++
+		total += w
+		if w == 1 {
+			break
+		}
+	}
+	if cap(q.words) < total {
+		q.words = make([]uint64, total)
+	}
+	q.words = q.words[:total]
+	clear(q.words)
+	q.count = 0
+}
+
+// push appends task id to its level's region.
+//
+//simlint:hotpath
+func (q *readyQueue) push(level, id int32) {
+	q.slots[q.tail[level]] = id
+	q.tail[level]++
+	q.count++
+	i := level
+	for k := 0; k < q.depth; k++ {
+		w := &q.words[q.layer[k]+i>>6]
+		old := *w
+		*w = old | 1<<(uint(i)&63)
+		if old != 0 {
+			break // the coarser layers already know this word is non-empty
+		}
+		i >>= 6
+	}
+}
+
+// pop removes and returns the oldest task of the highest non-empty level.
+// The queue must be non-empty.
+//
+//simlint:hotpath
+func (q *readyQueue) pop() int32 {
+	var level int32
+	for k := q.depth - 1; k >= 0; k-- {
+		level = level<<6 | int32(bits.Len64(q.words[q.layer[k]+level])-1)
+	}
+	id := q.slots[q.head[level]]
+	q.head[level]++
+	q.count--
+	if q.head[level] == q.tail[level] {
+		i := level
+		for k := 0; k < q.depth; k++ {
+			w := &q.words[q.layer[k]+i>>6]
+			*w &^= 1 << (uint(i) & 63)
+			if *w != 0 {
+				break
+			}
+			i >>= 6
+		}
+	}
+	return id
+}
+
 // serialScratch is the reusable per-run state of the serial executor:
-// the wait-count column and the three scheduling heaps, pooled so
-// steady-state replay allocates only the returned trace (the
-// alloc-ceiling test pins this at ≤ 2 allocs). Successor lists live in
-// the immutable arena now; only genuinely per-run state remains here.
-// The per-worker rng Sources are retained and reseeded per run.
+// the wait-count column, the ready queue, the running heap and the
+// free-worker heap, pooled so steady-state replay allocates only the
+// returned trace (the alloc-ceiling test pins this at ≤ 2 allocs, and a
+// makespan-only replay at 0). Successor lists and the level tables live in
+// the immutable arena; only genuinely per-run state remains here. The
+// per-worker rng Sources are retained and reseeded per run.
 type serialScratch struct {
 	waits   []int32
 	seeded  []bool // per-worker: source reseeded this run
 	sources []*rng.Source
-	ready   *pq.Heap[readyItem]
-	running *pq.Heap[runEntry]
+	ready   readyQueue
+	running runHeap
 	free    *pq.Heap[int32]
 }
 
 var serialPool = sync.Pool{New: func() any {
-	return &serialScratch{
-		ready: pq.New(func(a, b readyItem) bool {
-			if a.prio != b.prio {
-				return a.prio > b.prio // higher priority first (PriorityPolicy)
-			}
-			return a.seq < b.seq // FIFO tiebreak
-		}),
-		running: pq.New(func(a, b runEntry) bool {
-			if a.end != b.end {
-				return a.end < b.end
-			}
-			return a.seq < b.seq
-		}),
-		free: pq.New(func(a, b int32) bool { return a < b }),
-	}
+	return &serialScratch{free: pq.New(func(a, b int32) bool { return a < b })}
 }}
 
 // growInt32 returns buf with length n, reusing capacity when possible.
@@ -270,7 +416,7 @@ func checkTask(i int, t *Task) error {
 //     sequence — the Task Execution Queue ordering — and its successors
 //     are released before any later completion advances the clock;
 //   - a completing task hands its worker straight to the best ready task
-//     (one pq.ReplaceTop on the running heap instead of a Pop+Push pair);
+//     (one replaceTop on the running heap instead of a pop+push pair);
 //     remaining ready tasks go to the lowest-index free workers.
 //
 // The whole loop runs on the calling goroutine: no scheduler, no hazard

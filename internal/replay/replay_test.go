@@ -194,17 +194,32 @@ func TestReplayMatchesDirectFIFO(t *testing.T) {
 	}
 }
 
+// chainModel gives task k of chain c (class "K<c><k>") its own fixed
+// duration 2^-10·(1 + 2^-(i+2)), i = 4c+k. A completion time is the sum of
+// the durations along the task's causal chain; sums of distinct subsets of
+// these values are distinct and exact in float64, so no two completions of
+// the run coincide.
+type chainModel struct{}
+
+func (chainModel) Duration(class string, _ sched.WorkerKind, _ *rng.Source) float64 {
+	i := 4*int(class[1]-'0') + int(class[2]-'0')
+	return math.Ldexp(1, -10) * (1 + math.Ldexp(1, -(i+2)))
+}
+
 // TestReplayMatchesDirectChains checks multi-worker equivalence on a
-// workload where it is well defined: independent chains under a fixed
-// model have deterministic per-task virtual intervals even though worker
-// assignment races in the direct run, so the comparison is per label.
+// workload where it is well defined: independent chains whose completion
+// times never tie have deterministic per-task virtual intervals even
+// though worker assignment races in the direct run, so the comparison is
+// per label. (With equal durations the three tasks that finish together
+// release their successors in goroutine-arrival order, and which chain
+// waits for a worker differed from run to run.)
 func TestReplayMatchesDirectChains(t *testing.T) {
 	const (
 		chains  = 5
 		depth   = 4
 		workers = 3
-		dur     = 1e-3
 	)
+	model := chainModel{}
 	e, err := sched.NewEngine(sched.Config{Workers: workers, Policy: sched.NewFIFOPolicy(), Name: "chains"})
 	if err != nil {
 		t.Fatal(err)
@@ -214,14 +229,15 @@ func TestReplayMatchesDirectChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := core.NewSimulator(e, "direct")
-	tk := core.NewTasker(sim, core.FixedModel(dur), 1)
+	tk := core.NewTasker(sim, model, 1)
 	for c := 0; c < chains; c++ {
 		h := new(int)
 		for k := 0; k < depth; k++ {
+			class := "K" + string(rune('0'+c)) + string(rune('0'+k))
 			if err := e.Insert(&sched.Task{
-				Class: "K",
+				Class: class,
 				Label: chainLabel(c, k),
-				Func:  tk.SimTask("K"),
+				Func:  tk.SimTask(class),
 				Args:  []sched.Arg{sched.RW(h)},
 			}); err != nil {
 				t.Fatal(err)
@@ -239,9 +255,15 @@ func TestReplayMatchesDirectChains(t *testing.T) {
 	}
 	direct := sim.Trace()
 
-	replayed, err := Run(dag, Options{Workers: workers, Model: core.FixedModel(dur), Seed: 1})
+	replayed, err := Run(dag, Options{Workers: workers, Model: model, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 1; i < len(replayed.Events); i++ {
+		if replayed.Events[i].End == replayed.Events[i-1].End {
+			t.Fatalf("tasks %q and %q complete together: the direct run is not deterministic per label",
+				replayed.Events[i-1].Label, replayed.Events[i].Label)
+		}
 	}
 	if got, want := replayed.Makespan(), direct.Makespan(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("replay makespan %g != direct %g", got, want)

@@ -139,7 +139,7 @@ type Server struct {
 	queue        *drrQueue
 	tenants      []*tenant
 	tenantsByKey map[string]*tenant
-	anonTenant   *tenant // tenant with no key; nil when every tenant requires one
+	anonTenant   *tenant        // tenant with no key; nil when every tenant requires one
 	store        *store         // nil without DataDir
 	baselines    *baselineStore // nil without DataDir — cron regression baselines
 	cron         *cronRunner
@@ -181,7 +181,7 @@ func New(cfg Config) (*Server, error) {
 		counters:     &perf.Counters{},
 		jobs:         make(map[string]*Job),
 		retries:      make(map[string]*time.Timer),
-		start:        time.Now(), //simlint:allow vclock — service uptime, not simulated time
+		start:        time.Now(),                             //simlint:allow vclock — service uptime, not simulated time
 		jitter:       rng.New(uint64(time.Now().UnixNano())), //simlint:allow vclock — jitter seed
 	}
 	for _, t := range tenants {

@@ -148,7 +148,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{not json`,
 		`{"algorithm": "cholesky", "nt": 4, "bogus_field": 1}`,
 		`{"algorithm": "magma", "nt": 4}`,
-		`{"algorithm": "cholesky"}`, // nt missing
+		`{"algorithm": "cholesky"}`,                  // nt missing
 		`{"kind": "sweep", "algorithm": "cholesky"}`, // max_nt missing
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
