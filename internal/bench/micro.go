@@ -235,7 +235,11 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			// ReplayLargeSerial's replay when only the makespan is wanted —
 			// every replica of a sweep: the same loop, no events built.
 			benchLargeReplay(b, 0, func(d *replay.DAG, opt replay.Options) error {
-				_, err := replay.Makespan(d, opt)
+				arena, err := d.Arena() // memoized: one atomic load per op
+				if err != nil {
+					return err
+				}
+				_, err = replay.Makespan(arena, opt)
 				return err
 			})
 		}},

@@ -234,7 +234,7 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 		CapturePerPoint: make([]time.Duration, np),
 		ReplayPerPoint:  make([]time.Duration, np),
 	}
-	dags := make([]*replay.DAG, np)
+	arenas := make([]*replay.Arena, np)
 	points := make([]SweepPoint, np)
 	t0 := time.Now()
 	for i, sw := range sweeps {
@@ -246,12 +246,16 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 		if err != nil {
 			return nil, SweepWall{}, err
 		}
+		// Only the compiled form outlives this iteration: the pointer DAG
+		// is garbage as soon as its arena exists.
+		if arenas[i], err = dag.Arena(); err != nil {
+			return nil, SweepWall{}, err
+		}
 		wall.CapturePerPoint[i] = time.Since(c0)
-		dags[i] = dag
 		points[i] = SweepPoint{
 			NT: sw.NT, N: sw.N(),
-			NumTasks:  len(dag.Tasks),
-			Edges:     dag.NumEdges(),
+			NumTasks:  arenas[i].NumTasks(),
+			Edges:     arenas[i].NumEdges(),
 			Makespans: make([]float64, reps),
 		}
 	}
@@ -282,7 +286,7 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 				}
 				p, rep := j/len(owned), owned[j%len(owned)]
 				j0 := time.Now()
-				ms, err := replay.Makespan(dags[p], replay.Options{
+				ms, err := replay.Makespan(arenas[p], replay.Options{
 					Workers:          workers,
 					Model:            opt.Model,
 					Seed:             ReplicaSeed(opt.Seed, points[p].NT, rep),

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -309,6 +310,40 @@ func findNTOwnedBy(t *testing.T, members []string, want string, spec server.JobS
 	}
 	t.Fatalf("no nt in [2,40] owned by %s on ring %v", want, members)
 	return spec
+}
+
+// TestCoordinatorRejectsUnknownPolicy: the coordinator validates before it
+// derives a route key, so a policy string no runtime distinguishes is a
+// 400 at the front door — it never becomes a ring position, a dispatch or
+// a journal record.
+func TestCoordinatorRejectsUnknownPolicy(t *testing.T) {
+	c, hs := newTestCoordinator(t, "")
+	for _, spec := range []server.JobSpec{
+		{Algorithm: "cholesky", NT: 4, NB: 8, Scheduler: "quark", Policy: "prio"},
+		{Algorithm: "cholesky", NT: 4, NB: 8, Scheduler: "starpu", Policy: "a/b"},
+	} {
+		raw, _ := json.Marshal(spec)
+		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatalf("%s: decoding reply: %v", raw, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, "policy") {
+			t.Errorf("%s: status=%d error=%q, want a 400 naming the policy", raw, resp.StatusCode, reply.Error)
+		}
+	}
+	c.mu.Lock()
+	n := len(c.dispatches)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d dispatches admitted, want 0", n)
+	}
 }
 
 // TestClusterPeerFrameFetch pins frame shipping: when a ring change moves

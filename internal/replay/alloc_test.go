@@ -52,11 +52,15 @@ func TestMakespanAllocs(t *testing.T) {
 		t.Skip("allocation calibration is slow")
 	}
 	dag, _ := captureRun(t, core.FixedModel(1e-3), 7)
+	arena, err := dag.Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var model core.DurationModel = jitterModel{base: 1e-3}
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Makespan(dag, Options{Workers: 4, Model: model, Seed: uint64(i)}); err != nil {
+			if _, err := Makespan(arena, Options{Workers: 4, Model: model, Seed: uint64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -528,26 +528,23 @@ func RunArena(a *Arena, opt Options) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// Makespan re-simulates the captured DAG and returns only the virtual time
-// at which its last task completes — bit-equal to Run(d, opt).Makespan()
-// for every Options value. A sweep needs nothing else from a replica, so
-// the serial executor runs the same loop with no trace to append to: no
-// event is built and nothing is allocated in steady state. With
-// Options.Parallelism >= 1 it is the makespan of the PDES trace.
-func Makespan(d *DAG, opt Options) (float64, error) {
+// Makespan re-simulates a compiled DAG and returns only the virtual time
+// at which its last task completes — bit-equal to
+// RunArena(a, opt).Makespan() for every Options value. A sweep needs
+// nothing else from a replica, so the serial executor runs the same loop
+// with no trace to append to: no event is built and nothing is allocated
+// in steady state. With Options.Parallelism >= 1 it is the makespan of the
+// PDES trace.
+func Makespan(a *Arena, opt Options) (float64, error) {
 	if opt.Parallelism >= 1 {
-		tr, err := Run(d, opt)
+		tr, err := RunArena(a, opt)
 		if err != nil {
 			return 0, err
 		}
 		return tr.Makespan(), nil
 	}
-	if len(d.Tasks) == 0 {
+	if a == nil || a.n == 0 {
 		return 0, fmt.Errorf("replay: empty DAG")
-	}
-	a, err := d.Arena()
-	if err != nil {
-		return 0, err
 	}
 	return runArenaSerial(a, &opt, nil)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestMakespanEqualsRunMakespan pins replay.Makespan's contract: for every
-// Options value it returns the bits Run(...).Makespan() returns — the
+// Options value it returns the bits RunArena(...).Makespan() returns — the
 // serial executor's final clock is the maximum completion time, which is
 // what the trace method folds out of the events — across the three
 // algorithms, the three runtimes' capture orders and ready policies, every
@@ -35,6 +35,10 @@ func TestMakespanEqualsRunMakespan(t *testing.T) {
 			for i := range dag.Tasks { // CaptureSpec runs no-op bodies and records no durations
 				dag.Tasks[i].Duration = float64(i%11+1) * 1e-4
 			}
+			arena, err := dag.Arena()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, m := range models {
 				for _, parallelism := range []int{0, 1} {
 					for seed := uint64(1); seed <= 3; seed++ {
@@ -43,11 +47,11 @@ func TestMakespanEqualsRunMakespan(t *testing.T) {
 							IgnorePriorities: bench.ReplayIgnoresPriorities(spec),
 						}
 						name := fmt.Sprintf("%s/%s/%s/p%d/seed%d", alg, scheduler, m.name, parallelism, seed)
-						tr, err := replay.Run(dag, opt)
+						tr, err := replay.RunArena(arena, opt)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						got, err := replay.Makespan(dag, opt)
+						got, err := replay.Makespan(arena, opt)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -62,15 +66,19 @@ func TestMakespanEqualsRunMakespan(t *testing.T) {
 	}
 }
 
-// TestMakespanErrors: Makespan reports what Run reports.
+// TestMakespanErrors: Makespan reports what RunArena reports.
 func TestMakespanErrors(t *testing.T) {
-	if _, err := replay.Makespan(&replay.DAG{}, replay.Options{}); err == nil {
-		t.Error("empty DAG: no error")
-	}
 	dag := &replay.DAG{Label: "nodur", Workers: 1, Tasks: []replay.Task{{Class: "K", Label: "k", Ready: -1, Duration: -1}}}
+	arena, err := dag.Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, parallelism := range []int{0, 1} {
-		_, runErr := replay.Run(dag, replay.Options{Parallelism: parallelism})
-		_, err := replay.Makespan(dag, replay.Options{Parallelism: parallelism})
+		if _, err := replay.Makespan(nil, replay.Options{Parallelism: parallelism}); err == nil {
+			t.Errorf("p=%d: no arena: no error", parallelism)
+		}
+		_, runErr := replay.RunArena(arena, replay.Options{Parallelism: parallelism})
+		_, err := replay.Makespan(arena, replay.Options{Parallelism: parallelism})
 		if runErr == nil || err == nil || err.Error() != runErr.Error() {
 			t.Errorf("p=%d: Makespan error %v, Run error %v", parallelism, err, runErr)
 		}

@@ -68,13 +68,13 @@ type Task struct {
 	Duration float64
 }
 
-// DAG is a captured task graph: the complete input of a replay. Run only
-// reads it, so one DAG may be replayed from any number of goroutines
-// concurrently — the sweep driver shards replicas over a shared DAG, and
-// the simulation service's capture cache serves one DAG to every job that
-// hits its key. Do not mutate a DAG once it is shared, and in particular
-// not after its first Run or Arena call: replays execute the memoized
-// struct-of-arrays compilation (arena.go), which snapshots the tasks.
+// DAG is a captured task graph in the form the Recorder emits and Validate
+// inspects. Run only reads it, so one DAG may be replayed from any number
+// of goroutines concurrently; the sweep driver and the simulation
+// service's capture cache compile it once and share the Arena instead. Do
+// not mutate a DAG once it is shared, and in particular not after its
+// first Run or Arena call: replays execute the memoized struct-of-arrays
+// compilation (arena.go), which snapshots the tasks.
 type DAG struct {
 	// Label names the graph (trace labels derive from it).
 	Label string
@@ -432,10 +432,7 @@ func checkTask(i int, t *Task) error {
 // (memoized — see DAG.Arena) and executes that: the hot loops live in
 // arena.go (serial) and pdes.go (parallel).
 func Run(d *DAG, opt Options) (*trace.Trace, error) {
-	if len(d.Tasks) == 0 {
-		return nil, fmt.Errorf("replay: empty DAG")
-	}
-	a, err := d.Arena()
+	a, err := d.Arena() // an empty DAG has no arena: BuildArena says so
 	if err != nil {
 		return nil, err
 	}

@@ -20,22 +20,23 @@ type cacheKey struct {
 	window    int
 }
 
-// cacheEntry is one singleflight slot: the first requester captures while
-// later requesters block on done. err is only read after done is closed.
+// cacheEntry is one singleflight slot: the first requester fills it while
+// later requesters block on done, and nothing but use is read before done
+// is closed. arena is what replays run; frame is its .dag encoding, the
+// unit that moves between cache levels. A loaded arena aliases its frame.
 type cacheEntry struct {
-	done chan struct{}
-	dag  *replay.DAG
-	err  error
-	use  uint64 // LRU stamp; only touched with the owning captureCache's mu held
+	done  chan struct{}
+	arena *replay.Arena
+	frame []byte
+	err   error
+	use   uint64 // LRU stamp; only touched with the owning captureCache's mu held
 }
 
-// captureCache is the daemon's DAG cache: repeated jobs with the same key
-// skip the scheduler entirely and replay the cached capture (the PR 4 fast
-// path). Concurrent requests for an uncached key are deduplicated: exactly
-// one goroutine runs the capture, the rest wait for its result. With a
-// data dir attached (disk != nil) the cache is two-level: a memory miss
-// consults the tenant's persisted .dag frames before capturing, and every
-// successful capture writes through, so the working set survives restarts.
+// captureCache is the daemon's capture cache: repeated jobs with the same
+// key skip the scheduler entirely and replay the cached arena (the PR 4
+// fast path). Concurrent requests for an uncached key are deduplicated:
+// exactly one goroutine fills the entry, the rest wait for its result.
+// With a data dir attached (disk != nil) the working set survives restarts.
 type captureCache struct {
 	disk *dagDisk // persistent level; nil = memory-only
 
@@ -64,25 +65,65 @@ const (
 	cacheBypass = "bypass" // job ineligible for the capture cache
 )
 
-// get returns the DAG for key, capturing it via capture() if absent from
-// every level. The disposition reports how the caller was served:
-// cacheHit (memory, including waiting on another goroutine's in-flight
-// capture), cacheDisk (loaded from the persisted frame), cachePeer (frame
-// fetched from the cluster peer named by fetch — nil when no hint exists),
-// or cacheMiss (capture ran). Disk probes and peer fetches happen inside
-// the singleflight slot, so concurrent requests never read, decode or
-// fetch the same frame twice, and a fetched frame is written through to
-// the local disk level so the next restart serves it without the peer. A
-// failed capture is not cached: its waiters receive the error, then the
-// entry is removed so a later job can retry.
-func (c *captureCache) get(key cacheKey, fetch func() (*replay.DAG, []byte, bool), capture func() (*replay.DAG, error)) (dag *replay.DAG, disposition string, err error) {
+// frameSource is one place below memory an entry can be filled from. fill
+// sets arena and frame when the source has the key, err when it failed for
+// good, and nothing when the next source should be tried.
+type frameSource struct {
+	disposition string
+	fill        func(e *cacheEntry)
+}
+
+// sources lists, in the order they are tried, where a memory miss on key
+// is filled from: the tenant's persisted frame, the cluster peer behind
+// fetch (nothing when the job carries no hint), a capture run. Bytes from
+// either level pass the same replay.Load, the only check a frame gets; a
+// disk frame that fails it is removed and the next source replaces it. The
+// capture keeps the arena it built: re-Loading its own encoding would only
+// rebuild it.
+func (c *captureCache) sources(key cacheKey, fetch func() []byte, capture func() (*replay.Arena, error)) []frameSource {
+	load := func(e *cacheEntry, raw []byte) {
+		if arena, err := replay.Load(raw); err == nil {
+			e.arena, e.frame = arena, raw
+		}
+	}
+	return []frameSource{
+		{cacheDisk, func(e *cacheEntry) {
+			raw, ok := c.disk.read(key)
+			if load(e, raw); e.arena != nil {
+				c.disk.hits.Add(1)
+			} else if ok {
+				c.disk.drop(key)
+			}
+		}},
+		{cachePeer, func(e *cacheEntry) { load(e, fetch()) }},
+		{cacheMiss, func(e *cacheEntry) {
+			c.mu.Lock()
+			c.captures++
+			c.mu.Unlock()
+			if e.arena, e.err = capture(); e.err == nil {
+				e.frame = e.arena.Encode()
+			}
+		}},
+	}
+}
+
+// get returns the arena for key. The disposition reports how the caller
+// was served: cacheHit (memory, including waiting on another goroutine's
+// in-flight fill) or that of the first source that had the key. The walk
+// happens inside the singleflight slot, so concurrent requests never read,
+// fetch, validate or capture the same frame twice. Every source but disk
+// writes its frame through after publication: persistence is off the
+// waiters' critical path and a write failure costs durability, not the
+// job. A failed capture is not cached: its waiters receive the error, then
+// the entry is removed so a later job can retry.
+func (c *captureCache) get(key cacheKey, fetch func() []byte, capture func() (*replay.Arena, error)) (arena *replay.Arena, disposition string, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.tick++
 		e.use = c.tick
 		c.mu.Unlock()
 		<-e.done
-		return e.dag, cacheHit, e.err
+		return e.arena, cacheHit, e.err
 	}
 	e := &cacheEntry{done: make(chan struct{})}
 	c.tick++
@@ -90,33 +131,12 @@ func (c *captureCache) get(key cacheKey, fetch func() (*replay.DAG, []byte, bool
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	if dag, ok := c.disk.load(key); ok {
-		e.dag = dag
-		close(e.done)
-		c.mu.Lock()
-		c.evict()
-		c.mu.Unlock()
-		return e.dag, cacheDisk, nil
-	}
-
-	if fetch != nil {
-		if dag, raw, ok := fetch(); ok {
-			e.dag = dag
-			close(e.done)
-			c.mu.Lock()
-			c.evict()
-			c.mu.Unlock()
-			// Write-through after publication, same as a capture: the next
-			// restart serves this frame from disk without the peer.
-			c.disk.saveRaw(key, raw)
-			return e.dag, cachePeer, nil
+	for _, src := range c.sources(key, fetch, capture) {
+		disposition = src.disposition
+		if src.fill(e); e.arena != nil || e.err != nil {
+			break
 		}
 	}
-
-	c.mu.Lock()
-	c.captures++
-	c.mu.Unlock()
-	e.dag, e.err = capture()
 	close(e.done)
 	c.mu.Lock()
 	if e.err != nil {
@@ -127,12 +147,10 @@ func (c *captureCache) get(key cacheKey, fetch func() (*replay.DAG, []byte, bool
 		c.evict()
 	}
 	c.mu.Unlock()
-	if e.err == nil {
-		// Write-through after publication: persistence is off the waiters'
-		// critical path, and a write failure costs durability, not the job.
-		c.disk.save(key, e.dag)
+	if e.err == nil && disposition != cacheDisk {
+		c.disk.write(key, e.frame)
 	}
-	return e.dag, cacheMiss, e.err
+	return e.arena, disposition, e.err
 }
 
 // evict removes least-recently-used completed entries until the cache fits
@@ -162,13 +180,13 @@ func (c *captureCache) evict() {
 	}
 }
 
-// frame returns the encoded .dag frame for key if it is present in memory
-// or on disk, for serving to a cluster peer. A completed memory entry is
-// re-encoded from its arena; otherwise the persisted frame is read raw. An
-// in-flight entry is skipped rather than waited on — the peer treats a
-// miss as "re-capture yourself", and blocking a frame request on someone
-// else's capture would couple two nodes' latencies for no benefit.
-func (c *captureCache) frame(key cacheKey) ([]byte, bool) {
+// frame returns the .dag frame for key, for serving to a cluster peer: a
+// completed memory entry's own bytes, else the persisted file as it is
+// (the receiving peer's replay.Load is the integrity check). An in-flight
+// entry is skipped rather than waited on — the peer treats a miss as
+// "re-capture yourself", and blocking a frame request on someone else's
+// capture would couple two nodes' latencies for no benefit.
+func (c *captureCache) frame(key cacheKey) []byte {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
@@ -179,12 +197,11 @@ func (c *captureCache) frame(key cacheKey) ([]byte, bool) {
 		}
 	}
 	c.mu.Unlock()
-	if ok && e.err == nil && e.dag != nil {
-		if arena, err := e.dag.Arena(); err == nil {
-			return arena.Encode(), true
-		}
+	if ok && e.err == nil {
+		return e.frame
 	}
-	return c.disk.frame(key)
+	raw, _ := c.disk.read(key)
+	return raw
 }
 
 // stats reports the cache's internal counters (entry count, captures,

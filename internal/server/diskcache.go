@@ -8,17 +8,15 @@ import (
 	"sync/atomic"
 
 	"supersim/internal/journal"
-	"supersim/internal/replay"
 )
 
-// dagDisk is a tenant's persistent capture store: every successful capture
-// is encoded to a .dag frame (internal/replay codec) and published under
-// <data-dir>/dags/<tenant>/ beside the journal, and a restarted daemon
-// serves repeat jobs from those frames without re-running the scheduler.
-// The in-memory captureCache owns admission and singleflight; dagDisk is
-// purely the level below it — a miss consults disk before capturing, a
-// capture writes through. All methods are nil-receiver safe, so the
-// memory-only server (no -data-dir) costs nothing.
+// dagDisk is a tenant's persistent capture store: one .dag frame
+// (internal/replay codec) per cache key under <data-dir>/dags/<tenant>/
+// beside the journal, so a restarted daemon serves repeat jobs without
+// re-running the scheduler. It reads, writes and removes bytes and never
+// decodes them: captureCache owns singleflight and validation and decides
+// when each happens. All methods are nil-receiver safe, so the memory-only
+// server (no -data-dir) costs nothing.
 //
 // Frames are written with journal.WriteFileAtomic: a crash mid-write
 // leaves either no file or a complete one, and the codec's CRC framing
@@ -27,9 +25,9 @@ import (
 type dagDisk struct {
 	dir string
 
-	hits   atomic.Uint64 // loads served from disk
+	hits   atomic.Uint64 // frames the cache read and accepted (it does the counting)
 	writes atomic.Uint64 // frames published
-	drops  atomic.Uint64 // unreadable/corrupt frames discarded
+	drops  atomic.Uint64 // corrupt frames discarded
 }
 
 // newDagDisk opens (creating if needed) a tenant's capture directory.
@@ -57,59 +55,26 @@ func pathSafe(s string) string {
 }
 
 // path derives the frame filename for one cache key. Every key field
-// participates, so two keys never share a file.
+// participates and admission (JobSpec.validate) only lets through values
+// pathSafe maps to themselves, so two admitted keys never share a file.
 func (d *dagDisk) path(key cacheKey) string {
 	name := pathSafe(key.algorithm) + "-" + pathSafe(key.scheduler) + "-" + pathSafe(key.policy) +
 		"-nt" + strconv.Itoa(key.nt) + "-nb" + strconv.Itoa(key.nb) + "-w" + strconv.Itoa(key.window) + ".dag"
 	return filepath.Join(d.dir, name)
 }
 
-// load returns the captured DAG persisted for key, if a valid frame
-// exists. The frame bytes are adopted zero-copy (replay.Load) and the
-// returned DAG carries its compiled arena, so serving from disk skips
-// both the scheduler and the arena build. Corrupt or unreadable frames
-// are deleted and reported as a miss: the caller re-captures and
-// overwrites them.
-func (d *dagDisk) load(key cacheKey) (*replay.DAG, bool) {
+// read returns the bytes persisted for key; !ok when no file is readable.
+func (d *dagDisk) read(key cacheKey) (raw []byte, ok bool) {
 	if d == nil {
 		return nil, false
 	}
 	raw, err := os.ReadFile(d.path(key))
-	if err != nil {
-		return nil, false
-	}
-	arena, err := replay.Load(raw)
-	if err != nil {
-		d.drops.Add(1)
-		os.Remove(d.path(key))
-		return nil, false
-	}
-	d.hits.Add(1)
-	return arena.DAG(), true
+	return raw, err == nil
 }
 
-// save publishes a captured DAG's frame for key. Best-effort: an
-// encoding or write failure costs persistence, not the job — the
-// in-memory cache still holds the capture.
-func (d *dagDisk) save(key cacheKey, dag *replay.DAG) {
-	if d == nil {
-		return
-	}
-	arena, err := dag.Arena()
-	if err != nil {
-		return
-	}
-	if err := journal.WriteFileAtomic(d.path(key), arena.Encode(), 0o644); err != nil {
-		return
-	}
-	d.writes.Add(1)
-}
-
-// saveRaw publishes an already-encoded frame for key, write-through for
-// frames fetched off a cluster peer. The bytes were validated by
-// replay.Load on receipt, so they are persisted as-is. Best-effort, like
-// save.
-func (d *dagDisk) saveRaw(key cacheKey, raw []byte) {
+// write publishes an encoded frame for key. Best-effort: a write failure
+// costs persistence, not the job — the memory cache still holds the entry.
+func (d *dagDisk) write(key cacheKey, raw []byte) {
 	if d == nil || len(raw) == 0 {
 		return
 	}
@@ -119,19 +84,13 @@ func (d *dagDisk) saveRaw(key cacheKey, raw []byte) {
 	d.writes.Add(1)
 }
 
-// frame returns the raw encoded frame persisted for key, for serving to a
-// cluster peer. Unlike load it does not decode or validate: the receiving
-// peer's replay.Load is the integrity check, and a torn frame simply
-// degrades to a re-capture on its side.
-func (d *dagDisk) frame(key cacheKey) ([]byte, bool) {
+// drop discards and counts a frame the cache found corrupt.
+func (d *dagDisk) drop(key cacheKey) {
 	if d == nil {
-		return nil, false
+		return
 	}
-	raw, err := os.ReadFile(d.path(key))
-	if err != nil || len(raw) == 0 {
-		return nil, false
-	}
-	return raw, true
+	d.drops.Add(1)
+	os.Remove(d.path(key))
 }
 
 // stats reports the persistence counters for /metrics.

@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"supersim/internal/replay"
 )
 
 // Frame shipping (simcluster, DESIGN.md §15): when a consistent-hash ring
@@ -77,7 +75,8 @@ func frameQuery(tenant string, key cacheKey) url.Values {
 // handleFrame serves GET /internal/frames: the encoded .dag frame for one
 // capture key, from memory or disk, to an authenticated cluster peer. 404
 // both when clustering is disabled and when the frame is absent — a miss
-// is not an error, it just means the peer re-captures locally.
+// is not an error, it just means the peer re-captures locally — and 400
+// for a key that does not parse, so a peer's bad request reads as one.
 func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.ClusterKey == "" {
 		writeError(w, http.StatusNotFound, false, "clustering disabled")
@@ -93,17 +92,27 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, false, "no such tenant %q", q.Get("tenant"))
 		return
 	}
-	atoi := func(name string) int { n, _ := strconv.Atoi(q.Get(name)); return n }
+	// frameQuery always sends the three numbers; one that is missing or
+	// malformed is the peer's bug, not a miss.
+	var nums [3]int
+	for i, name := range [...]string{"nt", "nb", "window"} {
+		n, err := strconv.Atoi(q.Get(name))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, false, "%s=%q is not an integer", name, q.Get(name))
+			return
+		}
+		nums[i] = n
+	}
 	key := cacheKey{
 		algorithm: q.Get("algorithm"),
 		scheduler: q.Get("scheduler"),
 		policy:    q.Get("policy"),
-		nt:        atoi("nt"),
-		nb:        atoi("nb"),
-		window:    atoi("window"),
+		nt:        nums[0],
+		nb:        nums[1],
+		window:    nums[2],
 	}
-	raw, ok := t.cache.frame(key)
-	if !ok {
+	raw := t.cache.frame(key)
+	if len(raw) == 0 {
 		writeError(w, http.StatusNotFound, false, "no frame for key")
 		return
 	}
@@ -114,34 +123,31 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 }
 
 // fetchPeerFrame pulls the frame for key from the peer at base (the
-// owning worker's URL, as hinted by the coordinator). Strictly
-// best-effort: any failure — network, status, size, codec — returns ok
-// false and the caller re-captures. A fetched frame is validated by
-// replay.Load (CRC framing) before adoption, and the raw bytes are
-// returned alongside the DAG so the cache can write them through to disk
-// unchanged.
-func (s *Server) fetchPeerFrame(ctx context.Context, base string, key cacheKey, tenant string) (*replay.DAG, []byte, bool) {
+// owning worker's URL, as hinted by the coordinator; "" when the submit
+// carried no hint). Strictly best-effort: no peer or any failure —
+// network, status, size — returns nil and the cache moves on to capturing.
+// The bytes are returned as received; the cache validates them.
+func (s *Server) fetchPeerFrame(ctx context.Context, base string, key cacheKey, tenant string) []byte {
+	if base == "" {
+		return nil
+	}
 	u := strings.TrimSuffix(base, "/") + "/internal/frames?" + frameQuery(tenant, key).Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return nil, nil, false
+		return nil
 	}
 	req.Header.Set("X-Cluster-Key", s.cfg.ClusterKey)
 	resp, err := frameClient.Do(req)
 	if err != nil {
-		return nil, nil, false
+		return nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, false
+		return nil
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxFrameBytes+1))
-	if err != nil || len(raw) == 0 || len(raw) > maxFrameBytes {
-		return nil, nil, false
+	if err != nil || len(raw) > maxFrameBytes {
+		return nil
 	}
-	arena, err := replay.Load(raw)
-	if err != nil {
-		return nil, nil, false
-	}
-	return arena.DAG(), raw, true
+	return raw
 }

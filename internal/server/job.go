@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"supersim/internal/fault"
 	"supersim/internal/rng"
 	"supersim/internal/sched"
+	"supersim/internal/sched/starpu"
 	"supersim/internal/trace"
 )
 
@@ -92,6 +94,9 @@ type ModelSpec struct {
 	Classes map[string]float64 `json:"classes,omitempty"`
 }
 
+// starpuPolicies are the JobSpec.Policy values admission accepts besides "".
+var starpuPolicies = []string{starpu.PolicyEager, starpu.PolicyPrio, starpu.PolicyWS, starpu.PolicyDM}
+
 // defaultDuration is the fallback virtual kernel duration (1ms) when a job
 // spec supplies no model.
 const defaultDuration = 1e-3
@@ -146,6 +151,12 @@ func (s *JobSpec) validate() error {
 	case "quark", "starpu", "ompss":
 	default:
 		return fmt.Errorf("unknown scheduler %q (want \"quark\", \"starpu\" or \"ompss\")", s.Scheduler)
+	}
+	// The policy is part of the capture-cache key and of the frame's file
+	// name, so only strings a runtime distinguishes get through. "" is not
+	// rewritten to "eager": keys and files of existing data dirs stay valid.
+	if s.Policy != "" && (s.Scheduler != "starpu" || !slices.Contains(starpuPolicies, s.Policy)) {
+		return fmt.Errorf("unknown policy %q for scheduler %q (starpu takes \"eager\", \"prio\", \"ws\" or \"dm\"; quark and ompss take none)", s.Policy, s.Scheduler)
 	}
 	if s.Kind == "sweep" {
 		if s.MaxNT < 2 {

@@ -121,7 +121,7 @@ func sweepFingerprint(points []bench.SweepPoint) string {
 // node's.
 func SweepFingerprint(points []bench.SweepPoint) string { return sweepFingerprint(points) }
 
-// runCached serves a simulate job through the capture cache: the DAG is
+// runCached serves a simulate job through the capture cache: the arena is
 // captured at most once per key (singleflight — concurrent identical jobs
 // share one capture), then every repetition is a pure replay. This is the
 // daemon's hot path: a cache hit skips the scheduler entirely.
@@ -129,20 +129,20 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 	spec := &job.Spec
 	bspec := spec.benchSpec()
 	// A cluster coordinator that routed this job off the key's previous
-	// owner names that owner in X-Frame-Source; the fetch hook pulls the
-	// already-captured frame from it before falling back to capturing.
-	var fetch func() (*replay.DAG, []byte, bool)
-	if job.frameSource != "" {
-		src, key := job.frameSource, spec.cacheKey()
-		fetch = func() (*replay.DAG, []byte, bool) {
-			return s.fetchPeerFrame(ctx, src, key, job.tenant.cfg.Name)
-		}
+	// owner names that owner in X-Frame-Source: the cache tries its
+	// already-captured frame before falling back to capturing.
+	fetch := func() []byte {
+		return s.fetchPeerFrame(ctx, job.frameSource, spec.cacheKey(), job.tenant.cfg.Name)
 	}
 	// Each tenant replays out of its own cache partition: one tenant's
 	// working set cannot evict another's, and partition budgets are
 	// independent LRU knobs (TenantConfig.CacheCapacity).
-	dag, disposition, err := job.tenant.cache.get(spec.cacheKey(), fetch, func() (*replay.DAG, error) {
-		return bench.CaptureSpec(bspec)
+	arena, disposition, err := job.tenant.cache.get(spec.cacheKey(), fetch, func() (*replay.Arena, error) {
+		dag, err := bench.CaptureSpec(bspec)
+		if err != nil {
+			return nil, err
+		}
+		return dag.Arena()
 	})
 	if err != nil {
 		return nil, nil, disposition, fmt.Errorf("capture: %w", err)
@@ -169,14 +169,14 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 		}
 		if rep > 0 {
 			// Later repetitions contribute a makespan and nothing else.
-			ms, err := replay.Makespan(dag, opt)
+			ms, err := replay.Makespan(arena, opt)
 			if err != nil {
 				return nil, nil, disposition, fmt.Errorf("replay rep %d: %w", rep, err)
 			}
 			res.Makespans[rep] = ms
 			continue
 		}
-		tr, err := replay.Run(dag, opt)
+		tr, err := replay.RunArena(arena, opt)
 		if err != nil {
 			return nil, nil, disposition, fmt.Errorf("replay rep %d: %w", rep, err)
 		}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +174,140 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSubmitPolicyValidation: the policy string is part of the capture
+// cache key and of the persisted frame's file name, so admission lets
+// through only the values a runtime tells apart. "" stays "" (no rewrite to
+// "eager"): keys and files of existing data dirs remain valid.
+func TestSubmitPolicyValidation(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		scheduler, policy string
+		want              string // substring of the 400's message; "" = admitted
+	}{
+		{"starpu", "", ""},
+		{"starpu", "eager", ""},
+		{"starpu", "prio", ""},
+		{"starpu", "ws", ""},
+		{"starpu", "dm", ""},
+		{"quark", "", ""},
+		{"ompss", "", ""},
+		{"", "", ""},
+		{"starpu", "heft", `unknown policy "heft" for scheduler "starpu"`},
+		{"starpu", "a/b", `unknown policy "a/b" for scheduler "starpu"`},
+		{"quark", "prio", `unknown policy "prio" for scheduler "quark"`},
+		{"ompss", "anything", `unknown policy "anything" for scheduler "ompss"`},
+		{"", "a_b", `unknown policy "a_b" for scheduler "quark"`},
+	} {
+		body, _ := json.Marshal(JobSpec{Algorithm: "cholesky", NT: 2, NB: 8, Scheduler: tc.scheduler, Policy: tc.policy})
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct {
+			apiError
+			ID string `json:"id"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatalf("%s: decoding reply: %v", body, err)
+		}
+		resp.Body.Close()
+		if tc.want == "" {
+			if job, ok := srv.Job(reply.ID); resp.StatusCode != http.StatusAccepted || !ok || job.Spec.Policy != tc.policy {
+				t.Errorf("%s: status=%d, want 202 and a job holding the policy as submitted", body, resp.StatusCode)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusBadRequest || reply.Retryable || !strings.Contains(reply.Error, tc.want) {
+			t.Errorf("%s: status=%d err=%+v, want non-retryable 400 containing %q", body, resp.StatusCode, reply.apiError, tc.want)
+		}
+	}
+}
+
+// TestFrameEndpoint requests GET /internal/frames directly, as a cluster
+// peer would: every status it can answer, and that a 200's body is the
+// cached entry's frame byte for byte.
+func TestFrameEndpoint(t *testing.T) {
+	const clusterKey = "frames-test-key"
+	srv := newTestServer(t, Config{Pool: 2, ClusterKey: clusterKey})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	solo := newTestServer(t, Config{Pool: 2}) // clustering off
+	tsSolo := httptest.NewServer(solo.Handler())
+	defer tsSolo.Close()
+
+	spec := JobSpec{Algorithm: "cholesky", NT: 3, NB: 8}
+	job, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitFinished(t, job, 30*time.Second); st != StatusDone {
+		t.Fatalf("job finished %q", st)
+	}
+	cached := job.Spec.cacheKey()
+	want := srv.defaultTenant().cache.frame(cached)
+	if len(want) == 0 {
+		t.Fatal("finished job left no frame in the cache")
+	}
+	absent := cached
+	absent.nt = 99
+	with := func(q url.Values, name, value string) url.Values {
+		q.Set(name, value)
+		return q
+	}
+	without := func(q url.Values, name string) url.Values {
+		q.Del(name)
+		return q
+	}
+
+	for _, tc := range []struct {
+		name   string
+		base   string
+		key    string
+		query  url.Values
+		status int
+	}{
+		{"cached frame", ts.URL, clusterKey, frameQuery("default", cached), http.StatusOK},
+		{"absent frame", ts.URL, clusterKey, frameQuery("default", absent), http.StatusNotFound},
+		{"unknown tenant", ts.URL, clusterKey, frameQuery("nobody", cached), http.StatusNotFound},
+		{"clustering off", tsSolo.URL, clusterKey, frameQuery("default", cached), http.StatusNotFound},
+		{"wrong key", ts.URL, "not-the-key", frameQuery("default", cached), http.StatusUnauthorized},
+		{"no key", ts.URL, "", frameQuery("default", cached), http.StatusUnauthorized},
+		{"malformed nt", ts.URL, clusterKey, with(frameQuery("default", cached), "nt", "abc"), http.StatusBadRequest},
+		{"malformed window", ts.URL, clusterKey, with(frameQuery("default", cached), "window", "1.5"), http.StatusBadRequest},
+		{"missing nb", ts.URL, clusterKey, without(frameQuery("default", cached), "nb"), http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest(http.MethodGet, tc.base+"/internal/frames?"+tc.query.Encode(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.key != "" {
+			req.Header.Set("X-Cluster-Key", tc.key)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d (%.80q)", tc.name, resp.StatusCode, tc.status, body)
+			continue
+		}
+		if tc.status == http.StatusOK && !bytes.Equal(body, want) {
+			t.Errorf("%s: served %d bytes that differ from the cached frame (%d bytes)", tc.name, len(body), len(want))
+		}
+	}
+	if m := srv.Metrics(); m.Cache.FramesServed != 1 {
+		t.Errorf("frames_served %d, want 1 (only the 200 counts)", m.Cache.FramesServed)
 	}
 }
 
