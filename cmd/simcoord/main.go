@@ -22,8 +22,10 @@
 //	GET  /metrics            fleet-aggregated counters and latencies
 //	GET  /healthz            liveness and worker counts
 //
-// With -data-dir, accepted dispatches are journaled (fsync-on-accept)
-// and re-dispatched exactly once after a coordinator restart.
+// With -data-dir, dispatches live in the workers' journaled job store
+// under <data-dir>/cluster/: accepted ones are fsynced before the 202 and
+// re-dispatched exactly once after a coordinator restart, finished ones
+// come back with their fingerprints.
 package main
 
 import (

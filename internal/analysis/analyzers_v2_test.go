@@ -37,6 +37,18 @@ func TestDurableGoodFixture(t *testing.T) {
 	analysistest.Run(t, a, "testdata/src/durable/good", "supersim/internal/server/durafix")
 }
 
+// TestDurableSharedStoreFixture loads a two-package program shaped like
+// simd's store and simcoord on top of it: the coordinator's 202 is backed
+// by an AppendSync it reaches only through the store, across the package
+// boundary, and an async accept from internal/cluster scope is flagged.
+func TestDurableSharedStoreFixture(t *testing.T) {
+	a := analysis.NewDurable(analysis.DefaultDurableScope)
+	analysistest.RunProgram(t, a, []analysistest.Fixture{
+		{Dir: "testdata/src/durable/shared/store", Path: "supersim/internal/server/storefix"},
+		{Dir: "testdata/src/durable/shared/coord", Path: "supersim/internal/cluster/coordfix"},
+	})
+}
+
 // TestDurableUnscopedPackage checks the contract is scoped to the
 // service layer.
 func TestDurableUnscopedPackage(t *testing.T) {
@@ -93,7 +105,7 @@ func TestDefaultLockConfigServerLocks(t *testing.T) {
 	for _, outer := range []analysis.LockKey{
 		"supersim/internal/server.Server.mu",
 		"supersim/internal/server.Job.mu",
-		"supersim/internal/server.store.mu",
+		"supersim/internal/server.Store.mu",
 		"supersim/internal/journal.Journal.mu",
 	} {
 		r, ok := cfg.Rank(outer)

@@ -159,7 +159,7 @@ func checkDurable(pass *Pass, fd *ast.FuncDecl, syncFact *Fact) {
 
 // callHasStatusAccepted reports whether any argument of call is the
 // constant 202 (http.StatusAccepted) — the shape of every response-write
-// helper in the server package (writeJSON(w, http.StatusAccepted, ...),
+// helper in the server package (WriteJSON(w, http.StatusAccepted, ...),
 // w.WriteHeader(http.StatusAccepted)).
 func callHasStatusAccepted(info *types.Info, call *ast.CallExpr) bool {
 	for _, arg := range call.Args {

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -133,15 +136,8 @@ func submitDispatch(t *testing.T, baseURL string, spec server.JobSpec) DispatchV
 
 func getDispatch(t *testing.T, baseURL, id string) DispatchView {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/jobs/" + id)
-	if err != nil {
-		t.Fatalf("get dispatch: %v", err)
-	}
-	defer resp.Body.Close()
 	var view DispatchView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatalf("decoding dispatch: %v", err)
-	}
+	getJSON(t, baseURL+"/jobs/"+id, &view)
 	return view
 }
 
@@ -165,15 +161,8 @@ func waitDispatch(t *testing.T, baseURL, id string, timeout time.Duration) Dispa
 
 func clusterMetrics(t *testing.T, baseURL string) MetricsSnapshot {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/metrics")
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	defer resp.Body.Close()
 	var m MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("decoding metrics: %v", err)
-	}
+	getJSON(t, baseURL+"/metrics", &m)
 	return m
 }
 
@@ -437,16 +426,16 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 		v := f.view
 		f.mu.Unlock()
 		v.Status = server.StatusQueued
-		writeJSON(w, http.StatusAccepted, v)
+		server.WriteJSON(w, http.StatusAccepted, v)
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		v := f.view
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, v)
+		server.WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, server.MetricsSnapshot{})
+		server.WriteJSON(w, http.StatusOK, server.MetricsSnapshot{})
 	})
 	f.http = httptest.NewServer(mux)
 	t.Cleanup(f.http.Close)
@@ -465,8 +454,34 @@ func (f *fakeWorker) complete(res *server.JobResult) {
 // re-dispatched onto the ring and completes with the identical
 // fingerprint; when the "dead" worker later reports its own completion,
 // the duplicate is recognized by fingerprint and dropped, not
-// double-counted.
+// double-counted. The over-bound case finishes more dispatches than the
+// store retains before the duplicate arrives: the finished dispatch is
+// the oldest eviction candidate, yet it must stay until its stray attempt
+// settles, or the duplicate would go uncounted.
 func TestClusterFailoverRedispatchDedupe(t *testing.T) {
+	t.Run("within-bound", func(t *testing.T) { failoverRedispatchDedupe(t, 0) })
+	t.Run("over-bound", func(t *testing.T) { failoverRedispatchDedupe(t, server.DefaultRetainJobs+1) })
+}
+
+// submitMany submits n copies of spec concurrently and returns their views.
+func submitMany(t *testing.T, baseURL string, spec server.JobSpec, n int) []DispatchView {
+	t.Helper()
+	views := make([]DispatchView, n)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < n; i += 8 {
+				views[i] = submitDispatch(t, baseURL, spec)
+			}
+		}(g)
+	}
+	wg.Wait()
+	return views
+}
+
+func failoverRedispatchDedupe(t *testing.T, extra int) {
 	w1 := newTestWorker(t, "")
 	fake := newFakeWorker(t)
 
@@ -510,6 +525,22 @@ func TestClusterFailoverRedispatchDedupe(t *testing.T) {
 		t.Fatalf("re-dispatched fingerprint %s != single-node %s", final.Result.Fingerprint, ref.Fingerprint)
 	}
 
+	// Push the dispatch table over the retention bound while w2's attempt is
+	// still unsettled.
+	if extra > 0 {
+		// (The extras themselves are evicted as they finish, so they cannot
+		// be polled by ID.)
+		submitMany(t, hs.URL, server.JobSpec{Algorithm: "cholesky", NT: 2, NB: 8}, extra)
+		for deadline := time.Now().Add(60 * time.Second); clusterMetrics(t, hs.URL).Inflight != 0; time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("extra dispatches never drained: %+v", clusterMetrics(t, hs.URL))
+			}
+		}
+		if got := getDispatch(t, hs.URL, view.ID); got.Status != StatusDone {
+			t.Fatalf("dispatch with an unsettled attempt was evicted at %d over the bound: %+v", extra, got)
+		}
+	}
+
 	// The partitioned worker finally "completes" its copy with the same
 	// deterministic result. The tracker must observe it and dedupe by
 	// fingerprint.
@@ -523,6 +554,13 @@ func TestClusterFailoverRedispatchDedupe(t *testing.T) {
 	}
 	if c.mismatches.Load() != 0 {
 		t.Fatalf("fingerprint mismatches = %d, want 0", c.mismatches.Load())
+	}
+	// Every attempt is settled now: the next accept may evict the dispatch.
+	if extra > 0 {
+		submitDispatch(t, hs.URL, server.JobSpec{Algorithm: "cholesky", NT: 2, NB: 8})
+		if got := getDispatch(t, hs.URL, view.ID); got.ID != "" {
+			t.Fatalf("settled dispatch still retained over the bound: %+v", got)
+		}
 	}
 }
 
@@ -557,29 +595,181 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 }
 
-// TestCoordinatorJournalRecovery checks that a restarted coordinator
-// re-dispatches acknowledged-but-unfinished work from its journal.
+// TestCoordinatorJournalRecovery checks what the coordinator inherits from
+// the shared store: a log and a dispatch table that stay bounded however
+// many dispatches finish, and a restart that restores the retained
+// finished dispatches with their fingerprints, re-dispatches the
+// acknowledged-but-unsent one, and mints IDs past everything recovered.
 func TestCoordinatorJournalRecovery(t *testing.T) {
+	n := 1000
+	if testing.Short() {
+		n = server.DefaultCompactEvery + 44
+	}
 	dir := t.TempDir()
-	c1, err := New(Config{Key: testKey, DataDir: dir, PollInterval: 20 * time.Millisecond})
+	fake := newFakeWorker(t)
+	c1, err := New(Config{Key: testKey, DataDir: dir, HeartbeatTimeout: 250 * time.Millisecond, PollInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
-	// Accept a dispatch with no workers attached: journaled, never sent.
-	id, err := c1.submit(server.JobSpec{Algorithm: "cholesky", NT: 4, NB: 8}, [2]string{})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	hs1 := httptest.NewServer(c1.Handler())
+	defer hs1.Close()
+	c1.register("w1", fake.http.URL)
+	stop := keepAlive(t, c1, "w1")
+
+	// Accept and send everything first, then let the worker finish it all:
+	// from here on the log only gains finish records.
+	spec := server.JobSpec{Algorithm: "cholesky", NT: 4, NB: 8}
+	views := submitMany(t, hs1.URL, spec, n)
+	fake.complete(&server.JobResult{Fingerprint: "00000000feedface"})
+	for _, v := range views {
+		waitDispatch(t, hs1.URL, v.ID, 60*time.Second)
 	}
+	// One more, acknowledged with no live worker: journaled, never sent.
+	stop("w1")
+	for deadline := time.Now().Add(10 * time.Second); clusterMetrics(t, hs1.URL).Live != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("silent worker never declared dead")
+		}
+	}
+	unsent := submitDispatch(t, hs1.URL, spec)
+
+	m := clusterMetrics(t, hs1.URL)
+	if !m.Store.Durable || m.Store.Compactions < uint64(n/server.DefaultCompactEvery) {
+		t.Fatalf("store metrics %+v, want durable with a compaction every %d finishes", m.Store, server.DefaultCompactEvery)
+	}
+	if m.Store.LogRecords >= server.DefaultCompactEvery {
+		t.Fatalf("log holds %d records after %d finished dispatches, want fewer than the compaction interval %d", m.Store.LogRecords, n, server.DefaultCompactEvery)
+	}
+	if m.Dispatches > server.DefaultRetainJobs+m.Inflight || m.Inflight != 1 {
+		t.Fatalf("dispatch table holds %d with %d in flight, want at most %d retained plus the unsent one", m.Dispatches, m.Inflight, server.DefaultRetainJobs)
+	}
+	var listed struct{ Jobs []DispatchView }
+	getJSON(t, hs1.URL+"/jobs", &listed)
+	if len(listed.Jobs) != m.Dispatches || listed.Jobs[len(listed.Jobs)-1].ID != unsent.ID {
+		t.Fatalf("GET /jobs lists %d dispatches ending in %s, want %d ending in %s", len(listed.Jobs), listed.Jobs[len(listed.Jobs)-1].ID, m.Dispatches, unsent.ID)
+	}
+	hs1.Close()
 	c1.Shutdown()
 
 	w1 := newTestWorker(t, "")
 	c2, hs := newTestCoordinator(t, dir, w1)
 	keepAlive(t, c2, "w1")
-	final := waitDispatch(t, hs.URL, id, 30*time.Second)
+	if m := clusterMetrics(t, hs.URL); m.Store.Restored != len(listed.Jobs)-1 || m.Store.Recovered != 1 {
+		t.Fatalf("restart restored %d and recovered %d, want %d and 1", m.Store.Restored, m.Store.Recovered, len(listed.Jobs)-1)
+	}
+	for _, was := range listed.Jobs[:len(listed.Jobs)-1] {
+		got := getDispatch(t, hs.URL, was.ID)
+		if got.Status != StatusDone || !got.Recovered || got.Result == nil || got.Result.Fingerprint != was.Result.Fingerprint {
+			t.Fatalf("finished dispatch %s restored as %+v, want done with fingerprint %s", was.ID, got, was.Result.Fingerprint)
+		}
+	}
+	final := waitDispatch(t, hs.URL, unsent.ID, 30*time.Second)
 	if !final.Recovered {
 		t.Fatal("recovered dispatch not flagged")
 	}
-	if final.Result == nil || final.Result.Fingerprint == "" {
-		t.Fatal("recovered dispatch produced no result")
+	if ref := runSingleNode(t, spec); final.Result == nil || final.Result.Fingerprint != ref.Fingerprint {
+		t.Fatalf("re-dispatched result %+v, want fingerprint %s", final.Result, ref.Fingerprint)
+	}
+	if fresh := submitDispatch(t, hs.URL, spec); fresh.ID <= unsent.ID {
+		t.Fatalf("restarted coordinator minted %s, not past the recovered %s", fresh.ID, unsent.ID)
+	}
+}
+
+// getJSON decodes a GET response body into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("decoding %s: %v", url, err)
+	}
+}
+
+// TestParentClusterJournalRecovers opens a cluster/ journal written by the
+// simcoord binary of the commit before the shared store ("dispatch"
+// accept records, fingerprint-only finishes, never compacted) and
+// requires the dispatches that binary itself recovered from it
+// (testdata/parent-coord/expected.json); the unsent one must then run.
+func TestParentClusterJournalRecovers(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the fixture's fingerprints are from amd64")
+	}
+	var want []struct {
+		ID, Status, Fingerprint string
+		Recovered               bool
+	}
+	raw, err := os.ReadFile("testdata/parent-coord/expected.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	logRaw, err := os.ReadFile("testdata/parent-coord/log.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "cluster"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cluster", "log.jsonl"), logRaw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestCoordinator(t, dir)
+	var listed struct{ Jobs []DispatchView }
+	getJSON(t, hs.URL+"/jobs", &listed)
+	if len(listed.Jobs) != len(want) {
+		t.Fatalf("recovered %d dispatches, want %d", len(listed.Jobs), len(want))
+	}
+	for i, w := range want {
+		got := listed.Jobs[i]
+		fp := ""
+		if got.Result != nil {
+			fp = got.Result.Fingerprint
+		}
+		if got.ID != w.ID || got.Status != w.Status || fp != w.Fingerprint || got.Recovered != w.Recovered {
+			t.Errorf("dispatch %d: id=%s status=%s fingerprint=%s recovered=%v, parent recovered %+v", i, got.ID, got.Status, fp, got.Recovered, w)
+		}
+	}
+	if m := clusterMetrics(t, hs.URL); m.Store.Restored != 3 || m.Store.Recovered != 1 || m.Store.LogRecords != 0 {
+		t.Fatalf("store metrics %+v, want 3 restored, 1 recovered and the log compacted away", m.Store)
+	}
+}
+
+// TestCoordinatorAcceptFailureLeavesNoDispatch: a dispatch whose accept
+// cannot be journaled is never inserted, so concurrent failing submits
+// cannot leave the table and the order disagreeing — the tracker pumps
+// through them and the API lists nothing.
+func TestCoordinatorAcceptFailureLeavesNoDispatch(t *testing.T) {
+	c, hs := newTestCoordinator(t, t.TempDir())
+	if err := c.store.Close(); err != nil { // every append fails from here on
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := c.submit(server.JobSpec{Algorithm: "cholesky", NT: 4, NB: 8}, [2]string{}); err == nil {
+					t.Error("submit acknowledged a dispatch the journal refused")
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		c.pump()
+	}
+	wg.Wait()
+	c.pump()
+	var listed struct{ Jobs []DispatchView }
+	getJSON(t, hs.URL+"/jobs", &listed)
+	if m := clusterMetrics(t, hs.URL); len(listed.Jobs) != 0 || m.Dispatches != 0 {
+		t.Fatalf("failed submits left %d listed and %d tabled dispatches, want none", len(listed.Jobs), m.Dispatches)
 	}
 }

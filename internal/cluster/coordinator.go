@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"supersim/internal/journal"
 	"supersim/internal/server"
 )
 
@@ -22,11 +22,12 @@ type Config struct {
 	// register/heartbeat traffic, the coordinator's job submissions to
 	// workers, and the peer frame endpoint.
 	Key string
-	// DataDir, when set, journals accepted dispatches under
-	// <DataDir>/cluster/ so a restarted coordinator re-dispatches
-	// acknowledged-but-unfinished work (specs only — results and client
-	// credentials are not journaled; recovered dispatches resubmit under
-	// the workers' anonymous tenant).
+	// DataDir, when set, opens the dispatch store (the workers' job store,
+	// server.Store) under <DataDir>/cluster/, so a restarted coordinator
+	// restores finished dispatches with their fingerprints and
+	// re-dispatches acknowledged-but-unfinished work (specs only — results
+	// and client credentials are not journaled; recovered dispatches
+	// resubmit under the workers' anonymous tenant).
 	DataDir string
 	// HeartbeatInterval is the base heartbeat cadence advertised to
 	// workers (they jitter it ×[0.5,1.5); default 2s).
@@ -107,6 +108,10 @@ type part struct {
 
 func (p *part) current() *attempt { return p.attempts[len(p.attempts)-1] }
 
+// polled reports whether the tracker still polls the attempt: it reached
+// a worker and is not resolved yet.
+func (a *attempt) polled() bool { return !a.settled && a.JobID != "" && a.Worker != "" }
+
 // Dispatch statuses (client-visible).
 const (
 	StatusQueued  = "queued" // accepted; at least one part not yet on a worker
@@ -136,16 +141,17 @@ type dispatch struct {
 // completion, merges results, and fails work over off dead workers.
 type Coordinator struct {
 	cfg Config
-	jl  *journal.Journal // nil without DataDir
-	mux *http.ServeMux
+	// store is the dispatches' journaled lifecycle: it holds their records
+	// in accept order, mints their IDs and bounds how many finished ones
+	// are retained. Journaled under DataDir, memory-only without.
+	store *server.Store
+	mux   *http.ServeMux
 
 	mu          sync.Mutex
 	workers     map[string]*worker   // guarded-by: mu
 	ring        *Ring                // guarded-by: mu
-	dispatches  map[string]*dispatch // guarded-by: mu
-	order       []string             // guarded-by: mu — accept order
+	dispatches  map[string]*dispatch // guarded-by: mu — the live side of the store's records
 	routeOrigin map[string]string    // guarded-by: mu — route key → worker last known to hold its frame
-	nextID      uint64               // guarded-by: mu
 
 	dispatched atomic.Uint64 // parts sent to workers
 	failovers  atomic.Uint64 // parts re-routed off a dead worker
@@ -158,26 +164,34 @@ type Coordinator struct {
 	wg    sync.WaitGroup
 }
 
-// New constructs a Coordinator, recovers the dispatch journal when
-// Config.DataDir is set, and starts the tracker loop.
+// New constructs a Coordinator, opens the dispatch store (recovering it
+// when Config.DataDir is set) and starts the tracker loop.
 func New(cfg Config) (*Coordinator, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	dir := ""
+	if cfg.DataDir != "" {
+		dir = filepath.Join(cfg.DataDir, "cluster")
+	}
+	st, err := server.OpenStore(dir, "d-", server.DefaultCompactEvery, server.DefaultRetainJobs)
+	if err != nil {
+		return nil, err
+	}
+	dispatches := make(map[string]*dispatch)
+	for _, rec := range st.Jobs() {
+		dispatches[rec.ID] = dispatchFromRecord(rec)
+	}
 	c := &Coordinator{
 		cfg:         cfg,
+		store:       st,
 		workers:     make(map[string]*worker),
 		ring:        NewRing(0),
-		dispatches:  make(map[string]*dispatch),
+		dispatches:  dispatches,
 		routeOrigin: make(map[string]string),
 		start:       time.Now(),
 		kick:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
-	}
-	if cfg.DataDir != "" {
-		if err := c.openJournal(cfg.DataDir); err != nil {
-			return nil, err
-		}
 	}
 	c.mux = c.routes()
 	c.wg.Add(1)
@@ -188,15 +202,13 @@ func New(cfg Config) (*Coordinator, error) {
 // Handler returns the coordinator's HTTP handler.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
-// Shutdown stops the tracker and closes the journal. In-flight worker
-// jobs keep running on their workers; a restarted coordinator re-adopts
+// Shutdown stops the tracker and closes the store. In-flight worker jobs
+// keep running on their workers; a restarted coordinator re-adopts
 // journaled unfinished dispatches by re-dispatching them.
 func (c *Coordinator) Shutdown() {
 	close(c.quit)
 	c.wg.Wait()
-	if c.jl != nil {
-		c.jl.Close()
-	}
+	_ = c.store.Close() // a failed final compaction only means a longer recovery replay
 }
 
 // register adds (or revives) a worker. Same-name re-registration updates
@@ -258,20 +270,18 @@ func (c *Coordinator) liveWorkersLocked() []*worker {
 }
 
 // submit admits one client job: it validates the spec, slices it into
-// parts, journals the acceptance (AppendSync — the 202 must not outrun
-// the fsync), and leaves the parts for the tracker to place. Returns the
-// dispatch ID.
-func (c *Coordinator) submit(spec server.JobSpec, auth [2]string) (string, error) {
+// parts, journals the acceptance (fsynced, outside c.mu — the 202 must not
+// outrun the fsync and the fsync must not block handlers) and only then
+// inserts the dispatch, leaving its parts for the tracker to place.
+func (c *Coordinator) submit(spec server.JobSpec, auth [2]string) (DispatchView, error) {
 	if err := spec.Validate(); err != nil {
-		return "", err
+		return DispatchView{}, err
 	}
 	if spec.RepStride > 1 {
-		return "", fmt.Errorf("cluster: rep_stride is coordinator-internal; submit an unsliced sweep")
+		return DispatchView{}, fmt.Errorf("cluster: rep_stride is coordinator-internal; submit an unsliced sweep")
 	}
-	c.mu.Lock()
-	c.nextID++
 	d := &dispatch{
-		id:     fmt.Sprintf("d-%06d", c.nextID),
+		id:     c.store.NextID(),
 		spec:   spec,
 		auth:   auth,
 		status: StatusQueued,
@@ -279,20 +289,43 @@ func (c *Coordinator) submit(spec server.JobSpec, auth [2]string) (string, error
 	if spec.Cacheable() {
 		d.routeKey = spec.RouteKey()
 	}
+	c.mu.Lock()
 	d.parts = c.sliceLocked(d)
-	c.dispatches[d.id] = d
-	c.order = append(c.order, d.id)
+	rec := d.record()
 	c.mu.Unlock()
 
-	if err := c.journalDispatch(d); err != nil {
-		c.mu.Lock()
-		delete(c.dispatches, d.id)
-		c.order = c.order[:len(c.order)-1]
-		c.mu.Unlock()
-		return "", fmt.Errorf("cluster: journaling dispatch: %w", err)
+	if err := c.store.Accept(rec); err != nil {
+		return DispatchView{}, fmt.Errorf("cluster: journaling dispatch: %w", err)
 	}
+	c.mu.Lock()
+	c.dispatches[d.id] = d
+	for _, id := range c.store.Evict(c.evictableLocked) {
+		delete(c.dispatches, id)
+	}
+	view := c.dispatchView(d)
+	c.mu.Unlock()
 	c.kickTracker()
-	return d.id, nil
+	return view, nil
+}
+
+// evictableLocked is the coordinator's answer to the store's retention
+// rule: a finished dispatch may go only once the tracker polls none of its
+// attempts any more — until then a falsely-dead worker's duplicate
+// completion must still be counted in deduped/mismatches.
+// Caller holds c.mu.
+func (c *Coordinator) evictableLocked(id string) bool {
+	d := c.dispatches[id]
+	if d == nil {
+		return true
+	}
+	for _, p := range d.parts {
+		for _, att := range p.attempts {
+			if att.polled() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // sliceLocked splits a dispatch into parts. A sweep with more than one
@@ -447,116 +480,40 @@ func (c *Coordinator) workerStatuses() []WorkerStatus {
 	return out
 }
 
-// --- journal ---
-
-// dispatchRecord is the journaled form of an accepted dispatch. Client
-// credentials are deliberately absent: a recovered dispatch resubmits
-// under the workers' anonymous tenant rather than persisting secrets.
-type dispatchRecord struct {
-	ID   string         `json:"id"`
-	Spec server.JobSpec `json:"spec"`
-}
-
-// finishRecord marks a dispatch settled; Fingerprint records the merged
-// result's identity so operators can audit exactly-once across restarts.
-type finishRecord struct {
-	ID          string `json:"id"`
-	Status      string `json:"status"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
-// openJournal replays the dispatch journal into the coordinator's
-// tables: finished dispatches are restored fingerprint-only, unfinished
-// ones become pending parts the tracker re-dispatches once workers
-// register.
-//
-//simlint:allow guarded — construction precedes publication: called from New before the tracker starts or the handler is served
-func (c *Coordinator) openJournal(dataDir string) error {
-	jl, rec, err := journal.Open(dataDir + "/cluster")
-	if err != nil {
-		return err
-	}
-	c.jl = jl
-	finished := make(map[string]finishRecord)
-	var ids []string
-	specs := make(map[string]server.JobSpec)
-	for _, r := range rec.Records {
-		switch r.Type {
-		case "dispatch":
-			var dr dispatchRecord
-			if json.Unmarshal(r.Data, &dr) == nil {
-				if _, seen := specs[dr.ID]; !seen {
-					ids = append(ids, dr.ID)
-				}
-				specs[dr.ID] = dr.Spec
-			}
-		case "finish":
-			var fr finishRecord
-			if json.Unmarshal(r.Data, &fr) == nil {
-				finished[fr.ID] = fr
-			}
-		}
-	}
-	for _, id := range ids {
-		spec := specs[id]
-		d := &dispatch{id: id, spec: spec, recovered: true}
-		if spec.Cacheable() {
-			d.routeKey = spec.RouteKey()
-		}
-		if fr, ok := finished[id]; ok {
-			// Settled before the restart: restore the verdict (results are
-			// not journaled; the fingerprint is the audit trail).
-			d.status = fr.Status
-			d.parts = []*part{{status: partDone, attempts: []*attempt{{}}}}
-			if fr.Fingerprint != "" {
-				d.result = &server.JobResult{Fingerprint: fr.Fingerprint}
-			}
-		} else {
-			// Acknowledged but unfinished: rebuild parts and let the tracker
-			// re-dispatch once workers register. Sweeps re-slice on the
-			// post-restart ring; the replica-seed invariant keeps the merged
-			// result identical to any earlier slicing.
-			d.status = StatusQueued
-			d.parts = []*part{{status: partPending}}
-		}
-		for _, p := range d.parts {
-			if len(p.attempts) == 0 {
-				p.attempts = []*attempt{{}}
-			}
-		}
-		c.dispatches[id] = d
-		c.order = append(c.order, id)
-		// Keep dispatch IDs monotone across restarts.
-		var n uint64
-		if _, err := fmt.Sscanf(id, "d-%d", &n); err == nil && n > c.nextID {
-			c.nextID = n
-		}
-	}
-	return nil
-}
-
-// journalDispatch persists an acceptance. Synchronous by contract: the
-// caller only acks the client after this returns (the durable analyzer's
-// happens-before edge).
-func (c *Coordinator) journalDispatch(d *dispatch) error {
-	if c.jl == nil {
-		return nil
-	}
-	_, err := c.jl.AppendSync("dispatch", dispatchRecord{ID: d.id, Spec: d.spec})
-	return err
-}
-
-// journalFinish records a settled dispatch (async: losing a finish record
-// merely re-dispatches idempotent work after a crash).
-func (c *Coordinator) journalFinish(d *dispatch) {
-	if c.jl == nil {
-		return
-	}
-	fp := ""
+// record copies the dispatch's durable fields into its store record — the
+// one place a dispatch becomes a server.JobRecord (dispatchFromRecord is
+// the inverse). Client credentials are deliberately absent: a recovered
+// dispatch resubmits under the workers' anonymous tenant rather than
+// persisting secrets. Of the result only the fingerprint is kept, so
+// operators can audit exactly-once across restarts.
+// Caller holds c.mu, or has not shared the dispatch yet.
+func (d *dispatch) record() server.JobRecord {
+	rec := server.JobRecord{ID: d.id, Spec: &d.spec, JobOutcome: server.JobOutcome{Status: d.status}}
 	if d.result != nil {
-		fp = d.result.Fingerprint
+		rec.Fingerprint = d.result.Fingerprint
 	}
-	_, _ = c.jl.Append("finish", finishRecord{ID: d.id, Status: d.status, Fingerprint: fp})
+	return rec
+}
+
+// dispatchFromRecord rebuilds a dispatch from its store record. A finished
+// one is restored with its verdict and fingerprint; an unfinished one
+// becomes a single pending part the tracker re-dispatches once workers
+// register.
+func dispatchFromRecord(rec server.JobRecord) *dispatch {
+	d := &dispatch{id: rec.ID, spec: *rec.Spec, recovered: true, status: StatusQueued}
+	if d.spec.Cacheable() {
+		d.routeKey = d.spec.RouteKey()
+	}
+	p := &part{status: partPending, attempts: []*attempt{{}}}
+	if rec.Finished() {
+		d.status = rec.Status
+		p.status = partDone
+		if rec.Fingerprint != "" {
+			d.result = &server.JobResult{Fingerprint: rec.Fingerprint}
+		}
+	}
+	d.parts = []*part{p}
+	return d
 }
 
 // --- HTTP plumbing shared with the tracker ---

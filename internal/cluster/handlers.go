@@ -3,7 +3,6 @@ package cluster
 import (
 	"crypto/subtle"
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"supersim/internal/server"
@@ -22,23 +21,6 @@ func (c *Coordinator) routes() *http.ServeMux {
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	return mux
-}
-
-type apiError struct {
-	Error     string `json:"error"`
-	Retryable bool   `json:"retryable,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, retryable bool, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...), Retryable: retryable})
 }
 
 // authed gates the worker control plane on the shared cluster key.
@@ -63,20 +45,20 @@ const maxBodyBytes = 1 << 20
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !c.authed(r) {
-		writeError(w, http.StatusUnauthorized, false, "bad or missing X-Cluster-Key")
+		server.WriteError(w, http.StatusUnauthorized, false, "bad or missing X-Cluster-Key")
 		return
 	}
 	var req RegisterRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, false, "decoding registration: %v", err)
+		server.WriteError(w, http.StatusBadRequest, false, "decoding registration: %v", err)
 		return
 	}
 	if req.Name == "" || req.URL == "" {
-		writeError(w, http.StatusBadRequest, false, "registration needs name and url")
+		server.WriteError(w, http.StatusBadRequest, false, "registration needs name and url")
 		return
 	}
 	c.register(req.Name, req.URL)
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	server.WriteJSON(w, http.StatusOK, RegisterResponse{
 		HeartbeatMS: c.cfg.HeartbeatInterval.Milliseconds(),
 		TimeoutMS:   c.cfg.HeartbeatTimeout.Milliseconds(),
 	})
@@ -89,18 +71,18 @@ type HeartbeatRequest struct {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !c.authed(r) {
-		writeError(w, http.StatusUnauthorized, false, "bad or missing X-Cluster-Key")
+		server.WriteError(w, http.StatusUnauthorized, false, "bad or missing X-Cluster-Key")
 		return
 	}
 	var req HeartbeatRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, false, "decoding heartbeat: %v", err)
+		server.WriteError(w, http.StatusBadRequest, false, "decoding heartbeat: %v", err)
 		return
 	}
 	if !c.heartbeat(req.Name) {
 		// Unknown worker — a restarted coordinator lost the registration.
 		// 404 tells the agent to re-register.
-		writeError(w, http.StatusNotFound, true, "unknown worker %q; re-register", req.Name)
+		server.WriteError(w, http.StatusNotFound, true, "unknown worker %q; re-register", req.Name)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -111,22 +93,19 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var spec server.JobSpec
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, false, "decoding job spec: %v", err)
+		server.WriteError(w, http.StatusBadRequest, false, "decoding job spec: %v", err)
 		return
 	}
 	auth := [2]string{r.Header.Get("X-API-Key"), r.Header.Get("Authorization")}
-	// submit journals the acceptance through AppendSync before returning —
-	// the 202 below never outruns the fsync.
-	id, err := c.submit(spec, auth)
+	// submit journals the acceptance through the store's AppendSync before
+	// returning — the 202 below never outruns the fsync.
+	view, err := c.submit(spec, auth)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, false, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, false, "%v", err)
 		return
 	}
-	c.mu.Lock()
-	view := c.dispatchView(c.dispatches[id])
-	c.mu.Unlock()
-	w.Header().Set("Location", "/jobs/"+id)
-	writeJSON(w, http.StatusAccepted, view)
+	w.Header().Set("Location", "/jobs/"+view.ID)
+	server.WriteJSON(w, http.StatusAccepted, view)
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -138,24 +117,25 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, false, "no such dispatch %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, false, "no such dispatch %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	server.WriteJSON(w, http.StatusOK, view)
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
-	views := make([]DispatchView, 0, len(c.order))
-	for _, id := range c.order {
-		views = append(views, c.dispatchView(c.dispatches[id]))
+	ds := c.inOrderLocked()
+	views := make([]DispatchView, len(ds))
+	for i, d := range ds {
+		views[i] = c.dispatchView(d)
 	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Metrics())
+	server.WriteJSON(w, http.StatusOK, c.Metrics())
 }
 
 // Health is the coordinator's /healthz document.
@@ -179,5 +159,5 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if h.Live == 0 {
 		h.Status = "no-workers"
 	}
-	writeJSON(w, http.StatusOK, h)
+	server.WriteJSON(w, http.StatusOK, h)
 }

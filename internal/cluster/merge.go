@@ -14,10 +14,10 @@ import (
 // rep % stride == offset of every point, and because replica seeds are
 // pure functions of (base seed, NT, rep) — never of placement — the
 // merged vector is bit-identical to a single-node run of the same spec.
-// Aggregates and the curve fingerprint are recomputed over the full
-// vector with the worker's own code (server.SweepFingerprint), so a
-// fanned-out dispatch's fingerprint is directly comparable to a
-// single-node job's.
+// Per-point aggregates are recomputed over the full vector and the
+// result is assembled by the worker's own code (server.SweepResult), so a
+// fanned-out dispatch's summary and fingerprint are directly comparable
+// to a single-node job's.
 func mergeParts(spec *server.JobSpec, parts []*part) (*server.JobResult, error) {
 	if len(parts) == 1 {
 		if parts[0].result == nil {
@@ -54,7 +54,6 @@ func mergeParts(spec *server.JobSpec, parts []*part) (*server.JobResult, error) 
 		}
 	}
 
-	res := &server.JobResult{Sweep: points}
 	for i := range points {
 		p := &points[i]
 		min, sum := p.Makespans[0], 0.0
@@ -70,14 +69,5 @@ func mergeParts(spec *server.JobSpec, parts []*part) (*server.JobResult, error) 
 			p.GFlops = kernels.AlgorithmFlops(spec.Algorithm, p.N) / min / 1e9
 		}
 	}
-	if n := len(points); n > 0 {
-		last := points[n-1]
-		res.NumTasks = last.NumTasks
-		res.Makespan = last.Makespans[0]
-		res.MinMakespan = last.MinMakespan
-		res.MeanMakespan = last.MeanMakespan
-		res.GFlops = last.GFlops
-	}
-	res.Fingerprint = server.SweepFingerprint(points)
-	return res, nil
+	return server.SweepResult(points), nil
 }

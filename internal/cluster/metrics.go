@@ -28,6 +28,10 @@ type MetricsSnapshot struct {
 	Failovers  uint64 `json:"failovers"`
 	Deduped    uint64 `json:"deduped"`
 	Mismatches uint64 `json:"mismatches"`
+	// Store is the dispatch store's section, as on a worker: journal
+	// sequence, live log length, compactions, and what the last start
+	// recovered (re-dispatched) and restored (finished, fingerprint kept).
+	Store server.StoreStats `json:"store"`
 
 	Jobs      server.JobCounts    `json:"jobs"`
 	Cache     server.CacheStats   `json:"cache"`
@@ -48,13 +52,13 @@ func (c *Coordinator) Metrics() MetricsSnapshot {
 		Failovers:  c.failovers.Load(),
 		Deduped:    c.deduped.Load(),
 		Mismatches: c.mismatches.Load(),
+		Store:      c.store.Stats(),
 	}
 	type target struct{ name, url string }
 	var targets []target
 	c.mu.Lock()
 	snap.Dispatches = len(c.dispatches)
-	for _, id := range c.order {
-		d := c.dispatches[id]
+	for _, d := range c.dispatches {
 		if d.status != StatusDone && d.status != StatusFailed {
 			snap.Inflight++
 		}

@@ -52,8 +52,7 @@ func (c *Coordinator) reapDead() {
 // across nodes).
 // Caller holds c.mu.
 func (c *Coordinator) failoverLocked(dead string) {
-	for _, id := range c.order {
-		d := c.dispatches[id]
+	for _, d := range c.inOrderLocked() {
 		if d.status == StatusDone || d.status == StatusFailed {
 			continue
 		}
@@ -89,6 +88,22 @@ type poll struct {
 	url string
 }
 
+// inOrderLocked returns the dispatches in accept order — the store's
+// order, so every pass over them is deterministic. An ID whose dispatch
+// is not in the table yet (accepted, insert pending) is skipped; its
+// submit kicks the tracker again.
+// Caller holds c.mu.
+func (c *Coordinator) inOrderLocked() []*dispatch {
+	ids := c.store.IDs()
+	out := make([]*dispatch, 0, len(ids))
+	for _, id := range ids {
+		if d := c.dispatches[id]; d != nil {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // pump advances every dispatch one step: it collects the HTTP work under
 // the lock, performs it unlocked, then applies the outcomes under the
 // lock again. Worker HTTP latency therefore never blocks handlers.
@@ -97,8 +112,7 @@ func (c *Coordinator) pump() {
 	var polls []poll
 
 	c.mu.Lock()
-	for _, id := range c.order {
-		d := c.dispatches[id]
+	for _, d := range c.inOrderLocked() {
 		unfinished := d.status != StatusDone && d.status != StatusFailed
 		for _, p := range d.parts {
 			if unfinished && p.status == partPending {
@@ -129,7 +143,7 @@ func (c *Coordinator) pump() {
 			// its copy, and that duplicate must be observed and deduped
 			// (applyViewLocked), not silently ignored.
 			for _, att := range p.attempts {
-				if att.settled || att.JobID == "" || att.Worker == "" {
+				if !att.polled() {
 					continue
 				}
 				w := c.workers[att.Worker]
@@ -246,14 +260,13 @@ func (c *Coordinator) applyViewLocked(d *dispatch, p *part, att *attempt, view *
 }
 
 // settle finalizes dispatches whose parts have all completed: merging
-// fanned-out sweep results, stamping the dispatch status, and journaling
-// the verdict.
+// fanned-out sweep results, stamping the dispatch status, and recording
+// the verdict in the store (outside c.mu: the append, and the compaction
+// it triggers every so many finishes, are file I/O).
 func (c *Coordinator) settle() {
-	type finished struct{ d *dispatch }
-	var done []finished
+	var done []server.JobRecord
 	c.mu.Lock()
-	for _, id := range c.order {
-		d := c.dispatches[id]
+	for _, d := range c.inOrderLocked() {
 		if d.status == StatusDone || d.status == StatusFailed {
 			continue
 		}
@@ -275,7 +288,7 @@ func (c *Coordinator) settle() {
 		switch {
 		case anyFailed:
 			d.status = StatusFailed
-			done = append(done, finished{d})
+			done = append(done, d.record())
 		case allDone && len(d.parts) > 0:
 			res, err := mergeParts(&d.spec, d.parts)
 			if err != nil {
@@ -285,13 +298,13 @@ func (c *Coordinator) settle() {
 				d.status = StatusDone
 				d.result = res
 			}
-			done = append(done, finished{d})
+			done = append(done, d.record())
 		case anyStarted:
 			d.status = StatusRunning
 		}
 	}
 	c.mu.Unlock()
-	for _, f := range done {
-		c.journalFinish(f.d)
+	for _, rec := range done {
+		c.store.Finish(rec)
 	}
 }

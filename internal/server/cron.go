@@ -133,16 +133,6 @@ func (c *cronRunner) list() []CronView {
 	return out
 }
 
-// specs returns the armed templates for snapshotting.
-func (c *cronRunner) specs() []CronSpec {
-	views := c.list()
-	out := make([]CronSpec, len(views))
-	for i, v := range views {
-		out[i] = v.CronSpec
-	}
-	return out
-}
-
 func (c *cronRunner) kick() {
 	select {
 	case c.wake <- struct{}{}:

@@ -79,17 +79,17 @@ func frameQuery(tenant string, key cacheKey) url.Values {
 // for a key that does not parse, so a peer's bad request reads as one.
 func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.ClusterKey == "" {
-		writeError(w, http.StatusNotFound, false, "clustering disabled")
+		WriteError(w, http.StatusNotFound, false, "clustering disabled")
 		return
 	}
 	if !s.clusterAuthed(r) {
-		writeError(w, http.StatusUnauthorized, false, "bad or missing X-Cluster-Key")
+		WriteError(w, http.StatusUnauthorized, false, "bad or missing X-Cluster-Key")
 		return
 	}
 	q := r.URL.Query()
 	t := s.tenantNamed(q.Get("tenant"))
 	if t == nil {
-		writeError(w, http.StatusNotFound, false, "no such tenant %q", q.Get("tenant"))
+		WriteError(w, http.StatusNotFound, false, "no such tenant %q", q.Get("tenant"))
 		return
 	}
 	// frameQuery always sends the three numbers; one that is missing or
@@ -98,7 +98,7 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	for i, name := range [...]string{"nt", "nb", "window"} {
 		n, err := strconv.Atoi(q.Get(name))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, false, "%s=%q is not an integer", name, q.Get(name))
+			WriteError(w, http.StatusBadRequest, false, "%s=%q is not an integer", name, q.Get(name))
 			return
 		}
 		nums[i] = n
@@ -113,7 +113,7 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	}
 	raw := t.cache.frame(key)
 	if len(raw) == 0 {
-		writeError(w, http.StatusNotFound, false, "no frame for key")
+		WriteError(w, http.StatusNotFound, false, "no frame for key")
 		return
 	}
 	s.metrics.framesServed.Add(1)

@@ -50,7 +50,10 @@ type apiError struct {
 	Retryable bool   `json:"retryable,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a response with the given status.
+// Exported with WriteError for the cluster coordinator, which serves the
+// same API envelope.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -58,8 +61,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // header already sent; nothing useful to do on error
 }
 
-func writeError(w http.ResponseWriter, status int, retryable bool, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...), Retryable: retryable})
+// WriteError writes the JSON error envelope.
+func WriteError(w http.ResponseWriter, status int, retryable bool, format string, args ...any) {
+	WriteJSON(w, status, apiError{Error: fmt.Sprintf(format, args...), Retryable: retryable})
 }
 
 // maxSpecBytes bounds a job-spec body; real specs are a few hundred bytes.
@@ -68,88 +72,88 @@ const maxSpecBytes = 1 << 20
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	t := s.tenantFor(r)
 	if t == nil {
-		writeError(w, http.StatusUnauthorized, false, "%v", ErrUnknownTenant)
+		WriteError(w, http.StatusUnauthorized, false, "%v", ErrUnknownTenant)
 		return
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, false, "decoding job spec: %v", err)
+		WriteError(w, http.StatusBadRequest, false, "decoding job spec: %v", err)
 		return
 	}
 	job, err := s.submitAs(t, spec, "", s.frameSourceFor(r))
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantShare):
 		s.retryAfter(w, 1)
-		writeError(w, http.StatusTooManyRequests, true, "%v", err)
+		WriteError(w, http.StatusTooManyRequests, true, "%v", err)
 		return
 	case errors.Is(err, ErrRateLimited):
 		// Base the hint on the bucket's actual refill horizon.
 		_, wait := t.bucket.take()
 		s.retryAfter(w, wait.Seconds())
-		writeError(w, http.StatusTooManyRequests, true, "%v", err)
+		WriteError(w, http.StatusTooManyRequests, true, "%v", err)
 		return
 	case errors.Is(err, ErrDraining):
 		s.retryAfter(w, 5)
-		writeError(w, http.StatusServiceUnavailable, true, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, true, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, false, "%v", err)
+		WriteError(w, http.StatusBadRequest, false, "%v", err)
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, job.view())
+	WriteJSON(w, http.StatusAccepted, job.view())
 }
 
 func (s *Server) handleCronAdd(w http.ResponseWriter, r *http.Request) {
 	t := s.tenantFor(r)
 	if t == nil {
-		writeError(w, http.StatusUnauthorized, false, "%v", ErrUnknownTenant)
+		WriteError(w, http.StatusUnauthorized, false, "%v", ErrUnknownTenant)
 		return
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec CronSpec
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, false, "decoding cron spec: %v", err)
+		WriteError(w, http.StatusBadRequest, false, "decoding cron spec: %v", err)
 		return
 	}
 	view, err := s.AddCron(t.cfg.Name, spec)
 	switch {
 	case errors.Is(err, ErrDraining):
 		s.retryAfter(w, 5)
-		writeError(w, http.StatusServiceUnavailable, true, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, true, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, false, "%v", err)
+		WriteError(w, http.StatusBadRequest, false, "%v", err)
 		return
 	}
 	w.Header().Set("Location", "/crons/"+view.ID)
-	writeJSON(w, http.StatusCreated, view)
+	WriteJSON(w, http.StatusCreated, view)
 }
 
 func (s *Server) handleCronList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"crons": s.Crons()})
+	WriteJSON(w, http.StatusOK, map[string]any{"crons": s.Crons()})
 }
 
 func (s *Server) handleCronGet(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.cron.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, false, "no such cron %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, false, "no such cron %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *Server) handleCronDelete(w http.ResponseWriter, r *http.Request) {
 	removed, err := s.RemoveCron(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, true, "%v", err)
+		WriteError(w, http.StatusInternalServerError, true, "%v", err)
 		return
 	}
 	if !removed {
-		writeError(w, http.StatusNotFound, false, "no such cron %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, false, "no such cron %q", r.PathValue("id"))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -161,16 +165,16 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for i, j := range jobs {
 		views[i] = j.view()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, false, "no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, false, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.view())
+	WriteJSON(w, http.StatusOK, job.view())
 }
 
 // jobTrace resolves a job's retained trace for the trace endpoints,
@@ -178,22 +182,22 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) *trace.Trace {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, false, "no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, false, "no such job %q", r.PathValue("id"))
 		return nil
 	}
 	switch job.Status() {
 	case StatusDone:
 	case StatusFailed, StatusDead, StatusRejected:
-		writeError(w, http.StatusConflict, false, "job %s %s; no trace", job.ID, job.Status())
+		WriteError(w, http.StatusConflict, false, "job %s %s; no trace", job.ID, job.Status())
 		return nil
 	default:
 		s.retryAfter(w, 1)
-		writeError(w, http.StatusConflict, true, "job %s still %s; poll again", job.ID, job.Status())
+		WriteError(w, http.StatusConflict, true, "job %s still %s; poll again", job.ID, job.Status())
 		return nil
 	}
 	tr := job.Trace()
 	if tr == nil {
-		writeError(w, http.StatusNotFound, false,
+		WriteError(w, http.StatusNotFound, false,
 			"job %s retained no trace (sweep job, or submitted with \"trace\": false)", job.ID)
 		return nil
 	}
@@ -234,7 +238,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	jobs := len(s.jobs)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, Health{
+	WriteJSON(w, http.StatusOK, Health{
 		Status:  status,
 		Queued:  s.queue.depthNow(),
 		Running: s.metrics.running.Load(),
@@ -243,5 +247,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }

@@ -361,15 +361,14 @@ type Job struct {
 	// job degrades to re-capturing, never to depending on a stale peer.
 	frameSource string
 
-	mu        sync.Mutex
-	status    string     // guarded-by: mu
-	err       string     // guarded-by: mu
+	mu sync.Mutex
+	// out is the job's durable outcome, held in its record's own form:
+	// Attempts counts executions (retries included), Cache is "hit", "disk",
+	// "peer", "miss", "bypass" or "".
+	out       JobOutcome // guarded-by: mu
 	retryable bool       // guarded-by: mu
-	attempts  int        // guarded-by: mu — execution attempts (retries included)
-	cache     string     // guarded-by: mu — "hit", "disk", "miss", "bypass" or ""
 	queueWait float64    // guarded-by: mu — seconds
 	runTime   float64    // guarded-by: mu — seconds
-	result    *JobResult // guarded-by: mu
 	trace     *trace.Trace
 
 	submitted time.Time
@@ -383,6 +382,14 @@ func (j *Job) tenantName() string {
 		return ""
 	}
 	return j.tenant.cfg.Name
+}
+
+// record returns the job's store record — the one place a Job becomes a
+// JobRecord (Server.jobFromRecord is the inverse).
+func (j *Job) record() JobRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return JobRecord{ID: j.ID, Tenant: j.tenantName(), Source: j.source, Spec: &j.Spec, JobOutcome: j.out}
 }
 
 // JobView is the JSON representation of a job served by the API.
@@ -418,23 +425,23 @@ func (j *Job) view() JobView {
 	defer j.mu.Unlock()
 	return JobView{
 		ID:          j.ID,
-		Status:      j.status,
+		Status:      j.out.Status,
 		Tenant:      j.tenantName(),
 		Kind:        j.Spec.Kind,
 		Algorithm:   j.Spec.Algorithm,
 		Scheduler:   j.Spec.Scheduler,
 		NT:          j.Spec.NT,
 		Workers:     j.Spec.Workers,
-		Cache:       j.cache,
-		Attempts:    j.attempts,
+		Cache:       j.out.Cache,
+		Attempts:    j.out.Attempts,
 		Recovered:   j.recovered,
 		Source:      j.source,
 		QueueWaitNS: int64(j.queueWait * 1e9),
 		RunNS:       int64(j.runTime * 1e9),
-		Error:       j.err,
+		Error:       j.out.Error,
 		Retryable:   j.retryable,
 		HasTrace:    j.trace != nil,
-		Result:      j.result,
+		Result:      j.out.Result,
 	}
 }
 
@@ -449,7 +456,7 @@ func (j *Job) Trace() *trace.Trace {
 func (j *Job) Status() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status
+	return j.out.Status
 }
 
 // Sentinel errors of the multi-tenant submission queue (drr.go); Submit

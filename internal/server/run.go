@@ -57,7 +57,16 @@ func (s *Server) runSweep(ctx context.Context, spec *JobSpec) (*JobResult, error
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sweep exceeded the job deadline: %w", err)
 	}
-	res := &JobResult{Sweep: points}
+	return SweepResult(points), nil
+}
+
+// SweepResult assembles a sweep job's result from its curve: the summary
+// block describes the largest point, the fingerprint digests the whole
+// curve. The worker calls it on the curve it computed and the cluster
+// coordinator on the curve it merged from replica slices, so the two are
+// comparable field for field.
+func SweepResult(points []bench.SweepPoint) *JobResult {
+	res := &JobResult{Sweep: points, Fingerprint: SweepFingerprint(points)}
 	if n := len(points); n > 0 {
 		last := points[n-1]
 		res.NumTasks = last.NumTasks
@@ -66,8 +75,7 @@ func (s *Server) runSweep(ctx context.Context, spec *JobSpec) (*JobResult, error
 		res.MeanMakespan = last.MeanMakespan
 		res.GFlops = last.GFlops
 	}
-	res.Fingerprint = sweepFingerprint(points)
-	return res, nil
+	return res
 }
 
 // Result fingerprints digest each execution path's deterministic
@@ -93,33 +101,26 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// makespanFingerprint folds a repetition's makespans into a hex digest.
-func makespanFingerprint(makespans []float64) string {
-	h := uint64(fnvOffset64)
+// foldMakespans continues the digest h over a makespans vector — the one
+// fold behind both the direct-job and the sweep fingerprint.
+func foldMakespans(h uint64, makespans []float64) uint64 {
 	for _, m := range makespans {
 		h = fnvMix(h, math.Float64bits(m))
 	}
-	return fmt.Sprintf("%016x", h)
+	return h
 }
 
-// sweepFingerprint folds a sweep curve into a hex digest.
-func sweepFingerprint(points []bench.SweepPoint) string {
+// SweepFingerprint digests a sweep curve (NT, then the makespans, per
+// point). Exported for callers that hold a curve computed elsewhere and
+// must compare it with a worker's result: by the replica-seed invariant
+// the digest of a merged fan-out equals a single node's.
+func SweepFingerprint(points []bench.SweepPoint) string {
 	h := uint64(fnvOffset64)
 	for _, p := range points {
-		h = fnvMix(h, uint64(p.NT))
-		for _, m := range p.Makespans {
-			h = fnvMix(h, math.Float64bits(m))
-		}
+		h = foldMakespans(fnvMix(h, uint64(p.NT)), p.Makespans)
 	}
 	return fmt.Sprintf("%016x", h)
 }
-
-// SweepFingerprint digests a sweep curve exactly as the worker does for
-// its own sweep results. The cluster coordinator calls it after merging
-// replica-sliced parts entry-wise, so a fanned-out sweep's fingerprint is
-// comparable (and, by the replica-seed invariant, equal) to a single
-// node's.
-func SweepFingerprint(points []bench.SweepPoint) string { return sweepFingerprint(points) }
 
 // runCached serves a simulate job through the capture cache: the arena is
 // captured at most once per key (singleflight — concurrent identical jobs
@@ -232,7 +233,7 @@ func (s *Server) runDirect(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 	// Direct runs fingerprint the makespans vector, not the trace: the
 	// real scheduler's task→worker assignment legitimately races, but its
 	// virtual makespans are deterministic.
-	res.Fingerprint = makespanFingerprint(res.Makespans)
+	res.Fingerprint = fmt.Sprintf("%016x", foldMakespans(fnvOffset64, res.Makespans))
 	return res, kept, nil
 }
 

@@ -96,10 +96,10 @@ func (c *Config) fill() {
 		c.CacheCapacity = 64
 	}
 	if c.RetainJobs < 1 {
-		c.RetainJobs = 256
+		c.RetainJobs = DefaultRetainJobs
 	}
 	if c.CompactEvery < 1 {
-		c.CompactEvery = 256
+		c.CompactEvery = DefaultCompactEvery
 	}
 	if c.RetryMax == 0 {
 		c.RetryMax = 2
@@ -140,7 +140,7 @@ type Server struct {
 	tenants      []*tenant
 	tenantsByKey map[string]*tenant
 	anonTenant   *tenant        // tenant with no key; nil when every tenant requires one
-	store        *store         // nil without DataDir
+	store        *Store         // journaled with DataDir, memory-only without
 	baselines    *baselineStore // nil without DataDir — cron regression baselines
 	cron         *cronRunner
 	metrics      metrics
@@ -149,19 +149,14 @@ type Server struct {
 	start        time.Time
 	wg           sync.WaitGroup
 
-	nextID    atomic.Uint64
-	nextCron  atomic.Uint64
-	recovered int // jobs re-queued by crash recovery at startup
-	restored  int // finished jobs restored from the store at startup
-	draining  atomic.Bool
-	shutdown  sync.Once
+	draining atomic.Bool
+	shutdown sync.Once
 
 	jitterMu sync.Mutex
 	jitter   *rng.Source // guarded-by: jitterMu — Retry-After and backoff jitter
 
 	mu      sync.Mutex
-	jobs    map[string]*Job        // guarded-by: mu
-	order   []string               // guarded-by: mu — insertion order, for eviction
+	jobs    map[string]*Job        // guarded-by: mu — the live side of the store's records
 	retries map[string]*time.Timer // guarded-by: mu — pending backoff re-runs
 }
 
@@ -197,10 +192,10 @@ func New(cfg Config) (*Server, error) {
 
 	if cfg.DataDir != "" {
 		s.baselines = newBaselineStore(filepath.Join(cfg.DataDir, "baselines"))
-		if err := s.recover(); err != nil {
-			s.cron.shutdown()
-			return nil, err
-		}
+	}
+	if err := s.recover(); err != nil {
+		s.cron.shutdown()
+		return nil, err
 	}
 
 	for i := 0; i < cfg.Pool; i++ {
@@ -210,95 +205,67 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recover opens the journal and folds its history back into the live
-// server: finished jobs become retained records, unfinished acknowledged
-// jobs are re-queued (replay determinism makes their re-runs
-// bit-identical), cron templates are re-armed, and the recovered state is
-// immediately compacted so the log starts clean.
-//
-//simlint:allow guarded — construction precedes publication: recovered jobs are not shared until remember()
+// recover opens the store and brings what it found back to life: finished
+// records become retained jobs, unfinished acknowledged ones are re-queued
+// (replay determinism makes their re-runs bit-identical) and cron
+// templates are re-armed.
 func (s *Server) recover() error {
-	st, state, err := openStore(s.cfg.DataDir, s.cfg.CompactEvery)
+	st, err := OpenStore(s.cfg.DataDir, "j-", s.cfg.CompactEvery, s.cfg.RetainJobs)
 	if err != nil {
 		return err
 	}
 	s.store = st
-	// The snapshot's counters lag behind accepts journaled after the last
-	// compaction; fold the recovered IDs back in so a recovered server
-	// never re-mints an existing ID.
-	nextID, nextCron := state.NextID, state.NextCron
-	for _, js := range state.Jobs {
-		if n, ok := idSeq(js.ID, "j-"); ok && n > nextID {
-			nextID = n
+	for _, rec := range st.Jobs() {
+		job := s.jobFromRecord(rec)
+		s.remember(job)
+		if rec.Finished() {
+			continue
+		}
+		// Acknowledged but unfinished at crash/drain time: re-run exactly once.
+		if err := s.queue.push(job.tenant, job); err != nil {
+			// Recovered load exceeding the configured queue depth would
+			// silently drop acknowledged jobs; refuse to start instead.
+			st.Close()
+			return fmt.Errorf("server: re-queueing recovered job %s: %w", job.ID, err)
 		}
 	}
-	for _, c := range state.Crons {
-		if n, ok := idSeq(c.ID, "c-"); ok && n > nextCron {
-			nextCron = n
-		}
-	}
-	s.nextID.Store(nextID)
-	s.nextCron.Store(nextCron)
-
-	for i := range state.Jobs {
-		js := &state.Jobs[i]
-		t := s.tenantNamed(js.Tenant)
-		if t == nil {
-			// The tenant was removed from the config between restarts; its
-			// jobs still belong to someone, so the default tenant adopts
-			// them rather than recovery dropping acknowledged work.
-			t = s.defaultTenant()
-		}
-		job := &Job{
-			ID:        js.ID,
-			Spec:      js.Spec,
-			tenant:    t,
-			recovered: true,
-			submitted: time.Now(), //simlint:allow vclock — queue-wait restarts at recovery
-		}
-		switch js.Status {
-		case StatusDone, StatusFailed, StatusDead:
-			job.status = js.Status
-			job.err = js.Error
-			job.cache = js.Cache
-			job.attempts = js.Attempts
-			job.result = js.Result
-			s.remember(job)
-			s.restored++
-		default:
-			// Acknowledged but unfinished at crash/drain time: re-queue and
-			// re-run exactly once.
-			job.status = StatusQueued
-			s.remember(job)
-			if err := s.queue.push(t, job); err != nil {
-				// Recovered load exceeding the configured queue depth would
-				// silently drop acknowledged jobs; refuse to start instead.
-				return fmt.Errorf("server: re-queueing recovered job %s: %w", job.ID, err)
-			}
-			s.recovered++
-		}
-	}
-	for _, c := range state.Crons {
+	for _, c := range st.crons() {
 		s.cron.add(c)
-	}
-	if err := s.compactNow(); err != nil {
-		return err
 	}
 	return nil
 }
 
-// idSeq parses the numeric suffix of a generated ID ("j-000042", ...).
-func idSeq(id, prefix string) (uint64, bool) {
-	var n uint64
-	if _, err := fmt.Sscanf(id, prefix+"%d", &n); err != nil {
-		return 0, false
+// jobFromRecord rebuilds a job from its durable record — the inverse of
+// Job.record. An unfinished record comes back queued.
+func (s *Server) jobFromRecord(rec JobRecord) *Job {
+	t := s.tenantNamed(rec.Tenant)
+	if t == nil {
+		// The tenant was removed from the config between restarts; its
+		// jobs still belong to someone, so the default tenant adopts
+		// them rather than recovery dropping acknowledged work.
+		t = s.defaultTenant()
 	}
-	return n, true
+	out := rec.JobOutcome
+	if !rec.Finished() {
+		out = JobOutcome{Status: StatusQueued}
+	}
+	return &Job{
+		ID:        rec.ID,
+		Spec:      *rec.Spec,
+		tenant:    t,
+		source:    rec.Source,
+		recovered: true,
+		submitted: time.Now(), //simlint:allow vclock — queue-wait restarts at recovery
+		out:       out,
+	}
 }
 
 // Recovered reports how many acknowledged jobs recovery re-queued and how
 // many finished jobs it restored at startup.
-func (s *Server) Recovered() (requeued, restored int) { return s.recovered, s.restored }
+func (s *Server) Recovered() (requeued, restored int) {
+	st := s.store.Stats()
+	return st.Recovered, st.Restored
+}
 
 // Handler returns the service's HTTP handler (mount it on any mux or
 // http.Server).
@@ -350,12 +317,12 @@ func (s *Server) submitAs(t *tenant, spec JobSpec, source, frameSource string) (
 		return nil, ErrRateLimited
 	}
 	job := &Job{
-		ID:          fmt.Sprintf("j-%06d", s.nextID.Add(1)),
+		ID:          s.store.NextID(),
 		Spec:        spec,
 		tenant:      t,
 		source:      source,
 		frameSource: frameSource,
-		status:      StatusQueued,
+		out:         JobOutcome{Status: StatusQueued},
 		submitted:   time.Now(), //simlint:allow vclock — queue-wait latency metric
 	}
 	s.remember(job)
@@ -374,12 +341,19 @@ func (s *Server) submitAs(t *tenant, spec JobSpec, source, frameSource string) (
 	}
 	// The accept record is the durability contract: fsynced before the
 	// submission is acknowledged, so an acked job survives SIGKILL.
-	if err := s.store.accept(job); err != nil {
+	if err := s.store.Accept(job.record()); err != nil {
 		s.metrics.rejected.Add(1)
 		t.m.rejected.Add(1)
 		s.forget(job.ID)
 		return nil, err
 	}
+	// The store's retention bound evicts the oldest finished records; the
+	// jobs behind them go too.
+	s.mu.Lock()
+	for _, id := range s.store.Evict(nil) {
+		delete(s.jobs, id)
+	}
+	s.mu.Unlock()
 	s.metrics.submitted.Add(1)
 	t.m.submitted.Add(1)
 	return job, nil
@@ -395,10 +369,11 @@ func (s *Server) Job(id string) (*Job, bool) {
 
 // Jobs returns the retained jobs in submission order.
 func (s *Server) Jobs() []*Job {
+	ids := s.store.IDs()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
+	out := make([]*Job, 0, len(ids))
+	for _, id := range ids {
 		if j, ok := s.jobs[id]; ok {
 			out = append(out, j)
 		}
@@ -406,29 +381,11 @@ func (s *Server) Jobs() []*Job {
 	return out
 }
 
-// remember stores the job, evicting the oldest finished jobs beyond the
-// retention bound.
+// remember makes the job reachable by ID.
 func (s *Server) remember(job *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	if len(s.jobs) <= s.cfg.RetainJobs {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		if len(s.jobs) > s.cfg.RetainJobs && finished(j.Status()) {
-			delete(s.jobs, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
 }
 
 // forget drops a job that was never admitted.
@@ -436,20 +393,6 @@ func (s *Server) forget(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, id)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-func finished(status string) bool {
-	switch status {
-	case StatusDone, StatusFailed, StatusDead, StatusRejected, StatusRequeued:
-		return true
-	}
-	return false
 }
 
 // worker is one pool runner: it executes queued jobs until drain.
@@ -476,11 +419,11 @@ func (s *Server) runJob(job *Job) {
 	pickup := time.Now()
 	wait := pickup.Sub(job.submitted).Seconds()
 	job.mu.Lock()
-	job.status = StatusRunning
+	job.out.Status = StatusRunning
 	job.started = pickup
 	job.queueWait = wait
-	job.attempts++
-	attempt := job.attempts
+	job.out.Attempts++
+	attempt := job.out.Attempts
 	job.mu.Unlock()
 	s.metrics.queueWait.observe(wait)
 	job.tenant.m.queueWait.observe(wait)
@@ -518,9 +461,9 @@ func (s *Server) runJob(job *Job) {
 		// Dead-letter: the transient failure survived every backoff re-run.
 		job.mu.Lock()
 		job.runTime = run
-		job.cache = disposition
-		job.status = StatusDead
-		job.err = fmt.Sprintf("dead-lettered after %d attempts: %v", attempt, err)
+		job.out.Cache = disposition
+		job.out.Status = StatusDead
+		job.out.Error = fmt.Sprintf("dead-lettered after %d attempts: %v", attempt, err)
 		job.mu.Unlock()
 		s.metrics.dead.Add(1)
 		job.tenant.m.dead.Add(1)
@@ -544,13 +487,14 @@ func (s *Server) runJob(job *Job) {
 
 	job.mu.Lock()
 	job.runTime = run
-	job.cache = disposition
+	job.out.Cache = disposition
 	if err != nil {
-		job.status = StatusFailed
-		job.err = err.Error()
+		job.out.Status = StatusFailed
+		job.out.Error = err.Error()
 	} else {
-		job.status = StatusDone
-		job.result = result
+		job.out.Status = StatusDone
+		job.out.Result = result
+		job.out.Fingerprint = result.Fingerprint
 		job.trace = tr
 	}
 	job.mu.Unlock()
@@ -564,51 +508,8 @@ func (s *Server) runJob(job *Job) {
 	s.finishJob(job)
 }
 
-// finishJob journals a terminal transition and compacts when due.
-func (s *Server) finishJob(job *Job) {
-	if s.store.finish(job) {
-		_ = s.compactNow() // compaction failure degrades to a longer log, not data loss
-	}
-}
-
-// compactNow snapshots the current retained state into the journal.
-func (s *Server) compactNow() error {
-	if s.store == nil {
-		return nil
-	}
-	state := storeState{
-		NextID:   s.nextID.Load(),
-		NextCron: s.nextCron.Load(),
-		Crons:    s.cron.specs(),
-	}
-	for _, job := range s.Jobs() {
-		job.mu.Lock()
-		js := jobState{
-			ID:       job.ID,
-			Tenant:   job.tenantName(),
-			Spec:     job.Spec,
-			Status:   job.status,
-			Error:    job.err,
-			Cache:    job.cache,
-			Attempts: job.attempts,
-			Result:   job.result,
-		}
-		job.mu.Unlock()
-		switch js.Status {
-		case StatusDone, StatusFailed, StatusDead:
-			if js.Result != nil {
-				js.Fingerprint = js.Result.Fingerprint
-			}
-		default:
-			// Unfinished states (queued/running/retrying/requeued) snapshot
-			// as queued: they re-run on recovery.
-			js.Status = StatusQueued
-			js.Error, js.Cache, js.Attempts, js.Result = "", "", 0, nil
-		}
-		state.Jobs = append(state.Jobs, js)
-	}
-	return s.store.compact(state)
-}
+// finishJob records a terminal transition in the store.
+func (s *Server) finishJob(job *Job) { s.store.Finish(job.record()) }
 
 // scheduleRetry arms a backoff re-run for a transiently-failed job:
 // attempt n waits RetryBase * 2^(n-1) (capped at RetryCap), jittered to
@@ -620,8 +521,8 @@ func (s *Server) scheduleRetry(job *Job, attempt int, cause error) {
 	}
 	delay = time.Duration(float64(delay) * (0.5 + s.jitterFloat()))
 	job.mu.Lock()
-	job.status = StatusRetrying
-	job.err = fmt.Sprintf("attempt %d failed transiently, retrying in %v: %v", attempt, delay.Round(time.Millisecond), cause)
+	job.out.Status = StatusRetrying
+	job.out.Error = fmt.Sprintf("attempt %d failed transiently, retrying in %v: %v", attempt, delay.Round(time.Millisecond), cause)
 	job.mu.Unlock()
 	s.metrics.retries.Add(1)
 	job.tenant.m.retries.Add(1)
@@ -645,7 +546,7 @@ func (s *Server) retryFire(job *Job) {
 	s.mu.Unlock()
 
 	job.mu.Lock()
-	job.status = StatusQueued
+	job.out.Status = StatusQueued
 	job.mu.Unlock()
 	if err := s.queue.push(job.tenant, job); err != nil {
 		s.mu.Lock()
@@ -662,17 +563,17 @@ func (s *Server) retryFire(job *Job) {
 }
 
 // parkJob records that a job cannot run again in this process: with a
-// store it becomes requeued (accepted-without-finish in the journal, so
+// data dir it becomes requeued (accepted-without-finish in the journal, so
 // the next boot re-runs it — the SIGTERM/SIGKILL convergence point);
 // without one it is rejected as retryable. Caller holds s.mu.
 func (s *Server) parkJob(job *Job) {
 	job.mu.Lock()
-	if s.store != nil {
-		job.status = StatusRequeued
-		job.err = "server shut down before the job could run; it will re-run on restart"
+	if s.cfg.DataDir != "" {
+		job.out.Status = StatusRequeued
+		job.out.Error = "server shut down before the job could run; it will re-run on restart"
 	} else {
-		job.status = StatusRejected
-		job.err = "server shutting down before the job started; resubmit"
+		job.out.Status = StatusRejected
+		job.out.Error = "server shutting down before the job started; resubmit"
 	}
 	job.retryable = true
 	job.mu.Unlock()
@@ -740,11 +641,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 
 		// Flush the journal: compact the final state (in-flight results
-		// included) and close. Failures degrade to a longer recovery replay.
-		if cerr := s.compactNow(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if cerr := s.store.close(); cerr != nil && err == nil {
+		// included) and close.
+		if cerr := s.store.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	})
@@ -768,7 +666,7 @@ func (s *Server) AddCron(tenantName string, spec CronSpec) (CronView, error) {
 	if err := spec.validate(); err != nil {
 		return CronView{}, fmt.Errorf("server: invalid cron spec: %w", err)
 	}
-	spec.ID = fmt.Sprintf("c-%06d", s.nextCron.Add(1))
+	spec.ID = s.store.nextCronID()
 	if err := s.store.cron(spec, false); err != nil {
 		return CronView{}, err
 	}
@@ -794,7 +692,6 @@ func (s *Server) Crons() []CronView { return s.cron.list() }
 
 // Metrics assembles the current observability snapshot.
 func (s *Server) Metrics() MetricsSnapshot {
-	seq, logRecs, compactions := s.store.stats()
 	snap := MetricsSnapshot{
 		//simlint:allow vclock — service uptime
 		UptimeMS: time.Since(s.start).Seconds() * 1e3,
@@ -810,14 +707,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 			RateLimited: s.metrics.rateLimited.Load(),
 			Retries:     s.metrics.retries.Load(),
 		},
-		Store: StoreStats{
-			Durable:     s.store != nil,
-			Seq:         seq,
-			LogRecords:  logRecs,
-			Compactions: compactions,
-			Recovered:   s.recovered,
-			Restored:    s.restored,
-		},
+		Store:      s.store.Stats(),
 		QueueWait:  latencyStats(&s.metrics.queueWait),
 		Run:        latencyStats(&s.metrics.runTime),
 		Contention: s.counters.Snapshot(),

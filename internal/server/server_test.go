@@ -47,6 +47,16 @@ func waitStatus(t *testing.T, job *Job, want string, timeout time.Duration) {
 	t.Fatalf("job %s stuck at %q after %v, want %q", job.ID, job.Status(), timeout, want)
 }
 
+// finished reports whether a status is one a job never leaves in this
+// process.
+func finished(status string) bool {
+	switch status {
+	case StatusDone, StatusFailed, StatusDead, StatusRejected, StatusRequeued:
+		return true
+	}
+	return false
+}
+
 func waitFinished(t *testing.T, job *Job, timeout time.Duration) string {
 	t.Helper()
 	deadline := time.Now().Add(timeout)

@@ -2,10 +2,14 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -318,4 +322,203 @@ func submitStallJob(t *testing.T, srv *Server, stall time.Duration) *Job {
 		t.Fatal(err)
 	}
 	return job
+}
+
+// copyJournal copies a data dir's journal files (not its frames or
+// baselines) into a fresh directory and returns it. Taken from a live
+// server it is the image a SIGKILL at that instant would leave: every
+// record is one write(2) and accepts are fsynced before Submit returns.
+func copyJournal(t *testing.T, from string) string {
+	t.Helper()
+	to := t.TempDir()
+	for _, name := range []string{"log.jsonl", "snapshot.json"} {
+		raw, err := os.ReadFile(filepath.Join(from, name))
+		if err != nil {
+			t.Fatalf("copying journal: %v", err)
+		}
+		if err := os.WriteFile(filepath.Join(to, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return to
+}
+
+// logData returns the type and payload of every record in a live data
+// dir's log, as written.
+func logData(t *testing.T, dir string) (types []string, data []string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "log.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var env struct {
+			Rec struct {
+				Type string          `json:"type"`
+				Data json.RawMessage `json:"data"`
+			} `json:"rec"`
+		}
+		if err := json.Unmarshal(line, &env); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		types = append(types, env.Rec.Type)
+		data = append(data, string(env.Rec.Data))
+	}
+	return types, data
+}
+
+// TestCronFiringSourceSurvivesCrash: a cron firing killed between its
+// accept and its finish is re-run as a cron firing — the accept record
+// carries the source, so the re-run is served with it and diffed against
+// the template's baseline like any other firing.
+func TestCronFiringSourceSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	srv := newTestServer(t, Config{Pool: 1, DataDir: dir})
+	occupant := submitStallJob(t, srv, 40*time.Millisecond)
+	waitStatus(t, occupant, StatusRunning, 5*time.Second)
+	firing, err := srv.submitAs(srv.defaultTenant(), diskSpec(5), "cron:c-000001", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := copyJournal(t, dir) // accepted, still queued behind the occupant
+
+	srv2 := newTestServer(t, Config{Pool: 1, DataDir: crashed})
+	job, ok := srv2.Job(firing.ID)
+	if !ok {
+		t.Fatalf("cron firing %s lost by recovery", firing.ID)
+	}
+	if st := waitFinished(t, job, 30*time.Second); st != StatusDone {
+		t.Fatalf("recovered firing finished %q: %s", st, job.view().Error)
+	}
+	v := job.view()
+	if !v.Recovered || v.Source != "cron:c-000001" {
+		t.Fatalf("recovered firing: recovered=%v source=%q, want true and cron:c-000001", v.Recovered, v.Source)
+	}
+	if v.Result.Regression == nil {
+		t.Fatal("recovered firing carries no regression report: it did not run as a cron firing")
+	}
+	if m := srv2.Metrics(); m.Regression.Baselines != 1 {
+		t.Fatalf("regression metrics %+v, want the re-run to have pinned the baseline", m.Regression)
+	}
+}
+
+// TestRecordFormatHeld pins the on-disk format of the two records every
+// API job writes: their payloads are byte-identical to what the commit
+// before the shared store wrote for the same job (constants taken from
+// its simd binary).
+func TestRecordFormatHeld(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the finish record holds makespans sampled on amd64")
+	}
+	const (
+		accept = `{"id":"j-000001","tenant":"default","spec":{"kind":"simulate","algorithm":"cholesky","scheduler":"quark","nt":4,"nb":8,"workers":4,"seed":1,"reps":1}}`
+		finish = `{"id":"j-000001","status":"done","cache":"miss","attempts":1,"fingerprint":"28ce3c87f055e78b","result":{"makespan":0.010000000000000002,"gflops":0.0010922666666666663,"num_tasks":20,"makespans":[0.010000000000000002],"min_makespan":0.010000000000000002,"mean_makespan":0.010000000000000002,"fingerprint":"28ce3c87f055e78b"}}`
+	)
+	dir := t.TempDir()
+	srv := newTestServer(t, Config{Pool: 1, DataDir: dir})
+	job, err := srv.Submit(JobSpec{Algorithm: "cholesky", NT: 4, NB: 8, Workers: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFinished(t, job, 30*time.Second)
+	// The status turns done just before the finish record is appended.
+	var types, data []string
+	for deadline := time.Now().Add(5 * time.Second); len(data) < 2 && time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		types, data = logData(t, dir)
+	}
+	if len(data) != 2 || types[0] != recAccept || types[1] != recFinish {
+		t.Fatalf("log holds %v, want one accept and one finish", types)
+	}
+	if data[0] != accept {
+		t.Errorf("accept record\n got %s\nwant %s", data[0], accept)
+	}
+	if data[1] != finish {
+		t.Errorf("finish record\n got %s\nwant %s", data[1], finish)
+	}
+}
+
+// TestParentDataDirRecovers opens a data dir written by the simd binary of
+// the commit before the shared store — a snapshot plus a log with accepts,
+// finishes, a cron and a drain mark, copied mid-drain — and requires the
+// jobs, statuses and fingerprints that binary itself recovered from it
+// (testdata/parent-simd/expected.json).
+func TestParentDataDirRecovers(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the fixture's fingerprints are from amd64")
+	}
+	var want []struct {
+		ID, Status, Tenant, Error, Fingerprint string
+		Recovered                              bool
+	}
+	raw, err := os.ReadFile("testdata/parent-simd/expected.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, Config{Pool: 2, DataDir: copyJournal(t, "testdata/parent-simd")})
+	if requeued, restored := srv.Recovered(); requeued != 3 || restored != 5 {
+		t.Fatalf("recovery found %d requeued / %d restored, want 3 / 5", requeued, restored)
+	}
+	jobs := srv.Jobs()
+	if len(jobs) != len(want) {
+		t.Fatalf("recovered %d jobs, want %d", len(jobs), len(want))
+	}
+	for i, w := range want {
+		job := jobs[i]
+		waitFinished(t, job, 30*time.Second)
+		v := job.view()
+		fp := ""
+		if v.Result != nil {
+			fp = v.Result.Fingerprint
+		}
+		if v.ID != w.ID || v.Status != w.Status || v.Tenant != w.Tenant || v.Error != w.Error || fp != w.Fingerprint || v.Recovered != w.Recovered {
+			t.Errorf("job %d: id=%s status=%s tenant=%s error=%q fingerprint=%s recovered=%v, parent recovered %+v",
+				i, v.ID, v.Status, v.Tenant, v.Error, fp, v.Recovered, w)
+		}
+	}
+	crons := srv.Crons()
+	if len(crons) != 1 || crons[0].ID != "c-000001" || crons[0].Name != "nightly" || crons[0].EveryMS != 3600000 {
+		t.Fatalf("recovered crons %+v, want the fixture's c-000001", crons)
+	}
+	// Both counters continue past everything the fixture holds.
+	fresh, err := srv.Submit(JobSpec{Algorithm: "cholesky", NT: 2, NB: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cron, err := srv.AddCron("default", CronSpec{EveryMS: 3600000, Spec: JobSpec{Algorithm: "cholesky", NT: 2, NB: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID != "j-000009" || cron.ID != "c-000002" {
+		t.Fatalf("minted %s and %s after recovery, want j-000009 and c-000002", fresh.ID, cron.ID)
+	}
+}
+
+// TestRetentionEvictsOldestFinished: the store bounds the retained jobs
+// with or without a journal, and what it evicts leaves the server too.
+func TestRetentionEvictsOldestFinished(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		srv := newTestServer(t, Config{Pool: 2, RetainJobs: 3, DataDir: dir})
+		var ids []string
+		for i := 0; i < 6; i++ {
+			job, err := srv.Submit(JobSpec{Algorithm: "cholesky", NT: 2, NB: 8, Seed: uint64(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFinished(t, job, 30*time.Second)
+			ids = append(ids, job.ID)
+		}
+		jobs := srv.Jobs()
+		if len(jobs) != 3 || jobs[0].ID != ids[3] || jobs[2].ID != ids[5] {
+			t.Fatalf("durable=%v: retained %d jobs starting at %s, want the newest 3 of %v", dir != "", len(jobs), jobs[0].ID, ids)
+		}
+		if _, ok := srv.Job(ids[0]); ok {
+			t.Fatalf("durable=%v: evicted job %s is still served", dir != "", ids[0])
+		}
+	}
 }

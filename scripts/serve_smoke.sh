@@ -18,7 +18,8 @@
 #             require a repeat job to be served from the owning worker's
 #             disk frame with zero captures cluster-wide; SIGKILL a worker
 #             mid-sweep and require the re-dispatched result to carry the
-#             identical fingerprint.
+#             identical fingerprint; restart simcoord on its data dir and
+#             require a finished dispatch's fingerprint still served.
 #
 # CI runs smoke in the serve-smoke job, chaos in the chaos job and cluster
 # in the cluster job; locally: make serve-smoke / make cluster-smoke.
@@ -210,12 +211,14 @@ wait_addr() {
     echo "no address file $1"; cat "$2"; exit 1
 }
 
-# cboot — start simcoord on an ephemeral port; sets $cpid and $coord.
+# cboot [addr] — start simcoord on its data dir (default: an ephemeral
+# port); sets $cpid and $coord.
 cboot() {
     rm -f "$workdir/coord.addr"
-    "$workdir/simcoord" -addr 127.0.0.1:0 -addr-file "$workdir/coord.addr" \
+    "$workdir/simcoord" -addr "${1:-127.0.0.1:0}" -addr-file "$workdir/coord.addr" \
+        -data-dir "$workdir/coord.data" \
         -cluster-key "$ckey" -heartbeat 250ms -heartbeat-timeout 1200ms -poll 100ms \
-        >"$workdir/coord.log" 2>&1 &
+        >>"$workdir/coord.log" 2>&1 &
     cpid=$!
     extra_pids="$extra_pids $cpid"
     wait_addr "$workdir/coord.addr" "$workdir/coord.log"
@@ -340,8 +343,23 @@ cluster_stage() {
     printf '%s' "$metrics" | grep -q '"mismatches":0' || { echo "fingerprint mismatch across attempts: $metrics"; exit 1; }
     echo "failover re-dispatch fingerprint identical"
 
+    # Coordinator restart: the dispatch store under its data dir restores
+    # the finished dispatches with their fingerprints, and the surviving
+    # worker re-registers on the same address.
+    kill -TERM "$cpid"
+    while kill -0 "$cpid" 2>/dev/null; do sleep 0.1; done
+    cboot "${coord#http://}"
+    fp=$(cfp "$d1")
+    [ "$fp" = "$ref_a" ] || { echo "restarted simcoord serves fingerprint '$fp' for $d1, want $ref_a"; exit 1; }
+    metrics=$(curl -fsS "$coord/metrics")
+    printf '%s' "$metrics" | grep -q '"restored":[1-9]' || { echo "restarted simcoord restored nothing: $metrics"; exit 1; }
+    wait_live 1
+    echo "restarted simcoord restored its finished dispatches"
+
     kill -TERM "$w1" 2>/dev/null || true
     kill -TERM "$cpid" 2>/dev/null || true
+    # Let both drain before cleanup removes the data dirs under them.
+    while kill -0 "$w1" 2>/dev/null || kill -0 "$cpid" 2>/dev/null; do sleep 0.1; done
     echo "cluster smoke passed"
 }
 
