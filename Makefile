@@ -45,14 +45,18 @@ chaos:
 cluster-smoke:
 	sh scripts/serve_smoke.sh cluster
 
-# The benchmark harness checks every op's cache disposition and result
-# fingerprint against a reference computed through a different path; run
-# here as a pass/fail gate on the three capture-cache workloads, numbers
-# discarded. 3 s, not less: serve-miss is a fixed 48 ops/s window and a run
-# with under 100 latency samples exits non-zero.
+# The benchmark harness checks every op's result fingerprint (and, on the
+# serve workloads, its cache disposition) against a reference computed
+# through a different path; run here as a pass/fail gate, numbers discarded.
+# The three capture-cache workloads, plus the two whose every op is one run
+# of the real scheduler: lib-direct (bench.Simulated) and serve-sweep
+# (CaptureSpec inside SweepParallel). 3 s, not less: serve-miss is a fixed
+# 48 ops/s window and a run with under 100 latency samples exits non-zero;
+# a sweep op is ~10 ms, so serve-sweep gets 5 s.
 e2e-smoke:
-	for w in serve-hit serve-disk serve-miss; do \
+	for w in serve-hit serve-disk serve-miss lib-direct; do \
 		$(GO) run ./benchmark -workload $$w -trace 0 -seconds 3 || exit 1; \
 	done
+	$(GO) run ./benchmark -workload serve-sweep -trace 0 -seconds 5
 
 check: lint lint-fix-check build test race race-pdes serve-smoke chaos cluster-smoke e2e-smoke

@@ -5,6 +5,7 @@ import (
 
 	"supersim/internal/core"
 	"supersim/internal/dist"
+	"supersim/internal/factor"
 	"supersim/internal/perfmodel"
 	"supersim/internal/sched"
 )
@@ -250,27 +251,13 @@ func simulatedHybrid(spec Spec, model core.DurationModel) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rt, err := NewRuntime(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	sim := core.NewSimulator(rt, "simulated-hybrid", core.WithWaitPolicy(spec.Wait))
-	tk := core.NewTasker(sim, model, spec.Seed+1)
-	for i := range ops {
-		op := ops[i]
-		rt.Insert(&sched.Task{
-			Class:    string(op.Class),
-			Label:    op.Label(),
-			Args:     op.SchedArgs(),
-			Priority: op.Priority,
-			Where:    sched.Anywhere,
-			Func:     tk.SimTask(string(op.Class)),
+	return Run(spec, "simulated-hybrid", func(rt sched.Runtime, sim *core.Simulator) error {
+		body := simBody(spec, core.NewTasker(sim, model, spec.Seed+1))
+		return factor.Insert(rt, sim, ops, func(op *factor.Op, t *sched.Task) {
+			body(op, t)
+			t.Where = sched.Anywhere
 		})
-	}
-	rt.Barrier()
-	st := rt.Stats()
-	rt.Shutdown()
-	return resultFrom(spec, sim.Trace(), 0, st), nil
+	})
 }
 
 // ------------------------------------------------- A6: start-up penalty

@@ -7,6 +7,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"supersim/internal/core"
@@ -19,6 +20,7 @@ import (
 	"supersim/internal/sched/ompss"
 	"supersim/internal/sched/quark"
 	"supersim/internal/sched/starpu"
+	"supersim/internal/stats"
 	"supersim/internal/trace"
 	"supersim/internal/workload"
 )
@@ -26,7 +28,7 @@ import (
 // Spec describes one run: algorithm, scheduler, problem shape and
 // simulation options.
 type Spec struct {
-	Algorithm string // "cholesky" or "qr"
+	Algorithm string // "cholesky", "qr" or "lu"
 	Scheduler string // "quark", "starpu" or "ompss"
 	Policy    string // StarPU scheduling policy ("" = eager)
 	NT, NB    int    // tiles per dimension, tile size
@@ -92,10 +94,10 @@ func NewRuntime(s Spec) (sched.Runtime, error) {
 	return rt, nil
 }
 
-// ArmFaults attaches the spec's fault plan and watchdog to a constructed
+// armFaults attaches the spec's fault plan and watchdog to a constructed
 // run. It returns the (possibly decorated) runtime to insert through, the
 // injector (nil when disabled) and the watchdog (nil when disabled).
-func ArmFaults(spec Spec, rt sched.Runtime, sim *core.Simulator) (sched.Runtime, *fault.Injector, *fault.Watchdog, error) {
+func armFaults(spec Spec, rt sched.Runtime, sim *core.Simulator) (sched.Runtime, *fault.Injector, *fault.Watchdog, error) {
 	var inj *fault.Injector
 	if spec.Fault != nil {
 		inj = fault.New(*spec.Fault)
@@ -123,27 +125,86 @@ type Result struct {
 	Stats    sched.Stats
 	NumTasks int
 	// Err accumulates the run's failures: permanently failed tasks
-	// (*sched.TaskError) and any abort reason such as a watchdog stall.
-	// nil for a clean run; resilience runs can degrade without aborting.
+	// (*sched.TaskError), any abort reason such as a watchdog stall, or the
+	// rejected insertion that cut the stream short. nil for a clean run;
+	// resilience runs can degrade without aborting.
 	Err error
 	// Faults reports what the spec's injector planted (zero when off).
 	Faults fault.Stats
 }
 
-func resultFrom(spec Spec, tr *trace.Trace, wall time.Duration, st sched.Stats) Result {
-	ms := tr.Makespan()
-	gf := 0.0
-	if ms > 0 {
-		gf = kernels.AlgorithmFlops(spec.Algorithm, spec.N()) / ms / 1e9
+// gflops is the algorithm's nominal flop count at matrix order n over a
+// virtual makespan, in GFLOP/s (0 for an empty run).
+func gflops(algorithm string, n int, makespan float64) float64 {
+	if makespan <= 0 {
+		return 0
 	}
+	return kernels.AlgorithmFlops(algorithm, n) / makespan / 1e9
+}
+
+// Summarize is the one summary of a virtual trace of the spec's problem —
+// makespan, task count and rate — whether a scheduler run or a replay
+// produced it. The run-only fields (Wall, Stats, Err, Faults) stay zero.
+func Summarize(spec Spec, tr *trace.Trace) Result {
+	ms := tr.Makespan()
 	return Result{
 		Trace:    tr,
 		Makespan: ms,
-		GFlops:   gf,
-		Wall:     wall,
-		Stats:    st,
+		GFlops:   gflops(spec.Algorithm, spec.N(), ms),
 		NumTasks: len(tr.Events),
 	}
+}
+
+// MinMean folds a makespans vector into its minimum and mean (0, 0 when
+// empty) — the aggregates every multi-replica result reports.
+func MinMean(makespans []float64) (min, mean float64) {
+	if len(makespans) == 0 {
+		return 0, 0
+	}
+	return slices.Min(makespans), stats.Mean(makespans)
+}
+
+// Run is the one run of the real scheduler (DESIGN.md §5): build the spec's
+// runtime, attach a simulator labelled label, arm the spec's fault plan and
+// watchdog, let insert submit the task stream, wait at the barrier, and tear
+// down. Everything that varies between a measured run, a simulation, a
+// service job or the Fig. 5 scenario is in insert — which receives the
+// runtime to insert through (fault-decorated when a plan is armed) and the
+// simulator — and in the simulator options. The returned error reports a
+// run that could not be set up; a run that started always yields a Result,
+// with its failures in Result.Err.
+func Run(spec Spec, label string, insert func(rt sched.Runtime, sim *core.Simulator) error, opts ...core.Option) (Result, error) {
+	rt, err := NewRuntime(spec)
+	if err != nil {
+		return Result{}, err
+	}
+	sim := core.NewSimulator(rt, label, append([]core.Option{core.WithWaitPolicy(spec.Wait)}, opts...)...)
+	frt, inj, wd, err := armFaults(spec, rt, sim)
+	if err != nil {
+		rt.Shutdown()
+		return Result{}, err
+	}
+	t0 := time.Now()
+	insErr := insert(frt, sim)
+	frt.Barrier()
+	wall := time.Since(t0)
+	st := rt.Stats()
+	rt.Shutdown()
+	// Shutdown waits for the workers to exit, so the watchdog stays armed
+	// across it: a worker wedged there is a stall only it can break.
+	if wd != nil {
+		wd.Stop()
+	}
+	res := Summarize(spec, sim.Trace())
+	res.Wall, res.Stats = wall, st
+	res.Err = rt.Err()
+	if res.Err == nil {
+		res.Err = insErr // an abort surfaces through rt.Err first
+	}
+	if inj != nil {
+		res.Faults = inj.Stats()
+	}
+	return res, nil
 }
 
 // Ops builds the spec's task stream over shape-only tiles
@@ -182,36 +243,18 @@ func Measured(spec Spec) (Result, *perfmodel.Collector, error) {
 	// contaminate the measured durations (the pure-Go analog of the
 	// paper's MKL first-call initialization effect).
 	runtime.GC()
-	rt, err := NewRuntime(spec)
-	if err != nil {
-		return Result{}, nil, err
-	}
 	collector := perfmodel.NewCollector()
-	sim := core.NewSimulator(rt, "real",
-		core.WithWaitPolicy(spec.Wait),
-		core.WithSampleHook(collector.Hook()))
-	frt, inj, wd, err := ArmFaults(spec, rt, sim)
+	var sink *factor.ErrorSink
+	res, err := Run(spec, "real", func(rt sched.Runtime, sim *core.Simulator) error {
+		sink = factor.InsertMeasured(rt, sim, ops)
+		return nil // a rejected insertion is in the sink
+	}, core.WithSampleHook(collector.Hook()))
 	if err != nil {
-		rt.Shutdown()
 		return Result{}, nil, err
-	}
-	t0 := time.Now()
-	sink := factor.InsertMeasured(frt, sim, ops)
-	frt.Barrier()
-	wall := time.Since(t0)
-	st := rt.Stats()
-	rt.Shutdown()
-	if wd != nil {
-		wd.Stop()
-	}
-	res := resultFrom(spec, sim.Trace(), wall, st)
-	res.Err = rt.Err()
-	if inj != nil {
-		res.Faults = inj.Stats()
 	}
 	// Numerical validation only makes sense for clean runs: a run with
 	// injected faults skips poisoned kernels by design.
-	if err := sink.Err(); err != nil && res.Err == nil && inj == nil {
+	if err := sink.Err(); err != nil && res.Err == nil && spec.Fault == nil {
 		return Result{}, nil, fmt.Errorf("bench: measured run failed numerically: %w", err)
 	}
 	return res, collector, nil
@@ -225,88 +268,38 @@ func Simulated(spec Spec, model core.DurationModel) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if spec.GangPanels > 1 {
-		return simulatedGang(spec, model, ops)
-	}
-	rt, err := NewRuntime(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	sim := core.NewSimulator(rt, "simulated", core.WithWaitPolicy(spec.Wait))
-	frt, inj, wd, err := ArmFaults(spec, rt, sim)
-	if err != nil {
-		rt.Shutdown()
-		return Result{}, err
-	}
-	tk := core.NewTasker(sim, model, spec.Seed+1)
-	t0 := time.Now()
-	insErr := factor.InsertSimulated(frt, tk, ops)
-	frt.Barrier()
-	wall := time.Since(t0)
-	st := rt.Stats()
-	rt.Shutdown()
-	if wd != nil {
-		wd.Stop()
-	}
-	res := resultFrom(spec, sim.Trace(), wall, st)
-	res.Err = rt.Err()
-	if res.Err == nil {
-		res.Err = insErr // abort reasons already surface through rt.Err
-	}
-	if inj != nil {
-		res.Faults = inj.Stats()
-	}
-	return res, nil
+	return Run(spec, "simulated", SimulatedInsert(spec, ops, model, spec.Seed+1))
 }
 
-// simulatedGang is Simulated with panel kernels turned into multi-threaded
-// gang tasks of spec.GangPanels workers (Section VII extension).
-func simulatedGang(spec Spec, model core.DurationModel, ops []factor.Op) (Result, error) {
-	rt, err := NewRuntime(spec)
-	if err != nil {
-		return Result{}, err
+// SimulatedInsert is the insert step of a simulated run, for Run: the
+// paper's usage, "the programmer simply replaces each task function with a
+// call to the simulation library". Durations are sampled from model by a
+// tasker seeded with seed.
+func SimulatedInsert(spec Spec, ops []factor.Op, model core.DurationModel, seed uint64) func(sched.Runtime, *core.Simulator) error {
+	return func(rt sched.Runtime, sim *core.Simulator) error {
+		return factor.Insert(rt, sim, ops, simBody(spec, core.NewTasker(sim, model, seed)))
 	}
-	sim := core.NewSimulator(rt, "simulated-gang", core.WithWaitPolicy(spec.Wait))
-	frt, inj, wd, err := ArmFaults(spec, rt, sim)
-	if err != nil {
-		rt.Shutdown()
-		return Result{}, err
+}
+
+// simBody gives each op's task a simulated body. With spec.GangPanels > 1
+// the panel kernels become multi-threaded gang tasks of that many workers
+// (Section VII extension).
+func simBody(spec Spec, tk *core.Tasker) func(*factor.Op, *sched.Task) {
+	if spec.GangPanels <= 1 {
+		return func(_ *factor.Op, t *sched.Task) { t.Func = tk.SimTask(t.Class) }
 	}
-	tk := core.NewTasker(sim, model, spec.Seed+1)
 	eff := spec.GangEff
 	if eff <= 0 {
 		eff = 0.85 // typical panel-kernel scaling efficiency
 	}
-	t0 := time.Now()
-	for i := range ops {
-		op := ops[i]
-		task := &sched.Task{
-			Class:    string(op.Class),
-			Label:    op.Label(),
-			Args:     op.SchedArgs(),
-			Priority: op.Priority,
-		}
+	return func(op *factor.Op, t *sched.Task) {
 		if op.Class == kernels.ClassGEQRT || op.Class == kernels.ClassPOTRF {
-			task.NumThreads = spec.GangPanels
-			task.Func = tk.SimGangTask(string(op.Class), spec.GangPanels, eff)
+			t.NumThreads = spec.GangPanels
+			t.Func = tk.SimGangTask(t.Class, spec.GangPanels, eff)
 		} else {
-			task.Func = tk.SimTask(string(op.Class))
+			t.Func = tk.SimTask(t.Class)
 		}
-		frt.Insert(task)
 	}
-	frt.Barrier()
-	wall := time.Since(t0)
-	st := rt.Stats()
-	rt.Shutdown()
-	if wd != nil {
-		wd.Stop()
-	}
-	res := resultFrom(spec, sim.Trace(), wall, st)
-	res.Err = rt.Err()
-	if inj != nil {
-		res.Faults = inj.Stats()
-	}
-	return res, nil
 }
 
 // Calibrate runs a measured calibration problem and fits the paper's three

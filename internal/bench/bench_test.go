@@ -1,13 +1,16 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"supersim/internal/core"
 	"supersim/internal/dist"
+	"supersim/internal/fault"
 	"supersim/internal/kernels"
 	"supersim/internal/perfmodel"
+	"supersim/internal/sched"
 )
 
 // smallSpec is a fast configuration the harness tests share.
@@ -241,5 +244,78 @@ func TestWarmupExperimentRuns(t *testing.T) {
 	}
 	if rep.FittedPenalty < 1 {
 		t.Errorf("fitted penalty %.2f < 1", rep.FittedPenalty)
+	}
+}
+
+// Every variant of a simulated run goes through Run, so each arms the spec's
+// fault plan, reports the run's failures and sizes its trace the same way.
+func TestSimulatedVariantsShareOneLifecycle(t *testing.T) {
+	variants := []struct {
+		name string
+		spec func() Spec
+		run  func(Spec) (Result, error)
+	}{
+		{"plain", func() Spec { return smallSpec("cholesky", "quark") },
+			func(s Spec) (Result, error) { return Simulated(s, FaultModel(s.Algorithm, s.NB)) }},
+		{"gang", func() Spec {
+			s := smallSpec("cholesky", "quark")
+			s.GangPanels = 2
+			return s
+		}, func(s Spec) (Result, error) { return Simulated(s, FaultModel(s.Algorithm, s.NB)) }},
+		{"hybrid", func() Spec {
+			s := smallSpec("cholesky", "starpu")
+			s.NAccelerators, s.Policy = 1, "dm"
+			s.CostModel = func(string, sched.WorkerKind) float64 { return 1 }
+			return s
+		}, func(s Spec) (Result, error) { return simulatedHybrid(s, FaultModel(s.Algorithm, s.NB)) }},
+	}
+	for _, v := range variants {
+		t.Run(v.name+"/clean", func(t *testing.T) {
+			spec := v.spec()
+			ops, err := Ops(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := v.run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Err != nil {
+				t.Errorf("clean run reports %v", res.Err)
+			}
+			if viol := res.Trace.Validate(); len(viol) > 0 {
+				t.Errorf("invalid trace: %v", viol[0])
+			}
+			if res.NumTasks != len(ops) {
+				t.Errorf("%d tasks traced, stream has %d", res.NumTasks, len(ops))
+			}
+		})
+		t.Run(v.name+"/faulted", func(t *testing.T) {
+			spec := v.spec()
+			// Every task panics on more attempts than the engine retries:
+			// the first one fails for good and poisons the rest.
+			spec.Fault = &fault.Config{Seed: 3, Default: fault.Rates{Panic: 1}, PanicFailures: 2}
+			res, err := v.run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Err == nil {
+				t.Error("a permanently failed task left Result.Err nil")
+			}
+			if res.Faults.Panics == 0 {
+				t.Errorf("fault plan not armed: %v", res.Faults)
+			}
+		})
+	}
+}
+
+func TestRunReportsRejectedInsertion(t *testing.T) {
+	rejected := errors.New("rejected")
+	res, err := Run(smallSpec("cholesky", "quark"), "t", func(sched.Runtime, *core.Simulator) error { return rejected })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res.Err, rejected) {
+		t.Errorf("Result.Err = %v, want the insert step's error", res.Err)
 	}
 }

@@ -361,41 +361,34 @@ type RaceReport struct {
 // makespan is 2.0. Under the race, C's start drifts to B's completion time
 // (t=1.5) and the makespan becomes 2.5.
 func raceScenario(spec Spec) (cStart, makespan float64, violations int, err error) {
-	rt, err := NewRuntime(spec)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	sim := core.NewSimulator(rt, "race", core.WithWaitPolicy(spec.Wait))
 	// The WaitNone variant can wedge outright (the race the experiment
 	// demonstrates); spec.StallDeadline bounds a trial with the watchdog.
-	frt, _, wd, err := ArmFaults(spec, rt, sim)
+	res, err := Run(spec, "race", func(rt sched.Runtime, sim *core.Simulator) error {
+		tk := core.NewTasker(sim, core.ClassMap{"A": 1.0, "B": 1.5, "C": 1.0}, spec.Seed)
+		hA, hB := new(int), new(int)
+		for _, t := range []*sched.Task{
+			{Class: "A", Label: "A", Func: tk.SimTask("A"), Args: []sched.Arg{sched.W(hA)}},
+			{Class: "B", Label: "B", Func: tk.SimTask("B"), Args: []sched.Arg{sched.W(hB)}},
+			{Class: "C", Label: "C", Func: tk.SimTask("C"), Args: []sched.Arg{sched.R(hA)}},
+		} {
+			if err := rt.Insert(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		err = res.Err
+	}
 	if err != nil {
-		rt.Shutdown()
 		return 0, 0, 0, err
 	}
-	tk := core.NewTasker(sim, core.ClassMap{"A": 1.0, "B": 1.5, "C": 1.0}, spec.Seed)
-	hA, hB := new(int), new(int)
-	frt.Insert(&sched.Task{Class: "A", Label: "A", Func: tk.SimTask("A"),
-		Args: []sched.Arg{sched.W(hA)}})
-	frt.Insert(&sched.Task{Class: "B", Label: "B", Func: tk.SimTask("B"),
-		Args: []sched.Arg{sched.W(hB)}})
-	frt.Insert(&sched.Task{Class: "C", Label: "C", Func: tk.SimTask("C"),
-		Args: []sched.Arg{sched.R(hA)}})
-	frt.Barrier()
-	rt.Shutdown()
-	if wd != nil {
-		wd.Stop()
-	}
-	if rerr := rt.Err(); rerr != nil {
-		return 0, 0, 0, rerr
-	}
-	tr := sim.Trace()
-	for _, e := range tr.Events {
+	for _, e := range res.Trace.Events {
 		if e.Label == "C" {
 			cStart = e.Start
 		}
 	}
-	return cStart, tr.Makespan(), len(tr.Validate()), nil
+	return cStart, res.Makespan, len(res.Trace.Validate()), nil
 }
 
 // RaceExperiment runs the Fig. 5 scenario repeatedly under the given wait

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"supersim/internal/core"
-	"supersim/internal/factor"
 	"supersim/internal/perf"
 	"supersim/internal/replay"
 	"supersim/internal/rng"
@@ -160,17 +159,10 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rt, err := NewRuntime(replayBenchSpec)
-				if err != nil {
-					b.Fatal(err)
+				res, err := Run(replayBenchSpec, "bench", SimulatedInsert(replayBenchSpec, ops, replayJitter{}, uint64(i)+1))
+				if err != nil || res.Err != nil {
+					b.Fatal(err, res.Err)
 				}
-				sim := core.NewSimulator(rt, "bench")
-				tk := core.NewTasker(sim, replayJitter{}, uint64(i)+1)
-				if err := factor.InsertSimulated(rt, tk, ops); err != nil {
-					b.Fatal(err)
-				}
-				rt.Barrier()
-				rt.Shutdown()
 			}
 		}},
 		{Name: "SweepCapture15", Bench: func(b *testing.B) {

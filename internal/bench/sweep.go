@@ -9,7 +9,6 @@ import (
 
 	"supersim/internal/core"
 	"supersim/internal/factor"
-	"supersim/internal/kernels"
 	"supersim/internal/replay"
 	"supersim/internal/sched"
 	"supersim/internal/workload"
@@ -63,19 +62,7 @@ func captureOps(spec Spec, ops []factor.Op) (*replay.DAG, error) {
 	if m, ok := rt.(interface{ MasterParticipates() bool }); ok && !m.MasterParticipates() {
 		body = func(*sched.Ctx) { <-inserted }
 	}
-	var insErr error
-	for i := range ops {
-		op := ops[i]
-		if insErr = rt.Insert(&sched.Task{
-			Class:    string(op.Class),
-			Label:    op.Label(),
-			Args:     op.SchedArgs(),
-			Priority: op.Priority,
-			Func:     body,
-		}); insErr != nil {
-			break
-		}
-	}
+	insErr := factor.Insert(rt, nil, ops, func(_ *factor.Op, t *sched.Task) { t.Func = body })
 	close(inserted)
 	if insErr != nil {
 		rt.Shutdown()
@@ -177,6 +164,13 @@ type SweepPoint struct {
 	MinMakespan  float64
 	MeanMakespan float64
 	GFlops       float64
+}
+
+// Summarize derives the point's aggregates from makespans: its whole
+// Makespans vector, or the entries a sliced run owns.
+func (p *SweepPoint) Summarize(algorithm string, makespans []float64) {
+	p.MinMakespan, p.MeanMakespan = MinMean(makespans)
+	p.GFlops = gflops(algorithm, p.N, p.MinMakespan)
 }
 
 // SweepWall reports where a sweep's host time went: one capture per point
@@ -310,24 +304,16 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 		}
 	}
 
+	ownedMs := make([]float64, len(owned))
 	for i := range points {
 		p := &points[i]
 		wall.ReplayPerPoint[i] = time.Duration(replayNs[i].Load())
 		// Aggregates cover only the replicas this slice ran; a coordinator
 		// merging W slices recomputes them over the full vector.
-		min, sum := p.Makespans[owned[0]], 0.0
-		for _, rep := range owned {
-			m := p.Makespans[rep]
-			if m < min {
-				min = m
-			}
-			sum += m
+		for k, rep := range owned {
+			ownedMs[k] = p.Makespans[rep]
 		}
-		p.MinMakespan = min
-		p.MeanMakespan = sum / float64(len(owned))
-		if min > 0 {
-			p.GFlops = kernels.AlgorithmFlops(algorithm, p.N) / min / 1e9
-		}
+		p.Summarize(algorithm, ownedMs)
 	}
 	return points, wall, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"supersim/internal/bench"
-	"supersim/internal/kernels"
 	"supersim/internal/server"
 )
 
@@ -55,19 +54,7 @@ func mergeParts(spec *server.JobSpec, parts []*part) (*server.JobResult, error) 
 	}
 
 	for i := range points {
-		p := &points[i]
-		min, sum := p.Makespans[0], 0.0
-		for _, m := range p.Makespans {
-			if m < min {
-				min = m
-			}
-			sum += m
-		}
-		p.MinMakespan = min
-		p.MeanMakespan = sum / float64(len(p.Makespans))
-		if min > 0 {
-			p.GFlops = kernels.AlgorithmFlops(spec.Algorithm, p.N) / min / 1e9
-		}
+		points[i].Summarize(spec.Algorithm, points[i].Makespans)
 	}
 	return server.SweepResult(points), nil
 }

@@ -1,6 +1,7 @@
 package factor
 
 import (
+	"errors"
 	"testing"
 
 	"supersim/internal/core"
@@ -103,4 +104,39 @@ func TestMeasuredModePreservesNumerics(t *testing.T) {
 // newTestSimulator builds a measured-mode simulator for tests.
 func newTestSimulator(rt sched.Runtime) *core.Simulator {
 	return core.NewSimulator(rt, "test")
+}
+
+// Insert is the one Op → sched.Task mapping: the body only adds what the op
+// does not determine, and a rejected task ends the insertion with its error.
+func TestInsertMapsOpsAndStopsAtRejection(t *testing.T) {
+	a, _ := workload.Shapes("cholesky", 3, 4)
+	ops := Cholesky(a)
+	q := mustQuark(2)
+	var seen []*sched.Task
+	err := Insert(q, nil, ops, func(op *Op, task *sched.Task) {
+		seen = append(seen, task)
+		task.NumThreads = 2
+		task.Func = func(*sched.Ctx) {}
+	})
+	q.Shutdown()
+	if err != nil || len(seen) != len(ops) {
+		t.Fatalf("inserted %d of %d ops, err %v", len(seen), len(ops), err)
+	}
+	for i, task := range seen {
+		op := ops[i]
+		if task.Class != string(op.Class) || task.Label != op.Label() ||
+			task.Priority != op.Priority || len(task.Args) != len(op.Args) {
+			t.Errorf("op %d %s mapped to %+v", i, op, task)
+		}
+	}
+
+	// q is shut down: the first task is rejected and nothing after it tried.
+	calls := 0
+	err = Insert(q, nil, ops, func(_ *Op, task *sched.Task) {
+		calls++
+		task.Func = func(*sched.Ctx) {}
+	})
+	if !errors.Is(err, sched.ErrShutdown) || calls != 1 {
+		t.Errorf("after shutdown: err %v after %d tasks, want ErrShutdown after 1", err, calls)
+	}
 }

@@ -49,79 +49,54 @@ func (s *ErrorSink) Err() error {
 	return s.err
 }
 
-// InsertMeasured inserts the op stream into rt in measured mode: each task
-// executes its real kernel body, and the measured time is accounted on
-// sim's virtual timeline. This is the reproduction's "real run" (see
-// DESIGN.md). Call rt.Barrier() afterwards and check sink.Err. Insertion
-// stops at the first rejected task (e.g. an aborted runtime); the error
-// is recorded in the sink.
-func InsertMeasured(rt sched.Runtime, sim *core.Simulator, ops []Op) *ErrorSink {
-	sink := &ErrorSink{}
-	sim.Reserve(len(ops)) // one trace event per op: pre-size the buffers
-	for i := range ops {
-		op := ops[i]
-		err := rt.Insert(&sched.Task{
-			Class:    string(op.Class),
-			Label:    op.Label(),
-			Args:     op.SchedArgs(),
-			Priority: op.Priority,
-			Func: core.MeasuredTask(sim, string(op.Class), func(*sched.Ctx) {
-				sink.Record(op.Body())
-			}),
-		})
-		if err != nil {
-			sink.Record(err)
-			break
-		}
+// Insert submits the op stream to rt in order, one task per op, and is the
+// one place an Op becomes a sched.Task: class, label, arguments and priority
+// come from the op, and body gives the task its function (it may also set
+// NumThreads and Where). sim, when the run has one, gets its trace buffers
+// sized for the stream first. Insertion stops at the first task rt rejects
+// (an aborted runtime, for example) and returns that error. Call
+// rt.Barrier() afterwards.
+func Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body func(op *Op, t *sched.Task)) error {
+	if sim != nil {
+		sim.Reserve(len(ops)) // one trace event per op
 	}
-	return sink
-}
-
-// InsertSimulated inserts the op stream into rt in simulation mode: the
-// kernel bodies are skipped and durations are sampled from the tasker's
-// model — the paper's usage ("the programmer simply replaces each task
-// function with a call to the simulation library"). Call rt.Barrier()
-// afterwards. It returns the first insertion error (stopping there), or
-// nil when the full stream was accepted.
-func InsertSimulated(rt sched.Runtime, tk *core.Tasker, ops []Op) error {
-	tk.Sim.Reserve(len(ops)) // one trace event per op: pre-size the buffers
 	for i := range ops {
-		op := ops[i]
-		err := rt.Insert(&sched.Task{
+		op := &ops[i]
+		t := &sched.Task{
 			Class:    string(op.Class),
 			Label:    op.Label(),
 			Args:     op.SchedArgs(),
 			Priority: op.Priority,
-			Func:     tk.SimTask(string(op.Class)),
-		})
-		if err != nil {
+		}
+		body(op, t)
+		if err := rt.Insert(t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// InsertMeasured inserts the op stream in measured mode: each task executes
+// its real kernel body, and the measured time is accounted on sim's virtual
+// timeline. This is the reproduction's "real run" (see DESIGN.md). Check
+// sink.Err after the barrier; a rejected insertion is recorded there too.
+func InsertMeasured(rt sched.Runtime, sim *core.Simulator, ops []Op) *ErrorSink {
+	sink := &ErrorSink{}
+	sink.Record(Insert(rt, sim, ops, func(op *Op, t *sched.Task) {
+		t.Func = core.MeasuredTask(sim, t.Class, func(*sched.Ctx) { sink.Record(op.Body()) })
+	}))
+	return sink
+}
+
 // InsertReal inserts the op stream for plain execution (no simulator, no
-// virtual timeline): tasks just run their bodies under the scheduler.
-// Used by tests that only care about numerical results and by wall-clock
-// reference timings. Insertion stops at the first rejected task; the
-// error is recorded in the sink.
+// virtual timeline): tasks just run their bodies under the scheduler. Used
+// by tests that only care about numerical results. A rejected insertion is
+// recorded in the sink.
 func InsertReal(rt sched.Runtime, ops []Op) *ErrorSink {
 	sink := &ErrorSink{}
-	for i := range ops {
-		op := ops[i]
-		err := rt.Insert(&sched.Task{
-			Class:    string(op.Class),
-			Label:    op.Label(),
-			Args:     op.SchedArgs(),
-			Priority: op.Priority,
-			Func:     func(*sched.Ctx) { sink.Record(op.Body()) },
-		})
-		if err != nil {
-			sink.Record(err)
-			break
-		}
-	}
+	sink.Record(Insert(rt, nil, ops, func(op *Op, t *sched.Task) {
+		t.Func = func(*sched.Ctx) { sink.Record(op.Body()) }
+	}))
 	return sink
 }
 

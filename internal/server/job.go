@@ -333,8 +333,11 @@ type JobResult struct {
 	// Fingerprint is a deterministic hex digest of the result: the rep-0
 	// virtual trace's trace.Fingerprint for cached (replayed) jobs, an
 	// FNV-1a fold of the makespans for direct jobs, and of the curve for
-	// sweeps. Identical specs produce identical fingerprints, which is
-	// how crash recovery proves a re-run reproduced the original result.
+	// sweeps. Replayed jobs and sweeps of identical specs produce identical
+	// fingerprints, which is how crash recovery proves a re-run reproduced
+	// the original result; a direct job's does where its schedule is
+	// reproducible (one worker, or a model without duration ties) and is
+	// otherwise an identity only up to the real scheduler's races.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Faults reports what the job's injector planted (nil when off).
 	Faults *fault.Stats `json:"faults,omitempty"`

@@ -8,9 +8,6 @@ import (
 
 	"supersim/internal/bench"
 	"supersim/internal/core"
-	"supersim/internal/factor"
-	"supersim/internal/fault"
-	"supersim/internal/kernels"
 	"supersim/internal/perf"
 	"supersim/internal/replay"
 	"supersim/internal/sched"
@@ -84,9 +81,11 @@ func SweepResult(points []bench.SweepPoint) *JobResult {
 //
 //   - cached (replay) jobs hash the full rep-0 trace (trace.Fingerprint):
 //     replay is bit-identical, so the whole schedule is the identity;
-//   - direct jobs hash the makespans vector: the real scheduler's virtual
-//     makespans are deterministic, but its task→worker assignment (and so
-//     the trace's event layout) legitimately races;
+//   - direct jobs hash the makespans vector, not the trace: the real
+//     scheduler's task→worker assignment (and so the trace's event layout)
+//     legitimately races. The makespans are reproducible where the schedule
+//     is — one worker, or a model without duration ties — and otherwise an
+//     identity only up to those races;
 //   - sweep jobs hash the whole curve (NT and makespans per point).
 const (
 	fnvOffset64 = 14695981039346656037
@@ -181,12 +180,8 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 		if err != nil {
 			return nil, nil, disposition, fmt.Errorf("replay rep %d: %w", rep, err)
 		}
-		res.Makespan = tr.Makespan()
+		res.summarize(bench.Summarize(bspec, tr))
 		res.Makespans[0] = res.Makespan
-		res.NumTasks = len(tr.Events)
-		if res.Makespan > 0 {
-			res.GFlops = kernels.AlgorithmFlops(spec.Algorithm, spec.NT*spec.NB) / res.Makespan / 1e9
-		}
 		// The rep-0 trace fingerprint is computed whether or not the
 		// trace is retained: it is the identity crash recovery compares
 		// a re-run against.
@@ -195,7 +190,7 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 			kept = tr
 		}
 	}
-	finishMakespans(res)
+	res.MinMakespan, res.MeanMakespan = bench.MinMean(res.Makespans)
 	return res, kept, disposition, nil
 }
 
@@ -212,35 +207,39 @@ func (s *Server) runDirect(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("deadline expired after %d of %d repetitions: %w", rep, spec.Reps, err)
 		}
-		tr, faults, err := s.runOne(ctx, job, rep)
+		run, err := s.runOne(ctx, job, rep)
 		if err != nil {
 			return nil, nil, err
 		}
-		res.Makespans[rep] = tr.Makespan()
+		res.Makespans[rep] = run.Makespan
 		if rep == 0 {
-			res.Makespan = tr.Makespan()
-			res.NumTasks = len(tr.Events)
-			if res.Makespan > 0 {
-				res.GFlops = kernels.AlgorithmFlops(spec.Algorithm, spec.NT*spec.NB) / res.Makespan / 1e9
+			res.summarize(run)
+			if spec.Fault != nil {
+				res.Faults = &run.Faults
 			}
-			res.Faults = faults
 			if spec.keepTrace() {
-				kept = tr
+				kept = run.Trace
 			}
 		}
 	}
-	finishMakespans(res)
+	res.MinMakespan, res.MeanMakespan = bench.MinMean(res.Makespans)
 	// Direct runs fingerprint the makespans vector, not the trace: the
-	// real scheduler's task→worker assignment legitimately races, but its
-	// virtual makespans are deterministic.
+	// real scheduler's task→worker assignment legitimately races, and the
+	// makespans are as reproducible as the schedule is.
 	res.Fingerprint = fmt.Sprintf("%016x", foldMakespans(fnvOffset64, res.Makespans))
 	return res, kept, nil
 }
 
-// runOne performs one direct repetition. The sampling seed derivation
-// matches the replay path (bench.ReplicaSeed), so a cached and a direct
-// run of the same repetition draw identical per-worker duration streams.
-func (s *Server) runOne(ctx context.Context, job *Job, rep int) (*trace.Trace, *fault.Stats, error) {
+// summarize fills the result's summary block from the rep-0 run or replay.
+func (res *JobResult) summarize(r bench.Result) {
+	res.Makespan, res.NumTasks, res.GFlops = r.Makespan, r.NumTasks, r.GFlops
+}
+
+// runOne performs one direct repetition through bench.Run. The sampling
+// seed derivation matches the replay path (bench.ReplicaSeed), so a cached
+// and a direct run of the same repetition draw identical per-worker
+// duration streams.
+func (s *Server) runOne(ctx context.Context, job *Job, rep int) (bench.Result, error) {
 	spec := &job.Spec
 	bspec := spec.benchSpec()
 	if deadline, ok := ctx.Deadline(); ok {
@@ -254,81 +253,23 @@ func (s *Server) runOne(ctx context.Context, job *Job, rep int) (*trace.Trace, *
 	}
 	ops, err := bench.Ops(bspec)
 	if err != nil {
-		return nil, nil, err
+		return bench.Result{}, err
 	}
-	rt, err := bench.NewRuntime(bspec)
-	if err != nil {
-		return nil, nil, err
-	}
-	attachPerf(rt, s.counters)
-	sim := core.NewSimulator(rt, job.ID,
-		core.WithWaitPolicy(bspec.Wait),
-		core.WithPerfCounters(s.counters))
-	frt, inj, wd, err := bench.ArmFaults(bspec, rt, sim)
-	if err != nil {
-		rt.Shutdown()
-		return nil, nil, err
-	}
-	stopAbort := abortOnCancel(ctx, rt, sim)
-	tk := core.NewTasker(sim, buildModel(spec.Model), bench.ReplicaSeed(spec.Seed, spec.NT, rep))
-	sim.Reserve(len(ops))
-	insErr := insertSimulated(frt, tk, ops, spec)
-	frt.Barrier()
-	rt.Shutdown()
-	if wd != nil {
-		wd.Stop()
-	}
+	insert := bench.SimulatedInsert(bspec, ops, buildModel(spec.Model), bench.ReplicaSeed(spec.Seed, spec.NT, rep))
+	stopAbort := func() {}
+	run, err := bench.Run(bspec, job.ID, func(rt sched.Runtime, sim *core.Simulator) error {
+		attachPerf(rt, s.counters)
+		stopAbort = abortOnCancel(ctx, rt, sim)
+		return insert(rt, sim)
+	}, core.WithPerfCounters(s.counters))
 	stopAbort()
-
-	st := rt.Err()
-	if st == nil {
-		st = insErr
+	if err != nil {
+		return run, err
 	}
-	if st != nil {
-		if ctx.Err() != nil {
-			return nil, nil, fmt.Errorf("job aborted at the deadline: %w", st)
-		}
-		return nil, nil, st
+	if run.Err != nil && ctx.Err() != nil {
+		return run, fmt.Errorf("job aborted at the deadline: %w", run.Err)
 	}
-	tr := sim.Trace()
-	var faults *fault.Stats
-	if inj != nil {
-		fs := inj.Stats()
-		faults = &fs
-	}
-	return tr, faults, nil
-}
-
-// insertSimulated inserts the op stream as simulated tasks, turning panel
-// kernels into gang tasks when the spec asks for them (the Section VII
-// extension, mirroring bench's gang runs).
-func insertSimulated(rt sched.Runtime, tk *core.Tasker, ops []factor.Op, spec *JobSpec) error {
-	if spec.GangPanels <= 1 {
-		return factor.InsertSimulated(rt, tk, ops)
-	}
-	eff := spec.GangEff
-	if eff <= 0 {
-		eff = 0.85 // bench's default panel-kernel scaling efficiency
-	}
-	for i := range ops {
-		op := ops[i]
-		task := &sched.Task{
-			Class:    string(op.Class),
-			Label:    op.Label(),
-			Args:     op.SchedArgs(),
-			Priority: op.Priority,
-		}
-		if op.Class == kernels.ClassGEQRT || op.Class == kernels.ClassPOTRF {
-			task.NumThreads = spec.GangPanels
-			task.Func = tk.SimGangTask(string(op.Class), spec.GangPanels, eff)
-		} else {
-			task.Func = tk.SimTask(string(op.Class))
-		}
-		if err := rt.Insert(task); err != nil {
-			return err
-		}
-	}
-	return nil
+	return run, run.Err
 }
 
 // aborter is the runtime surface used to cancel a run (sched.Engine
@@ -377,20 +318,4 @@ func abortOnCancel(ctx context.Context, rt sched.Runtime, sim *core.Simulator) (
 		}
 	}()
 	return func() { close(quit) }
-}
-
-// finishMakespans derives the min/mean aggregates from res.Makespans.
-func finishMakespans(res *JobResult) {
-	if len(res.Makespans) == 0 {
-		return
-	}
-	min, sum := res.Makespans[0], 0.0
-	for _, m := range res.Makespans {
-		if m < min {
-			min = m
-		}
-		sum += m
-	}
-	res.MinMakespan = min
-	res.MeanMakespan = sum / float64(len(res.Makespans))
 }

@@ -55,7 +55,9 @@ func crashSpecs() []JobSpec {
 		{Algorithm: "cholesky", NT: 4, NB: 8, Workers: 4, Seed: 1},
 		{Algorithm: "qr", NT: 3, NB: 8, Workers: 2, Seed: 2, Reps: 2},
 		{Algorithm: "lu", NT: 4, NB: 8, Workers: 4, Seed: 3},
-		{Algorithm: "cholesky", NT: 5, NB: 8, Workers: 4, Seed: 4, NoCache: true, Trace: &f},
+		// One worker: a direct job's makespan is reproducible only where
+		// the schedule is, and QUARK at 4 workers has two outcomes under load.
+		{Algorithm: "cholesky", NT: 5, NB: 8, Workers: 1, Seed: 4, NoCache: true, Trace: &f},
 		{Kind: "sweep", Algorithm: "cholesky", MaxNT: 4, NB: 8, Workers: 2, Seed: 5},
 		{Algorithm: "cholesky", NT: 4, NB: 8, Workers: 4, Seed: 6},
 		{Algorithm: "qr", NT: 4, NB: 8, Workers: 4, Seed: 7},
