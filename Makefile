@@ -50,7 +50,7 @@ cluster-smoke:
 # through a different path; run here as a pass/fail gate, numbers discarded.
 # The three capture-cache workloads, plus the two whose every op is one run
 # of the real scheduler: lib-direct (bench.Simulated) and serve-sweep
-# (CaptureSpec inside SweepParallel). 3 s, not less: serve-miss is a fixed
+# (CaptureArena inside SweepParallel). 3 s, not less: serve-miss is a fixed
 # 48 ops/s window and a run with under 100 latency samples exits non-zero;
 # a sweep op is ~10 ms, so serve-sweep gets 5 s.
 e2e-smoke:

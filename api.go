@@ -140,7 +140,10 @@ func WatchStalls(rt Runtime, sim *Simulator, deadline time.Duration) (*fault.Wat
 func NewCollector() *Collector { return perfmodel.NewCollector() }
 
 // CapturedDAG is a fully-resolved task graph recorded from one
-// instrumented scheduler run (see internal/replay).
+// instrumented scheduler run (see internal/replay): the structured view of
+// the capture, for inspection and Validate. ReplayDAG replays the capture
+// the view was made from, not the view's Tasks — editing them does not
+// change the replay.
 type CapturedDAG = replay.DAG
 
 // DAGRecorder captures the task stream of the runtime it is attached to.

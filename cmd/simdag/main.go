@@ -54,13 +54,9 @@ func main() {
 // captureFrame runs the capture path on the requested factorization and
 // publishes the arena's encoded frame.
 func captureFrame(alg, sched string, nt int, path string) {
-	dag, err := bench.CaptureSpec(bench.Spec{
+	arena, err := bench.CaptureArena(bench.Spec{
 		Algorithm: alg, Scheduler: sched, NT: nt, NB: 8, Workers: 8, Seed: 1,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	arena, err := dag.Arena()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +65,7 @@ func captureFrame(alg, sched string, nt int, path string) {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %d tasks, %d edges, %d bytes -> %s\n",
-		alg, len(dag.Tasks), dag.NumEdges(), len(frame), path)
+		alg, arena.NumTasks(), arena.NumEdges(), len(frame), path)
 }
 
 // inspectFrame loads (and so fully validates) a .dag frame and prints its

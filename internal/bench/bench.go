@@ -210,7 +210,7 @@ func Run(spec Spec, label string, insert func(rt sched.Runtime, sim *core.Simula
 // Ops builds the spec's task stream over shape-only tiles
 // (workload.Shapes): no matrix is generated, so the cost depends on NT and
 // not on NB. Everything that captures or simulates the stream — Simulated,
-// CaptureSpec, the simulation service's direct runs — starts here; the ops'
+// CaptureArena, the simulation service's direct runs — starts here; the ops'
 // bodies report an error if executed. Measured, the one run that executes
 // kernels, builds its stream over generated inputs itself.
 func Ops(spec Spec) ([]factor.Op, error) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"runtime"
@@ -24,11 +25,7 @@ import (
 func TestCaptureFrameSameOverShapesAndMatrices(t *testing.T) {
 	frame := func(spec Spec, ops []factor.Op) []byte {
 		t.Helper()
-		dag, err := captureOps(spec, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arena, err := dag.Arena()
+		arena, err := captureOps(spec, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,18 +105,21 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 	}
 }
 
-// Ceilings for one CaptureSpec of cholesky nt=16 (816 tasks) through
-// QUARK, per captured task, set about 15 % above what the path achieves
-// (5.8 objects, 0.89 KB). What is left per task is the scheduler's own:
-// the sched.Task, its label and argument list, the engine's and the
-// hazard tracker's bookkeeping — plus the recorder's and the stream's
-// slabs, a fixed handful of objects. History: 19.9 objects and 3.97 KB per
-// task while the capture generated its input matrix, rendered labels by
-// repeated concatenation and recorded one slice per footprint and per
-// dependence list.
+// Ceilings for one CaptureArena of cholesky nt=16 (816 tasks) through
+// QUARK, per captured task and with the finished arena included, set 10 to
+// 15 % above what the path achieves (2.8 objects, 766 B). What is left
+// per task is the op stream, the scheduler's own bookkeeping (the engine's
+// live-task map and successor lists, the hazard tracker's reader lists)
+// and the bytes of the sched.Task, its arguments, its label and its arena
+// row — none of them an object of its own: tasks, arguments and labels come
+// from per-stream slabs and the recorder appends to the arena's columns.
+// History: 19.9 objects and 3.97 KB per task while the capture generated
+// its input matrix, rendered labels by repeated concatenation and recorded
+// one slice per footprint and per dependence list; 6.3 objects and 1.14 KB
+// while it recorded a pointer DAG and compiled the arena from it.
 const (
-	captureObjectsPerTaskCeiling = 6.7
-	captureBytesPerTaskCeiling   = 1050
+	captureObjectsPerTaskCeiling = 3.2
+	captureBytesPerTaskCeiling   = 850
 )
 
 func TestCaptureSpecAllocCeilings(t *testing.T) {
@@ -129,17 +129,84 @@ func TestCaptureSpecAllocCeilings(t *testing.T) {
 	spec := Spec{Algorithm: "cholesky", Scheduler: "quark", NT: 16, NB: 32, Workers: 4, Seed: 1}
 	tasks := 0
 	bytes, objects := allocated(func() {
-		dag, err := CaptureSpec(spec)
+		arena, err := CaptureArena(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tasks = len(dag.Tasks)
+		tasks = arena.NumTasks()
 	})
 	perTask := fmt.Sprintf("%.2f objects and %.0f B per task over %d tasks", objects/float64(tasks), bytes/float64(tasks), tasks)
 	if objects/float64(tasks) > captureObjectsPerTaskCeiling || bytes/float64(tasks) > captureBytesPerTaskCeiling {
-		t.Errorf("CaptureSpec allocates %s, ceilings %.1f and %d", perTask, captureObjectsPerTaskCeiling, captureBytesPerTaskCeiling)
+		t.Errorf("CaptureArena allocates %s, ceilings %.1f and %d", perTask, captureObjectsPerTaskCeiling, captureBytesPerTaskCeiling)
 	}
 	t.Log(perTask)
+}
+
+// goldenSpecs are the nine captures the golden tests pin: every algorithm
+// through every runtime's capture order and ready policy.
+func goldenSpecs() map[string]Spec {
+	specs := make(map[string]Spec)
+	for _, alg := range []string{"cholesky", "qr", "lu"} {
+		for _, sp := range []struct{ scheduler, policy string }{{"quark", ""}, {"starpu", "prio"}, {"ompss", ""}} {
+			name := alg + "/" + sp.scheduler
+			if sp.policy != "" {
+				name += "-" + sp.policy
+			}
+			specs[name] = Spec{Algorithm: alg, Scheduler: sp.scheduler, Policy: sp.policy, NT: 6, NB: 8, Workers: 4, Seed: 1}
+		}
+	}
+	return specs
+}
+
+// TestCaptureFramesGoldenAndRebuildable pins the capture format in
+// absolute terms and the two ways of filling it against each other. The
+// digests are of the .dag frames the pointer-DAG recorder produced at the
+// commit before captures went straight into columns: a frame holds no
+// floating-point result, so they hold on every platform. And the columns a
+// capture appends must be the columns BuildArena compiles from the
+// capture's own view, byte for byte — unless the view was edited, which is
+// what BuildArena is for.
+func TestCaptureFramesGoldenAndRebuildable(t *testing.T) {
+	golden := map[string]string{
+		"cholesky/quark": "eb3c46e220164aa3", "cholesky/starpu-prio": "32d3750ef435b3ec", "cholesky/ompss": "7d7e466931f3680f",
+		"qr/quark": "1ec940fa7dfeac99", "qr/starpu-prio": "8bf3908f8d8b42d3", "qr/ompss": "78303727239d76e4",
+		"lu/quark": "73cfc77550b87bb6", "lu/starpu-prio": "aa0e191c708a6590", "lu/ompss": "de7e57dadd2adea1",
+	}
+	for name, spec := range goldenSpecs() {
+		arena, err := CaptureArena(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		frame := arena.Encode()
+		if got := fmt.Sprintf("%x", sha256.Sum256(frame))[:16]; got != golden[name] {
+			t.Errorf("%s: frame digest %s, golden %s", name, got, golden[name])
+		}
+		view := arena.DAG()
+		if err := view.Validate(); err != nil {
+			t.Errorf("%s: the capture's view does not validate: %v", name, err)
+		}
+		if seeded, err := view.Arena(); err != nil || seeded != arena {
+			t.Errorf("%s: the view's compiled form is %p (%v), want the captured arena %p", name, seeded, err, arena)
+		}
+		rebuilt, err := replay.BuildArena(view)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(rebuilt.Encode(), frame) {
+			t.Errorf("%s: BuildArena of the capture's view encodes differently from the capture", name)
+		}
+		view.Tasks[1].Priority += 7
+		edited, err := replay.BuildArena(view)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if bytes.Equal(edited.Encode(), frame) {
+			t.Errorf("%s: BuildArena of an edited view encodes like the unedited capture", name)
+		}
+		if seeded, _ := view.Arena(); !bytes.Equal(seeded.Encode(), frame) {
+			t.Errorf("%s: editing the view changed the arena it carries", name)
+		}
+	}
 }
 
 // goldenModel draws from the stream on every call, so the constants below

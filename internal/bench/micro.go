@@ -67,23 +67,20 @@ func MicroSuiteMax(counters *perf.Counters, maxParallel int) []MicroBench {
 	return out
 }
 
-// replayParallelDegree extracts N from a "ReplayParallelN" or
-// "ReplayArenaParallelN" name.
+// replayParallelDegree extracts N from a "ReplayParallelN" name.
 func replayParallelDegree(name string) (int, bool) {
-	for _, prefix := range []string{"ReplayParallel", "ReplayArenaParallel"} {
-		if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
-			continue
-		}
-		n := 0
-		for _, c := range name[len(prefix):] {
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			n = n*10 + int(c-'0')
-		}
-		return n, true
+	const prefix = "ReplayParallel"
+	if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
+		return 0, false
 	}
-	return 0, false
+	n := 0
+	for _, c := range name[len(prefix):] {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
 }
 
 func microSuite(counters *perf.Counters) []MicroBench {
@@ -166,14 +163,16 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			}
 		}},
 		{Name: "SweepCapture15", Bench: func(b *testing.B) {
-			// The capture half of one serve-sweep request (BENCHMARK.json):
-			// cholesky through QUARK at nt 2..16, nb 32, one capture per
-			// point. A sweep spends the rest of its time replaying these.
+			// The capture half of one serve-sweep request (BENCHMARK.json),
+			// as SweepParallel does it: cholesky through QUARK at nt 2..16,
+			// nb 32, one capture per point, each straight into the arena
+			// its replicas replay. A sweep spends the rest of its time
+			// replaying these.
 			points := workload.PerfSweep(32, 16) // SweepParallel's own point list
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, sw := range points {
-					if _, err := CaptureSpec(Spec{
+					if _, err := CaptureArena(Spec{
 						Algorithm: "cholesky", Scheduler: "quark",
 						NT: sw.NT, NB: 32, Workers: 8, Seed: 1,
 					}); err != nil {
@@ -194,16 +193,13 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			}
 		}},
 		{Name: "ReplayArenaSerial", Bench: func(b *testing.B) {
-			// The ReplayVsDirect workload replayed straight off a compiled
-			// arena (the path a disk-cache hit takes): the gate that the
-			// arena representation costs nothing over the pointer DAG.
-			// Ordered before the 113k-task group so its timing is not
-			// billed for their heap.
-			dag, err := CaptureSpec(replayBenchSpec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			arena, err := dag.Arena()
+			// The ReplayVsDirect workload replayed straight off the captured
+			// arena, as every cache hit and sweep replica is; ReplayVsDirect
+			// goes through replay.Run on the capture's view, the public
+			// ReplayDAG path, which adds the lookup of the arena the view
+			// carries. Ordered before the 113k-task group so its timing is
+			// not billed for their heap.
+			arena, err := CaptureArena(replayBenchSpec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -226,12 +222,8 @@ func microSuite(counters *perf.Counters) []MicroBench {
 		{Name: "ReplayMakespanLarge", Bench: func(b *testing.B) {
 			// ReplayLargeSerial's replay when only the makespan is wanted —
 			// every replica of a sweep: the same loop, no events built.
-			benchLargeReplay(b, 0, func(d *replay.DAG, opt replay.Options) error {
-				arena, err := d.Arena() // memoized: one atomic load per op
-				if err != nil {
-					return err
-				}
-				_, err = replay.Makespan(arena, opt)
+			benchLargeReplay(b, 0, func(a *replay.Arena, opt replay.Options) error {
+				_, err := replay.Makespan(a, opt)
 				return err
 			})
 		}},
@@ -267,39 +259,11 @@ func microSuite(counters *perf.Counters) []MicroBench {
 		{Name: "ReplayParallel8", Bench: func(b *testing.B) {
 			benchLargeReplay(b, 8, runTrace)
 		}},
-		{Name: "ReplayArenaParallel4", Bench: func(b *testing.B) {
-			// The 113k-task PDES replay driven from the arena directly.
-			dag, err := largeReplay()
-			if err != nil {
-				b.Fatal(err)
-			}
-			arena, err := dag.Arena()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := replay.RunArena(arena, replay.Options{
-					Workers:          largeReplaySpec.Workers,
-					Model:            replayJitter{},
-					Seed:             uint64(i) + 1,
-					IgnorePriorities: true,
-					Parallelism:      4,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{Name: "DecodeLoad113k", Bench: func(b *testing.B) {
 			// Zero-copy adoption of the 113k-task .dag frame: full hostile-
 			// input validation plus column aliasing, the fixed cost a disk
 			// cache hit pays before its first replay.
-			dag, err := largeReplay()
-			if err != nil {
-				b.Fatal(err)
-			}
-			arena, err := dag.Arena()
+			arena, err := largeReplay()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -345,16 +309,16 @@ var largeReplaySpec = Spec{
 }
 
 var (
-	largeReplayOnce sync.Once
-	largeReplayDAG  *replay.DAG
-	largeReplayErr  error
+	largeReplayOnce  sync.Once
+	largeReplayArena *replay.Arena
+	largeReplayErr   error
 )
 
-func largeReplay() (*replay.DAG, error) {
+func largeReplay() (*replay.Arena, error) {
 	largeReplayOnce.Do(func() {
-		largeReplayDAG, largeReplayErr = CaptureSpec(largeReplaySpec)
+		largeReplayArena, largeReplayErr = CaptureArena(largeReplaySpec)
 	})
-	return largeReplayDAG, largeReplayErr
+	return largeReplayArena, largeReplayErr
 }
 
 // benchLargeReplay measures one replay of the large DAG per op.
@@ -363,15 +327,15 @@ func largeReplay() (*replay.DAG, error) {
 // LP channel protocol. ReplayParallelN vs ReplayLargeSerial is the
 // ISSUE's speedup gate; ReplayParallelN vs ReplayParallel1 isolates the
 // parallel-execution speedup at identical semantics.
-func benchLargeReplay(b *testing.B, parallelism int, run func(*replay.DAG, replay.Options) error) {
-	dag, err := largeReplay()
+func benchLargeReplay(b *testing.B, parallelism int, run func(*replay.Arena, replay.Options) error) {
+	arena, err := largeReplay()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := run(dag, replay.Options{
+		if err := run(arena, replay.Options{
 			Workers:          largeReplaySpec.Workers,
 			Model:            replayJitter{},
 			Seed:             uint64(i) + 1,
@@ -384,8 +348,8 @@ func benchLargeReplay(b *testing.B, parallelism int, run func(*replay.DAG, repla
 }
 
 // runTrace is the replay whose result is the whole trace.
-func runTrace(d *replay.DAG, opt replay.Options) error {
-	_, err := replay.Run(d, opt)
+func runTrace(a *replay.Arena, opt replay.Options) error {
+	_, err := replay.RunArena(a, opt)
 	return err
 }
 

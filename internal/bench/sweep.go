@@ -14,14 +14,15 @@ import (
 	"supersim/internal/workload"
 )
 
-// CaptureSpec runs the spec's op stream once through the spec's scheduler
-// and records the fully-resolved task DAG for replay. The capture run uses
-// one worker and no-op task bodies: the DAG derives entirely from the
-// serial insertion stream (footprints and hazard resolution), so it is
-// independent of worker count and durations, and a 1-worker run makes the
-// recorded ready order deterministic. The returned DAG carries the spec's
-// worker count as its default replay width.
-func CaptureSpec(spec Spec) (*replay.DAG, error) {
+// CaptureArena runs the spec's op stream once through the spec's scheduler
+// and records the fully-resolved task DAG, as the arena replays execute
+// and the capture cache stores. The capture run uses one worker and no-op
+// task bodies: the DAG derives entirely from the serial insertion stream
+// (footprints and hazard resolution), so it is independent of worker count
+// and durations, and a 1-worker run makes the recorded ready order
+// deterministic. The arena carries the spec's worker count as its default
+// replay width.
+func CaptureArena(spec Spec) (*replay.Arena, error) {
 	ops, err := Ops(spec)
 	if err != nil {
 		return nil, err
@@ -29,11 +30,22 @@ func CaptureSpec(spec Spec) (*replay.DAG, error) {
 	return captureOps(spec, ops)
 }
 
-// captureOps is CaptureSpec on a stream the caller built. The recorded DAG
-// depends on the ops' classes, labels, priorities and argument handles
-// only — whether the tiles behind the handles hold data makes no
+// CaptureSpec is CaptureArena returning the structured view of the capture
+// (Arena.DAG) — for inspection and validation; a caller that only replays
+// should take the arena.
+func CaptureSpec(spec Spec) (*replay.DAG, error) {
+	arena, err := CaptureArena(spec)
+	if err != nil {
+		return nil, err
+	}
+	return arena.DAG(), nil
+}
+
+// captureOps is CaptureArena on a stream the caller built. The recorded
+// graph depends on the ops' classes, labels, priorities and argument
+// handles only — whether the tiles behind the handles hold data makes no
 // difference, which TestCaptureFrameSameOverShapesAndMatrices pins.
-func captureOps(spec Spec, ops []factor.Op) (*replay.DAG, error) {
+func captureOps(spec Spec, ops []factor.Op) (*replay.Arena, error) {
 	capSpec := spec
 	capSpec.Workers = 1
 	rt, err := NewRuntime(capSpec)
@@ -44,6 +56,9 @@ func captureOps(spec Spec, ops []factor.Op) (*replay.DAG, error) {
 	if err != nil {
 		rt.Shutdown()
 		return nil, err
+	}
+	if spec.Workers > 0 {
+		rec.SetWorkers(spec.Workers)
 	}
 	nargs := 0
 	for i := range ops {
@@ -73,14 +88,7 @@ func captureOps(spec Spec, ops []factor.Op) (*replay.DAG, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
 	}
-	dag, err := rec.DAG()
-	if err != nil {
-		return nil, err
-	}
-	if spec.Workers > 0 {
-		dag.Workers = spec.Workers
-	}
-	return dag, nil
+	return rec.Arena()
 }
 
 // ReplayIgnoresPriorities reports whether replays of the spec's scheduler
@@ -233,16 +241,11 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 	t0 := time.Now()
 	for i, sw := range sweeps {
 		c0 := time.Now()
-		dag, err := CaptureSpec(Spec{
+		var err error
+		if arenas[i], err = CaptureArena(Spec{
 			Algorithm: algorithm, Scheduler: scheduler,
 			NT: sw.NT, NB: nb, Workers: workers, Seed: opt.Seed,
-		})
-		if err != nil {
-			return nil, SweepWall{}, err
-		}
-		// Only the compiled form outlives this iteration: the pointer DAG
-		// is garbage as soon as its arena exists.
-		if arenas[i], err = dag.Arena(); err != nil {
+		}); err != nil {
 			return nil, SweepWall{}, err
 		}
 		wall.CapturePerPoint[i] = time.Since(c0)

@@ -26,7 +26,7 @@ func TestCaptureSpecDAGValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dag, again) {
+	if !reflect.DeepEqual(dag.Tasks, again.Tasks) || dag.Handles != again.Handles || dag.Label != again.Label {
 		t.Error("two captures of the same spec differ")
 	}
 }

@@ -52,7 +52,7 @@ func TestSimulationCausalityProperty(t *testing.T) {
 			}
 			argsOf[i] = args
 			id := g.AddNode("t", "K", durations[i])
-			hid, deps := tracker.Insert(args)
+			hid, _, deps := tracker.Insert(args)
 			if hid != id {
 				return false
 			}

@@ -64,12 +64,23 @@ func (o Op) Body() error {
 
 // Label renders the instance like "DTSMQR(1,2,0)" — class plus tile indices.
 func (o Op) Label() string {
-	n := len(o.Class) + 2 + max(len(o.Args)-1, 0) // class, parentheses, commas
+	var b strings.Builder
+	b.Grow(o.labelLen())
+	o.writeLabel(&b)
+	return b.String()
+}
+
+// labelLen is len(o.Label()): class, parentheses, names, commas.
+func (o *Op) labelLen() int {
+	n := len(o.Class) + 2 + max(len(o.Args)-1, 0)
 	for _, a := range o.Args {
 		n += len(a.Name)
 	}
-	var b strings.Builder
-	b.Grow(n) // the label's one allocation; every inserted task renders one
+	return n
+}
+
+// writeLabel appends the label to b.
+func (o *Op) writeLabel(b *strings.Builder) {
 	b.WriteString(string(o.Class))
 	b.WriteByte('(')
 	for i, a := range o.Args {
@@ -79,7 +90,6 @@ func (o Op) Label() string {
 		b.WriteString(a.Name)
 	}
 	b.WriteByte(')')
-	return b.String()
 }
 
 // String renders the op in the style of the paper's Fig. 2 task listing,
@@ -98,10 +108,15 @@ func (o Op) String() string {
 // SchedArgs converts the op's arguments to scheduler arguments.
 func (o Op) SchedArgs() []sched.Arg {
 	out := make([]sched.Arg, len(o.Args))
+	o.fillSchedArgs(out)
+	return out
+}
+
+// fillSchedArgs writes the op's scheduler arguments into out (len(o.Args)).
+func (o *Op) fillSchedArgs(out []sched.Arg) {
 	for i, a := range o.Args {
 		out[i] = sched.Arg{Handle: a.Handle, Mode: a.Mode}
 	}
-	return out
 }
 
 // operands hands out the tiles of one matrix as task arguments. A tile's

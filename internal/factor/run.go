@@ -1,6 +1,7 @@
 package factor
 
 import (
+	"strings"
 	"sync"
 
 	"supersim/internal/core"
@@ -8,6 +9,7 @@ import (
 	"supersim/internal/hazard"
 	"supersim/internal/kernels"
 	"supersim/internal/sched"
+	"supersim/internal/slab"
 )
 
 // RunSequential executes the op stream in insertion order on the calling
@@ -49,6 +51,13 @@ func (s *ErrorSink) Err() error {
 	return s.err
 }
 
+// insertBlock is how many ops' tasks share one set of slabs in Insert:
+// large enough that the slabs' three allocations vanish against a block's
+// tasks, small enough (~200 KB of tasks) that a windowed run over a long
+// stream gives memory back as it advances — a block is garbage once its
+// last task completed.
+const insertBlock = 1024
+
 // Insert submits the op stream to rt in order, one task per op, and is the
 // one place an Op becomes a sched.Task: class, label, arguments and priority
 // come from the op, and body gives the task its function (it may also set
@@ -56,21 +65,44 @@ func (s *ErrorSink) Err() error {
 // sized for the stream first. Insertion stops at the first task rt rejects
 // (an aborted runtime, for example) and returns that error. Call
 // rt.Barrier() afterwards.
+//
+// The tasks, their argument lists and their labels live as long as the
+// stream's run and no longer, so they are not allocated one by one: each
+// block of insertBlock ops gets one array of tasks, one of arguments
+// (carved per task) and one string holding the block's labels back to back,
+// all sized exactly.
 func Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body func(op *Op, t *sched.Task)) error {
 	if sim != nil {
 		sim.Reserve(len(ops)) // one trace event per op
 	}
-	for i := range ops {
-		op := &ops[i]
-		t := &sched.Task{
-			Class:    string(op.Class),
-			Label:    op.Label(),
-			Args:     op.SchedArgs(),
-			Priority: op.Priority,
+	for len(ops) > 0 {
+		block := ops[:min(len(ops), insertBlock)]
+		ops = ops[len(block):]
+		nargs, nlabel := 0, 0
+		for i := range block {
+			nargs += len(block[i].Args)
+			nlabel += block[i].labelLen()
 		}
-		body(op, t)
-		if err := rt.Insert(t); err != nil {
-			return err
+		tasks := make([]sched.Task, len(block))
+		args := make([]sched.Arg, 0, nargs)
+		var lb strings.Builder
+		lb.Grow(nlabel)
+		for i := range block {
+			block[i].writeLabel(&lb)
+		}
+		labels := lb.String()
+		for i := range block {
+			op, t := &block[i], &tasks[i]
+			n := op.labelLen()
+			t.Class = string(op.Class)
+			t.Label, labels = labels[:n], labels[n:]
+			t.Args = slab.Carve(&args, len(op.Args))
+			op.fillSchedArgs(t.Args)
+			t.Priority = op.Priority
+			body(op, t)
+			if err := rt.Insert(t); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -111,7 +143,7 @@ func BuildDAG(ops []Op, weight func(kernels.Class) float64) *graph.DAG {
 	tracker := hazard.NewTracker()
 	for _, op := range ops {
 		id := g.AddNode(op.Label(), string(op.Class), weight(op.Class))
-		hid, deps := tracker.Insert(opHazardArgs(op))
+		hid, _, deps := tracker.Insert(opHazardArgs(op))
 		if hid != id {
 			panic("factor: DAG node numbering out of sync with hazard tracker")
 		}

@@ -44,8 +44,9 @@ type Dep struct {
 	Kind graph.EdgeKind
 }
 
-// access records one past access to a handle.
+// state records one handle: its number and the past accesses to it.
 type state struct {
+	id               int32 // dense id: handles are numbered in first-seen order
 	lastWriter       int   // task index of last writer, -1 if none
 	readersSinceLast []int // readers since the last write
 }
@@ -53,15 +54,22 @@ type state struct {
 // Tracker incrementally derives dependences from a serial task stream.
 // It is not safe for concurrent use; schedulers serialize insertion
 // (superscalar semantics) so a single goroutine owns it.
+//
+// Handles are numbered densely in first-seen order. The number is the
+// handle's identity downstream of the tracker: Insert resolves each
+// argument's opaque handle through the map once and hands the numbers
+// out, so the engine's ownership table and the capture recorder's
+// footprints index by it instead of hashing the handle again.
 type Tracker struct {
 	states map[any]*state
 	next   int
-	// deps is the reusable result buffer handed out by Insert; preds
-	// mirrors the predecessor ids for the linear dedup scan. A task's
+	// handles, deps and preds are the reusable result buffers of Insert;
+	// preds mirrors the predecessor ids for the linear dedup scan. A task's
 	// predecessor count is small (bounded by its argument count plus the
 	// readers of its written handles), so linear scan beats a map.
-	deps  []Dep
-	preds []int
+	handles []int32
+	deps    []Dep
+	preds   []int
 }
 
 // NewTracker returns an empty tracker.
@@ -109,27 +117,31 @@ func (t *Tracker) record(id, pred int, kind graph.EdgeKind) {
 }
 
 // Insert registers the next task in the serial stream with its argument
-// list and returns its task index along with the dependences it must wait
-// for. Multiple hazards against the same predecessor are deduplicated with
-// RaW preferred over WaW over WaR (the strongest reported kind), matching
-// how runtime systems count a predecessor only once.
+// list and returns its task index, the dense id of each argument's handle
+// (handles[i] belongs to args[i]; ids count handles in first-seen order)
+// and the dependences the task must wait for. Multiple hazards against the
+// same predecessor are deduplicated with RaW preferred over WaW over WaR
+// (the strongest reported kind), matching how runtime systems count a
+// predecessor only once.
 //
-// The returned slice is owned by the tracker and valid only until the next
-// Insert call; callers that keep dependences must copy them.
-func (t *Tracker) Insert(args []Arg) (id int, deps []Dep) {
+// Both returned slices are owned by the tracker and valid only until the
+// next Insert call; callers that keep them must copy them.
+func (t *Tracker) Insert(args []Arg) (id int, handles []int32, deps []Dep) {
 	id = t.next
 	t.next++
 	if len(args) == 0 {
-		return id, nil
+		return id, nil, nil
 	}
+	t.handles = t.handles[:0]
 	t.deps = t.deps[:0]
 	t.preds = t.preds[:0]
 	for _, a := range args {
 		st := t.states[a.Handle]
 		if st == nil {
-			st = &state{lastWriter: -1}
+			st = &state{id: int32(len(t.states)), lastWriter: -1}
 			t.states[a.Handle] = st
 		}
+		t.handles = append(t.handles, st.id)
 		if a.Mode&Read != 0 {
 			t.record(id, st.lastWriter, graph.EdgeRaW)
 		}
@@ -149,7 +161,7 @@ func (t *Tracker) Insert(args []Arg) (id int, deps []Dep) {
 			st.readersSinceLast = append(st.readersSinceLast, id)
 		}
 	}
-	return id, t.deps
+	return id, t.handles, t.deps
 }
 
 // NumTasks returns how many tasks have been inserted.
@@ -160,8 +172,6 @@ func (t *Tracker) NumHandles() int { return len(t.states) }
 
 // Reset clears all state, reusing the allocation.
 func (t *Tracker) Reset() {
-	for k := range t.states {
-		delete(t.states, k)
-	}
+	clear(t.states)
 	t.next = 0
 }

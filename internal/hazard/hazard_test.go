@@ -8,7 +8,7 @@ import (
 )
 
 func depsOf(t *Tracker, args ...Arg) (int, map[int]graph.EdgeKind) {
-	id, deps := t.Insert(args)
+	id, _, deps := t.Insert(args)
 	m := make(map[int]graph.EdgeKind)
 	for _, d := range deps {
 		m[d.Pred] = d.Kind
@@ -113,6 +113,35 @@ func TestFirstAccessHasNoDeps(t *testing.T) {
 	}
 }
 
+// TestHandleIDsAreFirstSeenOrder pins the numbering the engine's ownership
+// table and the capture recorder index by: dense, in order of first
+// appearance across the stream, one id per argument in argument order.
+func TestHandleIDsAreFirstSeenOrder(t *testing.T) {
+	tr := NewTracker()
+	for i, tc := range []struct {
+		args []Arg
+		want []int32
+	}{
+		{[]Arg{{"b", Write}, {"a", Read}}, []int32{0, 1}},
+		{nil, nil},
+		{[]Arg{{"a", ReadWrite}, {"c", Read}, {"a", Read}}, []int32{1, 2, 1}},
+		{[]Arg{{"c", Write}, {"b", Read}}, []int32{2, 0}},
+	} {
+		_, got, _ := tr.Insert(tc.args)
+		if len(got) != len(tc.want) {
+			t.Fatalf("task %d: %d handle ids, want %d", i, len(got), len(tc.want))
+		}
+		for j := range got {
+			if got[j] != tc.want[j] {
+				t.Errorf("task %d arg %d: handle id %d, want %d", i, j, got[j], tc.want[j])
+			}
+		}
+	}
+	if tr.NumHandles() != 3 {
+		t.Errorf("NumHandles = %d, want 3", tr.NumHandles())
+	}
+}
+
 func TestReset(t *testing.T) {
 	tr := NewTracker()
 	depsOf(tr, Arg{"x", Write})
@@ -177,7 +206,7 @@ func TestSerializabilityProperty(t *testing.T) {
 		g := graph.New()
 		for _, tk := range tasks {
 			id := g.AddNode("t", "K", 1)
-			hid, deps := tr.Insert(tk.args)
+			hid, _, deps := tr.Insert(tk.args)
 			if hid != id {
 				return false
 			}

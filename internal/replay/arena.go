@@ -1,33 +1,37 @@
-// The struct-of-arrays arena: a captured DAG compiled into flat, dense,
-// cache-friendly columns that both replay executors iterate over.
+// The struct-of-arrays arena: a task DAG as flat, dense, cache-friendly
+// columns that both replay executors iterate over.
 //
-// A *DAG is the capture-side representation — pointer-rich []Task slices
-// that are convenient to record and validate but expensive to walk: every
-// replay used to re-derive CSR successor lists from the Deps slices, and
-// the executors chased Task pointers for every field read. An *Arena is
-// the execution- and wire-side representation: one int32 slab holds every
-// index column (ids are implicit — task i is row i), one byte slab holds
-// the uint8 columns, durations sit in one float64 column, and all strings
+// An *Arena is the capture format, the execution format and the wire
+// format: a capture appends to its columns as the scheduler resolves each
+// task (capture.go), replays walk them, and the .dag frame is the columns
+// laid end to end (codec.go). Ids are implicit — task i is row i — every
+// index column is int32, the access modes, dependence kinds and placement
+// masks are bytes, durations sit in one float64 column, and all strings
 // are interned into a single table indexed by int32. Dependence and
 // footprint lists are CSR (offset + flat list) so the hot loops are pure
-// slice arithmetic with no per-task pointers at all.
+// slice arithmetic with no per-task pointers at all. A *DAG — []Task with
+// per-task Footprint and Deps slices — is the inspection view of the same
+// graph, built from an arena on request (Arena.DAG) or written by hand and
+// compiled with BuildArena; no replay walks it.
 //
-// The arena also precomputes everything about a DAG that every run used
-// to recompute: the successor CSR, the PDES static rank/order permutation
-// (pdes.go), the default trace label, and whether every task carries a
-// captured duration. A run therefore touches only pooled per-run scratch
-// plus the returned trace — the alloc-ceiling tests pin the serial
-// executor at ≤ 2 allocations per run.
+// The arena also holds what every run would otherwise recompute: the
+// successor CSR, the PDES static rank/order permutation (pdes.go), the
+// default trace label, and whether every task carries a captured
+// duration. A run therefore touches only pooled per-run scratch plus the
+// returned trace — the alloc-ceiling tests pin the serial executor at ≤ 2
+// allocations per run.
 //
-// Arenas are immutable once built and safe for concurrent replay, like
-// the DAGs they compile. DAG.Arena memoizes the compilation, so the DAG's
-// "do not mutate once shared" contract sharpens to: do not mutate a DAG
-// after its first Run or Arena call.
+// Arenas are immutable once built and safe for concurrent replay.
+// DAG.Arena memoizes the compilation, so the DAG's "do not mutate once
+// shared" contract sharpens to: do not mutate a DAG after its first Run or
+// Arena call — and a DAG that is an arena's view (Arena.DAG,
+// Recorder.DAG) already carries that arena.
 
 package replay
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"supersim/internal/graph"
@@ -72,13 +76,11 @@ func kindFromByte(b uint8) graph.EdgeKind {
 	return ""
 }
 
-// Arena is a captured DAG in struct-of-arrays form. All column slices of
-// one arena sub-slice two slabs (one []int32, one []byte) plus one
-// float64 column, so walking a column is a linear scan of contiguous
-// memory; an arena loaded from its binary encoding aliases the encoded
-// bytes directly (codec.go). Fields are unexported because the layout is
-// an execution format, not an API — use DAG() to get the structured form
-// back.
+// Arena is a task DAG in struct-of-arrays form. Every column is one
+// contiguous slice, so walking it is a linear scan; an arena loaded from
+// its binary encoding aliases the encoded bytes directly (codec.go).
+// Fields are unexported because the layout is an execution format, not an
+// API — use DAG() for the structured view.
 type Arena struct {
 	label       string
 	replayLabel string // label + "-replay", precomputed for alloc-free runs
@@ -144,138 +146,210 @@ func (a *Arena) Label() string { return a.label }
 // (i.e. the arena can replay without a duration model).
 func (a *Arena) HasDurations() bool { return a.hasDur }
 
-// internTable interns strings into a growing table during BuildArena.
-type internTable struct {
-	idx map[string]int32
-	tab []string
+// builder fills an arena's columns one task at a time. It is the one
+// column-filling path: the Recorder drives it from the engine's observer
+// callbacks as a capture runs, BuildArena from the tasks of a hand-built or
+// edited DAG, so both produce the same columns, the same string table —
+// strings are interned in the order class, label per task, the DAG label
+// last — and so the same .dag frame, and both end in the validation Load
+// applies to a frame (validateColumns). The appending methods refuse only
+// what a column cannot hold.
+//
+// Every column grows by append. newBuilder gives the per-task and
+// footprint columns the capacity the caller announces, so a stream of
+// known size never regrows them; the dependence columns get the
+// caller's estimate and may grow.
+type builder struct {
+	a      *Arena
+	strIdx map[string]int32 // interned string -> index in a.strTab
 }
 
-func (it *internTable) id(s string) int32 {
-	if i, ok := it.idx[s]; ok {
+// newBuilder returns a builder with room for tasks tasks declaring feet
+// footprint entries and edges dependences between them (0: grow on demand).
+func newBuilder(tasks, feet, edges int) *builder {
+	// One slab per element width, cut into columns whose capacity is
+	// clipped: a column that outgrows its share reallocates alone.
+	i32 := make([]int32, 5*tasks+2*(tasks+1)+feet+edges)
+	u8 := make([]uint8, tasks+feet+edges)
+	next := func(ln int) []int32 {
+		col := i32[:0:ln]
+		i32 = i32[ln:]
+		return col
+	}
+	a := &Arena{
+		classIdx: next(tasks),
+		labelIdx: next(tasks),
+		priority: next(tasks),
+		ready:    next(tasks),
+		numThr:   next(tasks),
+		depOff:   next(tasks + 1),
+		fpOff:    next(tasks + 1),
+		fpHandle: next(feet),
+		depPred:  next(edges),
+		where:    u8[:0:tasks],
+		fpMode:   u8[tasks : tasks : tasks+feet],
+		depKind:  u8[tasks+feet : tasks+feet],
+		duration: make([]float64, 0, tasks),
+		// A label per task, a few classes and the DAG label.
+		strTab: make([]string, 0, tasks+internSlack),
+	}
+	return &builder{a: a, strIdx: make(map[string]int32, tasks+internSlack)}
+}
+
+// internSlack is the room the string table gets beyond one label per task.
+const internSlack = 8
+
+// push appends v to a column.
+//
+//simlint:hotpath
+func push[T int32 | uint8 | float64](col *[]T, v T) {
+	//simlint:allow hotalloc — the builder's columns are pre-sized (Reserve, or BuildArena's count); only an unannounced or outgrown stream regrows one
+	*col = append(*col, v)
+}
+
+// clampI32 narrows v to the int32 range. For the quantities that go
+// through it a clamped value is as invalid as the original — a thread
+// count, predecessor or handle that large fails validateColumns either
+// way — so narrowing cannot turn a bad value into a good one.
+func clampI32(v int) int32 {
+	return int32(min(max(v, math.MinInt32), math.MaxInt32))
+}
+
+// intern returns the string table index of s, adding it on first sight.
+//
+//simlint:hotpath
+func (b *builder) intern(s string) int32 {
+	if i, ok := b.strIdx[s]; ok {
 		return i
 	}
-	i := int32(len(it.tab))
-	it.idx[s] = i
-	it.tab = append(it.tab, s)
+	i := int32(len(b.a.strTab))
+	b.strIdx[s] = i
+	//simlint:allow hotalloc — the table is pre-sized to one label per task plus the classes; only an unannounced stream regrows it
+	b.a.strTab = append(b.a.strTab, s)
 	return i
 }
 
-// BuildArena compiles a captured DAG into its struct-of-arrays form. It
-// performs the validation both executors relied on — dense non-gang
+// task opens the next task's row: no ready stamp, no duration, and empty
+// footprint and dependence lists that the footprint and dep calls up to
+// the next task call extend. A priority outside the priority column's
+// int32 range is refused: stored truncated it would replay the task at a
+// different rank than the engine ran it.
+//
+//simlint:hotpath
+func (b *builder) task(class, label string, priority, numThreads int, where sched.Where) error {
+	a := b.a
+	if priority != int(int32(priority)) {
+		//simlint:allow hotalloc — refusal path: the capture or build ends here
+		return fmt.Errorf("replay: task %d (%s) has priority %d outside the int32 range of the priority column", a.n, label, priority)
+	}
+	push(&a.classIdx, b.intern(class))
+	push(&a.labelIdx, b.intern(label))
+	push(&a.priority, int32(priority))
+	push(&a.ready, -1)
+	push(&a.numThr, clampI32(numThreads))
+	push(&a.where, uint8(where))
+	push(&a.duration, -1)
+	push(&a.depOff, int32(len(a.depPred)))
+	push(&a.fpOff, int32(len(a.fpHandle)))
+	a.n++
+	return nil
+}
+
+// footprint appends one declared access to the open task.
+//
+//simlint:hotpath
+func (b *builder) footprint(handle int32, mode hazard.Access) {
+	push(&b.a.fpHandle, handle)
+	push(&b.a.fpMode, uint8(mode))
+}
+
+// dep appends one resolved dependence to the open task.
+//
+//simlint:hotpath
+func (b *builder) dep(d sched.Dep) error {
+	kb, ok := kindToByte(d.Kind)
+	if !ok {
+		//simlint:allow hotalloc — refusal path: the capture or build ends here
+		return fmt.Errorf("replay: task %d has unknown dependence kind %q", b.a.n-1, d.Kind)
+	}
+	push(&b.a.depPred, clampI32(d.Pred))
+	push(&b.a.depKind, kb)
+	return nil
+}
+
+// finish closes the columns, validates them and derives the static views.
+// The builder must not be used afterwards: the arena owns the columns.
+func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
+	a := b.a
+	if a.n == 0 {
+		return nil, fmt.Errorf("replay: empty DAG")
+	}
+	if workers != int(int32(workers)) || handles != int(int32(handles)) {
+		return nil, fmt.Errorf("replay: %d workers or %d handles outside the int32 range", workers, handles)
+	}
+	a.depOff = append(a.depOff, int32(len(a.depPred)))
+	a.fpOff = append(a.fpOff, int32(len(a.fpHandle)))
+	a.label = label
+	a.replayLabel = label + "-replay"
+	a.workers = workers
+	a.handles = handles
+	a.labelStr = b.intern(label) // the codec stores the DAG label by table index
+	if err := a.validateColumns(); err != nil {
+		return nil, err
+	}
+	a.deriveStatic()
+	return a, nil
+}
+
+// BuildArena compiles a DAG's tasks, as they are now, into the
+// struct-of-arrays form — the way to replay a hand-built DAG or one edited
+// after capture (DAG.Arena does this on first use and memoizes it). It
+// performs the validation both executors rely on — dense non-gang
 // CPU-runnable tasks, predecessors strictly before successors — once, so
 // replays of the arena skip per-task checks entirely.
 func BuildArena(d *DAG) (*Arena, error) {
-	n := len(d.Tasks)
-	if n == 0 {
-		return nil, fmt.Errorf("replay: empty DAG")
+	edges, feet := 0, 0
+	for i := range d.Tasks {
+		edges += len(d.Tasks[i].Deps)
+		feet += len(d.Tasks[i].Footprint)
 	}
-	edges := 0
-	feet := 0
+	b := newBuilder(len(d.Tasks), feet, edges)
 	for i := range d.Tasks {
 		t := &d.Tasks[i]
-		if err := checkTask(i, t); err != nil {
+		if err := b.task(t.Class, t.Label, t.Priority, t.NumThreads, t.Where); err != nil {
 			return nil, err
 		}
-		for _, dep := range t.Deps {
-			if dep.Pred < 0 || dep.Pred >= i {
-				return nil, fmt.Errorf("replay: task %d has invalid predecessor %d", i, dep.Pred)
-			}
+		if r := t.Ready; r == int(int32(r)) { // out of int32 range: leave it unknown
+			b.a.ready[i] = int32(r)
 		}
-		edges += len(t.Deps)
-		feet += len(t.Footprint)
-	}
-
-	a := &Arena{
-		label:       d.Label,
-		replayLabel: d.Label + "-replay",
-		workers:     d.Workers,
-		handles:     d.Handles,
-		n:           n,
-	}
-	// One int32 slab for every index column, including the derived
-	// successor CSR and rank permutation; one byte slab for the uint8
-	// columns. Sub-slicing keeps each arena to a handful of allocations
-	// and each column walk a contiguous scan.
-	i32 := make([]int32, 7*n+2*(n+1)+2*edges+feet+(n+1)+edges)
-	next := func(ln int) []int32 {
-		s := i32[:ln:ln]
-		i32 = i32[ln:]
-		return s
-	}
-	a.classIdx = next(n)
-	a.labelIdx = next(n)
-	a.priority = next(n)
-	a.ready = next(n)
-	a.numThr = next(n)
-	a.depOff = next(n + 1)
-	a.depPred = next(edges)
-	a.fpOff = next(n + 1)
-	a.fpHandle = next(feet)
-	a.succOff = next(n + 1)
-	a.succList = next(edges)
-	a.rank = next(n)
-	a.order = next(n)
-	u8 := make([]uint8, n+edges+feet)
-	a.where = u8[:n:n]
-	a.depKind = u8[n : n+edges : n+edges]
-	a.fpMode = u8[n+edges:]
-	a.duration = make([]float64, n)
-
-	intern := internTable{idx: make(map[string]int32, 64)}
-	var dOff, fOff int32
-	for i := range d.Tasks {
-		t := &d.Tasks[i]
-		a.classIdx[i] = intern.id(t.Class)
-		a.labelIdx[i] = intern.id(t.Label)
-		a.priority[i] = int32(t.Priority)
-		if r := t.Ready; r == int(int32(r)) {
-			a.ready[i] = int32(r)
-		} else {
-			a.ready[i] = -1 // out of int32 range: treat as unknown
-		}
-		a.numThr[i] = int32(t.NumThreads)
-		a.where[i] = uint8(t.Where)
-		a.duration[i] = t.Duration
-		a.depOff[i] = dOff
-		for _, dep := range t.Deps {
-			kb, ok := kindToByte(dep.Kind)
-			if !ok {
-				return nil, fmt.Errorf("replay: task %d has unknown dependence kind %q", i, dep.Kind)
-			}
-			a.depPred[dOff] = int32(dep.Pred)
-			a.depKind[dOff] = kb
-			dOff++
-		}
-		a.fpOff[i] = fOff
+		b.a.duration[i] = t.Duration
 		for _, f := range t.Footprint {
-			if f.Handle < 0 || f.Handle >= d.Handles {
-				return nil, fmt.Errorf("replay: task %d references handle %d outside [0,%d)", i, f.Handle, d.Handles)
+			b.footprint(clampI32(f.Handle), f.Mode)
+		}
+		for _, dep := range t.Deps {
+			if err := b.dep(dep); err != nil {
+				return nil, err
 			}
-			a.fpHandle[fOff] = int32(f.Handle)
-			a.fpMode[fOff] = uint8(f.Mode)
-			fOff++
 		}
 	}
-	a.depOff[n] = dOff
-	a.fpOff[n] = fOff
-	a.labelStr = intern.id(d.Label) // the codec stores the DAG label by table index
-	a.strTab = intern.tab
-	a.deriveStatic()
-	return a, nil
+	return b.finish(d.Label, d.Workers, d.Handles)
 }
 
 // deriveStatic computes the redundant-but-hot views: the successor CSR
 // (filled in ascending task order, reproducing the engine's insertion
 // release order), the PDES static rank — the capture ready order when it
 // is a valid topological permutation, else task id — the ready-queue
-// level tables and the has-durations flag. succOff/succList/rank/order
-// must be pre-sized.
+// level tables and the has-durations flag. Derived state is never taken
+// from a frame or a builder: it is recomputed from validated columns, which
+// guarantees the views agree with them.
 func (a *Arena) deriveStatic() {
-	n := a.n
+	n, e := a.n, len(a.depPred)
+	slab := make([]int32, (n+1)+e+2*n)
+	a.succOff = slab[: n+1 : n+1]
+	a.succList = slab[n+1 : n+1+e : n+1+e]
+	a.rank = slab[n+1+e : n+1+e+n : n+1+e+n]
+	a.order = slab[n+1+e+n:]
 	scratch := make([]int32, n)
-	for i := 0; i < n; i++ {
-		scratch[i] = 0
-	}
 	for _, p := range a.depPred {
 		scratch[p]++
 	}
@@ -431,16 +505,29 @@ func (a *Arena) firstMissingDuration() int {
 	return -1
 }
 
-// DAG reconstructs the structured form of the arena — the inverse of
-// BuildArena, used by inspection tooling and the codec round-trip tests.
-// The returned DAG has the arena pre-seeded as its compiled form, so
-// replaying it costs no recompilation.
+// DAG returns the structured view of the arena — one Task per row, with
+// its footprint and dependence lists — for inspection tooling, Validate and
+// the public capture API. The tasks' lists are cut from two slabs with
+// clipped capacity, so appending to one reallocates it instead of
+// overwriting its neighbour.
+//
+// The view carries the arena as its compiled form: Run and DAG.Arena on it
+// replay this arena at no cost and do not look at the view's tasks. To
+// replay an edited view, compile the edit with BuildArena.
 func (a *Arena) DAG() *DAG {
 	d := &DAG{
 		Label:   a.label,
 		Workers: a.workers,
 		Handles: a.handles,
 		Tasks:   make([]Task, a.n),
+	}
+	deps := make([]sched.Dep, len(a.depPred))
+	for j, p := range a.depPred {
+		deps[j] = sched.Dep{Pred: int(p), Kind: kindFromByte(a.depKind[j])}
+	}
+	feet := make([]Footprint, len(a.fpHandle))
+	for j, h := range a.fpHandle {
+		feet[j] = Footprint{Handle: int(h), Mode: hazard.Access(a.fpMode[j])}
 	}
 	for i := 0; i < a.n; i++ {
 		t := &d.Tasks[i]
@@ -453,16 +540,10 @@ func (a *Arena) DAG() *DAG {
 		t.Ready = int(a.ready[i])
 		t.Duration = a.duration[i]
 		if lo, hi := a.depOff[i], a.depOff[i+1]; lo < hi {
-			t.Deps = make([]sched.Dep, hi-lo)
-			for j := lo; j < hi; j++ {
-				t.Deps[j-lo] = sched.Dep{Pred: int(a.depPred[j]), Kind: kindFromByte(a.depKind[j])}
-			}
+			t.Deps = deps[lo:hi:hi]
 		}
 		if lo, hi := a.fpOff[i], a.fpOff[i+1]; lo < hi {
-			t.Footprint = make([]Footprint, hi-lo)
-			for j := lo; j < hi; j++ {
-				t.Footprint[j-lo] = Footprint{Handle: int(a.fpHandle[j]), Mode: hazard.Access(a.fpMode[j])}
-			}
+			t.Footprint = feet[lo:hi:hi]
 		}
 	}
 	d.arena.Store(a)
@@ -471,9 +552,12 @@ func (a *Arena) DAG() *DAG {
 
 // Arena returns the DAG compiled to struct-of-arrays form, building it on
 // first use and memoizing the result: every replay of a shared DAG walks
-// the same arena. Do not mutate a DAG after calling this (directly or via
-// Run) — the compiled form would not see the change. Build errors are not
-// memoized; an invalid DAG re-reports its error on every call.
+// the same arena. A view (Arena.DAG, Recorder.DAG) returns the arena it
+// was built from. Do not mutate a DAG after calling this (directly or via
+// Run), nor a view at all, and expect the change to replay — the compiled
+// form would not see it; BuildArena compiles the tasks as they are. Build
+// errors are not memoized; an invalid DAG re-reports its error on every
+// call.
 func (d *DAG) Arena() (*Arena, error) {
 	if a := d.arena.Load(); a != nil {
 		return a, nil

@@ -212,11 +212,8 @@ func TestArenaRepresentationGate(t *testing.T) {
 		{"captured", nil},
 	}
 	for _, k := range kernels {
-		dag := captureKernel(t, k.algorithm, k.nt)
-		arena, err := dag.Arena()
-		if err != nil {
-			t.Fatalf("%s: compile: %v", k.algorithm, err)
-		}
+		arena := captureKernel(t, k.algorithm, k.nt)
+		dag := arena.DAG() // the pointer reference walks the view's tasks
 		decoded, err := replay.Decode(arena.Encode())
 		if err != nil {
 			t.Fatalf("%s: round trip: %v", k.algorithm, err)

@@ -1,12 +1,10 @@
 package replay
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"supersim/internal/sched"
-	"supersim/internal/slab"
 )
 
 // observable is the runtime-side capability Attach needs: the shared
@@ -17,35 +15,35 @@ type observable interface {
 }
 
 // Recorder captures the fully-resolved task DAG from one instrumented
-// scheduler run. Attach it to a runtime before inserting tasks; after the
-// barrier, DAG() returns the recorded graph. To also capture observed
-// virtual durations, wire CompletionHook() into the run's simulator via
-// core.WithCompletionHook.
+// scheduler run, straight into an arena's columns: each engine callback
+// appends to (or stamps a row of) the slices the arena will own, through
+// the same builder BuildArena uses. Attach it to a runtime before
+// inserting tasks; after the barrier, Arena() returns the captured graph
+// ready to replay or encode, and DAG() its structured view. To also
+// capture observed virtual durations, wire CompletionHook() into the run's
+// simulator via core.WithCompletionHook.
 //
-// A Recorder serves one run; it is not resettable. The tasks' Footprint
-// and Deps slices are cut from two slabs instead of allocated one per task,
-// and DAG() hands tasks and slabs over to the graph it returns rather than
-// copying them; from then on the Recorder ignores further callbacks.
+// A Recorder serves one run; it is not resettable. Once Arena() has
+// finished the columns the Recorder ignores further callbacks — an arena
+// is immutable.
 type Recorder struct {
 	label   string
 	workers int
 
-	mu         sync.Mutex
-	tasks      []Task      // guarded-by: mu
-	footprints []Footprint // guarded-by: mu — slab behind tasks[i].Footprint
-	deps       []sched.Dep // guarded-by: mu — slab behind tasks[i].Deps
-	handles    map[any]int // guarded-by: mu — opaque handle -> dense index
-	readySeq   int         // guarded-by: mu
-	err        error       // guarded-by: mu — first capture inconsistency, or errTaken
+	mu       sync.Mutex
+	b        *builder // guarded-by: mu — the arena under construction: made by Reserve or the first task, dropped by Arena()
+	handles  int      // guarded-by: mu — distinct data handles seen (the ids are dense: highest + 1)
+	readySeq int32    // guarded-by: mu
+	arena    *Arena   // guarded-by: mu — the finished capture
+	err      error    // guarded-by: mu — first capture inconsistency or unrepresentable task
 }
-
-// errTaken marks a Recorder whose DAG() already gave its storage away.
-var errTaken = errors.New("replay: the recorder's DAG was already taken (a Recorder serves one run)")
 
 // Attach creates a Recorder and installs it as rt's dependence-stream
 // observer. rt must expose the shared engine's SetObserver (all three
 // scheduler reproductions do; decorated runtimes such as the fault
 // injector's do not). label names the resulting DAG; "" uses rt.Name().
+// The DAG's default replay width is rt's worker count unless SetWorkers
+// says otherwise.
 func Attach(rt sched.Runtime, label string) (*Recorder, error) {
 	o, ok := rt.(observable)
 	if !ok {
@@ -54,82 +52,85 @@ func Attach(rt sched.Runtime, label string) (*Recorder, error) {
 	if label == "" {
 		label = rt.Name()
 	}
-	r := &Recorder{label: label, workers: rt.NumWorkers(), handles: make(map[any]int)}
+	r := &Recorder{label: label, workers: rt.NumWorkers()}
 	o.SetObserver(r)
 	return r, nil
 }
 
-// Reserve pre-sizes the Recorder for a stream of known size: tasks tasks
-// declaring args arguments between them. The dependence slab gets the same
-// room as the footprints — the tile algorithms resolve just under one edge
-// per argument — and, like every slab here, takes another chunk if a
-// stream needs more.
+// SetWorkers sets the captured DAG's default replay width, for a capture
+// that runs on fewer workers than the graph is meant to be replayed on (a
+// 1-worker capture makes the recorded ready order deterministic). Call it
+// before Arena().
+func (r *Recorder) SetWorkers(workers int) {
+	r.mu.Lock()
+	r.workers = workers
+	r.mu.Unlock()
+}
+
+// Reserve pre-sizes the columns for a stream of known size: tasks tasks
+// declaring args arguments between them. The per-task columns, the
+// footprint columns and the string table (one label per task) then never
+// regrow. The dependence columns get the room of the footprints — the tile
+// algorithms resolve just under one edge per argument — and grow if a
+// stream resolves more.
 func (r *Recorder) Reserve(tasks, args int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.tasks) > 0 || tasks <= 0 {
-		return
+	if r.b == nil && r.arena == nil && tasks > 0 {
+		r.b = newBuilder(tasks, args, args)
 	}
-	r.tasks = make([]Task, 0, tasks)
-	r.footprints = make([]Footprint, 0, args)
-	r.deps = make([]sched.Dep, 0, args)
 }
 
-// TaskInserted implements sched.Observer: it records the task's identity,
-// its argument footprint under dense handle renaming, and a copy of the
-// resolved dependence edges. Called under the engine mutex; the deps slice
-// is the hazard tracker's reusable buffer and is copied here.
-func (r *Recorder) TaskInserted(t *sched.Task, deps []sched.Dep) {
+// TaskInserted implements sched.Observer: it appends the task's row —
+// identity, the argument footprint under the tracker's dense handle
+// numbering, the resolved dependence edges — to the columns. Called under
+// the engine mutex; deps is the hazard tracker's reusable buffer and is
+// copied out here.
+//
+//simlint:hotpath
+func (r *Recorder) TaskInserted(t *sched.Task, handles []int32, deps []sched.Dep) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.err != nil {
+	if r.err != nil || r.arena != nil {
 		return
 	}
-	if t.ID() != len(r.tasks) {
-		r.err = fmt.Errorf("replay: capture started mid-run: saw task id %d, expected %d (attach the recorder before inserting)",
-			t.ID(), len(r.tasks))
+	if r.b == nil {
+		//simlint:allow hotalloc — first task of a capture nobody called Reserve for
+		r.b = newBuilder(0, 0, 0)
+	}
+	if t.ID() != r.b.a.n {
+		//simlint:allow hotalloc — refusal path: the capture ends here
+		r.err = fmt.Errorf("replay: capture started mid-run: saw task id %d, expected %d (attach the recorder before inserting)", t.ID(), r.b.a.n)
 		return
 	}
-	rec := Task{
-		ID:         t.ID(),
-		Class:      t.Class,
-		Label:      t.Label,
-		Priority:   t.Priority,
-		Where:      t.Where,
-		NumThreads: t.NumThreads,
-		Ready:      -1,
-		Duration:   -1,
+	if r.err = r.b.task(t.Class, t.Label, t.Priority, t.NumThreads, t.Where); r.err != nil {
+		return
 	}
-	if len(t.Args) > 0 {
-		rec.Footprint = slab.Carve(&r.footprints, len(t.Args))
-		for i, a := range t.Args {
-			id, ok := r.handles[a.Handle]
-			if !ok {
-				id = len(r.handles)
-				r.handles[a.Handle] = id
-			}
-			rec.Footprint[i] = Footprint{Handle: id, Mode: a.Mode}
+	for i, h := range handles {
+		r.b.footprint(h, t.Args[i].Mode)
+		r.handles = max(r.handles, int(h)+1)
+	}
+	for _, d := range deps {
+		if r.err = r.b.dep(d); r.err != nil {
+			return
 		}
 	}
-	if len(deps) > 0 {
-		rec.Deps = slab.Carve(&r.deps, len(deps))
-		copy(rec.Deps, deps)
-	}
-	r.tasks = append(r.tasks, rec)
 }
 
 // TaskReady implements sched.Observer: it stamps the task with its
 // position in the capture run's ready order. Called under the engine
 // mutex.
+//
+//simlint:hotpath
 func (r *Recorder) TaskReady(t *sched.Task) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := t.ID()
-	if r.err != nil || id < 0 || id >= len(r.tasks) {
+	if r.err != nil || r.b == nil || id < 0 || id >= r.b.a.n {
 		return
 	}
-	if r.tasks[id].Ready < 0 { // first readiness only (defensive)
-		r.tasks[id].Ready = r.readySeq
+	if ready := r.b.a.ready; ready[id] < 0 { // first readiness only (defensive)
+		ready[id] = r.readySeq
 		r.readySeq++
 	}
 }
@@ -138,36 +139,56 @@ func (r *Recorder) TaskReady(t *sched.Task) {
 // attaches the capture run's observed virtual durations to the recorded
 // tasks, enabling replay without a duration model (Options.Model nil).
 func (r *Recorder) CompletionHook() func(taskID, worker int, class string, start, end float64) {
-	return func(taskID, worker int, class string, start, end float64) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if taskID < 0 || taskID >= len(r.tasks) {
-			return
-		}
-		r.tasks[taskID].Duration = end - start
-	}
+	return r.taskCompleted
 }
 
-// DAG returns the captured graph. Call once, after the run's barrier: the
-// graph takes ownership of the recorded tasks and of the slabs their
-// footprints and dependences live in, so a second call — like an
-// inconsistent capture (recorder attached mid-run) or an empty one —
-// returns an error.
-func (r *Recorder) DAG() (*DAG, error) {
+// taskCompleted is the completion hook: called by whichever worker
+// finished the task, outside the engine mutex.
+//
+//simlint:hotpath
+func (r *Recorder) taskCompleted(taskID, _ int, _ string, start, end float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.b == nil || taskID < 0 || taskID >= r.b.a.n {
+		return
+	}
+	r.b.a.duration[taskID] = end - start
+}
+
+// Arena finishes the capture — call it after the run's barrier — and
+// returns the captured graph in the form replays, the capture cache and
+// the .dag codec use; later calls return the same arena. A capture that
+// was inconsistent (recorder attached mid-run), held a task the columns
+// cannot represent, fails validation (a gang task, a task no CPU worker
+// may run) or is empty returns an error.
+func (r *Recorder) Arena() (*Arena, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if len(r.tasks) == 0 {
-		return nil, fmt.Errorf("replay: no tasks captured")
+	if r.arena == nil {
+		if r.b == nil || r.b.a.n == 0 {
+			return nil, fmt.Errorf("replay: no tasks captured")
+		}
+		r.arena, r.err = r.b.finish(r.label, r.workers, r.handles)
+		if r.err != nil {
+			return nil, r.err
+		}
+		r.b = nil
 	}
-	dag := &DAG{
-		Label:   r.label,
-		Workers: r.workers,
-		Handles: len(r.handles),
-		Tasks:   r.tasks,
+	return r.arena, nil
+}
+
+// DAG returns the structured view of the captured graph (Arena().DAG()),
+// for inspection, Validate and the public capture API. The view carries
+// the captured arena as its compiled form, so replaying it costs no
+// compilation — and editing its tasks does not change what it replays;
+// compile an edited view with BuildArena.
+func (r *Recorder) DAG() (*DAG, error) {
+	a, err := r.Arena()
+	if err != nil {
+		return nil, err
 	}
-	r.tasks, r.footprints, r.deps, r.err = nil, nil, nil, errTaken
-	return dag, nil
+	return a.DAG(), nil
 }

@@ -293,53 +293,46 @@ func Load(b []byte) (*Arena, error) {
 		return nil, err
 	}
 
-	// Derived views (successor CSR, PDES ranks, duration flag) are
-	// recomputed, never trusted from the wire.
-	ni := int(n)
-	slab := make([]int32, (ni+1)+int(e)+2*ni)
-	a.succOff = slab[: ni+1 : ni+1]
-	a.succList = slab[ni+1 : ni+1+int(e) : ni+1+int(e)]
-	a.rank = slab[ni+1+int(e) : ni+1+int(e)+ni : ni+1+int(e)+ni]
-	a.order = slab[ni+1+int(e)+ni:]
-	a.deriveStatic()
+	a.deriveStatic() // recomputed, never trusted from the wire
 	return a, nil
 }
 
-// validateColumns enforces the executors' input contract on decoded
-// columns: in-range string/handle indices, monotone CSR offsets,
-// predecessors strictly before successors, replayable tasks. Everything
-// here is checked before the arena is released to callers, so the hot
-// loops can index without bounds anxiety.
+// validateColumns enforces the executors' input contract on an arena's
+// columns, wherever they came from — a capture, BuildArena, a frame:
+// in-range string/handle indices, monotone CSR offsets, predecessors
+// strictly before successors, replayable tasks. Everything here is checked
+// before the arena is released to callers, so the hot loops can index
+// without bounds anxiety.
 func (a *Arena) validateColumns() error {
 	n := a.n
 	e, f, s := int32(len(a.depPred)), int32(len(a.fpHandle)), int32(len(a.strTab))
 	if a.depOff[0] != 0 || a.depOff[n] != e || a.fpOff[0] != 0 || a.fpOff[n] != f {
-		return fmt.Errorf("replay: decode: CSR offsets do not tile their lists")
+		return fmt.Errorf("replay: CSR offsets do not tile their lists")
 	}
 	for i := 0; i < n; i++ {
 		if a.classIdx[i] < 0 || a.classIdx[i] >= s || a.labelIdx[i] < 0 || a.labelIdx[i] >= s {
-			return fmt.Errorf("replay: decode: task %d string index out of range", i)
+			return fmt.Errorf("replay: task %d string index out of range", i)
 		}
 		if a.numThr[i] > 1 {
-			return fmt.Errorf("replay: decode: task %d is a gang task (NumThreads=%d)", i, a.numThr[i])
+			return fmt.Errorf("replay: task %d is a gang task (NumThreads=%d)", i, a.numThr[i])
 		}
 		if !sched.Where(a.where[i]).Allows(sched.KindCPU) {
-			return fmt.Errorf("replay: decode: task %d cannot run on CPU workers (Where=%#x)", i, a.where[i])
+			return fmt.Errorf("replay: task %d cannot run on CPU workers (Where=%#x)", i, a.where[i])
 		}
 		if a.depOff[i] > a.depOff[i+1] || a.fpOff[i] > a.fpOff[i+1] {
-			return fmt.Errorf("replay: decode: task %d has non-monotone CSR offsets", i)
+			return fmt.Errorf("replay: task %d has non-monotone CSR offsets", i)
 		}
 		for j := a.depOff[i]; j < a.depOff[i+1]; j++ {
 			if p := a.depPred[j]; p < 0 || int(p) >= i {
-				return fmt.Errorf("replay: decode: task %d has invalid predecessor %d", i, p)
+				return fmt.Errorf("replay: task %d has invalid predecessor %d", i, p)
 			}
 			if a.depKind[j] > kindWaW {
-				return fmt.Errorf("replay: decode: task %d has unknown dependence kind %d", i, a.depKind[j])
+				return fmt.Errorf("replay: task %d has unknown dependence kind %d", i, a.depKind[j])
 			}
 		}
 		for j := a.fpOff[i]; j < a.fpOff[i+1]; j++ {
 			if h := a.fpHandle[j]; h < 0 || int(h) >= a.handles {
-				return fmt.Errorf("replay: decode: task %d references handle %d outside [0,%d)", i, a.fpHandle[j], a.handles)
+				return fmt.Errorf("replay: task %d references handle %d outside [0,%d)", i, a.fpHandle[j], a.handles)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func TestMakespanEqualsRunMakespan(t *testing.T) {
 			for i := range dag.Tasks { // CaptureSpec runs no-op bodies and records no durations
 				dag.Tasks[i].Duration = float64(i%11+1) * 1e-4
 			}
-			arena, err := dag.Arena()
+			arena, err := replay.BuildArena(dag) // the edited view compiled; dag.Arena() is the unedited capture
 			if err != nil {
 				t.Fatal(err)
 			}

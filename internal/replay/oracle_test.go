@@ -12,6 +12,7 @@ package replay
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func oracleRun(d *DAG, opt Options) *trace.Trace {
 		startSeq int
 	)
 	release := func(id int) {
-		prio := int(int32(d.Tasks[id].Priority)) // the arena's column width
+		prio := d.Tasks[id].Priority
 		if opt.IgnorePriorities {
 			prio = 0
 		}
@@ -232,6 +233,50 @@ func TestSerialReplayMatchesOracle(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPriorityOutsideInt32IsRefused: the priority column is int32, and a
+// priority stored truncated would rank its task differently than the
+// engine's policy — and the oracle above, which compares the ints — does:
+// 1<<31 wraps to the lowest priority there is. Both ways of filling the
+// column must refuse such a task rather than replay a different schedule.
+func TestPriorityOutsideInt32IsRefused(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int is int32 here: every priority fits")
+	}
+	one := int64(1)
+	for _, p := range []int{int(one << 31), int(-one<<31 - 1), int(one<<40 + 5)} { // would wrap to MinInt32, MaxInt32, 5
+		dag := layeredDAG(50, 5, 3, func(*rng.Source) int { return 1 })
+		dag.Tasks[7].Priority = p
+		if a, err := BuildArena(dag); err == nil {
+			t.Errorf("BuildArena stored priority %d as %d", p, a.priority[7])
+		}
+		if _, err := Run(dag, Options{Workers: 2}); err == nil {
+			t.Errorf("Run replayed a DAG holding priority %d", p)
+		}
+
+		e, err := sched.NewEngine(sched.Config{Workers: 1, Policy: sched.NewPriorityPolicy(), Name: "wide"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Attach(e, "wide")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prio := range []int{0, p, 3} {
+			if err := e.Insert(&sched.Task{Class: "K", Label: "k", Priority: prio, Func: func(*sched.Ctx) {}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Barrier()
+		e.Shutdown()
+		if a, err := rec.Arena(); err == nil {
+			t.Errorf("capture stored priority %d as %d", p, a.priority[1])
+		}
+		if _, err := rec.DAG(); err == nil {
+			t.Errorf("capture holding priority %d has a view", p)
 		}
 	}
 }

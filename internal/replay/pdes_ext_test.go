@@ -28,8 +28,10 @@ func (m jitter) Duration(_ string, _ sched.WorkerKind, src *rng.Source) float64 
 
 // captureKernel captures one algorithm's DAG at a size big enough to
 // clear the PDES crossover, and synthesizes per-task captured durations
-// (CaptureSpec runs no-op bodies, so it records none).
-func captureKernel(t *testing.T, algorithm string, nt int) *replay.DAG {
+// (CaptureSpec runs no-op bodies, so it records none). The durations are
+// an edit of the capture's view, which replays the unedited capture; the
+// arena returned is the edited view compiled.
+func captureKernel(t *testing.T, algorithm string, nt int) *replay.Arena {
 	t.Helper()
 	dag, err := bench.CaptureSpec(bench.Spec{
 		Algorithm: algorithm, Scheduler: "quark",
@@ -44,7 +46,11 @@ func captureKernel(t *testing.T, algorithm string, nt int) *replay.DAG {
 	for i := range dag.Tasks {
 		dag.Tasks[i].Duration = float64(i%11+1) * 1e-4
 	}
-	return dag
+	arena, err := replay.BuildArena(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arena
 }
 
 func TestPDESPartitionCountInvariance(t *testing.T) {
@@ -66,18 +72,18 @@ func TestPDESPartitionCountInvariance(t *testing.T) {
 	}
 	parallelisms := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, k := range kernels {
-		dag := captureKernel(t, k.algorithm, k.nt)
+		arena := captureKernel(t, k.algorithm, k.nt)
 		for _, m := range models {
 			var ref uint64
 			for i, p := range parallelisms {
-				tr, err := replay.Run(dag, replay.Options{
+				tr, err := replay.RunArena(arena, replay.Options{
 					Model: m.model, Seed: 7, Parallelism: p,
 				})
 				if err != nil {
 					t.Fatalf("%s/%s p=%d: %v", k.algorithm, m.name, p, err)
 				}
-				if len(tr.Events) != len(dag.Tasks) {
-					t.Fatalf("%s/%s p=%d: %d events, want %d", k.algorithm, m.name, p, len(tr.Events), len(dag.Tasks))
+				if len(tr.Events) != arena.NumTasks() {
+					t.Fatalf("%s/%s p=%d: %d events, want %d", k.algorithm, m.name, p, len(tr.Events), arena.NumTasks())
 				}
 				if i == 0 {
 					ref = tr.Fingerprint()
@@ -100,13 +106,13 @@ func TestPDESPartitionCountInvariance(t *testing.T) {
 // must beat the 1-lane makespan by a wide margin, and can never beat the
 // critical path.
 func TestPDESScheduleQuality(t *testing.T) {
-	dag := captureKernel(t, "cholesky", 20)
+	arena := captureKernel(t, "cholesky", 20)
 	model := core.FixedModel(1e-3)
-	wide, err := replay.Run(dag, replay.Options{Workers: 8, Model: model, Parallelism: 1})
+	wide, err := replay.RunArena(arena, replay.Options{Workers: 8, Model: model, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := replay.Run(dag, replay.Options{Workers: 1, Model: model, Parallelism: 1})
+	narrow, err := replay.RunArena(arena, replay.Options{Workers: 1, Model: model, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +125,7 @@ func TestPDESScheduleQuality(t *testing.T) {
 	// dynamic greedy schedule on tile Cholesky. That gap is the price of
 	// the determinism guarantee; this bound just pins it from drifting
 	// into pathology.
-	greedy, err := replay.Run(dag, replay.Options{Workers: 8, Model: model})
+	greedy, err := replay.RunArena(arena, replay.Options{Workers: 8, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,16 +244,16 @@ func TestPDESChannelStress(t *testing.T) {
 // TestPDESRejectsBadInput: the PDES path must enforce the same input
 // contract as the serial executor.
 func TestPDESRejectsBadInput(t *testing.T) {
-	// Fresh captures per rejection: arenas are memoized on first Run, so
-	// mutating an already-run DAG is out of contract.
 	dag, _ := captureRun(t, core.FixedModel(1e-3), 5)
 	dag.Tasks[0].Duration = -1
-	if _, err := Run(dag, Options{Workers: 2, Parallelism: 2}); err == nil {
+	arena, err := BuildArena(dag) // the edited view compiled
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunArena(arena, Options{Workers: 2, Parallelism: 2}); err == nil {
 		t.Error("PDES accepted a captured-duration replay with a missing duration")
 	}
-	dag, _ = captureRun(t, core.FixedModel(1e-3), 5)
-	dag.Tasks[0].NumThreads = 3
-	if _, err := Run(dag, Options{Workers: 2, Model: core.FixedModel(1), Parallelism: 2}); err == nil {
+	if _, err := Run(&DAG{Workers: 1, Tasks: []Task{{Class: "K", Label: "k", NumThreads: 3}}}, Options{Workers: 2, Model: core.FixedModel(1), Parallelism: 2}); err == nil {
 		t.Error("PDES accepted a gang task")
 	}
 }

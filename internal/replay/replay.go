@@ -68,13 +68,20 @@ type Task struct {
 	Duration float64
 }
 
-// DAG is a captured task graph in the form the Recorder emits and Validate
-// inspects. Run only reads it, so one DAG may be replayed from any number
-// of goroutines concurrently; the sweep driver and the simulation
-// service's capture cache compile it once and share the Arena instead. Do
-// not mutate a DAG once it is shared, and in particular not after its
-// first Run or Arena call: replays execute the memoized struct-of-arrays
-// compilation (arena.go), which snapshots the tasks.
+// DAG is a task graph in structured form: the view Validate inspects,
+// simdag prints and hand-built graphs are written in. A capture does not
+// produce it — the Recorder fills an Arena's columns directly — and no
+// replay walks it: Run executes the struct-of-arrays compilation
+// (arena.go). For a DAG assembled or edited in this form that is
+// BuildArena of its tasks, memoized by DAG.Arena on first use. A DAG
+// obtained from an arena (Arena.DAG, Recorder.DAG) is that arena's view
+// and already carries it as its compiled form, so editing the view's tasks
+// does not change what Run or DAG.Arena replay: compile an edited view
+// with BuildArena and run the result with RunArena.
+//
+// Run only reads a DAG, so one DAG may be replayed from any number of
+// goroutines concurrently. Do not mutate a DAG once it is shared, and in
+// particular not after its first Run or Arena call.
 type DAG struct {
 	// Label names the graph (trace labels derive from it).
 	Label string
@@ -119,7 +126,7 @@ func (d *DAG) Validate() error {
 			}
 			args = append(args, hazard.Arg{Handle: f.Handle, Mode: f.Mode})
 		}
-		_, deps := tracker.Insert(args)
+		_, _, deps := tracker.Insert(args)
 		if len(deps) != len(t.Deps) {
 			return fmt.Errorf("replay: task %d: footprint derives %d dependences, captured %d", i, len(deps), len(t.Deps))
 		}
@@ -391,17 +398,6 @@ func growFloat64(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// checkTask rejects tasks the replay executors cannot represent.
-func checkTask(i int, t *Task) error {
-	if t.NumThreads > 1 {
-		return fmt.Errorf("replay: task %d (%s) is a gang task (NumThreads=%d); replay supports single-threaded tasks", i, t.Label, t.NumThreads)
-	}
-	if !t.Where.Allows(sched.KindCPU) {
-		return fmt.Errorf("replay: task %d (%s) cannot run on CPU workers (Where=%#x)", i, t.Label, t.Where)
-	}
-	return nil
 }
 
 // Run re-simulates the captured DAG. With Options.Parallelism unset it is

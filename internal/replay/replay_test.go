@@ -349,16 +349,24 @@ func TestReplayWorkerScaling(t *testing.T) {
 }
 
 func TestRunRejectsGangAndMissingDurations(t *testing.T) {
-	// Each rejection gets a fresh capture: a DAG's arena is memoized on
-	// first Run, so mutating a DAG that already ran is out of contract.
+	// The edits are made to a capture's view, which replays the unedited
+	// capture: BuildArena compiles the view as edited.
 	dag, _ := captureRun(t, core.FixedModel(1e-3), 5)
 	dag.Tasks[0].Duration = -1
-	if _, err := Run(dag, Options{Workers: 2}); err == nil {
-		t.Error("Run accepted a captured-duration replay with a missing duration")
+	arena, err := BuildArena(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunArena(arena, Options{Workers: 2}); err == nil {
+		t.Error("RunArena accepted a captured-duration replay with a missing duration")
 	}
 	dag, _ = captureRun(t, core.FixedModel(1e-3), 5)
 	dag.Tasks[0].NumThreads = 3
-	if _, err := Run(dag, Options{Workers: 2, Model: core.FixedModel(1)}); err == nil {
+	if _, err := BuildArena(dag); err == nil {
+		t.Error("BuildArena accepted a gang task")
+	}
+	// A hand-built DAG has no compiled form yet: Run compiles, and rejects.
+	if _, err := Run(&DAG{Workers: 1, Tasks: []Task{{Class: "K", Label: "k", NumThreads: 3}}}, Options{Model: core.FixedModel(1)}); err == nil {
 		t.Error("Run accepted a gang task")
 	}
 }
@@ -397,9 +405,9 @@ func captureChain(t *testing.T, n, reserveTasks, reserveArgs int) (*Recorder, *D
 }
 
 func TestRecorderSlabsAndOwnership(t *testing.T) {
-	// Footprints and dependences are carved from slabs: the graph must not
-	// depend on how much was reserved — nothing, too little (the slabs take
-	// new chunks mid-run and earlier carvings must survive), or exactly.
+	// The columns are pre-sized by Reserve: the capture must not depend on
+	// how much was reserved — nothing, too little (columns regrow mid-run,
+	// each on its own), or exactly.
 	const n = 300
 	_, want := captureChain(t, n, 0, 0)
 	if err := want.Validate(); err != nil {
@@ -418,14 +426,94 @@ func TestRecorderSlabsAndOwnership(t *testing.T) {
 	if dag.Tasks[6].Footprint[0] != next {
 		t.Error("append to a task's footprint overwrote the next task's")
 	}
-	// DAG() hands the storage over: no second graph, and late callbacks do
-	// not reach the one already returned.
+	// Arena() finishes the capture once: every later call returns the same
+	// arena, each DAG() a view of it, and late callbacks do not reach it.
 	rec, dag := captureChain(t, 4, 0, 0)
-	if _, err := rec.DAG(); err == nil {
-		t.Error("second DAG() on one recorder succeeded")
+	arena, err := rec.Arena()
+	if err != nil {
+		t.Fatal(err)
 	}
-	rec.TaskInserted(&sched.Task{Class: "LATE"}, nil)
-	if len(dag.Tasks) != 4 {
-		t.Errorf("callback after DAG() grew the returned graph to %d tasks", len(dag.Tasks))
+	rec.TaskInserted(&sched.Task{Class: "LATE"}, nil, nil)
+	rec.CompletionHook()(0, 0, "K", 1, 3)
+	again, err := rec.Arena()
+	if err != nil || again != arena {
+		t.Errorf("second Arena() returned %p, %v; want the first arena %p", again, err, arena)
+	}
+	view, err := rec.DAG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(view.Tasks, dag.Tasks) {
+		t.Error("callbacks after Arena() changed the captured graph")
+	}
+}
+
+// TestMultiWorkerCaptureWithCompletionHook: on several workers the three
+// callbacks arrive from different goroutines — insertions and readiness
+// under the engine mutex, completions from whichever worker finished, with
+// no Reserve so the columns regrow while the hook writes into them. The
+// capture must still hold every task's observed duration and a ready order
+// that is a topological permutation. Meaningful under -race.
+func TestMultiWorkerCaptureWithCompletionHook(t *testing.T) {
+	const n, workers = 400, 4
+	e, err := sched.NewEngine(sched.Config{Workers: workers, Policy: sched.NewPriorityPolicy(), Name: "multi"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Attach(e, "multi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := core.NewSimulator(e, "multi", core.WithCompletionHook(rec.CompletionHook()))
+	tk := core.NewTasker(sim, jitterModel{base: 1e-3}, 9)
+	src := rng.New(4)
+	handles := make([]*int, 12)
+	for i := range handles {
+		handles[i] = new(int)
+	}
+	for i := 0; i < n; i++ {
+		args := []sched.Arg{sched.R(handles[src.Intn(len(handles))]), sched.RW(handles[src.Intn(len(handles))])}
+		if err := e.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Priority: src.Intn(3), Args: args, Func: tk.SimTask("K")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Barrier()
+	e.Shutdown()
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	dag, err := rec.DAG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dag.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(dag.Tasks) != n || dag.Workers != workers {
+		t.Fatalf("captured %d tasks for %d workers, want %d for %d", len(dag.Tasks), dag.Workers, n, workers)
+	}
+	events := sim.Trace().Events
+	if len(events) != n {
+		t.Fatalf("direct run has %d events, want %d", len(events), n)
+	}
+	for _, ev := range events {
+		if got, want := dag.Tasks[ev.TaskID].Duration, ev.End-ev.Start; got != want {
+			t.Errorf("task %d: captured duration %g, the run's %g", ev.TaskID, got, want)
+		}
+	}
+	seen := make([]bool, n)
+	for _, task := range dag.Tasks {
+		if task.Ready < 0 || task.Ready >= n || seen[task.Ready] {
+			t.Fatalf("task %d has ready stamp %d (want a permutation)", task.ID, task.Ready)
+		}
+		seen[task.Ready] = true
+		for _, dep := range task.Deps {
+			if dag.Tasks[dep.Pred].Ready >= task.Ready {
+				t.Errorf("task %d became ready (%d) before its predecessor %d (%d)", task.ID, task.Ready, dep.Pred, dag.Tasks[dep.Pred].Ready)
+			}
+		}
+	}
+	if _, err := Run(dag, Options{}); err != nil { // captured durations, no model
+		t.Fatal(err)
 	}
 }

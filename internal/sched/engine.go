@@ -9,6 +9,7 @@ import (
 
 	"supersim/internal/hazard"
 	"supersim/internal/perf"
+	"supersim/internal/slab"
 	"supersim/internal/stopwatch"
 )
 
@@ -47,6 +48,11 @@ type Config struct {
 
 // maxRetryBackoff caps the exponential retry delay.
 const maxRetryBackoff = time.Second
+
+// handleChunk caps the chunks of the slab behind the tasks' handle-id
+// lists at 4 KB — a few hundred tasks' worth — so a windowed run keeps
+// little beyond its window alive.
+const handleChunk = 1024
 
 // gang coordinates a multi-threaded task (Section VII extension).
 type gang struct {
@@ -93,28 +99,34 @@ type Engine struct {
 	qWaiters    int    // guarded-by: mu
 
 	tracker       *hazard.Tracker
-	live          map[int]*Task // guarded-by: mu — unfinished tasks by id
-	owner         map[any]int   // guarded-by: mu — data handle -> worker that last wrote it
-	outstanding   int           // guarded-by: mu
-	launching     int           // guarded-by: mu — popped from ready but not yet Launched()
-	completing    int           // guarded-by: mu — announced Completing() but successors not yet released
-	transition    int           // guarded-by: mu — workers between finishing a task and their next decision
-	inserting     bool          // guarded-by: mu
-	masterServing bool          // guarded-by: mu — master is inside a participating Barrier
-	activeW       []bool        // guarded-by: mu — worker currently occupied by a task
-	current       []*Task       // guarded-by: mu — in-flight task per worker (diagnostics)
-	deadW         []bool        // guarded-by: mu — worker disabled by DisableWorker
-	idle          int           // guarded-by: mu
-	seq           int           // guarded-by: mu
-	shutdown      bool          // guarded-by: mu
-	aborted       bool          // guarded-by: mu
-	abortErr      error         // guarded-by: mu
-	errs          []*TaskError  // guarded-by: mu
-	pendingGang   *gang         // guarded-by: mu
-	stats         Stats         // guarded-by: mu
+	live          []*Task      // guarded-by: mu — tasks by id, live[id-liveBase]: nil once finished
+	liveBase      int          // guarded-by: mu — id of live[0]
+	liveHead      int          // guarded-by: mu — live[:liveHead] is all finished
+	owner         []int32      // guarded-by: mu — by dense handle id: worker that last wrote the datum, -1 if none
+	outstanding   int          // guarded-by: mu
+	launching     int          // guarded-by: mu — popped from ready but not yet Launched()
+	completing    int          // guarded-by: mu — announced Completing() but successors not yet released
+	transition    int          // guarded-by: mu — workers between finishing a task and their next decision
+	inserting     bool         // guarded-by: mu
+	masterServing bool         // guarded-by: mu — master is inside a participating Barrier
+	activeW       []bool       // guarded-by: mu — worker currently occupied by a task
+	current       []*Task      // guarded-by: mu — in-flight task per worker (diagnostics)
+	deadW         []bool       // guarded-by: mu — worker disabled by DisableWorker
+	idle          int          // guarded-by: mu
+	seq           int          // guarded-by: mu
+	shutdown      bool         // guarded-by: mu
+	aborted       bool         // guarded-by: mu
+	abortErr      error        // guarded-by: mu
+	errs          []*TaskError // guarded-by: mu
+	pendingGang   *gang        // guarded-by: mu
+	stats         Stats        // guarded-by: mu
 	wg            sync.WaitGroup
 	freeScratch   []int // guarded-by: mu — reusable buffer for freeWorkersLocked
-	wakeHint      wakeHinter
+	// handleSlab backs the tasks' handle-id lists (Task.handles). Only the
+	// inserting goroutine carves from it (Insert is serial by contract),
+	// outside mu.
+	handleSlab []int32
+	wakeHint   wakeHinter
 }
 
 // maxRecordedErrors bounds the TaskError list kept for Err/Errs; failures
@@ -149,8 +161,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		perf:    cfg.Perf,
 		tracker: hazard.NewTracker(),
-		live:    make(map[int]*Task),
-		owner:   make(map[any]int),
 	}
 	e.self = e
 	e.workerCond = make([]*sync.Cond, cfg.Workers)
@@ -398,13 +408,17 @@ func (e *Engine) Insert(t *Task) error {
 		t.NumThreads = e.cfg.Workers
 	}
 	var id int
+	var handles []int32
 	var deps []hazard.Dep
 	if len(t.Args) > 0 {
 		// Drop the lock for the dependence scan: insertion is serial
-		// (single-goroutine contract), so the tracker needs no protection,
-		// and workers completing tasks are not serialized behind it.
+		// (single-goroutine contract), so the tracker — and the id slab,
+		// which only this goroutine carves from — needs no protection, and
+		// workers completing tasks are not serialized behind it.
 		e.mu.Unlock()
-		id, deps = e.tracker.Insert(t.Args)
+		id, handles, deps = e.tracker.Insert(t.Args)
+		t.handles = slab.CarveChunk(&e.handleSlab, len(handles), handleChunk)
+		copy(t.handles, handles)
 		e.mu.Lock()
 		if e.aborted {
 			// Aborted while the dependence scan ran: the task is not
@@ -416,16 +430,34 @@ func (e *Engine) Insert(t *Task) error {
 	} else {
 		// No arguments, no hazards: the scan degenerates to an id grab,
 		// not worth a lock round-trip.
-		id, deps = e.tracker.Insert(nil)
+		id, _, deps = e.tracker.Insert(nil)
 	}
 	t.id = id
 	t.affinity = -1
-	e.live[id] = t
+	for n := e.tracker.NumHandles(); len(e.owner) < n; {
+		e.owner = append(e.owner, -1)
+	}
+	if len(e.live) == cap(e.live) && e.liveHead > len(e.live)/2 {
+		// Full, and mostly finished tasks: move the unfinished tail to the
+		// front instead of growing, so a run whose tasks complete while the
+		// stream is still coming in registers them all in one array the
+		// size of its window.
+		n := copy(e.live, e.live[e.liveHead:])
+		clear(e.live[n:])
+		e.live = e.live[:n]
+		e.liveBase += e.liveHead
+		e.liveHead = 0
+	}
+	for len(e.live) < id-e.liveBase {
+		e.live = append(e.live, nil) // ids an aborted insertion took and never registered
+	}
+	e.live = append(e.live, t)
 	e.outstanding++
 	e.stats.TasksInserted++
 	e.stats.EdgesResolved += len(deps)
 	for _, d := range deps {
-		if pred, ok := e.live[d.Pred]; ok {
+		if i := d.Pred - e.liveBase; i >= 0 && e.live[i] != nil {
+			pred := e.live[i]
 			pred.succs = append(pred.succs, t)
 			t.waitCount++
 		}
@@ -433,7 +465,7 @@ func (e *Engine) Insert(t *Task) error {
 	if e.obs != nil {
 		// The full hazard list, including edges to already-completed
 		// predecessors (only live predecessors gate execution above).
-		e.obs.TaskInserted(t, deps)
+		e.obs.TaskInserted(t, t.handles, deps)
 	}
 	if t.waitCount == 0 {
 		e.pushReady(t, -1)
@@ -448,10 +480,10 @@ func (e *Engine) Insert(t *Task) error {
 func (e *Engine) pushReady(t *Task, by int) {
 	// Data-locality affinity: prefer the worker that last wrote the
 	// task's first read operand (QUARK-style cache affinity).
-	for _, a := range t.Args {
+	for i, a := range t.Args {
 		if a.Mode&hazard.Read != 0 {
-			if w, ok := e.owner[a.Handle]; ok {
-				t.affinity = w
+			if w := e.owner[t.handles[i]]; w >= 0 {
+				t.affinity = int(w)
 			}
 			break
 		}
@@ -479,11 +511,14 @@ func (e *Engine) complete(t *Task, w int, ctx *Ctx) {
 	e.stats.TasksCompleted++
 	e.stats.TasksPerWorker[w]++
 	e.outstanding--
-	delete(e.live, t.id)
-	for _, a := range t.Args {
+	for i, a := range t.Args {
 		if a.Mode&hazard.Write != 0 {
-			e.owner[a.Handle] = w
+			e.owner[t.handles[i]] = int32(w)
 		}
+	}
+	e.live[t.id-e.liveBase] = nil
+	for e.liveHead < len(e.live) && e.live[e.liveHead] == nil {
+		e.liveHead++
 	}
 	for _, s := range t.succs {
 		if t.poisoned {
@@ -940,8 +975,8 @@ func (e *Engine) DisableWorker(w int) error {
 	// Forget data-locality ownership so pushReady stops binding affinity
 	// to the dead core.
 	for h, ow := range e.owner {
-		if ow == w {
-			delete(e.owner, h)
+		if int(ow) == w {
+			e.owner[h] = -1
 		}
 	}
 	e.wakeAllWorkers()

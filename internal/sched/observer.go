@@ -7,20 +7,23 @@ import "supersim/internal/hazard"
 type Dep = hazard.Dep
 
 // Observer receives the engine's dependence-resolution stream: one
-// TaskInserted per Insert with the hazards the tracker derived, and one
-// TaskReady each time a task enters the ready queue (directly at insertion
-// or when its last predecessor completes). The replay capture layer
-// (internal/replay) uses it to record the fully-resolved task DAG from one
-// instrumented run.
+// TaskInserted per Insert with what the hazard tracker resolved — the
+// dense id of each argument's data handle (handles[i] belongs to
+// t.Args[i]; ids number the handles in first-seen order) and the derived
+// hazards — and one TaskReady each time a task enters the ready queue
+// (directly at insertion or when its last predecessor completes). The
+// replay capture layer (internal/replay) uses it to record the
+// fully-resolved task DAG from one instrumented run.
 //
 // Both callbacks run under the engine mutex: implementations must be fast,
-// must not call back into the engine, and must copy the deps slice if they
-// retain it — it is the hazard tracker's reusable buffer, valid only for
-// the duration of the call. TaskInserted calls arrive in serial insertion
-// order; TaskReady calls arrive in ready-queue push order (the order the
-// policy's FIFO tiebreak sequence numbers are assigned in).
+// must not call back into the engine, and must not modify handles (the
+// engine keeps it) nor retain deps without copying it — deps is the hazard
+// tracker's reusable buffer, valid only for the duration of the call.
+// TaskInserted calls arrive in serial insertion order; TaskReady calls
+// arrive in ready-queue push order (the order the policy's FIFO tiebreak
+// sequence numbers are assigned in).
 type Observer interface {
-	TaskInserted(t *Task, deps []Dep)
+	TaskInserted(t *Task, handles []int32, deps []Dep)
 	TaskReady(t *Task)
 }
 

@@ -108,6 +108,7 @@ type Task struct {
 
 	// Fields below are owned by the engine.
 	id        int
+	handles   []int32 // dense id of each argument's handle (hazard.Tracker numbering), parallel to Args
 	waitCount int
 	succs     []*Task
 	affinity  int  // preferred worker (data locality), -1 if none

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -87,7 +86,7 @@ func (e *Engine) Snapshot() Snapshot {
 		Failed:        e.stats.TasksFailed,
 		Skipped:       e.stats.TasksSkipped,
 		Retried:       e.stats.TasksRetried,
-		LiveTotal:     len(e.live),
+		LiveTotal:     e.outstanding,
 	}
 	if e.pendingGang != nil {
 		s.PendingGang = fmt.Sprintf("%s (joined %d/%d)",
@@ -106,16 +105,13 @@ func (e *Engine) Snapshot() Snapshot {
 		}
 		s.Workers = append(s.Workers, ws)
 	}
-	ids := make([]int, 0, len(e.live))
-	for id := range e.live {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, t := range e.live { // ascending id
 		if len(s.Live) >= maxSnapshotTasks {
 			break
 		}
-		s.Live = append(s.Live, taskName(e.live[id]))
+		if t != nil {
+			s.Live = append(s.Live, taskName(t))
+		}
 	}
 	return s
 }

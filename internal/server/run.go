@@ -138,11 +138,7 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 	// working set cannot evict another's, and partition budgets are
 	// independent LRU knobs (TenantConfig.CacheCapacity).
 	arena, disposition, err := job.tenant.cache.get(spec.cacheKey(), fetch, func() (*replay.Arena, error) {
-		dag, err := bench.CaptureSpec(bspec)
-		if err != nil {
-			return nil, err
-		}
-		return dag.Arena()
+		return bench.CaptureArena(bspec)
 	})
 	if err != nil {
 		return nil, nil, disposition, fmt.Errorf("capture: %w", err)

@@ -42,3 +42,27 @@ func TestCarveStartsNewChunkWhenFull(t *testing.T) {
 		t.Errorf("empty carve has len %d", len(got))
 	}
 }
+
+func TestCarveChunkCapsTheDoubling(t *testing.T) {
+	var s []int
+	first := CarveChunk(&s, 3, 256)
+	first[0] = 7
+	if cap(s) != 64 {
+		t.Errorf("first chunk has capacity %d, want the 64-element floor", cap(s))
+	}
+	for i := 0; i < 400; i++ {
+		CarveChunk(&s, 3, 256)[0] = i
+		if cap(s) > 256 {
+			t.Fatalf("after %d carvings a chunk has capacity %d, want at most 256", i+2, cap(s))
+		}
+	}
+	if cap(s) != 256 {
+		t.Errorf("chunks settled at capacity %d, want 256", cap(s))
+	}
+	if first[0] != 7 {
+		t.Errorf("earlier carving changed after new chunks: %v", first)
+	}
+	if big := CarveChunk(&s, 1000, 256); len(big) != 1000 || cap(big) != 1000 {
+		t.Errorf("oversized carve got len %d cap %d, want 1000/1000", len(big), cap(big))
+	}
+}
