@@ -48,15 +48,19 @@ cluster-smoke:
 # The benchmark harness checks every op's result fingerprint (and, on the
 # serve workloads, its cache disposition) against a reference computed
 # through a different path; run here as a pass/fail gate, numbers discarded.
-# The three capture-cache workloads, plus the two whose every op is one run
-# of the real scheduler: lib-direct (bench.Simulated) and serve-sweep
-# (CaptureArena inside SweepParallel). 3 s, not less: serve-miss is a fixed
-# 48 ops/s window and a run with under 100 latency samples exits non-zero;
-# a sweep op is ~10 ms, so serve-sweep gets 5 s.
+# The three capture-cache workloads, the two whose every op is one run of
+# the real scheduler — lib-direct (bench.Simulated) and serve-sweep
+# (CaptureArena inside SweepParallel) — and cluster-sweep, whose every op is
+# a sweep fanned over two workers as point slices and merged. 3 s, not
+# less: serve-miss is a fixed 48 ops/s window and a run with under 100
+# latency samples exits non-zero; a sweep op is ~10 ms, so the sweeps get
+# 5 s (cluster-sweep's window is a fixed 24 ops per second asked for).
 e2e-smoke:
 	for w in serve-hit serve-disk serve-miss lib-direct; do \
 		$(GO) run ./benchmark -workload $$w -trace 0 -seconds 3 || exit 1; \
 	done
-	$(GO) run ./benchmark -workload serve-sweep -trace 0 -seconds 5
+	for w in serve-sweep cluster-sweep; do \
+		$(GO) run ./benchmark -workload $$w -trace 0 -seconds 5 || exit 1; \
+	done
 
 check: lint lint-fix-check build test race race-pdes serve-smoke chaos cluster-smoke e2e-smoke

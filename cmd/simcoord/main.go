@@ -2,11 +2,12 @@
 // workers. Workers register and heartbeat; jobs submitted here are
 // routed by consistent hashing on the capture-cache key, so a repeated
 // workload lands on the worker that already holds its DAG frame.
-// Sweeps with enough replicas are fanned across workers as replica
-// slices whose merged statistics are bit-identical to a single-node
-// run. When a worker stops heartbeating, its unfinished parts are
-// re-dispatched onto the ring; fingerprints dedupe any late completion
-// from the presumed-dead worker.
+// Sweeps are fanned across workers as slices of their points, whose
+// merged curve is bit-identical to a single-node run; a worker says when
+// its part is done and the coordinator fetches the result at once, the
+// poll tick being only the backstop. When a worker stops heartbeating,
+// its unfinished parts are re-dispatched onto the ring; fingerprints
+// dedupe any late completion from the presumed-dead worker.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@
 //
 //	POST /cluster/register   worker joins the ring (X-Cluster-Key)
 //	POST /cluster/heartbeat  worker liveness (X-Cluster-Key)
+//	POST /cluster/done       worker's hint that a part ended (X-Cluster-Key)
 //	POST /jobs               submit a job spec, returns 202 + dispatch
 //	GET  /jobs               list dispatches
 //	GET  /jobs/{id}          poll one dispatch
@@ -48,7 +50,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "dispatch journal directory; empty = in-memory only")
 	beat := flag.Duration("heartbeat", 2*time.Second, "heartbeat interval advertised to workers")
 	timeout := flag.Duration("heartbeat-timeout", 0, "silence before a worker is declared dead (default 4x heartbeat)")
-	poll := flag.Duration("poll", 250*time.Millisecond, "dispatch/poll pump interval")
+	poll := flag.Duration("poll", 250*time.Millisecond, "tracker backstop tick: dead-worker detection, send retries, lost done hints")
 	flag.Parse()
 
 	c, err := cluster.New(cluster.Config{

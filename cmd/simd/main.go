@@ -35,9 +35,10 @@
 //
 // With -coordinator (plus -cluster-key), simd additionally joins a
 // simcoord cluster: it registers itself, heartbeats on a jittered
-// interval, and serves captured DAG frames to authenticated peers over
-// GET /internal/frames so repeat jobs rerouted by the coordinator skip
-// re-capture.
+// interval, tells the coordinator (at the -coordinator URL) when a job it
+// was handed has ended, and serves captured DAG frames to authenticated
+// peers over GET /internal/frames so repeat jobs rerouted by the
+// coordinator skip re-capture.
 package main
 
 import (

@@ -128,32 +128,15 @@ type SweepOptions struct {
 	// — schedule than the greedy one, so 0 and >= 1 sweeps are not
 	// comparable to each other).
 	Parallelism int
-	// RepOffset and RepStride slice the replica set for multi-node
-	// fan-out: with RepStride = W > 1, this run replays only the replicas
-	// rep in [0, Reps) with rep % W == RepOffset, leaving the other
-	// entries of each point's Makespans zero. Because every replica's seed
-	// is ReplicaSeed(Seed, NT, rep) — a pure function of its logical
-	// coordinates, never of which node runs it — W sliced runs merged
-	// entry-wise reproduce the unsliced run bit for bit (the cluster
-	// coordinator's merge relies on this; TestSweepReplicaSliceMerge pins
-	// it). RepStride <= 1 runs everything.
-	RepOffset, RepStride int
-}
-
-// ownedReps lists the replica indices this run executes under its slice.
-func (o SweepOptions) ownedReps(reps int) []int {
-	if o.RepStride <= 1 {
-		out := make([]int, reps)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	var out []int
-	for rep := o.RepOffset; rep < reps; rep += o.RepStride {
-		out = append(out, rep)
-	}
-	return out
+	// PointOffset and PointStride slice the sweep for multi-node fan-out:
+	// with PointStride = W > 1 this run captures and replays only the
+	// points i % W == PointOffset of workload.PerfSweep (every replica of
+	// each) and returns just those. A point's makespans are a pure function
+	// of (Seed, NT, replica) — ReplicaSeed — never of which node or slice
+	// runs it, so W sliced runs concatenated in NT order are the unsliced
+	// run bit for bit (TestSweepPointSliceMerge). PointStride <= 1 runs
+	// everything.
+	PointOffset, PointStride int
 }
 
 // SweepPoint is one matrix size of a replay sweep. It carries only
@@ -174,10 +157,9 @@ type SweepPoint struct {
 	GFlops       float64
 }
 
-// Summarize derives the point's aggregates from makespans: its whole
-// Makespans vector, or the entries a sliced run owns.
-func (p *SweepPoint) Summarize(algorithm string, makespans []float64) {
-	p.MinMakespan, p.MeanMakespan = MinMean(makespans)
+// Summarize derives the point's aggregates from its Makespans.
+func (p *SweepPoint) Summarize(algorithm string) {
+	p.MinMakespan, p.MeanMakespan = MinMean(p.Makespans)
 	p.GFlops = gflops(algorithm, p.N, p.MinMakespan)
 }
 
@@ -219,17 +201,20 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 	if reps <= 0 {
 		reps = perfReps
 	}
-	if opt.RepStride > 1 && (opt.RepOffset < 0 || opt.RepOffset >= opt.RepStride) {
-		return nil, SweepWall{}, fmt.Errorf("bench: replica slice offset %d outside stride %d", opt.RepOffset, opt.RepStride)
-	}
-	owned := opt.ownedReps(reps)
-	if len(owned) == 0 {
-		return nil, SweepWall{}, fmt.Errorf("bench: empty replica slice (offset %d, stride %d, reps %d)", opt.RepOffset, opt.RepStride, reps)
-	}
 	sweeps := workload.PerfSweep(nb, maxNT)
+	if opt.PointStride > 1 {
+		if opt.PointOffset < 0 || opt.PointOffset >= opt.PointStride {
+			return nil, SweepWall{}, fmt.Errorf("bench: point slice offset %d outside stride %d", opt.PointOffset, opt.PointStride)
+		}
+		own := sweeps[:0] // compacts in place: the write index never passes i
+		for i := opt.PointOffset; i < len(sweeps); i += opt.PointStride {
+			own = append(own, sweeps[i])
+		}
+		sweeps = own
+	}
 	np := len(sweeps)
 	if np == 0 {
-		return nil, SweepWall{}, fmt.Errorf("bench: empty sweep (maxNT=%d)", maxNT)
+		return nil, SweepWall{}, fmt.Errorf("bench: empty sweep (maxNT=%d, point slice %d/%d)", maxNT, opt.PointOffset, opt.PointStride)
 	}
 
 	wall := SweepWall{
@@ -259,7 +244,7 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 	wall.Capture = time.Since(t0)
 
 	fifo := ReplayIgnoresPriorities(Spec{Scheduler: scheduler})
-	jobs := np * len(owned)
+	jobs := np * reps
 	shards := opt.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -281,7 +266,7 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 				if j >= jobs {
 					return
 				}
-				p, rep := j/len(owned), owned[j%len(owned)]
+				p, rep := j/reps, j%reps
 				j0 := time.Now()
 				ms, err := replay.Makespan(arenas[p], replay.Options{
 					Workers:          workers,
@@ -307,16 +292,9 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 		}
 	}
 
-	ownedMs := make([]float64, len(owned))
 	for i := range points {
-		p := &points[i]
 		wall.ReplayPerPoint[i] = time.Duration(replayNs[i].Load())
-		// Aggregates cover only the replicas this slice ran; a coordinator
-		// merging W slices recomputes them over the full vector.
-		for k, rep := range owned {
-			ownedMs[k] = p.Makespans[rep]
-		}
-		p.Summarize(algorithm, ownedMs)
+		points[i].Summarize(algorithm)
 	}
 	return points, wall, nil
 }

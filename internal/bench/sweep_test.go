@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -97,68 +98,45 @@ func TestReplicaSeedIndependentOfOrder(t *testing.T) {
 	}
 }
 
-// TestSweepReplicaSliceMerge is the cluster fan-out guarantee: W sliced
-// runs (rep % W == offset) merged entry-wise reproduce the unsliced sweep
-// bit for bit, because replica seeds are logical-coordinate functions and
-// never depend on which node (or slice) runs them.
-func TestSweepReplicaSliceMerge(t *testing.T) {
-	const reps, maxNT = 5, 5
-	full, _, err := SweepParallel("quark", "cholesky", 8, maxNT, 4, SweepOptions{
-		Reps: reps, Shards: 2, Model: replayJitter{}, Seed: 31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stride := range []int{2, 3} {
-		merged := make([][]float64, len(full))
-		for i, p := range full {
-			merged[i] = make([]float64, len(p.Makespans))
+// TestSweepPointSliceMerge is the cluster fan-out guarantee: W sliced runs
+// (point index % W == offset), concatenated and put in NT order, are the
+// unsliced sweep — every field of every point — because a point's results
+// are a function of its logical coordinates and never of which node (or
+// slice) computes it. Stride 6 exceeds the point count, so its last slice
+// owns nothing and is refused rather than returned empty.
+func TestSweepPointSliceMerge(t *testing.T) {
+	const maxNT = 6 // 5 points
+	for _, algorithm := range []string{"cholesky", "qr"} {
+		opt := SweepOptions{Reps: 3, Shards: 2, Model: replayJitter{}, Seed: 31}
+		full, _, err := SweepParallel("quark", algorithm, 8, maxNT, 4, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for off := 0; off < stride; off++ {
-			part, _, err := SweepParallel("quark", "cholesky", 8, maxNT, 4, SweepOptions{
-				Reps: reps, Shards: 2, Model: replayJitter{}, Seed: 31,
-				RepOffset: off, RepStride: stride,
-			})
-			if err != nil {
-				t.Fatalf("slice %d/%d: %v", off, stride, err)
-			}
-			for i, p := range part {
-				if p.NT != full[i].NT || p.NumTasks != full[i].NumTasks {
-					t.Fatalf("slice %d/%d point %d: structure diverged", off, stride, i)
-				}
-				for rep := off; rep < reps; rep += stride {
-					if p.Makespans[rep] == 0 {
-						t.Fatalf("slice %d/%d point %d: owned replica %d not run", off, stride, i, rep)
+		for stride := 1; stride <= 6; stride++ {
+			var merged []SweepPoint
+			for off := 0; off < stride; off++ {
+				opt.PointOffset, opt.PointStride = off, stride
+				part, _, err := SweepParallel("quark", algorithm, 8, maxNT, 4, opt)
+				if off >= len(full) {
+					if err == nil {
+						t.Fatalf("%s slice %d/%d owns no point and was accepted", algorithm, off, stride)
 					}
-					merged[i][rep] = p.Makespans[rep]
+					continue
 				}
-				// Unowned entries must stay untouched.
-				for rep := 0; rep < reps; rep++ {
-					if (rep-off)%stride != 0 && p.Makespans[rep] != 0 {
-						t.Fatalf("slice %d/%d point %d: replica %d run outside the slice", off, stride, i, rep)
-					}
+				if err != nil {
+					t.Fatalf("%s slice %d/%d: %v", algorithm, off, stride, err)
 				}
+				merged = append(merged, part...)
 			}
-		}
-		for i := range full {
-			for rep := 0; rep < reps; rep++ {
-				if merged[i][rep] != full[i].Makespans[rep] {
-					t.Fatalf("stride %d point %d replica %d: merged %g != full %g",
-						stride, i, rep, merged[i][rep], full[i].Makespans[rep])
-				}
+			sort.Slice(merged, func(i, j int) bool { return merged[i].NT < merged[j].NT })
+			if !reflect.DeepEqual(merged, full) {
+				t.Fatalf("%s stride %d: merged slices differ from the unsliced sweep:\n%+v\n%+v", algorithm, stride, merged, full)
 			}
 		}
 	}
-
-	// Degenerate slices are rejected, not silently empty.
 	if _, _, err := SweepParallel("quark", "cholesky", 8, maxNT, 4, SweepOptions{
-		Reps: 2, Model: replayJitter{}, RepOffset: 3, RepStride: 2,
+		Reps: 2, Model: replayJitter{}, PointOffset: 3, PointStride: 2,
 	}); err == nil {
 		t.Fatal("offset >= stride accepted")
-	}
-	if _, _, err := SweepParallel("quark", "cholesky", 8, maxNT, 4, SweepOptions{
-		Reps: 2, Model: replayJitter{}, RepOffset: 2, RepStride: 8,
-	}); err == nil {
-		t.Fatal("empty slice (offset beyond reps) accepted")
 	}
 }

@@ -114,11 +114,12 @@ func (a *Agent) post(ctx context.Context, path string, body any, out any) error 
 	return nil
 }
 
-// register announces the worker; returns the coordinator-advertised
-// heartbeat interval.
+// register announces the worker — and the address it reaches the
+// coordinator at, where its done hints will go — and returns the
+// coordinator-advertised heartbeat interval.
 func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 	var resp RegisterResponse
-	if err := a.post(ctx, "/cluster/register", RegisterRequest{Name: a.Name, URL: a.URL}, &resp); err != nil {
+	if err := a.post(ctx, "/cluster/register", RegisterRequest{Name: a.Name, URL: a.URL, Coordinator: a.Coordinator}, &resp); err != nil {
 		return 0, err
 	}
 	return time.Duration(resp.HeartbeatMS) * time.Millisecond, nil

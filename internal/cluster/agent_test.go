@@ -84,6 +84,12 @@ func TestAgentRegistersAndRecovers(t *testing.T) {
 		for {
 			ws := c.workerStatuses()
 			if len(ws) == 1 && ws[0].Live {
+				c.mu.Lock()
+				hintURL := c.workers["w1"].hintURL
+				c.mu.Unlock()
+				if hintURL != hs.URL {
+					t.Fatalf("%s: done hints would go to %q, want the address the agent registered at, %s", what, hintURL, hs.URL)
+				}
 				return
 			}
 			if time.Now().After(deadline) {

@@ -56,20 +56,33 @@ func (w *testWorker) stop() {
 // order, keeping placement deterministic.
 func newTestCoordinator(t *testing.T, dataDir string, workers ...*testWorker) (*Coordinator, *httptest.Server) {
 	t.Helper()
-	c, err := New(Config{
+	return startTestCoordinator(t, Config{
 		Key:               testKey,
 		DataDir:           dataDir,
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  250 * time.Millisecond,
 		PollInterval:      20 * time.Millisecond,
-	})
+	}, nil, workers...)
+}
+
+// startTestCoordinator is newTestCoordinator with the config spelled out
+// and, when wrap is set, the coordinator's handler behind it. Workers are
+// registered the way an agent does it: with the coordinator's own URL as
+// the address for their done hints.
+func startTestCoordinator(t *testing.T, cfg Config, wrap func(http.Handler) http.Handler, workers ...*testWorker) (*Coordinator, *httptest.Server) {
+	t.Helper()
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
-	hs := httptest.NewServer(c.Handler())
+	h := c.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	hs := httptest.NewServer(h)
 	t.Cleanup(func() { hs.Close(); c.Shutdown() })
 	for i, w := range workers {
-		c.register(fmt.Sprintf("w%d", i+1), w.http.URL)
+		c.register(fmt.Sprintf("w%d", i+1), w.http.URL, hs.URL)
 	}
 	return c, hs
 }
@@ -167,7 +180,7 @@ func clusterMetrics(t *testing.T, baseURL string) MetricsSnapshot {
 }
 
 // TestClusterSweepFanoutBitIdentical is the tentpole invariant: a sweep
-// fanned across 3 workers as replica slices merges to the bit-identical
+// fanned across 3 workers as point slices merges to the bit-identical
 // curve and fingerprint of a single-node run.
 func TestClusterSweepFanoutBitIdentical(t *testing.T) {
 	spec := server.JobSpec{
@@ -335,6 +348,16 @@ func TestCoordinatorRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsSlicedSubmission: point slicing is how the
+// coordinator talks to its workers, not something a client may ask it for.
+func TestCoordinatorRejectsSlicedSubmission(t *testing.T) {
+	c, _ := newTestCoordinator(t, "")
+	_, err := c.submit(server.JobSpec{Kind: "sweep", Algorithm: "cholesky", MaxNT: 5, NB: 8, PointStride: 2}, [2]string{})
+	if err == nil || !strings.Contains(err.Error(), "point_stride") {
+		t.Fatalf("sliced submission: %v, want a refusal naming point_stride", err)
+	}
+}
+
 // TestClusterPeerFrameFetch pins frame shipping: when a ring change moves
 // a key to a worker that never captured it, the new owner fetches the
 // .dag frame from the previous owner instead of re-capturing.
@@ -356,7 +379,7 @@ func TestClusterPeerFrameFetch(t *testing.T) {
 	// w2 joins; the key's owner moves; the repeat must be served from a
 	// peer-fetched frame, not a new capture.
 	w2 := newTestWorker(t, "")
-	c.register("w2", w2.http.URL)
+	c.register("w2", w2.http.URL, hs.URL)
 
 	second := waitDispatch(t, hs.URL, submitDispatch(t, hs.URL, spec).ID, 30*time.Second)
 	if got := second.Parts[0].Worker; got != "w2" {
@@ -392,7 +415,7 @@ func TestClusterWorkerRestartServesDiskFrame(t *testing.T) {
 	// Restart: new process, same data dir, same worker name.
 	w1.stop()
 	w1b := newTestWorker(t, dir)
-	c.register("w1", w1b.http.URL)
+	c.register("w1", w1b.http.URL, hs.URL)
 
 	second := waitDispatch(t, hs.URL, submitDispatch(t, hs.URL, spec).ID, 30*time.Second)
 	if second.Result.Fingerprint != first.Result.Fingerprint {
@@ -450,17 +473,25 @@ func (f *fakeWorker) complete(res *server.JobResult) {
 }
 
 // TestClusterFailoverRedispatchDedupe pins the failover story end to end:
-// a worker that stops heartbeating is declared dead, its accepted job is
-// re-dispatched onto the ring and completes with the identical
-// fingerprint; when the "dead" worker later reports its own completion,
-// the duplicate is recognized by fingerprint and dropped, not
-// double-counted. The over-bound case finishes more dispatches than the
-// store retains before the duplicate arrives: the finished dispatch is
-// the oldest eviction candidate, yet it must stay until its stray attempt
-// settles, or the duplicate would go uncounted.
+// a worker that stops heartbeating is declared dead, the point slice of a
+// fanned sweep it had accepted is re-dispatched to the survivor and the
+// merged result carries the single-node fingerprint; when the "dead"
+// worker later reports its own completion of the slice, the duplicate is
+// recognized by fingerprint and dropped, not double-counted. The
+// over-bound case finishes more dispatches than the store retains before
+// the duplicate arrives: the finished dispatch is the oldest eviction
+// candidate, yet it must stay until its stray attempt settles, or the
+// duplicate would go uncounted. The ring-routed case is the same story for
+// a cacheable job, whose one part moves to the key's next ring owner.
 func TestClusterFailoverRedispatchDedupe(t *testing.T) {
-	t.Run("within-bound", func(t *testing.T) { failoverRedispatchDedupe(t, 0) })
-	t.Run("over-bound", func(t *testing.T) { failoverRedispatchDedupe(t, server.DefaultRetainJobs+1) })
+	// Slices go round the sorted live workers, so the second (the odd
+	// points) lands on the fake (w2) and its death exercises failover.
+	sweep := server.JobSpec{Kind: "sweep", Algorithm: "cholesky", NB: 8, MaxNT: 5, Reps: 2, Seed: 23}
+	routed := findNTOwnedBy(t, []string{"w1", "w2"}, "w2",
+		server.JobSpec{Algorithm: "cholesky", NB: 8, Reps: 1, Seed: 23})
+	t.Run("within-bound", func(t *testing.T) { failoverRedispatchDedupe(t, sweep, 0) })
+	t.Run("over-bound", func(t *testing.T) { failoverRedispatchDedupe(t, sweep, server.DefaultRetainJobs+1) })
+	t.Run("ring-routed", func(t *testing.T) { failoverRedispatchDedupe(t, routed, 0) })
 }
 
 // submitMany submits n copies of spec concurrently and returns their views.
@@ -481,24 +512,27 @@ func submitMany(t *testing.T, baseURL string, spec server.JobSpec, n int) []Disp
 	return views
 }
 
-func failoverRedispatchDedupe(t *testing.T, extra int) {
+// failoverRedispatchDedupe runs the story on a spec whose last part lands
+// on w2, the fake.
+func failoverRedispatchDedupe(t *testing.T, spec server.JobSpec, extra int) {
 	w1 := newTestWorker(t, "")
 	fake := newFakeWorker(t)
 
 	c, hs := newTestCoordinator(t, "", w1)
-	c.register("w2", fake.http.URL)
+	c.register("w2", fake.http.URL, "")
 	stop := keepAlive(t, c, "w1", "w2")
 
-	// Route the job to the fake (w2) so its death exercises failover.
-	spec := findNTOwnedBy(t, []string{"w1", "w2"}, "w2",
-		server.JobSpec{Algorithm: "cholesky", NB: 8, Reps: 1, Seed: 23})
 	view := submitDispatch(t, hs.URL, spec)
+	last := len(view.Parts) - 1
+	if want := map[string]int{"sweep": 1, "simulate": 0}[spec.Kind]; last != want {
+		t.Fatalf("%s dispatch sliced into %d parts, want %d", spec.Kind, last+1, want+1)
+	}
 
-	// Wait until the fake has accepted the part.
+	// Wait until the fake has accepted its part.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		v := getDispatch(t, hs.URL, view.ID)
-		if len(v.Parts) == 1 && v.Parts[0].Worker == "w2" && v.Parts[0].JobID != "" {
+		if v.Parts[last].Worker == "w2" && v.Parts[last].JobID != "" {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -511,11 +545,11 @@ func failoverRedispatchDedupe(t *testing.T, extra int) {
 	// crash). The coordinator must declare it dead and re-dispatch to w1.
 	stop("w2")
 	final := waitDispatch(t, hs.URL, view.ID, 30*time.Second)
-	if got := final.Parts[0].Worker; got != "w1" {
-		t.Fatalf("failover re-dispatched to %s, want w1", got)
+	if got := final.Parts[last]; got.Worker != "w1" || got.PointOffset != last || got.PointStride != 2*last {
+		t.Fatalf("failover left the part as %+v, want the same slice on w1", got)
 	}
-	if final.Parts[0].Attempts < 2 {
-		t.Fatalf("attempts = %d, want >= 2 (failover)", final.Parts[0].Attempts)
+	if final.Parts[last].Attempts < 2 {
+		t.Fatalf("attempts = %d, want >= 2 (failover)", final.Parts[last].Attempts)
 	}
 	if c.failovers.Load() == 0 {
 		t.Fatal("failover counter never incremented")
@@ -541,10 +575,16 @@ func failoverRedispatchDedupe(t *testing.T, extra int) {
 		}
 	}
 
-	// The partitioned worker finally "completes" its copy with the same
-	// deterministic result. The tracker must observe it and dedupe by
-	// fingerprint.
-	fake.complete(final.Result)
+	// The partitioned worker finally "completes" its copy of the slice with
+	// the same deterministic result. The tracker must observe it and
+	// dedupe by fingerprint.
+	c.mu.Lock()
+	partResult := c.dispatches[view.ID].parts[last].result
+	c.mu.Unlock()
+	if partResult == nil || (last > 0) == (partResult.Fingerprint == final.Result.Fingerprint) {
+		t.Fatalf("part result %+v beside the dispatch's %s: a slice has its own fingerprint, a whole job the dispatch's", partResult, final.Result.Fingerprint)
+	}
+	fake.complete(partResult)
 	deadline = time.Now().Add(10 * time.Second)
 	for c.deduped.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -613,7 +653,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	}
 	hs1 := httptest.NewServer(c1.Handler())
 	defer hs1.Close()
-	c1.register("w1", fake.http.URL)
+	c1.register("w1", fake.http.URL, "")
 	stop := keepAlive(t, c1, "w1")
 
 	// Accept and send everything first, then let the worker finish it all:
@@ -763,10 +803,10 @@ func TestCoordinatorAcceptFailureLeavesNoDispatch(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		c.pump()
+		c.pump(false)
 	}
 	wg.Wait()
-	c.pump()
+	c.pump(false)
 	var listed struct{ Jobs []DispatchView }
 	getJSON(t, hs.URL+"/jobs", &listed)
 	if m := clusterMetrics(t, hs.URL); len(listed.Jobs) != 0 || m.Dispatches != 0 {

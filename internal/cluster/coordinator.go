@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"supersim/internal/server"
+	"supersim/internal/workload"
 )
 
 // Config parameterizes a Coordinator.
@@ -36,8 +38,11 @@ type Config struct {
 	// declared dead, removed from the ring, and its unfinished dispatches
 	// re-routed (default 4× HeartbeatInterval).
 	HeartbeatTimeout time.Duration
-	// PollInterval is the tracker cadence: dispatch sends, job polls and
-	// death detection all run on this clock (default 250ms).
+	// PollInterval is the tracker's backstop cadence (default 250ms). Sends
+	// go out when a submission kicks the tracker and results are fetched
+	// when a worker's done hint does; the tick is what detects dead
+	// workers, retries refused sends and finds a finished part whose hint
+	// was lost.
 	PollInterval time.Duration
 	// Client is the HTTP client for worker traffic (default: 30s timeout).
 	Client *http.Client
@@ -62,11 +67,15 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// worker is one registered simd instance. All fields after name/url are
+// worker is one registered simd instance. All fields after name are
 // guarded by the owning Coordinator's mu (cross-struct lock).
 type worker struct {
 	name string
-	url  string
+	url  string // guarded by Coordinator.mu
+	// hintURL is this coordinator's base URL as the worker reaches it (the
+	// address its agent registered at), sent back on each part submission
+	// as the done-hint address; "" sends none and the tick finds its parts.
+	hintURL string // guarded by Coordinator.mu
 
 	lastBeat time.Time // guarded by Coordinator.mu
 	live     bool      // guarded by Coordinator.mu
@@ -97,13 +106,13 @@ type attempt struct {
 }
 
 // part is one worker-sized slice of a dispatch: the whole job, or one
-// replica slice (RepOffset/RepStride) of a fanned-out sweep. All fields
-// are guarded by the owning Coordinator's mu.
+// point slice (JobSpec.PointOffset/PointStride; stride 0 = unsliced) of a
+// fanned-out sweep. All fields are guarded by the owning Coordinator's mu.
 type part struct {
-	repOffset, repStride int
-	attempts             []*attempt // guarded by Coordinator.mu — last is current
-	status               string     // guarded by Coordinator.mu
-	result               *server.JobResult
+	pointOffset, pointStride int
+	attempts                 []*attempt // guarded by Coordinator.mu — last is current
+	status                   string     // guarded by Coordinator.mu
+	result                   *server.JobResult
 }
 
 func (p *part) current() *attempt { return p.attempts[len(p.attempts)-1] }
@@ -137,8 +146,9 @@ type dispatch struct {
 
 // Coordinator is the simcluster control plane: it registers workers,
 // routes jobs onto the consistent-hash ring by capture key, fans sweeps
-// out as replica slices, ships frame-location hints, polls parts to
-// completion, merges results, and fails work over off dead workers.
+// out as point slices, ships frame-location hints, fetches each part's
+// result when its worker says it is done (or on the tick), merges results,
+// and fails work over off dead workers.
 type Coordinator struct {
 	cfg Config
 	// store is the dispatches' journaled lifecycle: it holds their records
@@ -157,11 +167,20 @@ type Coordinator struct {
 	failovers  atomic.Uint64 // parts re-routed off a dead worker
 	deduped    atomic.Uint64 // duplicate completions dropped by fingerprint
 	mismatches atomic.Uint64 // duplicate completions whose fingerprints diverged
+	doneHints  atomic.Uint64 // done hints accepted on POST /cluster/done
+	// tickCompletions counts terminal part views first fetched on a tick
+	// pass of the tracker rather than a kicked one: completions no hint
+	// announced in time.
+	tickCompletions atomic.Uint64
 
 	start time.Time
 	kick  chan struct{} // nudges the tracker out of its poll sleep
-	quit  chan struct{}
-	wg    sync.WaitGroup
+	// ctx ends at Shutdown: it stops the tracker and cancels every worker
+	// request in flight, so a wedged worker cannot hold Shutdown for the
+	// client timeout.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // New constructs a Coordinator, opens the dispatch store (recovering it
@@ -191,8 +210,8 @@ func New(cfg Config) (*Coordinator, error) {
 		routeOrigin: make(map[string]string),
 		start:       time.Now(),
 		kick:        make(chan struct{}, 1),
-		quit:        make(chan struct{}),
 	}
+	c.ctx, c.stop = context.WithCancel(context.Background())
 	c.mux = c.routes()
 	c.wg.Add(1)
 	go c.track()
@@ -206,14 +225,14 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 // keep running on their workers; a restarted coordinator re-adopts
 // journaled unfinished dispatches by re-dispatching them.
 func (c *Coordinator) Shutdown() {
-	close(c.quit)
+	c.stop()
 	c.wg.Wait()
 	_ = c.store.Close() // a failed final compaction only means a longer recovery replay
 }
 
 // register adds (or revives) a worker. Same-name re-registration updates
-// the URL — the restart case.
-func (c *Coordinator) register(name, url string) {
+// the URLs — the restart case.
+func (c *Coordinator) register(name, url, hintURL string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.workers[name]
@@ -222,6 +241,7 @@ func (c *Coordinator) register(name, url string) {
 		c.workers[name] = w
 	}
 	w.url = url
+	w.hintURL = hintURL
 	w.lastBeat = time.Now()
 	w.live = true
 	c.ring.Add(name)
@@ -277,8 +297,8 @@ func (c *Coordinator) submit(spec server.JobSpec, auth [2]string) (DispatchView,
 	if err := spec.Validate(); err != nil {
 		return DispatchView{}, err
 	}
-	if spec.RepStride > 1 {
-		return DispatchView{}, fmt.Errorf("cluster: rep_stride is coordinator-internal; submit an unsliced sweep")
+	if spec.PointStride > 1 {
+		return DispatchView{}, fmt.Errorf("cluster: point_stride is coordinator-internal; submit an unsliced sweep")
 	}
 	d := &dispatch{
 		id:     c.store.NextID(),
@@ -328,28 +348,24 @@ func (c *Coordinator) evictableLocked(id string) bool {
 	return true
 }
 
-// sliceLocked splits a dispatch into parts. A sweep with more than one
-// replica fans out across the live workers as replica slices (stride =
-// part count); everything else is a single part. Caller holds c.mu.
+// sliceLocked splits a dispatch into parts. A sweep fans out across the
+// live workers as point slices (stride = part count), at most one part per
+// point; everything else is a single part. Caller holds c.mu.
 func (c *Coordinator) sliceLocked(d *dispatch) []*part {
 	fan := 1
-	if d.spec.Kind == "sweep" && d.spec.Reps > 1 {
-		if live := len(c.liveWorkersLocked()); live > 1 {
-			fan = live
-			if fan > d.spec.Reps {
-				fan = d.spec.Reps
-			}
-		}
+	if d.spec.Kind == "sweep" {
+		fan = max(1, min(len(c.liveWorkersLocked()), len(workload.PerfSweep(d.spec.NB, d.spec.MaxNT))))
+	}
+	stride := fan
+	if fan == 1 {
+		stride = 0 // unsliced
 	}
 	parts := make([]*part, fan)
 	for i := range parts {
 		parts[i] = &part{
-			repOffset: i, repStride: fan,
+			pointOffset: i, pointStride: stride,
 			status:   partPending,
 			attempts: []*attempt{{}}, // current() must always resolve
-		}
-		if fan == 1 {
-			parts[i].repStride = 0 // unsliced
 		}
 	}
 	return parts
@@ -407,12 +423,12 @@ func (c *Coordinator) frameHintLocked(d *dispatch, assignee string) string {
 
 // PartView is one part of a dispatch as served by the API.
 type PartView struct {
-	Worker    string `json:"worker,omitempty"`
-	JobID     string `json:"job_id,omitempty"`
-	Status    string `json:"status"`
-	RepOffset int    `json:"rep_offset,omitempty"`
-	RepStride int    `json:"rep_stride,omitempty"`
-	Attempts  int    `json:"attempts"`
+	Worker      string `json:"worker,omitempty"`
+	JobID       string `json:"job_id,omitempty"`
+	Status      string `json:"status"`
+	PointOffset int    `json:"point_offset,omitempty"`
+	PointStride int    `json:"point_stride,omitempty"`
+	Attempts    int    `json:"attempts"`
 }
 
 // DispatchView is the JSON representation of one coordinator job.
@@ -443,12 +459,12 @@ func (c *Coordinator) dispatchView(d *dispatch) DispatchView {
 	for _, p := range d.parts {
 		cur := p.current()
 		v.Parts = append(v.Parts, PartView{
-			Worker:    cur.Worker,
-			JobID:     cur.JobID,
-			Status:    p.status,
-			RepOffset: p.repOffset,
-			RepStride: p.repStride,
-			Attempts:  len(p.attempts),
+			Worker:      cur.Worker,
+			JobID:       cur.JobID,
+			Status:      p.status,
+			PointOffset: p.pointOffset,
+			PointStride: p.pointStride,
+			Attempts:    len(p.attempts),
 		})
 	}
 	return v
@@ -520,6 +536,7 @@ func dispatchFromRecord(rec server.JobRecord) *dispatch {
 
 // workerRequest issues one authenticated request to a worker, decoding a
 // JSON response body into out (when non-nil). Returns the status code.
+// The request dies with the coordinator (c.ctx).
 func (c *Coordinator) workerRequest(method, url string, body any, auth [2]string, hdr map[string]string, out any) (int, error) {
 	var rd io.Reader
 	if body != nil {
@@ -529,7 +546,7 @@ func (c *Coordinator) workerRequest(method, url string, body any, auth [2]string
 		}
 		rd = bytes.NewReader(raw)
 	}
-	req, err := http.NewRequest(method, url, rd)
+	req, err := http.NewRequestWithContext(c.ctx, method, url, rd)
 	if err != nil {
 		return 0, err
 	}

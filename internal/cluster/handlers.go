@@ -15,6 +15,7 @@ func (c *Coordinator) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/register", c.handleRegister)
 	mux.HandleFunc("POST /cluster/heartbeat", c.handleHeartbeat)
+	mux.HandleFunc("POST /cluster/done", c.handleDone)
 	mux.HandleFunc("POST /jobs", c.handleSubmit)
 	mux.HandleFunc("GET /jobs", c.handleList)
 	mux.HandleFunc("GET /jobs/{id}", c.handleJob)
@@ -29,10 +30,14 @@ func (c *Coordinator) authed(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(got), []byte(c.cfg.Key)) == 1
 }
 
-// RegisterRequest is a worker's registration body.
+// RegisterRequest is a worker's registration body. Coordinator is the base
+// URL the worker reached this coordinator at: the address its done hints
+// go back to (optional; without it the worker's parts are found finished
+// on the tracker's tick).
 type RegisterRequest struct {
-	Name string `json:"name"`
-	URL  string `json:"url"`
+	Name        string `json:"name"`
+	URL         string `json:"url"`
+	Coordinator string `json:"coordinator,omitempty"`
 }
 
 // RegisterResponse tells the worker its heartbeat contract.
@@ -43,21 +48,31 @@ type RegisterResponse struct {
 
 const maxBodyBytes = 1 << 20
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
+// controlBody admits one worker control-plane request: it checks the
+// cluster key and decodes the JSON body into v, answering 401 or 400 itself
+// and reporting false when either fails.
+func (c *Coordinator) controlBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	if !c.authed(r) {
 		server.WriteError(w, http.StatusUnauthorized, false, "bad or missing X-Cluster-Key")
-		return
+		return false
 	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		server.WriteError(w, http.StatusBadRequest, false, "decoding %s: %v", what, err)
+		return false
+	}
+	return true
+}
+
+func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, false, "decoding registration: %v", err)
+	if !c.controlBody(w, r, "registration", &req) {
 		return
 	}
 	if req.Name == "" || req.URL == "" {
 		server.WriteError(w, http.StatusBadRequest, false, "registration needs name and url")
 		return
 	}
-	c.register(req.Name, req.URL)
+	c.register(req.Name, req.URL, req.Coordinator)
 	server.WriteJSON(w, http.StatusOK, RegisterResponse{
 		HeartbeatMS: c.cfg.HeartbeatInterval.Milliseconds(),
 		TimeoutMS:   c.cfg.HeartbeatTimeout.Milliseconds(),
@@ -70,13 +85,8 @@ type HeartbeatRequest struct {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if !c.authed(r) {
-		server.WriteError(w, http.StatusUnauthorized, false, "bad or missing X-Cluster-Key")
-		return
-	}
 	var req HeartbeatRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, false, "decoding heartbeat: %v", err)
+	if !c.controlBody(w, r, "heartbeat", &req) {
 		return
 	}
 	if !c.heartbeat(req.Name) {
@@ -85,6 +95,24 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusNotFound, true, "unknown worker %q; re-register", req.Name)
 		return
 	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleDone takes a worker's done hint (server.DoneHint): one of its jobs
+// reached a terminal state. The hint changes no dispatch — it wakes the
+// tracker, which fetches the job view itself — so a forged, repeated or
+// stale one costs a pass that finds nothing new.
+func (c *Coordinator) handleDone(w http.ResponseWriter, r *http.Request) {
+	var hint server.DoneHint
+	if !c.controlBody(w, r, "done hint", &hint) {
+		return
+	}
+	if hint.Worker == "" || hint.JobID == "" {
+		server.WriteError(w, http.StatusBadRequest, false, "done hint needs worker and job_id")
+		return
+	}
+	c.doneHints.Add(1)
+	c.kickTracker()
 	w.WriteHeader(http.StatusNoContent)
 }
 

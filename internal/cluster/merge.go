@@ -2,21 +2,22 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 
 	"supersim/internal/bench"
 	"supersim/internal/server"
+	"supersim/internal/workload"
 )
 
 // mergeParts assembles a dispatch's final result from its completed
-// parts. A single part passes through verbatim; a fanned-out sweep is
-// merged entry-wise: part (offset, stride) owns exactly the replicas
-// rep % stride == offset of every point, and because replica seeds are
-// pure functions of (base seed, NT, rep) — never of placement — the
-// merged vector is bit-identical to a single-node run of the same spec.
-// Per-point aggregates are recomputed over the full vector and the
+// parts. A single part passes through verbatim. A fanned-out sweep's parts
+// each hold whole points — a point's makespans and aggregates are a pure
+// function of (seed, NT, replica), never of placement — so the merge only
+// puts them in NT order and refuses anything but the spec's own series
+// (every NT of PerfSweep once, the spec's replica count at each). The
 // result is assembled by the worker's own code (server.SweepResult), so a
-// fanned-out dispatch's summary and fingerprint are directly comparable
-// to a single-node job's.
+// fanned-out dispatch's summary and fingerprint are bit-identical to a
+// single-node job's.
 func mergeParts(spec *server.JobSpec, parts []*part) (*server.JobResult, error) {
 	if len(parts) == 1 {
 		if parts[0].result == nil {
@@ -30,31 +31,20 @@ func mergeParts(spec *server.JobSpec, parts []*part) (*server.JobResult, error) 
 		if p.result == nil || len(p.result.Sweep) == 0 {
 			return nil, fmt.Errorf("cluster: sweep part completed without a curve")
 		}
-		if points == nil {
-			// Deep-copy the first part's curve as the merge scaffold.
-			points = make([]bench.SweepPoint, len(p.result.Sweep))
-			copy(points, p.result.Sweep)
-			for i := range points {
-				points[i].Makespans = make([]float64, len(p.result.Sweep[i].Makespans))
-			}
-		}
-		if len(p.result.Sweep) != len(points) {
-			return nil, fmt.Errorf("cluster: sweep parts disagree on point count (%d vs %d)",
-				len(p.result.Sweep), len(points))
-		}
-		for i := range points {
-			src := p.result.Sweep[i].Makespans
-			if len(src) != len(points[i].Makespans) {
-				return nil, fmt.Errorf("cluster: sweep parts disagree on replica count at nt=%d", points[i].NT)
-			}
-			for rep := p.repOffset; rep < len(src); rep += p.repStride {
-				points[i].Makespans[rep] = src[rep]
-			}
-		}
+		points = append(points, p.result.Sweep...)
 	}
-
-	for i := range points {
-		points[i].Summarize(spec.Algorithm, points[i].Makespans)
+	sort.SliceStable(points, func(i, j int) bool { return points[i].NT < points[j].NT })
+	want := workload.PerfSweep(spec.NB, spec.MaxNT)
+	if len(points) != len(want) {
+		return nil, fmt.Errorf("cluster: sweep parts hold %d points, the sweep has %d", len(points), len(want))
+	}
+	for i, pt := range points {
+		if pt.NT != want[i].NT {
+			return nil, fmt.Errorf("cluster: sweep parts hold nt=%d where the sweep has nt=%d", pt.NT, want[i].NT)
+		}
+		if len(pt.Makespans) != spec.Reps {
+			return nil, fmt.Errorf("cluster: nt=%d came back with %d replicas, want %d", pt.NT, len(pt.Makespans), spec.Reps)
+		}
 	}
 	return server.SweepResult(points), nil
 }

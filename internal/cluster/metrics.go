@@ -28,6 +28,14 @@ type MetricsSnapshot struct {
 	Failovers  uint64 `json:"failovers"`
 	Deduped    uint64 `json:"deduped"`
 	Mismatches uint64 `json:"mismatches"`
+	// DoneHints counts accepted worker done hints; TickCompletions counts
+	// terminal part views the tracker first fetched on a tick pass, not a
+	// kicked one — completions no hint announced in time. On a healthy
+	// cluster it stays a few per cent of Dispatched at most (a tick can
+	// land between a part's end and its hint's pass); when it follows
+	// Dispatched, hints are not arriving and every part waits for the tick.
+	DoneHints       uint64 `json:"done_hints"`
+	TickCompletions uint64 `json:"tick_completions"`
 	// Store is the dispatch store's section, as on a worker: journal
 	// sequence, live log length, compactions, and what the last start
 	// recovered (re-dispatched) and restored (finished, fingerprint kept).
@@ -46,13 +54,15 @@ type MetricsSnapshot struct {
 // worker's /metrics.
 func (c *Coordinator) Metrics() MetricsSnapshot {
 	snap := MetricsSnapshot{
-		UptimeMS:   float64(time.Since(c.start).Nanoseconds()) / 1e6,
-		Workers:    c.workerStatuses(),
-		Dispatched: c.dispatched.Load(),
-		Failovers:  c.failovers.Load(),
-		Deduped:    c.deduped.Load(),
-		Mismatches: c.mismatches.Load(),
-		Store:      c.store.Stats(),
+		UptimeMS:        float64(time.Since(c.start).Nanoseconds()) / 1e6,
+		Workers:         c.workerStatuses(),
+		Dispatched:      c.dispatched.Load(),
+		Failovers:       c.failovers.Load(),
+		Deduped:         c.deduped.Load(),
+		Mismatches:      c.mismatches.Load(),
+		DoneHints:       c.doneHints.Load(),
+		TickCompletions: c.tickCompletions.Load(),
+		Store:           c.store.Stats(),
 	}
 	type target struct{ name, url string }
 	var targets []target

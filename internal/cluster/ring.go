@@ -2,9 +2,9 @@
 // simulation service: a coordinator (cmd/simcoord) that fronts N simd
 // workers, routing jobs by consistent hashing on the capture-cache key so
 // repeated workloads land where their DAG frame is already cached, fanning
-// a sweep's replicas across workers with placement-independent seeds
-// (bench.ReplicaSeed) so merged statistics are bit-identical to a
-// single-node run, shipping captured .dag frames between peers on routing
+// a sweep's points across workers (their results depend on logical
+// coordinates only — bench.ReplicaSeed — so the merged curve is
+// bit-identical to a single-node run), shipping captured .dag frames between peers on routing
 // misses, and re-dispatching work away from dead workers with
 // fingerprint-checked exactly-once semantics.
 //

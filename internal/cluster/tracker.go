@@ -7,24 +7,29 @@ import (
 	"supersim/internal/server"
 )
 
-// track is the coordinator's single control loop: every tick (or kick) it
-// detects dead workers, fails their parts over, sends pending parts, and
-// polls sent parts to completion. One loop, one lock — every state
-// transition of every dispatch happens here or in an HTTP handler, both
-// under c.mu, so there is no per-dispatch goroutine to leak or race.
+// track is the coordinator's single control loop: on every kick (a
+// submission, a registration, a worker's done hint) or tick it detects
+// dead workers, fails their parts over, sends pending parts, and fetches
+// the views of sent parts. One loop, one lock — every state transition of
+// every dispatch happens here or in an HTTP handler, both under c.mu, so
+// there is no per-dispatch goroutine to leak or race. Events drive the
+// healthy path; the tick is the failure detector and the backstop for a
+// lost hint.
 func (c *Coordinator) track() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(c.cfg.PollInterval)
 	defer ticker.Stop()
 	for {
+		onTick := false
 		select {
-		case <-c.quit:
+		case <-c.ctx.Done():
 			return
 		case <-ticker.C:
+			onTick = true
 		case <-c.kick:
 		}
 		c.reapDead()
-		c.pump()
+		c.pump(onTick)
 	}
 }
 
@@ -78,6 +83,9 @@ type send struct {
 	url       string
 	spec      server.JobSpec
 	frameHint string
+	// worker and doneHint are the assignee's ring name and hintURL, echoed
+	// to it so that it can say when the part ends ("" = no hint asked for).
+	worker, doneHint string
 }
 
 // poll is one part status probe the pump performs outside the lock.
@@ -106,8 +114,9 @@ func (c *Coordinator) inOrderLocked() []*dispatch {
 
 // pump advances every dispatch one step: it collects the HTTP work under
 // the lock, performs it unlocked, then applies the outcomes under the
-// lock again. Worker HTTP latency therefore never blocks handlers.
-func (c *Coordinator) pump() {
+// lock again. Worker HTTP latency therefore never blocks handlers. onTick
+// says the ticker started the pass, not an event.
+func (c *Coordinator) pump(onTick bool) {
 	var sends []send
 	var polls []poll
 
@@ -118,22 +127,21 @@ func (c *Coordinator) pump() {
 			if unfinished && p.status == partPending {
 				name := p.current().Worker
 				if name == "" || c.workers[name] == nil || !c.workers[name].live {
-					name = c.placeLocked(d, p.repOffset)
+					name = c.placeLocked(d, p.pointOffset)
 					if name == "" {
 						continue // no live workers; retry next tick
 					}
 					p.current().Worker = name
 				}
 				spec := d.spec
-				spec.RepOffset, spec.RepStride = 0, 0
-				if p.repStride > 1 {
-					spec.RepOffset, spec.RepStride = p.repOffset, p.repStride
-				}
+				spec.PointOffset, spec.PointStride = p.pointOffset, p.pointStride
 				sends = append(sends, send{
 					d: d, p: p, att: p.current(),
 					url:       c.workers[name].url,
 					spec:      spec,
 					frameHint: c.frameHintLocked(d, name),
+					worker:    name,
+					doneHint:  c.workers[name].hintURL,
 				})
 				continue
 			}
@@ -163,6 +171,10 @@ func (c *Coordinator) pump() {
 		hdr := map[string]string{}
 		if s.frameHint != "" {
 			hdr["X-Frame-Source"] = s.frameHint
+		}
+		if s.doneHint != "" {
+			hdr["X-Done-Hint"] = s.doneHint
+			hdr["X-Done-Worker"] = s.worker
 		}
 		status, err := c.workerRequest(http.MethodPost, s.url+"/jobs", s.spec, s.d.auth, hdr, &view)
 		c.mu.Lock()
@@ -197,6 +209,9 @@ func (c *Coordinator) pump() {
 		case err == nil && status == http.StatusOK:
 			pl.att.view = &view
 			c.applyViewLocked(pl.d, pl.p, pl.att, &view)
+			if onTick && pl.att.settled {
+				c.tickCompletions.Add(1)
+			}
 		case err == nil && status == http.StatusNotFound:
 			// The job vanished (worker restarted without its journal).
 			pl.att.settled = true

@@ -10,7 +10,7 @@ import (
 // completion and returns the finished job's result.
 func fireCron(t *testing.T, srv *Server, cronID string, spec JobSpec) *JobResult {
 	t.Helper()
-	job, err := srv.submitAs(srv.defaultTenant(), spec, "cron:"+cronID, "")
+	job, err := srv.submitAs(srv.defaultTenant(), spec, "cron:"+cronID, clusterHints{})
 	if err != nil {
 		t.Fatalf("submit cron firing: %v", err)
 	}

@@ -223,7 +223,7 @@ func (c *cronRunner) fireDue() {
 		if t == nil {
 			t = c.s.defaultTenant()
 		}
-		_, err := c.s.submitAs(t, f.spec.Spec, "cron:"+f.spec.ID, "")
+		_, err := c.s.submitAs(t, f.spec.Spec, "cron:"+f.spec.ID, clusterHints{})
 		c.mu.Lock()
 		if err != nil {
 			f.e.skipped++

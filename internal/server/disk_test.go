@@ -146,7 +146,7 @@ func TestDiskCacheTenantPartitions(t *testing.T) {
 		{Name: "bob", Key: "kb"},
 	}}
 	srv := newTestServer(t, cfg)
-	job, err := srv.submitAs(srv.tenants[0], diskSpec(3), "", "")
+	job, err := srv.submitAs(srv.tenants[0], diskSpec(3), "", clusterHints{})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestDiskCacheTenantPartitions(t *testing.T) {
 	// Restarted: bob's identical job must capture (alice's frame is not
 	// his), then publish into his own partition.
 	srv2 := newTestServer(t, cfg)
-	job2, err := srv2.submitAs(srv2.tenants[1], diskSpec(3), "", "")
+	job2, err := srv2.submitAs(srv2.tenants[1], diskSpec(3), "", clusterHints{})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

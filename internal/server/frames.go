@@ -17,9 +17,10 @@ import (
 // the new owner pulls the encoded .dag frame over GET /internal/frames
 // instead of re-running the scheduler. Both sides of the exchange are
 // gated by the cluster's shared secret (Config.ClusterKey): the endpoint
-// rejects unauthenticated reads, and a submit's X-Frame-Source hint is
-// ignored unless the submit itself proved knowledge of the key — otherwise
-// any client could steer the server into fetching attacker-chosen URLs.
+// rejects unauthenticated reads, and a submit's X-Frame-Source hint (like
+// its X-Done-Hint) is ignored unless the submit itself proved knowledge of
+// the key — otherwise any client could steer the server into requesting
+// attacker-chosen URLs.
 
 // maxFrameBytes bounds a fetched frame body. The largest sweep DAGs (nt=40,
 // ~22k tasks) encode to a few MB; 256 MB is far above any real frame while
@@ -41,18 +42,41 @@ func (s *Server) clusterAuthed(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(got), []byte(s.cfg.ClusterKey)) == 1
 }
 
-// frameSourceFor extracts a submit's peer-frame hint. The hint is honored
-// only on cluster-authenticated requests (see the SSRF note above) and
-// only for http/https URLs.
-func (s *Server) frameSourceFor(r *http.Request) string {
-	src := r.Header.Get("X-Frame-Source")
-	if src == "" || !s.clusterAuthed(r) {
-		return ""
+// clusterHints are the URLs a coordinator attaches to a part submission.
+// Both make the worker issue a request to an address it was handed, so both
+// go through the one rule in clusterHintsFor.
+type clusterHints struct {
+	// frameSource (X-Frame-Source) is the base URL of a peer worker
+	// believed to hold the job's captured .dag frame after a ring change:
+	// on a full local cache miss the capture path fetches the frame from
+	// there before falling back to a capture run.
+	frameSource string
+	// doneURL (X-Done-Hint) is the coordinator's base URL as this worker
+	// registered with it, and worker (X-Done-Worker) the name it registered
+	// under: when the job reaches a terminal state the worker says so on
+	// POST <doneURL>/cluster/done (done.go).
+	doneURL, worker string
+}
+
+// clusterHintsFor extracts a submit's cluster hints. They are honored only
+// on cluster-authenticated requests (see the SSRF note above) and only for
+// http/https URLs.
+func (s *Server) clusterHintsFor(r *http.Request) clusterHints {
+	if !s.clusterAuthed(r) {
+		return clusterHints{}
 	}
-	if !strings.HasPrefix(src, "http://") && !strings.HasPrefix(src, "https://") {
-		return ""
+	peerURL := func(header string) string {
+		u := r.Header.Get(header)
+		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
+			return ""
+		}
+		return u
 	}
-	return src
+	return clusterHints{
+		frameSource: peerURL("X-Frame-Source"),
+		doneURL:     peerURL("X-Done-Hint"),
+		worker:      r.Header.Get("X-Done-Worker"),
+	}
 }
 
 // frameQuery encodes a cache key (plus owning tenant) as the

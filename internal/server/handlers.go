@@ -82,7 +82,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, false, "decoding job spec: %v", err)
 		return
 	}
-	job, err := s.submitAs(t, spec, "", s.frameSourceFor(r))
+	job, err := s.submitAs(t, spec, "", s.clusterHintsFor(r))
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantShare):
 		s.retryAfter(w, 1)

@@ -13,6 +13,7 @@ import (
 	"supersim/internal/sched"
 	"supersim/internal/sched/starpu"
 	"supersim/internal/trace"
+	"supersim/internal/workload"
 )
 
 // JobSpec is the JSON workload specification accepted by POST /jobs.
@@ -62,16 +63,16 @@ type JobSpec struct {
 	// MaxNT across Shards replay goroutines (0 = GOMAXPROCS).
 	MaxNT  int `json:"max_nt,omitempty"`
 	Shards int `json:"shards,omitempty"`
-	// RepOffset and RepStride slice a sweep's replicas for cluster
-	// fan-out: with RepStride = W > 1 this job replays only the replicas
-	// rep % W == RepOffset of each point, leaving the rest of Makespans
-	// zero. Replica seeds are logical-coordinate functions
-	// (bench.ReplicaSeed), so W sliced jobs merged entry-wise reproduce
-	// the unsliced sweep bit for bit — the coordinator's merge invariant.
-	// Sliced results carry aggregates over their own replicas only; the
-	// coordinator recomputes them (and the fingerprint) after merging.
-	RepOffset int `json:"rep_offset,omitempty"`
-	RepStride int `json:"rep_stride,omitempty"`
+	// PointOffset and PointStride slice a sweep's points for cluster
+	// fan-out: with PointStride = W > 1 this job captures and replays only
+	// the points i % W == PointOffset of the NT = 2..MaxNT series, every
+	// replica of each, and its curve holds just those points. A point's
+	// makespans depend on (Seed, NT, replica) alone (bench.ReplicaSeed), so
+	// the coordinator's merge — W curves concatenated in NT order — is the
+	// unsliced sweep bit for bit. Coordinator-internal: simcoord rejects a
+	// client submission that sets them.
+	PointOffset int `json:"point_offset,omitempty"`
+	PointStride int `json:"point_stride,omitempty"`
 	// Parallelism selects the replay executor on the cached and sweep
 	// paths (replay.Options.Parallelism): 0 (default) replays with the
 	// serial greedy executor; >= 1 uses the PDES executor, whose results
@@ -205,18 +206,18 @@ func (s *JobSpec) validate() error {
 	if s.GangPanels > s.Workers {
 		return fmt.Errorf("gang_panels %d exceeds workers %d", s.GangPanels, s.Workers)
 	}
-	if s.RepStride < 0 || s.RepOffset < 0 {
-		return fmt.Errorf("rep_stride/rep_offset must be >= 0 (got %d/%d)", s.RepStride, s.RepOffset)
+	if s.PointStride < 0 || s.PointOffset < 0 {
+		return fmt.Errorf("point_stride/point_offset must be >= 0 (got %d/%d)", s.PointStride, s.PointOffset)
 	}
-	if s.RepStride > 1 {
+	if s.PointStride > 1 {
 		if s.Kind != "sweep" {
-			return fmt.Errorf("rep_stride is only meaningful for sweep jobs")
+			return fmt.Errorf("point_stride is only meaningful for sweep jobs")
 		}
-		if s.RepOffset >= s.RepStride {
-			return fmt.Errorf("rep_offset %d outside rep_stride %d", s.RepOffset, s.RepStride)
+		if s.PointOffset >= s.PointStride {
+			return fmt.Errorf("point_offset %d outside point_stride %d", s.PointOffset, s.PointStride)
 		}
-		if s.RepOffset >= s.Reps {
-			return fmt.Errorf("rep_offset %d beyond reps %d (empty replica slice)", s.RepOffset, s.Reps)
+		if points := len(workload.PerfSweep(s.NB, s.MaxNT)); s.PointOffset >= points {
+			return fmt.Errorf("point_offset %d beyond the sweep's %d points (empty slice)", s.PointOffset, points)
 		}
 	}
 	return nil
@@ -356,13 +357,11 @@ type Job struct {
 	tenant    *tenant // owning tenant; immutable after Submit
 	source    string  // "" for API submissions, "cron:<id>" for cron firings
 	recovered bool    // re-queued by crash recovery at startup
-	// frameSource is the base URL of a peer worker believed to hold this
-	// job's captured .dag frame (set from X-Frame-Source by the cluster
-	// coordinator after a ring change); immutable after Submit. On a full
-	// local cache miss the capture path fetches the frame from there
-	// before falling back to a capture run. Not journaled: a recovered
-	// job degrades to re-capturing, never to depending on a stale peer.
-	frameSource string
+	// hints is what a cluster coordinator attached to the submission (zero
+	// for every other job); immutable after Submit. Not journaled: a
+	// recovered job degrades to re-capturing and to being found finished
+	// on the coordinator's tick, never to depending on a stale peer.
+	hints clusterHints
 
 	mu sync.Mutex
 	// out is the job's durable outcome, held in its record's own form:

@@ -45,8 +45,8 @@ func (s *Server) runSweep(ctx context.Context, spec *JobSpec) (*JobResult, error
 		Model:       buildModel(spec.Model),
 		Seed:        spec.Seed,
 		Parallelism: spec.Parallelism,
-		RepOffset:   spec.RepOffset,
-		RepStride:   spec.RepStride,
+		PointOffset: spec.PointOffset,
+		PointStride: spec.PointStride,
 	})
 	if err != nil {
 		return nil, err
@@ -60,7 +60,7 @@ func (s *Server) runSweep(ctx context.Context, spec *JobSpec) (*JobResult, error
 // SweepResult assembles a sweep job's result from its curve: the summary
 // block describes the largest point, the fingerprint digests the whole
 // curve. The worker calls it on the curve it computed and the cluster
-// coordinator on the curve it merged from replica slices, so the two are
+// coordinator on the curve it merged from point slices, so the two are
 // comparable field for field.
 func SweepResult(points []bench.SweepPoint) *JobResult {
 	res := &JobResult{Sweep: points, Fingerprint: SweepFingerprint(points)}
@@ -132,7 +132,7 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 	// owner names that owner in X-Frame-Source: the cache tries its
 	// already-captured frame before falling back to capturing.
 	fetch := func() []byte {
-		return s.fetchPeerFrame(ctx, job.frameSource, spec.cacheKey(), job.tenant.cfg.Name)
+		return s.fetchPeerFrame(ctx, job.hints.frameSource, spec.cacheKey(), job.tenant.cfg.Name)
 	}
 	// Each tenant replays out of its own cache partition: one tenant's
 	// working set cannot evict another's, and partition budgets are

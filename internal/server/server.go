@@ -76,9 +76,10 @@ type Config struct {
 	// ClusterKey is the shared secret of the simcluster control plane.
 	// When set, the worker serves its captured .dag frames to peers on
 	// GET /internal/frames (requests must present the key in
-	// X-Cluster-Key) and honors the coordinator's X-Frame-Source routing
-	// hints on submissions carrying the key. Empty disables both — the
-	// frame endpoint 404s and hints are ignored.
+	// X-Cluster-Key) and honors the coordinator's hints on submissions
+	// carrying the key: X-Frame-Source (where to fetch a captured frame)
+	// and X-Done-Hint (where to say the job has ended). Empty disables all
+	// of it — the frame endpoint 404s and hints are ignored.
 	ClusterKey string
 }
 
@@ -151,6 +152,7 @@ type Server struct {
 
 	draining atomic.Bool
 	shutdown sync.Once
+	done     *doneNotifier // nil without a ClusterKey: no submission can carry a done hint
 
 	jitterMu sync.Mutex
 	jitter   *rng.Source // guarded-by: jitterMu — Retry-After and backoff jitter
@@ -198,6 +200,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 
+	if cfg.ClusterKey != "" {
+		s.done = startDoneNotifier(cfg.ClusterKey)
+	}
 	for i := 0; i < cfg.Pool; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -286,7 +291,7 @@ func (s *Server) defaultTenant() *tenant {
 // control rejects it, ErrDraining during shutdown, or a spec validation
 // error; otherwise the queued job.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	return s.submitAs(s.defaultTenant(), spec, "", "")
+	return s.submitAs(s.defaultTenant(), spec, "", clusterHints{})
 }
 
 // SubmitAs is Submit under a named tenant.
@@ -295,15 +300,15 @@ func (s *Server) SubmitAs(tenantName string, spec JobSpec) (*Job, error) {
 	if t == nil {
 		return nil, ErrUnknownTenant
 	}
-	return s.submitAs(t, spec, "", "")
+	return s.submitAs(t, spec, "", clusterHints{})
 }
 
 // submitAs runs the full admission path for one tenant: spec validation,
 // token bucket, queue-share and global-depth checks, then the fsynced
 // accept record — the job is acknowledged only once it is on disk.
-// frameSource, when non-empty, is a trusted peer URL that may hold the
-// job's captured frame (cluster routing hint).
-func (s *Server) submitAs(t *tenant, spec JobSpec, source, frameSource string) (*Job, error) {
+// hints is what a cluster coordinator attached to the submission, already
+// vetted by clusterHintsFor; zero for everything else.
+func (s *Server) submitAs(t *tenant, spec JobSpec, source string, hints clusterHints) (*Job, error) {
 	if err := spec.validate(); err != nil {
 		return nil, fmt.Errorf("server: invalid job spec: %w", err)
 	}
@@ -317,13 +322,13 @@ func (s *Server) submitAs(t *tenant, spec JobSpec, source, frameSource string) (
 		return nil, ErrRateLimited
 	}
 	job := &Job{
-		ID:          s.store.NextID(),
-		Spec:        spec,
-		tenant:      t,
-		source:      source,
-		frameSource: frameSource,
-		out:         JobOutcome{Status: StatusQueued},
-		submitted:   time.Now(), //simlint:allow vclock — queue-wait latency metric
+		ID:        s.store.NextID(),
+		Spec:      spec,
+		tenant:    t,
+		source:    source,
+		hints:     hints,
+		out:       JobOutcome{Status: StatusQueued},
+		submitted: time.Now(), //simlint:allow vclock — queue-wait latency metric
 	}
 	s.remember(job)
 	if err := s.queue.push(t, job); err != nil {
@@ -508,8 +513,15 @@ func (s *Server) runJob(job *Job) {
 	s.finishJob(job)
 }
 
-// finishJob records a terminal transition in the store.
-func (s *Server) finishJob(job *Job) { s.store.Finish(job.record()) }
+// finishJob records a terminal transition in the store, after telling the
+// coordinator that asked to hear of it: the job's view is already terminal,
+// so the result can be fetched while the finish record is written.
+func (s *Server) finishJob(job *Job) {
+	if job.hints.doneURL != "" {
+		s.done.notify(job)
+	}
+	s.store.Finish(job.record())
+}
 
 // scheduleRetry arms a backoff re-run for a transiently-failed job:
 // attempt n waits RetryBase * 2^(n-1) (capped at RetryCap), jittered to
@@ -640,6 +652,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = fmt.Errorf("server: shutdown interrupted with jobs in flight: %w", ctx.Err())
 		}
 
+		if s.done != nil {
+			s.done.stop()
+		}
 		// Flush the journal: compact the final state (in-flight results
 		// included) and close.
 		if cerr := s.store.Close(); cerr != nil && err == nil {

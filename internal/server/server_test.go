@@ -162,6 +162,11 @@ func TestSubmitValidation(t *testing.T) {
 		`{"algorithm": "magma", "nt": 4}`,
 		`{"algorithm": "cholesky"}`,                  // nt missing
 		`{"kind": "sweep", "algorithm": "cholesky"}`, // max_nt missing
+		// max_nt 4 is three points, so slice 3 mod 4 is empty; offset outside
+		// the stride; a slice of something that is not a sweep.
+		`{"kind": "sweep", "algorithm": "cholesky", "max_nt": 4, "point_stride": 4, "point_offset": 3}`,
+		`{"kind": "sweep", "algorithm": "cholesky", "max_nt": 4, "point_stride": 2, "point_offset": 2}`,
+		`{"algorithm": "cholesky", "nt": 4, "point_stride": 2}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

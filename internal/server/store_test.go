@@ -381,7 +381,7 @@ func TestCronFiringSourceSurvivesCrash(t *testing.T) {
 	srv := newTestServer(t, Config{Pool: 1, DataDir: dir})
 	occupant := submitStallJob(t, srv, 40*time.Millisecond)
 	waitStatus(t, occupant, StatusRunning, 5*time.Second)
-	firing, err := srv.submitAs(srv.defaultTenant(), diskSpec(5), "cron:c-000001", "")
+	firing, err := srv.submitAs(srv.defaultTenant(), diskSpec(5), "cron:c-000001", clusterHints{})
 	if err != nil {
 		t.Fatal(err)
 	}

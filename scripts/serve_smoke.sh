@@ -280,7 +280,10 @@ cluster_stage() {
     go build -o "$workdir/simcoord" ./cmd/simcoord
 
     sweep_a='{"kind":"sweep","algorithm":"cholesky","max_nt":6,"nb":8,"workers":4,"seed":9,"reps":4}'
-    sweep_b='{"kind":"sweep","algorithm":"qr","max_nt":6,"nb":8,"workers":4,"seed":31,"reps":4}'
+    # Half a second of captures per part: long enough that the SIGKILL in
+    # the failover stage lands while w2 still runs its slice (a part's end
+    # is noticed at once now, not on the next tick).
+    sweep_b='{"kind":"sweep","algorithm":"qr","max_nt":48,"nb":8,"workers":4,"seed":31,"reps":4}'
     simjob='{"algorithm":"qr","nt":5,"nb":8,"workers":2,"seed":17}'
 
     # Reference fingerprints from a plain single-node run.
@@ -305,10 +308,14 @@ cluster_stage() {
     d1=$(csubmit "$sweep_a")
     cwait_done "$d1"
     doc=$(curl -fsS "$coord/jobs/$d1")
-    printf '%s' "$doc" | grep -q '"rep_stride":2' || { echo "sweep was not fanned out: $doc"; exit 1; }
+    printf '%s' "$doc" | grep -q '"point_stride":2' || { echo "sweep was not fanned out: $doc"; exit 1; }
     fp=$(cfp "$d1")
     [ "$fp" = "$ref_a" ] || { echo "fanned sweep fingerprint $fp, want $ref_a"; exit 1; }
-    echo "fan-out fingerprint identical"
+    # Each worker told the coordinator its part was done (the agents
+    # registered with the coordinator's URL); the tick is only the backstop.
+    metrics=$(curl -fsS "$coord/metrics")
+    printf '%s' "$metrics" | grep -Eq '"done_hints":([2-9]|[1-9][0-9])' || { echo "fanned sweep finished without both done hints: $metrics"; exit 1; }
+    echo "fan-out fingerprint identical, both parts announced by done hints"
 
     # Cache routing: a cacheable job is captured once on its ring owner;
     # after both workers restart, the repeat routed through the
