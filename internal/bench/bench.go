@@ -142,16 +142,15 @@ func gflops(algorithm string, n int, makespan float64) float64 {
 	return kernels.AlgorithmFlops(algorithm, n) / makespan / 1e9
 }
 
-// Summarize is the one summary of a virtual trace of the spec's problem —
-// makespan, task count and rate — whether a scheduler run or a replay
-// produced it. The run-only fields (Wall, Stats, Err, Faults) stay zero.
-func Summarize(spec Spec, tr *trace.Trace) Result {
-	ms := tr.Makespan()
+// Summarize is the one summary of a virtual run of the spec's problem —
+// makespan, task count and rate — whether a scheduler run's trace or a
+// replay that kept only its digest supplied the two numbers. The run-only
+// fields (Trace, Wall, Stats, Err, Faults) stay zero.
+func Summarize(spec Spec, makespan float64, tasks int) Result {
 	return Result{
-		Trace:    tr,
-		Makespan: ms,
-		GFlops:   gflops(spec.Algorithm, spec.N(), ms),
-		NumTasks: len(tr.Events),
+		Makespan: makespan,
+		GFlops:   gflops(spec.Algorithm, spec.N(), makespan),
+		NumTasks: tasks,
 	}
 }
 
@@ -195,8 +194,9 @@ func Run(spec Spec, label string, insert func(rt sched.Runtime, sim *core.Simula
 	if wd != nil {
 		wd.Stop()
 	}
-	res := Summarize(spec, sim.Trace())
-	res.Wall, res.Stats = wall, st
+	tr := sim.Trace()
+	res := Summarize(spec, tr.Makespan(), len(tr.Events))
+	res.Trace, res.Wall, res.Stats = tr, wall, st
 	res.Err = rt.Err()
 	if res.Err == nil {
 		res.Err = insErr // an abort surfaces through rt.Err first

@@ -250,16 +250,26 @@ func TestGoldenFingerprints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			tr, err := replay.RunArena(arena, replay.Options{
+			opt := replay.Options{
 				Workers: 4, Model: goldenModel{}, Seed: 42,
 				IgnorePriorities: ReplayIgnoresPriorities(spec),
-			})
+			}
+			tr, err := replay.RunArena(arena, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			got := fmt.Sprintf("%016x", tr.Fingerprint())
 			if got != golden[name] {
 				t.Errorf("%s: fingerprint %s, golden %s", name, got, golden[name])
+			}
+			// The same constant from the run that builds no trace: what a
+			// cached simd job records as its identity.
+			ms, fp, err := replay.Digest(arena, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := fmt.Sprintf("%016x", fp); got != golden[name] || ms != tr.Makespan() {
+				t.Errorf("%s: Digest = (%v, %s), golden %s with makespan %v", name, ms, got, golden[name], tr.Makespan())
 			}
 		}
 	}

@@ -194,27 +194,18 @@ func microSuite(counters *perf.Counters) []MicroBench {
 		}},
 		{Name: "ReplayArenaSerial", Bench: func(b *testing.B) {
 			// The ReplayVsDirect workload replayed straight off the captured
-			// arena, as every cache hit and sweep replica is; ReplayVsDirect
-			// goes through replay.Run on the capture's view, the public
-			// ReplayDAG path, which adds the lookup of the arena the view
-			// carries. Ordered before the 113k-task group so its timing is
-			// not billed for their heap.
-			arena, err := CaptureArena(replayBenchSpec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := replay.RunArena(arena, replay.Options{
-					Workers:          replayBenchSpec.Workers,
-					Model:            replayJitter{},
-					Seed:             uint64(i) + 1,
-					IgnorePriorities: true,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			// arena, as every sweep replica is; ReplayVsDirect goes through
+			// replay.Run on the capture's view, the public ReplayDAG path,
+			// which adds the lookup of the arena the view carries. Ordered
+			// before the 113k-task group so its timing is not billed for
+			// their heap.
+			benchSmallReplay(b, runTrace)
+		}},
+		{Name: "ReplayDigest", Bench: func(b *testing.B) {
+			// The same replay when the run's identity is wanted and its
+			// trace is not — rep 0 of every cached simd job: the loop folds
+			// each completion into the fingerprint and builds nothing.
+			benchSmallReplay(b, runDigest)
 		}},
 		{Name: "ReplayLargeSerial", Bench: func(b *testing.B) {
 			benchLargeReplay(b, 0, runTrace)
@@ -226,6 +217,12 @@ func microSuite(counters *perf.Counters) []MicroBench {
 				_, err := replay.Makespan(a, opt)
 				return err
 			})
+		}},
+		{Name: "ReplayDigestLarge", Bench: func(b *testing.B) {
+			// The same replay with the fingerprint folded on the way: what
+			// the identity costs on top of ReplayMakespanLarge, against
+			// ReplayLargeSerial plus a second pass over its 113k events.
+			benchLargeReplay(b, 0, runDigest)
 		}},
 		{Name: "ReplayManyLevels", Bench: func(b *testing.B) {
 			// The ready queue away from its common case of one to three
@@ -351,6 +348,34 @@ func benchLargeReplay(b *testing.B, parallelism int, run func(*replay.Arena, rep
 func runTrace(a *replay.Arena, opt replay.Options) error {
 	_, err := replay.RunArena(a, opt)
 	return err
+}
+
+// runDigest is the replay whose result is the makespan and the trace's
+// fingerprint, with no trace built.
+func runDigest(a *replay.Arena, opt replay.Options) error {
+	_, _, err := replay.Digest(a, opt)
+	return err
+}
+
+// benchSmallReplay times run on the ReplayVsDirect workload's captured
+// arena (56 tasks), one seed per iteration.
+func benchSmallReplay(b *testing.B, run func(*replay.Arena, replay.Options) error) {
+	arena, err := CaptureArena(replayBenchSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(arena, replay.Options{
+			Workers:          replayBenchSpec.Workers,
+			Model:            replayJitter{},
+			Seed:             uint64(i) + 1,
+			IgnorePriorities: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // replayBenchSpec is the workload of the ReplayVsDirect benchmark pair: a

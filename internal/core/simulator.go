@@ -467,21 +467,52 @@ func (s *Simulator) deposit(ctx *sched.Ctx, class string, start, end float64, or
 // order. Caller holds s.mu. The merge is deterministic: events are placed
 // strictly by their completion stamp, which is assigned under s.mu at
 // queue-pop time, so the merged trace is byte-identical to what a single
-// append-under-lock implementation would have produced. Mid-run calls
-// (watchdog diagnostics) merge the contiguous prefix and keep stragglers
-// staged until their predecessors arrive.
+// append-under-lock implementation would have produced.
+//
+// Stamps are dense and each is deposited exactly once, so when the lanes
+// hold as many events as there are stamps issued and not yet merged, they
+// hold exactly those stamps and — no stamp being issued while s.mu is held —
+// no deposit is in flight: every event goes straight to Events[stamp]. That
+// is always the case after the scheduler barrier. A mid-run call (watchdog
+// diagnostics) can find a stamp issued but not yet deposited; it stages what
+// the lanes have, merges the contiguous prefix and keeps the stragglers
+// until their predecessors arrive.
 func (s *Simulator) mergeLocked() {
+	pending := 0
 	for i := range s.lanes {
 		ln := &s.lanes[i]
 		ln.mu.Lock()
-		if len(ln.events) > 0 {
-			s.staging = append(s.staging, ln.events...)
-			ln.events = ln.events[:0]
-		}
+		pending += len(ln.events)
 		ln.mu.Unlock()
 	}
-	if len(s.staging) == 0 {
+	if pending == 0 && len(s.staging) == 0 {
 		return
+	}
+	if s.perf != nil {
+		s.perf.TraceMerges.Add(1)
+	}
+	if len(s.staging) == 0 && s.merged+uint64(pending) == s.done {
+		s.trace.Reserve(pending)
+		events := s.trace.Events[:s.done]
+		for i := range s.lanes {
+			ln := &s.lanes[i]
+			ln.mu.Lock()
+			for _, se := range ln.events {
+				events[se.order] = se.ev
+			}
+			ln.events = ln.events[:0]
+			ln.mu.Unlock()
+		}
+		s.trace.Events = events
+		s.merged = s.done
+		return
+	}
+	for i := range s.lanes {
+		ln := &s.lanes[i]
+		ln.mu.Lock()
+		s.staging = append(s.staging, ln.events...)
+		ln.events = ln.events[:0]
+		ln.mu.Unlock()
 	}
 	sort.Slice(s.staging, func(i, j int) bool { return s.staging[i].order < s.staging[j].order })
 	k := 0
@@ -493,9 +524,6 @@ func (s *Simulator) mergeLocked() {
 	if k > 0 {
 		n := copy(s.staging, s.staging[k:])
 		s.staging = s.staging[:n]
-	}
-	if s.perf != nil {
-		s.perf.TraceMerges.Add(1)
 	}
 }
 

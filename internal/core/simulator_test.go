@@ -8,6 +8,7 @@ import (
 	"supersim/internal/sched/ompss"
 	"supersim/internal/sched/quark"
 	"supersim/internal/sched/starpu"
+	"supersim/internal/trace"
 )
 
 // mustQuark builds a QUARK scheduler for tests that construct runtimes
@@ -296,4 +297,55 @@ func TestWithoutQueueDistortsParallelOverlap(t *testing.T) {
 	if ms := run(WithoutQueue()); math.Abs(ms-11) > 1e-9 {
 		t.Errorf("without queue: makespan %g, want 11 (serialized)", ms)
 	}
+}
+
+// TestMergePlacesByStampOnBothPaths drives mergeLocked through its two
+// forms on hand-filled lanes: with a stamp issued but not yet deposited (a
+// mid-run diagnostic merge) it appends the contiguous prefix and stages the
+// rest; once the straggler arrives the staged events follow it; and when the
+// lanes hold every outstanding stamp — the state after a barrier — events go
+// straight to their slots. Either way Events[i] is the event stamped i.
+func TestMergePlacesByStampOnBothPaths(t *testing.T) {
+	rt := mustQuark(3)
+	defer rt.Shutdown()
+	s := NewSimulator(rt, "merge")
+	deposit := func(lane int, stamps ...uint64) {
+		for _, st := range stamps {
+			s.lanes[lane].events = append(s.lanes[lane].events,
+				stampedEvent{order: st, ev: trace.Event{Worker: lane, TaskID: int(st)}})
+		}
+	}
+	merge := func(wantMerged, wantStaged int) {
+		t.Helper()
+		s.mu.Lock()
+		s.mergeLocked()
+		s.mu.Unlock()
+		if len(s.trace.Events) != wantMerged || s.merged != uint64(wantMerged) || len(s.staging) != wantStaged {
+			t.Fatalf("merged %d events (counter %d) and staged %d, want %d and %d",
+				len(s.trace.Events), s.merged, len(s.staging), wantMerged, wantStaged)
+		}
+		for i, e := range s.trace.Events {
+			if e.TaskID != i {
+				t.Fatalf("Events[%d] carries stamp %d", i, e.TaskID)
+			}
+		}
+		for i := range s.lanes {
+			if n := len(s.lanes[i].events); n != 0 {
+				t.Fatalf("lane %d still holds %d events after a merge", i, n)
+			}
+		}
+	}
+
+	s.done = 6 // stamps 0..5 issued, 3 still between the queue pop and its deposit
+	deposit(0, 1, 4)
+	deposit(2, 0, 2, 5)
+	merge(3, 2)
+	deposit(1, 3)
+	merge(6, 0)
+	s.done = 11
+	deposit(1, 7, 10)
+	deposit(0, 6, 8)
+	deposit(2, 9)
+	merge(11, 0)
+	merge(11, 0) // nothing pending: a no-op
 }

@@ -71,6 +71,38 @@ func TestMakespanAllocs(t *testing.T) {
 	}
 }
 
+// digestAllocCeiling bounds a steady-state serial replay.Digest: the
+// Makespan loop plus a hash state on the caller's stack, so again nothing —
+// the point of digesting a run instead of fingerprinting its trace.
+const digestAllocCeiling = 0
+
+func TestDigestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if testing.Short() {
+		t.Skip("allocation calibration is slow")
+	}
+	dag, _ := captureRun(t, core.FixedModel(1e-3), 7)
+	arena, err := dag.Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model core.DurationModel = jitterModel{base: 1e-3}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Digest(arena, Options{Workers: 4, Model: model, Seed: uint64(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if a := res.AllocsPerOp(); a > digestAllocCeiling {
+		t.Errorf("serial replay.Digest allocates %d objects/op, ceiling %d (%s)",
+			a, digestAllocCeiling, res.MemString())
+	}
+}
+
 // pdesRunAllocCeiling bounds the serial-execution PDES path (Parallelism
 // >= 1 below the crossover) at the same arena floor: the plan is pooled
 // and aliases the arena's precomputed schedule, so per op it is again

@@ -606,7 +606,7 @@ func RunArena(a *Arena, opt Options) (*trace.Trace, error) {
 		return runPDES(a, &opt)
 	}
 	tr := trace.New(arenaLabel(a, &opt), arenaWorkers(a, &opt))
-	if _, err := runArenaSerial(a, &opt, tr); err != nil {
+	if _, err := runArenaSerial(a, &opt, tr, nil); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -630,7 +630,31 @@ func Makespan(a *Arena, opt Options) (float64, error) {
 	if a == nil || a.n == 0 {
 		return 0, fmt.Errorf("replay: empty DAG")
 	}
-	return runArenaSerial(a, &opt, nil)
+	return runArenaSerial(a, &opt, nil, nil)
+}
+
+// Digest re-simulates a compiled DAG and returns the run's makespan and its
+// trace fingerprint — bit-equal to the Makespan() and Fingerprint() of
+// RunArena(a, opt)'s trace for every Options value — without building the
+// trace: the serial executor runs the same loop and folds each completion
+// into a trace.Digest as it happens. This is what a run's identity costs
+// when nobody is going to look at the trace; like Makespan it allocates
+// nothing in steady state. With Options.Parallelism >= 1 both values are
+// taken from the PDES trace.
+func Digest(a *Arena, opt Options) (makespan float64, fingerprint uint64, err error) {
+	if opt.Parallelism >= 1 {
+		tr, err := RunArena(a, opt)
+		if err != nil {
+			return 0, 0, err
+		}
+		return tr.Makespan(), tr.Fingerprint(), nil
+	}
+	if a == nil || a.n == 0 {
+		return 0, 0, fmt.Errorf("replay: empty DAG")
+	}
+	dg := trace.NewEventDigest(arenaWorkers(a, &opt))
+	makespan, err = runArenaSerial(a, &opt, nil, &dg)
+	return makespan, dg.Sum64(), err
 }
 
 // serialRun is the per-run state of the serial executor, kept in a struct
@@ -700,14 +724,16 @@ func (r *serialRun) start(id, w int32) runEntry {
 // runArenaSerial is the greedy virtual-time list scheduler of replay.Run,
 // iterating arena columns: wait counts come from the dependence CSR
 // offsets, releases walk the precomputed successor CSR, and every field
-// read is a flat column load. See Run for the scheduling contract. It
-// appends one event per completion to tr — sizing it first — or, when tr
-// is nil, records nothing, and returns the final clock: the latest
-// completion time, which is what Trace.Makespan computes from the events.
+// read is a flat column load. See Run for the scheduling contract. Each
+// completion is one event, handed to whichever sinks the caller passed: tr
+// (sized first) appends it, dg folds it into the running fingerprint; with
+// neither (Makespan) no event is formed. It returns the final clock: the
+// latest completion time, which is what Trace.Makespan computes from the
+// events.
 // The inner-loop helpers (pushReady, start, source and the queue methods)
 // carry the hotpath annotation; this driver owns the cold error paths and
 // the scratch sizing.
-func runArenaSerial(a *Arena, opt *Options, tr *trace.Trace) (float64, error) {
+func runArenaSerial(a *Arena, opt *Options, tr *trace.Trace, dg *trace.Digest) (float64, error) {
 	if opt.Model == nil && !a.hasDur {
 		id := a.firstMissingDuration()
 		return 0, fmt.Errorf("replay: task %d (%s) has no captured duration and no model was given",
@@ -777,6 +803,7 @@ func runArenaSerial(a *Arena, opt *Options, tr *trace.Trace) (float64, error) {
 		running.push(r.start(ready.pop(), w))
 	}
 
+	observed := tr != nil || dg != nil
 	for done := 0; done < n; done++ {
 		if len(running) == 0 {
 			return 0, fmt.Errorf("replay: deadlock after %d of %d tasks (cycle in captured DAG?)", done, n)
@@ -785,15 +812,21 @@ func runArenaSerial(a *Arena, opt *Options, tr *trace.Trace) (float64, error) {
 		if e.end > r.clock {
 			r.clock = e.end
 		}
-		if tr != nil {
-			tr.Append(trace.Event{
+		if observed {
+			ev := trace.Event{
 				Worker: int(e.worker),
 				Class:  a.strTab[a.classIdx[e.id]],
 				Label:  a.strTab[a.labelIdx[e.id]],
 				TaskID: int(e.id),
 				Start:  e.start,
 				End:    e.end,
-			})
+			}
+			if tr != nil {
+				tr.Append(ev)
+			}
+			if dg != nil {
+				*dg = dg.Event(ev)
+			}
 		}
 		for _, s := range a.succList[a.succOff[e.id]:a.succOff[e.id+1]] {
 			sc.waits[s]--

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"supersim/internal/core"
@@ -76,7 +77,8 @@ func FuzzDecode(f *testing.F) {
 // bytes a task) of a fixed random graph, framed with a valid CRC so Load
 // always gets as far as deriving the ready-queue levels. Whatever the
 // column holds, the level tables must partition it and the replay must
-// match the naive oracle — with priorities and without.
+// match the naive oracle — with priorities and without — as a trace and as
+// the digest of the trace-free run.
 func FuzzLoadRun(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0})
@@ -112,6 +114,13 @@ func FuzzLoadRun(f *testing.F) {
 			}
 			if got, want := tr.Fingerprint(), oracleRun(d, opt).Fingerprint(); got != want {
 				t.Fatalf("fifo=%v: fingerprint %#x, oracle %#x", fifo, got, want)
+			}
+			ms, fp, err := Digest(a, opt)
+			if err != nil {
+				t.Fatalf("loaded arena does not digest: %v", err)
+			}
+			if fp != tr.Fingerprint() || math.Float64bits(ms) != math.Float64bits(tr.Makespan()) {
+				t.Fatalf("fifo=%v: Digest = (%v, %#x), its trace has (%v, %#x)", fifo, ms, fp, tr.Makespan(), tr.Fingerprint())
 			}
 		}
 	})

@@ -66,7 +66,54 @@ func TestMakespanEqualsRunMakespan(t *testing.T) {
 	}
 }
 
-// TestMakespanErrors: Makespan reports what RunArena reports.
+// TestDigestEqualsRunArena pins replay.Digest's contract the same way: the
+// makespan and the fingerprint it folds while the loop runs are, bit for
+// bit, those of the trace RunArena builds — over the golden captures (the
+// three algorithms under each runtime's capture order, the specs whose
+// absolute fingerprints bench.TestGoldenFingerprints holds), both ready
+// orders, a sampled model and captured durations, worker counts from one to
+// more than the graph is wide, and both executors.
+func TestDigestEqualsRunArena(t *testing.T) {
+	for _, alg := range []string{"cholesky", "qr", "lu"} {
+		for _, sp := range []struct{ scheduler, policy string }{{"quark", ""}, {"starpu", "prio"}, {"ompss", ""}} {
+			spec := bench.Spec{Algorithm: alg, Scheduler: sp.scheduler, Policy: sp.policy, NT: 6, NB: 8, Workers: 4, Seed: 1}
+			dag, err := bench.CaptureSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range dag.Tasks {
+				dag.Tasks[i].Duration = float64(i%11+1) * 1e-4
+			}
+			arena, err := replay.BuildArena(dag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, model := range []core.DurationModel{jitter{base: 1e-3}, nil} {
+				for _, fifo := range []bool{false, true} {
+					for _, workers := range []int{1, 3, 4, 64} {
+						for _, parallelism := range []int{0, 1} {
+							opt := replay.Options{Workers: workers, Model: model, Seed: 42, IgnorePriorities: fifo, Parallelism: parallelism}
+							name := fmt.Sprintf("%s/%s/captured=%v/fifo=%v/w%d/p%d", alg, sp.scheduler, model == nil, fifo, workers, parallelism)
+							tr, err := replay.RunArena(arena, opt)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							ms, fp, err := replay.Digest(arena, opt)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if fp != tr.Fingerprint() || math.Float64bits(ms) != math.Float64bits(tr.Makespan()) {
+								t.Errorf("%s: Digest = (%v, %#x), RunArena's trace has (%v, %#x)", name, ms, fp, tr.Makespan(), tr.Fingerprint())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMakespanErrors: Makespan and Digest report what RunArena reports.
 func TestMakespanErrors(t *testing.T) {
 	dag := &replay.DAG{Label: "nodur", Workers: 1, Tasks: []replay.Task{{Class: "K", Label: "k", Ready: -1, Duration: -1}}}
 	arena, err := dag.Arena()
@@ -81,6 +128,12 @@ func TestMakespanErrors(t *testing.T) {
 		_, err := replay.Makespan(arena, replay.Options{Parallelism: parallelism})
 		if runErr == nil || err == nil || err.Error() != runErr.Error() {
 			t.Errorf("p=%d: Makespan error %v, Run error %v", parallelism, err, runErr)
+		}
+		if _, _, err := replay.Digest(nil, replay.Options{Parallelism: parallelism}); err == nil {
+			t.Errorf("p=%d: Digest of no arena: no error", parallelism)
+		}
+		if _, _, err := replay.Digest(arena, replay.Options{Parallelism: parallelism}); err == nil || err.Error() != runErr.Error() {
+			t.Errorf("p=%d: Digest error %v, Run error %v", parallelism, err, runErr)
 		}
 	}
 }

@@ -213,7 +213,8 @@ func TestSerialReplayMatchesOracle(t *testing.T) {
 				for _, m := range models {
 					opt := Options{Workers: workers, Model: m.model, Seed: 5, IgnorePriorities: fifo}
 					name := fmt.Sprintf("%s/w%d/fifo=%v/%s", p.name, workers, fifo, m.name)
-					want := oracleRun(dag, opt).Fingerprint()
+					oracle := oracleRun(dag, opt)
+					want := oracle.Fingerprint()
 					got, err := Run(dag, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -230,6 +231,15 @@ func TestSerialReplayMatchesOracle(t *testing.T) {
 					}
 					if viaFrame.Fingerprint() != want {
 						t.Errorf("%s: loaded frame fingerprint %#x, oracle %#x", name, viaFrame.Fingerprint(), want)
+					}
+					// The trace-free form of the same run: the digest the loop
+					// folds as it completes tasks is the oracle trace's.
+					ms, fp, err := Digest(loaded, opt)
+					if err != nil {
+						t.Fatalf("%s: Digest: %v", name, err)
+					}
+					if fp != want || math.Float64bits(ms) != math.Float64bits(oracle.Makespan()) {
+						t.Errorf("%s: Digest = (%v, %#x), oracle trace has (%v, %#x)", name, ms, fp, oracle.Makespan(), want)
 					}
 				}
 			}
@@ -343,7 +353,7 @@ func TestLoadManyLevelsIsNotQuadratic(t *testing.T) {
 	if budget := 2 * time.Second; took > budget {
 		t.Errorf("Load of %d distinct priorities took %v, budget %v", n, took, budget)
 	}
-	ms, err := runArenaSerial(a, &Options{Workers: 3}, nil)
+	ms, err := runArenaSerial(a, &Options{Workers: 3}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,8 +177,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, job.view())
 }
 
-// jobTrace resolves a job's retained trace for the trace endpoints,
-// writing the error response when unavailable.
+// jobTrace resolves a done job's trace for the trace endpoints, writing the
+// error response when there is none to serve: a direct job's is the one it
+// retained, a cached job's is re-derived and checked against the job's
+// fingerprint (replayTrace) on the request's own goroutine — a cold path
+// that costs one replay, and a capture if every cache level lost the frame.
 func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) *trace.Trace {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -195,13 +198,24 @@ func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) *trace.Trace {
 		WriteError(w, http.StatusConflict, true, "job %s still %s; poll again", job.ID, job.Status())
 		return nil
 	}
-	tr := job.Trace()
-	if tr == nil {
+	if tr := job.Trace(); tr != nil {
+		return tr
+	}
+	switch spec := &job.Spec; {
+	case !spec.keepTrace():
 		WriteError(w, http.StatusNotFound, false,
 			"job %s retained no trace (sweep job, or submitted with \"trace\": false)", job.ID)
-		return nil
+	case !spec.cacheable():
+		WriteError(w, http.StatusNotFound, false,
+			"job %s ran on the real scheduler and the trace it retained did not survive the restart", job.ID)
+	default:
+		tr, err := s.replayTrace(r.Context(), job)
+		if err != nil {
+			WriteError(w, http.StatusInternalServerError, false, "job %s: cannot serve its trace: %v", job.ID, err)
+		}
+		return tr
 	}
-	return tr
+	return nil
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

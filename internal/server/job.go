@@ -81,8 +81,9 @@ type JobSpec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// NoCache forces the direct path even for cache-eligible jobs.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Trace controls whether the job retains its virtual trace for the
-	// trace endpoints (default true for simulate jobs).
+	// Trace controls whether the trace endpoints serve the job's rep-0
+	// virtual trace (default true for simulate jobs). A direct job retains
+	// it; a cached job's is recomputed on request.
 	Trace *bool `json:"trace,omitempty"`
 }
 
@@ -274,7 +275,8 @@ func (s *JobSpec) benchSpec() bench.Spec {
 	}
 }
 
-// keepTrace reports whether the job should retain its virtual trace.
+// keepTrace reports whether the job's virtual trace is to be had from the
+// trace endpoints.
 func (s *JobSpec) keepTrace() bool {
 	if s.Trace != nil {
 		return *s.Trace
@@ -371,7 +373,11 @@ type Job struct {
 	retryable bool       // guarded-by: mu
 	queueWait float64    // guarded-by: mu — seconds
 	runTime   float64    // guarded-by: mu — seconds
-	trace     *trace.Trace
+	// trace is a direct job's retained rep-0 trace: the real scheduler's
+	// schedule races, so it cannot be had again. Cached jobs leave it nil —
+	// theirs is a pure function of the spec and the captured graph, and
+	// Server.replayTrace re-derives it. Not journaled.
+	trace *trace.Trace // guarded-by: mu
 
 	submitted time.Time
 	started   time.Time // guarded-by: mu
@@ -442,12 +448,22 @@ func (j *Job) view() JobView {
 		RunNS:       int64(j.runTime * 1e9),
 		Error:       j.out.Error,
 		Retryable:   j.retryable,
-		HasTrace:    j.trace != nil,
+		HasTrace:    j.servesTraceLocked(),
 		Result:      j.out.Result,
 	}
 }
 
-// Trace returns the retained virtual trace, or nil.
+// servesTraceLocked is has_trace: whether the trace endpoints will serve
+// this job's trace — a done job that either retained it (direct) or can
+// have it re-derived (cached, unless submitted with "trace": false). True
+// for a cached job recovered after a restart, false for a direct one: its
+// trace went with the process. Caller holds j.mu.
+func (j *Job) servesTraceLocked() bool {
+	return j.out.Status == StatusDone &&
+		(j.trace != nil || j.Spec.cacheable() && j.Spec.keepTrace())
+}
+
+// Trace returns the retained virtual trace of a direct job, or nil.
 func (j *Job) Trace() *trace.Trace {
 	j.mu.Lock()
 	defer j.mu.Unlock()

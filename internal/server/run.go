@@ -14,9 +14,10 @@ import (
 	"supersim/internal/trace"
 )
 
-// execute runs one job under ctx and returns its result, the retained
-// trace (nil when the spec disables retention), and the cache disposition
-// ("hit", "disk", "miss" or "bypass").
+// execute runs one job under ctx and returns its result, the trace to
+// retain (a direct job's, unless the spec disables retention; nil for the
+// other paths — a cached job's is re-derived on request, see replayTrace),
+// and the cache disposition ("hit", "disk", "peer", "miss" or "bypass").
 func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, *trace.Trace, string, error) {
 	spec := &job.Spec
 	switch {
@@ -24,7 +25,8 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, *trace.Trac
 		res, err := s.runSweep(ctx, spec)
 		return res, nil, cacheBypass, err
 	case spec.cacheable():
-		return s.runCached(ctx, job)
+		res, disposition, err := s.runCached(ctx, job)
+		return res, nil, disposition, err
 	default:
 		res, tr, err := s.runDirect(ctx, job)
 		return res, tr, cacheBypass, err
@@ -76,37 +78,27 @@ func SweepResult(points []bench.SweepPoint) *JobResult {
 }
 
 // Result fingerprints digest each execution path's deterministic
-// observable, so crash recovery can prove a re-run reproduced the
-// original result:
+// observable, so crash recovery can prove a re-run reproduced the original
+// result. There are three observables and one hash function (trace.Digest):
 //
-//   - cached (replay) jobs hash the full rep-0 trace (trace.Fingerprint):
-//     replay is bit-identical, so the whole schedule is the identity;
-//   - direct jobs hash the makespans vector, not the trace: the real
+//   - cached (replay) jobs digest the full rep-0 trace, event by event as
+//     the replay completes tasks (replay.Digest = trace.Fingerprint of the
+//     trace nobody built): replay is bit-identical, so the whole schedule is
+//     the identity;
+//   - direct jobs digest the makespans vector, not the trace: the real
 //     scheduler's task→worker assignment (and so the trace's event layout)
 //     legitimately races. The makespans are reproducible where the schedule
 //     is — one worker, or a model without duration ties — and otherwise an
 //     identity only up to those races;
-//   - sweep jobs hash the whole curve (NT and makespans per point).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+//   - sweep jobs digest the whole curve (NT and makespans per point).
 
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// foldMakespans continues the digest h over a makespans vector — the one
+// foldMakespans continues the digest d over a makespans vector — the one
 // fold behind both the direct-job and the sweep fingerprint.
-func foldMakespans(h uint64, makespans []float64) uint64 {
+func foldMakespans(d trace.Digest, makespans []float64) trace.Digest {
 	for _, m := range makespans {
-		h = fnvMix(h, math.Float64bits(m))
+		d = d.Word(math.Float64bits(m))
 	}
-	return h
+	return d
 }
 
 // SweepFingerprint digests a sweep curve (NT, then the makespans, per
@@ -114,20 +106,18 @@ func foldMakespans(h uint64, makespans []float64) uint64 {
 // must compare it with a worker's result: by the replica-seed invariant
 // the digest of a merged fan-out equals a single node's.
 func SweepFingerprint(points []bench.SweepPoint) string {
-	h := uint64(fnvOffset64)
+	d := trace.NewDigest()
 	for _, p := range points {
-		h = foldMakespans(fnvMix(h, uint64(p.NT)), p.Makespans)
+		d = foldMakespans(d.Word(uint64(p.NT)), p.Makespans)
 	}
-	return fmt.Sprintf("%016x", h)
+	return d.Hex()
 }
 
-// runCached serves a simulate job through the capture cache: the arena is
-// captured at most once per key (singleflight — concurrent identical jobs
-// share one capture), then every repetition is a pure replay. This is the
-// daemon's hot path: a cache hit skips the scheduler entirely.
-func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Trace, string, error) {
+// cachedArena returns the arena a cacheable job replays, through its
+// tenant's one source chain (memory → disk → peer → capture, singleflight per
+// key), and the disposition that names the level that had it.
+func (s *Server) cachedArena(ctx context.Context, job *Job) (*replay.Arena, string, error) {
 	spec := &job.Spec
-	bspec := spec.benchSpec()
 	// A cluster coordinator that routed this job off the key's previous
 	// owner names that owner in X-Frame-Source: the cache tries its
 	// already-captured frame before falling back to capturing.
@@ -138,56 +128,96 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 	// working set cannot evict another's, and partition budgets are
 	// independent LRU knobs (TenantConfig.CacheCapacity).
 	arena, disposition, err := job.tenant.cache.get(spec.cacheKey(), fetch, func() (*replay.Arena, error) {
-		return bench.CaptureArena(bspec)
+		return bench.CaptureArena(spec.benchSpec())
 	})
 	if err != nil {
-		return nil, nil, disposition, fmt.Errorf("capture: %w", err)
+		return nil, disposition, fmt.Errorf("capture: %w", err)
+	}
+	return arena, disposition, nil
+}
+
+// replayOptions returns the options of a cached job's repetition rep under
+// model (buildModel of the spec, built once by the caller): the one place
+// they are derived, so the trace endpoint re-runs exactly what the job ran.
+func (j *Job) replayOptions(model core.DurationModel, rep int) replay.Options {
+	spec := &j.Spec
+	return replay.Options{
+		Workers:          spec.Workers,
+		Model:            model,
+		Seed:             bench.ReplicaSeed(spec.Seed, spec.NT, rep),
+		IgnorePriorities: bench.ReplayIgnoresPriorities(spec.benchSpec()),
+		Label:            j.ID,
+		Parallelism:      spec.Parallelism,
+	}
+}
+
+// runCached serves a simulate job through the capture cache: the arena is
+// captured at most once per key (singleflight — concurrent identical jobs
+// share one capture), then every repetition is a pure replay. This is the
+// daemon's hot path: a cache hit skips the scheduler entirely, and no
+// repetition builds a trace — rep 0 contributes its makespan and the digest
+// of the trace it would have built (the job's identity, and what crash
+// recovery compares a re-run against), later ones a makespan.
+func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, string, error) {
+	spec := &job.Spec
+	arena, disposition, err := s.cachedArena(ctx, job)
+	if err != nil {
+		return nil, disposition, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, disposition, fmt.Errorf("deadline expired during capture: %w", err)
+		return nil, disposition, fmt.Errorf("deadline expired during capture: %w", err)
 	}
 
 	model := buildModel(spec.Model)
-	fifo := bench.ReplayIgnoresPriorities(bspec)
 	res := &JobResult{Makespans: make([]float64, spec.Reps)}
-	var kept *trace.Trace
 	for rep := 0; rep < spec.Reps; rep++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, disposition, fmt.Errorf("deadline expired after %d of %d repetitions: %w", rep, spec.Reps, err)
+			return nil, disposition, fmt.Errorf("deadline expired after %d of %d repetitions: %w", rep, spec.Reps, err)
 		}
-		opt := replay.Options{
-			Workers:          spec.Workers,
-			Model:            model,
-			Seed:             bench.ReplicaSeed(spec.Seed, spec.NT, rep),
-			IgnorePriorities: fifo,
-			Label:            job.ID,
-			Parallelism:      spec.Parallelism,
-		}
+		opt := job.replayOptions(model, rep)
 		if rep > 0 {
-			// Later repetitions contribute a makespan and nothing else.
 			ms, err := replay.Makespan(arena, opt)
 			if err != nil {
-				return nil, nil, disposition, fmt.Errorf("replay rep %d: %w", rep, err)
+				return nil, disposition, fmt.Errorf("replay rep %d: %w", rep, err)
 			}
 			res.Makespans[rep] = ms
 			continue
 		}
-		tr, err := replay.RunArena(arena, opt)
+		ms, fp, err := replay.Digest(arena, opt)
 		if err != nil {
-			return nil, nil, disposition, fmt.Errorf("replay rep %d: %w", rep, err)
+			return nil, disposition, fmt.Errorf("replay rep %d: %w", rep, err)
 		}
-		res.summarize(bench.Summarize(bspec, tr))
-		res.Makespans[0] = res.Makespan
-		// The rep-0 trace fingerprint is computed whether or not the
-		// trace is retained: it is the identity crash recovery compares
-		// a re-run against.
-		res.Fingerprint = fmt.Sprintf("%016x", tr.Fingerprint())
-		if spec.keepTrace() {
-			kept = tr
-		}
+		res.summarize(bench.Summarize(spec.benchSpec(), ms, arena.NumTasks()))
+		res.Makespans[0] = ms
+		res.Fingerprint = trace.Digest(fp).Hex()
 	}
 	res.MinMakespan, res.MeanMakespan = bench.MinMean(res.Makespans)
-	return res, kept, disposition, nil
+	return res, disposition, nil
+}
+
+// replayTrace re-derives the rep-0 trace of a done cached job for the trace
+// endpoints: the job kept its digest, not its trace. The arena comes through
+// the same source chain a job's does — a lookup here is not a job, so no
+// disposition is counted — and is replayed with the job's own options. The
+// result is served only if it fingerprints to the job's: a frame that is no
+// longer the one the job ran (swapped on disk, re-captured differently) is
+// an error, never a different trace under the same job id.
+func (s *Server) replayTrace(ctx context.Context, job *Job) (*trace.Trace, error) {
+	arena, _, err := s.cachedArena(ctx, job)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := replay.RunArena(arena, job.replayOptions(buildModel(job.Spec.Model), 0))
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	job.mu.Lock()
+	want := job.out.Fingerprint
+	job.mu.Unlock()
+	if got := trace.Digest(tr.Fingerprint()).Hex(); got != want {
+		return nil, fmt.Errorf("re-derived trace fingerprints to %s, the job's result to %s: the captured graph changed since the job ran", got, want)
+	}
+	return tr, nil
 }
 
 // runDirect serves a simulate job on the real scheduler: fault plans, gang
@@ -222,7 +252,7 @@ func (s *Server) runDirect(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 	// Direct runs fingerprint the makespans vector, not the trace: the
 	// real scheduler's task→worker assignment legitimately races, and the
 	// makespans are as reproducible as the schedule is.
-	res.Fingerprint = fmt.Sprintf("%016x", foldMakespans(fnvOffset64, res.Makespans))
+	res.Fingerprint = foldMakespans(trace.NewDigest(), res.Makespans).Hex()
 	return res, kept, nil
 }
 

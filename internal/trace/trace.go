@@ -6,10 +6,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"math"
-	"sort"
+	"slices"
 
 	"supersim/internal/stats"
 )
@@ -105,16 +105,32 @@ func (t *Trace) Efficiency() float64 {
 }
 
 // PerWorker returns the events grouped by worker, each group sorted by
-// start time.
+// start time. The lanes are carved from one slab sized by a counting pass.
+// One worker completes its tasks in the order it started them, so a lane of
+// a trace in completion order is already sorted and only checked; a trace
+// stored in another order is sorted stably, equal starts keeping their
+// stored order.
 func (t *Trace) PerWorker() [][]Event {
 	lanes := make([][]Event, t.Workers)
+	total := 0
+	counts := t.TasksPerWorker()
+	for _, c := range counts {
+		total += c
+	}
+	slab := make([]Event, total)
+	for w, c := range counts {
+		lanes[w], slab = slab[:0:c], slab[c:]
+	}
 	for _, e := range t.Events {
 		if e.Worker >= 0 && e.Worker < t.Workers {
 			lanes[e.Worker] = append(lanes[e.Worker], e)
 		}
 	}
+	byStart := func(a, b Event) int { return cmp.Compare(a.Start, b.Start) }
 	for _, lane := range lanes {
-		sort.Slice(lane, func(i, j int) bool { return lane[i].Start < lane[j].Start })
+		if !slices.IsSortedFunc(lane, byStart) {
+			slices.SortStableFunc(lane, byStart)
+		}
 	}
 	return lanes
 }
@@ -165,38 +181,14 @@ func (t *Trace) Validate() []Violation {
 // event's worker, class, label, task id and exact virtual interval (bit
 // patterns, not rounded values). The trace's own Label is excluded, so a
 // "real" and a "replay" trace of the same execution fingerprint equal.
-// The replay determinism tests compare runs by this digest.
+// The replay determinism tests compare runs by this digest; Digest is its
+// incremental form, for a producer that wants the value and not the trace.
 func (t *Trace) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	}
-	mixStr := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff // terminator: "ab"+"c" differs from "a"+"bc"
-		h *= prime64
-	}
-	mix(uint64(t.Workers))
+	d := NewEventDigest(t.Workers)
 	for _, e := range t.Events {
-		mix(uint64(e.Worker))
-		mixStr(e.Class)
-		mixStr(e.Label)
-		mix(uint64(e.TaskID))
-		mix(math.Float64bits(e.Start))
-		mix(math.Float64bits(e.End))
+		d = d.Event(e)
 	}
-	return h
+	return d.Sum64()
 }
 
 // ByClass groups event durations per kernel class.

@@ -11,7 +11,8 @@
 #             still queued), SIGKILL the daemon mid-load, restart it on the
 #             same data dir, and require every acknowledged job to finish
 #             exactly once with a fingerprint identical to the pre-kill
-#             reference.
+#             reference; kill it again and require a repeat job served from
+#             its disk frame and a finished job's trace still served.
 #   cluster — scale-out: boot simcoord plus two simd workers, fan a sweep
 #             across both and require the merged fingerprint to be
 #             bit-identical to a single-node run; restart the workers and
@@ -190,6 +191,16 @@ chaos_stage() {
     metrics=$(curl -fsS "$base/metrics")
     printf '%s' "$metrics" | grep -q '"captures":0' || { echo "restarted daemon re-captured: $metrics"; exit 1; }
     echo "disk capture cache passed"
+
+    # A replayed job keeps its fingerprint and no trace, so one that finished
+    # before the SIGKILL must still serve its trace from the new process:
+    # re-derived from the persisted frame (j2's graph is not in memory here)
+    # and checked against the journaled fingerprint, without a capture run.
+    curl -fsS "$base/jobs/$j2" | grep '"has_trace":true' >/dev/null || { echo "recovered job $j2 does not advertise its trace"; exit 1; }
+    curl -fsS "$base/jobs/$j2/trace" | grep '"events":' >/dev/null || { echo "recovered job $j2 did not serve its trace"; exit 1; }
+    metrics=$(curl -fsS "$base/metrics")
+    printf '%s' "$metrics" | grep -q '"captures":0' || { echo "trace of a recovered job was re-captured, not loaded: $metrics"; exit 1; }
+    echo "recovered job's trace served"
 
     kill -TERM "$pid"
     wait "$pid" 2>/dev/null && rc=0 || rc=$?
