@@ -50,13 +50,15 @@ cluster-smoke:
 # through a different path; run here as a pass/fail gate, numbers discarded.
 # The three capture-cache workloads, the two whose every op is one run of
 # the real scheduler — lib-direct (bench.Simulated) and serve-sweep
-# (CaptureArena inside SweepParallel) — and cluster-sweep, whose every op is
-# a sweep fanned over two workers as point slices and merged. 3 s, not
-# less: serve-miss is a fixed 48 ops/s window and a run with under 100
-# latency samples exits non-zero; a sweep op is ~10 ms, so the sweeps get
-# 5 s (cluster-sweep's window is a fixed 24 ops per second asked for).
+# (CaptureArena inside SweepParallel) — replay-large, the one workload that
+# Loads a large frame (117k tasks) and replays it with a trace, and
+# cluster-sweep, whose every op is a sweep fanned over two workers as point
+# slices and merged. 3 s, not less: serve-miss is a fixed 48 ops/s window,
+# replay-large runs ~45 ops/s, and a run with under 100 latency samples
+# exits non-zero; a sweep op is ~10 ms, so the sweeps get 5 s
+# (cluster-sweep's window is a fixed 24 ops per second asked for).
 e2e-smoke:
-	for w in serve-hit serve-disk serve-miss lib-direct; do \
+	for w in serve-hit serve-disk serve-miss lib-direct replay-large; do \
 		$(GO) run ./benchmark -workload $$w -trace 0 -seconds 3 || exit 1; \
 	done
 	for w in serve-sweep cluster-sweep; do \

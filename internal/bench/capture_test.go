@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -205,6 +206,58 @@ func TestCaptureFramesGoldenAndRebuildable(t *testing.T) {
 		}
 		if seeded, _ := view.Arena(); !bytes.Equal(seeded.Encode(), frame) {
 			t.Errorf("%s: editing the view changed the arena it carries", name)
+		}
+	}
+}
+
+// TestLoadAllocatesOnlyDerivedViews pins what a frame costs once loaded:
+// every column and string aliases the frame, so Load allocates the Arena,
+// the successor CSR and the level tables (plus the default replay label) —
+// at most 4·(n+1+e) bytes and 1 KB beside, in at most four objects. A
+// string header per task, a PDES rank table or a scratch column would each
+// break it.
+func TestLoadAllocatesOnlyDerivedViews(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for name, spec := range goldenSpecs() {
+		captured, err := CaptureArena(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		frame := captured.Encode()
+		load := func() {
+			if _, err := replay.Load(frame); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		objects := testing.AllocsPerRun(20, load)
+		bytes, _ := allocated(load)
+		budget := 4*float64(captured.NumTasks()+1+captured.NumEdges()) + 1024
+		if objects > 4 || bytes > budget {
+			t.Errorf("%s: Load allocates %.0f objects and %.0f B, budget 4 and %.0f B", name, objects, bytes, budget)
+		}
+	}
+}
+
+// TestLabelBytesSizesTheStringTable: factor.LabelBytes is exactly the
+// string bytes a capture of the stream interns beside the DAG label — the
+// frame's string-byte count — so the region Reserve makes is never regrown
+// and never larger than the table.
+func TestLabelBytesSizesTheStringTable(t *testing.T) {
+	for name, spec := range goldenSpecs() {
+		ops, err := Ops(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena, err := captureOps(spec, ops)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		const stringBytesCount = 32 + 4*8 // header, then the fifth count
+		got := binary.LittleEndian.Uint64(arena.Encode()[stringBytesCount:])
+		if want := factor.LabelBytes(ops) + len(arena.Label()); got != uint64(want) {
+			t.Errorf("%s: the frame holds %d string bytes, LabelBytes plus the label %d", name, got, want)
 		}
 	}
 }

@@ -273,6 +273,24 @@ func microSuite(counters *perf.Counters) []MicroBench {
 				}
 			}
 		}},
+		{Name: "LoadFrame24", Bench: func(b *testing.B) {
+			// What a serve-disk request pays to adopt its frame (cholesky
+			// nt=24, 2 600 tasks) before the replay: validation, the
+			// successor CSR and the level tables. B/op and allocs/op are the
+			// arena's own memory — every column aliases the frame.
+			arena, err := CaptureArena(Spec{Algorithm: "cholesky", Scheduler: "quark", NT: 24, NB: 8, Workers: 8, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			frame := arena.Encode()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := replay.Load(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	}
 }
 

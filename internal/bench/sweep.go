@@ -64,7 +64,7 @@ func captureOps(spec Spec, ops []factor.Op) (*replay.Arena, error) {
 	for i := range ops {
 		nargs += len(ops[i].Args)
 	}
-	rec.Reserve(len(ops), nargs)
+	rec.Reserve(len(ops), nargs, factor.LabelBytes(ops))
 	// A runtime whose master only inserts (StarPU) runs the tasks on a
 	// dedicated worker, concurrently with the insertion loop below; whether
 	// a task then finds its predecessors complete — ready at insertion — or

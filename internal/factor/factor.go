@@ -9,6 +9,7 @@ package factor
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -75,6 +76,23 @@ func (o *Op) labelLen() int {
 	n := len(o.Class) + 2 + max(len(o.Args)-1, 0)
 	for _, a := range o.Args {
 		n += len(a.Name)
+	}
+	return n
+}
+
+// LabelBytes is the size of the string table a capture of ops interns:
+// every op's label — unique within a stream, since it names the op's
+// tiles — and each distinct class name once.
+func LabelBytes(ops []Op) int {
+	n := 0
+	classes := make([]kernels.Class, 0, 8) // every algorithm has four
+	for i := range ops {
+		o := &ops[i]
+		n += o.labelLen()
+		if !slices.Contains(classes, o.Class) {
+			classes = append(classes, o.Class)
+			n += len(o.Class)
+		}
 	}
 	return n
 }

@@ -255,33 +255,34 @@ func (j *Journal) Sync() error {
 }
 
 // WriteFileAtomic publishes data at path with full-file atomicity: the
-// bytes are written to a same-directory temp file, fsynced, and renamed
-// over path. A reader (or a crash) observes either the old file or the
-// complete new one, never a torn mix — the invariant every durable
-// artifact beside the journal (capture-cache frames, cron baselines)
-// must uphold, and the one simlint's durable analyzer enforces for
-// writes under a data dir.
+// bytes are written to a temp file of their own in path's directory,
+// fsynced, and renamed over path. A reader (or a crash) observes either
+// the old file or a complete new one, never a torn mix — the invariant
+// every durable artifact beside the journal (capture-cache frames, cron
+// baselines) must uphold, and the one simlint's durable analyzer enforces
+// for writes under a data dir. Concurrent calls on one path each publish
+// a whole file, the last rename winning; the temp file is removed on every
+// error path.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("journal: creating %s: %w", tmp, err)
+		return fmt.Errorf("journal: creating a temp file for %s: %w", path, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("journal: writing %s: %w", tmp, err)
+	tmp := f.Name()
+	err = f.Chmod(perm)
+	if err == nil {
+		_, err = f.Write(data)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("journal: fsyncing %s: %w", tmp, err)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: closing %s: %w", tmp, err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("journal: publishing %s: %w", path, err)
 	}

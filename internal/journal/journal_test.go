@@ -1,9 +1,12 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -259,5 +262,58 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
+	}
+}
+
+// TestWriteFileAtomicConcurrentWriters: writers racing to publish one path —
+// a capture's write-through still in flight when its evicted key is
+// captured and written again — must each publish a whole file of their own.
+// Sharing one temp name let a second writer truncate the first's temp file
+// before its rename, publishing a file still being written, and failed the
+// other rename. Every call must succeed, the file must end as exactly one
+// writer's payload, and no temp file may be left behind.
+func TestWriteFileAtomicConcurrentWriters(t *testing.T) {
+	const writers, rounds, size = 8, 50, 64 << 10
+	dir := t.TempDir()
+	path := filepath.Join(dir, "frame.dag")
+	payloads := make([][]byte, writers)
+	for w := range payloads {
+		payloads[w] = bytes.Repeat([]byte{byte('a' + w)}, size)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*rounds)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(data []byte) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				errs <- WriteFileAtomic(path, data, 0o644)
+			}
+		}(payloads[w])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("WriteFileAtomic: %v", err)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(payloads, func(p []byte) bool { return bytes.Equal(got, p) }) {
+		t.Errorf("published file (%d bytes) is no writer's payload", len(got))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Errorf("directory holds %v, want only the published file", names)
 	}
 }

@@ -104,9 +104,9 @@ func TestDigestAllocs(t *testing.T) {
 }
 
 // pdesRunAllocCeiling bounds the serial-execution PDES path (Parallelism
-// >= 1 below the crossover) at the same arena floor: the plan is pooled
-// and aliases the arena's precomputed schedule, so per op it is again
-// exactly the returned trace.
+// >= 1 below the crossover) at the same arena floor: the plan is pooled,
+// derives the rank into its own slices and aliases the arena's edge views,
+// so per op it is again exactly the returned trace.
 const pdesRunAllocCeiling = 2
 
 func TestPDESSerialPathAllocs(t *testing.T) {

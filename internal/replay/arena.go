@@ -7,19 +7,20 @@
 // laid end to end (codec.go). Ids are implicit — task i is row i — every
 // index column is int32, the access modes, dependence kinds and placement
 // masks are bytes, durations sit in one float64 column, and all strings
-// are interned into a single table indexed by int32. Dependence and
-// footprint lists are CSR (offset + flat list) so the hot loops are pure
-// slice arithmetic with no per-task pointers at all. A *DAG — []Task with
-// per-task Footprint and Deps slices — is the inspection view of the same
-// graph, built from an arena on request (Arena.DAG) or written by hand and
-// compiled with BuildArena; no replay walks it.
+// are interned into one byte region cut by an offset column, the frame's
+// own layout, indexed by int32. Dependence and footprint lists are CSR
+// (offset + flat list) so the hot loops are pure slice arithmetic with no
+// per-task pointers at all. A *DAG — []Task with per-task Footprint and
+// Deps slices — is the inspection view of the same graph, built from an
+// arena on request (Arena.DAG) or written by hand and compiled with
+// BuildArena; no replay walks it.
 //
-// The arena also holds what every run would otherwise recompute: the
-// successor CSR, the PDES static rank/order permutation (pdes.go), the
-// default trace label, and whether every task carries a captured
-// duration. A run therefore touches only pooled per-run scratch plus the
-// returned trace — the alloc-ceiling tests pin the serial executor at ≤ 2
-// allocations per run.
+// Beyond what its frame holds, an arena keeps only what the serial
+// executor would otherwise recompute on every run: the successor CSR, the
+// ready queue's level tables, the default trace label, and whether every
+// task carries a captured duration. A run therefore touches only pooled
+// per-run scratch plus the returned trace — the alloc-ceiling tests pin
+// the serial executor at ≤ 2 allocations per run.
 //
 // Arenas are immutable once built and safe for concurrent replay.
 // DAG.Arena memoizes the compilation, so the DAG's "do not mutate once
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"supersim/internal/graph"
 	"supersim/internal/hazard"
@@ -88,7 +90,10 @@ type Arena struct {
 	handles     int
 	n           int
 
-	strTab   []string // interned strings; classIdx/labelIdx index here
+	// The string table in frame form: string i is strs[strOff[i]:strOff[i+1]]
+	// (str). classIdx, labelIdx and labelStr index it.
+	strOff   []int32
+	strs     string
 	classIdx []int32
 	labelIdx []int32
 	priority []int32
@@ -105,21 +110,24 @@ type Arena struct {
 	fpHandle []int32
 	fpMode   []uint8
 
-	labelStr int32 // index of label in strTab (the codec stores labels by index)
+	labelStr int32 // index of label in the string table (the codec stores labels by index)
 
 	// Derived at build/load time, never serialized.
 	succOff  []int32 // CSR successors (ascending id within each region)
 	succList []int32
-	rank     []int32 // PDES static rank (pdes.go): task -> rank
-	order    []int32 // rank -> task
 	// Ready-queue layout (readyQueue, replay.go): the distinct priority
 	// values ascending and the prefix sums of their task counts. O(levels)
 	// — three for the tile algorithms — never a per-task column.
 	levelPrio []int32
 	levelOff  []int32 // len(levelPrio)+1; level l owns slots [levelOff[l], levelOff[l+1])
 	hasDur    bool    // every task carries a captured duration
-	buf       []byte  // encoded bytes this arena aliases (Load), else nil
+	buf       []byte  // the .dag frame this arena lives in (Load, Encoded), else nil
 }
+
+// str returns interned string i.
+//
+//simlint:hotpath
+func (a *Arena) str(i int32) string { return a.strs[a.strOff[i]:a.strOff[i+1]] }
 
 // NumTasks returns the task count.
 func (a *Arena) NumTasks() int { return a.n }
@@ -131,7 +139,7 @@ func (a *Arena) NumEdges() int { return len(a.depPred) }
 func (a *Arena) NumFootprints() int { return len(a.fpHandle) }
 
 // NumStrings returns the interned string count.
-func (a *Arena) NumStrings() int { return len(a.strTab) }
+func (a *Arena) NumStrings() int { return len(a.strOff) - 1 }
 
 // Workers returns the capture run's worker count.
 func (a *Arena) Workers() int { return a.workers }
@@ -156,20 +164,25 @@ func (a *Arena) HasDurations() bool { return a.hasDur }
 // what a column cannot hold.
 //
 // Every column grows by append. newBuilder gives the per-task and
-// footprint columns the capacity the caller announces, so a stream of
-// known size never regrows them; the dependence columns get the
-// caller's estimate and may grow.
+// footprint columns the capacity the caller announces and the string
+// region the bytes it announces, so a stream of known size never regrows
+// them; the dependence columns get the caller's estimate and may grow.
 type builder struct {
 	a      *Arena
-	strIdx map[string]int32 // interned string -> index in a.strTab
+	strIdx map[string]int32 // interned string -> index in the string table
+	strBuf []byte           // the string region; a.strs once finished
 }
 
 // newBuilder returns a builder with room for tasks tasks declaring feet
-// footprint entries and edges dependences between them (0: grow on demand).
-func newBuilder(tasks, feet, edges int) *builder {
+// footprint entries and edges dependences between them, and strBytes bytes
+// of interned strings (0: grow on demand).
+func newBuilder(tasks, feet, edges, strBytes int) *builder {
 	// One slab per element width, cut into columns whose capacity is
-	// clipped: a column that outgrows its share reallocates alone.
-	i32 := make([]int32, 5*tasks+2*(tasks+1)+feet+edges)
+	// clipped: a column that outgrows its share reallocates alone. The
+	// string offsets get one slot per task label, the classes and the DAG
+	// label (internSlack) and the leading zero.
+	strs := tasks + internSlack + 1
+	i32 := make([]int32, 5*tasks+2*(tasks+1)+feet+edges+strs)
 	u8 := make([]uint8, tasks+feet+edges)
 	next := func(ln int) []int32 {
 		col := i32[:0:ln]
@@ -185,15 +198,18 @@ func newBuilder(tasks, feet, edges int) *builder {
 		depOff:   next(tasks + 1),
 		fpOff:    next(tasks + 1),
 		fpHandle: next(feet),
+		strOff:   append(next(strs), 0),
 		depPred:  next(edges),
 		where:    u8[:0:tasks],
 		fpMode:   u8[tasks : tasks : tasks+feet],
 		depKind:  u8[tasks+feet : tasks+feet],
 		duration: make([]float64, 0, tasks),
-		// A label per task, a few classes and the DAG label.
-		strTab: make([]string, 0, tasks+internSlack),
 	}
-	return &builder{a: a, strIdx: make(map[string]int32, tasks+internSlack)}
+	return &builder{
+		a:      a,
+		strIdx: make(map[string]int32, tasks+internSlack),
+		strBuf: make([]byte, 0, strBytes),
+	}
 }
 
 // internSlack is the room the string table gets beyond one label per task.
@@ -222,10 +238,11 @@ func (b *builder) intern(s string) int32 {
 	if i, ok := b.strIdx[s]; ok {
 		return i
 	}
-	i := int32(len(b.a.strTab))
+	i := int32(b.a.NumStrings())
 	b.strIdx[s] = i
-	//simlint:allow hotalloc — the table is pre-sized to one label per task plus the classes; only an unannounced stream regrows it
-	b.a.strTab = append(b.a.strTab, s)
+	//simlint:allow hotalloc — the region is pre-sized to the stream's string bytes (Reserve, or BuildArena's sum); only an unannounced stream regrows it
+	b.strBuf = append(b.strBuf, s...)
+	push(&b.a.strOff, int32(len(b.strBuf)))
 	return i
 }
 
@@ -294,6 +311,12 @@ func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
 	a.workers = workers
 	a.handles = handles
 	a.labelStr = b.intern(label) // the codec stores the DAG label by table index
+	if len(b.strBuf) > math.MaxInt32 {
+		return nil, fmt.Errorf("replay: %d bytes of strings overflow the int32 string offsets", len(b.strBuf))
+	}
+	// The builder hands the region over and never writes it again, so the
+	// arena's strings alias it.
+	a.strs = unsafe.String(unsafe.SliceData(b.strBuf), len(b.strBuf))
 	if err := a.validateColumns(); err != nil {
 		return nil, err
 	}
@@ -308,12 +331,14 @@ func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
 // CPU-runnable tasks, predecessors strictly before successors — once, so
 // replays of the arena skip per-task checks entirely.
 func BuildArena(d *DAG) (*Arena, error) {
-	edges, feet := 0, 0
+	edges, feet, strBytes := 0, 0, len(d.Label)
 	for i := range d.Tasks {
-		edges += len(d.Tasks[i].Deps)
-		feet += len(d.Tasks[i].Footprint)
+		t := &d.Tasks[i]
+		edges += len(t.Deps)
+		feet += len(t.Footprint)
+		strBytes += len(t.Class) + len(t.Label)
 	}
-	b := newBuilder(len(d.Tasks), feet, edges)
+	b := newBuilder(len(d.Tasks), feet, edges, strBytes)
 	for i := range d.Tasks {
 		t := &d.Tasks[i]
 		if err := b.task(t.Class, t.Label, t.Priority, t.NumThreads, t.Where); err != nil {
@@ -336,75 +361,38 @@ func BuildArena(d *DAG) (*Arena, error) {
 }
 
 // deriveStatic computes the redundant-but-hot views: the successor CSR
-// (filled in ascending task order, reproducing the engine's insertion
-// release order), the PDES static rank — the capture ready order when it
-// is a valid topological permutation, else task id — the ready-queue
-// level tables and the has-durations flag. Derived state is never taken
-// from a frame or a builder: it is recomputed from validated columns, which
-// guarantees the views agree with them.
+// (ascending task id within each region, reproducing the engine's
+// insertion release order), the ready-queue level tables and the
+// has-durations flag. Derived state is never taken from a frame or a
+// builder: it is recomputed from validated columns, which guarantees the
+// views agree with them.
+//
+// The CSR needs no scratch column: each task's successor count goes into
+// its own offset slot, the prefix sums turn the counts into region ends,
+// and a walk down the task ids fills every region back to front, leaving
+// it ascending and its offset at its start.
 func (a *Arena) deriveStatic() {
-	n, e := a.n, len(a.depPred)
-	slab := make([]int32, (n+1)+e+2*n)
+	n := a.n
+	slab := make([]int32, (n+1)+len(a.depPred))
 	a.succOff = slab[: n+1 : n+1]
-	a.succList = slab[n+1 : n+1+e : n+1+e]
-	a.rank = slab[n+1+e : n+1+e+n : n+1+e+n]
-	a.order = slab[n+1+e+n:]
-	scratch := make([]int32, n)
+	a.succList = slab[n+1:]
 	for _, p := range a.depPred {
-		scratch[p]++
+		a.succOff[p]++
 	}
-	off := int32(0)
+	end := int32(0)
 	for i := 0; i < n; i++ {
-		a.succOff[i] = off
-		off += scratch[i]
-		scratch[i] = a.succOff[i]
+		end += a.succOff[i]
+		a.succOff[i] = end
 	}
-	a.succOff[n] = off
-	for i := 0; i < n; i++ {
-		for j := a.depOff[i]; j < a.depOff[i+1]; j++ {
-			p := a.depPred[j]
-			a.succList[scratch[p]] = int32(i)
-			scratch[p]++
+	a.succOff[n] = end
+	for i := n - 1; i >= 0; i-- {
+		for _, p := range a.depPred[a.depOff[i]:a.depOff[i+1]] {
+			a.succOff[p]--
+			a.succList[a.succOff[p]] = int32(i)
 		}
 	}
 
-	// Rank: ready order when it is a duplicate-free in-range topological
-	// permutation (scratch doubles as the duplicate check), else id.
-	usable := true
-	for i := 0; i < n; i++ {
-		scratch[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		r := a.ready[i]
-		if r < 0 || int(r) >= n || scratch[r] >= 0 {
-			usable = false
-			break
-		}
-		scratch[r] = int32(i)
-	}
-	if usable {
-		copy(a.rank, a.ready)
-	check:
-		for i := 0; i < n; i++ {
-			ri := a.rank[i]
-			for _, p := range a.depPred[a.depOff[i]:a.depOff[i+1]] {
-				if a.rank[p] >= ri {
-					usable = false
-					break check
-				}
-			}
-		}
-	}
-	if !usable {
-		for i := 0; i < n; i++ {
-			a.rank[i] = int32(i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		a.order[a.rank[i]] = int32(i)
-	}
-
-	a.deriveLevels(scratch)
+	a.deriveLevels()
 
 	a.hasDur = true
 	for _, dur := range a.duration {
@@ -415,21 +403,30 @@ func (a *Arena) deriveStatic() {
 	}
 }
 
+// levelStack is the widest priority span deriveLevels counts on the stack.
+const levelStack = 64
+
 // deriveLevels fills the ready-queue level tables from the priority
-// column, using scratch (len n) as working space. The column arrives from
-// disk and from peers as well as from captures, so the cost is bounded for
-// any content: when the values span fewer than n integers — every real
-// capture; the tile algorithms use three — scratch is the counting table
-// and two passes suffice; otherwise one sort of a copy, O(n log n).
-func (a *Arena) deriveLevels(scratch []int32) {
+// column. The column arrives from disk and from peers as well as from
+// captures, so the cost is bounded for any content: when the values span
+// fewer than n integers — every real capture; the tile algorithms use
+// three — one counting table over the span and two passes suffice (on the
+// stack up to levelStack values); otherwise one sort of a copy,
+// O(n log n).
+func (a *Arena) deriveLevels() {
 	n := a.n
 	lo, hi := a.priority[0], a.priority[0]
 	for _, p := range a.priority {
 		lo, hi = min(lo, p), max(hi, p)
 	}
 	if span := int64(hi) - int64(lo); span < int64(n) {
-		pops := scratch[:span+1]
-		clear(pops)
+		var stack [levelStack]int32
+		var pops []int32
+		if span < levelStack {
+			pops = stack[:span+1]
+		} else {
+			pops = make([]int32, span+1)
+		}
 		for _, p := range a.priority {
 			pops[p-lo]++
 		}
@@ -450,8 +447,7 @@ func (a *Arena) deriveLevels(scratch []int32) {
 		}
 		return
 	}
-	vals := scratch
-	copy(vals, a.priority)
+	vals := slices.Clone(a.priority)
 	slices.Sort(vals)
 	levels := 1
 	for i := 1; i < n; i++ {
@@ -532,8 +528,8 @@ func (a *Arena) DAG() *DAG {
 	for i := 0; i < a.n; i++ {
 		t := &d.Tasks[i]
 		t.ID = i
-		t.Class = a.strTab[a.classIdx[i]]
-		t.Label = a.strTab[a.labelIdx[i]]
+		t.Class = a.str(a.classIdx[i])
+		t.Label = a.str(a.labelIdx[i])
 		t.Priority = int(a.priority[i])
 		t.Where = sched.Where(a.where[i])
 		t.NumThreads = int(a.numThr[i])
@@ -709,7 +705,7 @@ func (r *serialRun) start(id, w int32) runEntry {
 	a := r.a
 	var dur float64
 	if r.opt.Model != nil {
-		dur = r.opt.Model.Duration(a.strTab[a.classIdx[id]], sched.KindCPU, r.source(w))
+		dur = r.opt.Model.Duration(a.str(a.classIdx[id]), sched.KindCPU, r.source(w))
 		if dur < 0 {
 			dur = 0
 		}
@@ -737,7 +733,7 @@ func runArenaSerial(a *Arena, opt *Options, tr *trace.Trace, dg *trace.Digest) (
 	if opt.Model == nil && !a.hasDur {
 		id := a.firstMissingDuration()
 		return 0, fmt.Errorf("replay: task %d (%s) has no captured duration and no model was given",
-			id, a.strTab[a.labelIdx[id]])
+			id, a.str(a.labelIdx[id]))
 	}
 	n := a.n
 	workers := arenaWorkers(a, opt)
@@ -815,8 +811,8 @@ func runArenaSerial(a *Arena, opt *Options, tr *trace.Trace, dg *trace.Digest) (
 		if observed {
 			ev := trace.Event{
 				Worker: int(e.worker),
-				Class:  a.strTab[a.classIdx[e.id]],
-				Label:  a.strTab[a.labelIdx[e.id]],
+				Class:  a.str(a.classIdx[e.id]),
+				Label:  a.str(a.labelIdx[e.id]),
 				TaskID: int(e.id),
 				Start:  e.start,
 				End:    e.end,

@@ -68,16 +68,18 @@ func (r *Recorder) SetWorkers(workers int) {
 }
 
 // Reserve pre-sizes the columns for a stream of known size: tasks tasks
-// declaring args arguments between them. The per-task columns, the
-// footprint columns and the string table (one label per task) then never
-// regrow. The dependence columns get the room of the footprints — the tile
+// declaring args arguments between them, whose distinct class and label
+// strings take labelBytes bytes (each string counted once, as the table
+// interns it). The per-task columns, the footprint columns and the string
+// table — offsets and bytes, the DAG label added here — then never regrow.
+// The dependence columns get the room of the footprints — the tile
 // algorithms resolve just under one edge per argument — and grow if a
 // stream resolves more.
-func (r *Recorder) Reserve(tasks, args int) {
+func (r *Recorder) Reserve(tasks, args, labelBytes int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.b == nil && r.arena == nil && tasks > 0 {
-		r.b = newBuilder(tasks, args, args)
+		r.b = newBuilder(tasks, args, args, labelBytes+len(r.label))
 	}
 }
 
@@ -96,7 +98,7 @@ func (r *Recorder) TaskInserted(t *sched.Task, handles []int32, deps []sched.Dep
 	}
 	if r.b == nil {
 		//simlint:allow hotalloc — first task of a capture nobody called Reserve for
-		r.b = newBuilder(0, 0, 0)
+		r.b = newBuilder(0, 0, 0, 0)
 	}
 	if t.ID() != r.b.a.n {
 		//simlint:allow hotalloc — refusal path: the capture ends here

@@ -33,11 +33,12 @@
 // The section order — 8-byte column first, then the 4-byte columns, then
 // the byte columns — keeps every column naturally aligned relative to
 // the frame start, so Load can alias an 8-aligned byte slice in place
-// (unsafe.Slice over the column regions, unsafe.String over the interned
-// strings) and fall back to a copying decode otherwise. Derived state
-// (successor CSR, PDES ranks) is never encoded; Load recomputes it,
-// which both keeps frames smaller and guarantees the derived views are
-// consistent with the columns whatever the bytes claim.
+// (unsafe.Slice over the column regions, unsafe.String over the string
+// bytes — the arena keeps its string table in this same form) and fall
+// back to a copying decode otherwise. Derived state (successor CSR,
+// ready-queue levels) is never encoded; Load recomputes it, which both
+// keeps frames smaller and guarantees the derived views are consistent
+// with the columns whatever the bytes claim.
 //
 // Every count and offset is validated against the frame length before
 // any sized allocation, so a hostile frame errors without panicking or
@@ -50,6 +51,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"unsafe"
 
 	"supersim/internal/sched"
@@ -76,12 +78,7 @@ var hostLittleEndian = func() bool {
 // EncodedSize returns the exact frame size Encode will produce.
 func (a *Arena) EncodedSize() int {
 	n, e, f := uint64(a.n), uint64(len(a.depPred)), uint64(len(a.fpHandle))
-	s := uint64(len(a.strTab))
-	var b uint64
-	for _, str := range a.strTab {
-		b += uint64(len(str))
-	}
-	return int(dagHeaderLen + payloadSize(n, e, f, s, b))
+	return int(dagHeaderLen + payloadSize(n, e, f, uint64(a.NumStrings()), uint64(len(a.strs))))
 }
 
 func payloadSize(n, e, f, s, b uint64) uint64 {
@@ -98,14 +95,9 @@ func (a *Arena) Encode() []byte {
 	payload := buf[dagHeaderLen:]
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
 
-	n := a.n
-	var strBytes uint64
-	for _, s := range a.strTab {
-		strBytes += uint64(len(s))
-	}
 	counts := [10]uint64{
-		uint64(n), uint64(len(a.depPred)), uint64(len(a.fpHandle)),
-		uint64(len(a.strTab)), strBytes,
+		uint64(a.n), uint64(len(a.depPred)), uint64(len(a.fpHandle)),
+		uint64(a.NumStrings()), uint64(len(a.strs)),
 		uint64(a.workers), uint64(a.handles), uint64(a.labelStr),
 	}
 	off := 0
@@ -132,22 +124,64 @@ func (a *Arena) Encode() []byte {
 	putI32(a.depPred)
 	putI32(a.fpOff)
 	putI32(a.fpHandle)
-	so := int32(0)
-	for _, s := range a.strTab {
-		binary.LittleEndian.PutUint32(payload[off:], uint32(so))
-		off += 4
-		so += int32(len(s))
-	}
-	binary.LittleEndian.PutUint32(payload[off:], uint32(so))
-	off += 4
+	putI32(a.strOff)
 	off += copy(payload[off:], a.where)
 	off += copy(payload[off:], a.depKind)
 	off += copy(payload[off:], a.fpMode)
-	for _, s := range a.strTab {
-		off += copy(payload[off:], s)
-	}
+	copy(payload[off:], a.strs)
 	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(payload))
 	return buf
+}
+
+// Encoded encodes the arena into a fresh frame and returns the arena
+// re-based onto it: the same graph, its columns and strings aliasing the
+// frame, its derived views shared with a, and the frame as its Frame().
+// The columns were validated when a was built, so the bytes just written
+// are not checked again. Whoever keeps the result instead of a holds one
+// frame plus the successor lists — the form a Load of the same frame has.
+// On a host whose integers are big-endian the columns cannot alias the
+// frame, and the result keeps a's.
+func (a *Arena) Encoded() *Arena {
+	r := *a
+	r.buf = a.Encode()
+	if canAlias(r.buf) {
+		r.adopt(r.buf[dagHeaderLen:], uint64(len(a.depPred)), uint64(len(a.fpHandle)),
+			uint64(a.NumStrings()), uint64(len(a.strs)), true)
+	}
+	return &r
+}
+
+// Frame returns the .dag frame the arena lives in — Load's input, or the
+// frame Encoded wrote — and nil for an arena built by a capture or
+// BuildArena. The bytes are shared: do not modify them.
+func (a *Arena) Frame() []byte { return a.buf }
+
+// AliasesFrame reports whether every column and the string bytes lie
+// inside Frame(), so the arena holds nothing of its own beyond the derived
+// views: true after a Load of an 8-aligned frame and after Encoded on a
+// little-endian host.
+func (a *Arena) AliasesFrame() bool {
+	if len(a.buf) == 0 {
+		return false
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(a.buf)))
+	hi := lo + uintptr(len(a.buf))
+	inside := func(p unsafe.Pointer, size int) bool {
+		return size == 0 || uintptr(p) >= lo && uintptr(p)+uintptr(size) <= hi
+	}
+	for _, col := range [...][]int32{a.classIdx, a.labelIdx, a.priority, a.ready, a.numThr,
+		a.depOff, a.depPred, a.fpOff, a.fpHandle, a.strOff} {
+		if !inside(unsafe.Pointer(unsafe.SliceData(col)), 4*len(col)) {
+			return false
+		}
+	}
+	for _, col := range [...][]uint8{a.where, a.depKind, a.fpMode} {
+		if !inside(unsafe.Pointer(unsafe.SliceData(col)), len(col)) {
+			return false
+		}
+	}
+	return inside(unsafe.Pointer(unsafe.SliceData(a.duration)), 8*len(a.duration)) &&
+		inside(unsafe.Pointer(unsafe.StringData(a.strs)), len(a.strs))
 }
 
 // Decode parses a .dag frame into an Arena, copying out of b: the caller
@@ -158,12 +192,13 @@ func Decode(b []byte) (*Arena, error) {
 	return Load(clone)
 }
 
-// Load parses a .dag frame and adopts b as the arena's backing storage:
-// when the host is little-endian and b is 8-byte aligned, every column
-// aliases b directly — no per-task unmarshalling, no copies — and the
-// interned strings alias its bytes. The caller must not modify b after a
-// successful Load. Misaligned input (or a big-endian host) falls back to
-// a copying decode; hostile input errors without panicking.
+// Load parses a .dag frame and adopts b as the arena's backing storage
+// and its Frame(): when the host is little-endian and b is 8-byte aligned,
+// every column and the string table alias b directly — no per-task
+// unmarshalling, no copies. The caller must not modify b after a
+// successful Load. Misaligned input (or a big-endian host) falls back to a
+// copying decode, which copies the string bytes in one piece; hostile
+// input errors without panicking.
 func Load(b []byte) (*Arena, error) {
 	if len(b) < dagHeaderLen+dagCountsLen {
 		return nil, fmt.Errorf("replay: decode: frame truncated (%d bytes)", len(b))
@@ -210,9 +245,45 @@ func Load(b []byte) (*Arena, error) {
 		n:       int(n),
 		workers: int(workers),
 		handles: int(handles),
+		buf:     b,
+	}
+	a.adopt(payload, e, f, s, sb, canAlias(b))
+
+	// String offsets must tile [0, sb] monotonically.
+	if a.strOff[0] != 0 || a.strOff[s] != int32(sb) {
+		return nil, fmt.Errorf("replay: decode: string offsets do not tile the byte blob")
+	}
+	for i := uint64(0); i < s; i++ {
+		if lo, hi := a.strOff[i], a.strOff[i+1]; lo > hi {
+			return nil, fmt.Errorf("replay: decode: string %d has invalid bounds [%d,%d)", i, lo, hi)
+		}
+	}
+	a.labelStr = int32(labelIdx)
+	a.label = a.str(a.labelStr)
+	a.replayLabel = a.label + "-replay"
+
+	if err := a.validateColumns(); err != nil {
+		return nil, err
 	}
 
-	// Column regions, in layout order.
+	a.deriveStatic() // recomputed, never trusted from the wire
+	return a, nil
+}
+
+// canAlias reports whether a frame's columns can alias b in place: a
+// little-endian host and an 8-aligned base, the float64 column's alignment.
+func canAlias(b []byte) bool {
+	return hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0
+}
+
+// adopt points the arena's columns and string table at a frame's payload,
+// laid out for a.n tasks, e edges, f footprint entries and s strings of sb
+// bytes: aliased in place when alias is set, copied out otherwise. Section
+// offsets are 8-aligned for the float64 column and 4-aligned for the int32
+// columns by construction (see the layout comment). The counts were
+// checked against the payload length.
+func (a *Arena) adopt(payload []byte, e, f, s, sb uint64, alias bool) {
+	n := uint64(a.n)
 	off := uint64(dagCountsLen)
 	take := func(ln uint64) []byte {
 		sec := payload[off : off+ln : off+ln]
@@ -235,11 +306,7 @@ func Load(b []byte) (*Arena, error) {
 	a.fpMode = take(f)
 	strBytes := take(sb)
 
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		// Zero-copy: alias the frame. Section offsets are 8-aligned for
-		// the float64 column and 4-aligned for the int32 columns by
-		// construction (see the layout comment).
-		a.buf = b
+	if alias {
 		a.duration = aliasF64(durB, n)
 		a.classIdx = aliasI32(classB, n)
 		a.labelIdx = aliasI32(labelB, n)
@@ -250,51 +317,25 @@ func Load(b []byte) (*Arena, error) {
 		a.depPred = aliasI32(depPredB, e)
 		a.fpOff = aliasI32(fpOffB, n+1)
 		a.fpHandle = aliasI32(fpHandleB, f)
-	} else {
-		a.duration = copyF64(durB, n)
-		a.classIdx = copyI32(classB, n)
-		a.labelIdx = copyI32(labelB, n)
-		a.priority = copyI32(prioB, n)
-		a.ready = copyI32(readyB, n)
-		a.numThr = copyI32(thrB, n)
-		a.depOff = copyI32(depOffB, n+1)
-		a.depPred = copyI32(depPredB, e)
-		a.fpOff = copyI32(fpOffB, n+1)
-		a.fpHandle = copyI32(fpHandleB, f)
-		a.where = append([]uint8(nil), a.where...)
-		a.depKind = append([]uint8(nil), a.depKind...)
-		a.fpMode = append([]uint8(nil), a.fpMode...)
+		a.strOff = aliasI32(strOffB, s+1)
+		a.strs = unsafe.String(unsafe.SliceData(strBytes), len(strBytes))
+		return
 	}
-
-	// Interned string table: offsets must tile [0, sb] monotonically.
-	strOff := aliasOrCopyI32(strOffB, s+1)
-	if strOff[0] != 0 || strOff[s] != int32(sb) {
-		return nil, fmt.Errorf("replay: decode: string offsets do not tile the byte blob")
-	}
-	a.strTab = make([]string, s)
-	for i := uint64(0); i < s; i++ {
-		lo, hi := strOff[i], strOff[i+1]
-		if lo > hi || hi > int32(sb) {
-			return nil, fmt.Errorf("replay: decode: string %d has invalid bounds [%d,%d)", i, lo, hi)
-		}
-		if lo == hi {
-			a.strTab[i] = ""
-		} else if a.buf != nil {
-			a.strTab[i] = unsafe.String(&strBytes[lo], int(hi-lo))
-		} else {
-			a.strTab[i] = string(strBytes[lo:hi])
-		}
-	}
-	a.labelStr = int32(labelIdx)
-	a.label = a.strTab[labelIdx]
-	a.replayLabel = a.label + "-replay"
-
-	if err := a.validateColumns(); err != nil {
-		return nil, err
-	}
-
-	a.deriveStatic() // recomputed, never trusted from the wire
-	return a, nil
+	a.duration = copyF64(durB, n)
+	a.classIdx = copyI32(classB, n)
+	a.labelIdx = copyI32(labelB, n)
+	a.priority = copyI32(prioB, n)
+	a.ready = copyI32(readyB, n)
+	a.numThr = copyI32(thrB, n)
+	a.depOff = copyI32(depOffB, n+1)
+	a.depPred = copyI32(depPredB, e)
+	a.fpOff = copyI32(fpOffB, n+1)
+	a.fpHandle = copyI32(fpHandleB, f)
+	a.strOff = copyI32(strOffB, s+1)
+	a.where = slices.Clone(a.where)
+	a.depKind = slices.Clone(a.depKind)
+	a.fpMode = slices.Clone(a.fpMode)
+	a.strs = string(strBytes)
 }
 
 // validateColumns enforces the executors' input contract on an arena's
@@ -305,7 +346,7 @@ func Load(b []byte) (*Arena, error) {
 // without bounds anxiety.
 func (a *Arena) validateColumns() error {
 	n := a.n
-	e, f, s := int32(len(a.depPred)), int32(len(a.fpHandle)), int32(len(a.strTab))
+	e, f, s := int32(len(a.depPred)), int32(len(a.fpHandle)), int32(a.NumStrings())
 	if a.depOff[0] != 0 || a.depOff[n] != e || a.fpOff[0] != 0 || a.fpOff[n] != f {
 		return fmt.Errorf("replay: CSR offsets do not tile their lists")
 	}
@@ -367,12 +408,4 @@ func copyF64(b []byte, n uint64) []float64 {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
-}
-
-// aliasOrCopyI32 is the host-dependent view used for transient columns.
-func aliasOrCopyI32(b []byte, n uint64) []int32 {
-	if hostLittleEndian && len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return aliasI32(b, n)
-	}
-	return copyI32(b, n)
 }

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
@@ -108,8 +109,9 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestLoadZeroCopy pins the adoption contract: an 8-aligned frame on a
 // little-endian host is aliased in place (no per-task unmarshalling), a
-// misaligned frame falls back to the copying decode, and both replay to
-// the same bits as the original arena.
+// misaligned frame falls back to the copying decode, both keep their input
+// as the arena's Frame(), and both replay to the same bits as the original
+// arena.
 func TestLoadZeroCopy(t *testing.T) {
 	dag, _ := captureRun(t, core.FixedModel(1e-3), 5)
 	a, err := dag.Arena()
@@ -127,22 +129,41 @@ func TestLoadZeroCopy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("aligned Load: %v", err)
 	}
-	if hostLittleEndian && la.buf == nil {
+	if hostLittleEndian && !la.AliasesFrame() {
 		t.Error("aligned Load on a little-endian host did not alias the frame")
 	}
-	if la.buf != nil && &la.duration[0] != (*float64)(unsafe.Pointer(&alignedBuf[dagHeaderLen+dagCountsLen])) {
+	if la.AliasesFrame() && &la.duration[0] != (*float64)(unsafe.Pointer(&alignedBuf[dagHeaderLen+dagCountsLen])) {
 		t.Error("aliasing Load did not point the duration column into the frame")
 	}
 
-	lm, err := Load(misaligned8(enc))
+	misalignedBuf := misaligned8(enc)
+	lm, err := Load(misalignedBuf)
 	if err != nil {
 		t.Fatalf("misaligned Load: %v", err)
 	}
-	if lm.buf != nil {
+	if lm.AliasesFrame() {
 		t.Error("misaligned Load claimed the zero-copy path")
 	}
+	for label, c := range map[string]struct {
+		arena *Arena
+		input []byte
+	}{"aligned": {la, alignedBuf}, "misaligned": {lm, misalignedBuf}} {
+		if got := c.arena.Frame(); len(got) != len(c.input) || &got[0] != &c.input[0] {
+			t.Errorf("%s Load does not keep its input as the frame", label)
+		}
+	}
 
-	for label, arena := range map[string]*Arena{"aligned": la, "misaligned": lm} {
+	// Encoded re-bases the built arena onto its own fresh frame the way an
+	// aligned Load would alias it, keeping the built derived views.
+	re := a.Encoded()
+	if hostLittleEndian && !re.AliasesFrame() {
+		t.Error("Encoded did not re-base the columns onto the frame")
+	}
+	if !bytes.Equal(re.Frame(), enc) || &re.succOff[0] != &a.succOff[0] {
+		t.Error("Encoded's frame differs from Encode, or it rebuilt the derived views")
+	}
+
+	for label, arena := range map[string]*Arena{"aligned": la, "misaligned": lm, "encoded": re} {
 		tr, err := RunArena(arena, Options{Workers: 2, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -203,7 +224,7 @@ func layoutOf(a *Arena) frameLayout {
 	fpOff := l.depPred + 4*e
 	l.fpHandle = fpOff + 4*(n+1)
 	l.strOff = l.fpHandle + 4*f
-	l.where = l.strOff + 4*(len(a.strTab)+1)
+	l.where = l.strOff + 4*(a.NumStrings()+1)
 	l.depKind = l.where + n
 	return l
 }
@@ -229,7 +250,7 @@ func TestDecodeRejectsHostileFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.depPred) == 0 || len(a.fpHandle) == 0 || len(a.strTab) < 2 {
+	if len(a.depPred) == 0 || len(a.fpHandle) == 0 || a.NumStrings() < 2 {
 		t.Fatal("capture too degenerate to exercise the column validators")
 	}
 	enc := a.Encode()
@@ -287,7 +308,7 @@ func TestDecodeRejectsHostileFrames(t *testing.T) {
 			binary.LittleEndian.PutUint64(p[8:16], 1<<34)
 		})},
 		{"label index out of table", corrupt(enc, func(p []byte) {
-			binary.LittleEndian.PutUint64(p[56:64], uint64(len(a.strTab)))
+			binary.LittleEndian.PutUint64(p[56:64], uint64(a.NumStrings()))
 		})},
 		{"gang task", corrupt(enc, func(p []byte) {
 			binary.LittleEndian.PutUint32(p[l.thr:], 3)

@@ -72,20 +72,20 @@ type mergeHead struct {
 	hi  int32 // end of this lane's region
 }
 
-// pdesPlan is the pooled per-run state of one PDES replay: the
-// worker-count-dependent lane layout plus the execution scratch (wait
-// counts, end times, per-lane clocks/cursors, event slots). The static
-// schedule itself — rank/order permutation and both CSR edge views — is
-// precomputed once in the immutable arena (arena.go) and aliased here,
-// so building a plan is O(n) lane bucketing, not O(n+E) CSR assembly.
-// Owned slices are reused across runs; nothing here survives into the
-// returned trace except copied events.
+// pdesPlan is the pooled per-run state of one PDES replay: the static
+// rank/order permutation, the worker-count-dependent lane layout and the
+// execution scratch (wait counts, end times, per-lane clocks/cursors,
+// event slots). Both CSR edge views are the immutable arena's (arena.go),
+// aliased here; the rank is derived on every run (deriveRank), O(n+E), so
+// the arena carries nothing only this executor reads. Owned slices are
+// reused across runs; nothing here survives into the returned trace
+// except copied events.
 type pdesPlan struct {
 	n       int
 	workers int
 
-	rank  []int32 // alias of Arena.rank: task -> schedule rank
-	order []int32 // alias of Arena.order: rank -> task
+	rank  []int32 // task -> schedule rank
+	order []int32 // rank -> task
 	lane  []int32 // task -> worker lane (rank mod workers)
 
 	laneOff   []int32 // lane -> start of its region in laneTasks/events; len workers+1
@@ -155,20 +155,20 @@ func runPDES(a *Arena, opt *Options) (*trace.Trace, error) {
 	return pl.mergeTrace(label), nil
 }
 
-// build lays the arena's precomputed static schedule out over workers
-// lanes and sizes the per-run scratch. Task validation, both CSR views
-// and the rank permutation were all done once at arena build time; what
-// remains is the worker-count-dependent part.
+// build derives the static schedule's rank, lays it out over workers
+// lanes and sizes the per-run scratch. Task validation and both CSR views
+// were done once at arena build time.
 func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 	if opt.Model == nil && !a.hasDur {
 		id := a.firstMissingDuration()
 		return fmt.Errorf("replay: task %d (%s) has no captured duration and no model was given",
-			id, a.strTab[a.labelIdx[id]])
+			id, a.str(a.labelIdx[id]))
 	}
 	n := a.n
 	pl.n, pl.workers = n, workers
-	pl.rank = a.rank
-	pl.order = a.order
+	pl.rank = growInt32(pl.rank, n)
+	pl.order = growInt32(pl.order, n)
+	pl.deriveRank(a)
 	pl.predOff, pl.predList = a.depOff, a.depPred
 	pl.succOff, pl.succList = a.succOff, a.succList
 	pl.lane = growInt32(pl.lane, n)
@@ -234,6 +234,42 @@ func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 	return nil
 }
 
+// deriveRank fills rank and its inverse order: the capture ready order
+// when it is a duplicate-free in-range topological permutation (it is for
+// any complete 1-worker capture), else task id. order doubles as the
+// duplicate check while the ready column is read.
+func (pl *pdesPlan) deriveRank(a *Arena) {
+	n := a.n
+	for r := range pl.order {
+		pl.order[r] = -1
+	}
+	usable := true
+	for i, r := range a.ready {
+		if r < 0 || int(r) >= n || pl.order[r] >= 0 {
+			usable = false
+			break
+		}
+		pl.order[r] = int32(i)
+	}
+check:
+	for i := 0; usable && i < n; i++ {
+		for _, p := range a.depPred[a.depOff[i]:a.depOff[i+1]] {
+			if a.ready[p] >= a.ready[i] {
+				usable = false
+				break check
+			}
+		}
+	}
+	if usable {
+		copy(pl.rank, a.ready)
+		return
+	}
+	for i := range pl.rank {
+		pl.rank[i] = int32(i)
+		pl.order[i] = int32(i)
+	}
+}
+
 // execTask runs one task on its lane: computes its start from the lane
 // clock and its predecessors' end times (all published by the time the
 // owner sees remWait reach zero), samples or replays its duration, and
@@ -251,7 +287,7 @@ func (pl *pdesPlan) execTask(a *Arena, opt *Options, t int32) {
 	}
 	var dur float64
 	if opt.Model != nil {
-		dur = opt.Model.Duration(a.strTab[a.classIdx[t]], sched.KindCPU, pl.sources[w])
+		dur = opt.Model.Duration(a.str(a.classIdx[t]), sched.KindCPU, pl.sources[w])
 		if dur < 0 {
 			dur = 0
 		}
@@ -263,8 +299,8 @@ func (pl *pdesPlan) execTask(a *Arena, opt *Options, t int32) {
 	pl.laneClock[w] = end
 	pl.events[pl.laneCursor[w]] = trace.Event{
 		Worker: int(w),
-		Class:  a.strTab[a.classIdx[t]],
-		Label:  a.strTab[a.labelIdx[t]],
+		Class:  a.str(a.classIdx[t]),
+		Label:  a.str(a.labelIdx[t]),
 		TaskID: int(t),
 		Start:  start,
 		End:    end,

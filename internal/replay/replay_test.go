@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"supersim/internal/core"
 	"supersim/internal/rng"
@@ -373,8 +374,9 @@ func TestRunRejectsGangAndMissingDurations(t *testing.T) {
 
 // captureChain records n tasks that each read one handle and update
 // another (two footprints and up to two dependences per task), after
-// reserving room for reserveTasks tasks and reserveArgs arguments.
-func captureChain(t *testing.T, n, reserveTasks, reserveArgs int) (*Recorder, *DAG) {
+// reserving room for reserveTasks tasks, reserveArgs arguments and
+// reserveBytes bytes of class and label strings.
+func captureChain(t *testing.T, n, reserveTasks, reserveArgs, reserveBytes int) (*Recorder, *DAG) {
 	t.Helper()
 	e, err := sched.NewEngine(sched.Config{Workers: 1, Policy: sched.NewFIFOPolicy(), Name: "chain"})
 	if err != nil {
@@ -384,7 +386,7 @@ func captureChain(t *testing.T, n, reserveTasks, reserveArgs int) (*Recorder, *D
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Reserve(reserveTasks, reserveArgs)
+	rec.Reserve(reserveTasks, reserveArgs, reserveBytes)
 	a, b := new(int), new(int)
 	for i := 0; i < n; i++ {
 		args := []sched.Arg{sched.R(a), sched.RW(b)}
@@ -404,23 +406,34 @@ func captureChain(t *testing.T, n, reserveTasks, reserveArgs int) (*Recorder, *D
 	return rec, dag
 }
 
+// chainStringBytes is the labelBytes of n tasks of class "K" labelled k0,
+// k1, ...: the string bytes a capture of them interns beside its label.
+func chainStringBytes(n int) int {
+	b := len("K")
+	for i := 0; i < n; i++ {
+		b += len(fmt.Sprint("k", i))
+	}
+	return b
+}
+
 func TestRecorderSlabsAndOwnership(t *testing.T) {
 	// The columns are pre-sized by Reserve: the capture must not depend on
 	// how much was reserved — nothing, too little (columns regrow mid-run,
 	// each on its own), or exactly.
 	const n = 300
-	_, want := captureChain(t, n, 0, 0)
+	_, want := captureChain(t, n, 0, 0, 0)
 	if err := want.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []struct{ tasks, args int }{{1, 1}, {n, 2 * n}} {
-		_, got := captureChain(t, n, r.tasks, r.args)
+	strBytes := chainStringBytes(n)
+	for _, r := range []struct{ tasks, args, bytes int }{{1, 1, 1}, {n, 2 * n, strBytes}} {
+		_, got := captureChain(t, n, r.tasks, r.args, r.bytes)
 		if !reflect.DeepEqual(got.Tasks, want.Tasks) {
-			t.Errorf("Reserve(%d, %d) changed the captured graph", r.tasks, r.args)
+			t.Errorf("Reserve(%d, %d, %d) changed the captured graph", r.tasks, r.args, r.bytes)
 		}
 	}
 	// Appending to one task's lists must not spill into its neighbour's.
-	_, dag := captureChain(t, n, n, 2*n)
+	_, dag := captureChain(t, n, n, 2*n, strBytes)
 	next := dag.Tasks[6].Footprint[0]
 	_ = append(dag.Tasks[5].Footprint, Footprint{Handle: 99})
 	if dag.Tasks[6].Footprint[0] != next {
@@ -428,7 +441,7 @@ func TestRecorderSlabsAndOwnership(t *testing.T) {
 	}
 	// Arena() finishes the capture once: every later call returns the same
 	// arena, each DAG() a view of it, and late callbacks do not reach it.
-	rec, dag := captureChain(t, 4, 0, 0)
+	rec, dag := captureChain(t, 4, 0, 0, 0)
 	arena, err := rec.Arena()
 	if err != nil {
 		t.Fatal(err)
@@ -445,6 +458,38 @@ func TestRecorderSlabsAndOwnership(t *testing.T) {
 	}
 	if !reflect.DeepEqual(view.Tasks, dag.Tasks) {
 		t.Error("callbacks after Arena() changed the captured graph")
+	}
+}
+
+// TestExactReserveKeepsOneStringRegion: a capture told its string bytes
+// writes every class and label into the region Reserve made — never
+// regrown — and the finished arena's strings are that region.
+func TestExactReserveKeepsOneStringRegion(t *testing.T) {
+	const n = 200
+	e, err := sched.NewEngine(sched.Config{Workers: 1, Policy: sched.NewFIFOPolicy(), Name: "labels"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Attach(e, "labels")
+	if err != nil {
+		t.Fatal(err)
+	}
+	strBytes := chainStringBytes(n)
+	rec.Reserve(n, 0, strBytes)
+	region := unsafe.SliceData(rec.b.strBuf)
+	for i := 0; i < n; i++ {
+		if err := e.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Func: func(*sched.Ctx) {}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Barrier()
+	e.Shutdown()
+	a, err := rec.Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(a.strs) != region || len(a.strs) != strBytes+len("labels") {
+		t.Errorf("string region regrown or mis-sized: %d bytes, want %d in the reserved region", len(a.strs), strBytes+len("labels"))
 	}
 }
 

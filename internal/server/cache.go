@@ -22,12 +22,13 @@ type cacheKey struct {
 
 // cacheEntry is one singleflight slot: the first requester fills it while
 // later requesters block on done, and nothing but use is read before done
-// is closed. arena is what replays run; frame is its .dag encoding, the
-// unit that moves between cache levels. A loaded arena aliases its frame.
+// is closed. arena is what replays run, and its Frame() is the .dag
+// encoding, the unit that moves between cache levels. Whichever source
+// filled the entry, the arena's columns alias that frame: an entry holds
+// one frame plus its successor lists.
 type cacheEntry struct {
 	done  chan struct{}
 	arena *replay.Arena
-	frame []byte
 	err   error
 	use   uint64 // LRU stamp; only touched with the owning captureCache's mu held
 }
@@ -66,8 +67,8 @@ const (
 )
 
 // frameSource is one place below memory an entry can be filled from. fill
-// sets arena and frame when the source has the key, err when it failed for
-// good, and nothing when the next source should be tried.
+// sets arena when the source has the key, err when it failed for good, and
+// nothing when the next source should be tried.
 type frameSource struct {
 	disposition string
 	fill        func(e *cacheEntry)
@@ -78,12 +79,14 @@ type frameSource struct {
 // fetch (nothing when the job carries no hint), a capture run. Bytes from
 // either level pass the same replay.Load, the only check a frame gets; a
 // disk frame that fails it is removed and the next source replaces it. The
-// capture keeps the arena it built: re-Loading its own encoding would only
-// rebuild it.
+// capture re-bases the arena it built onto the frame it encodes
+// (Arena.Encoded): the built columns are dropped instead of being held
+// beside their own encoding, and the bytes just written are not validated
+// again.
 func (c *captureCache) sources(key cacheKey, fetch func() []byte, capture func() (*replay.Arena, error)) []frameSource {
 	load := func(e *cacheEntry, raw []byte) {
 		if arena, err := replay.Load(raw); err == nil {
-			e.arena, e.frame = arena, raw
+			e.arena = arena
 		}
 	}
 	return []frameSource{
@@ -100,9 +103,12 @@ func (c *captureCache) sources(key cacheKey, fetch func() []byte, capture func()
 			c.mu.Lock()
 			c.captures++
 			c.mu.Unlock()
-			if e.arena, e.err = capture(); e.err == nil {
-				e.frame = e.arena.Encode()
+			built, err := capture()
+			if err != nil {
+				e.err = err
+				return
 			}
+			e.arena = built.Encoded()
 		}},
 	}
 }
@@ -148,7 +154,7 @@ func (c *captureCache) get(key cacheKey, fetch func() []byte, capture func() (*r
 	}
 	c.mu.Unlock()
 	if e.err == nil && disposition != cacheDisk {
-		c.disk.write(key, e.frame)
+		c.disk.write(key, e.arena.Frame())
 	}
 	return e.arena, disposition, e.err
 }
@@ -198,7 +204,7 @@ func (c *captureCache) frame(key cacheKey) []byte {
 	}
 	c.mu.Unlock()
 	if ok && e.err == nil {
-		return e.frame
+		return e.arena.Frame()
 	}
 	raw, _ := c.disk.read(key)
 	return raw

@@ -33,7 +33,8 @@ func oneTaskArena(t *testing.T, label string) *replay.Arena {
 
 // TestCaptureCacheSingleflight checks the dedup guarantee: N concurrent
 // requests for one uncached key run exactly one capture, and everyone gets
-// the same arena.
+// the same arena — one arena over the frame the capture encoded, not the
+// arena the capture built.
 func TestCaptureCacheSingleflight(t *testing.T) {
 	c := newCaptureCache(4, nil)
 	want := oneTaskArena(t, "want")
@@ -63,9 +64,12 @@ func TestCaptureCacheSingleflight(t *testing.T) {
 	if got := captures.Load(); got != 1 {
 		t.Fatalf("capture ran %d times, want exactly 1", got)
 	}
+	if dags[0] == want || !dags[0].AliasesFrame() || !bytes.Equal(dags[0].Frame(), want.Encode()) {
+		t.Fatal("the entry is not one arena over the captured arena's encoding")
+	}
 	misses := 0
 	for i := range dags {
-		if dags[i] != want {
+		if dags[i] != dags[0] {
 			t.Fatalf("goroutine %d got a different arena", i)
 		}
 		if disps[i] == cacheMiss {
@@ -95,7 +99,7 @@ func TestCaptureCacheErrorNotCached(t *testing.T) {
 	}
 	want := oneTaskArena(t, "want")
 	dag, disp, err := c.get(key(4), noPeer, func() (*replay.Arena, error) { calls++; return want, nil })
-	if err != nil || dag != want || disp != cacheMiss {
+	if err != nil || dag == nil || !bytes.Equal(dag.Frame(), want.Encode()) || disp != cacheMiss {
 		t.Fatalf("retry after failure: dag=%p disp=%q err=%v, want fresh capture", dag, disp, err)
 	}
 	if calls != 2 {
@@ -130,8 +134,11 @@ func TestCaptureCacheEviction(t *testing.T) {
 // capture — through every state each can be in. A valid source ends the
 // walk and names the disposition; a corrupt or absent one hands over to
 // the next; only a corrupt disk frame is removed and counted; every source
-// but disk writes its frame through exactly once; and what frame() serves
-// a peer afterwards, from memory and from disk, is those same bytes.
+// but disk writes its frame through exactly once — a capture's byte for
+// byte its built arena's Encode(); whichever source filled the entry, its
+// arena's columns lie inside its frame; and what frame() serves a peer
+// afterwards, from memory (the entry's own bytes) and from disk, is that
+// frame.
 func TestCaptureCacheSourceChain(t *testing.T) {
 	diskFrame := oneTaskArena(t, "from-disk").Encode()
 	peerFrame := oneTaskArena(t, "from-peer").Encode()
@@ -230,8 +237,11 @@ func TestCaptureCacheSourceChain(t *testing.T) {
 			if err != nil || arena == nil {
 				t.Fatalf("get: arena=%p err=%v", arena, err)
 			}
-			if tc.disposition == cacheMiss && arena != captured {
-				t.Error("capture source re-loaded its frame; want the arena capture built")
+			if tc.disposition == cacheMiss && arena == captured {
+				t.Error("capture source kept the arena it built; want it re-based onto its frame")
+			}
+			if !arena.AliasesFrame() || !bytes.Equal(arena.Frame(), tc.frame) {
+				t.Error("the entry's columns do not lie inside the source's frame")
 			}
 			if !bytes.Equal(arena.Encode(), tc.frame) {
 				t.Error("arena does not encode to the source's frame")
@@ -242,8 +252,8 @@ func TestCaptureCacheSourceChain(t *testing.T) {
 			if !bytes.Equal(onDisk, tc.frame) {
 				t.Error("bytes on disk differ from the entry's frame")
 			}
-			if got := c.frame(k); !bytes.Equal(got, tc.frame) {
-				t.Error("frame() from memory differs from the entry's frame")
+			if got := c.frame(k); len(got) == 0 || &got[0] != &arena.Frame()[0] || !bytes.Equal(got, tc.frame) {
+				t.Error("frame() from memory is not the entry's own frame")
 			}
 			if got := newCaptureCache(4, disk).frame(k); !bytes.Equal(got, tc.frame) {
 				t.Error("frame() from disk differs from the entry's frame")
