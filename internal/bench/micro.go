@@ -181,6 +181,20 @@ func microSuite(counters *perf.Counters) []MicroBench {
 				}
 			}
 		}},
+		{Name: "Sweep15Reps8", Bench: func(b *testing.B) {
+			// One whole serve-sweep request as the service runs it: the
+			// captures above plus 8 replicas per point under the service's
+			// default constant model, which draws nothing, so each point
+			// replays once (replay.SeedFree).
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := SweepParallel("quark", "cholesky", 32, 16, 8, SweepOptions{
+					Reps: 8, Model: core.FixedModel(1e-3), Seed: 1,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{Name: "BuildOpsNB256", Bench: func(b *testing.B) {
 			// An op stream at a production tile size: it names tiles and
 			// holds no elements, so nb must not show in time or bytes.

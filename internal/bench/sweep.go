@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,6 +124,13 @@ type SweepOptions struct {
 	Model core.DurationModel
 	// Seed is the base of the per-replica seed derivation.
 	Seed uint64
+	// Policy is the scheduler's policy ("" is its default). The points are
+	// captured under it, and it selects the replay's ready order
+	// (ReplayIgnoresPriorities), as for a simulate job's capture key.
+	Policy string
+	// Ctx, when set, stops the sweep: it is checked before each capture and
+	// each replay, and its error is returned wrapped.
+	Ctx context.Context
 	// Parallelism is passed to replay.Options.Parallelism: 0 replays each
 	// replica with the serial greedy executor; >= 1 uses the PDES executor,
 	// whose results are partition-count invariant (but a different — static
@@ -164,9 +173,9 @@ func (p *SweepPoint) Summarize(algorithm string) {
 }
 
 // SweepWall reports where a sweep's host time went: one capture per point
-// (the only scheduler runs left) and the replay replicas. ReplayPerPoint
-// sums the replica times of each point across shards — aggregate compute
-// time, not elapsed wall when shards overlap.
+// (the only scheduler runs left) and the replays. ReplayPerPoint sums the
+// replay times of each point across shards (one replay for a seed-free
+// point) — aggregate compute time, not elapsed wall when shards overlap.
 type SweepWall struct {
 	Capture, Replay time.Duration
 	CapturePerPoint []time.Duration
@@ -191,7 +200,9 @@ func ReplicaSeed(base uint64, nt, rep int) uint64 {
 // SweepParallel runs the simulation side of a Figs. 8-10 sweep on the
 // replay engine: each (algorithm, NT) point's DAG is captured once from a
 // 1-worker scheduler run, then opt.Reps replicas per point are replayed
-// under opt.Model across opt.Shards goroutines. Results are bit-identical
+// under opt.Model across opt.Shards goroutines. A point whose model draws
+// no randomness (replay.SeedFree) has the same makespan in every replica:
+// it is replayed once and the makespan copied. Results are bit-identical
 // for any shard count.
 func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt SweepOptions) ([]SweepPoint, SweepWall, error) {
 	if opt.Model == nil {
@@ -221,14 +232,25 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 		CapturePerPoint: make([]time.Duration, np),
 		ReplayPerPoint:  make([]time.Duration, np),
 	}
+	ctx := opt.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	arenas := make([]*replay.Arena, np)
 	points := make([]SweepPoint, np)
+	// Replay jobs are numbered point by point: point p owns jobs
+	// [jobOff[p], jobOff[p+1]), one per replica, or just one when the
+	// point is seed-free.
+	jobOff := make([]int, np+1)
 	t0 := time.Now()
 	for i, sw := range sweeps {
+		if err := ctx.Err(); err != nil {
+			return nil, SweepWall{}, fmt.Errorf("bench: sweep stopped before capturing nt=%d: %w", sw.NT, err)
+		}
 		c0 := time.Now()
 		var err error
 		if arenas[i], err = CaptureArena(Spec{
-			Algorithm: algorithm, Scheduler: scheduler,
+			Algorithm: algorithm, Scheduler: scheduler, Policy: opt.Policy,
 			NT: sw.NT, NB: nb, Workers: workers, Seed: opt.Seed,
 		}); err != nil {
 			return nil, SweepWall{}, err
@@ -240,11 +262,16 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 			Edges:     arenas[i].NumEdges(),
 			Makespans: make([]float64, reps),
 		}
+		replicas := reps
+		if replay.SeedFree(arenas[i], opt.Model) {
+			replicas = 1
+		}
+		jobOff[i+1] = jobOff[i] + replicas
 	}
 	wall.Capture = time.Since(t0)
 
-	fifo := ReplayIgnoresPriorities(Spec{Scheduler: scheduler})
-	jobs := np * reps
+	fifo := ReplayIgnoresPriorities(Spec{Scheduler: scheduler, Policy: opt.Policy})
+	jobs := jobOff[np]
 	shards := opt.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -266,7 +293,12 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 				if j >= jobs {
 					return
 				}
-				p, rep := j/reps, j%reps
+				p := sort.SearchInts(jobOff, j+1) - 1
+				rep := j - jobOff[p]
+				if err := ctx.Err(); err != nil {
+					errs[shard] = fmt.Errorf("bench: sweep stopped before replaying nt=%d replica %d: %w", points[p].NT, rep, err)
+					return
+				}
 				j0 := time.Now()
 				ms, err := replay.Makespan(arenas[p], replay.Options{
 					Workers:          workers,
@@ -293,6 +325,12 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 	}
 
 	for i := range points {
+		if jobOff[i+1]-jobOff[i] == 1 {
+			ms := points[i].Makespans
+			for rep := range ms {
+				ms[rep] = ms[0]
+			}
+		}
 		wall.ReplayPerPoint[i] = time.Duration(replayNs[i].Load())
 		points[i].Summarize(algorithm)
 	}

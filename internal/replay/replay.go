@@ -155,6 +155,12 @@ type Options struct {
 	// (each with its own stream), so it must be safe for concurrent use —
 	// every model in this repository is: they read only fitted parameters
 	// and draw from the per-worker stream they are handed.
+	//
+	// That stream is the model's only source of randomness, and callers
+	// rely on it: a model that draws nothing from it replays identically
+	// under every Seed (SeedFree), so sweeps and multi-repetition jobs
+	// replay it once. server.TestModelStreamContract holds every model the
+	// repository builds to the contract.
 	Model core.DurationModel
 	// Seed derives the per-worker sampling streams (same derivation as
 	// core.NewTasker, so a 1-worker replay draws the sample sequence of
@@ -187,6 +193,34 @@ type Options struct {
 // identical makes replay and direct simulation draw identical duration
 // sequences for the same (seed, worker) pair.
 const seedMix = 0x9e3779b97f4a7c15
+
+// SeedFree reports whether every replay of a under m is the same whatever
+// Options.Seed is: m is nil (the captured durations replay), or m leaves a
+// freshly seeded stream untouched for every distinct class of a's tasks.
+// A model draws all its randomness from the stream it is handed (the
+// Options.Model contract), so such a model is a constant per class, and
+// a replica of it is the same replay bit for bit. The probe costs one
+// Duration call per distinct class.
+func SeedFree(a *Arena, m core.DurationModel) bool {
+	if m == nil {
+		return true
+	}
+	seen := make([]uint64, (a.NumStrings()+63)/64) // class string indices probed
+	var src rng.Source
+	for _, c := range a.classIdx {
+		if seen[c/64]&(1<<(c%64)) != 0 {
+			continue
+		}
+		seen[c/64] |= 1 << (c % 64)
+		src.Seed(seedMix)
+		fresh := src
+		m.Duration(a.str(c), sched.KindCPU, &src)
+		if src != fresh {
+			return false
+		}
+	}
+	return true
+}
 
 // runEntry is one entry of the serial executor's replay Task Execution
 // Queue: completions are processed in (end, start order).

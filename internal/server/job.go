@@ -41,7 +41,8 @@ type JobSpec struct {
 	Reps int `json:"reps,omitempty"`
 	// Window overrides the scheduler's task-window size (QUARK only).
 	// A nonzero window bypasses the capture cache: replay assumes an
-	// unbounded insertion window (DESIGN.md §9).
+	// unbounded insertion window (DESIGN.md §9). Sweep jobs only replay, so
+	// they refuse a window.
 	Window int `json:"window,omitempty"`
 	// Wait selects the race mitigation: "quiescence" (default),
 	// "sleep-yield" or "none".
@@ -166,6 +167,9 @@ func (s *JobSpec) validate() error {
 		}
 		if s.MaxNT > 64 {
 			return fmt.Errorf("max_nt %d too large (cap 64)", s.MaxNT)
+		}
+		if s.Window != 0 {
+			return fmt.Errorf("window is not supported on sweep jobs (got %d): replay assumes an unbounded insertion window", s.Window)
 		}
 	} else {
 		if s.NT < 1 {

@@ -33,19 +33,19 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, *trace.Trac
 	}
 }
 
-// runSweep serves a sweep job on the PR 4 sharded replay driver: one
-// capture per matrix size, seeded replicas fanned across shards. The
-// driver is deterministic for any shard count, so two identical sweep
-// jobs return byte-identical curves.
+// runSweep serves a sweep job on the sharded replay driver: one capture per
+// matrix size under the spec's policy, seeded replicas fanned across shards.
+// The driver is deterministic for any shard count, so two identical sweep
+// jobs return byte-identical curves. It checks the job's context before
+// every capture and replay, so a sweep stops at its deadline.
 func (s *Server) runSweep(ctx context.Context, spec *JobSpec) (*JobResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("deadline expired before sweep started: %w", err)
-	}
 	points, _, err := bench.SweepParallel(spec.Scheduler, spec.Algorithm, spec.NB, spec.MaxNT, spec.Workers, bench.SweepOptions{
 		Reps:        spec.Reps,
 		Shards:      spec.Shards,
 		Model:       buildModel(spec.Model),
 		Seed:        spec.Seed,
+		Policy:      spec.Policy,
+		Ctx:         ctx,
 		Parallelism: spec.Parallelism,
 		PointOffset: spec.PointOffset,
 		PointStride: spec.PointStride,
@@ -157,7 +157,9 @@ func (j *Job) replayOptions(model core.DurationModel, rep int) replay.Options {
 // daemon's hot path: a cache hit skips the scheduler entirely, and no
 // repetition builds a trace — rep 0 contributes its makespan and the digest
 // of the trace it would have built (the job's identity, and what crash
-// recovery compares a re-run against), later ones a makespan.
+// recovery compares a re-run against), later ones a makespan. Under a model
+// that draws no randomness (replay.SeedFree) every repetition is rep 0's
+// replay, so later ones copy its makespan.
 func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, string, error) {
 	spec := &job.Spec
 	arena, disposition, err := s.cachedArena(ctx, job)
@@ -170,7 +172,11 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, string, e
 
 	model := buildModel(spec.Model)
 	res := &JobResult{Makespans: make([]float64, spec.Reps)}
-	for rep := 0; rep < spec.Reps; rep++ {
+	reps := spec.Reps
+	if reps > 1 && replay.SeedFree(arena, model) {
+		reps = 1
+	}
+	for rep := 0; rep < reps; rep++ {
 		if err := ctx.Err(); err != nil {
 			return nil, disposition, fmt.Errorf("deadline expired after %d of %d repetitions: %w", rep, spec.Reps, err)
 		}
@@ -190,6 +196,9 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, string, e
 		res.summarize(bench.Summarize(spec.benchSpec(), ms, arena.NumTasks()))
 		res.Makespans[0] = ms
 		res.Fingerprint = trace.Digest(fp).Hex()
+	}
+	for rep := reps; rep < spec.Reps; rep++ {
+		res.Makespans[rep] = res.Makespans[0]
 	}
 	res.MinMakespan, res.MeanMakespan = bench.MinMean(res.Makespans)
 	return res, disposition, nil

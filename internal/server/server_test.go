@@ -167,6 +167,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind": "sweep", "algorithm": "cholesky", "max_nt": 4, "point_stride": 4, "point_offset": 3}`,
 		`{"kind": "sweep", "algorithm": "cholesky", "max_nt": 4, "point_stride": 2, "point_offset": 2}`,
 		`{"algorithm": "cholesky", "nt": 4, "point_stride": 2}`,
+		// A sweep only replays, and replay assumes an unbounded window.
+		`{"kind": "sweep", "algorithm": "cholesky", "max_nt": 4, "window": 8}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -87,6 +87,19 @@ wait_done() {
     exit 1
 }
 
+# wait_final <id> <polls> — poll a job every 0.1 s, at most <polls> times,
+# until it leaves queued/running; print its final status (or the last one
+# seen) and leave the job document in $doc.
+wait_final() {
+    st=""
+    for _ in $(seq 1 "$2"); do
+        doc=$(curl -fsS "$base/jobs/$1")
+        st=$(printf '%s' "$doc" | sed -n 's/.*"status":"\([^"]*\)".*/\1/p')
+        case "$st" in queued|running|retrying) sleep 0.1;; *) break;; esac
+    done
+    printf '%s' "$st"
+}
+
 smoke_stage() {
     boot -pool 2
     echo "simd listening on $base"
@@ -110,6 +123,30 @@ smoke_stage() {
     metrics=$(curl -fsS "$base/metrics")
     printf '%s' "$metrics" | grep -q '"done":1' || { echo "metrics missing the job: $metrics"; exit 1; }
     echo "metrics ok"
+
+    # A sweep under the service's constant model draws no randomness: each
+    # point replays once and every replica carries that makespan, so a
+    # thousand replicas cost one.
+    id=$(submit '{"kind": "sweep", "algorithm": "cholesky", "max_nt": 48, "nb": 8, "workers": 8, "reps": 1000}')
+    st=$(wait_final "$id" 50)
+    [ "$st" = "done" ] || { echo "reps-1000 sweep not done within 5 s (status '$st')"; exit 1; }
+    curl -fsS "$base/jobs/$id" | grep -o '"Makespans":\[[^]]*\]' | awk -F'[][,]' '
+        { for (i = 3; i < NF; i++) if ($i != $2) { print "point " NR ": replica makespans differ"; bad = 1; exit } }
+        END { if (NR == 0) { print "sweep result has no points"; exit 1 } exit bad }' ||
+        { echo "reps-1000 sweep result is wrong"; exit 1; }
+    echo "reps-1000 sweep ok"
+
+    # A sweep stops at its deadline instead of finishing first.
+    id=$(submit '{"kind": "sweep", "algorithm": "cholesky", "max_nt": 64, "nb": 8, "workers": 4, "deadline_ms": 50}')
+    st=$(wait_final "$id" 100)
+    [ "$st" = "failed" ] || { echo "deadline sweep ended '$st', want failed"; exit 1; }
+    echo "deadline sweep failed as it should"
+
+    # Metrics: the simulate job and the first sweep done, the second failed.
+    metrics=$(curl -fsS "$base/metrics")
+    printf '%s' "$metrics" | grep -q '"done":2' || { echo "metrics miss the done sweep: $metrics"; exit 1; }
+    printf '%s' "$metrics" | grep -q '"failed":1' || { echo "metrics miss the failed sweep: $metrics"; exit 1; }
+    echo "sweep metrics ok"
 
     # Graceful drain: SIGTERM must produce a clean exit.
     kill -TERM "$pid"
