@@ -213,12 +213,15 @@ func Run(spec Spec, label string, insert func(rt sched.Runtime, sim *core.Simula
 // CaptureArena, the simulation service's direct runs — starts here; the ops'
 // bodies report an error if executed. Measured, the one run that executes
 // kernels, builds its stream over generated inputs itself.
-func Ops(spec Spec) ([]factor.Op, error) {
+func Ops(spec Spec) ([]factor.Op, error) { return opsIn(spec, nil) }
+
+// opsIn is Ops with the stream cut from buf (nil: allocated).
+func opsIn(spec Spec, buf *factor.Buffers) ([]factor.Op, error) {
 	a, t := workload.Shapes(spec.Algorithm, spec.NT, spec.NB)
 	if a == nil {
 		return nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
 	}
-	return factor.Stream(spec.Algorithm, a, t)
+	return buf.Stream(spec.Algorithm, a, t)
 }
 
 // Measured performs the reproduction's "real run": the scheduler executes

@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"supersim/internal/factor"
 	"supersim/internal/replay"
@@ -26,7 +29,7 @@ import (
 func TestCaptureFrameSameOverShapesAndMatrices(t *testing.T) {
 	frame := func(spec Spec, ops []factor.Op) []byte {
 		t.Helper()
-		arena, err := captureOps(spec, ops)
+		arena, err := captureOps(spec, ops, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,41 +109,151 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 	}
 }
 
-// Ceilings for one CaptureArena of cholesky nt=16 (816 tasks) through
-// QUARK, per captured task and with the finished arena included, set 10 to
-// 15 % above what the path achieves (2.8 objects, 766 B). What is left
-// per task is the op stream, the scheduler's own bookkeeping (the engine's
-// live-task map and successor lists, the hazard tracker's reader lists)
-// and the bytes of the sched.Task, its arguments, its label and its arena
-// row — none of them an object of its own: tasks, arguments and labels come
-// from per-stream slabs and the recorder appends to the arena's columns.
+// Ceilings for one steady-state CaptureArena, per captured task and with
+// the finished arena included, set 15 % above what the path achieves:
+// cholesky nt=16 (816 tasks) through QUARK, 2.8 objects and 293 B, and
+// through StarPU's eager policy at nt=32 (5 984 tasks, no window, so every
+// task is live at once: serve-miss's dominant shape), 2.1 objects and
+// 288 B. What is left per task is the arena row, the task's label, and the
+// scheduler's own bookkeeping (the engine's successor lists and handle ids,
+// the hazard tracker's reader lists). The op stream, the sched.Tasks and
+// their arguments come from a recycled factor.Buffers, and the recorder's
+// intern map is recycled too.
 // History: 19.9 objects and 3.97 KB per task while the capture generated
 // its input matrix, rendered labels by repeated concatenation and recorded
 // one slice per footprint and per dependence list; 6.3 objects and 1.14 KB
-// while it recorded a pointer DAG and compiled the arena from it.
+// while it recorded a pointer DAG and compiled the arena from it; 2.8
+// objects and 768 B (767 B for the StarPU case) while every capture
+// allocated its op stream, task slabs and intern map afresh.
 const (
 	captureObjectsPerTaskCeiling = 3.2
-	captureBytesPerTaskCeiling   = 850
+	captureBytesPerTaskCeiling   = 340
 )
 
 func TestCaptureSpecAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	spec := Spec{Algorithm: "cholesky", Scheduler: "quark", NT: 16, NB: 32, Workers: 4, Seed: 1}
-	tasks := 0
-	bytes, objects := allocated(func() {
-		arena, err := CaptureArena(spec)
-		if err != nil {
-			t.Fatal(err)
+	// One P, so that each capture finds the buffers the previous one put
+	// back: a sync.Pool keeps a per-P slot only its own P reads, and a
+	// capture parks at its barrier and may resume on another P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, spec := range []Spec{
+		{Algorithm: "cholesky", Scheduler: "quark", NT: 16, NB: 32, Workers: 4, Seed: 1},
+		{Algorithm: "cholesky", Scheduler: "starpu", NT: 32, NB: 20, Workers: 8, Seed: 1},
+	} {
+		tasks := 0
+		bytes, objects := allocated(func() {
+			arena, err := CaptureArena(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks = arena.NumTasks()
+		})
+		perTask := fmt.Sprintf("%s nt=%d: %.2f objects and %.0f B per task over %d tasks", spec.Scheduler, spec.NT, objects/float64(tasks), bytes/float64(tasks), tasks)
+		if objects/float64(tasks) > captureObjectsPerTaskCeiling || bytes/float64(tasks) > captureBytesPerTaskCeiling {
+			t.Errorf("CaptureArena allocates %s, ceilings %.1f and %d", perTask, captureObjectsPerTaskCeiling, captureBytesPerTaskCeiling)
 		}
-		tasks = arena.NumTasks()
-	})
-	perTask := fmt.Sprintf("%.2f objects and %.0f B per task over %d tasks", objects/float64(tasks), bytes/float64(tasks), tasks)
-	if objects/float64(tasks) > captureObjectsPerTaskCeiling || bytes/float64(tasks) > captureBytesPerTaskCeiling {
-		t.Errorf("CaptureArena allocates %s, ceilings %.1f and %d", perTask, captureObjectsPerTaskCeiling, captureBytesPerTaskCeiling)
+		t.Log(perTask)
 	}
-	t.Log(perTask)
+}
+
+// TestConcurrentCapturesMatchSerial: captures recycle their scratch through
+// capturePool, so a buffer set that went back while its run still used it
+// would let a concurrent capture zero and overwrite a live stream. Eight
+// goroutines capture a seeded mix of small and large specs, so pooled
+// buffers shrink and grow between uses, and every frame must equal, byte for
+// byte, a serial capture of the same spec that uses no pool. A run whose
+// tasks were overwritten typically never drains, so the captures get a
+// deadline.
+func TestConcurrentCapturesMatchSerial(t *testing.T) {
+	const goroutines, rounds = 8, 25
+	golden := goldenSpecs()
+	names := make([]string, 0, len(golden))
+	for name := range golden {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	src := rng.New(29)
+	draws := make([][]Spec, goroutines)
+	type key struct {
+		algorithm, scheduler, policy string
+		nt, workers                  int
+	}
+	keyOf := func(s Spec) key { return key{s.Algorithm, s.Scheduler, s.Policy, s.NT, s.Workers} }
+	want := make(map[key][]byte)
+	for g := range draws {
+		for r := 0; r < rounds; r++ {
+			spec := golden[names[src.Intn(len(names))]]
+			if src.Intn(3) != 0 {
+				c := keyConfigs[src.Intn(len(keyConfigs))]
+				spec = Spec{Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy, NT: 2 + src.Intn(31), NB: 8, Workers: 8, Seed: 1}
+			}
+			draws[g] = append(draws[g], spec)
+			if want[keyOf(spec)] == nil {
+				ops, err := Ops(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arena, err := captureOps(spec, ops, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[keyOf(spec)] = arena.Encode()
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range draws {
+		wg.Add(1)
+		go func(specs []Spec) {
+			defer wg.Done()
+			for _, spec := range specs {
+				arena, err := CaptureArena(spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(arena.Encode(), want[keyOf(spec)]) {
+					t.Errorf("%s/%s-%s nt=%d: a concurrent capture's frame differs from the serial one", spec.Algorithm, spec.Scheduler, spec.Policy, spec.NT)
+				}
+			}
+		}(draws[g])
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("concurrent captures wedged: a run's tasks were recycled while it used them?")
+	}
+}
+
+// TestCaptureFrameIndependentOfNB: an op stream names tiles without holding
+// them, so a captured frame does not depend on the tile size — the capture
+// cache's key still carries nb, which makes keys that differ only in nb
+// distinct entries holding the same frame.
+func TestCaptureFrameIndependentOfNB(t *testing.T) {
+	for _, alg := range []string{"cholesky", "qr", "lu"} {
+		for _, c := range keyConfigs {
+			var first []byte
+			for _, nb := range []int{1, 8, 40, 512} {
+				arena, err := CaptureArena(Spec{Algorithm: alg, Scheduler: c.scheduler, Policy: c.policy, NT: 9, NB: nb, Workers: 8, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				frame := arena.Encode()
+				if first == nil {
+					first = frame
+				} else if !bytes.Equal(frame, first) {
+					t.Errorf("%s/%s-%s: the frame at nb=%d differs from the one at nb=1", alg, c.scheduler, c.policy, nb)
+				}
+			}
+		}
+	}
 }
 
 // goldenSpecs are the nine captures the golden tests pin: every algorithm
@@ -250,7 +363,7 @@ func TestLabelBytesSizesTheStringTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arena, err := captureOps(spec, ops)
+		arena, err := captureOps(spec, ops, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

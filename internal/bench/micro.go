@@ -195,6 +195,23 @@ func microSuite(counters *perf.Counters) []MicroBench {
 				}
 			}
 		}},
+		{Name: "CaptureKeys32", Bench: func(b *testing.B) {
+			// The captures behind serve-miss's keys: cholesky nt=32 (5 984
+			// tasks), one CaptureArena per scheduler configuration the keys
+			// spread over. Four of the six are StarPU, whose capture holds
+			// every task live at once.
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, c := range keyConfigs {
+					if _, err := CaptureArena(Spec{
+						Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy,
+						NT: 32, NB: 20, Workers: 8, Seed: 1,
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}},
 		{Name: "BuildOpsNB256", Bench: func(b *testing.B) {
 			// An op stream at a production tile size: it names tiles and
 			// holds no elements, so nb must not show in time or bytes.
@@ -415,6 +432,12 @@ func benchSmallReplay(b *testing.B, run func(*replay.Arena, replay.Options) erro
 var replayBenchSpec = Spec{
 	Algorithm: "cholesky", Scheduler: "ompss",
 	NT: 6, NB: 8, Workers: 4, Seed: 1,
+}
+
+// keyConfigs are the six scheduler configurations the serve-miss benchmark
+// workload spreads simd's capture-cache keys over.
+var keyConfigs = []struct{ scheduler, policy string }{
+	{"quark", ""}, {"ompss", ""}, {"starpu", ""}, {"starpu", "prio"}, {"starpu", "ws"}, {"starpu", "dm"},
 }
 
 // replayJitter is a cheap stochastic duration model, so both benchmark

@@ -25,12 +25,19 @@ import (
 // deterministic. The arena carries the spec's worker count as its default
 // replay width.
 func CaptureArena(spec Spec) (*replay.Arena, error) {
-	ops, err := Ops(spec)
+	buf := capturePool.Get().(*factor.Buffers)
+	ops, err := opsIn(spec, buf)
 	if err != nil {
 		return nil, err
 	}
-	return captureOps(spec, ops)
+	return captureOps(spec, ops, buf)
 }
+
+// capturePool recycles the scratch of CaptureArena — the op stream and the
+// sched.Tasks the capture run is given — across captures, so a capture
+// allocates little beyond the arena it returns. Pooled memory lives at most
+// two GC cycles.
+var capturePool = sync.Pool{New: func() any { return new(factor.Buffers) }}
 
 // CaptureSpec is CaptureArena returning the structured view of the capture
 // (Arena.DAG) — for inspection and validation; a caller that only replays
@@ -47,7 +54,14 @@ func CaptureSpec(spec Spec) (*replay.DAG, error) {
 // graph depends on the ops' classes, labels, priorities and argument
 // handles only — whether the tiles behind the handles hold data makes no
 // difference, which TestCaptureFrameSameOverShapesAndMatrices pins.
-func captureOps(spec Spec, ops []factor.Op) (*replay.Arena, error) {
+//
+// buf, when not nil, holds ops and is where the run's tasks are cut from;
+// captureOps owns it from then on. It goes back to capturePool only after a
+// clean run — Shutdown has joined the worker, which an aborted engine's does
+// not, and Arena has succeeded — when nothing the arena or the runtime
+// still uses can refer to it: the recorder copied every class and label
+// into the arena's own string region. Any failure drops it.
+func captureOps(spec Spec, ops []factor.Op, buf *factor.Buffers) (*replay.Arena, error) {
 	capSpec := spec
 	capSpec.Workers = 1
 	rt, err := NewRuntime(capSpec)
@@ -79,7 +93,7 @@ func captureOps(spec Spec, ops []factor.Op) (*replay.Arena, error) {
 	if m, ok := rt.(interface{ MasterParticipates() bool }); ok && !m.MasterParticipates() {
 		body = func(*sched.Ctx) { <-inserted }
 	}
-	insErr := factor.Insert(rt, nil, ops, func(_ *factor.Op, t *sched.Task) { t.Func = body })
+	insErr := buf.Insert(rt, nil, ops, func(_ *factor.Op, t *sched.Task) { t.Func = body })
 	close(inserted)
 	if insErr != nil {
 		rt.Shutdown()
@@ -90,7 +104,12 @@ func captureOps(spec Spec, ops []factor.Op) (*replay.Arena, error) {
 	if err := rt.Err(); err != nil {
 		return nil, err
 	}
-	return rec.Arena()
+	arena, err := rec.Arena()
+	if err == nil && buf != nil {
+		buf.Reset()
+		capturePool.Put(buf)
+	}
+	return arena, err
 }
 
 // ReplayIgnoresPriorities reports whether replays of the spec's scheduler

@@ -140,3 +140,46 @@ func TestInsertMapsOpsAndStopsAtRejection(t *testing.T) {
 		t.Errorf("after shutdown: err %v after %d tasks, want ErrShutdown after 1", err, calls)
 	}
 }
+
+// A Buffers hands its memory out again after Reset, zeroed: a recycled task
+// reaches the body as a fresh one would, with nothing an earlier body or
+// engine wrote into it, and a recycled stream equals a freshly built one.
+func TestBuffersRecycleZeroed(t *testing.T) {
+	a, _ := workload.Shapes("cholesky", 4, 4)
+	fresh := Cholesky(a)
+	var buf Buffers
+	run := func(body func(*sched.Task)) []*sched.Task {
+		ops, err := buf.Stream("cholesky", a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ops {
+			if ops[i].String() != fresh[i].String() || ops[i].Priority != fresh[i].Priority {
+				t.Fatalf("op %d from the buffers is %s, fresh %s", i, ops[i], fresh[i])
+			}
+		}
+		q := mustQuark(1)
+		var seen []*sched.Task
+		err = buf.Insert(q, nil, ops, func(_ *Op, task *sched.Task) {
+			if task.ID() != 0 || task.Affinity() != 0 || task.NumThreads != 0 || task.Slowdown != 0 || task.Func != nil {
+				t.Errorf("task %s reaches the body carrying id %d, affinity %d, %d threads, slowdown %g",
+					task.Label, task.ID(), task.Affinity(), task.NumThreads, task.Slowdown)
+			}
+			seen = append(seen, task)
+			body(task)
+			task.Func = func(*sched.Ctx) {}
+		})
+		q.Barrier()
+		q.Shutdown()
+		if err != nil || len(seen) != len(ops) {
+			t.Fatalf("inserted %d of %d ops, err %v", len(seen), len(ops), err)
+		}
+		return seen
+	}
+	first := run(func(task *sched.Task) { task.NumThreads, task.Slowdown = 1, 2 })
+	buf.Reset()
+	second := run(func(*sched.Task) {})
+	if first[0] != second[0] {
+		t.Errorf("the second run's tasks were allocated afresh, not recycled")
+	}
+}

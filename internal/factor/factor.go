@@ -165,8 +165,39 @@ type stream struct {
 	args []OpArg
 }
 
-func newStream(nops, nargs int) *stream {
-	return &stream{ops: make([]Op, 0, nops), args: make([]OpArg, 0, nargs)}
+// Buffers is scratch memory for streams and their scheduler runs that a
+// caller recycles instead of allocating per stream: the op slice and
+// argument slab Stream fills, and the task and argument slabs Insert cuts
+// the sched.Tasks from. A nil *Buffers is valid and allocates afresh on
+// every call, which is what the package-level Stream and Insert do.
+// Everything cut from a Buffers stays valid until Reset; the zero value is
+// ready to use. Not safe for concurrent use.
+type Buffers struct {
+	ops   []Op
+	args  []OpArg
+	tasks []sched.Task
+	targs []sched.Arg
+}
+
+// Reset zeroes everything cut from b since the last Reset and makes it
+// available again. Zeroed, b keeps no tile, task body or engine
+// bookkeeping alive, and a recycled sched.Task starts as a fresh one does.
+// Call it only once no stream, task or run uses that memory any more.
+func (b *Buffers) Reset() {
+	clear(b.ops)
+	clear(b.args)
+	clear(b.tasks)
+	clear(b.targs)
+	b.ops, b.args, b.tasks, b.targs = b.ops[:0], b.args[:0], b.tasks[:0], b.targs[:0]
+}
+
+// newStream returns an empty stream with room for nops ops and nargs
+// arguments, cut from b or, when b is nil, allocated.
+func (b *Buffers) newStream(nops, nargs int) stream {
+	if b == nil {
+		return stream{ops: make([]Op, 0, nops), args: make([]OpArg, 0, nargs)}
+	}
+	return stream{ops: slab.Carve(&b.ops, nops)[:0], args: slab.Carve(&b.args, nargs)[:0]}
 }
 
 // add appends one op. run receives the argument tiles in args order.
@@ -188,14 +219,16 @@ const (
 // Cholesky returns the serial task stream of the tile Cholesky
 // factorization A = L*L^T (Algorithm 1 of the paper). The matrix is
 // factored in place (lower triangle).
-func Cholesky(a *tile.Matrix) []Op {
+func Cholesky(a *tile.Matrix) []Op { return (*Buffers)(nil).cholesky(a) }
+
+func (b *Buffers) cholesky(a *tile.Matrix) []Op {
 	nt := a.NT
 	nops, nargs := 0, 0
 	for r := 0; r < nt; r++ { // step k leaves r = nt-k-1 tile rows below the panel
 		nops += 1 + 2*r + r*(r-1)/2      // POTRF, r TRSM, r SYRK, r(r-1)/2 GEMM
 		nargs += 1 + 4*r + 3*(r*(r-1)/2) // with 1, 2, 2 and 3 arguments
 	}
-	s := newStream(nops, nargs)
+	s := b.newStream(nops, nargs)
 	A := newOperands("A", a)
 	for k := 0; k < nt; k++ {
 		s.add(kernels.ClassPOTRF, prioPanel,
@@ -227,7 +260,9 @@ func Cholesky(a *tile.Matrix) []Op {
 // (Algorithm 2 of the paper). a is factored in place (R in the upper
 // triangle, Householder blocks below); t receives the block-reflector T
 // factors and must be an NT x NT tile matrix of the same tile size.
-func QR(a, t *tile.Matrix) []Op {
+func QR(a, t *tile.Matrix) []Op { return (*Buffers)(nil).qr(a, t) }
+
+func (b *Buffers) qr(a, t *tile.Matrix) []Op {
 	if t.NT != a.NT || t.NB != a.NB {
 		panic("factor: QR T matrix shape mismatch")
 	}
@@ -237,7 +272,7 @@ func QR(a, t *tile.Matrix) []Op {
 		nops += 1 + 2*r + r*r    // GEQRT, r ORMQR, r TSQRT, r² TSMQR
 		nargs += 2 + 6*r + 4*r*r // with 2, 3, 3 and 4 arguments
 	}
-	s := newStream(nops, nargs)
+	s := b.newStream(nops, nargs)
 	A, T := newOperands("A", a), newOperands("T", t)
 	for k := 0; k < nt; k++ {
 		s.add(kernels.ClassGEQRT, prioPanel,
@@ -268,16 +303,22 @@ func QR(a, t *tile.Matrix) []Op {
 // Stream identifies a tile algorithm by name and builds its op stream.
 // Supported names: "cholesky" (alias "chol"), "qr" and "lu".
 func Stream(algorithm string, a, t *tile.Matrix) ([]Op, error) {
+	return (*Buffers)(nil).Stream(algorithm, a, t)
+}
+
+// Stream is the package-level Stream with the op slice and the argument
+// slab cut from b.
+func (b *Buffers) Stream(algorithm string, a, t *tile.Matrix) ([]Op, error) {
 	switch algorithm {
 	case "cholesky", "chol":
-		return Cholesky(a), nil
+		return b.cholesky(a), nil
 	case "qr":
 		if t == nil {
 			return nil, fmt.Errorf("factor: qr requires a T matrix")
 		}
-		return QR(a, t), nil
+		return b.qr(a, t), nil
 	case "lu":
-		return LU(a), nil
+		return b.lu(a), nil
 	default:
 		return nil, fmt.Errorf("factor: unknown algorithm %q", algorithm)
 	}

@@ -14,14 +14,16 @@ import (
 // generator's diagonally dominant matrices guarantee it). A is factored in
 // place: U in the upper triangle (with diagonal), L strictly below (unit
 // diagonal implicit).
-func LU(a *tile.Matrix) []Op {
+func LU(a *tile.Matrix) []Op { return (*Buffers)(nil).lu(a) }
+
+func (b *Buffers) lu(a *tile.Matrix) []Op {
 	nt := a.NT
 	nops, nargs := 0, 0
 	for r := 0; r < nt; r++ { // step k leaves r = nt-k-1 trailing tile rows and columns
 		nops += 1 + 2*r + r*r    // GETRF, r TRSMU, r TRSML, r² GEMM
 		nargs += 1 + 4*r + 3*r*r // with 1, 2, 2 and 3 arguments
 	}
-	s := newStream(nops, nargs)
+	s := b.newStream(nops, nargs)
 	A := newOperands("A", a)
 	for k := 0; k < nt; k++ {
 		s.add(kernels.ClassGETRF, prioPanel,

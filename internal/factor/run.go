@@ -72,19 +72,31 @@ const insertBlock = 1024
 // (carved per task) and one string holding the block's labels back to back,
 // all sized exactly.
 func Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body func(op *Op, t *sched.Task)) error {
+	return (*Buffers)(nil).Insert(rt, sim, ops, body)
+}
+
+// Insert is the package-level Insert with the tasks and their argument
+// lists cut from b. The whole stream is one block: b's memory outlives the
+// run anyway, so there is nothing to give back while the run advances, and
+// a b recycled across runs of one size is never regrown. The labels are
+// still allocated per run.
+func (b *Buffers) Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body func(op *Op, t *sched.Task)) error {
 	if sim != nil {
 		sim.Reserve(len(ops)) // one trace event per op
 	}
+	blockLen := insertBlock
+	if b != nil {
+		blockLen = len(ops)
+	}
 	for len(ops) > 0 {
-		block := ops[:min(len(ops), insertBlock)]
+		block := ops[:min(len(ops), blockLen)]
 		ops = ops[len(block):]
 		nargs, nlabel := 0, 0
 		for i := range block {
 			nargs += len(block[i].Args)
 			nlabel += block[i].labelLen()
 		}
-		tasks := make([]sched.Task, len(block))
-		args := make([]sched.Arg, 0, nargs)
+		tasks, args := b.cut(len(block), nargs)
 		var lb strings.Builder
 		lb.Grow(nlabel)
 		for i := range block {
@@ -106,6 +118,15 @@ func Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body func(op *Op, t
 		}
 	}
 	return nil
+}
+
+// cut returns ntasks zero tasks and an empty slab with room for nargs
+// arguments, cut from b or, when b is nil, allocated.
+func (b *Buffers) cut(ntasks, nargs int) ([]sched.Task, []sched.Arg) {
+	if b == nil {
+		return make([]sched.Task, ntasks), make([]sched.Arg, 0, nargs)
+	}
+	return slab.Carve(&b.tasks, ntasks), slab.Carve(&b.targs, nargs)[:0]
 }
 
 // InsertMeasured inserts the op stream in measured mode: each task executes

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"supersim/internal/graph"
@@ -205,15 +206,26 @@ func newBuilder(tasks, feet, edges, strBytes int) *builder {
 		depKind:  u8[tasks+feet : tasks+feet],
 		duration: make([]float64, 0, tasks),
 	}
+	strIdx, ok := internPool.Get().(map[string]int32)
+	if !ok {
+		strIdx = make(map[string]int32, tasks+internSlack)
+	}
 	return &builder{
 		a:      a,
-		strIdx: make(map[string]int32, tasks+internSlack),
+		strIdx: strIdx,
 		strBuf: make([]byte, 0, strBytes),
 	}
 }
 
 // internSlack is the room the string table gets beyond one label per task.
 const internSlack = 8
+
+// internPool recycles the builders' intern maps, which die with the build:
+// finish empties its builder's map and puts it here, so a capture's map is
+// usually a previous capture's, grown to the largest stream it has seen.
+// The arena never refers to the map: its strings are copies in its own
+// region.
+var internPool sync.Pool
 
 // push appends v to a column.
 //
@@ -311,6 +323,11 @@ func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
 	a.workers = workers
 	a.handles = handles
 	a.labelStr = b.intern(label) // the codec stores the DAG label by table index
+	// That was the last string: the map's keys alias the callers' labels,
+	// so it is emptied before anyone else gets it.
+	clear(b.strIdx)
+	internPool.Put(b.strIdx)
+	b.strIdx = nil
 	if len(b.strBuf) > math.MaxInt32 {
 		return nil, fmt.Errorf("replay: %d bytes of strings overflow the int32 string offsets", len(b.strBuf))
 	}

@@ -6,12 +6,18 @@ import (
 	"supersim/internal/replay"
 )
 
-// cacheKey identifies one captured DAG. The DAG of a tile algorithm is a
-// pure function of the op-stream structure — algorithm and tile count —
-// and of the scheduler that resolves it (policy and window can reorder
-// hazard resolution for runtimes that expose them), never of the duration
-// model, the seed or the worker count. Those stay out of the key so one
-// capture serves every model/seed/width variation of the same graph.
+// cacheKey identifies one cache entry. The captured DAG of a tile
+// algorithm is a pure function of the op-stream structure — algorithm and
+// tile count — and of the scheduler that resolves it (policy and window can
+// reorder hazard resolution for runtimes that expose them), never of the
+// duration model, the seed or the worker count. Those stay out of the key
+// so one capture serves every model/seed/width variation of the same graph.
+// The tile size nb is in the key although the frame does not depend on it
+// (an op stream names tiles without holding them;
+// bench.TestCaptureFrameIndependentOfNB): keys that differ only in nb are
+// separate entries, on disk and on the cluster ring, holding equal frames.
+// It stays because the entry layout, the route keys and the cache
+// dispositions the service benchmarks expect were all built on it.
 type cacheKey struct {
 	algorithm string
 	scheduler string

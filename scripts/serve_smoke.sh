@@ -73,6 +73,12 @@ field() {
     curl -fsS "$base/jobs/$1" | sed -n 's/.*"'"$2"'":"\([^"]*\)".*/\1/p'
 }
 
+# run_ms <id> — print a job's run time in milliseconds.
+run_ms() {
+    ns=$(curl -fsS "$base/jobs/$1" | sed -n 's/.*"run_ns":\([0-9]*\).*/\1/p')
+    echo $(( ${ns:-0} / 1000000 ))
+}
+
 # wait_done <id> — poll a job until done (fails on failed/rejected/dead).
 wait_done() {
     st=""
@@ -127,14 +133,32 @@ smoke_stage() {
     # A sweep under the service's constant model draws no randomness: each
     # point replays once and every replica carries that makespan, so a
     # thousand replicas cost one.
-    id=$(submit '{"kind": "sweep", "algorithm": "cholesky", "max_nt": 48, "nb": 8, "workers": 8, "reps": 1000}')
+    quark_sweep='{"kind": "sweep", "algorithm": "cholesky", "max_nt": 48, "nb": 8, "workers": 8, "reps": 1000}'
+    id=$(submit "$quark_sweep")
     st=$(wait_final "$id" 50)
     [ "$st" = "done" ] || { echo "reps-1000 sweep not done within 5 s (status '$st')"; exit 1; }
     curl -fsS "$base/jobs/$id" | grep -o '"Makespans":\[[^]]*\]' | awk -F'[][,]' '
         { for (i = 3; i < NF; i++) if ($i != $2) { print "point " NR ": replica makespans differ"; bad = 1; exit } }
         END { if (NR == 0) { print "sweep result has no points"; exit 1 } exit bad }' ||
         { echo "reps-1000 sweep result is wrong"; exit 1; }
-    echo "reps-1000 sweep ok"
+    fp_first=$(field "$id" fingerprint)
+    [ -n "$fp_first" ] || { echo "reps-1000 sweep has no fingerprint"; exit 1; }
+    echo "reps-1000 sweep ok in $(run_ms "$id") ms"
+
+    # Captures recycle their op streams and task slabs: a StarPU sweep (no
+    # window, every task of a point live at once) reuses the quark sweep's
+    # buffers, and the quark sweep run again on whatever they held must
+    # reproduce its first result bit for bit.
+    id=$(submit '{"kind": "sweep", "algorithm": "cholesky", "scheduler": "starpu", "max_nt": 48, "nb": 8, "workers": 8, "reps": 1000}')
+    st=$(wait_final "$id" 100)
+    [ "$st" = "done" ] || { echo "starpu sweep not done within 10 s (status '$st')"; exit 1; }
+    echo "starpu sweep done in $(run_ms "$id") ms"
+    id=$(submit "$quark_sweep")
+    st=$(wait_final "$id" 100)
+    [ "$st" = "done" ] || { echo "repeated quark sweep not done within 10 s (status '$st')"; exit 1; }
+    fp_again=$(field "$id" fingerprint)
+    [ "$fp_again" = "$fp_first" ] || { echo "repeated quark sweep fingerprint '$fp_again', first run $fp_first"; exit 1; }
+    echo "repeated quark sweep identical ($fp_first) in $(run_ms "$id") ms"
 
     # A sweep stops at its deadline instead of finishing first.
     id=$(submit '{"kind": "sweep", "algorithm": "cholesky", "max_nt": 64, "nb": 8, "workers": 4, "deadline_ms": 50}')
@@ -142,9 +166,10 @@ smoke_stage() {
     [ "$st" = "failed" ] || { echo "deadline sweep ended '$st', want failed"; exit 1; }
     echo "deadline sweep failed as it should"
 
-    # Metrics: the simulate job and the first sweep done, the second failed.
+    # Metrics: the simulate job and the three sweeps done, the deadline
+    # sweep failed.
     metrics=$(curl -fsS "$base/metrics")
-    printf '%s' "$metrics" | grep -q '"done":2' || { echo "metrics miss the done sweep: $metrics"; exit 1; }
+    printf '%s' "$metrics" | grep -q '"done":4' || { echo "metrics miss the done sweeps: $metrics"; exit 1; }
     printf '%s' "$metrics" | grep -q '"failed":1' || { echo "metrics miss the failed sweep: $metrics"; exit 1; }
     echo "sweep metrics ok"
 
