@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short ./internal/core ./internal/sched/... ./internal/fault ./internal/trace ./internal/pq ./internal/replay ./internal/bench ./internal/server ./internal/journal ./internal/cluster
+	$(GO) test -race -short ./internal/core ./internal/sched/... ./internal/hazard ./internal/factor ./internal/fault ./internal/trace ./internal/pq ./internal/replay ./internal/bench ./internal/server ./internal/journal ./internal/cluster
 
 # The PDES executor's LP/channel protocol, hammered repeatedly without
 # -short so the full stress matrix runs under the race detector.

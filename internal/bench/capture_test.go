@@ -110,24 +110,28 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 }
 
 // Ceilings for one steady-state CaptureArena, per captured task and with
-// the finished arena included, set 15 % above what the path achieves:
-// cholesky nt=16 (816 tasks) through QUARK, 2.8 objects and 293 B, and
-// through StarPU's eager policy at nt=32 (5 984 tasks, no window, so every
-// task is live at once: serve-miss's dominant shape), 2.1 objects and
-// 288 B. What is left per task is the arena row, the task's label, and the
-// scheduler's own bookkeeping (the engine's successor lists and handle ids,
-// the hazard tracker's reader lists). The op stream, the sched.Tasks and
-// their arguments come from a recycled factor.Buffers, and the recorder's
-// intern map is recycled too.
+// the finished arena included: cholesky nt=16 (816 tasks) through QUARK,
+// 0.24 objects and 172 B, and through StarPU's eager policy at nt=32
+// (5 984 tasks, no window, so every task is live at once: serve-miss's
+// dominant shape), 0.10 objects and 153 B. Bytes are set 15 % above the
+// larger; objects, a few hundred per capture, get more room. What is left
+// per task is the arena row, the task's label and its handle ids. The op
+// stream, the sched.Tasks and their arguments come from a recycled
+// factor.Buffers, the recorder's intern map is recycled, and the engine
+// takes its hazard tracker, successor-list nodes and live and owner tables
+// from the engine before it.
 // History: 19.9 objects and 3.97 KB per task while the capture generated
 // its input matrix, rendered labels by repeated concatenation and recorded
 // one slice per footprint and per dependence list; 6.3 objects and 1.14 KB
 // while it recorded a pointer DAG and compiled the arena from it; 2.8
 // objects and 768 B (767 B for the StarPU case) while every capture
-// allocated its op stream, task slabs and intern map afresh.
+// allocated its op stream, task slabs and intern map afresh; 2.8 objects
+// and 293 B (2.1 and 288 B) while the engine grew a successor slice per
+// predecessor and the tracker a state and a reader slice per handle, and
+// both started from nothing on every run.
 const (
-	captureObjectsPerTaskCeiling = 3.2
-	captureBytesPerTaskCeiling   = 340
+	captureObjectsPerTaskCeiling = 0.4
+	captureBytesPerTaskCeiling   = 200
 )
 
 func TestCaptureSpecAllocCeilings(t *testing.T) {
@@ -158,14 +162,17 @@ func TestCaptureSpecAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestConcurrentCapturesMatchSerial: captures recycle their scratch through
-// capturePool, so a buffer set that went back while its run still used it
-// would let a concurrent capture zero and overwrite a live stream. Eight
-// goroutines capture a seeded mix of small and large specs, so pooled
-// buffers shrink and grow between uses, and every frame must equal, byte for
-// byte, a serial capture of the same spec that uses no pool. A run whose
-// tasks were overwritten typically never drains, so the captures get a
-// deadline.
+// TestConcurrentCapturesMatchSerial: captures recycle their scratch — the
+// op stream and tasks through capturePool, the engine's hazard tracker,
+// successor lists and live table through sched's pool — so scratch that
+// went back while its run still used it would let a concurrent capture
+// zero and overwrite a live stream. Eight goroutines capture a seeded mix
+// of small and large specs, so pooled memory shrinks and grows between
+// uses, and every frame must equal, byte for byte, a serial capture of the
+// same spec. The serial captures share the engine's pool too, so they are
+// held to frames no pool produced: the golden specs to their golden
+// digests, and the whole set to concurrentRefsDigest. A run whose tasks
+// were overwritten typically never drains, so the captures get a deadline.
 func TestConcurrentCapturesMatchSerial(t *testing.T) {
 	const goroutines, rounds = 8, 25
 	golden := goldenSpecs()
@@ -182,12 +189,16 @@ func TestConcurrentCapturesMatchSerial(t *testing.T) {
 	}
 	keyOf := func(s Spec) key { return key{s.Algorithm, s.Scheduler, s.Policy, s.NT, s.Workers} }
 	want := make(map[key][]byte)
+	goldenName := make(map[key]string)
 	for g := range draws {
 		for r := 0; r < rounds; r++ {
-			spec := golden[names[src.Intn(len(names))]]
+			name := names[src.Intn(len(names))]
+			spec := golden[name]
 			if src.Intn(3) != 0 {
 				c := keyConfigs[src.Intn(len(keyConfigs))]
 				spec = Spec{Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy, NT: 2 + src.Intn(31), NB: 8, Workers: 8, Seed: 1}
+			} else {
+				goldenName[keyOf(spec)] = name
 			}
 			draws[g] = append(draws[g], spec)
 			if want[keyOf(spec)] == nil {
@@ -202,6 +213,27 @@ func TestConcurrentCapturesMatchSerial(t *testing.T) {
 				want[keyOf(spec)] = arena.Encode()
 			}
 		}
+	}
+	refs := make([]string, 0, len(want))
+	frames := make(map[string][]byte)
+	for k, frame := range want {
+		ref := fmt.Sprintf("%s/%s-%s nt=%d w=%d", k.algorithm, k.scheduler, k.policy, k.nt, k.workers)
+		refs = append(refs, ref)
+		frames[ref] = frame
+		if name, ok := goldenName[k]; ok {
+			if got := fmt.Sprintf("%x", sha256.Sum256(frame))[:16]; got != goldenFrameDigests[name] {
+				t.Errorf("%s: the serial reference frame has digest %s, golden %s", name, got, goldenFrameDigests[name])
+			}
+		}
+	}
+	slices.Sort(refs)
+	sum := sha256.New()
+	for _, ref := range refs {
+		fmt.Fprintf(sum, "%s:%d:", ref, len(frames[ref]))
+		sum.Write(frames[ref])
+	}
+	if got := fmt.Sprintf("%x", sum.Sum(nil))[:16]; got != concurrentRefsDigest {
+		t.Fatalf("the %d serial reference frames digest to %s, want %s", len(refs), got, concurrentRefsDigest)
 	}
 	var wg sync.WaitGroup
 	for g := range draws {
@@ -256,6 +288,22 @@ func TestCaptureFrameIndependentOfNB(t *testing.T) {
 	}
 }
 
+// concurrentRefsDigest is the digest of TestConcurrentCapturesMatchSerial's
+// serial reference frames, each prefixed by its spec and length, in spec
+// order. It was taken at the commit before the engine recycled its
+// scratch, where these serial captures shared none.
+const concurrentRefsDigest = "411a77e2b24a93b2"
+
+// goldenFrameDigests are the leading 16 hex digits of the SHA-256 of each
+// golden spec's .dag frame, taken from the pointer-DAG recorder at the
+// commit before captures went straight into columns. A frame holds no
+// floating-point result, so they hold on every platform.
+var goldenFrameDigests = map[string]string{
+	"cholesky/quark": "eb3c46e220164aa3", "cholesky/starpu-prio": "32d3750ef435b3ec", "cholesky/ompss": "7d7e466931f3680f",
+	"qr/quark": "1ec940fa7dfeac99", "qr/starpu-prio": "8bf3908f8d8b42d3", "qr/ompss": "78303727239d76e4",
+	"lu/quark": "73cfc77550b87bb6", "lu/starpu-prio": "aa0e191c708a6590", "lu/ompss": "de7e57dadd2adea1",
+}
+
 // goldenSpecs are the nine captures the golden tests pin: every algorithm
 // through every runtime's capture order and ready policy.
 func goldenSpecs() map[string]Spec {
@@ -273,27 +321,19 @@ func goldenSpecs() map[string]Spec {
 }
 
 // TestCaptureFramesGoldenAndRebuildable pins the capture format in
-// absolute terms and the two ways of filling it against each other. The
-// digests are of the .dag frames the pointer-DAG recorder produced at the
-// commit before captures went straight into columns: a frame holds no
-// floating-point result, so they hold on every platform. And the columns a
-// capture appends must be the columns BuildArena compiles from the
-// capture's own view, byte for byte — unless the view was edited, which is
-// what BuildArena is for.
+// absolute terms (goldenFrameDigests) and the two ways of filling it
+// against each other: the columns a capture appends must be the columns
+// BuildArena compiles from the capture's own view, byte for byte — unless
+// the view was edited, which is what BuildArena is for.
 func TestCaptureFramesGoldenAndRebuildable(t *testing.T) {
-	golden := map[string]string{
-		"cholesky/quark": "eb3c46e220164aa3", "cholesky/starpu-prio": "32d3750ef435b3ec", "cholesky/ompss": "7d7e466931f3680f",
-		"qr/quark": "1ec940fa7dfeac99", "qr/starpu-prio": "8bf3908f8d8b42d3", "qr/ompss": "78303727239d76e4",
-		"lu/quark": "73cfc77550b87bb6", "lu/starpu-prio": "aa0e191c708a6590", "lu/ompss": "de7e57dadd2adea1",
-	}
 	for name, spec := range goldenSpecs() {
 		arena, err := CaptureArena(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		frame := arena.Encode()
-		if got := fmt.Sprintf("%x", sha256.Sum256(frame))[:16]; got != golden[name] {
-			t.Errorf("%s: frame digest %s, golden %s", name, got, golden[name])
+		if got := fmt.Sprintf("%x", sha256.Sum256(frame))[:16]; got != goldenFrameDigests[name] {
+			t.Errorf("%s: frame digest %s, golden %s", name, got, goldenFrameDigests[name])
 		}
 		view := arena.DAG()
 		if err := view.Validate(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supersim/internal/core"
+	"supersim/internal/hazard"
 	"supersim/internal/perf"
 	"supersim/internal/replay"
 	"supersim/internal/rng"
@@ -209,6 +210,79 @@ func microSuite(counters *perf.Counters) []MicroBench {
 					}); err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		}},
+		{Name: "CaptureHazard32", Bench: func(b *testing.B) {
+			// CaptureKeys32's hazard analysis alone: the argument lists of its
+			// six streams through one tracker, Reset between streams as the
+			// engine's recycled tracker is.
+			var streams [][][]sched.Arg
+			for _, c := range keyConfigs {
+				ops, err := Ops(Spec{Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy, NT: 32, NB: 20, Workers: 8, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				args := make([][]sched.Arg, len(ops))
+				for i := range ops {
+					args[i] = ops[i].SchedArgs()
+				}
+				streams = append(streams, args)
+			}
+			tr := hazard.NewTracker()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, args := range streams {
+					tr.Reset()
+					for _, a := range args {
+						tr.Insert(a)
+					}
+				}
+			}
+		}},
+		{Name: "CaptureEngine32", Bench: func(b *testing.B) {
+			// CaptureKeys32 without its recorder: each configuration's
+			// 1-worker runtime inserting and dispatching the stream's tasks as
+			// a capture run does. The tasks are copied from a template built
+			// once, so the op stream, the labels and the task slabs stay out
+			// of the measurement.
+			type run struct {
+				spec        Spec
+				tmpl, tasks []sched.Task
+			}
+			var runs []run
+			for _, c := range keyConfigs {
+				spec := Spec{Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy, NT: 32, NB: 20, Workers: 1, Seed: 1}
+				ops, err := Ops(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tmpl := make([]sched.Task, len(ops))
+				for i := range ops {
+					tmpl[i] = sched.Task{Class: string(ops[i].Class), Args: ops[i].SchedArgs(), Priority: ops[i].Priority}
+				}
+				runs = append(runs, run{spec, tmpl, make([]sched.Task, len(ops))})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, r := range runs {
+					rt, err := NewRuntime(r.spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					body, inserted := captureBody(rt)
+					copy(r.tasks, r.tmpl)
+					for j := range r.tasks {
+						r.tasks[j].Func = body
+						if err := rt.Insert(&r.tasks[j]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					inserted()
+					rt.Barrier()
+					rt.Shutdown()
 				}
 			}
 		}},

@@ -81,20 +81,9 @@ func captureOps(spec Spec, ops []factor.Op, buf *factor.Buffers) (*replay.Arena,
 		nargs += len(ops[i].Args)
 	}
 	rec.Reserve(len(ops), nargs, factor.LabelBytes(ops))
-	// A runtime whose master only inserts (StarPU) runs the tasks on a
-	// dedicated worker, concurrently with the insertion loop below; whether
-	// a task then finds its predecessors complete — ready at insertion — or
-	// is released by them later, and so the recorded ready order, would
-	// depend on goroutine timing. Hold that worker until the stream is in.
-	// A master that executes tasks itself (QUARK, OmpSs) is the only
-	// executor of a 1-worker run and must not wait for itself.
-	body := noopTask
-	inserted := make(chan struct{})
-	if m, ok := rt.(interface{ MasterParticipates() bool }); ok && !m.MasterParticipates() {
-		body = func(*sched.Ctx) { <-inserted }
-	}
+	body, inserted := captureBody(rt)
 	insErr := buf.Insert(rt, nil, ops, func(_ *factor.Op, t *sched.Task) { t.Func = body })
-	close(inserted)
+	inserted()
 	if insErr != nil {
 		rt.Shutdown()
 		return nil, insErr
@@ -110,6 +99,24 @@ func captureOps(spec Spec, ops []factor.Op, buf *factor.Buffers) (*replay.Arena,
 		capturePool.Put(buf)
 	}
 	return arena, err
+}
+
+// captureBody returns the task body of a 1-worker capture run on rt, and
+// the call that tells it the whole stream is in. A runtime whose master
+// only inserts (StarPU) runs the tasks on a dedicated worker, concurrently
+// with insertion; whether a task then finds its predecessors complete —
+// ready at insertion — or is released by them later, and so the recorded
+// ready order, would depend on goroutine timing. The body holds that
+// worker until the stream is in. A master that executes tasks itself
+// (QUARK, OmpSs) is the only executor of a 1-worker run and must not wait
+// for itself: its body is a no-op.
+func captureBody(rt sched.Runtime) (body sched.TaskFunc, inserted func()) {
+	m, ok := rt.(interface{ MasterParticipates() bool })
+	if !ok || m.MasterParticipates() {
+		return noopTask, func() {}
+	}
+	ch := make(chan struct{})
+	return func(*sched.Ctx) { <-ch }, func() { close(ch) }
 }
 
 // ReplayIgnoresPriorities reports whether replays of the spec's scheduler

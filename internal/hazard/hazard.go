@@ -7,9 +7,17 @@
 // Handles are opaque comparable values identifying a datum (in practice a
 // *tile.Tile pointer); the tracker never dereferences them, exactly as the
 // paper's simulator requires real addresses only for dependence identity.
+//
+// A tracker's memory is a handle map plus pointer-free arrays: handle
+// states, reader-list nodes and the result buffers. They grow with the
+// stream and Reset keeps them, which is how the scheduler engine hands one
+// tracker from run to run without allocating per task.
 package hazard
 
-import "supersim/internal/graph"
+import (
+	"supersim/internal/graph"
+	"supersim/internal/slab"
+)
 
 // Access is the declared access mode of a task argument.
 type Access uint8
@@ -44,11 +52,11 @@ type Dep struct {
 	Kind graph.EdgeKind
 }
 
-// state records one handle: its number and the past accesses to it.
+// state records one handle's past accesses. It is stored by value in
+// Tracker.states, at the handle's dense id.
 type state struct {
-	id               int32 // dense id: handles are numbered in first-seen order
-	lastWriter       int   // task index of last writer, -1 if none
-	readersSinceLast []int // readers since the last write
+	lastWriter int32     // task index of the last writer, -1 if none
+	readers    slab.List // readers since the last write, in insertion order (Tracker.readers)
 }
 
 // Tracker incrementally derives dependences from a serial task stream.
@@ -59,10 +67,17 @@ type state struct {
 // handle's identity downstream of the tracker: Insert resolves each
 // argument's opaque handle through the map once and hands the numbers
 // out, so the engine's ownership table and the capture recorder's
-// footprints index by it instead of hashing the handle again.
+// footprints index by it instead of hashing the handle again. The tracker
+// indexes by it too: a handle's state is a value in one array, and its
+// readers since the last write are a list in one node pool shared by all
+// handles, so a stream allocates nothing per handle or per access once
+// those arrays have grown. Task indexes are int32 inside the tracker: at
+// most 2^31-1 tasks between Resets.
 type Tracker struct {
-	states map[any]*state
-	next   int
+	ids     map[any]int32 // handle → dense id, an index into states
+	states  []state
+	readers slab.Lists // node values are task indexes
+	next    int
 	// handles, deps and preds are the reusable result buffers of Insert;
 	// preds mirrors the predecessor ids for the linear dedup scan. A task's
 	// predecessor count is small (bounded by its argument count plus the
@@ -74,7 +89,7 @@ type Tracker struct {
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{states: make(map[any]*state)}
+	return &Tracker{ids: make(map[any]int32)}
 }
 
 // Arg pairs a data handle with its access mode.
@@ -136,29 +151,31 @@ func (t *Tracker) Insert(args []Arg) (id int, handles []int32, deps []Dep) {
 	t.deps = t.deps[:0]
 	t.preds = t.preds[:0]
 	for _, a := range args {
-		st := t.states[a.Handle]
-		if st == nil {
-			st = &state{id: int32(len(t.states)), lastWriter: -1}
-			t.states[a.Handle] = st
+		h, ok := t.ids[a.Handle]
+		if !ok {
+			h = int32(len(t.states))
+			t.ids[a.Handle] = h
+			t.states = append(t.states, state{lastWriter: -1})
 		}
-		t.handles = append(t.handles, st.id)
+		t.handles = append(t.handles, h)
+		st := &t.states[h]
 		if a.Mode&Read != 0 {
-			t.record(id, st.lastWriter, graph.EdgeRaW)
+			t.record(id, int(st.lastWriter), graph.EdgeRaW)
 		}
 		if a.Mode&Write != 0 {
-			t.record(id, st.lastWriter, graph.EdgeWaW)
-			for _, r := range st.readersSinceLast {
-				t.record(id, r, graph.EdgeWaR)
+			t.record(id, int(st.lastWriter), graph.EdgeWaW)
+			for n := st.readers.Front(); n != 0; n = t.readers.Next(n) {
+				t.record(id, int(t.readers.Value(n)), graph.EdgeWaR)
 			}
 		}
 		// Update the handle's state after deriving hazards. A task that
 		// appears multiple times in the arg list for the same handle is
 		// processed per-arg, which matches serial insertion semantics.
 		if a.Mode&Write != 0 {
-			st.lastWriter = id
-			st.readersSinceLast = st.readersSinceLast[:0]
+			st.lastWriter = int32(id)
+			t.readers.Release(&st.readers)
 		} else {
-			st.readersSinceLast = append(st.readersSinceLast, id)
+			t.readers.Append(&st.readers, int32(id))
 		}
 	}
 	return id, t.handles, t.deps
@@ -170,8 +187,10 @@ func (t *Tracker) NumTasks() int { return t.next }
 // NumHandles returns how many distinct data handles have been seen.
 func (t *Tracker) NumHandles() int { return len(t.states) }
 
-// Reset clears all state, reusing the allocation.
+// Reset clears all state and keeps every buffer for the next stream.
 func (t *Tracker) Reset() {
-	clear(t.states)
+	clear(t.ids)
+	t.states = t.states[:0]
+	t.readers.Reset()
 	t.next = 0
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -62,5 +63,50 @@ func TestTaskChurnAllocs(t *testing.T) {
 	if a := res.AllocsPerOp(); a > churnAllocCeiling {
 		t.Errorf("task churn allocates %d objects/op, ceiling %d (%s)",
 			a, churnAllocCeiling, res.MemString())
+	}
+}
+
+// recycledRunAllocCeiling bounds the heap objects per task of a whole run
+// (NewEngine, Insert, execution, Shutdown) on an engine that took its
+// insertion scratch from the engine before it: what is left is the
+// engine's own set-up and the chunks of handle ids, a few dozen objects
+// per run, not per task.
+const recycledRunAllocCeiling = 0.05
+
+func TestRecycledEngineAllocatesNothingPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	// One P: a sync.Pool hands a Get the value the same P put last.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const tasks = 2000
+	handles := make([]*int, 16)
+	for i := range handles {
+		handles[i] = new(int)
+	}
+	noop := func(*Ctx) {}
+	var runs [2][]Task // the warm-up run's stream, then the measured one's
+	for r := range runs {
+		runs[r] = make([]Task, tasks)
+		for i := range runs[r] {
+			runs[r][i] = Task{Class: "GEMM", Func: noop, Args: []Arg{
+				RW(handles[i%16]), R(handles[(i+5)%16]), R(handles[(i+11)%16]),
+			}}
+		}
+	}
+	run := 0
+	objects := testing.AllocsPerRun(1, func() {
+		e := mustEngine(Config{Workers: 1, Policy: NewFIFOPolicy()})
+		for i := range runs[run] {
+			if err := e.Insert(&runs[run][i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Shutdown()
+		run++
+	})
+	t.Logf("%.0f objects over %d tasks", objects, tasks)
+	if perTask := objects / tasks; perTask > recycledRunAllocCeiling {
+		t.Errorf("a run on a recycled engine allocates %.0f objects, %.3f per task; ceiling %.2f", objects, perTask, recycledRunAllocCeiling)
 	}
 }

@@ -63,6 +63,22 @@ type gang struct {
 	skip   bool // the task is poisoned: members hold but skip the body
 }
 
+// insertScratch is the memory an engine's insertion path grows — the hazard
+// tracker, the successor-list nodes, and the live and owner tables — boxed
+// so that one engine can hand it to the next through insertPool. A run of
+// the same shape then allocates none of it. Everything in it is reset
+// before it goes back, and the live table holds no task.
+type insertScratch struct {
+	tracker *hazard.Tracker
+	edges   slab.Lists
+	live    []*Task
+	owner   []int32
+}
+
+// insertPool carries insertion scratch from a cleanly shut-down engine to
+// the next NewEngine. Pooled memory lives at most two GC cycles.
+var insertPool = sync.Pool{New: func() any { return &insertScratch{tracker: hazard.NewTracker()} }}
+
 // ctxPool recycles the per-attempt task contexts: steady-state execution
 // allocates no Ctx. A *Ctx is valid only until the task function returns
 // (plus the engine's own completion bookkeeping); task bodies must not
@@ -98,7 +114,14 @@ type Engine struct {
 	qGen        uint64 // guarded-by: mu — bumped on quiescence-relevant transitions
 	qWaiters    int    // guarded-by: mu
 
-	tracker       *hazard.Tracker
+	// The insertion path's memory, with live and owner below: taken from
+	// insertPool by NewEngine and handed back by a clean Shutdown
+	// (recycleLocked), which sets the fields to nil.
+	scratch  *insertScratch  // guarded-by: mu — the pooled box they came in
+	tracker  *hazard.Tracker // Insert scans it without mu, marked by scanning
+	scanning bool            // guarded-by: mu — an Insert is inside its unlocked tracker scan
+	edges    slab.Lists      // guarded-by: mu — successor-list nodes (Task.succs); values are task ids
+
 	live          []*Task      // guarded-by: mu — tasks by id, live[id-liveBase]: nil once finished
 	liveBase      int          // guarded-by: mu — id of live[0]
 	liveHead      int          // guarded-by: mu — live[:liveHead] is all finished
@@ -157,11 +180,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.MaxRetries < 0 {
 		return nil, fmt.Errorf("sched: negative MaxRetries %d", cfg.MaxRetries)
 	}
+	s := insertPool.Get().(*insertScratch)
 	e := &Engine{
 		cfg:     cfg,
 		perf:    cfg.Perf,
-		tracker: hazard.NewTracker(),
+		scratch: s,
+		tracker: s.tracker,
+		edges:   s.edges,
+		live:    s.live,
+		owner:   s.owner,
 	}
+	*s = insertScratch{} // the engine holds them now; the box only carries them back
 	e.self = e
 	e.workerCond = make([]*sync.Cond, cfg.Workers)
 	for w := range e.workerCond {
@@ -365,13 +394,9 @@ func (e *Engine) Insert(t *Task) error {
 	}
 	timer := e.perf.InsertTimer()
 	e.mu.Lock()
-	if e.shutdown {
+	if err := e.stoppedLocked(); err != nil {
 		e.mu.Unlock()
-		return ErrShutdown
-	}
-	if e.aborted {
-		e.mu.Unlock()
-		return ErrAborted
+		return err
 	}
 	// While the master streams insertions, simulated completions are held
 	// back (see Quiescent): on the paper's hardware insertion is orders
@@ -398,10 +423,10 @@ func (e *Engine) Insert(t *Task) error {
 		}
 		e.inserting = true
 	}
-	if e.aborted {
+	if err := e.stoppedLocked(); err != nil {
 		e.inserting = false
 		e.mu.Unlock()
-		return ErrAborted
+		return err
 	}
 
 	if t.NumThreads > e.cfg.Workers {
@@ -414,18 +439,22 @@ func (e *Engine) Insert(t *Task) error {
 		// Drop the lock for the dependence scan: insertion is serial
 		// (single-goroutine contract), so the tracker — and the id slab,
 		// which only this goroutine carves from — needs no protection, and
-		// workers completing tasks are not serialized behind it.
+		// workers completing tasks are not serialized behind it. The mark
+		// keeps a concurrent Shutdown from handing the tracker to another
+		// engine while the scan still reads it.
+		e.scanning = true
 		e.mu.Unlock()
 		id, handles, deps = e.tracker.Insert(t.Args)
 		t.handles = slab.CarveChunk(&e.handleSlab, len(handles), handleChunk)
 		copy(t.handles, handles)
 		e.mu.Lock()
-		if e.aborted {
-			// Aborted while the dependence scan ran: the task is not
+		e.scanning = false
+		if err := e.stoppedLocked(); err != nil {
+			// Stopped while the dependence scan ran: the task is not
 			// registered (its hazard id is simply skipped).
 			e.inserting = false
 			e.mu.Unlock()
-			return ErrAborted
+			return err
 		}
 	} else {
 		// No arguments, no hazards: the scan degenerates to an id grab,
@@ -457,8 +486,7 @@ func (e *Engine) Insert(t *Task) error {
 	e.stats.EdgesResolved += len(deps)
 	for _, d := range deps {
 		if i := d.Pred - e.liveBase; i >= 0 && e.live[i] != nil {
-			pred := e.live[i]
-			pred.succs = append(pred.succs, t)
+			e.edges.Append(&e.live[i].succs, int32(id))
 			t.waitCount++
 		}
 	}
@@ -472,6 +500,18 @@ func (e *Engine) Insert(t *Task) error {
 	}
 	e.mu.Unlock()
 	timer()
+	return nil
+}
+
+// stoppedLocked reports why the engine takes no more tasks — ErrShutdown or
+// ErrAborted — or nil while it does. Caller holds e.mu.
+func (e *Engine) stoppedLocked() error {
+	if e.shutdown {
+		return ErrShutdown
+	}
+	if e.aborted {
+		return ErrAborted
+	}
 	return nil
 }
 
@@ -520,7 +560,10 @@ func (e *Engine) complete(t *Task, w int, ctx *Ctx) {
 	for e.liveHead < len(e.live) && e.live[e.liveHead] == nil {
 		e.liveHead++
 	}
-	for _, s := range t.succs {
+	// Successors are live until t releases them, so each id finds its task
+	// in the live table; they are released in the order they registered.
+	for n := t.succs.Front(); n != 0; n = e.edges.Next(n) {
+		s := e.live[int(e.edges.Value(n))-e.liveBase]
 		if t.poisoned {
 			// Graceful degradation after a permanent failure: dependents
 			// cannot trust their inputs, so they are skipped (dependences
@@ -532,7 +575,7 @@ func (e *Engine) complete(t *Task, w int, ctx *Ctx) {
 			e.pushReady(s, w)
 		}
 	}
-	t.succs = nil
+	e.edges.Release(&t.succs)
 	e.transition++
 	if ctx != nil && ctx.completing {
 		e.completing--
@@ -874,7 +917,8 @@ func (e *Engine) Barrier() {
 // After an Abort the drain is skipped and worker goroutines are not
 // joined — a wedged task body (the very thing the abort recovered from)
 // would otherwise hang Shutdown itself; unwedged workers still exit on
-// their own when they observe the shutdown flag.
+// their own when they observe the shutdown flag. A clean Shutdown hands
+// the engine's insertion scratch to the next NewEngine (recycleLocked).
 func (e *Engine) Shutdown() {
 	e.Barrier()
 	e.mu.Lock()
@@ -884,9 +928,34 @@ func (e *Engine) Shutdown() {
 	e.spaceCond.Broadcast() //simlint:allow wakeup — shutdown is collective
 	e.gangCond.Broadcast()  //simlint:allow wakeup — shutdown is collective
 	e.mu.Unlock()
-	if !aborted {
-		e.wg.Wait()
+	if aborted {
+		return // unjoined workers may still use the scratch: it is dropped with the engine
 	}
+	e.wg.Wait()
+	e.mu.Lock()
+	e.recycleLocked()
+	e.mu.Unlock()
+}
+
+// recycleLocked resets the insertion scratch and puts it back in
+// insertPool, but only once nothing of this engine can touch it again: the
+// workers are joined, the run was not aborted, no task is outstanding (so
+// no successor list is in use) and no Insert is inside its unlocked scan
+// of the tracker. Otherwise the scratch stays with this engine and is
+// dropped with it. The fields are nil afterwards, so a late Insert,
+// DisableWorker, Snapshot or Stats reads nothing the next engine uses.
+// Caller holds e.mu.
+func (e *Engine) recycleLocked() {
+	s := e.scratch
+	if s == nil || e.aborted || e.outstanding != 0 || e.scanning {
+		return
+	}
+	e.tracker.Reset()
+	e.edges.Reset()
+	clear(e.live)
+	*s = insertScratch{tracker: e.tracker, edges: e.edges, live: e.live[:0], owner: e.owner[:0]}
+	e.scratch, e.tracker, e.edges, e.live, e.owner = nil, nil, slab.Lists{}, nil, nil
+	insertPool.Put(s)
 }
 
 // Abort wrenches a stalled run loose: it records err (the first abort

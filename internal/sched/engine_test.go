@@ -301,3 +301,59 @@ func TestMasterServesWhileWindowFull(t *testing.T) {
 		t.Fatalf("ran %d, want 50", ran)
 	}
 }
+
+func TestEngineReleasesSuccessorsInInsertionOrder(t *testing.T) {
+	// One worker under FIFO runs ready tasks in the order they were
+	// released, so the readers' run order is the order the writer's
+	// completion released them in — which must be the order they were
+	// inserted, whatever their priorities.
+	e := mustEngine(Config{Workers: 1, Policy: NewFIFOPolicy()})
+	h := new(int)
+	gate := make(chan struct{})
+	e.Insert(&Task{Class: "W", Func: func(*Ctx) { <-gate }, Args: []Arg{W(h)}})
+	var order []int // appended by the one worker, read after Shutdown joined it
+	const readers = 64
+	for i := 0; i < readers; i++ {
+		i := i
+		e.Insert(&Task{Class: "R", Priority: (i * 37) % 11, Func: func(*Ctx) { order = append(order, i) }, Args: []Arg{R(h)}})
+	}
+	close(gate)
+	e.Shutdown()
+	if len(order) != readers {
+		t.Fatalf("%d readers ran, want %d", len(order), readers)
+	}
+	for i, r := range order {
+		if r != i {
+			t.Fatalf("readers ran in order %v, want insertion order", order)
+		}
+	}
+}
+
+func TestEngineEdgePoolBoundedByWindow(t *testing.T) {
+	// A completed task's successor list goes back to the engine's free
+	// list, so the node pool is bounded by the edges live at one time —
+	// a few per task of the window — not by the edges of the whole stream.
+	const window, tasks = 32, 20000
+	e := mustEngine(Config{Workers: 2, Policy: NewFIFOPolicy(), Window: window})
+	handles := make([]*int, 64)
+	for i := range handles {
+		handles[i] = new(int)
+	}
+	noop := func(*Ctx) {}
+	for i := 0; i < tasks; i++ {
+		if err := e.Insert(&Task{Class: "GEMM", Func: noop, Args: []Arg{
+			RW(handles[i%64]), R(handles[(i+7)%64]), R(handles[(i+13)%64]),
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Barrier()
+	e.mu.Lock()
+	nodes, edges := e.edges.Len(), e.stats.EdgesResolved
+	e.mu.Unlock()
+	e.Shutdown()
+	if nodes > 8*window {
+		t.Errorf("%d successor-list nodes after %d tasks (%d dependences) at window %d, want at most %d",
+			nodes, tasks, edges, window, 8*window)
+	}
+}

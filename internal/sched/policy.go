@@ -49,36 +49,46 @@ type deadAware interface{ SetWorkerDead(w int) int }
 // FIFOPolicy is a single global first-in-first-out ready queue (StarPU's
 // "eager" policy, and the OmpSs default).
 type FIFOPolicy struct {
-	queue []*Task
+	queue []*Task // queue[head:] waits, oldest first; queue[:head] was popped
+	head  int
 }
 
 // NewFIFOPolicy returns an empty FIFO policy.
 func NewFIFOPolicy() *FIFOPolicy { return &FIFOPolicy{} }
 
-// Push implements Policy.
-func (p *FIFOPolicy) Push(t *Task, _ int) { p.queue = append(p.queue, t) }
+// Push implements Policy. A full array of which half or more was popped is
+// compacted instead of grown, so a queue that drains as fast as it fills —
+// a worker keeping up with insertion — keeps one array instead of
+// allocating a new one whenever it runs empty.
+func (p *FIFOPolicy) Push(t *Task, _ int) {
+	if len(p.queue) == cap(p.queue) && p.head > 0 && p.head >= len(p.queue)/2 {
+		n := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
+	}
+	p.queue = append(p.queue, t)
+}
 
 // Pop implements Policy: the oldest task the worker kind may execute.
 func (p *FIFOPolicy) Pop(_ int, kind WorkerKind) *Task {
-	for i, t := range p.queue {
-		if t.Where.Allows(kind) {
-			if i == 0 {
-				// Common case: pop the head without copying the tail
-				// (O(1) amortized; append reallocates and compacts the
-				// backing array when its capacity runs out).
-				p.queue[0] = nil
-				p.queue = p.queue[1:]
-			} else {
-				p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			}
-			return t
+	for i := p.head; i < len(p.queue); i++ {
+		t := p.queue[i]
+		if !t.Where.Allows(kind) {
+			continue
 		}
+		if i == p.head {
+			p.queue[i] = nil // common case: no copying
+			p.head++
+		} else {
+			p.queue = append(p.queue[:i], p.queue[i+1:]...)
+		}
+		return t
 	}
 	return nil
 }
 
 // Len implements Policy.
-func (p *FIFOPolicy) Len() int { return len(p.queue) }
+func (p *FIFOPolicy) Len() int { return len(p.queue) - p.head }
 
 // --------------------------------------------------------------- Priority
 
@@ -467,7 +477,7 @@ func (p *FIFOPolicy) Claimable(free []int, kinds []WorkerKind) bool {
 	if len(free) == 0 {
 		return false
 	}
-	for _, t := range p.queue {
+	for _, t := range p.queue[p.head:] {
 		if anyKindAllowed(t, free, kinds) {
 			return true
 		}

@@ -12,6 +12,7 @@ package sched
 
 import (
 	"supersim/internal/hazard"
+	"supersim/internal/slab"
 )
 
 // Access re-exports the hazard access modes for runtime users.
@@ -110,11 +111,11 @@ type Task struct {
 	id        int
 	handles   []int32 // dense id of each argument's handle (hazard.Tracker numbering), parallel to Args
 	waitCount int
-	succs     []*Task
-	affinity  int  // preferred worker (data locality), -1 if none
-	seq       int  // ready-queue FIFO tiebreak
-	attempts  int  // body invocations so far (retry accounting)
-	poisoned  bool // an ancestor failed permanently: skip the body
+	succs     slab.List // successors' ids in registration order, nodes in Engine.edges
+	affinity  int       // preferred worker (data locality), -1 if none
+	seq       int       // ready-queue FIFO tiebreak
+	attempts  int       // body invocations so far (retry accounting)
+	poisoned  bool      // an ancestor failed permanently: skip the body
 	gang      *gang
 }
 

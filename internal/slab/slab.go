@@ -1,7 +1,9 @@
 // Package slab cuts many small slices out of a few large allocations, for
 // builders that hand out one short slice per task (argument lists,
 // footprints, dependence edges) and would otherwise pay one heap object
-// each.
+// each. Lists does the same for short lists that grow at their tail and
+// are dropped whole: they share one pointer-free node array with a free
+// list.
 package slab
 
 import "math"
