@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"supersim/internal/core"
@@ -267,40 +268,84 @@ func Measured(spec Spec) (Result, *perfmodel.Collector, error) {
 // same task stream, but kernel bodies are replaced by model-sampled
 // durations and no useful work is performed.
 func Simulated(spec Spec, model core.DurationModel) (Result, error) {
-	ops, err := Ops(spec)
+	return SimulatedRun(spec, "simulated", model, spec.Seed+1, nil)
+}
+
+// SimulatedRun is the direct simulation behind Simulated and the simulation
+// service's uncached jobs: the spec's stream over shape-only tiles through
+// Run, under a trace labelled label, each task's body sampling model from a
+// tasker seeded with seed. attach, when not nil, is called with the runtime
+// and the simulator before the stream goes in; the function it returns is
+// called once Run has returned, and must return only when nothing attach
+// started can touch the run any more (the service's deadline watcher).
+//
+// The stream and the sched.Tasks are cut from a factor.Buffers of
+// scratchPool, which goes back only after a clean run: Run returned no
+// error and Result.Err is nil, so Shutdown joined the workers — an aborted
+// engine's does not — and the detach function has returned. Any failure
+// drops it. The trace allocated by the run is the caller's, and so are the
+// labels its events alias: Insert allocates those per run.
+func SimulatedRun(spec Spec, label string, model core.DurationModel, seed uint64, attach func(sched.Runtime, *core.Simulator) (detach func()), opts ...core.Option) (Result, error) {
+	buf := scratchPool.Get().(*factor.Buffers)
+	ops, err := opsIn(spec, buf)
 	if err != nil {
 		return Result{}, err
 	}
-	return Run(spec, "simulated", SimulatedInsert(spec, ops, model, spec.Seed+1))
+	detach := func() {}
+	res, err := Run(spec, label, func(rt sched.Runtime, sim *core.Simulator) error {
+		if attach != nil {
+			detach = attach(rt, sim)
+		}
+		return buf.Insert(rt, sim, ops, simBody(spec, core.NewTasker(sim, model, seed)))
+	}, opts...)
+	detach()
+	if err == nil && res.Err == nil {
+		buf.Reset()
+		scratchPool.Put(buf)
+	}
+	return res, err
 }
 
-// SimulatedInsert is the insert step of a simulated run, for Run: the
-// paper's usage, "the programmer simply replaces each task function with a
-// call to the simulation library". Durations are sampled from model by a
-// tasker seeded with seed.
-func SimulatedInsert(spec Spec, ops []factor.Op, model core.DurationModel, seed uint64) func(sched.Runtime, *core.Simulator) error {
-	return func(rt sched.Runtime, sim *core.Simulator) error {
-		return factor.Insert(rt, sim, ops, simBody(spec, core.NewTasker(sim, model, seed)))
-	}
-}
+// scratchPool recycles the per-run scratch of the scheduler runs this
+// package makes over shape-only streams — CaptureArena's and
+// SimulatedRun's: the op stream and the sched.Tasks the run is given. Both
+// put a set back only after a clean run, so a run allocates little beyond
+// what it returns. Pooled memory lives at most two GC cycles.
+var scratchPool = &sync.Pool{New: func() any { return new(factor.Buffers) }}
 
 // simBody gives each op's task a simulated body. With spec.GangPanels > 1
 // the panel kernels become multi-threaded gang tasks of that many workers
-// (Section VII extension).
+// (Section VII extension). A body depends on the task's class alone, so
+// each class gets one, made when the class first appears: a stream has a
+// handful of classes and thousands of tasks.
 func simBody(spec Spec, tk *core.Tasker) func(*factor.Op, *sched.Task) {
-	if spec.GangPanels <= 1 {
-		return func(_ *factor.Op, t *sched.Task) { t.Func = tk.SimTask(t.Class) }
-	}
 	eff := spec.GangEff
 	if eff <= 0 {
 		eff = 0.85 // typical panel-kernel scaling efficiency
 	}
+	type classBody struct {
+		class   string
+		threads int // NumThreads of a gang body, 0 otherwise
+		fn      sched.TaskFunc
+	}
+	var bodies []classBody
 	return func(op *factor.Op, t *sched.Task) {
-		if op.Class == kernels.ClassGEQRT || op.Class == kernels.ClassPOTRF {
-			t.NumThreads = spec.GangPanels
-			t.Func = tk.SimGangTask(t.Class, spec.GangPanels, eff)
-		} else {
-			t.Func = tk.SimTask(t.Class)
+		i := 0
+		for i < len(bodies) && bodies[i].class != t.Class {
+			i++
+		}
+		if i == len(bodies) {
+			b := classBody{class: t.Class}
+			if spec.GangPanels > 1 && (op.Class == kernels.ClassGEQRT || op.Class == kernels.ClassPOTRF) {
+				b.threads, b.fn = spec.GangPanels, tk.SimGangTask(t.Class, spec.GangPanels, eff)
+			} else {
+				b.fn = tk.SimTask(t.Class)
+			}
+			bodies = append(bodies, b)
+		}
+		t.Func = bodies[i].fn
+		if n := bodies[i].threads; n > 0 {
+			t.NumThreads = n
 		}
 	}
 }

@@ -128,7 +128,12 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 // allocated its op stream, task slabs and intern map afresh; 2.8 objects
 // and 293 B (2.1 and 288 B) while the engine grew a successor slice per
 // predecessor and the tracker a state and a reader slice per handle, and
-// both started from nothing on every run.
+// both started from nothing on every run. The factor.Buffers pool is
+// shared with the direct simulation (SimulatedRun) since it recycled its
+// scratch too, so the two kinds of run hand each other buffer sets; a
+// capture has no simulator and reads as before, and
+// TestSimulatedAllocatesItsTrace holds the direct run to ceilings of its
+// own.
 const (
 	captureObjectsPerTaskCeiling = 0.4
 	captureBytesPerTaskCeiling   = 200
@@ -163,7 +168,7 @@ func TestCaptureSpecAllocCeilings(t *testing.T) {
 }
 
 // TestConcurrentCapturesMatchSerial: captures recycle their scratch — the
-// op stream and tasks through capturePool, the engine's hazard tracker,
+// op stream and tasks through scratchPool, the engine's hazard tracker,
 // successor lists and live table through sched's pool — so scratch that
 // went back while its run still used it would let a concurrent capture
 // zero and overwrite a live stream. Eight goroutines capture a seeded mix

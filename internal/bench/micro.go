@@ -148,16 +148,29 @@ func microSuite(counters *perf.Counters) []MicroBench {
 		{Name: "ReplayVsDirectBaseline", Bench: func(b *testing.B) {
 			// The run ReplayVsDirect replaces: the same workload through
 			// the full scheduler (runtime construction, hazard tracking,
-			// worker handoffs), with the op stream pre-built as the
-			// capture path pre-builds its DAG.
-			ops, err := Ops(replayBenchSpec)
-			if err != nil {
-				b.Fatal(err)
+			// worker handoffs) as a direct simulation makes it, its op
+			// stream built on a recycled buffer set.
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := SimulatedRun(replayBenchSpec, "bench", replayJitter{}, uint64(i)+1, nil)
+				if err != nil || res.Err != nil {
+					b.Fatal(err, res.Err)
+				}
+			}
+		}},
+		{Name: "SimulatedDirect", Bench: func(b *testing.B) {
+			// lib-direct's op (BENCHMARK.json): one Simulated run of the
+			// paper's own path per iteration, rotating through its six
+			// specs, so ns/op, B/op and allocs/op are those of an average
+			// run (2 048 tasks).
+			specs := directSpecs()
+			models := make([]core.DurationModel, len(specs))
+			for i, spec := range specs {
+				models[i] = FaultModel(spec.Algorithm, 200)
 			}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Run(replayBenchSpec, "bench", SimulatedInsert(replayBenchSpec, ops, replayJitter{}, uint64(i)+1))
+				res, err := Simulated(specs[i%len(specs)], models[i%len(specs)])
 				if err != nil || res.Err != nil {
 					b.Fatal(err, res.Err)
 				}
@@ -506,6 +519,22 @@ func benchSmallReplay(b *testing.B, run func(*replay.Arena, replay.Options) erro
 var replayBenchSpec = Spec{
 	Algorithm: "cholesky", Scheduler: "ompss",
 	NT: 6, NB: 8, Workers: 4, Seed: 1,
+}
+
+// directSpecs are the benchmark's lib-direct rotation: cholesky nt=24 and
+// qr nt=16 through each runtime at eight workers and nb 8, simulated under
+// FaultModel's class durations at nb 200.
+func directSpecs() []Spec {
+	var specs []Spec
+	for _, shape := range []struct {
+		alg string
+		nt  int
+	}{{"cholesky", 24}, {"qr", 16}} {
+		for _, s := range Schedulers {
+			specs = append(specs, Spec{Algorithm: shape.alg, Scheduler: s, NT: shape.nt, NB: 8, Workers: 8, Seed: 1})
+		}
+	}
+	return specs
 }
 
 // keyConfigs are the six scheduler configurations the serve-miss benchmark

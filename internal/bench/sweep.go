@@ -25,19 +25,13 @@ import (
 // deterministic. The arena carries the spec's worker count as its default
 // replay width.
 func CaptureArena(spec Spec) (*replay.Arena, error) {
-	buf := capturePool.Get().(*factor.Buffers)
+	buf := scratchPool.Get().(*factor.Buffers)
 	ops, err := opsIn(spec, buf)
 	if err != nil {
 		return nil, err
 	}
 	return captureOps(spec, ops, buf)
 }
-
-// capturePool recycles the scratch of CaptureArena — the op stream and the
-// sched.Tasks the capture run is given — across captures, so a capture
-// allocates little beyond the arena it returns. Pooled memory lives at most
-// two GC cycles.
-var capturePool = sync.Pool{New: func() any { return new(factor.Buffers) }}
 
 // CaptureSpec is CaptureArena returning the structured view of the capture
 // (Arena.DAG) — for inspection and validation; a caller that only replays
@@ -56,7 +50,7 @@ func CaptureSpec(spec Spec) (*replay.DAG, error) {
 // difference, which TestCaptureFrameSameOverShapesAndMatrices pins.
 //
 // buf, when not nil, holds ops and is where the run's tasks are cut from;
-// captureOps owns it from then on. It goes back to capturePool only after a
+// captureOps owns it from then on. It goes back to scratchPool only after a
 // clean run — Shutdown has joined the worker, which an aborted engine's does
 // not, and Arena has succeeded — when nothing the arena or the runtime
 // still uses can refer to it: the recorder copied every class and label
@@ -96,7 +90,7 @@ func captureOps(spec Spec, ops []factor.Op, buf *factor.Buffers) (*replay.Arena,
 	arena, err := rec.Arena()
 	if err == nil && buf != nil {
 		buf.Reset()
-		capturePool.Put(buf)
+		scratchPool.Put(buf)
 	}
 	return arena, err
 }

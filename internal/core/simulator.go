@@ -150,9 +150,17 @@ type stampedEvent struct {
 // hot path. The pad keeps adjacent lanes off one cache line.
 type laneBuf struct {
 	mu     sync.Mutex
-	events []stampedEvent // guarded-by: mu
+	events []stampedEvent  // guarded-by: mu
+	box    *[]stampedEvent // guarded-by: mu — the lanePool box events came in, reused to hand them back
 	_      [24]byte
 }
+
+// lanePool recycles trace lanes from one simulator's Trace to the next
+// simulator's Reserve, so a run's lanes cost nothing once a run of its size
+// has been made. A lane goes back only after a clean, fully merged run and
+// holds no events when it does (see recycleLanesLocked); pooled memory lives
+// at most two GC cycles.
+var lanePool sync.Pool // of *[]stampedEvent
 
 // Option configures a Simulator.
 type Option func(*Simulator)
@@ -255,12 +263,21 @@ func (s *Simulator) Reserve(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.trace.Reserve(n)
-	// Lanes are sized for a balanced split plus slack; imbalanced runs
-	// still grow organically past the reservation.
+	// Each lane gets a balanced share plus n/8 slack of its own, so the
+	// lanes together hold n + workers·(n/8 + 8) slots — 2n + 64 at eight
+	// workers — and a lane can run an eighth of the stream above its share
+	// before it grows; a more imbalanced one still grows organically. A lane
+	// comes from lanePool when it has one, so in steady state the slots are
+	// reused, not allocated.
 	per := n/len(s.lanes) + n/8 + 8
 	for i := range s.lanes {
 		ln := &s.lanes[i]
 		ln.mu.Lock()
+		if cap(ln.events) == 0 {
+			if box, ok := lanePool.Get().(*[]stampedEvent); ok {
+				ln.box, ln.events = box, *box
+			}
+		}
 		if cap(ln.events)-len(ln.events) < per {
 			grown := make([]stampedEvent, len(ln.events), len(ln.events)+per)
 			copy(grown, ln.events)
@@ -500,6 +517,7 @@ func (s *Simulator) mergeLocked() {
 			for _, se := range ln.events {
 				events[se.order] = se.ev
 			}
+			clear(ln.events) // a recycled lane must pin no label
 			ln.events = ln.events[:0]
 			ln.mu.Unlock()
 		}
@@ -511,6 +529,7 @@ func (s *Simulator) mergeLocked() {
 		ln := &s.lanes[i]
 		ln.mu.Lock()
 		s.staging = append(s.staging, ln.events...)
+		clear(ln.events)
 		ln.events = ln.events[:0]
 		ln.mu.Unlock()
 	}
@@ -536,12 +555,43 @@ func (s *Simulator) Now() float64 {
 
 // Trace returns the simulated execution trace, merging the per-worker
 // buffers in completion order. Call after the scheduler barrier; the
-// trace must not be read while tasks are executing.
+// trace must not be read while tasks are executing. The trace is the
+// caller's: only the lanes it was merged from are recycled.
 func (s *Simulator) Trace() *trace.Trace {
 	s.mu.Lock()
 	s.mergeLocked()
+	s.recycleLanesLocked()
 	s.mu.Unlock()
 	return s.trace
+}
+
+// recycleLanesLocked hands the lanes to lanePool once nothing of this run
+// can need them: the run was not aborted (an aborted run's tasks may still
+// be executing, and its merge may have stragglers) and every completion
+// stamp issued is merged, so no event waits in a lane or in staging — and,
+// s.mu being held, none can be issued. Merging cleared every event it
+// drained, so a pooled lane pins no label. The lanes are nil afterwards,
+// under their own locks: a late deposit, Snapshot or LastEvents finds an
+// empty lane of this simulator's own, never a recycled array.
+// Caller holds s.mu.
+func (s *Simulator) recycleLanesLocked() {
+	if s.aborted != nil || len(s.staging) != 0 || s.merged != s.done {
+		return
+	}
+	for i := range s.lanes {
+		ln := &s.lanes[i]
+		ln.mu.Lock()
+		if cap(ln.events) > 0 {
+			box := ln.box
+			if box == nil {
+				box = new([]stampedEvent)
+			}
+			*box = ln.events[:0]
+			lanePool.Put(box)
+		}
+		ln.events, ln.box = nil, nil
+		ln.mu.Unlock()
+	}
 }
 
 // MaxInFlight returns the high-water mark of concurrently executing

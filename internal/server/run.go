@@ -270,7 +270,8 @@ func (res *JobResult) summarize(r bench.Result) {
 	res.Makespan, res.NumTasks, res.GFlops = r.Makespan, r.NumTasks, r.GFlops
 }
 
-// runOne performs one direct repetition through bench.Run. The sampling
+// runOne performs one direct repetition through bench.SimulatedRun, which
+// recycles the run's op stream and tasks after a clean run. The sampling
 // seed derivation matches the replay path (bench.ReplicaSeed), so a cached
 // and a direct run of the same repetition draw identical per-worker
 // duration streams.
@@ -286,18 +287,13 @@ func (s *Server) runOne(ctx context.Context, job *Job, rep int) (bench.Result, e
 			bspec.StallDeadline = remaining
 		}
 	}
-	ops, err := bench.Ops(bspec)
-	if err != nil {
-		return bench.Result{}, err
-	}
-	insert := bench.SimulatedInsert(bspec, ops, buildModel(spec.Model), bench.ReplicaSeed(spec.Seed, spec.NT, rep))
-	stopAbort := func() {}
-	run, err := bench.Run(bspec, job.ID, func(rt sched.Runtime, sim *core.Simulator) error {
-		attachPerf(rt, s.counters)
-		stopAbort = abortOnCancel(ctx, rt, sim)
-		return insert(rt, sim)
-	}, core.WithPerfCounters(s.counters))
-	stopAbort()
+	// SimulatedRun stops the deadline watcher before it decides whether
+	// the run's scratch goes back to its pool.
+	run, err := bench.SimulatedRun(bspec, job.ID, buildModel(spec.Model), bench.ReplicaSeed(spec.Seed, spec.NT, rep),
+		func(rt sched.Runtime, sim *core.Simulator) func() {
+			attachPerf(rt, s.counters)
+			return abortOnCancel(ctx, rt, sim)
+		}, core.WithPerfCounters(s.counters))
 	if err != nil {
 		return run, err
 	}
@@ -334,10 +330,12 @@ func attachPerf(rt sched.Runtime, c *perf.Counters) {
 
 // abortOnCancel aborts the simulator and the runtime when ctx is
 // cancelled (deadline exceeded), unblocking the run's Barrier. The
-// returned stop function ends the watcher; call it once the run is over.
+// returned stop function ends the watcher and returns once it has exited,
+// so no abort reaches the run afterwards; call it once the run is over.
 func abortOnCancel(ctx context.Context, rt sched.Runtime, sim *core.Simulator) (stop func()) {
-	quit := make(chan struct{})
+	quit, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		select {
 		case <-quit:
 			return
@@ -352,5 +350,8 @@ func abortOnCancel(ctx context.Context, rt sched.Runtime, sim *core.Simulator) (
 			a.Abort(err)
 		}
 	}()
-	return func() { close(quit) }
+	return func() {
+		close(quit)
+		<-exited
+	}
 }

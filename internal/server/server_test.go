@@ -534,9 +534,15 @@ func TestAdmissionControl(t *testing.T) {
 
 // TestJobDeadlineAborts checks the per-job deadline: a job that cannot
 // finish inside deadline_ms fails with a deadline error instead of
-// occupying its pool slot forever.
+// occupying its pool slot forever. Its stalled task is still running after
+// the job failed, so the run's scratch must be dropped, not handed to the
+// next direct job: a 1-worker direct job run before and after it must
+// fingerprint alike.
 func TestJobDeadlineAborts(t *testing.T) {
 	srv := newTestServer(t, Config{Pool: 1})
+	f := false
+	direct := JobSpec{Algorithm: "lu", NT: 3, NB: 8, Workers: 1, Seed: 3, NoCache: true, Trace: &f}
+	before := runJobSpec(t, srv, direct)
 	job, err := srv.Submit(JobSpec{
 		Algorithm: "cholesky", NT: 4, NB: 8, Workers: 1,
 		DeadlineMS: 30,
@@ -550,6 +556,10 @@ func TestJobDeadlineAborts(t *testing.T) {
 	}
 	if msg := job.view().Error; !strings.Contains(msg, "deadline") && !strings.Contains(msg, "stall") {
 		t.Fatalf("failure should name the deadline or the stall watchdog: %q", msg)
+	}
+	after := runJobSpec(t, srv, direct)
+	if after.Status != StatusDone || after.Result.Fingerprint != before.Result.Fingerprint {
+		t.Fatalf("the direct job after the aborted one ended %s with fingerprint %q, before it %q", after.Status, after.Result.Fingerprint, before.Result.Fingerprint)
 	}
 }
 

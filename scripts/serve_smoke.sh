@@ -145,6 +145,20 @@ smoke_stage() {
     [ -n "$fp_first" ] || { echo "reps-1000 sweep has no fingerprint"; exit 1; }
     echo "reps-1000 sweep ok in $(run_ms "$id") ms"
 
+    # Direct (no_cache) jobs cut their op streams and task slabs from the
+    # pool captures use, and their trace lanes from the simulator's: the
+    # golden direct job, run before the StarPU sweep and again after it on
+    # whatever the sweep left in the pool, must read its pinned fingerprint
+    # both times.
+    golden_direct() {
+        id=$(submit '{"algorithm": "lu", "nt": 3, "nb": 8, "workers": 1, "seed": 3, "no_cache": true, "trace": false}')
+        wait_done "$id"
+        fp=$(field "$id" fingerprint)
+        [ "$fp" = "95dd60dcfe869fba" ] || { echo "golden direct job $1 the starpu sweep: fingerprint '$fp', want 95dd60dcfe869fba"; exit 1; }
+        echo "golden direct job $1 the starpu sweep ok ($fp)"
+    }
+    golden_direct before
+
     # Captures recycle their op streams and task slabs: a StarPU sweep (no
     # window, every task of a point live at once) reuses the quark sweep's
     # buffers, and the quark sweep run again on whatever they held must
@@ -153,6 +167,7 @@ smoke_stage() {
     st=$(wait_final "$id" 100)
     [ "$st" = "done" ] || { echo "starpu sweep not done within 10 s (status '$st')"; exit 1; }
     echo "starpu sweep done in $(run_ms "$id") ms"
+    golden_direct after
     id=$(submit "$quark_sweep")
     st=$(wait_final "$id" 100)
     [ "$st" = "done" ] || { echo "repeated quark sweep not done within 10 s (status '$st')"; exit 1; }
@@ -166,10 +181,10 @@ smoke_stage() {
     [ "$st" = "failed" ] || { echo "deadline sweep ended '$st', want failed"; exit 1; }
     echo "deadline sweep failed as it should"
 
-    # Metrics: the simulate job and the three sweeps done, the deadline
-    # sweep failed.
+    # Metrics: the simulate job, the two golden direct jobs and the three
+    # sweeps done, the deadline sweep failed.
     metrics=$(curl -fsS "$base/metrics")
-    printf '%s' "$metrics" | grep -q '"done":4' || { echo "metrics miss the done sweeps: $metrics"; exit 1; }
+    printf '%s' "$metrics" | grep -q '"done":6' || { echo "metrics miss the done sweeps: $metrics"; exit 1; }
     printf '%s' "$metrics" | grep -q '"failed":1' || { echo "metrics miss the failed sweep: $metrics"; exit 1; }
     echo "sweep metrics ok"
 
