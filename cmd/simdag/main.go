@@ -9,9 +9,9 @@
 //	simdag -alg qr -nt 4 -dot qr4.dot        # Fig. 1
 //	simdag -alg qr -nt 3 -list               # Fig. 2
 //	simdag -alg cholesky -nt 6 -capture c6.dag   # capture + encode a frame
-//	simdag -in c6.dag                        # inspect a frame
+//	simdag -in c6.dag                        # Fig. 1 report of a frame
 //	simdag -in c6.dag -validate              # validate + replay fingerprint
-//	simdag -in c6.dag -dot -                 # convert a frame to DOT
+//	simdag -in c6.dag -dot -                 # draw a frame as Fig. 1
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"supersim/internal/bench"
 	"supersim/internal/core"
@@ -32,7 +31,7 @@ func main() {
 	var (
 		alg      = flag.String("alg", "qr", "algorithm: qr, cholesky or lu")
 		nt       = flag.Int("nt", 4, "tiles per dimension")
-		sched    = flag.String("sched", "ompss", "scheduler for -capture (quark or ompss)")
+		sched    = flag.String("sched", "ompss", "scheduler for -capture (quark, ompss or starpu)")
 		list     = flag.Bool("list", false, "print the serial task stream (Fig. 2 style)")
 		dot      = flag.String("dot", "", "write Graphviz DOT to this file ('-' for stdout)")
 		capture  = flag.String("capture", "", "capture -alg/-nt and write the encoded .dag frame to this file")
@@ -68,9 +67,9 @@ func captureFrame(alg, sched string, nt int, path string) {
 		alg, arena.NumTasks(), arena.NumEdges(), len(frame), path)
 }
 
-// inspectFrame loads (and so fully validates) a .dag frame and prints its
-// shape; -validate adds a deterministic replay fingerprint, -dot converts
-// the frame's graph to Graphviz.
+// inspectFrame loads (and so fully validates) a .dag frame and prints
+// its Fig. 1 report; -validate adds a deterministic replay fingerprint,
+// -dot draws the frame's graph as Fig. 1.
 func inspectFrame(path string, validate bool, dot string) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -80,68 +79,23 @@ func inspectFrame(path string, validate bool, dot string) {
 	if err != nil {
 		log.Fatalf("%s: invalid frame: %v", path, err)
 	}
-	dag := arena.DAG()
 	fmt.Printf("%s: valid frame, %d bytes\n", path, len(raw))
-	fmt.Printf("  label    %s\n", dag.Label)
-	fmt.Printf("  tasks    %d\n", len(dag.Tasks))
-	fmt.Printf("  edges    %d\n", dag.NumEdges())
-	fmt.Printf("  handles  %d\n", dag.Handles)
-	fmt.Printf("  workers  %d (capture width)\n", dag.Workers)
-	classes := make(map[string]int)
-	order := make([]string, 0, 8)
-	for i := range dag.Tasks {
-		c := dag.Tasks[i].Class
-		if _, seen := classes[c]; !seen {
-			order = append(order, c) // first-appearance order: deterministic
-		}
-		classes[c]++
-	}
-	for _, class := range order {
-		fmt.Printf("  class    %-8s x%d\n", class, classes[class])
+	fmt.Printf("DAG %s, %d handles, captured at %d workers\n", arena.Label(), arena.Handles(), arena.Workers())
+	report := bench.ArenaReport(arena, arena.Label())
+	if err := bench.WriteDAGReport(os.Stdout, report); err != nil {
+		log.Fatal(err)
 	}
 	if validate {
 		tr, err := replay.RunArena(arena, replay.Options{
-			Workers: dag.Workers, Model: core.FixedModel(1e-3), Seed: 1,
+			Workers: arena.Workers(), Model: core.FixedModel(1e-3), Seed: 1,
 		})
 		if err != nil {
 			log.Fatalf("%s: frame does not replay: %v", path, err)
 		}
-		fmt.Printf("  replay   %d events, makespan %.6g, fingerprint %016x\n",
+		fmt.Printf("  replay: %d events, makespan %.6g, fingerprint %016x\n",
 			len(tr.Events), tr.Makespan(), tr.Fingerprint())
 	}
-	if dot != "" {
-		writeDOT(dot, dag)
-	}
-}
-
-// writeDOT renders a captured DAG as Graphviz (nodes labelled by task
-// class, edges by dependence kind).
-func writeDOT(path string, dag *replay.DAG) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=box, style=rounded];\n", dag.Label)
-	for i := range dag.Tasks {
-		t := &dag.Tasks[i]
-		label := t.Label
-		if label == "" {
-			label = t.Class
-		}
-		fmt.Fprintf(&b, "  t%d [label=%q];\n", t.ID, label)
-	}
-	for i := range dag.Tasks {
-		t := &dag.Tasks[i]
-		for _, d := range t.Deps {
-			fmt.Fprintf(&b, "  t%d -> t%d;\n", d.Pred, t.ID)
-		}
-	}
-	b.WriteString("}\n")
-	if path == "-" {
-		fmt.Print(b.String())
-		return
-	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("DOT written to %s (render with: dot -Tpdf %s)\n", path, path)
+	writeDOT(dot, report.DOT)
 }
 
 // figures is the original Figs. 1-2 mode.
@@ -150,6 +104,7 @@ func figures(alg string, nt int, list bool, dot string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("DAG of tile %s, %dx%d tiles\n", alg, nt, nt)
 	if err := bench.WriteDAGReport(os.Stdout, report); err != nil {
 		log.Fatal(err)
 	}
@@ -163,14 +118,20 @@ func figures(alg string, nt int, list bool, dot string) {
 			fmt.Println(l)
 		}
 	}
-	switch dot {
+	writeDOT(dot, report.DOT)
+}
+
+// writeDOT publishes DOT source to path: nowhere when path is empty,
+// standard output when it is "-".
+func writeDOT(path, dot string) {
+	switch path {
 	case "":
 	case "-":
-		fmt.Print(report.DOT)
+		fmt.Print(dot)
 	default:
-		if err := os.WriteFile(dot, []byte(report.DOT), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(dot), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nDOT written to %s (render with: dot -Tpdf %s)\n", dot, dot)
+		fmt.Printf("\nDOT written to %s (render with: dot -Tpdf %s)\n", path, path)
 	}
 }

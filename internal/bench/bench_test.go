@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,19 +76,65 @@ func TestSimulationTracksMeasurement(t *testing.T) {
 	}
 }
 
+// TestDAGExperimentMatchesFig1 pins E1 exactly: Fig. 1 is the qr row. A
+// first width of 1 is a single root — only the first panel kernel waits
+// for nothing. The DOT digest covers every vertex label, fill colour,
+// edge and edge style.
 func TestDAGExperimentMatchesFig1(t *testing.T) {
-	r, err := DAGExperiment("qr", 4)
+	for _, tc := range []struct {
+		alg          string
+		nodes, edges int
+		widths       []int
+		classes      map[string]int
+		dotSHA256    string
+	}{
+		{"qr", 30, 60, []int{1, 3, 1, 4, 5, 5, 1, 3, 3, 1, 1, 1, 1},
+			map[string]int{"DGEQRT": 4, "DORMQR": 6, "DTSQRT": 6, "DTSMQR": 14},
+			"921dad64224ea89bf17d22e20633e4abc37f1fced899e6bae20905abaee0a4f1"},
+		{"cholesky", 20, 30, []int{1, 3, 6, 1, 2, 3, 1, 1, 1, 1},
+			map[string]int{"DPOTRF": 4, "DTRSM": 6, "DSYRK": 6, "DGEMM": 4},
+			"e55a0b4f507be2955bf584835e20e7ee30a05e7bfd779efe179a86c70a69895d"},
+		{"lu", 30, 54, []int{1, 6, 9, 1, 4, 4, 1, 2, 1, 1},
+			map[string]int{"DGETRF": 4, "DTRSMU": 6, "DTRSML": 6, "DGEMM": 14},
+			"bbdf824e02a889620905457128aa4c952711d6f2ee10721cbbe6c26255260b89"},
+	} {
+		t.Run(tc.alg, func(t *testing.T) {
+			r, err := DAGExperiment(tc.alg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Nodes != tc.nodes || r.Edges != tc.edges {
+				t.Errorf("%d nodes, %d edges, want %d, %d", r.Nodes, r.Edges, tc.nodes, tc.edges)
+			}
+			if !slices.Equal(r.WidthProfile, tc.widths) || r.Depth != len(tc.widths) {
+				t.Errorf("depth %d, widths %v, want %d, %v", r.Depth, r.WidthProfile, len(tc.widths), tc.widths)
+			}
+			if !maps.Equal(r.CountByKind, tc.classes) {
+				t.Errorf("classes %v, want %v", r.CountByKind, tc.classes)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.DOT))); got != tc.dotSHA256 {
+				t.Errorf("DOT sha256 %s, want %s:\n%s", got, tc.dotSHA256, r.DOT)
+			}
+		})
+	}
+}
+
+// TestFig1IndependentOfScheduler checks that every scheduler's capture
+// draws the same figure: the scheduler resolves the dependences, but
+// which ones exist is the task stream's alone.
+func TestFig1IndependentOfScheduler(t *testing.T) {
+	want, err := DAGExperiment("qr", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Nodes != 30 {
-		t.Errorf("4x4 QR DAG: %d nodes, want 30 (Fig. 1)", r.Nodes)
-	}
-	if !strings.Contains(r.DOT, "digraph") || !strings.Contains(r.DOT, "DGEQRT(A00,T00)") {
-		t.Error("DOT output missing expected content")
-	}
-	if r.Depth <= 0 || r.Edges <= 0 {
-		t.Errorf("degenerate DAG report: %+v", r)
+	for _, name := range Schedulers {
+		arena, err := CaptureArena(Spec{Algorithm: "qr", Scheduler: name, NT: 4, NB: 8, Workers: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ArenaReport(arena, "qr 4x4 tiles"); got.DOT != want.DOT {
+			t.Errorf("%s capture draws a different Fig. 1:\n%s", name, got.DOT)
+		}
 	}
 }
 

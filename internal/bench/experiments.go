@@ -6,9 +6,9 @@ import (
 
 	"supersim/internal/core"
 	"supersim/internal/dist"
-	"supersim/internal/factor"
 	"supersim/internal/kernels"
 	"supersim/internal/perfmodel"
+	"supersim/internal/replay"
 	"supersim/internal/sched"
 	"supersim/internal/stats"
 	"supersim/internal/trace"
@@ -19,55 +19,43 @@ import (
 
 // DAGReport summarizes the task DAG of a factorization (Fig. 1).
 type DAGReport struct {
-	Algorithm      string
-	NT             int
-	Nodes, Edges   int
-	Depth          int
-	CriticalLength float64
-	WidthProfile   []int
-	CountByKind    map[string]int
-	DOT            string
+	Algorithm    string
+	NT           int
+	Nodes, Edges int
+	Depth        int
+	WidthProfile []int
+	CountByKind  map[string]int
+	DOT          string
 }
 
-// DAGExperiment builds the dependence DAG of the algorithm at the given
-// tile count and returns its structural summary plus Graphviz DOT source.
-// Fig. 1 of the paper is DAGExperiment("qr", 4).
+// DAGExperiment captures the dependence DAG the real scheduler resolves
+// for the algorithm at the given tile count and returns its structural
+// summary plus Graphviz DOT source. Fig. 1 of the paper is
+// DAGExperiment("qr", 4).
 func DAGExperiment(algorithm string, nt int) (DAGReport, error) {
-	ops, err := Ops(Spec{Algorithm: algorithm, NT: nt, NB: 1})
+	arena, err := CaptureArena(Spec{Algorithm: algorithm, Scheduler: "quark", NT: nt, NB: 1, Workers: 1})
 	if err != nil {
 		return DAGReport{}, err
 	}
-	g := factor.BuildDAG(ops, nil)
-	if err := g.Validate(); err != nil {
-		return DAGReport{}, err
-	}
-	depth, err := g.Depth()
-	if err != nil {
-		return DAGReport{}, err
-	}
-	_, critical, err := g.CriticalPath()
-	if err != nil {
-		return DAGReport{}, err
-	}
-	widths, err := g.WidthProfile()
-	if err != nil {
-		return DAGReport{}, err
-	}
+	r := ArenaReport(arena, fmt.Sprintf("%s %dx%d tiles", algorithm, nt, nt))
+	r.Algorithm, r.NT = algorithm, nt
+	return r, nil
+}
+
+// ArenaReport summarizes a captured DAG, a fresh capture or a loaded
+// frame alike; its DOT source is titled title.
+func ArenaReport(a *replay.Arena, title string) DAGReport {
 	var dot strings.Builder
-	if err := g.WriteDOT(&dot, fmt.Sprintf("%s %dx%d tiles", algorithm, nt, nt)); err != nil {
-		return DAGReport{}, err
-	}
+	a.WriteDOT(&dot, title) // a strings.Builder does not fail
+	widths := a.WidthProfile()
 	return DAGReport{
-		Algorithm:      algorithm,
-		NT:             nt,
-		Nodes:          g.NumNodes(),
-		Edges:          g.NumEdges(),
-		Depth:          depth,
-		CriticalLength: critical,
-		WidthProfile:   widths,
-		CountByKind:    g.CountByKind(),
-		DOT:            dot.String(),
-	}, nil
+		Nodes:        a.NumTasks(),
+		Edges:        a.NumEdges(),
+		Depth:        len(widths),
+		WidthProfile: widths,
+		CountByKind:  a.ClassCounts(),
+		DOT:          dot.String(),
+	}
 }
 
 // ----------------------------------------------------------- E2 (Fig. 2)

@@ -11,13 +11,12 @@ import (
 // by the cmd tools, the benchmarks and EXPERIMENTS.md: the textual
 // counterparts of the paper's figures.
 
-// WriteDAGReport renders E1 (Fig. 1).
+// WriteDAGReport renders E1 (Fig. 1): the DAG's size, kernel mix and width
+// profile. Its caller prints the heading naming the DAG.
 func WriteDAGReport(w io.Writer, r DAGReport) error {
-	if _, err := fmt.Fprintf(w, "DAG of tile %s, %dx%d tiles\n", r.Algorithm, r.NT, r.NT); err != nil {
+	if _, err := fmt.Fprintf(w, "  vertices: %d   edges: %d   depth: %d\n", r.Nodes, r.Edges, r.Depth); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  vertices: %d   edges: %d   depth: %d   critical path (unit weights): %.0f\n",
-		r.Nodes, r.Edges, r.Depth, r.CriticalLength)
 	fmt.Fprintf(w, "  tasks by kernel:")
 	for _, k := range sortedKeys(r.CountByKind) {
 		fmt.Fprintf(w, " %s=%d", k, r.CountByKind[k])

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"supersim/internal/graph"
 	"supersim/internal/hazard"
 	"supersim/internal/sched"
 	"supersim/internal/trace"
@@ -38,10 +37,15 @@ func TestSimulationCausalityProperty(t *testing.T) {
 		for i := range handles {
 			handles[i] = new(int)
 		}
-		// Derive the expected dependence DAG exactly as the runtime will.
+		// Derive the expected dependence DAG exactly as the runtime will,
+		// and its critical path: a task finishes no earlier than its own
+		// duration after its latest predecessor (ids are a topological
+		// order, so one pass suffices).
 		tracker := hazard.NewTracker()
-		g := graph.New()
+		preds := make([][]int, len(specs))
 		durations := make([]float64, len(specs))
+		finish := make([]float64, len(specs))
+		var critical float64
 		argsOf := make([][]sched.Arg, len(specs))
 		for i, s := range specs {
 			durations[i] = float64(s.DurationTenths%20)/10 + 0.1
@@ -51,14 +55,17 @@ func TestSimulationCausalityProperty(t *testing.T) {
 				{Handle: handles[int(s.HandleB)%5], Mode: hazard.Read},
 			}
 			argsOf[i] = args
-			id := g.AddNode("t", "K", durations[i])
-			hid, _, deps := tracker.Insert(args)
-			if hid != id {
+			id, _, deps := tracker.Insert(args)
+			if id != i {
 				return false
 			}
+			var start float64
 			for _, d := range deps {
-				g.AddEdge(d.Pred, id, d.Kind)
+				preds[i] = append(preds[i], d.Pred)
+				start = max(start, finish[d.Pred])
 			}
+			finish[i] = start + durations[i]
+			critical = max(critical, finish[i])
 		}
 		// Run the simulation.
 		rt := mustQuark(workers)
@@ -92,21 +99,19 @@ func TestSimulationCausalityProperty(t *testing.T) {
 			return false
 		}
 		// (2) causality along every dependence edge.
-		for _, e := range g.Edges {
-			pred, okP := byID[e.From]
-			succ, okS := byID[e.To]
-			if !okP || !okS {
+		for id, ps := range preds {
+			succ, okS := byID[id]
+			if !okS {
 				return false
 			}
-			if succ.Start < pred.End-1e-9 {
-				return false
+			for _, p := range ps {
+				pred, okP := byID[p]
+				if !okP || succ.Start < pred.End-1e-9 {
+					return false
+				}
 			}
 		}
 		// (3) makespan bounds.
-		_, critical, err := g.CriticalPath()
-		if err != nil {
-			return false
-		}
 		var total float64
 		for _, d := range durations {
 			total += d

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"supersim/internal/hazard"
 	"supersim/internal/kernels"
 	"supersim/internal/lapackref"
 	"supersim/internal/sched/ompss"
@@ -272,45 +273,26 @@ func TestQRTaskCounts(t *testing.T) {
 	}
 }
 
-func TestBuildDAGQR4x4MatchesFig1Scale(t *testing.T) {
-	// Fig. 1 shows the DAG of a 4x4 tile QR: 4+6+6+14 = 30 vertices.
-	a := workload.RandomGeneral(4, 2, 3)
-	tm := tile.NewMatrix(4, 2)
-	ops := QR(a, tm)
-	g := BuildDAG(ops, nil)
-	if g.NumNodes() != 30 {
-		t.Errorf("4x4 QR DAG has %d vertices, want 30", g.NumNodes())
-	}
-	if err := g.Validate(); err != nil {
-		t.Errorf("DAG not acyclic: %v", err)
-	}
-	depth, err := g.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if depth < 4 {
-		t.Errorf("DAG depth %d unreasonably small", depth)
-	}
-	// Every non-root task must have at least one predecessor.
-	roots := 0
-	for id := range g.Nodes {
-		if len(g.Predecessors(id)) == 0 {
-			roots++
-		}
-	}
-	if roots != 1 {
-		t.Errorf("QR DAG has %d roots, want exactly 1 (the first GEQRT)", roots)
-	}
-}
-
 func TestDAGSequentialOrderIsTopological(t *testing.T) {
 	a := workload.RandomSPD(5, 2, 3)
-	g := BuildDAG(Cholesky(a), nil)
+	tracker := hazard.NewTracker()
+	edges := 0
 	// Serial insertion order must respect all edges (pred id < succ id).
-	for _, e := range g.Edges {
-		if e.From >= e.To {
-			t.Fatalf("edge %d -> %d against insertion order", e.From, e.To)
+	for _, op := range Cholesky(a) {
+		args := make([]hazard.Arg, len(op.Args))
+		for i, arg := range op.Args {
+			args[i] = hazard.Arg{Handle: arg.Handle, Mode: arg.Mode}
 		}
+		id, _, deps := tracker.Insert(args)
+		for _, d := range deps {
+			if d.Pred >= id {
+				t.Fatalf("edge %d -> %d against insertion order", d.Pred, id)
+			}
+			edges++
+		}
+	}
+	if edges == 0 {
+		t.Fatal("Cholesky stream produced no dependences")
 	}
 }
 

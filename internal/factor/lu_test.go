@@ -96,23 +96,6 @@ func TestLUTaskCounts(t *testing.T) {
 	}
 }
 
-func TestLUDAGAcyclicWithSingleRoot(t *testing.T) {
-	a := workload.RandomDiagonallyDominant(4, 2, 5)
-	g := BuildDAG(LU(a), nil)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	roots := 0
-	for id := range g.Nodes {
-		if len(g.Predecessors(id)) == 0 {
-			roots++
-		}
-	}
-	if roots != 1 {
-		t.Errorf("LU DAG has %d roots, want 1 (the first GETRF)", roots)
-	}
-}
-
 func TestLUStreamDispatch(t *testing.T) {
 	a := workload.RandomDiagonallyDominant(2, 3, 5)
 	ops, err := Stream("lu", a, nil)

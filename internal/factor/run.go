@@ -5,9 +5,6 @@ import (
 	"sync"
 
 	"supersim/internal/core"
-	"supersim/internal/graph"
-	"supersim/internal/hazard"
-	"supersim/internal/kernels"
 	"supersim/internal/sched"
 	"supersim/internal/slab"
 )
@@ -151,34 +148,4 @@ func InsertReal(rt sched.Runtime, ops []Op) *ErrorSink {
 		t.Func = func(*sched.Ctx) { sink.Record(op.Body()) }
 	}))
 	return sink
-}
-
-// BuildDAG derives the dependence DAG of the op stream through the same
-// hazard analysis the runtimes use (Fig. 1 of the paper). weight assigns
-// node weights (for critical-path analysis); nil weights every node 1.
-func BuildDAG(ops []Op, weight func(kernels.Class) float64) *graph.DAG {
-	if weight == nil {
-		weight = func(kernels.Class) float64 { return 1 }
-	}
-	g := graph.New()
-	tracker := hazard.NewTracker()
-	for _, op := range ops {
-		id := g.AddNode(op.Label(), string(op.Class), weight(op.Class))
-		hid, _, deps := tracker.Insert(opHazardArgs(op))
-		if hid != id {
-			panic("factor: DAG node numbering out of sync with hazard tracker")
-		}
-		for _, d := range deps {
-			g.AddEdge(d.Pred, id, d.Kind)
-		}
-	}
-	return g
-}
-
-func opHazardArgs(op Op) []hazard.Arg {
-	out := make([]hazard.Arg, len(op.Args))
-	for i, a := range op.Args {
-		out[i] = hazard.Arg{Handle: a.Handle, Mode: a.Mode}
-	}
-	return out
 }

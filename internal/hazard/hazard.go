@@ -1,8 +1,9 @@
 // Package hazard implements the superscalar data-hazard analysis shared by
-// all three scheduler reproductions and by the DAG builder: given a serial
-// stream of tasks, each annotated with the data it reads and writes, it
-// derives the Read-after-Write, Write-after-Read and Write-after-Write
-// dependences (Section IV-A of the paper).
+// all three scheduler reproductions: given a serial stream of tasks, each
+// annotated with the data it reads and writes, it derives the
+// Read-after-Write, Write-after-Read and Write-after-Write dependences
+// (Section IV-A of the paper). A captured DAG records them as the
+// scheduler resolved them, so Fig. 1 shows this package's output.
 //
 // Handles are opaque comparable values identifying a datum (in practice a
 // *tile.Tile pointer); the tracker never dereferences them, exactly as the
@@ -14,10 +15,7 @@
 // tracker from run to run without allocating per task.
 package hazard
 
-import (
-	"supersim/internal/graph"
-	"supersim/internal/slab"
-)
+import "supersim/internal/slab"
 
 // Access is the declared access mode of a task argument.
 type Access uint8
@@ -45,11 +43,24 @@ func (a Access) String() string {
 	}
 }
 
+// EdgeKind classifies the data hazard that induced a dependence edge.
+// Its value is the byte a captured arena stores in its dependence-kind
+// column and a .dag frame carries on the wire, so the constants must
+// never be renumbered. The zero value is a dependence without a kind
+// (a hand-built graph's).
+type EdgeKind uint8
+
+const (
+	RaW EdgeKind = 1 // read after write (true dependence)
+	WaR EdgeKind = 2 // write after read (anti dependence)
+	WaW EdgeKind = 3 // write after write (output dependence)
+)
+
 // Dep is one derived dependence: the task being inserted depends on the
 // task with index Pred.
 type Dep struct {
 	Pred int
-	Kind graph.EdgeKind
+	Kind EdgeKind
 }
 
 // state records one handle's past accesses. It is stored by value in
@@ -100,13 +111,13 @@ type Arg struct {
 
 // hazardRank orders hazard kinds by strength for dedup: RaW over WaW over
 // WaR.
-func hazardRank(k graph.EdgeKind) int {
+func hazardRank(k EdgeKind) int {
 	switch k {
-	case graph.EdgeRaW:
+	case RaW:
 		return 3
-	case graph.EdgeWaW:
+	case WaW:
 		return 2
-	case graph.EdgeWaR:
+	case WaR:
 		return 1
 	default:
 		return 0
@@ -115,7 +126,7 @@ func hazardRank(k graph.EdgeKind) int {
 
 // record merges one hazard into the dedup buffer, keeping the strongest
 // kind per predecessor.
-func (t *Tracker) record(id, pred int, kind graph.EdgeKind) {
+func (t *Tracker) record(id, pred int, kind EdgeKind) {
 	if pred < 0 || pred == id {
 		return
 	}
@@ -160,12 +171,12 @@ func (t *Tracker) Insert(args []Arg) (id int, handles []int32, deps []Dep) {
 		t.handles = append(t.handles, h)
 		st := &t.states[h]
 		if a.Mode&Read != 0 {
-			t.record(id, int(st.lastWriter), graph.EdgeRaW)
+			t.record(id, int(st.lastWriter), RaW)
 		}
 		if a.Mode&Write != 0 {
-			t.record(id, int(st.lastWriter), graph.EdgeWaW)
+			t.record(id, int(st.lastWriter), WaW)
 			for n := st.readers.Front(); n != 0; n = t.readers.Next(n) {
-				t.record(id, int(t.readers.Value(n)), graph.EdgeWaR)
+				t.record(id, int(t.readers.Value(n)), WaR)
 			}
 		}
 		// Update the handle's state after deriving hazards. A task that

@@ -3,13 +3,11 @@ package hazard
 import (
 	"testing"
 	"testing/quick"
-
-	"supersim/internal/graph"
 )
 
-func depsOf(t *Tracker, args ...Arg) (int, map[int]graph.EdgeKind) {
+func depsOf(t *Tracker, args ...Arg) (int, map[int]EdgeKind) {
 	id, _, deps := t.Insert(args)
-	m := make(map[int]graph.EdgeKind)
+	m := make(map[int]EdgeKind)
 	for _, d := range deps {
 		m[d.Pred] = d.Kind
 	}
@@ -24,7 +22,7 @@ func TestRaWDependence(t *testing.T) {
 	if w != 0 || r != 1 {
 		t.Fatalf("ids %d %d", w, r)
 	}
-	if deps[w] != graph.EdgeRaW {
+	if deps[w] != RaW {
 		t.Errorf("deps %v, want RaW on task 0", deps)
 	}
 }
@@ -36,11 +34,11 @@ func TestWaRDependence(t *testing.T) {
 	r1, _ := depsOf(tr, Arg{h, Read})
 	r2, _ := depsOf(tr, Arg{h, Read})
 	_, deps := depsOf(tr, Arg{h, Write})
-	if deps[r1] != graph.EdgeWaR || deps[r2] != graph.EdgeWaR {
+	if deps[r1] != WaR || deps[r2] != WaR {
 		t.Errorf("writer deps %v, want WaR on both readers", deps)
 	}
 	// The WaW against task 0 must also be present.
-	if deps[0] != graph.EdgeWaW {
+	if deps[0] != WaW {
 		t.Errorf("writer deps %v, want WaW on task 0", deps)
 	}
 }
@@ -50,7 +48,7 @@ func TestWaWDependence(t *testing.T) {
 	h := "x"
 	depsOf(tr, Arg{h, Write})
 	_, deps := depsOf(tr, Arg{h, Write})
-	if deps[0] != graph.EdgeWaW {
+	if deps[0] != WaW {
 		t.Errorf("deps %v, want WaW", deps)
 	}
 }
@@ -64,7 +62,7 @@ func TestParallelReadersShareNoDependence(t *testing.T) {
 	if _, ok := d2[1]; ok {
 		t.Error("second reader depends on first reader")
 	}
-	if d1[0] != graph.EdgeRaW || d2[0] != graph.EdgeRaW {
+	if d1[0] != RaW || d2[0] != RaW {
 		t.Error("readers missing RaW on the writer")
 	}
 }
@@ -75,7 +73,7 @@ func TestReadWriteGetsStrongestKind(t *testing.T) {
 	depsOf(tr, Arg{h, ReadWrite})
 	_, deps := depsOf(tr, Arg{h, ReadWrite})
 	// RW after RW: both RaW and WaW against task 0; RaW must win.
-	if deps[0] != graph.EdgeRaW {
+	if deps[0] != RaW {
 		t.Errorf("RW-RW dep kind = %v, want RaW", deps[0])
 	}
 }
@@ -201,17 +199,16 @@ func TestSerializabilityProperty(t *testing.T) {
 		if len(tasks) == 0 {
 			return true
 		}
-		// Build the dependence graph.
+		// Derive the dependence edges (pred, succ).
 		tr := NewTracker()
-		g := graph.New()
-		for _, tk := range tasks {
-			id := g.AddNode("t", "K", 1)
-			hid, _, deps := tr.Insert(tk.args)
-			if hid != id {
+		var edges [][2]int
+		for want, tk := range tasks {
+			id, _, deps := tr.Insert(tk.args)
+			if id != want {
 				return false
 			}
 			for _, d := range deps {
-				g.AddEdge(d.Pred, id, d.Kind)
+				edges = append(edges, [2]int{d.Pred, id})
 			}
 		}
 		// Serial order is the reference.
@@ -224,9 +221,9 @@ func TestSerializabilityProperty(t *testing.T) {
 		// highest-id ready task — an adversarial legal schedule.
 		indeg := make([]int, len(tasks))
 		succs := make(map[int][]int)
-		for _, e := range g.Edges {
-			indeg[e.To]++
-			succs[e.From] = append(succs[e.From], e.To)
+		for _, e := range edges {
+			indeg[e[1]]++
+			succs[e[0]] = append(succs[e[0]], e[1])
 		}
 		var order []int
 		ready := []int{}

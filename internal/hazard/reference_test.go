@@ -1,7 +1,5 @@
 package hazard
 
-import "supersim/internal/graph"
-
 // refTracker is the tracker as it was before handles got a dense state
 // array and reader lists a shared node pool: one heap-allocated state and
 // one reader slice per handle, found through a map. It is kept as the
@@ -23,7 +21,7 @@ func newRefTracker() *refTracker {
 	return &refTracker{states: make(map[any]*refState)}
 }
 
-func (t *refTracker) record(id, pred int, kind graph.EdgeKind) {
+func (t *refTracker) record(id, pred int, kind EdgeKind) {
 	if pred < 0 || pred == id {
 		return
 	}
@@ -52,12 +50,12 @@ func (t *refTracker) Insert(args []Arg) (id int, handles []int32, deps []Dep) {
 		}
 		handles = append(handles, st.id)
 		if a.Mode&Read != 0 {
-			t.record(id, st.lastWriter, graph.EdgeRaW)
+			t.record(id, st.lastWriter, RaW)
 		}
 		if a.Mode&Write != 0 {
-			t.record(id, st.lastWriter, graph.EdgeWaW)
+			t.record(id, st.lastWriter, WaW)
 			for _, r := range st.readersSinceLast {
-				t.record(id, r, graph.EdgeWaR)
+				t.record(id, r, WaR)
 			}
 		}
 		if a.Mode&Write != 0 {

@@ -37,47 +37,11 @@ import (
 	"sync"
 	"unsafe"
 
-	"supersim/internal/graph"
 	"supersim/internal/hazard"
 	"supersim/internal/rng"
 	"supersim/internal/sched"
 	"supersim/internal/trace"
 )
-
-// Dependence-kind bytes: the wire/column encoding of graph.EdgeKind.
-// kindNone covers synthetic DAGs whose deps carry no kind.
-const (
-	kindNone uint8 = iota
-	kindRaW
-	kindWaR
-	kindWaW
-)
-
-func kindToByte(k graph.EdgeKind) (uint8, bool) {
-	switch k {
-	case "":
-		return kindNone, true
-	case graph.EdgeRaW:
-		return kindRaW, true
-	case graph.EdgeWaR:
-		return kindWaR, true
-	case graph.EdgeWaW:
-		return kindWaW, true
-	}
-	return 0, false
-}
-
-func kindFromByte(b uint8) graph.EdgeKind {
-	switch b {
-	case kindRaW:
-		return graph.EdgeRaW
-	case kindWaR:
-		return graph.EdgeWaR
-	case kindWaW:
-		return graph.EdgeWaW
-	}
-	return ""
-}
 
 // Arena is a task DAG in struct-of-arrays form. Every column is one
 // contiguous slice, so walking it is a linear scan; an arena loaded from
@@ -295,15 +259,9 @@ func (b *builder) footprint(handle int32, mode hazard.Access) {
 // dep appends one resolved dependence to the open task.
 //
 //simlint:hotpath
-func (b *builder) dep(d sched.Dep) error {
-	kb, ok := kindToByte(d.Kind)
-	if !ok {
-		//simlint:allow hotalloc — refusal path: the capture or build ends here
-		return fmt.Errorf("replay: task %d has unknown dependence kind %q", b.a.n-1, d.Kind)
-	}
+func (b *builder) dep(d sched.Dep) {
 	push(&b.a.depPred, clampI32(d.Pred))
-	push(&b.a.depKind, kb)
-	return nil
+	push(&b.a.depKind, uint8(d.Kind))
 }
 
 // finish closes the columns, validates them and derives the static views.
@@ -369,9 +327,7 @@ func BuildArena(d *DAG) (*Arena, error) {
 			b.footprint(clampI32(f.Handle), f.Mode)
 		}
 		for _, dep := range t.Deps {
-			if err := b.dep(dep); err != nil {
-				return nil, err
-			}
+			b.dep(dep)
 		}
 	}
 	return b.finish(d.Label, d.Workers, d.Handles)
@@ -536,7 +492,7 @@ func (a *Arena) DAG() *DAG {
 	}
 	deps := make([]sched.Dep, len(a.depPred))
 	for j, p := range a.depPred {
-		deps[j] = sched.Dep{Pred: int(p), Kind: kindFromByte(a.depKind[j])}
+		deps[j] = sched.Dep{Pred: int(p), Kind: hazard.EdgeKind(a.depKind[j])}
 	}
 	feet := make([]Footprint, len(a.fpHandle))
 	for j, h := range a.fpHandle {

@@ -113,9 +113,7 @@ func (r *Recorder) TaskInserted(t *sched.Task, handles []int32, deps []sched.Dep
 		r.handles = max(r.handles, int(h)+1)
 	}
 	for _, d := range deps {
-		if r.err = r.b.dep(d); r.err != nil {
-			return
-		}
+		r.b.dep(d)
 	}
 }
 

@@ -26,7 +26,7 @@
 //	  fpHandle   F × int32
 //	  strOff     (S+1) × int32
 //	  where      n × uint8
-//	  depKind    E × uint8
+//	  depKind    E × uint8  (hazard.EdgeKind: 0 none, 1 RaW, 2 WaR, 3 WaW)
 //	  fpMode     F × uint8
 //	  strBytes   B bytes
 //
@@ -54,6 +54,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"supersim/internal/hazard"
 	"supersim/internal/sched"
 )
 
@@ -367,7 +368,7 @@ func (a *Arena) validateColumns() error {
 			if p := a.depPred[j]; p < 0 || int(p) >= i {
 				return fmt.Errorf("replay: task %d has invalid predecessor %d", i, p)
 			}
-			if a.depKind[j] > kindWaW {
+			if hazard.EdgeKind(a.depKind[j]) > hazard.WaW {
 				return fmt.Errorf("replay: task %d has unknown dependence kind %d", i, a.depKind[j])
 			}
 		}
