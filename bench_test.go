@@ -176,7 +176,7 @@ func perfBenchmark(b *testing.B, scheduler string, fig string) {
 	for i := 0; i < b.N; i++ {
 		results = results[:0]
 		for _, alg := range []string{"qr", "cholesky"} {
-			res, err := bench.PerfSweep(scheduler, alg, 96, 7, 8, 0, 42)
+			res, err := bench.PerfSweep(scheduler, alg, 96, 7, 8, 42)
 			if err != nil {
 				b.Fatal(err)
 			}

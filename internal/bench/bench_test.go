@@ -192,7 +192,7 @@ func TestRaceExperimentQuiescenceIsExact(t *testing.T) {
 }
 
 func TestPerfSweepShape(t *testing.T) {
-	r, err := PerfSweep("ompss", "cholesky", 24, 6, 4, 0, 3)
+	r, err := PerfSweep("ompss", "cholesky", 24, 6, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,10 +253,8 @@ const perfReps = 5
 // problem or even a portion of the problem"), then each matrix size is run
 // for real once, and the simulated series comes from the replay engine —
 // each point's DAG captured once and re-simulated perfReps times in
-// parallel shards (SweepParallel). parallelism selects the replay
-// executor per replica: 0 is the serial greedy path, >= 1 the PDES
-// executor (partition-count invariant; see replay.Options.Parallelism).
-func PerfSweep(scheduler, algorithm string, nb, maxNT, workers, parallelism int, seed uint64) (PerfSweepResult, error) {
+// parallel shards (SweepParallel).
+func PerfSweep(scheduler, algorithm string, nb, maxNT, workers int, seed uint64) (PerfSweepResult, error) {
 	calibNT := maxNT
 	if calibNT > 7 {
 		calibNT = 7 // enough instances of every kernel class to fit
@@ -285,7 +283,7 @@ func PerfSweep(scheduler, algorithm string, nb, maxNT, workers, parallelism int,
 		ModelFits: fits,
 	}
 	simPoints, wall, err := SweepParallel(scheduler, algorithm, nb, maxNT, workers,
-		SweepOptions{Reps: perfReps, Model: model, Seed: seed, Parallelism: parallelism})
+		SweepOptions{Reps: perfReps, Model: model, Seed: seed})
 	if err != nil {
 		return PerfSweepResult{}, err
 	}

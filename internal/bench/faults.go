@@ -21,8 +21,11 @@ import (
 // degradation attributable to the fault plan alone, not model noise.
 func FaultModel(algorithm string, nb int) core.ClassMap {
 	classes := kernels.CholeskyClasses
-	if algorithm == "qr" {
+	switch algorithm {
+	case "qr":
 		classes = kernels.QRClasses
+	case "lu":
+		classes = kernels.LUClasses
 	}
 	m := core.ClassMap{}
 	for _, c := range classes {
@@ -39,7 +42,7 @@ type FaultScenario struct {
 	MaxRetries int
 }
 
-// DefaultFaultScenarios returns the scenario suite used by cmd/simfault
+// DefaultFaultScenarios returns the scenario suite used by `sim fault`
 // and the fault-resilience benchmark: each fault class in isolation, then
 // all of them combined. The seed is fixed so every scheduler sees the
 // same plan.

@@ -155,3 +155,23 @@ func TestSyntheticWorkloadShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultModelPricesEveryClass: the fault study's model gives every
+// kernel class an algorithm's stream emits a positive duration, so no
+// kernel of the studied factorization is free.
+func TestFaultModelPricesEveryClass(t *testing.T) {
+	for _, alg := range []string{"cholesky", "qr", "lu"} {
+		t.Run(alg, func(t *testing.T) {
+			ops, err := Ops(Spec{Algorithm: alg, NT: 4, NB: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := FaultModel(alg, 32)
+			for _, op := range ops {
+				if d := model[string(op.Class)]; d <= 0 {
+					t.Fatalf("%s: class %s priced at %g s", alg, op.Class, d)
+				}
+			}
+		})
+	}
+}

@@ -151,12 +151,6 @@ type SweepOptions struct {
 	// Ctx, when set, stops the sweep: it is checked before each capture and
 	// each replay, and its error is returned wrapped.
 	Ctx context.Context
-	// Parallelism is passed to replay.Options.Parallelism: 0 replays each
-	// replica with the serial greedy executor; >= 1 uses the PDES executor,
-	// whose results are partition-count invariant (but a different — static
-	// — schedule than the greedy one, so 0 and >= 1 sweeps are not
-	// comparable to each other).
-	Parallelism int
 	// PointOffset and PointStride slice the sweep for multi-node fan-out:
 	// with PointStride = W > 1 this run captures and replays only the
 	// points i % W == PointOffset of workload.PerfSweep (every replica of
@@ -325,7 +319,6 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 					Model:            opt.Model,
 					Seed:             ReplicaSeed(opt.Seed, points[p].NT, rep),
 					IgnorePriorities: fifo,
-					Parallelism:      opt.Parallelism,
 				})
 				if err != nil {
 					errs[shard] = fmt.Errorf("bench: replay nt=%d replica %d: %w", points[p].NT, rep, err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -345,6 +346,25 @@ func TestCoordinatorRejectsUnknownPolicy(t *testing.T) {
 	c.mu.Unlock()
 	if n != 0 {
 		t.Errorf("%d dispatches admitted, want 0", n)
+	}
+}
+
+// TestCoordinatorRejectsExecutorField: the coordinator's submit decoder
+// disallows unknown fields, so a spec carrying the retired "parallelism"
+// field is a 400 naming it, before any dispatch.
+func TestCoordinatorRejectsExecutorField(t *testing.T) {
+	c, hs := newTestCoordinator(t, "")
+	resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(`{"algorithm": "cholesky", "nt": 4, "nb": 8, "parallelism": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	c.mu.Lock()
+	n := len(c.dispatches)
+	c.mu.Unlock()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), "parallelism") || n != 0 {
+		t.Errorf("status=%d reply=%s dispatches=%d, want a 400 naming parallelism and none", resp.StatusCode, reply, n)
 	}
 }
 

@@ -68,8 +68,8 @@ type Task struct {
 	Duration float64
 }
 
-// DAG is a task graph in structured form: the view Validate inspects,
-// simdag prints and hand-built graphs are written in. A capture does not
+// DAG is a task graph in structured form: the view Validate inspects and
+// hand-built graphs are written in. A capture does not
 // produce it — the Recorder fills an Arena's columns directly — and no
 // replay walks it: Run executes the struct-of-arrays compilation
 // (arena.go). For a DAG assembled or edited in this form that is

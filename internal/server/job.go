@@ -16,7 +16,8 @@ import (
 	"supersim/internal/workload"
 )
 
-// JobSpec is the JSON workload specification accepted by POST /jobs.
+// JobSpec is the JSON workload specification accepted by POST /jobs. Every
+// replay a job runs is replay.Run's greedy list schedule.
 type JobSpec struct {
 	// Kind selects the job type: "simulate" (default) runs one simulation
 	// (replayed from the capture cache when eligible); "sweep" runs the
@@ -74,12 +75,6 @@ type JobSpec struct {
 	// client submission that sets them.
 	PointOffset int `json:"point_offset,omitempty"`
 	PointStride int `json:"point_stride,omitempty"`
-	// Parallelism selects the replay executor on the cached and sweep
-	// paths (replay.Options.Parallelism): 0 (default) replays with the
-	// serial greedy executor; >= 1 uses the PDES executor, whose results
-	// are identical for every value >= 1 but follow the static PDES
-	// schedule, not the greedy one. Direct (non-cached) runs ignore it.
-	Parallelism int `json:"parallelism,omitempty"`
 	// NoCache forces the direct path even for cache-eligible jobs.
 	NoCache bool `json:"no_cache,omitempty"`
 	// Trace controls whether the trace endpoints serve the job's rep-0
@@ -196,9 +191,6 @@ func (s *JobSpec) validate() error {
 	}
 	if s.Reps < 1 || s.Reps > 1000 {
 		return fmt.Errorf("reps must be in [1, 1000] (got %d)", s.Reps)
-	}
-	if s.Parallelism < 0 || s.Parallelism > 1024 {
-		return fmt.Errorf("parallelism must be in [0, 1024] (got %d)", s.Parallelism)
 	}
 	switch s.Wait {
 	case "", "quiescence", "sleep-yield", "none":

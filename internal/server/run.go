@@ -46,7 +46,6 @@ func (s *Server) runSweep(ctx context.Context, spec *JobSpec) (*JobResult, error
 		Seed:        spec.Seed,
 		Policy:      spec.Policy,
 		Ctx:         ctx,
-		Parallelism: spec.Parallelism,
 		PointOffset: spec.PointOffset,
 		PointStride: spec.PointStride,
 	})
@@ -147,7 +146,6 @@ func (j *Job) replayOptions(model core.DurationModel, rep int) replay.Options {
 		Seed:             bench.ReplicaSeed(spec.Seed, spec.NT, rep),
 		IgnorePriorities: bench.ReplayIgnoresPriorities(spec.benchSpec()),
 		Label:            j.ID,
-		Parallelism:      spec.Parallelism,
 	}
 }
 

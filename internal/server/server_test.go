@@ -385,62 +385,35 @@ func TestCacheHitServesFaster(t *testing.T) {
 	}
 }
 
-// TestCachedParallelReplayDeterministic drives the PDES executor through
-// the service path: once a spec's DAG is captured, repeat jobs that ask
-// for parallelism >= 1 replay on the partitioned executor, and the result
-// fingerprint must be identical for every parallelism degree (the
-// partition-invariance guarantee of DESIGN.md §12, observed end to end
-// through the cache).
-func TestCachedParallelReplayDeterministic(t *testing.T) {
-	srv := newTestServer(t, Config{Pool: 2})
-	spec := JobSpec{Algorithm: "cholesky", NT: 10, NB: 8, Workers: 8, Seed: 5}
+// TestSubmitRejectsExecutorField: no request selects a replay executor. A
+// job or cron spec that still carries the retired "parallelism" field is
+// a 400 naming it, from the submit decoders' DisallowUnknownFields, and
+// is never queued.
+func TestSubmitRejectsExecutorField(t *testing.T) {
+	srv := newTestServer(t, Config{Pool: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
-	first, err := srv.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitFinished(t, first, 30*time.Second); st != StatusDone {
-		t.Fatalf("capture job %s: %s", st, first.view().Error)
-	}
-	if v := first.view(); v.Cache != "miss" {
-		t.Fatalf("first job cache disposition %q, want miss", v.Cache)
-	}
-
-	fingerprints := make(map[int]string)
-	for _, p := range []int{1, 2, 4} {
-		for rep := 0; rep < 2; rep++ {
-			ps := spec
-			ps.Parallelism = p
-			job, err := srv.Submit(ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := waitFinished(t, job, 30*time.Second); st != StatusDone {
-				t.Fatalf("parallelism=%d job %s: %s", p, st, job.view().Error)
-			}
-			v := job.view()
-			if v.Cache != "hit" {
-				t.Fatalf("parallelism=%d job cache disposition %q, want hit", p, v.Cache)
-			}
-			if v.Result == nil || v.Result.Fingerprint == "" {
-				t.Fatalf("parallelism=%d job has no fingerprint: %+v", p, v.Result)
-			}
-			if prev, ok := fingerprints[p]; ok && prev != v.Result.Fingerprint {
-				t.Fatalf("parallelism=%d not deterministic: %s then %s", p, prev, v.Result.Fingerprint)
-			}
-			fingerprints[p] = v.Result.Fingerprint
+	spec := `{"algorithm": "cholesky", "nt": 4, "nb": 8, "parallelism": 1}`
+	for path, body := range map[string]string{
+		"/jobs":  spec,
+		"/crons": `{"every_ms": 3600000, "spec": ` + spec + `}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply apiError
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatalf("POST %s: decoding reply: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, `"parallelism"`) {
+			t.Errorf("POST %s: status=%d error=%q, want a 400 naming parallelism", path, resp.StatusCode, reply.Error)
 		}
 	}
-	if fingerprints[2] != fingerprints[1] || fingerprints[4] != fingerprints[1] {
-		t.Fatalf("fingerprints differ across parallelism degrees: %v", fingerprints)
-	}
-
-	for _, p := range []int{-1, 2000} {
-		bad := spec
-		bad.Parallelism = p
-		if _, err := srv.Submit(bad); err == nil {
-			t.Fatalf("parallelism=%d accepted, want validation error", p)
-		}
+	if n, c := len(srv.Jobs()), len(srv.Crons()); n != 0 || c != 0 {
+		t.Fatalf("%d jobs and %d crons admitted, want none", n, c)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"supersim/internal/fault"
+	"supersim/internal/journal"
 	"supersim/internal/rng"
 )
 
@@ -498,6 +499,49 @@ func TestParentDataDirRecovers(t *testing.T) {
 	}
 	if fresh.ID != "j-000009" || cron.ID != "c-000002" {
 		t.Fatalf("minted %s and %s after recovery, want j-000009 and c-000002", fresh.ID, cron.ID)
+	}
+}
+
+// TestParentExecutorFieldRecovers: a data dir journaled before the
+// service dropped "parallelism" still recovers. Journal records decode
+// leniently, so an accepted job whose spec asked for the PDES executor is
+// requeued, runs on the greedy replay every job now gets, and reports the
+// fingerprint of the same spec without the field.
+func TestParentExecutorFieldRecovers(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.AppendSync(recAccept, json.RawMessage(`{"id":"j-000001","tenant":"default","spec":{"kind":"simulate",`+
+		`"algorithm":"cholesky","scheduler":"quark","nt":6,"nb":8,"workers":4,"seed":5,"reps":1,"parallelism":2}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newTestServer(t, Config{Pool: 1, DataDir: dir})
+	if requeued, restored := srv.Recovered(); requeued != 1 || restored != 0 {
+		t.Fatalf("recovery found %d requeued / %d restored, want 1 / 0", requeued, restored)
+	}
+	recovered, ok := srv.Job("j-000001")
+	if !ok {
+		t.Fatal("parent record lost by recovery")
+	}
+	fresh, err := srv.Submit(JobSpec{Algorithm: "cholesky", NT: 6, NB: 8, Workers: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps [2]string
+	for i, job := range []*Job{recovered, fresh} {
+		if st := waitFinished(t, job, 30*time.Second); st != StatusDone {
+			t.Fatalf("job %s finished %q: %s", job.ID, st, job.view().Error)
+		}
+		fps[i] = job.view().Result.Fingerprint
+	}
+	if fps[0] == "" || fps[0] != fps[1] {
+		t.Fatalf("recovered job's fingerprint %q, the same spec without parallelism %q", fps[0], fps[1])
 	}
 }
 
