@@ -48,9 +48,10 @@ cluster-smoke:
 # The benchmark harness checks every op's result fingerprint (and, on the
 # serve workloads, its cache disposition) against a reference computed
 # through a different path; run here as a pass/fail gate, numbers discarded.
-# The three capture-cache workloads, the two whose every op is one run of
-# the real scheduler — lib-direct (bench.Simulated) and serve-sweep
-# (CaptureArena inside SweepParallel) — replay-large, the one workload that
+# The three capture-cache workloads, lib-direct, whose every op is one run
+# of the real scheduler (bench.Simulated), serve-sweep, whose every op
+# captures its points in one pass each (CaptureArena inside
+# SweepParallel), replay-large, the one workload that
 # Loads a large frame (117k tasks) and replays it with a trace, and
 # cluster-sweep, whose every op is a sweep fanned over two workers as point
 # slices and merged. 3 s, not less: serve-miss is a fixed 48 ops/s window,

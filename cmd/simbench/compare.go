@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"supersim/internal/bench"
@@ -21,6 +22,12 @@ type compareOutcome struct {
 	// set but never gated: the first run after adding a benchmark
 	// records its number instead of failing.
 	MissingNames []string
+	// NotRunNames lists baseline entries the run produced no result for,
+	// sorted: a benchmark retired or renamed since the baseline was
+	// recorded, or one -run or -parallelism left out. They are recorded in
+	// Comparison with NotRun set but never gated, so a retired entry
+	// leaves the gate visibly instead of silently.
+	NotRunNames []string
 }
 
 // compareAgainstBaseline compares every result against the baseline
@@ -46,17 +53,35 @@ func compareAgainstBaseline(results []bench.MicroResult, base map[string]float64
 			out.Regressions++
 		}
 	}
+	ran := make(map[string]bool, len(results))
+	for _, r := range results {
+		ran[r.Name] = true
+	}
+	for name := range base {
+		if !ran[name] {
+			out.NotRunNames = append(out.NotRunNames, name)
+		}
+	}
+	slices.Sort(out.NotRunNames)
+	for _, name := range out.NotRunNames {
+		out.Comparison = append(out.Comparison, comparison{Name: name, BaselineNsPerOp: base[name], NotRun: true})
+		fmt.Fprintf(w, "%-28s %10.1f -> not run          (in baseline, not run)\n", name, base[name])
+	}
 	return out
 }
 
 // summarizeMissing writes the end-of-run tally of benchmarks the
-// baseline file does not know about, so a stale baseline is visible in
-// one line instead of being scattered through the per-benchmark output.
-// No-op when nothing is missing.
+// baseline file does not know about and of baseline entries the run did
+// not produce, so a stale baseline is visible in a line each instead of
+// being scattered through the per-benchmark output. No-op when both lists
+// are empty.
 func (o compareOutcome) summarizeMissing(w io.Writer, baselinePath string) {
-	if len(o.MissingNames) == 0 {
-		return
+	if len(o.MissingNames) > 0 {
+		fmt.Fprintf(w, "simbench: %d benchmark(s) missing from baseline %s (recorded, not gated): %s\n",
+			len(o.MissingNames), baselinePath, strings.Join(o.MissingNames, ", "))
 	}
-	fmt.Fprintf(w, "simbench: %d benchmark(s) missing from baseline %s (recorded, not gated): %s\n",
-		len(o.MissingNames), baselinePath, strings.Join(o.MissingNames, ", "))
+	if len(o.NotRunNames) > 0 {
+		fmt.Fprintf(w, "simbench: %d benchmark(s) in baseline %s, not run (recorded, not gated): %s\n",
+			len(o.NotRunNames), baselinePath, strings.Join(o.NotRunNames, ", "))
+	}
 }

@@ -49,6 +49,38 @@ func TestCompareAgainstBaseline(t *testing.T) {
 	}
 }
 
+// TestCompareNamesRetiredBaselineEntries: a baseline entry the run no
+// longer produces — a retired benchmark — is listed, recorded and not
+// gated, instead of dropping out of the comparison silently.
+func TestCompareNamesRetiredBaselineEntries(t *testing.T) {
+	results := []bench.MicroResult{{Name: "CaptureKeys32", NsPerOp: 90}}
+	base := map[string]float64{"CaptureKeys32": 100, "CaptureEngine32": 50, "Alpha": 10}
+	var buf bytes.Buffer
+	out := compareAgainstBaseline(results, base, 10, &buf)
+	if want := "Alpha,CaptureEngine32"; strings.Join(out.NotRunNames, ",") != want {
+		t.Errorf("NotRunNames = %v, want %s (sorted)", out.NotRunNames, want)
+	}
+	if out.Regressions != 0 {
+		t.Errorf("Regressions = %d, want 0: an entry that did not run is not gated", out.Regressions)
+	}
+	if len(out.Comparison) != 3 {
+		t.Fatalf("Comparison has %d entries, want 3 (entries not run are still recorded)", len(out.Comparison))
+	}
+	for _, c := range out.Comparison {
+		if notRun := c.Name != "CaptureKeys32"; c.NotRun != notRun || notRun && c.BaselineNsPerOp != base[c.Name] {
+			t.Errorf("%s: NotRun = %v with baseline %v, want %v with %v", c.Name, c.NotRun, c.BaselineNsPerOp, notRun, base[c.Name])
+		}
+	}
+	if got := buf.String(); !strings.Contains(got, "CaptureEngine32") || !strings.Contains(got, "in baseline, not run") {
+		t.Errorf("per-benchmark output lacks an 'in baseline, not run' line for CaptureEngine32:\n%s", got)
+	}
+	buf.Reset()
+	out.summarizeMissing(&buf, "BENCH_simbench.json")
+	if got := buf.String(); !strings.Contains(got, "2 benchmark(s) in baseline BENCH_simbench.json, not run") || !strings.Contains(got, "Alpha, CaptureEngine32") {
+		t.Errorf("summary %q does not name the entries not run", got)
+	}
+}
+
 func TestCompareAgainstBaselineGateDisabled(t *testing.T) {
 	results := []bench.MicroResult{{Name: "Insert", NsPerOp: 500}}
 	out := compareAgainstBaseline(results, map[string]float64{"Insert": 100}, 0, &bytes.Buffer{})

@@ -54,6 +54,10 @@ type comparison struct {
 	// newly added entry. Never counted as a regression: the first run after
 	// adding a benchmark records its number instead of failing the gate.
 	BaselineMissing bool `json:"baseline_missing,omitempty"`
+	// NotRun marks a baseline entry this run produced no result for — a
+	// retired or renamed benchmark, or one the run's selection left out.
+	// Never counted as a regression; CurrentNsPerOp is 0.
+	NotRun bool `json:"not_run,omitempty"`
 }
 
 func main() {

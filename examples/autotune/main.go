@@ -75,7 +75,9 @@ func main() {
 	fmt.Printf("calibration took %.2fs of wall time total\n\n", calibWall.Seconds())
 
 	// --- screen tile sizes on the replay engine --------------------------
-	// One capture per nb (a 1-worker scheduler run with no-op bodies),
+	// One capture per nb through the public recorder (CaptureDAG on a
+	// 1-worker StarPU run with no-op bodies; the simulation service gets
+	// the same frame from one pass over the stream, with no runtime),
 	// then many model-sampled replays with no scheduler: the cheapest way
 	// to rank the algorithmic parameter. Policies are not compared here —
 	// a replay follows one fixed list-scheduling order.

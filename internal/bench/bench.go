@@ -61,20 +61,12 @@ var Schedulers = []string{"ompss", "starpu", "quark"}
 func NewRuntime(s Spec) (sched.Runtime, error) {
 	var rt sched.Runtime
 	var err error
+	q, conf := runtimeOptions(s, s.Workers)
 	switch s.Scheduler {
 	case "quark":
-		opts := []quark.Option{}
-		if s.Window > 0 {
-			opts = append(opts, quark.WithWindow(s.Window))
-		}
-		rt, err = quark.New(s.Workers, opts...)
+		rt, err = quark.New(s.Workers, q...)
 	case "starpu":
-		rt, err = starpu.New(starpu.Conf{
-			NCPUs:         s.Workers,
-			NAccelerators: s.NAccelerators,
-			Policy:        s.Policy,
-			CostModel:     s.CostModel,
-		})
+		rt, err = starpu.New(conf)
 	case "ompss":
 		rt, err = ompss.New(s.Workers)
 	default:
@@ -93,6 +85,22 @@ func NewRuntime(s Spec) (sched.Runtime, error) {
 		}
 	}
 	return rt, nil
+}
+
+// runtimeOptions maps the spec onto the runtimes' constructor options at
+// cpus CPU workers: QUARK's window, StarPU's configuration (OmpSs takes
+// none). NewRuntime and a capture's captureConfig both build from it.
+func runtimeOptions(s Spec, cpus int) ([]quark.Option, starpu.Conf) {
+	var q []quark.Option
+	if s.Window > 0 {
+		q = append(q, quark.WithWindow(s.Window))
+	}
+	return q, starpu.Conf{
+		NCPUs:         cpus,
+		NAccelerators: s.NAccelerators,
+		Policy:        s.Policy,
+		CostModel:     s.CostModel,
+	}
 }
 
 // armFaults attaches the spec's fault plan and watchdog to a constructed
@@ -210,8 +218,9 @@ func Run(spec Spec, label string, insert func(rt sched.Runtime, sim *core.Simula
 
 // Ops builds the spec's task stream over shape-only tiles
 // (workload.Shapes): no matrix is generated, so the cost depends on NT and
-// not on NB. Everything that captures or simulates the stream — Simulated,
-// CaptureArena, the simulation service's direct runs — starts here; the ops'
+// not on NB. Everything that captures or simulates the stream — Simulated
+// and the simulation service's direct runs through the real scheduler,
+// CaptureArena through the hazard tracker alone — starts here; the ops'
 // bodies report an error if executed. Measured, the one run that executes
 // kernels, builds its stream over generated inputs itself.
 func Ops(spec Spec) ([]factor.Op, error) { return opsIn(spec, nil) }
@@ -306,11 +315,12 @@ func SimulatedRun(spec Spec, label string, model core.DurationModel, seed uint64
 	return res, err
 }
 
-// scratchPool recycles the per-run scratch of the scheduler runs this
-// package makes over shape-only streams — CaptureArena's and
-// SimulatedRun's: the op stream and the sched.Tasks the run is given. Both
-// put a set back only after a clean run, so a run allocates little beyond
-// what it returns. Pooled memory lives at most two GC cycles.
+// scratchPool recycles the per-run scratch of the runs this package makes
+// over shape-only streams — CaptureArena's passes and SimulatedRun's
+// scheduler runs: the op stream, and for a direct run the sched.Tasks it
+// is given. A capture puts its set back once its pass is done, a direct
+// run only after a clean run, so either allocates little beyond what it
+// returns. Pooled memory lives at most two GC cycles.
 var scratchPool = &sync.Pool{New: func() any { return new(factor.Buffers) }}
 
 // simBody gives each op's task a simulated body. With spec.GangPanels > 1

@@ -111,15 +111,13 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 
 // Ceilings for one steady-state CaptureArena, per captured task and with
 // the finished arena included: cholesky nt=16 (816 tasks) through QUARK,
-// 0.24 objects and 172 B, and through StarPU's eager policy at nt=32
-// (5 984 tasks, no window, so every task is live at once: serve-miss's
-// dominant shape), 0.10 objects and 153 B. Bytes are set 15 % above the
-// larger; objects, a few hundred per capture, get more room. What is left
-// per task is the arena row, the task's label and its handle ids. The op
-// stream, the sched.Tasks and their arguments come from a recycled
-// factor.Buffers, the recorder's intern map is recycled, and the engine
-// takes its hazard tracker, successor-list nodes and live and owner tables
-// from the engine before it.
+// 0.22 objects and 136 B, and through StarPU's eager policy at nt=32
+// (5 984 tasks: serve-miss's dominant shape), 0.09 objects and 119 B.
+// Bytes are set 10 % above the larger; objects, a few hundred per capture,
+// get more room. What is left per task is the arena row and the task's
+// label. The op stream comes from a recycled factor.Buffers, and the pass
+// takes its hazard tracker, its intern slots and the ready pass's Tasks
+// and tables from pools of their own; no runtime runs.
 // History: 19.9 objects and 3.97 KB per task while the capture generated
 // its input matrix, rendered labels by repeated concatenation and recorded
 // one slice per footprint and per dependence list; 6.3 objects and 1.14 KB
@@ -128,15 +126,15 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 // allocated its op stream, task slabs and intern map afresh; 2.8 objects
 // and 293 B (2.1 and 288 B) while the engine grew a successor slice per
 // predecessor and the tracker a state and a reader slice per handle, and
-// both started from nothing on every run. The factor.Buffers pool is
-// shared with the direct simulation (SimulatedRun) since it recycled its
-// scratch too, so the two kinds of run hand each other buffer sets; a
-// capture has no simulator and reads as before, and
-// TestSimulatedAllocatesItsTrace holds the direct run to ceilings of its
-// own.
+// both started from nothing on every run; 0.24 objects and 172 B (0.10 and
+// 153 B) while a 1-worker engine run, with its labels string and handle
+// ids, made every capture. The factor.Buffers pool is shared with the
+// direct simulation (SimulatedRun), so the two kinds of run hand each
+// other buffer sets; TestSimulatedAllocatesItsTrace holds the direct run
+// to ceilings of its own.
 const (
 	captureObjectsPerTaskCeiling = 0.4
-	captureBytesPerTaskCeiling   = 200
+	captureBytesPerTaskCeiling   = 150
 )
 
 func TestCaptureSpecAllocCeilings(t *testing.T) {
@@ -168,16 +166,16 @@ func TestCaptureSpecAllocCeilings(t *testing.T) {
 }
 
 // TestConcurrentCapturesMatchSerial: captures recycle their scratch — the
-// op stream and tasks through scratchPool, the engine's hazard tracker,
-// successor lists and live table through sched's pool — so scratch that
-// went back while its run still used it would let a concurrent capture
-// zero and overwrite a live stream. Eight goroutines capture a seeded mix
-// of small and large specs, so pooled memory shrinks and grows between
-// uses, and every frame must equal, byte for byte, a serial capture of the
-// same spec. The serial captures share the engine's pool too, so they are
-// held to frames no pool produced: the golden specs to their golden
-// digests, and the whole set to concurrentRefsDigest. A run whose tasks
-// were overwritten typically never drains, so the captures get a deadline.
+// op stream through scratchPool, the pass's hazard tracker and intern
+// slots through replay's pools, the ready pass's Tasks and tables through
+// sched's — so scratch that went back while its capture still used it
+// would let a concurrent capture zero and overwrite a live stream. Eight
+// goroutines capture a seeded mix of small and large specs, so pooled
+// memory shrinks and grows between uses, and every frame must equal, byte
+// for byte, a serial capture of the same spec. The serial captures share
+// the pools too, so they are held to frames no pool produced: the golden
+// specs to their golden digests, and the whole set to
+// concurrentRefsDigest. The captures keep a deadline as a backstop.
 func TestConcurrentCapturesMatchSerial(t *testing.T) {
 	const goroutines, rounds = 8, 25
 	golden := goldenSpecs()
@@ -265,7 +263,7 @@ func TestConcurrentCapturesMatchSerial(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(2 * time.Minute):
-		t.Fatal("concurrent captures wedged: a run's tasks were recycled while it used them?")
+		t.Fatal("concurrent captures wedged: a capture's scratch was recycled while it used it?")
 	}
 }
 

@@ -28,9 +28,10 @@ type DAGReport struct {
 	DOT          string
 }
 
-// DAGExperiment captures the dependence DAG the real scheduler resolves
-// for the algorithm at the given tile count and returns its structural
-// summary plus Graphviz DOT source. Fig. 1 of the paper is
+// DAGExperiment captures the dependence DAG the runtimes' hazard tracker
+// resolves for the algorithm at the given tile count — CaptureArena's one
+// pass, no scheduler run — and returns its structural summary plus
+// Graphviz DOT source. Fig. 1 of the paper is
 // DAGExperiment("qr", 4).
 func DAGExperiment(algorithm string, nt int) (DAGReport, error) {
 	arena, err := CaptureArena(Spec{Algorithm: algorithm, Scheduler: "quark", NT: nt, NB: 1, Workers: 1})

@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"fmt"
 	"regexp"
+	"slices"
 	"sync"
 	"testing"
 
 	"supersim/internal/core"
+	"supersim/internal/factor"
 	"supersim/internal/hazard"
 	"supersim/internal/perf"
 	"supersim/internal/replay"
@@ -212,27 +215,39 @@ func microSuite(counters *perf.Counters) []MicroBench {
 		{Name: "CaptureKeys32", Bench: func(b *testing.B) {
 			// The captures behind serve-miss's keys: cholesky nt=32 (5 984
 			// tasks), one CaptureArena per scheduler configuration the keys
-			// spread over. Four of the six are StarPU, whose capture holds
-			// every task live at once.
+			// spread over: one pass each, whose stages are the four
+			// benchmarks below.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, c := range keyConfigs {
-					if _, err := CaptureArena(Spec{
-						Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy,
-						NT: 32, NB: 20, Workers: 8, Seed: 1,
-					}); err != nil {
+				for _, spec := range keySpecs() {
+					if _, err := CaptureArena(spec); err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		}},
+		{Name: "CaptureStream32", Bench: func(b *testing.B) {
+			// CaptureKeys32's first stage: its six op streams built on one
+			// recycled buffer set, as CaptureArena builds each on one from
+			// scratchPool.
+			buf := new(factor.Buffers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, spec := range keySpecs() {
+					if _, err := opsIn(spec, buf); err != nil {
+						b.Fatal(err)
+					}
+					buf.Reset()
 				}
 			}
 		}},
 		{Name: "CaptureHazard32", Bench: func(b *testing.B) {
 			// CaptureKeys32's hazard analysis alone: the argument lists of its
 			// six streams through one tracker, Reset between streams as the
-			// engine's recycled tracker is.
+			// pass's pooled tracker is.
 			var streams [][][]sched.Arg
-			for _, c := range keyConfigs {
-				ops, err := Ops(Spec{Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy, NT: 32, NB: 20, Workers: 8, Seed: 1})
+			for _, spec := range keySpecs() {
+				ops, err := Ops(spec)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -254,48 +269,87 @@ func microSuite(counters *perf.Counters) []MicroBench {
 				}
 			}
 		}},
-		{Name: "CaptureEngine32", Bench: func(b *testing.B) {
-			// CaptureKeys32 without its recorder: each configuration's
-			// 1-worker runtime inserting and dispatching the stream's tasks as
-			// a capture run does. The tasks are copied from a template built
-			// once, so the op stream, the labels and the task slabs stay out
-			// of the measurement.
-			type run struct {
-				spec        Spec
-				tmpl, tasks []sched.Task
+		{Name: "CaptureColumns32", Bench: func(b *testing.B) {
+			// CaptureKeys32's rows without the tracker: each task's label and
+			// arguments rendered and its row appended, hazards resolved
+			// beforehand, then the columns finished (validation and the
+			// successor and level tables) with the ready column left unknown.
+			type resolved struct {
+				handles []int32
+				deps    []hazard.Dep
 			}
-			var runs []run
-			for _, c := range keyConfigs {
-				spec := Spec{Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy, NT: 32, NB: 20, Workers: 1, Seed: 1}
+			type stream struct {
+				spec Spec
+				ops  []factor.Op
+				rows []resolved
+			}
+			var streams []stream
+			for _, spec := range keySpecs() {
 				ops, err := Ops(spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				tmpl := make([]sched.Task, len(ops))
+				tr := hazard.NewTracker()
+				rows := make([]resolved, len(ops))
 				for i := range ops {
-					tmpl[i] = sched.Task{Class: string(ops[i].Class), Args: ops[i].SchedArgs(), Priority: ops[i].Priority}
+					_, h, d := tr.Insert(ops[i].SchedArgs())
+					rows[i] = resolved{slices.Clone(h), slices.Clone(d)}
 				}
-				runs = append(runs, run{spec, tmpl, make([]sched.Task, len(ops))})
+				streams = append(streams, stream{spec, ops, rows})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, r := range runs {
-					rt, err := NewRuntime(r.spec)
-					if err != nil {
-						b.Fatal(err)
+				for _, st := range streams {
+					nargs := 0
+					for j := range st.ops {
+						nargs += len(st.ops[j].Args)
 					}
-					body, inserted := captureBody(rt)
-					copy(r.tasks, r.tmpl)
-					for j := range r.tasks {
-						r.tasks[j].Func = body
-						if err := rt.Insert(&r.tasks[j]); err != nil {
+					pass := replay.NewPass(fmt.Sprintf("%s-%s-nt%d", st.spec.Algorithm, st.spec.Scheduler, st.spec.NT), st.spec.Workers, len(st.ops), nargs, factor.LabelBytes(st.ops))
+					var label [64]byte
+					var args []sched.Arg
+					for j := range st.ops {
+						op := &st.ops[j]
+						args = slices.Grow(args[:0], len(op.Args))[:len(op.Args)]
+						op.FillSchedArgs(args)
+						if err := pass.Row(string(op.Class), op.AppendLabel(label[:0]), op.Priority, args, st.rows[j].handles, st.rows[j].deps); err != nil {
 							b.Fatal(err)
 						}
 					}
-					inserted()
-					rt.Barrier()
-					rt.Shutdown()
+					if _, err := pass.Arena(nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}},
+		{Name: "CaptureReady32", Bench: func(b *testing.B) {
+			// CaptureKeys32's ready pass alone: each configuration's policy,
+			// built afresh as a capture builds it, driven through the
+			// 1-worker dispatch over the captured graph.
+			type graph struct {
+				spec  Spec
+				arena *replay.Arena
+			}
+			var graphs []graph
+			for _, spec := range keySpecs() {
+				arena, err := CaptureArena(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				graphs = append(graphs, graph{spec, arena})
+			}
+			ready := make([]int32, graphs[0].arena.NumTasks())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, g := range graphs {
+					cfg, err := captureConfig(g.spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := g.arena.ReadyOrder(cfg, ready); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}},
@@ -533,6 +587,16 @@ func directSpecs() []Spec {
 		for _, s := range Schedulers {
 			specs = append(specs, Spec{Algorithm: shape.alg, Scheduler: s, NT: shape.nt, NB: 8, Workers: 8, Seed: 1})
 		}
+	}
+	return specs
+}
+
+// keySpecs are CaptureKeys32's six captures: cholesky nt=32 under each of
+// keyConfigs.
+func keySpecs() []Spec {
+	specs := make([]Spec, len(keyConfigs))
+	for i, c := range keyConfigs {
+		specs[i] = Spec{Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy, NT: 32, NB: 20, Workers: 8, Seed: 1}
 	}
 	return specs
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,17 +14,23 @@ import (
 	"supersim/internal/factor"
 	"supersim/internal/replay"
 	"supersim/internal/sched"
+	"supersim/internal/sched/ompss"
+	"supersim/internal/sched/quark"
+	"supersim/internal/sched/starpu"
 	"supersim/internal/workload"
 )
 
-// CaptureArena runs the spec's op stream once through the spec's scheduler
-// and records the fully-resolved task DAG, as the arena replays execute
-// and the capture cache stores. The capture run uses one worker and no-op
-// task bodies: the DAG derives entirely from the serial insertion stream
+// CaptureArena captures the spec's task DAG, as the arena replays execute
+// and the capture cache stores, in one pass on the calling goroutine: the
+// spec's op stream goes through one hazard tracker — the one every runtime
+// resolves its hazards with — straight into the arena's columns, and the
+// ready column is stamped by driving the spec's runtime's own ready policy
+// through the 1-worker dispatch its engine performs (captureConfig). No
+// runtime is started. The DAG derives entirely from the serial stream
 // (footprints and hazard resolution), so it is independent of worker count
-// and durations, and a 1-worker run makes the recorded ready order
-// deterministic. The arena carries the spec's worker count as its default
-// replay width.
+// and durations; the frame is byte for byte the one a 1-worker run of the
+// runtime with no-op task bodies records. The arena carries the spec's
+// worker count as its default replay width.
 func CaptureArena(spec Spec) (*replay.Arena, error) {
 	buf := scratchPool.Get().(*factor.Buffers)
 	ops, err := opsIn(spec, buf)
@@ -49,68 +56,61 @@ func CaptureSpec(spec Spec) (*replay.DAG, error) {
 // handles only — whether the tiles behind the handles hold data makes no
 // difference, which TestCaptureFrameSameOverShapesAndMatrices pins.
 //
-// buf, when not nil, holds ops and is where the run's tasks are cut from;
-// captureOps owns it from then on. It goes back to scratchPool only after a
-// clean run — Shutdown has joined the worker, which an aborted engine's does
-// not, and Arena has succeeded — when nothing the arena or the runtime
-// still uses can refer to it: the recorder copied every class and label
-// into the arena's own string region. Any failure drops it.
+// buf, when not nil, holds ops; captureOps owns it from then on and puts
+// it back in scratchPool once the pass is done with the stream: the arena
+// holds copies of every class and label, and nothing else of the pass
+// refers to the ops.
 func captureOps(spec Spec, ops []factor.Op, buf *factor.Buffers) (*replay.Arena, error) {
-	capSpec := spec
-	capSpec.Workers = 1
-	rt, err := NewRuntime(capSpec)
+	if buf != nil {
+		defer func() {
+			buf.Reset()
+			scratchPool.Put(buf)
+		}()
+	}
+	cfg, err := captureConfig(spec)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := replay.Attach(rt, fmt.Sprintf("%s-%s-nt%d", spec.Algorithm, spec.Scheduler, spec.NT))
-	if err != nil {
-		rt.Shutdown()
-		return nil, err
-	}
-	if spec.Workers > 0 {
-		rec.SetWorkers(spec.Workers)
+	workers := spec.Workers
+	if workers <= 0 {
+		workers = cfg.Workers
 	}
 	nargs := 0
 	for i := range ops {
 		nargs += len(ops[i].Args)
 	}
-	rec.Reserve(len(ops), nargs, factor.LabelBytes(ops))
-	body, inserted := captureBody(rt)
-	insErr := buf.Insert(rt, nil, ops, func(_ *factor.Op, t *sched.Task) { t.Func = body })
-	inserted()
-	if insErr != nil {
-		rt.Shutdown()
-		return nil, insErr
+	pass := replay.NewPass(fmt.Sprintf("%s-%s-nt%d", spec.Algorithm, spec.Scheduler, spec.NT), workers, len(ops), nargs, factor.LabelBytes(ops))
+	var label [64]byte
+	var args []sched.Arg
+	for i := range ops {
+		op := &ops[i]
+		args = slices.Grow(args[:0], len(op.Args))[:len(op.Args)]
+		op.FillSchedArgs(args)
+		if err := pass.Task(string(op.Class), op.AppendLabel(label[:0]), op.Priority, args); err != nil {
+			return nil, err
+		}
 	}
-	rt.Barrier()
-	rt.Shutdown()
-	if err := rt.Err(); err != nil {
-		return nil, err
-	}
-	arena, err := rec.Arena()
-	if err == nil && buf != nil {
-		buf.Reset()
-		scratchPool.Put(buf)
-	}
-	return arena, err
+	return pass.Arena(&cfg)
 }
 
-// captureBody returns the task body of a 1-worker capture run on rt, and
-// the call that tells it the whole stream is in. A runtime whose master
-// only inserts (StarPU) runs the tasks on a dedicated worker, concurrently
-// with insertion; whether a task then finds its predecessors complete —
-// ready at insertion — or is released by them later, and so the recorded
-// ready order, would depend on goroutine timing. The body holds that
-// worker until the stream is in. A master that executes tasks itself
-// (QUARK, OmpSs) is the only executor of a 1-worker run and must not wait
-// for itself: its body is a no-op.
-func captureBody(rt sched.Runtime) (body sched.TaskFunc, inserted func()) {
-	m, ok := rt.(interface{ MasterParticipates() bool })
-	if !ok || m.MasterParticipates() {
-		return noopTask, func() {}
+// captureConfig is the engine configuration a capture's ready pass drives:
+// the spec's runtime at one CPU worker, built by the runtime package's own
+// constructor from the options NewRuntime gives it (runtimeOptions), so
+// the policy, the window and the master flag are the ones a 1-worker run
+// of that runtime would use. NewRuntime's retry settings have no
+// counterpart: a capture's tasks have no body to fail.
+func captureConfig(spec Spec) (sched.Config, error) {
+	q, s := runtimeOptions(spec, 1)
+	switch spec.Scheduler {
+	case "quark":
+		return quark.EngineConfig(1, q...), nil
+	case "starpu":
+		return starpu.EngineConfig(s)
+	case "ompss":
+		return ompss.EngineConfig(1), nil
+	default:
+		return sched.Config{}, fmt.Errorf("bench: unknown scheduler %q", spec.Scheduler)
 	}
-	ch := make(chan struct{})
-	return func(*sched.Ctx) { <-ch }, func() { close(ch) }
 }
 
 // ReplayIgnoresPriorities reports whether replays of the spec's scheduler
@@ -187,8 +187,8 @@ func (p *SweepPoint) Summarize(algorithm string) {
 }
 
 // SweepWall reports where a sweep's host time went: one capture per point
-// (the only scheduler runs left) and the replays. ReplayPerPoint sums the
-// replay times of each point across shards (one replay for a seed-free
+// (one pass over each point's stream) and the replays. ReplayPerPoint sums
+// the replay times of each point across shards (one replay for a seed-free
 // point) — aggregate compute time, not elapsed wall when shards overlap.
 type SweepWall struct {
 	Capture, Replay time.Duration
@@ -212,12 +212,13 @@ func ReplicaSeed(base uint64, nt, rep int) uint64 {
 }
 
 // SweepParallel runs the simulation side of a Figs. 8-10 sweep on the
-// replay engine: each (algorithm, NT) point's DAG is captured once from a
-// 1-worker scheduler run, then opt.Reps replicas per point are replayed
-// under opt.Model across opt.Shards goroutines. A point whose model draws
-// no randomness (replay.SeedFree) has the same makespan in every replica:
-// it is replayed once and the makespan copied. Results are bit-identical
-// for any shard count.
+// replay engine: each (algorithm, NT) point's DAG is captured once
+// (CaptureArena: one pass over the stream, no scheduler run, the ready
+// column from the scheduler's own policy), then opt.Reps replicas per
+// point are replayed under opt.Model across opt.Shards goroutines. A point
+// whose model draws no randomness (replay.SeedFree) has the same makespan
+// in every replica: it is replayed once and the makespan copied. Results
+// are bit-identical for any shard count.
 func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt SweepOptions) ([]SweepPoint, SweepWall, error) {
 	if opt.Model == nil {
 		return nil, SweepWall{}, fmt.Errorf("bench: SweepParallel requires a duration model")

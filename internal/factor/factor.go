@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"supersim/internal/hazard"
 	"supersim/internal/kernels"
@@ -65,10 +64,8 @@ func (o Op) Body() error {
 
 // Label renders the instance like "DTSMQR(1,2,0)" — class plus tile indices.
 func (o Op) Label() string {
-	var b strings.Builder
-	b.Grow(o.labelLen())
-	o.writeLabel(&b)
-	return b.String()
+	var b [64]byte
+	return string(o.AppendLabel(b[:0]))
 }
 
 // labelLen is len(o.Label()): class, parentheses, names, commas.
@@ -97,17 +94,17 @@ func LabelBytes(ops []Op) int {
 	return n
 }
 
-// writeLabel appends the label to b.
-func (o *Op) writeLabel(b *strings.Builder) {
-	b.WriteString(string(o.Class))
-	b.WriteByte('(')
+// AppendLabel appends the label to dst and returns the extended slice.
+func (o *Op) AppendLabel(dst []byte) []byte {
+	dst = append(dst, o.Class...)
+	dst = append(dst, '(')
 	for i, a := range o.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(a.Name)
+		dst = append(dst, a.Name...)
 	}
-	b.WriteByte(')')
+	return append(dst, ')')
 }
 
 // String renders the op in the style of the paper's Fig. 2 task listing,
@@ -126,12 +123,12 @@ func (o Op) String() string {
 // SchedArgs converts the op's arguments to scheduler arguments.
 func (o Op) SchedArgs() []sched.Arg {
 	out := make([]sched.Arg, len(o.Args))
-	o.fillSchedArgs(out)
+	o.FillSchedArgs(out)
 	return out
 }
 
-// fillSchedArgs writes the op's scheduler arguments into out (len(o.Args)).
-func (o *Op) fillSchedArgs(out []sched.Arg) {
+// FillSchedArgs writes the op's scheduler arguments into out (len(o.Args)).
+func (o *Op) FillSchedArgs(out []sched.Arg) {
 	for i, a := range o.Args {
 		out[i] = sched.Arg{Handle: a.Handle, Mode: a.Mode}
 	}

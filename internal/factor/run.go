@@ -96,8 +96,9 @@ func (b *Buffers) Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body f
 		tasks, args := b.cut(len(block), nargs)
 		var lb strings.Builder
 		lb.Grow(nlabel)
+		var label [64]byte
 		for i := range block {
-			block[i].writeLabel(&lb)
+			lb.Write(block[i].AppendLabel(label[:0]))
 		}
 		labels := lb.String()
 		for i := range block {
@@ -106,7 +107,7 @@ func (b *Buffers) Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body f
 			t.Class = string(op.Class)
 			t.Label, labels = labels[:n], labels[n:]
 			t.Args = slab.Carve(&args, len(op.Args))
-			op.fillSchedArgs(t.Args)
+			op.FillSchedArgs(t.Args)
 			t.Priority = op.Priority
 			body(op, t)
 			if err := rt.Insert(t); err != nil {

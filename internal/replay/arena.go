@@ -120,11 +120,12 @@ func (a *Arena) Label() string { return a.label }
 func (a *Arena) HasDurations() bool { return a.hasDur }
 
 // builder fills an arena's columns one task at a time. It is the one
-// column-filling path: the Recorder drives it from the engine's observer
-// callbacks as a capture runs, BuildArena from the tasks of a hand-built or
-// edited DAG, so both produce the same columns, the same string table —
+// column-filling path: a Pass drives it from the hazard tracker as a stream
+// goes in, the Recorder from the engine's observer callbacks as a capture
+// run goes, BuildArena from the tasks of a hand-built or edited DAG, so all
+// three produce the same columns, the same string table —
 // strings are interned in the order class, label per task, the DAG label
-// last — and so the same .dag frame, and both end in the validation Load
+// last — and so the same .dag frame, and all end in the validation Load
 // applies to a frame (validateColumns). The appending methods refuse only
 // what a column cannot hold.
 //
@@ -133,9 +134,13 @@ func (a *Arena) HasDurations() bool { return a.hasDur }
 // region the bytes it announces, so a stream of known size never regrows
 // them; the dependence columns get the caller's estimate and may grow.
 type builder struct {
-	a      *Arena
-	strIdx map[string]int32 // interned string -> index in the string table
-	strBuf []byte           // the string region; a.strs once finished
+	a *Arena
+	// slots indexes the string table for intern: open addressing with
+	// linear probing, a slot holding 1 + a string's index, 0 when empty.
+	// It holds no string — a probe compares against the region — so it
+	// is one pointer-free array, kept at most half full.
+	slots  *[]int32
+	strBuf []byte // the string region; a.strs once finished
 }
 
 // newBuilder returns a builder with room for tasks tasks declaring feet
@@ -170,32 +175,65 @@ func newBuilder(tasks, feet, edges, strBytes int) *builder {
 		depKind:  u8[tasks+feet : tasks+feet],
 		duration: make([]float64, 0, tasks),
 	}
-	strIdx, ok := internPool.Get().(map[string]int32)
-	if !ok {
-		strIdx = make(map[string]int32, tasks+internSlack)
+	b := &builder{a: a, strBuf: make([]byte, 0, strBytes)}
+	b.slots, _ = slotPool.Get().(*[]int32)
+	if b.slots == nil {
+		b.slots = new([]int32)
 	}
-	return &builder{
-		a:      a,
-		strIdx: strIdx,
-		strBuf: make([]byte, 0, strBytes),
-	}
+	b.sizeSlots(strs)
+	return b
 }
 
 // internSlack is the room the string table gets beyond one label per task.
 const internSlack = 8
 
-// internPool recycles the builders' intern maps, which die with the build:
-// finish empties its builder's map and puts it here, so a capture's map is
-// usually a previous capture's, grown to the largest stream it has seen.
-// The arena never refers to the map: its strings are copies in its own
+// slotPool recycles the builders' intern slots, which die with the build:
+// finish puts its builder's slots here, so a capture's slots are usually a
+// previous capture's array. Pooled memory lives at most two GC cycles.
+var slotPool sync.Pool
+
+// sizeSlots makes the slots an empty table with room for strings strings
+// at most half full, keeping the array when it is large enough.
+//
+//simlint:hotpath
+func (b *builder) sizeSlots(strings int) {
+	n := 16
+	for n < 2*strings {
+		n *= 2
+	}
+	slots := (*b.slots)[:0]
+	for range n {
+		push(&slots, 0)
+	}
+	*b.slots = slots
+}
+
+// strHash is the FNV-1a hash of s, intern's slot hash.
+//
+//simlint:hotpath
+func strHash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// interned returns string i of the table under construction, aliasing the
 // region.
-var internPool sync.Pool
+//
+//simlint:hotpath
+func (b *builder) interned(i int32) string {
+	off, end := b.a.strOff[i], b.a.strOff[i+1]
+	return unsafe.String(unsafe.SliceData(b.strBuf[off:]), end-off)
+}
 
 // push appends v to a column.
 //
 //simlint:hotpath
 func push[T int32 | uint8 | float64](col *[]T, v T) {
-	//simlint:allow hotalloc — the builder's columns are pre-sized (Reserve, or BuildArena's count); only an unannounced or outgrown stream regrows one
+	//simlint:allow hotalloc — the builder's columns and intern slots are pre-sized (NewPass, or BuildArena's count); only an unannounced or outgrown stream, or an empty slot pool, grows one
 	*col = append(*col, v)
 }
 
@@ -208,18 +246,48 @@ func clampI32(v int) int32 {
 }
 
 // intern returns the string table index of s, adding it on first sight.
+// The table keeps no reference to s: a caller may pass a string over bytes
+// it reuses afterwards (Pass.Task's label).
 //
 //simlint:hotpath
 func (b *builder) intern(s string) int32 {
-	if i, ok := b.strIdx[s]; ok {
-		return i
+	n := int32(b.a.NumStrings())
+	if 2*int(n+1) > len(*b.slots) {
+		b.rehash(int(n + 1))
 	}
-	i := int32(b.a.NumStrings())
-	b.strIdx[s] = i
-	//simlint:allow hotalloc — the region is pre-sized to the stream's string bytes (Reserve, or BuildArena's sum); only an unannounced stream regrows it
-	b.strBuf = append(b.strBuf, s...)
-	push(&b.a.strOff, int32(len(b.strBuf)))
-	return i
+	slots := *b.slots
+	mask := uint64(len(slots) - 1)
+	for j := strHash(s) & mask; ; j = (j + 1) & mask {
+		v := slots[j]
+		if v == 0 {
+			slots[j] = n + 1
+			//simlint:allow hotalloc — the region is pre-sized to the stream's string bytes (NewPass, or BuildArena's sum); only an unannounced stream regrows it
+			b.strBuf = append(b.strBuf, s...)
+			push(&b.a.strOff, int32(len(b.strBuf)))
+			return n
+		}
+		if b.interned(v-1) == s {
+			return v - 1
+		}
+	}
+}
+
+// rehash regrows the slots for strings strings and reinserts the table:
+// a stream that announced fewer strings than it has.
+//
+//simlint:hotpath
+func (b *builder) rehash(strings int) {
+	*b.slots = nil // sizeSlots grows a new array
+	b.sizeSlots(2 * strings)
+	slots := *b.slots
+	mask := uint64(len(slots) - 1)
+	for i := range int32(b.a.NumStrings()) {
+		j := strHash(b.interned(i)) & mask
+		for slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		slots[j] = i + 1
+	}
 }
 
 // task opens the next task's row: no ready stamp, no duration, and empty
@@ -281,11 +349,9 @@ func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
 	a.workers = workers
 	a.handles = handles
 	a.labelStr = b.intern(label) // the codec stores the DAG label by table index
-	// That was the last string: the map's keys alias the callers' labels,
-	// so it is emptied before anyone else gets it.
-	clear(b.strIdx)
-	internPool.Put(b.strIdx)
-	b.strIdx = nil
+	// That was the last string.
+	slotPool.Put(b.slots)
+	b.slots = nil
 	if len(b.strBuf) > math.MaxInt32 {
 		return nil, fmt.Errorf("replay: %d bytes of strings overflow the int32 string offsets", len(b.strBuf))
 	}

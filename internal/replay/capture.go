@@ -31,7 +31,7 @@ type Recorder struct {
 	workers int
 
 	mu       sync.Mutex
-	b        *builder // guarded-by: mu — the arena under construction: made by Reserve or the first task, dropped by Arena()
+	b        *builder // guarded-by: mu — the arena under construction: made by the first task, dropped by Arena()
 	handles  int      // guarded-by: mu — distinct data handles seen (the ids are dense: highest + 1)
 	readySeq int32    // guarded-by: mu
 	arena    *Arena   // guarded-by: mu — the finished capture
@@ -42,8 +42,7 @@ type Recorder struct {
 // observer. rt must expose the shared engine's SetObserver (all three
 // scheduler reproductions do; decorated runtimes such as the fault
 // injector's do not). label names the resulting DAG; "" uses rt.Name().
-// The DAG's default replay width is rt's worker count unless SetWorkers
-// says otherwise.
+// The DAG's default replay width is rt's worker count.
 func Attach(rt sched.Runtime, label string) (*Recorder, error) {
 	o, ok := rt.(observable)
 	if !ok {
@@ -55,32 +54,6 @@ func Attach(rt sched.Runtime, label string) (*Recorder, error) {
 	r := &Recorder{label: label, workers: rt.NumWorkers()}
 	o.SetObserver(r)
 	return r, nil
-}
-
-// SetWorkers sets the captured DAG's default replay width, for a capture
-// that runs on fewer workers than the graph is meant to be replayed on (a
-// 1-worker capture makes the recorded ready order deterministic). Call it
-// before Arena().
-func (r *Recorder) SetWorkers(workers int) {
-	r.mu.Lock()
-	r.workers = workers
-	r.mu.Unlock()
-}
-
-// Reserve pre-sizes the columns for a stream of known size: tasks tasks
-// declaring args arguments between them, whose distinct class and label
-// strings take labelBytes bytes (each string counted once, as the table
-// interns it). The per-task columns, the footprint columns and the string
-// table — offsets and bytes, the DAG label added here — then never regrow.
-// The dependence columns get the room of the footprints — the tile
-// algorithms resolve just under one edge per argument — and grow if a
-// stream resolves more.
-func (r *Recorder) Reserve(tasks, args, labelBytes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.b == nil && r.arena == nil && tasks > 0 {
-		r.b = newBuilder(tasks, args, args, labelBytes+len(r.label))
-	}
 }
 
 // TaskInserted implements sched.Observer: it appends the task's row —
@@ -97,7 +70,7 @@ func (r *Recorder) TaskInserted(t *sched.Task, handles []int32, deps []sched.Dep
 		return
 	}
 	if r.b == nil {
-		//simlint:allow hotalloc — first task of a capture nobody called Reserve for
+		//simlint:allow hotalloc — first task of the capture: the columns start empty and grow
 		r.b = newBuilder(0, 0, 0, 0)
 	}
 	if t.ID() != r.b.a.n {

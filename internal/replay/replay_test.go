@@ -372,11 +372,17 @@ func TestRunRejectsGangAndMissingDurations(t *testing.T) {
 	}
 }
 
-// captureChain records n tasks that each read one handle and update
-// another (two footprints and up to two dependences per task), after
-// reserving room for reserveTasks tasks, reserveArgs arguments and
-// reserveBytes bytes of class and label strings.
-func captureChain(t *testing.T, n, reserveTasks, reserveArgs, reserveBytes int) (*Recorder, *DAG) {
+// chainArgs is task i's arguments in the chains below: read one handle
+// and update another (two footprints and up to two dependences per task).
+func chainArgs(i int, a, b *int) []sched.Arg {
+	if i%3 == 0 {
+		return []sched.Arg{sched.RW(a), sched.R(b)}
+	}
+	return []sched.Arg{sched.R(a), sched.RW(b)}
+}
+
+// captureChain records n chain tasks from an engine run.
+func captureChain(t *testing.T, n int) (*Recorder, *DAG) {
 	t.Helper()
 	e, err := sched.NewEngine(sched.Config{Workers: 1, Policy: sched.NewFIFOPolicy(), Name: "chain"})
 	if err != nil {
@@ -386,14 +392,9 @@ func captureChain(t *testing.T, n, reserveTasks, reserveArgs, reserveBytes int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Reserve(reserveTasks, reserveArgs, reserveBytes)
 	a, b := new(int), new(int)
 	for i := 0; i < n; i++ {
-		args := []sched.Arg{sched.R(a), sched.RW(b)}
-		if i%3 == 0 {
-			args = []sched.Arg{sched.RW(a), sched.R(b)}
-		}
-		if err := e.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Args: args, Func: func(*sched.Ctx) {}}); err != nil {
+		if err := e.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Args: chainArgs(i, a, b), Func: func(*sched.Ctx) {}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,6 +405,25 @@ func captureChain(t *testing.T, n, reserveTasks, reserveArgs, reserveBytes int) 
 		t.Fatal(err)
 	}
 	return rec, dag
+}
+
+// passChain captures n chain tasks in a Pass told to expect tasks tasks,
+// args arguments and labelBytes bytes of class and label strings, with the
+// ready order of a 1-worker FIFO engine.
+func passChain(t *testing.T, n, tasks, args, labelBytes int) *Arena {
+	t.Helper()
+	p := NewPass("chain", 1, tasks, args, labelBytes)
+	a, b := new(int), new(int)
+	for i := 0; i < n; i++ {
+		if err := p.Task("K", []byte(fmt.Sprint("k", i)), 0, chainArgs(i, a, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arena, err := p.Arena(&sched.Config{Workers: 1, MasterParticipates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arena
 }
 
 // chainStringBytes is the labelBytes of n tasks of class "K" labelled k0,
@@ -417,23 +437,22 @@ func chainStringBytes(n int) int {
 }
 
 func TestRecorderSlabsAndOwnership(t *testing.T) {
-	// The columns are pre-sized by Reserve: the capture must not depend on
-	// how much was reserved — nothing, too little (columns regrow mid-run,
-	// each on its own), or exactly.
+	// The columns are pre-sized by NewPass: the capture must not depend on
+	// how much was announced — nothing, too little (columns regrow
+	// mid-stream, each on its own), or exactly.
 	const n = 300
-	_, want := captureChain(t, n, 0, 0, 0)
+	want := passChain(t, n, 0, 0, 0).DAG()
 	if err := want.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	strBytes := chainStringBytes(n)
 	for _, r := range []struct{ tasks, args, bytes int }{{1, 1, 1}, {n, 2 * n, strBytes}} {
-		_, got := captureChain(t, n, r.tasks, r.args, r.bytes)
-		if !reflect.DeepEqual(got.Tasks, want.Tasks) {
-			t.Errorf("Reserve(%d, %d, %d) changed the captured graph", r.tasks, r.args, r.bytes)
+		if got := passChain(t, n, r.tasks, r.args, r.bytes).DAG(); !reflect.DeepEqual(got.Tasks, want.Tasks) {
+			t.Errorf("NewPass sized (%d, %d, %d) changed the captured graph", r.tasks, r.args, r.bytes)
 		}
 	}
 	// Appending to one task's lists must not spill into its neighbour's.
-	_, dag := captureChain(t, n, n, 2*n, strBytes)
+	dag := passChain(t, n, n, 2*n, strBytes).DAG()
 	next := dag.Tasks[6].Footprint[0]
 	_ = append(dag.Tasks[5].Footprint, Footprint{Handle: 99})
 	if dag.Tasks[6].Footprint[0] != next {
@@ -441,7 +460,7 @@ func TestRecorderSlabsAndOwnership(t *testing.T) {
 	}
 	// Arena() finishes the capture once: every later call returns the same
 	// arena, each DAG() a view of it, and late callbacks do not reach it.
-	rec, dag := captureChain(t, 4, 0, 0, 0)
+	rec, dag := captureChain(t, 4)
 	arena, err := rec.Arena()
 	if err != nil {
 		t.Fatal(err)
@@ -461,30 +480,20 @@ func TestRecorderSlabsAndOwnership(t *testing.T) {
 	}
 }
 
-// TestExactReserveKeepsOneStringRegion: a capture told its string bytes
-// writes every class and label into the region Reserve made — never
+// TestExactReserveKeepsOneStringRegion: a pass told its string bytes
+// writes every class and label into the region NewPass made — never
 // regrown — and the finished arena's strings are that region.
 func TestExactReserveKeepsOneStringRegion(t *testing.T) {
 	const n = 200
-	e, err := sched.NewEngine(sched.Config{Workers: 1, Policy: sched.NewFIFOPolicy(), Name: "labels"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Attach(e, "labels")
-	if err != nil {
-		t.Fatal(err)
-	}
 	strBytes := chainStringBytes(n)
-	rec.Reserve(n, 0, strBytes)
-	region := unsafe.SliceData(rec.b.strBuf)
+	p := NewPass("labels", 1, n, 0, strBytes)
+	region := unsafe.SliceData(p.b.strBuf)
 	for i := 0; i < n; i++ {
-		if err := e.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Func: func(*sched.Ctx) {}}); err != nil {
+		if err := p.Task("K", []byte(fmt.Sprint("k", i)), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Barrier()
-	e.Shutdown()
-	a, err := rec.Arena()
+	a, err := p.Arena(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +505,7 @@ func TestExactReserveKeepsOneStringRegion(t *testing.T) {
 // TestMultiWorkerCaptureWithCompletionHook: on several workers the three
 // callbacks arrive from different goroutines — insertions and readiness
 // under the engine mutex, completions from whichever worker finished, with
-// no Reserve so the columns regrow while the hook writes into them. The
+// columns that start empty and regrow while the hook writes into them. The
 // capture must still hold every task's observed duration and a ready order
 // that is a topological permutation. Meaningful under -race.
 func TestMultiWorkerCaptureWithCompletionHook(t *testing.T) {

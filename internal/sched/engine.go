@@ -246,11 +246,6 @@ func (e *Engine) NumWorkers() int { return e.cfg.Workers }
 // WorkerKind implements Runtime.
 func (e *Engine) WorkerKind(w int) WorkerKind { return e.cfg.Kinds[w] }
 
-// MasterParticipates reports whether the inserting goroutine executes
-// tasks itself (as worker 0, in Barrier and while blocked on a full
-// window) or every task runs on a dedicated worker goroutine.
-func (e *Engine) MasterParticipates() bool { return e.cfg.MasterParticipates }
-
 // park blocks worker w on its own condition variable until a wakeup is
 // directed at it. Caller holds e.mu; the parked flag is set before waiting
 // under the same lock acquisition, so a push that happens after this
@@ -518,16 +513,7 @@ func (e *Engine) stoppedLocked() error {
 // pushReady makes t available to workers. Caller holds e.mu. by is the
 // worker whose completion released t, or -1 for direct insertion.
 func (e *Engine) pushReady(t *Task, by int) {
-	// Data-locality affinity: prefer the worker that last wrote the
-	// task's first read operand (QUARK-style cache affinity).
-	for i, a := range t.Args {
-		if a.Mode&hazard.Read != 0 {
-			if w := e.owner[t.handles[i]]; w >= 0 {
-				t.affinity = int(w)
-			}
-			break
-		}
-	}
+	t.affinity = readAffinity(t.Args, argMode, t.handles, e.owner)
 	t.seq = e.seq
 	e.seq++
 	if e.obs != nil {
@@ -551,11 +537,7 @@ func (e *Engine) complete(t *Task, w int, ctx *Ctx) {
 	e.stats.TasksCompleted++
 	e.stats.TasksPerWorker[w]++
 	e.outstanding--
-	for i, a := range t.Args {
-		if a.Mode&hazard.Write != 0 {
-			e.owner[t.handles[i]] = int32(w)
-		}
-	}
+	recordWrites(t.Args, argMode, t.handles, e.owner, w)
 	e.live[t.id-e.liveBase] = nil
 	for e.liveHead < len(e.live) && e.live[e.liveHead] == nil {
 		e.liveHead++

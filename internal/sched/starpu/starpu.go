@@ -70,11 +70,28 @@ var _ sched.Runtime = (*Scheduler)(nil)
 
 // New starts a StarPU scheduler.
 func New(conf Conf) (*Scheduler, error) {
-	if conf.NCPUs < 0 || conf.NCPUs+conf.NAccelerators < 1 {
-		return nil, fmt.Errorf("starpu: invalid worker configuration %d CPUs + %d accelerators", conf.NCPUs, conf.NAccelerators)
+	cfg, err := EngineConfig(conf)
+	if err != nil {
+		return nil, err
+	}
+	e, err := sched.NewEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if conf.Policy == "" {
 		conf.Policy = PolicyEager
+	}
+	s := &Scheduler{Engine: e, policy: conf.Policy}
+	e.SetSelf(s)
+	return s, nil
+}
+
+// EngineConfig is the engine configuration New starts, with a fresh
+// policy, for callers that drive the policy without starting an engine
+// (sched.ReadyOrder).
+func EngineConfig(conf Conf) (sched.Config, error) {
+	if conf.NCPUs < 0 || conf.NCPUs+conf.NAccelerators < 1 {
+		return sched.Config{}, fmt.Errorf("starpu: invalid worker configuration %d CPUs + %d accelerators", conf.NCPUs, conf.NAccelerators)
 	}
 	workers := conf.NCPUs + conf.NAccelerators
 	kinds := make([]sched.WorkerKind, workers)
@@ -87,7 +104,7 @@ func New(conf Conf) (*Scheduler, error) {
 	}
 	var pol sched.Policy
 	switch conf.Policy {
-	case PolicyEager:
+	case "", PolicyEager:
 		pol = sched.NewFIFOPolicy()
 	case PolicyPrio:
 		pol = sched.NewPriorityPolicy()
@@ -96,21 +113,15 @@ func New(conf Conf) (*Scheduler, error) {
 	case PolicyDM:
 		pol = sched.NewDMPolicy(kinds, conf.CostModel)
 	default:
-		return nil, fmt.Errorf("starpu: unknown scheduling policy %q", conf.Policy)
+		return sched.Config{}, fmt.Errorf("starpu: unknown scheduling policy %q", conf.Policy)
 	}
-	e, err := sched.NewEngine(sched.Config{
+	return sched.Config{
 		Name:               "starpu",
 		Workers:            workers,
 		Policy:             pol,
 		Kinds:              kinds,
 		MasterParticipates: false,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &Scheduler{Engine: e, policy: conf.Policy}
-	e.SetSelf(s)
-	return s, nil
+	}, nil
 }
 
 // Policy returns the active scheduling policy name.
