@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -625,7 +626,9 @@ func failoverRedispatchDedupe(t *testing.T, spec server.JobSpec, extra int) {
 }
 
 // TestClusterMetricsAggregation checks the /metrics merge: job counts and
-// latency observations from several workers sum into one document.
+// latency observations from several workers sum into one document, and
+// the coordinator's latency bins are the bin-wise sums of the workers'
+// own /metrics.
 func TestClusterMetricsAggregation(t *testing.T) {
 	w1, w2 := newTestWorker(t, ""), newTestWorker(t, "")
 	c, hs := newTestCoordinator(t, "", w1, w2)
@@ -649,6 +652,33 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 	if m.Run.MeanMS <= 0 || m.Run.P95MS < m.Run.P50MS {
 		t.Fatalf("merged run latency implausible: %+v", m.Run)
+	}
+	var own [2]server.MetricsSnapshot
+	getJSON(t, w1.http.URL+"/metrics", &own[0])
+	getJSON(t, w2.http.URL+"/metrics", &own[1])
+	for _, s := range []struct {
+		name   string
+		merged server.LatencyStats
+		parts  [2]server.LatencyStats
+	}{
+		{"run", m.Run, [2]server.LatencyStats{own[0].Run, own[1].Run}},
+		{"queue_wait", m.QueueWait, [2]server.LatencyStats{own[0].QueueWait, own[1].QueueWait}},
+	} {
+		want, got := map[float64]int{}, map[float64]int{}
+		for _, p := range s.parts {
+			for _, b := range p.Histogram {
+				want[b.LoMS] += b.Count
+			}
+		}
+		for _, b := range s.merged.Histogram {
+			got[b.LoMS] += b.Count
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("coordinator %s bins %v, the workers' summed %v", s.name, got, want)
+		}
+		if n := s.parts[0].Count + s.parts[1].Count; s.merged.Count != n {
+			t.Fatalf("coordinator %s count %d, the workers' summed %d", s.name, s.merged.Count, n)
+		}
 	}
 	if m.Live != 2 {
 		t.Fatalf("live = %d, want 2", m.Live)

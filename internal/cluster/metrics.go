@@ -5,14 +5,14 @@ import (
 	"time"
 
 	"supersim/internal/server"
-	"supersim/internal/stats"
 )
 
 // MetricsSnapshot is the coordinator's /metrics document: its own control
 // counters plus the cluster-wide aggregation of every live worker's
 // /metrics. Cache counters sum (so "captures" across the cluster reads
-// exactly like a single node's), and latency histograms merge via
-// stats.MergeHistograms with quantiles re-derived from the merged bins.
+// exactly like a single node's), and latency histograms merge bin by bin
+// on the shared bucket table (server.MergeLatency), so the cluster's
+// quantiles are those of one node that had run every worker's jobs.
 type MetricsSnapshot struct {
 	UptimeMS   float64        `json:"uptime_ms"`
 	Workers    []WorkerStatus `json:"workers"`
@@ -110,92 +110,7 @@ func (c *Coordinator) Metrics() MetricsSnapshot {
 		queueWaits = append(queueWaits, m.QueueWait)
 		runs = append(runs, m.Run)
 	}
-	snap.QueueWait = mergeLatency(queueWaits)
-	snap.Run = mergeLatency(runs)
+	snap.QueueWait = server.MergeLatency(queueWaits...)
+	snap.Run = server.MergeLatency(runs...)
 	return snap
-}
-
-// histFromBins reconstructs a stats.Histogram from its JSON bin form.
-func histFromBins(bins []server.HistogramBin) *stats.Histogram {
-	if len(bins) == 0 {
-		return nil
-	}
-	h := &stats.Histogram{
-		Lo:     bins[0].LoMS,
-		Hi:     bins[len(bins)-1].HiMS,
-		Counts: make([]int, len(bins)),
-		Edges:  make([]float64, len(bins)+1),
-	}
-	h.Width = (h.Hi - h.Lo) / float64(len(bins))
-	for i, b := range bins {
-		h.Counts[i] = b.Count
-		h.Edges[i] = b.LoMS
-		h.N += b.Count
-	}
-	h.Edges[len(bins)] = bins[len(bins)-1].HiMS
-	return h
-}
-
-// clusterLatencyBins matches the workers' per-series bin count.
-const clusterLatencyBins = 10
-
-// mergeLatency folds several workers' latency series into one: counts
-// sum, means combine weighted by retained-sample mass, the max is the max
-// of maxes, and the histogram (with its p50/p95) is the stats.Histogram
-// merge of the per-worker histograms — exact for identical bin edges,
-// mass-preserving rebinning otherwise.
-func mergeLatency(series []server.LatencyStats) server.LatencyStats {
-	var out server.LatencyStats
-	var hs []*stats.Histogram
-	var weighted, mass float64
-	for _, s := range series {
-		out.Count += s.Count
-		if s.MaxMS > out.MaxMS {
-			out.MaxMS = s.MaxMS
-		}
-		h := histFromBins(s.Histogram)
-		if h == nil {
-			continue
-		}
-		hs = append(hs, h)
-		// Weight the mean by the histogram mass (the retained window), not
-		// the lifetime count: both sides of the average cover the same
-		// samples.
-		weighted += s.MeanMS * float64(h.N)
-		mass += float64(h.N)
-	}
-	merged := stats.MergeHistograms(hs, clusterLatencyBins)
-	if merged == nil {
-		return out
-	}
-	if mass > 0 {
-		out.MeanMS = weighted / mass
-	}
-	out.P50MS = histQuantile(merged, 0.50)
-	out.P95MS = histQuantile(merged, 0.95)
-	out.Histogram = make([]server.HistogramBin, len(merged.Counts))
-	for i, n := range merged.Counts {
-		out.Histogram[i] = server.HistogramBin{LoMS: merged.Edges[i], HiMS: merged.Edges[i+1], Count: n}
-	}
-	return out
-}
-
-// histQuantile reads quantile q off a histogram by linear interpolation
-// within the bin where the cumulative mass crosses q — the resolution the
-// merged representation supports.
-func histQuantile(h *stats.Histogram, q float64) float64 {
-	if h == nil || h.N == 0 {
-		return 0
-	}
-	target := q * float64(h.N)
-	cum := 0.0
-	for i, n := range h.Counts {
-		next := cum + float64(n)
-		if next >= target && n > 0 {
-			frac := (target - cum) / float64(n)
-			return h.Edges[i] + frac*(h.Edges[i+1]-h.Edges[i])
-		}
-		cum = next
-	}
-	return h.Edges[len(h.Edges)-1]
 }

@@ -65,7 +65,7 @@ func (p *rngPool) forWorker(w int) *rng.Source {
 	defer p.mu.Unlock()
 	src, ok := p.sources[w]
 	if !ok {
-		src = rng.New(p.seed ^ (0x9e3779b97f4a7c15 * (uint64(w) + 1)))
+		src = rng.New(rng.WorkerSeed(p.seed, w))
 		p.sources[w] = src
 	}
 	return src

@@ -711,7 +711,7 @@ type serialRun struct {
 func (r *serialRun) source(w int32) *rng.Source {
 	sc := r.sc
 	if !sc.seeded[w] {
-		seed := r.opt.Seed ^ (seedMix * (uint64(w) + 1))
+		seed := rng.WorkerSeed(r.opt.Seed, int(w))
 		if sc.sources[w] == nil {
 			//simlint:allow hotalloc — one Source per worker per pooled scratch, created on first use and reseeded ever after
 			sc.sources[w] = rng.New(seed)

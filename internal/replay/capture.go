@@ -31,7 +31,7 @@ type Recorder struct {
 	workers int
 
 	mu       sync.Mutex
-	b        *builder // guarded-by: mu — the arena under construction: made by the first task, dropped by Arena()
+	b        *builder // guarded-by: mu — the arena under construction: made by Attach, dropped by Arena()
 	handles  int      // guarded-by: mu — distinct data handles seen (the ids are dense: highest + 1)
 	readySeq int32    // guarded-by: mu
 	arena    *Arena   // guarded-by: mu — the finished capture
@@ -51,7 +51,7 @@ func Attach(rt sched.Runtime, label string) (*Recorder, error) {
 	if label == "" {
 		label = rt.Name()
 	}
-	r := &Recorder{label: label, workers: rt.NumWorkers()}
+	r := &Recorder{label: label, workers: rt.NumWorkers(), b: newBuilder(0, 0, 0, 0)}
 	o.SetObserver(r)
 	return r, nil
 }
@@ -68,10 +68,6 @@ func (r *Recorder) TaskInserted(t *sched.Task, handles []int32, deps []sched.Dep
 	defer r.mu.Unlock()
 	if r.err != nil || r.arena != nil {
 		return
-	}
-	if r.b == nil {
-		//simlint:allow hotalloc — first task of the capture: the columns start empty and grow
-		r.b = newBuilder(0, 0, 0, 0)
 	}
 	if t.ID() != r.b.a.n {
 		//simlint:allow hotalloc — refusal path: the capture ends here

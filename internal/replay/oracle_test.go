@@ -76,7 +76,7 @@ func oracleRun(d *DAG, opt Options) *trace.Trace {
 		dur := d.Tasks[id].Duration
 		if opt.Model != nil {
 			if sources[w] == nil {
-				sources[w] = rng.New(opt.Seed ^ (seedMix * (uint64(w) + 1)))
+				sources[w] = rng.New(opt.Seed ^ (0x9e3779b97f4a7c15 * (uint64(w) + 1)))
 			}
 			dur = math.Max(0, opt.Model.Duration(d.Tasks[id].Class, sched.KindCPU, sources[w]))
 		}

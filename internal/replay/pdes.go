@@ -224,7 +224,7 @@ func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 		pl.sources = grown
 	}
 	for w := 0; w < workers; w++ {
-		seed := opt.Seed ^ (seedMix * (uint64(w) + 1))
+		seed := rng.WorkerSeed(opt.Seed, w)
 		if pl.sources[w] == nil {
 			pl.sources[w] = rng.New(seed)
 		} else {

@@ -63,6 +63,14 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
+// WorkerSeed derives worker w's sampling-stream seed from a run's seed.
+// It is the one derivation the direct simulation and every replay use, so
+// a replay on one worker draws the samples of the direct run with the same
+// seed.
+func WorkerSeed(seed uint64, w int) uint64 {
+	return seed ^ (0x9e3779b97f4a7c15 * (uint64(w) + 1))
+}
+
 // Split returns a new Source whose stream is independent from s.
 // It consumes one value from s.
 func (s *Source) Split() *Source {

@@ -365,10 +365,10 @@ type Job struct {
 	// out is the job's durable outcome, held in its record's own form:
 	// Attempts counts executions (retries included), Cache is "hit", "disk",
 	// "peer", "miss", "bypass" or "".
-	out       JobOutcome // guarded-by: mu
-	retryable bool       // guarded-by: mu
-	queueWait float64    // guarded-by: mu — seconds
-	runTime   float64    // guarded-by: mu — seconds
+	out       JobOutcome    // guarded-by: mu
+	retryable bool          // guarded-by: mu
+	queueWait time.Duration // guarded-by: mu
+	runTime   time.Duration // guarded-by: mu
 	// trace is a direct job's retained rep-0 trace: the real scheduler's
 	// schedule races, so it cannot be had again. Cached jobs leave it nil —
 	// theirs is a pure function of the spec and the captured graph, and
@@ -440,8 +440,8 @@ func (j *Job) view() JobView {
 		Attempts:    j.out.Attempts,
 		Recovered:   j.recovered,
 		Source:      j.source,
-		QueueWaitNS: int64(j.queueWait * 1e9),
-		RunNS:       int64(j.runTime * 1e9),
+		QueueWaitNS: int64(j.queueWait),
+		RunNS:       int64(j.runTime),
 		Error:       j.out.Error,
 		Retryable:   j.retryable,
 		HasTrace:    j.servesTraceLocked(),

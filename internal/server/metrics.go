@@ -1,18 +1,18 @@
 package server
 
 import (
+	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"supersim/internal/perf"
-	"supersim/internal/stats"
 )
 
 // metrics aggregates the service counters exposed by /metrics: job
-// lifecycle counts, capture-cache effectiveness and latency samples.
-// Producers (HTTP handlers, pool workers) update atomics and bounded
-// sample rings; Snapshot assembles a JSON-ready document.
+// lifecycle counts, capture-cache effectiveness and latency histograms.
+// Producers (HTTP handlers, pool workers) update atomics only; Snapshot
+// assembles a JSON-ready document.
 type metrics struct {
 	submitted   atomic.Uint64
 	done        atomic.Uint64
@@ -31,119 +31,166 @@ type metrics struct {
 
 	framesServed atomic.Uint64 // .dag frames served to cluster peers
 
-	queueWait sampleRing // seconds from submit to worker pickup
-	runTime   sampleRing // seconds from pickup to completion
+	queueWait latencySeries // submit to worker pickup
+	runTime   latencySeries // pickup to completion
 }
 
-// sampleRing keeps the most recent maxLatencySamples observations for
-// histogram/quantile reporting, plus lifetime count. Bounded so a
-// long-running daemon's metrics memory stays constant.
-type sampleRing struct {
-	mu    sync.Mutex
-	buf   []float64 // guarded-by: mu
-	next  int       // guarded-by: mu
-	total uint64    // guarded-by: mu — lifetime observation count
-}
+// The one latency bucket table: log-spaced edges from 1 µs up to about
+// 1 h, latencyPerDecade to a decade, so consecutive edges differ by the
+// ratio 10^(1/25) ≈ 1.096. Bucket 0 is the underflow [0, 1 µs), bucket i
+// is [latencyEdgesMS[i-1], latencyEdgesMS[i]), and bucket latencyEdges
+// the overflow from the top edge up. Every series on every worker, tenant
+// and coordinator bins on it, so two series merge by adding counts.
+const (
+	latencyPerDecade = 25
+	latencyEdges     = 240 // 10^-3 ms .. 10^6.56 ms ≈ 1.01 h
+	latencyBuckets   = latencyEdges + 1
+)
 
-const maxLatencySamples = 4096
-
-func (r *sampleRing) observe(v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < maxLatencySamples {
-		r.buf = append(r.buf, v)
-	} else {
-		r.buf[r.next] = v
-		r.next = (r.next + 1) % maxLatencySamples
+var latencyEdgesMS = func() (e [latencyEdges]float64) {
+	for k := range e {
+		e[k] = math.Pow(10, float64(k-3*latencyPerDecade)/latencyPerDecade)
 	}
-	r.total++
+	return e
+}()
+
+// latencyBucket returns the bucket holding ms: the number of edges at or
+// below it.
+func latencyBucket(ms float64) int {
+	return sort.Search(latencyEdges, func(i int) bool { return latencyEdgesMS[i] > ms })
 }
 
-// snapshot copies the retained samples.
-func (r *sampleRing) snapshot() ([]float64, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]float64(nil), r.buf...), r.total
-}
-
-// rangeMS returns the min/max of the retained samples in milliseconds
-// (0, 0 when empty) — the shared bin range for per-tenant histograms.
-func (r *sampleRing) rangeMS() (lo, hi float64) {
-	xs, _ := r.snapshot()
-	if len(xs) == 0 {
-		return 0, 0
+// latencyBounds returns bucket i's edges in milliseconds. The underflow
+// starts at 0; the overflow ends at maxMS, the largest observation.
+func latencyBounds(i int, maxMS float64) (lo, hi float64) {
+	if i > 0 {
+		lo = latencyEdgesMS[i-1]
 	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
+	if i < latencyEdges {
+		return lo, latencyEdgesMS[i]
+	}
+	return lo, maxMS
+}
+
+// latencySeries is one lifetime latency histogram on the bucket table,
+// plus the exact sum and max. observe is lock-free and allocation-free.
+type latencySeries struct {
+	counts [latencyBuckets]atomic.Uint64
+	sumNS  atomic.Uint64
+	maxNS  atomic.Uint64
+}
+
+// observe records one latency. The max and the sum are written before
+// the bucket count that stats reads first, so every counted observation
+// is already in both.
+func (s *latencySeries) observe(d time.Duration) {
+	ns := uint64(max(d, 0))
+	for cur := s.maxNS.Load(); ns > cur; cur = s.maxNS.Load() {
+		if s.maxNS.CompareAndSwap(cur, ns) {
+			break
 		}
-		if x > hi {
-			hi = x
+	}
+	s.sumNS.Add(ns)
+	s.counts[latencyBucket(float64(ns)/1e6)].Add(1)
+}
+
+// stats reads the series into its LatencyStats.
+func (s *latencySeries) stats() LatencyStats {
+	var h latencyHist
+	for i := range s.counts {
+		h.counts[i] = s.counts[i].Load()
+	}
+	h.sumMS = float64(s.sumNS.Load()) / 1e6
+	h.maxMS = float64(s.maxNS.Load()) / 1e6
+	return h.stats()
+}
+
+// latencyHist is a plain copy of a series' bucket counts, sum and max:
+// what every LatencyStats, a worker's or a merge's, is computed from.
+type latencyHist struct {
+	counts       [latencyBuckets]uint64
+	sumMS, maxMS float64
+}
+
+// MergeLatency merges latency series into one: bins add by their place in
+// the bucket table, counts and sums add, the max is the largest. So the
+// merge of several servers' series is exactly what one server would report
+// had it observed all their samples (the mean up to rounding).
+func MergeLatency(series ...LatencyStats) LatencyStats {
+	var h latencyHist
+	for _, s := range series {
+		h.sumMS += s.MeanMS * float64(s.Count)
+		h.maxMS = max(h.maxMS, s.MaxMS)
+		for _, b := range s.Histogram {
+			h.counts[latencyBucket(b.LoMS)] += uint64(b.Count)
 		}
 	}
-	return lo * 1e3, hi * 1e3
+	return h.stats()
+}
+
+// stats computes count, mean, p50, p95 and max, and lists the non-empty
+// buckets. A quantile is interpolated linearly inside the bucket where
+// the cumulative count crosses it, so it is off by less than one bucket
+// width, and never above the max.
+func (h *latencyHist) stats() LatencyStats {
+	var out LatencyStats
+	for _, n := range h.counts {
+		out.Count += n
+	}
+	if out.Count == 0 {
+		return out
+	}
+	out.MeanMS = h.sumMS / float64(out.Count)
+	out.MaxMS = h.maxMS
+	out.P50MS = h.quantile(0.50, out.Count)
+	out.P95MS = h.quantile(0.95, out.Count)
+	for i, n := range h.counts {
+		if n > 0 {
+			lo, hi := latencyBounds(i, h.maxMS)
+			out.Histogram = append(out.Histogram, HistogramBin{LoMS: lo, HiMS: hi, Count: int(n)})
+		}
+	}
+	return out
+}
+
+func (h *latencyHist) quantile(q float64, count uint64) float64 {
+	target := q * float64(count)
+	cum := 0.0
+	for i, n := range h.counts {
+		if n == 0 {
+			continue
+		}
+		if next := cum + float64(n); next >= target {
+			lo, hi := latencyBounds(i, h.maxMS)
+			return min(lo+(target-cum)/float64(n)*(hi-lo), h.maxMS)
+		}
+		cum += float64(n)
+	}
+	return h.maxMS
 }
 
 // LatencyStats is the JSON form of one latency series, in milliseconds.
+// It covers the server's whole lifetime: Count, the mean and the max are
+// exact, p50 and p95 are read off the histogram. The histogram lists the
+// non-empty buckets of one fixed log-spaced table (1 µs to about 1 h, 25
+// buckets to a decade, an underflow from 0 and an overflow up to the max)
+// shared by every server, tenant and coordinator, so series merge exactly
+// (MergeLatency), and the latencies of a window are the bin-wise
+// difference of the snapshots taken before and after it.
 type LatencyStats struct {
-	// Count is the lifetime number of observations; the histogram and
-	// quantiles cover at most the most recent 4096.
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	MaxMS  float64 `json:"max_ms"`
-	// Histogram is a fixed-width binning of the retained samples.
+	Count     uint64         `json:"count"`
+	MeanMS    float64        `json:"mean_ms"`
+	P50MS     float64        `json:"p50_ms"`
+	P95MS     float64        `json:"p95_ms"`
+	MaxMS     float64        `json:"max_ms"`
 	Histogram []HistogramBin `json:"histogram,omitempty"`
 }
 
-// HistogramBin is one bin of a latency histogram.
+// HistogramBin is one non-empty bucket of a latency histogram.
 type HistogramBin struct {
 	LoMS  float64 `json:"lo_ms"`
 	HiMS  float64 `json:"hi_ms"`
 	Count int     `json:"count"`
-}
-
-const latencyBins = 10
-
-// latencyStats summarizes a sample ring via internal/stats, auto-ranging
-// the histogram over the retained samples.
-func latencyStats(r *sampleRing) LatencyStats {
-	return latencyStatsRange(r, 0, 0)
-}
-
-// latencyStatsRange is latencyStats with fixed histogram bin edges
-// [loMS, hiMS] so several series (the per-tenant queue waits) bin
-// comparably; loMS == hiMS falls back to auto-ranging.
-func latencyStatsRange(r *sampleRing, loMS, hiMS float64) LatencyStats {
-	xs, total := r.snapshot()
-	out := LatencyStats{Count: total}
-	if len(xs) == 0 {
-		return out
-	}
-	ms := make([]float64, len(xs))
-	for i, x := range xs {
-		ms[i] = x * 1e3
-	}
-	sum := stats.Summarize(ms)
-	out.MeanMS = sum.Mean
-	out.P50MS = sum.Median
-	out.MaxMS = sum.Max
-	sorted := append([]float64(nil), ms...)
-	sort.Float64s(sorted) // stats.Quantile requires ascending input
-	out.P95MS = stats.Quantile(sorted, 0.95)
-	var h *stats.Histogram
-	if hiMS > loMS {
-		h = stats.NewHistogramRange(ms, latencyBins, loMS, hiMS)
-	} else {
-		h = stats.NewHistogram(ms, latencyBins)
-	}
-	out.Histogram = make([]HistogramBin, len(h.Counts))
-	for i, c := range h.Counts {
-		out.Histogram[i] = HistogramBin{LoMS: h.Edges[i], HiMS: h.Edges[i+1], Count: c}
-	}
-	return out
 }
 
 // JobCounts is the job-lifecycle section of a metrics snapshot.
@@ -183,7 +230,7 @@ type CacheStats struct {
 
 // TenantSnapshot is one tenant's section of a metrics snapshot: lifecycle
 // counters, queue occupancy against its share, its queue-wait distribution
-// (binned over the global range so tenants compare directly) and its
+// (on the shared bucket table, so tenants compare directly) and its
 // capture-cache partition.
 type TenantSnapshot struct {
 	Name        string       `json:"name"`

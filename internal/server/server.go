@@ -422,7 +422,7 @@ func (s *Server) runJob(job *Job) {
 	// service's own observability; the simulated timelines inside the job
 	// remain purely virtual.
 	pickup := time.Now()
-	wait := pickup.Sub(job.submitted).Seconds()
+	wait := pickup.Sub(job.submitted)
 	job.mu.Lock()
 	job.out.Status = StatusRunning
 	job.started = pickup
@@ -443,7 +443,7 @@ func (s *Server) runJob(job *Job) {
 	defer cancel()
 
 	result, tr, disposition, err := s.execute(ctx, job)
-	run := time.Since(pickup).Seconds()
+	run := time.Since(pickup)
 	s.metrics.runTime.observe(run)
 	switch disposition {
 	case cacheHit:
@@ -723,14 +723,11 @@ func (s *Server) Metrics() MetricsSnapshot {
 			Retries:     s.metrics.retries.Load(),
 		},
 		Store:      s.store.Stats(),
-		QueueWait:  latencyStats(&s.metrics.queueWait),
-		Run:        latencyStats(&s.metrics.runTime),
+		QueueWait:  s.metrics.queueWait.stats(),
+		Run:        s.metrics.runTime.stats(),
 		Contention: s.counters.Snapshot(),
 	}
 	var cache CacheStats
-	// Per-tenant histograms share bin edges (the global queue-wait range)
-	// so tenant latency distributions are directly comparable.
-	lo, hi := s.metrics.queueWait.rangeMS()
 	for _, t := range s.tenants {
 		entries, captures, evictions := t.cache.stats()
 		dh, dw, dd := t.cache.disk.stats()
@@ -758,7 +755,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 			Rejected:    t.m.rejected.Load(),
 			RateLimited: t.m.rateLimited.Load(),
 			Retries:     t.m.retries.Load(),
-			QueueWait:   latencyStatsRange(&t.m.queueWait, lo, hi),
+			QueueWait:   t.m.queueWait.stats(),
 			Cache:       tc,
 		})
 	}

@@ -192,7 +192,7 @@ func (s *Server) tenantNamed(name string) *tenant {
 }
 
 // tenantMetrics are one tenant's lifecycle counters plus its queue-wait
-// latency ring (per-tenant histograms in /metrics).
+// latency histogram (per-tenant histograms in /metrics).
 type tenantMetrics struct {
 	submitted   atomic.Uint64
 	done        atomic.Uint64
@@ -202,7 +202,7 @@ type tenantMetrics struct {
 	rateLimited atomic.Uint64 // token-bucket refusals
 	retries     atomic.Uint64 // transient-failure re-runs scheduled
 
-	queueWait sampleRing // seconds from submit to worker pickup
+	queueWait latencySeries // submit to worker pickup
 }
 
 // tokenBucket is a wall-clock token bucket: rate tokens/second refill up

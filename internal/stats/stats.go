@@ -156,146 +156,6 @@ func NewHistogram(xs []float64, bins int) *Histogram {
 	return h
 }
 
-// NewHistogramRange bins xs into bins equal-width bins spanning the given
-// [lo, hi] instead of the sample's own range, so several samples bin onto
-// identical edges and their histograms compare bin for bin. Observations
-// outside the range clamp into the first or last bin. It panics if xs is
-// empty, bins < 1, or hi <= lo.
-func NewHistogramRange(xs []float64, bins int, lo, hi float64) *Histogram {
-	if len(xs) == 0 {
-		panic("stats: NewHistogramRange of empty sample")
-	}
-	if bins < 1 {
-		panic("stats: NewHistogramRange with bins < 1")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogramRange with hi <= lo")
-	}
-	h := &Histogram{
-		Lo:     lo,
-		Hi:     hi,
-		Width:  (hi - lo) / float64(bins),
-		Counts: make([]int, bins),
-		N:      len(xs),
-		Edges:  make([]float64, bins+1),
-	}
-	for i := 0; i <= bins; i++ {
-		h.Edges[i] = lo + float64(i)*h.Width
-	}
-	for _, x := range xs {
-		b := int((x - lo) / h.Width)
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		h.Counts[b]++
-	}
-	return h
-}
-
-// Merge adds o's observations into h bin for bin. Both histograms must
-// share identical binning (same edges, same bin count) — build them with
-// NewHistogramRange over a common range. Merging is the exact histogram
-// algebra: Merge(hist(A), hist(B)) equals hist(A ∪ B) for any split of a
-// sample, and the operation is commutative and associative, which is what
-// lets a cluster coordinator fold per-worker histograms into one global
-// distribution without ever seeing the raw samples.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.Counts) != len(o.Counts) {
-		return fmt.Errorf("stats: merging histograms with %d vs %d bins", len(h.Counts), len(o.Counts))
-	}
-	if !sameEdges(h.Edges, o.Edges) {
-		return fmt.Errorf("stats: merging histograms with different bin edges ([%g,%g] vs [%g,%g])",
-			h.Lo, h.Hi, o.Lo, o.Hi)
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.N += o.N
-	return nil
-}
-
-// sameEdges reports whether two edge vectors agree within a relative
-// tolerance (floating-point edge derivation may differ in the last ulp
-// between hosts that serialized the edges through JSON).
-func sameEdges(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		scale := math.Max(math.Abs(a[i]), math.Abs(b[i]))
-		if d > 1e-9*math.Max(scale, 1) {
-			return false
-		}
-	}
-	return true
-}
-
-// MergeHistograms folds histograms with arbitrary (possibly differing)
-// binning into one fresh histogram with bins equal-width bins spanning the
-// union of the input ranges. Each source bin's count is deposited at its
-// center, so the result is exact when the inputs share edges that align
-// with the output's and an approximation (center-of-mass rebinning)
-// otherwise. Nil inputs and empty slices yield nil.
-func MergeHistograms(hs []*Histogram, bins int) *Histogram {
-	if bins < 1 {
-		panic("stats: MergeHistograms with bins < 1")
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	any := false
-	for _, h := range hs {
-		if h == nil || h.N == 0 {
-			continue
-		}
-		any = true
-		if h.Lo < lo {
-			lo = h.Lo
-		}
-		if h.Hi > hi {
-			hi = h.Hi
-		}
-	}
-	if !any {
-		return nil
-	}
-	if hi <= lo {
-		hi = lo + 1e-12 + math.Abs(lo)*1e-12
-	}
-	out := &Histogram{
-		Lo:     lo,
-		Hi:     hi,
-		Width:  (hi - lo) / float64(bins),
-		Counts: make([]int, bins),
-		Edges:  make([]float64, bins+1),
-	}
-	for i := 0; i <= bins; i++ {
-		out.Edges[i] = lo + float64(i)*out.Width
-	}
-	for _, h := range hs {
-		if h == nil || h.N == 0 {
-			continue
-		}
-		for i, c := range h.Counts {
-			if c == 0 {
-				continue
-			}
-			b := int((h.Center(i) - lo) / out.Width)
-			if b >= bins {
-				b = bins - 1
-			}
-			if b < 0 {
-				b = 0
-			}
-			out.Counts[b] += c
-			out.N += c
-		}
-	}
-	return out
-}
-
 // Density returns the normalized density of bin i, so that the histogram
 // integrates to 1 (matching a PDF's scale).
 func (h *Histogram) Density(i int) float64 {

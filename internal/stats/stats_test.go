@@ -264,126 +264,3 @@ func TestSilvermanBandwidthPositive(t *testing.T) {
 		t.Errorf("bandwidth %g", bw)
 	}
 }
-
-// TestHistogramMergeAlgebra pins the merge operation's algebra: merging
-// the histograms of any split of a sample equals the histogram of the
-// whole sample, and the operation commutes and associates. This is the
-// property that lets a coordinator fold per-worker latency histograms
-// into a faithful global distribution.
-func TestHistogramMergeAlgebra(t *testing.T) {
-	sample := []float64{0.1, 0.4, 0.9, 1.5, 2.2, 2.9, 3.3, 3.8, 4.1, 4.9, 1.1, 2.5}
-	const bins = 6
-	lo, hi := 0.0, 5.0
-
-	whole := NewHistogramRange(sample, bins, lo, hi)
-	a := NewHistogramRange(sample[:5], bins, lo, hi)
-	b := NewHistogramRange(sample[5:9], bins, lo, hi)
-	c := NewHistogramRange(sample[9:], bins, lo, hi)
-
-	// (a + b) + c == whole.
-	ab := NewHistogramRange(sample[:5], bins, lo, hi)
-	if err := ab.Merge(b); err != nil {
-		t.Fatalf("merge a+b: %v", err)
-	}
-	if err := ab.Merge(c); err != nil {
-		t.Fatalf("merge (a+b)+c: %v", err)
-	}
-	if ab.N != whole.N {
-		t.Fatalf("merged N = %d, want %d", ab.N, whole.N)
-	}
-	for i := range whole.Counts {
-		if ab.Counts[i] != whole.Counts[i] {
-			t.Fatalf("bin %d: merged %d, want %d", i, ab.Counts[i], whole.Counts[i])
-		}
-	}
-
-	// a + (b + c) — associativity.
-	bc := NewHistogramRange(sample[5:9], bins, lo, hi)
-	if err := bc.Merge(c); err != nil {
-		t.Fatalf("merge b+c: %v", err)
-	}
-	abc := NewHistogramRange(sample[:5], bins, lo, hi)
-	if err := abc.Merge(bc); err != nil {
-		t.Fatalf("merge a+(b+c): %v", err)
-	}
-	for i := range whole.Counts {
-		if abc.Counts[i] != ab.Counts[i] {
-			t.Fatalf("associativity broken at bin %d: %d vs %d", i, abc.Counts[i], ab.Counts[i])
-		}
-	}
-
-	// b + a == a + b — commutativity.
-	ba := NewHistogramRange(sample[5:9], bins, lo, hi)
-	if err := ba.Merge(a); err != nil {
-		t.Fatalf("merge b+a: %v", err)
-	}
-	ab2 := NewHistogramRange(sample[:5], bins, lo, hi)
-	if err := ab2.Merge(b); err != nil {
-		t.Fatalf("merge a+b (again): %v", err)
-	}
-	for i := range ab2.Counts {
-		if ba.Counts[i] != ab2.Counts[i] {
-			t.Fatalf("commutativity broken at bin %d: %d vs %d", i, ba.Counts[i], ab2.Counts[i])
-		}
-	}
-}
-
-func TestHistogramMergeRejectsMismatchedBinning(t *testing.T) {
-	a := NewHistogramRange([]float64{1, 2}, 4, 0, 4)
-	b := NewHistogramRange([]float64{1, 2}, 5, 0, 4)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge across different bin counts succeeded")
-	}
-	c := NewHistogramRange([]float64{1, 2}, 4, 0, 8)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge across different ranges succeeded")
-	}
-}
-
-// TestMergeHistogramsIdenticalEdgesExact pins that center-of-mass
-// rebinning degenerates to the exact merge when every input shares the
-// output's binning.
-func TestMergeHistogramsIdenticalEdgesExact(t *testing.T) {
-	sample := []float64{0.5, 1.5, 2.5, 3.5, 0.6, 1.7, 2.1, 3.9}
-	const bins = 4
-	whole := NewHistogramRange(sample, bins, 0, 4)
-	a := NewHistogramRange(sample[:4], bins, 0, 4)
-	b := NewHistogramRange(sample[4:], bins, 0, 4)
-	m := MergeHistograms([]*Histogram{a, b}, bins)
-	if m == nil {
-		t.Fatal("MergeHistograms returned nil")
-	}
-	if m.N != whole.N {
-		t.Fatalf("merged N = %d, want %d", m.N, whole.N)
-	}
-	for i := range whole.Counts {
-		if m.Counts[i] != whole.Counts[i] {
-			t.Fatalf("bin %d: rebin merge %d, want %d", i, m.Counts[i], whole.Counts[i])
-		}
-	}
-}
-
-func TestMergeHistogramsPreservesMass(t *testing.T) {
-	a := NewHistogramRange([]float64{0.5, 1.5, 2.5}, 3, 0, 3)
-	b := NewHistogramRange([]float64{4, 5, 6, 7}, 5, 3, 8)
-	m := MergeHistograms([]*Histogram{a, b, nil}, 7)
-	if m == nil {
-		t.Fatal("MergeHistograms returned nil")
-	}
-	if m.N != 7 {
-		t.Fatalf("merged N = %d, want 7", m.N)
-	}
-	total := 0
-	for _, c := range m.Counts {
-		total += c
-	}
-	if total != 7 {
-		t.Fatalf("merged counts sum to %d, want 7", total)
-	}
-	if m.Lo != 0 || m.Hi != 8 {
-		t.Fatalf("merged range [%g,%g], want [0,8]", m.Lo, m.Hi)
-	}
-	if MergeHistograms([]*Histogram{nil}, 4) != nil {
-		t.Fatal("MergeHistograms of nothing should be nil")
-	}
-}
