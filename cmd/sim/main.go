@@ -127,7 +127,7 @@ func dagCmd(fs *flag.FlagSet) func(io.Writer) error {
 			if err != nil {
 				return err
 			}
-			frame := arena.Encode()
+			frame := arena.Frame()
 			if err := os.WriteFile(*capture, frame, 0o644); err != nil {
 				return err
 			}

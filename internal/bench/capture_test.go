@@ -165,6 +165,42 @@ func TestCaptureSpecAllocCeilings(t *testing.T) {
 	}
 }
 
+// captureFrameRatioCeiling bounds what serve-miss's captures allocate, as
+// the capture cache stores them, against the bytes of their .dag frames:
+// keySpecs' six captures (cholesky nt=32, 538 601 B frames over 5 984
+// tasks) together. The cache keeps the arena CaptureArena returns and
+// writes its Frame() through, so the frame is most of it; the rest is the
+// successor lists, the op stream's tile shapes, what the sections left
+// unused and the ready pass's queues. Measured at 1.35x (1.31x to 1.33x
+// each, 1.48x for starpu-dm, whose cost-model queue grows as the stream
+// goes in) and set 7 % above. History: 2.35x (7.60 MB for the same
+// 3.23 MB of frames) while the builder filled column slabs and the cache
+// encoded them into a frame of their own, the slabs then dropped.
+const captureFrameRatioCeiling = 1.45
+
+func TestCaptureAsCachedAllocatesItsFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // pool hits, as in TestCaptureSpecAllocCeilings
+	frames := 0
+	bytes, _ := allocated(func() {
+		frames = 0
+		for _, spec := range keySpecs() {
+			arena, err := CaptureArena(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames += len(arena.Frame())
+		}
+	})
+	got := fmt.Sprintf("%.0f B for %d B of frames, %.2fx", bytes, frames, bytes/float64(frames))
+	if bytes > captureFrameRatioCeiling*float64(frames) {
+		t.Errorf("serve-miss's captures as the cache stores them allocate %s, ceiling %.2fx", got, captureFrameRatioCeiling)
+	}
+	t.Log(got)
+}
+
 // TestConcurrentCapturesMatchSerial: captures recycle their scratch — the
 // op stream through scratchPool, the pass's hazard tracker and intern
 // slots through replay's pools, the ready pass's Tasks and tables through

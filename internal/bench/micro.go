@@ -226,6 +226,23 @@ func microSuite(counters *perf.Counters) []MicroBench {
 				}
 			}
 		}},
+		{Name: "CaptureFrame32", Bench: func(b *testing.B) {
+			// CaptureKeys32's six captures, each as the capture cache keeps
+			// it: the arena, living in the frame the cache writes through.
+			// B/op is what serve-miss's captures cost the heap.
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, spec := range keySpecs() {
+					arena, err := CaptureArena(spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(arena.Frame()) == 0 {
+						b.Fatal("a capture without its frame")
+					}
+				}
+			}
+		}},
 		{Name: "CaptureStream32", Bench: func(b *testing.B) {
 			// CaptureKeys32's first stage: its six op streams built on one
 			// recycled buffer set, as CaptureArena builds each on one from

@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 )
@@ -97,7 +98,8 @@ type Journal struct {
 	closed  bool     // guarded-by: mu
 }
 
-// Open creates dir if needed, replays the snapshot and the valid log
+// Open creates dir if needed, removes the temp files of snapshot writes a
+// crash cut short (RemoveTemps), replays the snapshot and the valid log
 // prefix, truncates any torn tail, and returns the journal positioned for
 // appending.
 //
@@ -107,6 +109,7 @@ func Open(dir string) (*Journal, Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rec, fmt.Errorf("journal: creating %s: %w", dir, err)
 	}
+	RemoveTemps(dir)
 
 	snapSeq := uint64(0)
 	if raw, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
@@ -264,7 +267,7 @@ func (j *Journal) Sync() error {
 // a whole file, the last rename winning; the temp file is removed on every
 // error path.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tempInfix+"*")
 	if err != nil {
 		return fmt.Errorf("journal: creating a temp file for %s: %w", path, err)
 	}
@@ -287,6 +290,33 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		return fmt.Errorf("journal: publishing %s: %w", path, err)
 	}
 	return nil
+}
+
+// tempInfix sits between a published file's name and the random digits
+// os.CreateTemp appends in WriteFileAtomic's temp file names.
+const tempInfix = ".tmp"
+
+// RemoveTemps deletes the temp files WriteFileAtomic left in dir: a crash
+// between creating one and renaming it over its target leaves it behind,
+// and no later write ever reuses its name. A temp file of a write in
+// progress looks the same, so only dir's one owner may call this, when it
+// opens dir and before it writes there. Errors are ignored: a file that
+// stays costs disk space, not correctness.
+func RemoveTemps(dir string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		name := e.Name()
+		i := strings.LastIndex(name, tempInfix)
+		if i <= 0 || !e.Type().IsRegular() {
+			continue
+		}
+		if digits := name[i+len(tempInfix):]; digits != "" && strings.Trim(digits, "0123456789") == "" {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
 }
 
 // Compact atomically replaces the record history with state: the snapshot

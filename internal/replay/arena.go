@@ -2,9 +2,11 @@
 // columns that both replay executors iterate over.
 //
 // An *Arena is the capture format, the execution format and the wire
-// format: a capture appends to its columns as the scheduler resolves each
-// task (capture.go), replays walk them, and the .dag frame is the columns
-// laid end to end (codec.go). Ids are implicit — task i is row i — every
+// format in one buffer: the .dag frame is the columns laid end to end
+// (codec.go), a capture writes each task's row into that frame as the
+// task's hazards are resolved (pass.go, capture.go), replays walk the
+// columns where they lie, and the frame is what the capture cache stores,
+// persists and serves. Ids are implicit — task i is row i — every
 // index column is int32, the access modes, dependence kinds and placement
 // masks are bytes, durations sit in one float64 column, and all strings
 // are interned into one byte region cut by an offset column, the frame's
@@ -44,8 +46,9 @@ import (
 )
 
 // Arena is a task DAG in struct-of-arrays form. Every column is one
-// contiguous slice, so walking it is a linear scan; an arena loaded from
-// its binary encoding aliases the encoded bytes directly (codec.go).
+// contiguous slice, so walking it is a linear scan, and every column lies
+// in the arena's .dag frame, Frame(): the one its builder wrote, or the
+// bytes it was loaded from (codec.go).
 // Fields are unexported because the layout is an execution format, not an
 // API — use DAG() for the structured view.
 type Arena struct {
@@ -86,7 +89,7 @@ type Arena struct {
 	levelPrio []int32
 	levelOff  []int32 // len(levelPrio)+1; level l owns slots [levelOff[l], levelOff[l+1])
 	hasDur    bool    // every task carries a captured duration
-	buf       []byte  // the .dag frame this arena lives in (Load, Encoded), else nil
+	buf       []byte  // the .dag frame the columns live in: the builder's, or Load's input
 }
 
 // str returns interned string i.
@@ -119,63 +122,47 @@ func (a *Arena) Label() string { return a.label }
 // (i.e. the arena can replay without a duration model).
 func (a *Arena) HasDurations() bool { return a.hasDur }
 
-// builder fills an arena's columns one task at a time. It is the one
-// column-filling path: a Pass drives it from the hazard tracker as a stream
-// goes in, the Recorder from the engine's observer callbacks as a capture
-// run goes, BuildArena from the tasks of a hand-built or edited DAG, so all
-// three produce the same columns, the same string table —
-// strings are interned in the order class, label per task, the DAG label
-// last — and so the same .dag frame, and all end in the validation Load
-// applies to a frame (validateColumns). The appending methods refuse only
-// what a column cannot hold.
+// builder fills an arena's columns one task at a time, in place in the
+// arena's .dag frame. It is the one column-filling path: a Pass drives it
+// from the hazard tracker as a stream goes in, the Recorder from the
+// engine's observer callbacks as a capture run goes, BuildArena from the
+// tasks of a hand-built or edited DAG, so all three produce the same
+// columns, the same string table — strings are interned in the order
+// class, label per task, the DAG label last — and so the same frame, and
+// all end in the validation Load applies to a frame (validateColumns). The
+// appending methods refuse only what a column cannot hold.
 //
-// Every column grows by append. newBuilder gives the per-task and
-// footprint columns the capacity the caller announces and the string
-// region the bytes it announces, so a stream of known size never regrows
-// them; the dependence columns get the caller's estimate and may grow.
+// The builder holds one buffer laid out as the codec's header, counts and
+// sections (codec.go), each section where the sizes newBuilder was given
+// put it, and every column is a slice over its section. A stream that
+// resolves more than was announced, or announced nothing, moves the
+// sections to a bigger buffer, doubling the short ones (grow). finish
+// moves each section down over the room the one before it left unused,
+// and seal writes the counts, header and CRC around them: the arena lives
+// in that buffer as a loaded one lives in its frame.
 type builder struct {
 	a *Arena
+	// buf is the frame under construction, laid out for room; its header
+	// and counts stay zero until seal.
+	buf  []byte
+	room dims
 	// slots indexes the string table for intern: open addressing with
 	// linear probing, a slot holding 1 + a string's index, 0 when empty.
 	// It holds no string — a probe compares against the region — so it
 	// is one pointer-free array, kept at most half full.
 	slots  *[]int32
-	strBuf []byte // the string region; a.strs once finished
+	strBuf []byte // the string section; a.strs once finished
 }
 
 // newBuilder returns a builder with room for tasks tasks declaring feet
 // footprint entries and edges dependences between them, and strBytes bytes
-// of interned strings (0: grow on demand).
+// of interned strings. The string offsets get room for one label per task
+// plus the classes and the DAG label (internSlack).
 func newBuilder(tasks, feet, edges, strBytes int) *builder {
-	// One slab per element width, cut into columns whose capacity is
-	// clipped: a column that outgrows its share reallocates alone. The
-	// string offsets get one slot per task label, the classes and the DAG
-	// label (internSlack) and the leading zero.
-	strs := tasks + internSlack + 1
-	i32 := make([]int32, 5*tasks+2*(tasks+1)+feet+edges+strs)
-	u8 := make([]uint8, tasks+feet+edges)
-	next := func(ln int) []int32 {
-		col := i32[:0:ln]
-		i32 = i32[ln:]
-		return col
-	}
-	a := &Arena{
-		classIdx: next(tasks),
-		labelIdx: next(tasks),
-		priority: next(tasks),
-		ready:    next(tasks),
-		numThr:   next(tasks),
-		depOff:   next(tasks + 1),
-		fpOff:    next(tasks + 1),
-		fpHandle: next(feet),
-		strOff:   append(next(strs), 0),
-		depPred:  next(edges),
-		where:    u8[:0:tasks],
-		fpMode:   u8[tasks : tasks : tasks+feet],
-		depKind:  u8[tasks+feet : tasks+feet],
-		duration: make([]float64, 0, tasks),
-	}
-	b := &builder{a: a, strBuf: make([]byte, 0, strBytes)}
+	strs := tasks + internSlack
+	b := &builder{a: &Arena{}}
+	b.place(dims{n: uint64(tasks), e: uint64(edges), f: uint64(feet), s: uint64(strs), b: uint64(strBytes)})
+	push(&b.a.strOff, 0)
 	b.slots, _ = slotPool.Get().(*[]int32)
 	if b.slots == nil {
 		b.slots = new([]int32)
@@ -192,6 +179,87 @@ const internSlack = 8
 // previous capture's array. Pooled memory lives at most two GC cycles.
 var slotPool sync.Pool
 
+// resized returns s as n zeroed elements, reallocated when its capacity is
+// short.
+//
+//simlint:hotpath
+func resized[T int32 | uint64](s []T, n int) []T {
+	if cap(s) < n {
+		//simlint:allow hotalloc — the builder's one regrow site: a frame buffer (announced, outgrown, or for a stream that announced nothing) and intern slots the pool did not have
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// place lays the frame out for room in a fresh 8-aligned buffer and moves
+// the columns there.
+//
+//simlint:hotpath
+func (b *builder) place(room dims) {
+	size := dagHeaderLen + room.payloadSize()
+	words := resized[uint64](nil, int((size+7)/8))
+	b.move(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size), room)
+}
+
+// move points every column at its section of buf laid out for room,
+// keeping its contents and length. buf may be the buffer the columns are
+// in when room is nowhere larger than the old layout (finish): sections
+// then only move down, in frame order, each to below where the next one
+// was, and copy moves overlapping bytes correctly.
+//
+//simlint:hotpath
+func (b *builder) move(buf []byte, room dims) {
+	a, s := b.a, room.sections(buf[dagHeaderLen:])
+	a.duration = moveCol(a.duration, s[secDuration])
+	a.classIdx = moveCol(a.classIdx, s[secClass])
+	a.labelIdx = moveCol(a.labelIdx, s[secLabel])
+	a.priority = moveCol(a.priority, s[secPriority])
+	a.ready = moveCol(a.ready, s[secReady])
+	a.numThr = moveCol(a.numThr, s[secNumThr])
+	a.depOff = moveCol(a.depOff, s[secDepOff])
+	a.depPred = moveCol(a.depPred, s[secDepPred])
+	a.fpOff = moveCol(a.fpOff, s[secFpOff])
+	a.fpHandle = moveCol(a.fpHandle, s[secFpHandle])
+	a.strOff = moveCol(a.strOff, s[secStrOff])
+	a.where = moveCol(a.where, s[secWhere])
+	a.depKind = moveCol(a.depKind, s[secDepKind])
+	a.fpMode = moveCol(a.fpMode, s[secFpMode])
+	b.strBuf = moveCol(b.strBuf, s[secStrs])
+	b.buf, b.room = buf, room
+}
+
+// moveCol copies col to the start of section sec and returns it there,
+// its capacity the section's.
+//
+//simlint:hotpath
+func moveCol[T int32 | uint8 | float64](col []T, sec []byte) []T {
+	var zero T
+	dst := unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(sec))), uintptr(len(sec))/unsafe.Sizeof(zero))
+	copy(dst, col)
+	return dst[:len(col)]
+}
+
+// grow moves the frame to a buffer with room for need, doubling each
+// section that is short of it.
+//
+//simlint:hotpath
+func (b *builder) grow(need dims) {
+	r := b.room
+	b.place(dims{doubled(r.n, need.n), doubled(r.e, need.e), doubled(r.f, need.f), doubled(r.s, need.s), doubled(r.b, need.b)})
+}
+
+// doubled doubles have, from at least 16, until it reaches need.
+//
+//simlint:hotpath
+func doubled(have, need uint64) uint64 {
+	for have < need {
+		have = max(2*have, 16)
+	}
+	return have
+}
+
 // sizeSlots makes the slots an empty table with room for strings strings
 // at most half full, keeping the array when it is large enough.
 //
@@ -201,11 +269,7 @@ func (b *builder) sizeSlots(strings int) {
 	for n < 2*strings {
 		n *= 2
 	}
-	slots := (*b.slots)[:0]
-	for range n {
-		push(&slots, 0)
-	}
-	*b.slots = slots
+	*b.slots = resized(*b.slots, n)
 }
 
 // strHash is the FNV-1a hash of s, intern's slot hash.
@@ -229,12 +293,15 @@ func (b *builder) interned(i int32) string {
 	return unsafe.String(unsafe.SliceData(b.strBuf[off:]), end-off)
 }
 
-// push appends v to a column.
+// push appends v to a column, which has room for it: the caller grew the
+// frame first if it had none. Reslicing the column onto itself stores only
+// its length, so a push costs no write barrier while a collection runs.
 //
 //simlint:hotpath
 func push[T int32 | uint8 | float64](col *[]T, v T) {
-	//simlint:allow hotalloc — the builder's columns and intern slots are pre-sized (NewPass, or BuildArena's count); only an unannounced or outgrown stream, or an empty slot pool, grows one
-	*col = append(*col, v)
+	n := len(*col)
+	*col = (*col)[:n+1]
+	(*col)[n] = v
 }
 
 // clampI32 narrows v to the int32 range. For the quantities that go
@@ -261,9 +328,13 @@ func (b *builder) intern(s string) int32 {
 		v := slots[j]
 		if v == 0 {
 			slots[j] = n + 1
-			//simlint:allow hotalloc — the region is pre-sized to the stream's string bytes (NewPass, or BuildArena's sum); only an unannounced stream regrows it
-			b.strBuf = append(b.strBuf, s...)
-			push(&b.a.strOff, int32(len(b.strBuf)))
+			end := len(b.strBuf) + len(s)
+			if len(b.a.strOff) == cap(b.a.strOff) || end > cap(b.strBuf) {
+				b.grow(dims{s: uint64(n) + 1, b: uint64(end)})
+			}
+			b.strBuf = b.strBuf[:end]
+			copy(b.strBuf[end-len(s):], s)
+			push(&b.a.strOff, int32(end))
 			return n
 		}
 		if b.interned(v-1) == s {
@@ -277,7 +348,6 @@ func (b *builder) intern(s string) int32 {
 //
 //simlint:hotpath
 func (b *builder) rehash(strings int) {
-	*b.slots = nil // sizeSlots grows a new array
 	b.sizeSlots(2 * strings)
 	slots := *b.slots
 	mask := uint64(len(slots) - 1)
@@ -303,6 +373,9 @@ func (b *builder) task(class, label string, priority, numThreads int, where sche
 		//simlint:allow hotalloc — refusal path: the capture or build ends here
 		return fmt.Errorf("replay: task %d (%s) has priority %d outside the int32 range of the priority column", a.n, label, priority)
 	}
+	if a.n == cap(a.classIdx) {
+		b.grow(dims{n: uint64(a.n) + 1})
+	}
 	push(&a.classIdx, b.intern(class))
 	push(&a.labelIdx, b.intern(label))
 	push(&a.priority, int32(priority))
@@ -320,21 +393,32 @@ func (b *builder) task(class, label string, priority, numThreads int, where sche
 //
 //simlint:hotpath
 func (b *builder) footprint(handle int32, mode hazard.Access) {
-	push(&b.a.fpHandle, handle)
-	push(&b.a.fpMode, uint8(mode))
+	a := b.a
+	if len(a.fpHandle) == cap(a.fpHandle) {
+		b.grow(dims{f: uint64(len(a.fpHandle)) + 1})
+	}
+	push(&a.fpHandle, handle)
+	push(&a.fpMode, uint8(mode))
 }
 
 // dep appends one resolved dependence to the open task.
 //
 //simlint:hotpath
 func (b *builder) dep(d sched.Dep) {
-	push(&b.a.depPred, clampI32(d.Pred))
-	push(&b.a.depKind, uint8(d.Kind))
+	a := b.a
+	if len(a.depPred) == cap(a.depPred) {
+		b.grow(dims{e: uint64(len(a.depPred)) + 1})
+	}
+	push(&a.depPred, clampI32(d.Pred))
+	push(&a.depKind, uint8(d.Kind))
 }
 
-// finish closes the columns, validates them and derives the static views.
-// The builder must not be used afterwards: the arena owns the columns.
-func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
+// finish closes the columns, moves the sections down over the room the
+// stream left unused, validates the columns and derives the static views.
+// With ready not nil it then stamps the ready column in place
+// (Arena.ReadyOrder), and it seals the frame last. The builder must not be
+// used afterwards: the arena owns the buffer.
+func (b *builder) finish(label string, workers, handles int, ready *sched.Config) (*Arena, error) {
 	a := b.a
 	if a.n == 0 {
 		return nil, fmt.Errorf("replay: empty DAG")
@@ -342,8 +426,9 @@ func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
 	if workers != int(int32(workers)) || handles != int(int32(handles)) {
 		return nil, fmt.Errorf("replay: %d workers or %d handles outside the int32 range", workers, handles)
 	}
-	a.depOff = append(a.depOff, int32(len(a.depPred)))
-	a.fpOff = append(a.fpOff, int32(len(a.fpHandle)))
+	// depOff and fpOff have room for one entry beyond the tasks.
+	push(&a.depOff, int32(len(a.depPred)))
+	push(&a.fpOff, int32(len(a.fpHandle)))
 	a.label = label
 	a.replayLabel = label + "-replay"
 	a.workers = workers
@@ -355,13 +440,24 @@ func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
 	if len(b.strBuf) > math.MaxInt32 {
 		return nil, fmt.Errorf("replay: %d bytes of strings overflow the int32 string offsets", len(b.strBuf))
 	}
-	// The builder hands the region over and never writes it again, so the
+	d := a.dims()
+	d.b = uint64(len(b.strBuf)) // a.strs is cut once the section is in place
+	size := dagHeaderLen + d.payloadSize()
+	b.move(b.buf[:size:size], d)
+	a.buf = b.buf
+	// The builder hands the buffer over and never writes it again, so the
 	// arena's strings alias it.
 	a.strs = unsafe.String(unsafe.SliceData(b.strBuf), len(b.strBuf))
 	if err := a.validateColumns(); err != nil {
 		return nil, err
 	}
 	a.deriveStatic()
+	if ready != nil {
+		if err := a.ReadyOrder(*ready, a.ready); err != nil {
+			return nil, err
+		}
+	}
+	a.seal()
 	return a, nil
 }
 
@@ -396,7 +492,7 @@ func BuildArena(d *DAG) (*Arena, error) {
 			b.dep(dep)
 		}
 	}
-	return b.finish(d.Label, d.Workers, d.Handles)
+	return b.finish(d.Label, d.Workers, d.Handles, nil)
 }
 
 // deriveStatic computes the redundant-but-hot views: the successor CSR

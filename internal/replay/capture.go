@@ -140,7 +140,7 @@ func (r *Recorder) Arena() (*Arena, error) {
 		if r.b == nil || r.b.a.n == 0 {
 			return nil, fmt.Errorf("replay: no tasks captured")
 		}
-		r.arena, r.err = r.b.finish(r.label, r.workers, r.handles)
+		r.arena, r.err = r.b.finish(r.label, r.workers, r.handles, nil)
 		if r.err != nil {
 			return nil, r.err
 		}

@@ -30,6 +30,9 @@
 //	  fpMode     F × uint8
 //	  strBytes   B bytes
 //
+// A builder (arena.go) writes this layout in place as it captures a graph,
+// so a built arena already lives in its frame; Encode only copies it.
+//
 // The section order — 8-byte column first, then the 4-byte columns, then
 // the byte columns — keeps every column naturally aligned relative to
 // the frame start, so Load can alias an 8-aligned byte slice in place
@@ -61,7 +64,7 @@ import (
 const (
 	dagMagic   = "SDAG"
 	dagVersion = 1
-	// dagFlagLE marks a little-endian payload. Encode always sets it;
+	// dagFlagLE marks a little-endian payload. seal always sets it;
 	// Load requires it (no big-endian writer exists).
 	dagFlagLE     = 1 << 0
 	dagHeaderLen  = 32
@@ -76,91 +79,117 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// EncodedSize returns the exact frame size Encode will produce.
-func (a *Arena) EncodedSize() int {
-	n, e, f := uint64(a.n), uint64(len(a.depPred)), uint64(len(a.fpHandle))
-	return int(dagHeaderLen + payloadSize(n, e, f, uint64(a.NumStrings()), uint64(len(a.strs))))
+// dims are the sizes a frame's sections are laid out for: n tasks, e
+// dependence edges, f footprint entries and s strings of b bytes. A
+// frame's counts are its dims; a builder's buffer is laid out for the
+// dims it has room for (arena.go).
+type dims struct{ n, e, f, s, b uint64 }
+
+// dims returns the arena's counts.
+func (a *Arena) dims() dims {
+	return dims{uint64(a.n), uint64(len(a.depPred)), uint64(len(a.fpHandle)), uint64(a.NumStrings()), uint64(len(a.strs))}
 }
 
-func payloadSize(n, e, f, s, b uint64) uint64 {
-	i32 := 5*n + 2*(n+1) + e + f + (s + 1)
-	return dagCountsLen + 8*n + 4*i32 + n + e + f + b
+// The sections of a payload, in frame order.
+const (
+	secDuration = iota
+	secClass
+	secLabel
+	secPriority
+	secReady
+	secNumThr
+	secDepOff
+	secDepPred
+	secFpOff
+	secFpHandle
+	secStrOff
+	secWhere
+	secDepKind
+	secFpMode
+	secStrs
+	numSections
+)
+
+// sizes returns the byte length of each section, in frame order.
+//
+//simlint:hotpath
+func (d dims) sizes() [numSections]uint64 {
+	return [numSections]uint64{
+		8 * d.n,
+		4 * d.n, 4 * d.n, 4 * d.n, 4 * d.n, 4 * d.n,
+		4 * (d.n + 1), 4 * d.e, 4 * (d.n + 1), 4 * d.f, 4 * (d.s + 1),
+		d.n, d.e, d.f, d.b,
+	}
 }
 
-// Encode serializes the arena into a fresh .dag frame.
-func (a *Arena) Encode() []byte {
-	buf := make([]byte, a.EncodedSize())
+// payloadSize returns the payload length of a frame laid out for d.
+//
+//simlint:hotpath
+func (d dims) payloadSize() uint64 {
+	size := uint64(dagCountsLen)
+	for _, ln := range d.sizes() {
+		size += ln
+	}
+	return size
+}
+
+// sections cuts a payload laid out for d into its sections, each with
+// its own length as capacity.
+//
+//simlint:hotpath
+func (d dims) sections(payload []byte) (secs [numSections][]byte) {
+	off := uint64(dagCountsLen)
+	for i, ln := range d.sizes() {
+		secs[i] = payload[off : off+ln : off+ln]
+		off += ln
+	}
+	return secs
+}
+
+// seal writes the frame's counts, header and CRC around the finished
+// columns: the last step of a build (builder.finish), once the ready pass
+// has written its column. On a host whose integers are big-endian the
+// columns were written in host order; the frame's copy is turned
+// little-endian and the arena takes copies of its own, as Load does there.
+func (a *Arena) seal() {
+	buf, d := a.buf, a.dims()
+	payload := buf[dagHeaderLen:]
+	for i, c := range [...]uint64{d.n, d.e, d.f, d.s, d.b, uint64(a.workers), uint64(a.handles), uint64(a.labelStr)} {
+		binary.LittleEndian.PutUint64(payload[8*i:], c)
+	}
+	if !hostLittleEndian {
+		secs := d.sections(payload)
+		for i := secDuration; i <= secStrOff; i++ {
+			w := 4
+			if i == secDuration {
+				w = 8
+			}
+			for j := 0; j < len(secs[i]); j += w {
+				slices.Reverse(secs[i][j : j+w])
+			}
+		}
+		a.adopt(payload, d, false)
+	}
 	copy(buf[0:4], dagMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], dagVersion)
 	binary.LittleEndian.PutUint16(buf[6:8], dagFlagLE)
-	payload := buf[dagHeaderLen:]
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
-
-	counts := [10]uint64{
-		uint64(a.n), uint64(len(a.depPred)), uint64(len(a.fpHandle)),
-		uint64(a.NumStrings()), uint64(len(a.strs)),
-		uint64(a.workers), uint64(a.handles), uint64(a.labelStr),
-	}
-	off := 0
-	for _, c := range counts {
-		binary.LittleEndian.PutUint64(payload[off:], c)
-		off += 8
-	}
-	for _, d := range a.duration {
-		binary.LittleEndian.PutUint64(payload[off:], math.Float64bits(d))
-		off += 8
-	}
-	putI32 := func(col []int32) {
-		for _, v := range col {
-			binary.LittleEndian.PutUint32(payload[off:], uint32(v))
-			off += 4
-		}
-	}
-	putI32(a.classIdx)
-	putI32(a.labelIdx)
-	putI32(a.priority)
-	putI32(a.ready)
-	putI32(a.numThr)
-	putI32(a.depOff)
-	putI32(a.depPred)
-	putI32(a.fpOff)
-	putI32(a.fpHandle)
-	putI32(a.strOff)
-	off += copy(payload[off:], a.where)
-	off += copy(payload[off:], a.depKind)
-	off += copy(payload[off:], a.fpMode)
-	copy(payload[off:], a.strs)
 	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(payload))
-	return buf
 }
 
-// Encoded encodes the arena into a fresh frame and returns the arena
-// re-based onto it: the same graph, its columns and strings aliasing the
-// frame, its derived views shared with a, and the frame as its Frame().
-// The columns were validated when a was built, so the bytes just written
-// are not checked again. Whoever keeps the result instead of a holds one
-// frame plus the successor lists — the form a Load of the same frame has.
-// On a host whose integers are big-endian the columns cannot alias the
-// frame, and the result keeps a's.
-func (a *Arena) Encoded() *Arena {
-	r := *a
-	r.buf = a.Encode()
-	if canAlias(r.buf) {
-		r.adopt(r.buf[dagHeaderLen:], uint64(len(a.depPred)), uint64(len(a.fpHandle)),
-			uint64(a.NumStrings()), uint64(len(a.strs)), true)
-	}
-	return &r
-}
+// Encode returns a copy of the arena's .dag frame (Frame), which the
+// caller may modify.
+func (a *Arena) Encode() []byte { return slices.Clone(a.buf) }
 
-// Frame returns the .dag frame the arena lives in — Load's input, or the
-// frame Encoded wrote — and nil for an arena built by a capture or
-// BuildArena. The bytes are shared: do not modify them.
+// Frame returns the .dag frame the arena lives in: the one its builder
+// wrote (a Pass, the Recorder, BuildArena) or Load's input. The bytes are
+// shared: do not modify them.
 func (a *Arena) Frame() []byte { return a.buf }
 
 // AliasesFrame reports whether every column and the string bytes lie
 // inside Frame(), so the arena holds nothing of its own beyond the derived
-// views: true after a Load of an 8-aligned frame and after Encoded on a
-// little-endian host.
+// views: true on a little-endian host for every built arena and after a
+// Load of an 8-aligned frame.
 func (a *Arena) AliasesFrame() bool {
 	if len(a.buf) == 0 {
 		return false
@@ -235,7 +264,8 @@ func Load(b []byte) (*Arena, error) {
 	if n > maxC || e > maxC || f > maxC || s > maxC || sb > maxC || workers > maxC || handles > maxC {
 		return nil, fmt.Errorf("replay: decode: counts out of range")
 	}
-	if want := payloadSize(n, e, f, s, sb); want != payloadLen || want > dagMaxEncoded {
+	d := dims{n, e, f, s, sb}
+	if want := d.payloadSize(); want != payloadLen || want > dagMaxEncoded {
 		return nil, fmt.Errorf("replay: decode: frame declares %d payload bytes, layout needs %d", payloadLen, want)
 	}
 	if s == 0 || labelIdx >= s {
@@ -248,7 +278,7 @@ func Load(b []byte) (*Arena, error) {
 		handles: int(handles),
 		buf:     b,
 	}
-	a.adopt(payload, e, f, s, sb, canAlias(b))
+	a.adopt(payload, d, canAlias(b))
 
 	// String offsets must tile [0, sb] monotonically.
 	if a.strOff[0] != 0 || a.strOff[s] != int32(sb) {
@@ -277,66 +307,44 @@ func canAlias(b []byte) bool {
 	return hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0
 }
 
-// adopt points the arena's columns and string table at a frame's payload,
-// laid out for a.n tasks, e edges, f footprint entries and s strings of sb
-// bytes: aliased in place when alias is set, copied out otherwise. Section
-// offsets are 8-aligned for the float64 column and 4-aligned for the int32
-// columns by construction (see the layout comment). The counts were
-// checked against the payload length.
-func (a *Arena) adopt(payload []byte, e, f, s, sb uint64, alias bool) {
-	n := uint64(a.n)
-	off := uint64(dagCountsLen)
-	take := func(ln uint64) []byte {
-		sec := payload[off : off+ln : off+ln]
-		off += ln
-		return sec
-	}
-	durB := take(8 * n)
-	classB := take(4 * n)
-	labelB := take(4 * n)
-	prioB := take(4 * n)
-	readyB := take(4 * n)
-	thrB := take(4 * n)
-	depOffB := take(4 * (n + 1))
-	depPredB := take(4 * e)
-	fpOffB := take(4 * (n + 1))
-	fpHandleB := take(4 * f)
-	strOffB := take(4 * (s + 1))
-	a.where = take(n)
-	a.depKind = take(e)
-	a.fpMode = take(f)
-	strBytes := take(sb)
-
+// adopt points the arena's columns and string table at a frame's payload
+// laid out for d: aliased in place when alias is set, copied out
+// otherwise. Section offsets are 8-aligned for the float64 column and
+// 4-aligned for the int32 columns by construction (see the layout
+// comment). The counts were checked against the payload length.
+func (a *Arena) adopt(payload []byte, d dims, alias bool) {
+	s := d.sections(payload)
+	a.where, a.depKind, a.fpMode = s[secWhere], s[secDepKind], s[secFpMode]
 	if alias {
-		a.duration = aliasF64(durB, n)
-		a.classIdx = aliasI32(classB, n)
-		a.labelIdx = aliasI32(labelB, n)
-		a.priority = aliasI32(prioB, n)
-		a.ready = aliasI32(readyB, n)
-		a.numThr = aliasI32(thrB, n)
-		a.depOff = aliasI32(depOffB, n+1)
-		a.depPred = aliasI32(depPredB, e)
-		a.fpOff = aliasI32(fpOffB, n+1)
-		a.fpHandle = aliasI32(fpHandleB, f)
-		a.strOff = aliasI32(strOffB, s+1)
-		a.strs = unsafe.String(unsafe.SliceData(strBytes), len(strBytes))
+		a.duration = aliasF64(s[secDuration])
+		a.classIdx = aliasI32(s[secClass])
+		a.labelIdx = aliasI32(s[secLabel])
+		a.priority = aliasI32(s[secPriority])
+		a.ready = aliasI32(s[secReady])
+		a.numThr = aliasI32(s[secNumThr])
+		a.depOff = aliasI32(s[secDepOff])
+		a.depPred = aliasI32(s[secDepPred])
+		a.fpOff = aliasI32(s[secFpOff])
+		a.fpHandle = aliasI32(s[secFpHandle])
+		a.strOff = aliasI32(s[secStrOff])
+		a.strs = unsafe.String(unsafe.SliceData(s[secStrs]), len(s[secStrs]))
 		return
 	}
-	a.duration = copyF64(durB, n)
-	a.classIdx = copyI32(classB, n)
-	a.labelIdx = copyI32(labelB, n)
-	a.priority = copyI32(prioB, n)
-	a.ready = copyI32(readyB, n)
-	a.numThr = copyI32(thrB, n)
-	a.depOff = copyI32(depOffB, n+1)
-	a.depPred = copyI32(depPredB, e)
-	a.fpOff = copyI32(fpOffB, n+1)
-	a.fpHandle = copyI32(fpHandleB, f)
-	a.strOff = copyI32(strOffB, s+1)
+	a.duration = copyF64(s[secDuration])
+	a.classIdx = copyI32(s[secClass])
+	a.labelIdx = copyI32(s[secLabel])
+	a.priority = copyI32(s[secPriority])
+	a.ready = copyI32(s[secReady])
+	a.numThr = copyI32(s[secNumThr])
+	a.depOff = copyI32(s[secDepOff])
+	a.depPred = copyI32(s[secDepPred])
+	a.fpOff = copyI32(s[secFpOff])
+	a.fpHandle = copyI32(s[secFpHandle])
+	a.strOff = copyI32(s[secStrOff])
 	a.where = slices.Clone(a.where)
 	a.depKind = slices.Clone(a.depKind)
 	a.fpMode = slices.Clone(a.fpMode)
-	a.strs = string(strBytes)
+	a.strs = string(s[secStrs])
 }
 
 // validateColumns enforces the executors' input contract on an arena's
@@ -381,30 +389,30 @@ func (a *Arena) validateColumns() error {
 	return nil
 }
 
-func aliasI32(b []byte, n uint64) []int32 {
-	if n == 0 {
+func aliasI32(b []byte) []int32 {
+	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
+	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-func aliasF64(b []byte, n uint64) []float64 {
-	if n == 0 {
+func aliasF64(b []byte) []float64 {
+	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
+	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-func copyI32(b []byte, n uint64) []int32 {
-	out := make([]int32, n)
+func copyI32(b []byte) []int32 {
+	out := make([]int32, len(b)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
 
-func copyF64(b []byte, n uint64) []float64 {
-	out := make([]float64, n)
+func copyF64(b []byte) []float64 {
+	out := make([]float64, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}

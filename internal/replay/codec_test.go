@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -60,8 +61,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		enc := a.Encode()
-		if got, want := len(enc), a.EncodedSize(); got != want {
-			t.Fatalf("%s: Encode produced %d bytes, EncodedSize says %d", name, got, want)
+		if !bytes.Equal(enc, referenceEncode(a)) {
+			t.Fatalf("%s: the built frame differs from the reference encoding of its columns", name)
 		}
 		dec, err := Decode(enc)
 		if err != nil {
@@ -153,17 +154,16 @@ func TestLoadZeroCopy(t *testing.T) {
 		}
 	}
 
-	// Encoded re-bases the built arena onto its own fresh frame the way an
-	// aligned Load would alias it, keeping the built derived views.
-	re := a.Encoded()
-	if hostLittleEndian && !re.AliasesFrame() {
-		t.Error("Encoded did not re-base the columns onto the frame")
+	// The built arena lives in its own frame the way an aligned Load
+	// aliases one.
+	if hostLittleEndian && !a.AliasesFrame() {
+		t.Error("the built arena's columns do not lie inside its frame")
 	}
-	if !bytes.Equal(re.Frame(), enc) || &re.succOff[0] != &a.succOff[0] {
-		t.Error("Encoded's frame differs from Encode, or it rebuilt the derived views")
+	if !bytes.Equal(a.Frame(), enc) || &a.Frame()[0] == &enc[0] {
+		t.Error("Encode is not a copy of the built arena's frame")
 	}
 
-	for label, arena := range map[string]*Arena{"aligned": la, "misaligned": lm, "encoded": re} {
+	for label, arena := range map[string]*Arena{"aligned": la, "misaligned": lm} {
 		tr, err := RunArena(arena, Options{Workers: 2, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -201,6 +201,57 @@ func TestDecodeDoesNotRetainInput(t *testing.T) {
 	if before.Fingerprint() != after.Fingerprint() {
 		t.Error("Decode aliased its input: fingerprint changed when the frame was overwritten")
 	}
+}
+
+// referenceEncode serializes the arena's columns one value at a time into
+// a fresh frame, following the layout comment in codec.go without the
+// builder's section arithmetic: the oracle for the frames builders write
+// in place.
+func referenceEncode(a *Arena) []byte {
+	n, e, f, s, sb := len(a.classIdx), len(a.depPred), len(a.fpHandle), len(a.strOff)-1, len(a.strs)
+	size := dagHeaderLen + dagCountsLen + 8*n + 4*(5*n+2*(n+1)+e+f+s+1) + n + e + f + sb
+	buf := make([]byte, size)
+	copy(buf[0:4], dagMagic)
+	binary.LittleEndian.PutUint16(buf[4:6], dagVersion)
+	binary.LittleEndian.PutUint16(buf[6:8], dagFlagLE)
+	payload := buf[dagHeaderLen:]
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
+
+	counts := [10]uint64{
+		uint64(n), uint64(e), uint64(f), uint64(s), uint64(sb),
+		uint64(a.workers), uint64(a.handles), uint64(a.labelStr),
+	}
+	off := 0
+	for _, c := range counts {
+		binary.LittleEndian.PutUint64(payload[off:], c)
+		off += 8
+	}
+	for _, d := range a.duration {
+		binary.LittleEndian.PutUint64(payload[off:], math.Float64bits(d))
+		off += 8
+	}
+	putI32 := func(col []int32) {
+		for _, v := range col {
+			binary.LittleEndian.PutUint32(payload[off:], uint32(v))
+			off += 4
+		}
+	}
+	putI32(a.classIdx)
+	putI32(a.labelIdx)
+	putI32(a.priority)
+	putI32(a.ready)
+	putI32(a.numThr)
+	putI32(a.depOff)
+	putI32(a.depPred)
+	putI32(a.fpOff)
+	putI32(a.fpHandle)
+	putI32(a.strOff)
+	off += copy(payload[off:], a.where)
+	off += copy(payload[off:], a.depKind)
+	off += copy(payload[off:], a.fpMode)
+	copy(payload[off:], a.strs)
+	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // frameLayout computes payload-relative section offsets for a frame with

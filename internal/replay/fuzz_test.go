@@ -1,11 +1,16 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"supersim/internal/core"
+	"supersim/internal/hazard"
+	"supersim/internal/sched"
 )
 
 // fuzzInputCap bounds fuzz inputs so a single case stays cheap; real
@@ -122,6 +127,141 @@ func FuzzLoadRun(f *testing.F) {
 			if fp != tr.Fingerprint() || math.Float64bits(ms) != math.Float64bits(tr.Makespan()) {
 				t.Fatalf("fifo=%v: Digest = (%v, %#x), its trace has (%v, %#x)", fifo, ms, fp, tr.Makespan(), tr.Fingerprint())
 			}
+		}
+	})
+}
+
+// FuzzBuilderFrameMatchesReference pins the frame a builder writes in
+// place against the column-at-a-time encoder it replaced
+// (referenceEncode). The input bytes become a stream of rows — classes
+// and labels that repeat, priorities over several levels, footprints,
+// dependences of every kind, captured durations and ready stamps — and
+// announce picks what the builder is told beforehand: the exact sizes,
+// fewer than the stream resolves (its sections regrow), more (finish
+// moves them down), or nothing, as for the Recorder. withReady runs the
+// ready pass, which writes its column after the rows and before the seal.
+// The arena must hold the rows, its frame must equal the reference
+// encoding of its columns, Load must round-trip the frame, and BuildArena
+// of the arena's view must write the same bytes.
+func FuzzBuilderFrameMatchesReference(f *testing.F) {
+	rows := []byte{0, 1, 2, 2, 0, 1, 3, 7, 1, 2, 0, 5, 4, 3, 9, 1, 1, 2, 6, 2, 3, 3, 8, 0, 0, 7, 1, 2, 3, 4}
+	for announce := uint8(0); announce < 4; announce++ {
+		f.Add(announce, false, rows)
+		f.Add(announce, true, rows)
+	}
+	f.Add(uint8(3), true, bytes.Repeat([]byte{3, 1, 2, 3, 3, 1, 2, 0, 3, 2}, 60))
+	f.Add(uint8(1), false, []byte{})
+
+	classes := []string{"POTRF", "TRSM", "SYRK", "GEMM", "TRSM", ""}
+	f.Fuzz(func(t *testing.T, announce uint8, withReady bool, in []byte) {
+		if len(in) > 1<<12 {
+			t.Skip("oversized input")
+		}
+		next := func() int {
+			if len(in) == 0 {
+				return 0
+			}
+			v := in[0]
+			in = in[1:]
+			return int(v)
+		}
+		var want []Task
+		handles, edges, feet, strBytes := 0, 0, 0, len("fuzz")
+		seen := map[string]bool{"fuzz": true}
+		for len(want) == 0 || len(in) > 0 {
+			i := len(want)
+			tk := Task{ID: i, Class: classes[next()%len(classes)], Priority: next()%5 - 2, Ready: next() - 1}
+			if l := next(); l < 128 {
+				tk.Label = fmt.Sprint("t", l%8) // repeats
+			} else {
+				tk.Label = fmt.Sprint("task-", i)
+			}
+			if d := next(); d == 0 {
+				tk.Duration = -1
+			} else {
+				tk.Duration = float64(d) * 1e-4
+			}
+			for range next() % 4 {
+				h := next() % 6
+				tk.Footprint = append(tk.Footprint, Footprint{Handle: h, Mode: hazard.Access(1 + next()%3)})
+				handles = max(handles, h+1)
+			}
+			if i > 0 {
+				for range next() % 4 {
+					tk.Deps = append(tk.Deps, sched.Dep{Pred: next() % i, Kind: hazard.EdgeKind(next() % 4)})
+				}
+			}
+			for _, str := range []string{tk.Class, tk.Label} {
+				if !seen[str] {
+					seen[str] = true
+					strBytes += len(str)
+				}
+			}
+			edges += len(tk.Deps)
+			feet += len(tk.Footprint)
+			want = append(want, tk)
+		}
+		var b *builder
+		switch n := len(want); announce % 4 {
+		case 0: // exact
+			b = newBuilder(n, feet, edges, strBytes)
+		case 1: // the stream resolves more than announced
+			b = newBuilder(n/2, feet/2, edges/2, strBytes/2)
+		case 2: // fewer
+			b = newBuilder(2*n+1, feet+7, 2*edges+3, strBytes+11)
+		case 3: // nothing announced, as the Recorder builds
+			b = newBuilder(0, 0, 0, 0)
+		}
+		for i, tk := range want {
+			if err := b.task(tk.Class, tk.Label, tk.Priority, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			b.a.ready[i] = int32(tk.Ready)
+			b.a.duration[i] = tk.Duration
+			for _, fp := range tk.Footprint {
+				b.footprint(int32(fp.Handle), fp.Mode)
+			}
+			for _, d := range tk.Deps {
+				b.dep(d)
+			}
+		}
+		var ready *sched.Config
+		if withReady {
+			ready = &sched.Config{Workers: 1, Policy: sched.NewPriorityPolicy()}
+		}
+		a, err := b.finish("fuzz", 3, handles, ready)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := a.DAG()
+		if withReady {
+			for i := range want {
+				want[i].Ready = got.Tasks[i].Ready
+			}
+		}
+		if !reflect.DeepEqual(got.Tasks, want) {
+			t.Fatalf("the arena does not hold the rows:\n got %+v\nwant %+v", got.Tasks, want)
+		}
+		frame := a.Frame()
+		if !bytes.Equal(frame, referenceEncode(a)) {
+			t.Fatal("the builder's frame differs from the reference encoding of its columns")
+		}
+		if hostLittleEndian && !a.AliasesFrame() {
+			t.Fatal("the built arena's columns do not lie inside its frame")
+		}
+		loaded, err := Load(a.Encode())
+		if err != nil {
+			t.Fatalf("Load rejects the built frame: %v", err)
+		}
+		if !bytes.Equal(loaded.Frame(), frame) || !reflect.DeepEqual(loaded.DAG().Tasks, got.Tasks) {
+			t.Fatal("Load does not round-trip the built frame")
+		}
+		rebuilt, err := BuildArena(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rebuilt.Frame(), frame) {
+			t.Fatal("BuildArena of the arena's view writes another frame")
 		}
 	})
 }

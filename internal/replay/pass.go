@@ -35,11 +35,13 @@ var trackerPool = sync.Pool{New: func() any { return hazard.NewTracker() }}
 // NewPass starts the capture of a stream of tasks tasks declaring args
 // arguments between them, whose distinct class and label strings take
 // labelBytes bytes (each string counted once, as the table interns it).
-// The per-task columns, the footprint columns and the string table —
-// offsets and bytes, the DAG label added here — then never regrow; the
-// dependence columns get the room of the footprints (the tile algorithms
-// resolve just under one edge per argument) and grow if a stream resolves
-// more. label names the DAG and workers is its default replay width.
+// These sizes place the sections of the one buffer the pass writes the
+// frame in: the per-task columns, the footprint columns and the string
+// table — offsets and bytes, the DAG label added here — never run short;
+// the dependence columns get the room of the footprints (the tile
+// algorithms resolve just under one edge per argument), and a stream that
+// resolves more moves the sections to a bigger buffer. label names the DAG
+// and workers is its default replay width.
 func NewPass(label string, workers, tasks, args, labelBytes int) *Pass {
 	return &Pass{
 		label:   label,
@@ -107,16 +109,7 @@ func (p *Pass) Arena(ready *sched.Config) (*Arena, error) {
 	}
 	b := p.b
 	p.b = nil
-	a, err := b.finish(p.label, p.workers, p.handles)
-	if err != nil {
-		return nil, err
-	}
-	if ready != nil {
-		if err := a.ReadyOrder(*ready, a.ready); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
+	return b.finish(p.label, p.workers, p.handles, ready)
 }
 
 // ReadyOrder writes into ready (len NumTasks) the position at which each

@@ -24,11 +24,15 @@ func (m jitterModel) Duration(class string, _ sched.WorkerKind, src *rng.Source)
 
 // captureRun runs a small diamond-heavy workload on a 1-worker engine with
 // a priority policy, capturing the DAG (with observed durations) and
-// returning it together with the direct simulation's trace.
+// returning it together with the direct simulation's trace. The one worker
+// is the master, which runs nothing before the barrier: every task is in
+// when the first one is picked, as replay assumes. (A dedicated worker
+// could pop src0 before src1, of higher priority, is inserted, depending
+// on goroutine timing.)
 func captureRun(t *testing.T, model core.DurationModel, seed uint64) (*DAG, *trace.Trace) {
 	t.Helper()
 	e, err := sched.NewEngine(sched.Config{
-		Workers: 1, Policy: sched.NewPriorityPolicy(), Name: "direct",
+		Workers: 1, Policy: sched.NewPriorityPolicy(), Name: "direct", MasterParticipates: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -480,14 +484,14 @@ func TestRecorderSlabsAndOwnership(t *testing.T) {
 	}
 }
 
-// TestExactReserveKeepsOneStringRegion: a pass told its string bytes
-// writes every class and label into the region NewPass made — never
-// regrown — and the finished arena's strings are that region.
+// TestExactReserveKeepsOneStringRegion: a pass told its sizes writes every
+// class and label into the buffer NewPass made — never regrown — and the
+// finished arena's frame is that buffer, its strings a region of it.
 func TestExactReserveKeepsOneStringRegion(t *testing.T) {
 	const n = 200
 	strBytes := chainStringBytes(n)
 	p := NewPass("labels", 1, n, 0, strBytes)
-	region := unsafe.SliceData(p.b.strBuf)
+	region := unsafe.SliceData(p.b.buf)
 	for i := 0; i < n; i++ {
 		if err := p.Task("K", []byte(fmt.Sprint("k", i)), 0, nil); err != nil {
 			t.Fatal(err)
@@ -497,8 +501,11 @@ func TestExactReserveKeepsOneStringRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unsafe.StringData(a.strs) != region || len(a.strs) != strBytes+len("labels") {
-		t.Errorf("string region regrown or mis-sized: %d bytes, want %d in the reserved region", len(a.strs), strBytes+len("labels"))
+	if unsafe.SliceData(a.Frame()) != region || len(a.strs) != strBytes+len("labels") {
+		t.Errorf("buffer regrown or string region mis-sized: %d bytes, want %d in the reserved buffer", len(a.strs), strBytes+len("labels"))
+	}
+	if hostLittleEndian && !a.AliasesFrame() {
+		t.Error("the arena's columns do not lie inside its frame")
 	}
 }
 

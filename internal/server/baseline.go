@@ -52,7 +52,8 @@ type baselineStore struct {
 	drifts      atomic.Uint64 // comparisons that diverged
 }
 
-// newBaselineStore opens (creating if needed) the baseline directory.
+// newBaselineStore opens (creating if needed) the baseline directory and
+// removes the temp files of baseline writes a crash cut short.
 // Returns nil — disabling regression tracking — when dir is empty or
 // cannot be created.
 func newBaselineStore(dir string) *baselineStore {
@@ -62,6 +63,7 @@ func newBaselineStore(dir string) *baselineStore {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil
 	}
+	journal.RemoveTemps(dir)
 	return &baselineStore{dir: dir}
 }
 

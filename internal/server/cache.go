@@ -84,11 +84,10 @@ type frameSource struct {
 // is filled from: the tenant's persisted frame, the cluster peer behind
 // fetch (nothing when the job carries no hint), a capture run. Bytes from
 // either level pass the same replay.Load, the only check a frame gets; a
-// disk frame that fails it is removed and the next source replaces it. The
-// capture re-bases the arena it built onto the frame it encodes
-// (Arena.Encoded): the built columns are dropped instead of being held
-// beside their own encoding, and the bytes just written are not validated
-// again.
+// disk frame that fails it is removed and the next source replaces it. A
+// capture's arena is kept as it comes: its builder wrote the columns in
+// place in its frame, so it already is the frame get writes through, and
+// the columns were validated as they were built.
 func (c *captureCache) sources(key cacheKey, fetch func() []byte, capture func() (*replay.Arena, error)) []frameSource {
 	load := func(e *cacheEntry, raw []byte) {
 		if arena, err := replay.Load(raw); err == nil {
@@ -109,12 +108,7 @@ func (c *captureCache) sources(key cacheKey, fetch func() []byte, capture func()
 			c.mu.Lock()
 			c.captures++
 			c.mu.Unlock()
-			built, err := capture()
-			if err != nil {
-				e.err = err
-				return
-			}
-			e.arena = built.Encoded()
+			e.arena, e.err = capture()
 		}},
 	}
 }

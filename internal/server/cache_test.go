@@ -33,8 +33,7 @@ func oneTaskArena(t *testing.T, label string) *replay.Arena {
 
 // TestCaptureCacheSingleflight checks the dedup guarantee: N concurrent
 // requests for one uncached key run exactly one capture, and everyone gets
-// the same arena — one arena over the frame the capture encoded, not the
-// arena the capture built.
+// the same arena: the one the capture built, which lives in its frame.
 func TestCaptureCacheSingleflight(t *testing.T) {
 	c := newCaptureCache(4, nil)
 	want := oneTaskArena(t, "want")
@@ -64,8 +63,8 @@ func TestCaptureCacheSingleflight(t *testing.T) {
 	if got := captures.Load(); got != 1 {
 		t.Fatalf("capture ran %d times, want exactly 1", got)
 	}
-	if dags[0] == want || !dags[0].AliasesFrame() || !bytes.Equal(dags[0].Frame(), want.Encode()) {
-		t.Fatal("the entry is not one arena over the captured arena's encoding")
+	if dags[0] != want || !dags[0].AliasesFrame() {
+		t.Fatal("the entry is not the captured arena over its own frame")
 	}
 	misses := 0
 	for i := range dags {
@@ -134,11 +133,11 @@ func TestCaptureCacheEviction(t *testing.T) {
 // capture — through every state each can be in. A valid source ends the
 // walk and names the disposition; a corrupt or absent one hands over to
 // the next; only a corrupt disk frame is removed and counted; every source
-// but disk writes its frame through exactly once — a capture's byte for
-// byte its built arena's Encode(); whichever source filled the entry, its
-// arena's columns lie inside its frame; and what frame() serves a peer
-// afterwards, from memory (the entry's own bytes) and from disk, is that
-// frame.
+// but disk writes its frame through exactly once — a capture's the frame
+// its arena was built in, the entry being that arena; whichever source
+// filled the entry, its arena's columns lie inside its frame; and what
+// frame() serves a peer afterwards, from memory (the entry's own bytes)
+// and from disk, is that frame.
 func TestCaptureCacheSourceChain(t *testing.T) {
 	diskFrame := oneTaskArena(t, "from-disk").Encode()
 	peerFrame := oneTaskArena(t, "from-peer").Encode()
@@ -237,8 +236,8 @@ func TestCaptureCacheSourceChain(t *testing.T) {
 			if err != nil || arena == nil {
 				t.Fatalf("get: arena=%p err=%v", arena, err)
 			}
-			if tc.disposition == cacheMiss && arena == captured {
-				t.Error("capture source kept the arena it built; want it re-based onto its frame")
+			if tc.disposition == cacheMiss && arena != captured {
+				t.Error("capture source stored another arena than the one the capture built")
 			}
 			if !arena.AliasesFrame() || !bytes.Equal(arena.Frame(), tc.frame) {
 				t.Error("the entry's columns do not lie inside the source's frame")

@@ -177,3 +177,49 @@ func TestDiskCacheTenantPartitions(t *testing.T) {
 		t.Fatalf("frames %v, want one per tenant", frames)
 	}
 }
+
+// TestRestartRemovesLeftoverTempFiles: a daemon killed between a
+// WriteFileAtomic's CreateTemp and its Rename leaves the temp file behind,
+// beside the frames in <data-dir>/dags/<tenant>/, beside the journal in
+// the data dir or beside the cron baselines. A daemon opening the data dir
+// removes them, and leaves every other file where it is.
+func TestRestartRemovesLeftoverTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	srv := newTestServer(t, Config{Pool: 2, DataDir: dir})
+	first := runDiskJob(t, srv, diskSpec(11))
+	shutdownServer(t, srv)
+	frames, err := filepath.Glob(filepath.Join(dir, "dags", "*", "*.dag"))
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("persisted frames %v (err %v), want exactly one", frames, err)
+	}
+	dagDir := filepath.Dir(frames[0])
+	leftovers := []string{
+		frames[0] + ".tmp1234567",
+		filepath.Join(dir, "snapshot.json.tmp42"),
+		filepath.Join(dir, "baselines", "nightly.json.tmp7"),
+	}
+	kept := []string{
+		filepath.Join(dagDir, "notes.tmp"),
+		filepath.Join(dir, "snapshot.json.tmpx"),
+	}
+	for _, p := range append(append([]string(nil), leftovers...), kept...) {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv2 := newTestServer(t, Config{Pool: 2, DataDir: dir})
+	for _, p := range leftovers {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("leftover temp file %s survived the restart (stat: %v)", p, err)
+		}
+	}
+	for _, p := range append(kept, frames[0]) {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("%s, not a temp file, is gone after the restart: %v", p, err)
+		}
+	}
+	if again := runDiskJob(t, srv2, diskSpec(11)); again.Cache != cacheDisk || again.Result.Fingerprint != first.Result.Fingerprint {
+		t.Errorf("after the clean-up the job is served %q with %s, want %q with %s", again.Cache, again.Result.Fingerprint, cacheDisk, first.Result.Fingerprint)
+	}
+}

@@ -30,7 +30,8 @@ type dagDisk struct {
 	drops  atomic.Uint64 // corrupt frames discarded
 }
 
-// newDagDisk opens (creating if needed) a tenant's capture directory.
+// newDagDisk opens (creating if needed) a tenant's capture directory and
+// removes the temp files of frame writes a crash cut short.
 // Returns nil — disabling persistence — when dir is empty or cannot be
 // created; the cache degrades to memory-only rather than failing jobs.
 func newDagDisk(dir string) *dagDisk {
@@ -40,6 +41,7 @@ func newDagDisk(dir string) *dagDisk {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil
 	}
+	journal.RemoveTemps(dir)
 	return &dagDisk{dir: dir}
 }
 
