@@ -141,9 +141,14 @@ func NewCollector() *Collector { return perfmodel.NewCollector() }
 
 // CapturedDAG is a fully-resolved task graph recorded from one
 // instrumented scheduler run (see internal/replay): the structured view of
-// the capture, for inspection and Validate. ReplayDAG replays the capture
-// the view was made from, not the view's Tasks — editing them does not
-// change the replay.
+// the capture, for inspection and Validate. It holds the graph — each
+// task's class, label, priority, footprint, resolved dependences and
+// observed duration — and nothing of the order the run executed it in, so
+// every runtime records the same graph from the same stream. A run that
+// inserts a gang task or a task no CPU worker may run has no capture: the
+// recorder returns an error. ReplayDAG replays the capture the view was
+// made from, not the view's Tasks — editing them does not change the
+// replay.
 type CapturedDAG = replay.DAG
 
 // DAGRecorder captures the task stream of the runtime it is attached to.

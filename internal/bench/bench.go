@@ -61,12 +61,20 @@ var Schedulers = []string{"ompss", "starpu", "quark"}
 func NewRuntime(s Spec) (sched.Runtime, error) {
 	var rt sched.Runtime
 	var err error
-	q, conf := runtimeOptions(s, s.Workers)
 	switch s.Scheduler {
 	case "quark":
-		rt, err = quark.New(s.Workers, q...)
+		var opts []quark.Option
+		if s.Window > 0 {
+			opts = append(opts, quark.WithWindow(s.Window))
+		}
+		rt, err = quark.New(s.Workers, opts...)
 	case "starpu":
-		rt, err = starpu.New(conf)
+		rt, err = starpu.New(starpu.Conf{
+			NCPUs:         s.Workers,
+			NAccelerators: s.NAccelerators,
+			Policy:        s.Policy,
+			CostModel:     s.CostModel,
+		})
 	case "ompss":
 		rt, err = ompss.New(s.Workers)
 	default:
@@ -85,22 +93,6 @@ func NewRuntime(s Spec) (sched.Runtime, error) {
 		}
 	}
 	return rt, nil
-}
-
-// runtimeOptions maps the spec onto the runtimes' constructor options at
-// cpus CPU workers: QUARK's window, StarPU's configuration (OmpSs takes
-// none). NewRuntime and a capture's captureConfig both build from it.
-func runtimeOptions(s Spec, cpus int) ([]quark.Option, starpu.Conf) {
-	var q []quark.Option
-	if s.Window > 0 {
-		q = append(q, quark.WithWindow(s.Window))
-	}
-	return q, starpu.Conf{
-		NCPUs:         cpus,
-		NAccelerators: s.NAccelerators,
-		Policy:        s.Policy,
-		CostModel:     s.CostModel,
-	}
 }
 
 // armFaults attaches the spec's fault plan and watchdog to a constructed

@@ -24,8 +24,8 @@ import (
 // capture path rests on: the .dag frame of a spec captured over shape-only
 // tiles equals, byte for byte, the frame captured over the generated
 // matrices the same spec would factor. Frames carry labels, classes,
-// priorities, footprints, dependences and the ready order, so equal bytes
-// mean equal fingerprints on every replay.
+// priorities, footprints and dependences, so equal bytes mean equal
+// fingerprints on every replay.
 func TestCaptureFrameSameOverShapesAndMatrices(t *testing.T) {
 	frame := func(spec Spec, ops []factor.Op) []byte {
 		t.Helper()
@@ -111,13 +111,13 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 
 // Ceilings for one steady-state CaptureArena, per captured task and with
 // the finished arena included: cholesky nt=16 (816 tasks) through QUARK,
-// 0.22 objects and 136 B, and through StarPU's eager policy at nt=32
-// (5 984 tasks: serve-miss's dominant shape), 0.09 objects and 119 B.
+// 0.19 objects and 118 B, and through StarPU's eager policy at nt=32
+// (5 984 tasks: serve-miss's dominant shape), 0.09 objects and 108 B.
 // Bytes are set 10 % above the larger; objects, a few hundred per capture,
 // get more room. What is left per task is the arena row and the task's
 // label. The op stream comes from a recycled factor.Buffers, and the pass
-// takes its hazard tracker, its intern slots and the ready pass's Tasks
-// and tables from pools of their own; no runtime runs.
+// takes its hazard tracker and its intern slots from pools of their own;
+// no runtime runs.
 // History: 19.9 objects and 3.97 KB per task while the capture generated
 // its input matrix, rendered labels by repeated concatenation and recorded
 // one slice per footprint and per dependence list; 6.3 objects and 1.14 KB
@@ -128,13 +128,15 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 // predecessor and the tracker a state and a reader slice per handle, and
 // both started from nothing on every run; 0.24 objects and 172 B (0.10 and
 // 153 B) while a 1-worker engine run, with its labels string and handle
-// ids, made every capture. The factor.Buffers pool is shared with the
+// ids, made every capture; 0.22 objects and 136 B (0.09 and 119 B) while
+// the capture also ran each runtime's ready policy over the graph and the
+// frame held its ready order. The factor.Buffers pool is shared with the
 // direct simulation (SimulatedRun), so the two kinds of run hand each
 // other buffer sets; TestSimulatedAllocatesItsTrace holds the direct run
 // to ceilings of its own.
 const (
 	captureObjectsPerTaskCeiling = 0.4
-	captureBytesPerTaskCeiling   = 150
+	captureBytesPerTaskCeiling   = 130
 )
 
 func TestCaptureSpecAllocCeilings(t *testing.T) {
@@ -167,13 +169,14 @@ func TestCaptureSpecAllocCeilings(t *testing.T) {
 
 // captureFrameRatioCeiling bounds what serve-miss's captures allocate, as
 // the capture cache stores them, against the bytes of their .dag frames:
-// keySpecs' six captures (cholesky nt=32, 538 601 B frames over 5 984
+// keySpecs' six captures (cholesky nt=32, 484 738 B frames over 5 984
 // tasks) together. The cache keeps the arena CaptureArena returns and
 // writes its Frame() through, so the frame is most of it; the rest is the
-// successor lists, the op stream's tile shapes, what the sections left
-// unused and the ready pass's queues. Measured at 1.35x (1.31x to 1.33x
-// each, 1.48x for starpu-dm, whose cost-model queue grows as the stream
-// goes in) and set 7 % above. History: 2.35x (7.60 MB for the same
+// successor lists, the op stream's tile shapes and what the sections left
+// unused. Measured at 1.33x and set 9 % above. History: 1.35x (1.31x to
+// 1.33x each, 1.48x for starpu-dm, whose cost-model queue grew as the
+// stream went in) while the capture ran each runtime's ready policy and
+// the frame held its ready order; 2.35x (7.60 MB for the same
 // 3.23 MB of frames) while the builder filled column slabs and the cache
 // encoded them into a frame of their own, the slabs then dropped.
 const captureFrameRatioCeiling = 1.45
@@ -203,8 +206,7 @@ func TestCaptureAsCachedAllocatesItsFrame(t *testing.T) {
 
 // TestConcurrentCapturesMatchSerial: captures recycle their scratch — the
 // op stream through scratchPool, the pass's hazard tracker and intern
-// slots through replay's pools, the ready pass's Tasks and tables through
-// sched's — so scratch that went back while its capture still used it
+// slots through replay's pools — so scratch that went back while its capture still used it
 // would let a concurrent capture zero and overwrite a live stream. Eight
 // goroutines capture a seeded mix of small and large specs, so pooled
 // memory shrinks and grows between uses, and every frame must equal, byte
@@ -228,7 +230,7 @@ func TestConcurrentCapturesMatchSerial(t *testing.T) {
 	}
 	keyOf := func(s Spec) key { return key{s.Algorithm, s.Scheduler, s.Policy, s.NT, s.Workers} }
 	want := make(map[key][]byte)
-	goldenName := make(map[key]string)
+	goldenAlg := make(map[key]string)
 	for g := range draws {
 		for r := 0; r < rounds; r++ {
 			name := names[src.Intn(len(names))]
@@ -237,7 +239,7 @@ func TestConcurrentCapturesMatchSerial(t *testing.T) {
 				c := keyConfigs[src.Intn(len(keyConfigs))]
 				spec = Spec{Algorithm: "cholesky", Scheduler: c.scheduler, Policy: c.policy, NT: 2 + src.Intn(31), NB: 8, Workers: 8, Seed: 1}
 			} else {
-				goldenName[keyOf(spec)] = name
+				goldenAlg[keyOf(spec)] = spec.Algorithm
 			}
 			draws[g] = append(draws[g], spec)
 			if want[keyOf(spec)] == nil {
@@ -259,9 +261,9 @@ func TestConcurrentCapturesMatchSerial(t *testing.T) {
 		ref := fmt.Sprintf("%s/%s-%s nt=%d w=%d", k.algorithm, k.scheduler, k.policy, k.nt, k.workers)
 		refs = append(refs, ref)
 		frames[ref] = frame
-		if name, ok := goldenName[k]; ok {
-			if got := fmt.Sprintf("%x", sha256.Sum256(frame))[:16]; got != goldenFrameDigests[name] {
-				t.Errorf("%s: the serial reference frame has digest %s, golden %s", name, got, goldenFrameDigests[name])
+		if alg, ok := goldenAlg[k]; ok {
+			if got := fmt.Sprintf("%x", sha256.Sum256(frame))[:16]; got != goldenFrameDigests[alg] {
+				t.Errorf("%s: the serial reference frame has digest %s, golden %s", ref, got, goldenFrameDigests[alg])
 			}
 		}
 	}
@@ -327,24 +329,67 @@ func TestCaptureFrameIndependentOfNB(t *testing.T) {
 	}
 }
 
+// TestCaptureFrameIndependentOfScheduler: every runtime resolves its
+// hazards with the same tracker, and a frame holds only what the tracker
+// resolved, so at equal replay width a captured frame does not depend on
+// the scheduler, its policy, QUARK's window, StarPU's accelerators or dm's
+// cost model. A capture cache keyed by algorithm and nt alone rests on
+// this; if a runtime ever resolved hazards differently, this fails.
+func TestCaptureFrameIndependentOfScheduler(t *testing.T) {
+	for _, alg := range []string{"cholesky", "qr", "lu"} {
+		for _, nt := range []int{1, 4, 9, 16, 24} {
+			base := Spec{Algorithm: alg, NT: nt, NB: 8, Workers: 8, Seed: 1}
+			var specs []Spec
+			for _, c := range keyConfigs {
+				s := base
+				s.Scheduler, s.Policy = c.scheduler, c.policy
+				specs = append(specs, s)
+			}
+			for _, window := range []int{1, 4, 37} {
+				s := base
+				s.Scheduler, s.Window = "quark", window
+				specs = append(specs, s)
+			}
+			acc := base
+			acc.Scheduler, acc.NAccelerators = "starpu", 2
+			dm := base
+			dm.Scheduler, dm.Policy = "starpu", "dm"
+			dm.CostModel = func(class string, _ sched.WorkerKind) float64 { return float64(len(class)) }
+			specs = append(specs, acc, dm)
+			var first []byte
+			for _, spec := range specs {
+				arena, err := CaptureArena(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = arena.Encode()
+				} else if !bytes.Equal(arena.Encode(), first) {
+					t.Errorf("%s nt=%d: the %s-%s frame (window %d, %d accelerators) differs from the %s-%s one",
+						alg, nt, spec.Scheduler, spec.Policy, spec.Window, spec.NAccelerators, specs[0].Scheduler, specs[0].Policy)
+				}
+			}
+		}
+	}
+}
+
 // concurrentRefsDigest is the digest of TestConcurrentCapturesMatchSerial's
 // serial reference frames, each prefixed by its spec and length, in spec
-// order. It was taken at the commit before the engine recycled its
-// scratch, where these serial captures shared none.
-const concurrentRefsDigest = "411a77e2b24a93b2"
+// order. It was taken from the format-2 frames of the one-pass capture,
+// whose serial references are also checked against goldenFrameDigests.
+const concurrentRefsDigest = "e1bfb9c864cbf995"
 
-// goldenFrameDigests are the leading 16 hex digits of the SHA-256 of each
-// golden spec's .dag frame, taken from the pointer-DAG recorder at the
-// commit before captures went straight into columns. A frame holds no
+// goldenFrameDigests are the leading 16 hex digits of the SHA-256 of the
+// .dag frame of each algorithm's golden specs: one per algorithm, since a
+// frame holds the graph and no runtime resolves it differently
+// (TestCaptureFrameIndependentOfScheduler). A frame holds no
 // floating-point result, so they hold on every platform.
 var goldenFrameDigests = map[string]string{
-	"cholesky/quark": "eb3c46e220164aa3", "cholesky/starpu-prio": "32d3750ef435b3ec", "cholesky/ompss": "7d7e466931f3680f",
-	"qr/quark": "1ec940fa7dfeac99", "qr/starpu-prio": "8bf3908f8d8b42d3", "qr/ompss": "78303727239d76e4",
-	"lu/quark": "73cfc77550b87bb6", "lu/starpu-prio": "aa0e191c708a6590", "lu/ompss": "de7e57dadd2adea1",
+	"cholesky": "1fb007ee88abd3d7", "qr": "a4cbc04879f70d9c", "lu": "033ed73c2dda7eff",
 }
 
 // goldenSpecs are the nine captures the golden tests pin: every algorithm
-// through every runtime's capture order and ready policy.
+// through every runtime, StarPU under its priority policy.
 func goldenSpecs() map[string]Spec {
 	specs := make(map[string]Spec)
 	for _, alg := range []string{"cholesky", "qr", "lu"} {
@@ -371,8 +416,8 @@ func TestCaptureFramesGoldenAndRebuildable(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		frame := arena.Encode()
-		if got := fmt.Sprintf("%x", sha256.Sum256(frame))[:16]; got != goldenFrameDigests[name] {
-			t.Errorf("%s: frame digest %s, golden %s", name, got, goldenFrameDigests[name])
+		if got := fmt.Sprintf("%x", sha256.Sum256(frame))[:16]; got != goldenFrameDigests[spec.Algorithm] {
+			t.Errorf("%s: frame digest %s, golden %s", name, got, goldenFrameDigests[spec.Algorithm])
 		}
 		view := arena.DAG()
 		if err := view.Validate(); err != nil {

@@ -290,7 +290,7 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			// CaptureKeys32's rows without the tracker: each task's label and
 			// arguments rendered and its row appended, hazards resolved
 			// beforehand, then the columns finished (validation and the
-			// successor and level tables) with the ready column left unknown.
+			// successor and level tables).
 			type resolved struct {
 				handles []int32
 				deps    []hazard.Dep
@@ -322,7 +322,7 @@ func microSuite(counters *perf.Counters) []MicroBench {
 					for j := range st.ops {
 						nargs += len(st.ops[j].Args)
 					}
-					pass := replay.NewPass(fmt.Sprintf("%s-%s-nt%d", st.spec.Algorithm, st.spec.Scheduler, st.spec.NT), st.spec.Workers, len(st.ops), nargs, factor.LabelBytes(st.ops))
+					pass := replay.NewPass(fmt.Sprintf("%s-nt%d", st.spec.Algorithm, st.spec.NT), st.spec.Workers, len(st.ops), nargs, factor.LabelBytes(st.ops))
 					var label [64]byte
 					var args []sched.Arg
 					for j := range st.ops {
@@ -333,38 +333,7 @@ func microSuite(counters *perf.Counters) []MicroBench {
 							b.Fatal(err)
 						}
 					}
-					if _, err := pass.Arena(nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}},
-		{Name: "CaptureReady32", Bench: func(b *testing.B) {
-			// CaptureKeys32's ready pass alone: each configuration's policy,
-			// built afresh as a capture builds it, driven through the
-			// 1-worker dispatch over the captured graph.
-			type graph struct {
-				spec  Spec
-				arena *replay.Arena
-			}
-			var graphs []graph
-			for _, spec := range keySpecs() {
-				arena, err := CaptureArena(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				graphs = append(graphs, graph{spec, arena})
-			}
-			ready := make([]int32, graphs[0].arena.NumTasks())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, g := range graphs {
-					cfg, err := captureConfig(g.spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := g.arena.ReadyOrder(cfg, ready); err != nil {
+					if _, err := pass.Arena(); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -493,7 +462,7 @@ func manyLevelsDAG(n, levels int) *replay.DAG {
 	for len(d.Tasks) < n {
 		prev, first = first, len(d.Tasks)
 		for k := min(1+src.Intn(64), n-first); k > 0; k-- {
-			t := replay.Task{ID: len(d.Tasks), Class: "K", Label: "k", Priority: src.Intn(levels), Ready: -1, Duration: -1}
+			t := replay.Task{ID: len(d.Tasks), Class: "K", Label: "k", Priority: src.Intn(levels), Duration: -1}
 			for j := src.Intn(4); j > 0 && first > prev; j-- {
 				t.Deps = append(t.Deps, sched.Dep{Pred: prev + src.Intn(first-prev)})
 			}

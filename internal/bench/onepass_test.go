@@ -29,28 +29,17 @@ type widthRuntime struct {
 
 func (w widthRuntime) NumWorkers() int { return w.width }
 
-// engineCapture is the oracle of the one pass: the capture CaptureArena
-// made before it, a replay.Recorder on a 1-worker run of rt whose task
-// bodies do nothing. insert submits the stream with the body it is given.
-// A runtime whose master only inserts (StarPU) runs the tasks on a
-// dedicated worker, concurrently with insertion; whether a task then finds
-// its predecessors complete at insertion, and so the recorded ready order,
-// would depend on goroutine timing, so with dedicated set that worker's
-// body holds it until the stream is in. width is the DAG's replay width.
-func engineCapture(rt sched.Runtime, dedicated bool, label string, width int, insert func(sched.Runtime, sched.TaskFunc) error) (*replay.Arena, error) {
+// engineCapture is the oracle of the one pass: a replay.Recorder on a
+// 1-worker run of rt whose task bodies do nothing — the capture
+// CaptureArena made before it. insert submits the stream. width is the
+// DAG's replay width.
+func engineCapture(rt sched.Runtime, label string, width int, insert func(sched.Runtime) error) (*replay.Arena, error) {
 	defer rt.Shutdown()
 	rec, err := replay.Attach(widthRuntime{rt.(observableRuntime), width}, label)
 	if err != nil {
 		return nil, err
 	}
-	body, inserted := sched.TaskFunc(noopTask), func() {}
-	if dedicated {
-		ch := make(chan struct{})
-		body, inserted = func(*sched.Ctx) { <-ch }, func() { close(ch) }
-	}
-	err = insert(rt, body)
-	inserted()
-	if err != nil {
+	if err := insert(rt); err != nil {
 		return nil, err
 	}
 	rt.Barrier()
@@ -77,9 +66,9 @@ func engineCaptureSpec(spec Spec) (*replay.Arena, error) {
 	if width <= 0 {
 		width = rt.NumWorkers()
 	}
-	label := fmt.Sprintf("%s-%s-nt%d", spec.Algorithm, spec.Scheduler, spec.NT)
-	return engineCapture(rt, spec.Scheduler == "starpu", label, width, func(rt sched.Runtime, body sched.TaskFunc) error {
-		return factor.Insert(rt, nil, ops, func(_ *factor.Op, t *sched.Task) { t.Func = body })
+	label := fmt.Sprintf("%s-nt%d", spec.Algorithm, spec.NT)
+	return engineCapture(rt, label, width, func(rt sched.Runtime) error {
+		return factor.Insert(rt, nil, ops, func(_ *factor.Op, t *sched.Task) { t.Func = noopTask })
 	})
 }
 
@@ -97,18 +86,8 @@ func requireSameFrame(t *testing.T, spec Spec) {
 		t.Fatalf("%s: engine capture: %v", name, err)
 	}
 	if !bytes.Equal(got.Encode(), want.Encode()) {
-		t.Errorf("%s: the one pass's frame differs from the engine capture's (ready order %v, engine %v)", name, readyColumn(got), readyColumn(want))
+		t.Errorf("%s: the one pass's frame differs from the engine capture's", name)
 	}
-}
-
-// readyColumn is the arena's ready order, for failure messages.
-func readyColumn(a *replay.Arena) []int {
-	d := a.DAG()
-	out := make([]int, len(d.Tasks))
-	for i := range d.Tasks {
-		out[i] = d.Tasks[i].Ready
-	}
-	return out
 }
 
 // TestCapturePassMatchesEngine: CaptureArena writes, byte for byte, the
@@ -170,16 +149,10 @@ func TestCaptureRefusesWhatItCannotReproduce(t *testing.T) {
 // per argument, whose low nibble picks the handle (mod the handle count)
 // and whose high nibble the mode (mod 3: r, w, rw).
 //
-// The configurations are QUARK, OmpSs and StarPU's eager, ws and dm
-// policies. StarPU's prio is left out: on a stream with several roots,
-// which of them the engine's dedicated worker pops first depends on how
-// far insertion got when the worker woke, so the engine capture has no one
-// answer there. The one pass makes that order deterministic — the worker
-// takes the first task pushed — which is the engine's only order on the
-// tile algorithms' single-root streams (TestCapturePassMatchesEngine).
-// Under eager, ws and dm the first task pushed is the worker's first pop
-// whenever it wakes: the head of the one FIFO queue, of ws's queue of
-// tasks the master released, of dm's queue for its one CPU worker.
+// The runtimes are QUARK, OmpSs and StarPU under each of its four
+// policies. A frame holds the graph the tracker resolved and nothing of
+// the order a runtime ran it in, so every one of them, its dedicated
+// worker racing the insertions included, must write the pass's frame.
 func FuzzCapturePassMatchesEngine(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 2, 0x10, 0x01, 5, 1, 0x00, 0, 0, 7, 3, 0x12, 0x01, 0x20})
 	f.Add([]byte{2, 4, 0, 0, 3, 1, 0x11, 2, 1, 0x12, 6, 2, 0x20, 0x13, 1, 3, 0x03, 0x10, 0x21, 4, 1, 0x02})
@@ -217,54 +190,45 @@ func checkPassOnStream(t *testing.T, data []byte) {
 	if window > 0 {
 		qopts = append(qopts, quark.WithWindow(window))
 	}
-	configs := []struct {
+	pass := replay.NewPass("fuzz", 1, len(stream), 0, 0)
+	for i, tk := range stream {
+		if err := pass.Task("K", []byte("T"+strconv.Itoa(i)), tk.priority, tk.args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := pass.Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtimes := []struct {
 		name string
-		cfg  func() (sched.Config, error)
 		rt   func() (sched.Runtime, error)
 	}{
-		{"quark", func() (sched.Config, error) { return quark.EngineConfig(1, qopts...), nil },
-			func() (sched.Runtime, error) { return quark.New(1, qopts...) }},
-		{"ompss", func() (sched.Config, error) { return ompss.EngineConfig(1), nil },
-			func() (sched.Runtime, error) { return ompss.New(1) }},
-		{"starpu-eager", func() (sched.Config, error) { return starpu.EngineConfig(starpu.Conf{NCPUs: 1}) },
-			func() (sched.Runtime, error) { return starpu.New(starpu.Conf{NCPUs: 1}) }},
-		{"starpu-dm", func() (sched.Config, error) { return starpu.EngineConfig(starpu.Conf{NCPUs: 1, Policy: "dm"}) },
-			func() (sched.Runtime, error) { return starpu.New(starpu.Conf{NCPUs: 1, Policy: "dm"}) }},
-		{"starpu-ws", func() (sched.Config, error) { return starpu.EngineConfig(starpu.Conf{NCPUs: 1, Policy: "ws"}) },
-			func() (sched.Runtime, error) { return starpu.New(starpu.Conf{NCPUs: 1, Policy: "ws"}) }},
+		{"quark", func() (sched.Runtime, error) { return quark.New(1, qopts...) }},
+		{"ompss", func() (sched.Runtime, error) { return ompss.New(1) }},
+		{"starpu-eager", func() (sched.Runtime, error) { return starpu.New(starpu.Conf{NCPUs: 1}) }},
+		{"starpu-prio", func() (sched.Runtime, error) { return starpu.New(starpu.Conf{NCPUs: 1, Policy: "prio"}) }},
+		{"starpu-ws", func() (sched.Runtime, error) { return starpu.New(starpu.Conf{NCPUs: 1, Policy: "ws"}) }},
+		{"starpu-dm", func() (sched.Runtime, error) { return starpu.New(starpu.Conf{NCPUs: 1, Policy: "dm"}) }},
 	}
-	for _, c := range configs {
-		pass := replay.NewPass(c.name, 1, len(stream), 0, 0)
-		for i, tk := range stream {
-			if err := pass.Task("K", []byte("T"+strconv.Itoa(i)), tk.priority, tk.args); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cfg, err := c.cfg()
+	for _, r := range runtimes {
+		rt, err := r.rt()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pass.Arena(&cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		rt, err := c.rt()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := engineCapture(rt, !cfg.MasterParticipates, c.name, 1, func(rt sched.Runtime, body sched.TaskFunc) error {
+		want, err := engineCapture(rt, "fuzz", 1, func(rt sched.Runtime) error {
 			for i, tk := range stream {
-				if err := rt.Insert(&sched.Task{Class: "K", Label: "T" + strconv.Itoa(i), Priority: tk.priority, Args: tk.args, Func: body}); err != nil {
+				if err := rt.Insert(&sched.Task{Class: "K", Label: "T" + strconv.Itoa(i), Priority: tk.priority, Args: tk.args, Func: noopTask}); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("%s: engine capture: %v", c.name, err)
+			t.Fatalf("%s: engine capture: %v", r.name, err)
 		}
 		if !bytes.Equal(got.Encode(), want.Encode()) {
-			t.Fatalf("%s: the one pass's frame differs from the engine capture's (ready order %v, engine %v)", c.name, readyColumn(got), readyColumn(want))
+			t.Fatalf("%s: the one pass's frame differs from the engine capture's", r.name)
 		}
 	}
 }

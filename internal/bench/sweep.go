@@ -14,8 +14,6 @@ import (
 	"supersim/internal/factor"
 	"supersim/internal/replay"
 	"supersim/internal/sched"
-	"supersim/internal/sched/ompss"
-	"supersim/internal/sched/quark"
 	"supersim/internal/sched/starpu"
 	"supersim/internal/workload"
 )
@@ -23,14 +21,13 @@ import (
 // CaptureArena captures the spec's task DAG, as the arena replays execute
 // and the capture cache stores, in one pass on the calling goroutine: the
 // spec's op stream goes through one hazard tracker — the one every runtime
-// resolves its hazards with — straight into the arena's columns, and the
-// ready column is stamped by driving the spec's runtime's own ready policy
-// through the 1-worker dispatch its engine performs (captureConfig). No
+// resolves its hazards with — straight into the arena's columns. No
 // runtime is started. The DAG derives entirely from the serial stream
-// (footprints and hazard resolution), so it is independent of worker count
-// and durations; the frame is byte for byte the one a 1-worker run of the
-// runtime with no-op task bodies records. The arena carries the spec's
-// worker count as its default replay width.
+// (footprints and hazard resolution), so it is independent of scheduler,
+// policy, worker count and durations; the frame is byte for byte the one a
+// recorded run of any runtime with no-op task bodies writes. The arena
+// carries the spec's worker count as its default replay width
+// (captureWidth).
 func CaptureArena(spec Spec) (*replay.Arena, error) {
 	buf := scratchPool.Get().(*factor.Buffers)
 	ops, err := opsIn(spec, buf)
@@ -67,19 +64,15 @@ func captureOps(spec Spec, ops []factor.Op, buf *factor.Buffers) (*replay.Arena,
 			scratchPool.Put(buf)
 		}()
 	}
-	cfg, err := captureConfig(spec)
+	workers, err := captureWidth(spec)
 	if err != nil {
 		return nil, err
-	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = cfg.Workers
 	}
 	nargs := 0
 	for i := range ops {
 		nargs += len(ops[i].Args)
 	}
-	pass := replay.NewPass(fmt.Sprintf("%s-%s-nt%d", spec.Algorithm, spec.Scheduler, spec.NT), workers, len(ops), nargs, factor.LabelBytes(ops))
+	pass := replay.NewPass(fmt.Sprintf("%s-nt%d", spec.Algorithm, spec.NT), workers, len(ops), nargs, factor.LabelBytes(ops))
 	var label [64]byte
 	var args []sched.Arg
 	for i := range ops {
@@ -90,27 +83,35 @@ func captureOps(spec Spec, ops []factor.Op, buf *factor.Buffers) (*replay.Arena,
 			return nil, err
 		}
 	}
-	return pass.Arena(&cfg)
+	return pass.Arena()
 }
 
-// captureConfig is the engine configuration a capture's ready pass drives:
-// the spec's runtime at one CPU worker, built by the runtime package's own
-// constructor from the options NewRuntime gives it (runtimeOptions), so
-// the policy, the window and the master flag are the ones a 1-worker run
-// of that runtime would use. NewRuntime's retry settings have no
-// counterpart: a capture's tasks have no body to fail.
-func captureConfig(spec Spec) (sched.Config, error) {
-	q, s := runtimeOptions(spec, 1)
+// captureWidth is the default replay width of the spec's capture: the
+// spec's worker count, or with none the worker count of the spec's runtime
+// at one CPU worker, StarPU's accelerators included. A scheduler, policy or
+// worker mix that NewRuntime refuses is refused here too: a capture does
+// not stand in for a run that could not start.
+func captureWidth(spec Spec) (int, error) {
+	width := 1
 	switch spec.Scheduler {
-	case "quark":
-		return quark.EngineConfig(1, q...), nil
+	case "quark", "ompss":
 	case "starpu":
-		return starpu.EngineConfig(s)
-	case "ompss":
-		return ompss.EngineConfig(1), nil
+		switch spec.Policy {
+		case "", starpu.PolicyEager, starpu.PolicyPrio, starpu.PolicyWS, starpu.PolicyDM:
+		default:
+			return 0, fmt.Errorf("bench: unknown StarPU scheduling policy %q", spec.Policy)
+		}
+		if spec.NAccelerators < 0 {
+			return 0, fmt.Errorf("bench: %d StarPU accelerators", spec.NAccelerators)
+		}
+		width += spec.NAccelerators
 	default:
-		return sched.Config{}, fmt.Errorf("bench: unknown scheduler %q", spec.Scheduler)
+		return 0, fmt.Errorf("bench: unknown scheduler %q", spec.Scheduler)
 	}
+	if spec.Workers > 0 {
+		return spec.Workers, nil
+	}
+	return width, nil
 }
 
 // ReplayIgnoresPriorities reports whether replays of the spec's scheduler

@@ -7,10 +7,10 @@
 // task's hazards are resolved (pass.go, capture.go), replays walk the
 // columns where they lie, and the frame is what the capture cache stores,
 // persists and serves. Ids are implicit — task i is row i — every
-// index column is int32, the access modes, dependence kinds and placement
-// masks are bytes, durations sit in one float64 column, and all strings
-// are interned into one byte region cut by an offset column, the frame's
-// own layout, indexed by int32. Dependence and footprint lists are CSR
+// index column is int32, the access modes and dependence kinds are bytes,
+// durations sit in one float64 column, and all strings are interned into
+// one byte region cut by an offset column, the frame's own layout,
+// indexed by int32. Dependence and footprint lists are CSR
 // (offset + flat list) so the hot loops are pure slice arithmetic with no
 // per-task pointers at all. A *DAG — []Task with per-task Footprint and
 // Deps slices — is the inspection view of the same graph, built from an
@@ -65,9 +65,6 @@ type Arena struct {
 	classIdx []int32
 	labelIdx []int32
 	priority []int32
-	ready    []int32 // capture ready order, -1 when unknown
-	numThr   []int32
-	where    []uint8
 	duration []float64 // observed durations, -1 when captured without a simulator
 
 	depOff  []int32 // CSR dependences: len n+1
@@ -216,14 +213,11 @@ func (b *builder) move(buf []byte, room dims) {
 	a.classIdx = moveCol(a.classIdx, s[secClass])
 	a.labelIdx = moveCol(a.labelIdx, s[secLabel])
 	a.priority = moveCol(a.priority, s[secPriority])
-	a.ready = moveCol(a.ready, s[secReady])
-	a.numThr = moveCol(a.numThr, s[secNumThr])
 	a.depOff = moveCol(a.depOff, s[secDepOff])
 	a.depPred = moveCol(a.depPred, s[secDepPred])
 	a.fpOff = moveCol(a.fpOff, s[secFpOff])
 	a.fpHandle = moveCol(a.fpHandle, s[secFpHandle])
 	a.strOff = moveCol(a.strOff, s[secStrOff])
-	a.where = moveCol(a.where, s[secWhere])
 	a.depKind = moveCol(a.depKind, s[secDepKind])
 	a.fpMode = moveCol(a.fpMode, s[secFpMode])
 	b.strBuf = moveCol(b.strBuf, s[secStrs])
@@ -305,9 +299,9 @@ func push[T int32 | uint8 | float64](col *[]T, v T) {
 }
 
 // clampI32 narrows v to the int32 range. For the quantities that go
-// through it a clamped value is as invalid as the original — a thread
-// count, predecessor or handle that large fails validateColumns either
-// way — so narrowing cannot turn a bad value into a good one.
+// through it a clamped value is as invalid as the original — a
+// predecessor or handle that large fails validateColumns either way — so
+// narrowing cannot turn a bad value into a good one.
 func clampI32(v int) int32 {
 	return int32(min(max(v, math.MinInt32), math.MaxInt32))
 }
@@ -360,14 +354,14 @@ func (b *builder) rehash(strings int) {
 	}
 }
 
-// task opens the next task's row: no ready stamp, no duration, and empty
-// footprint and dependence lists that the footprint and dep calls up to
-// the next task call extend. A priority outside the priority column's
+// task opens the next task's row: no duration, and empty footprint and
+// dependence lists that the footprint and dep calls up to the next task
+// call extend. A priority outside the priority column's
 // int32 range is refused: stored truncated it would replay the task at a
 // different rank than the engine ran it.
 //
 //simlint:hotpath
-func (b *builder) task(class, label string, priority, numThreads int, where sched.Where) error {
+func (b *builder) task(class, label string, priority int) error {
 	a := b.a
 	if priority != int(int32(priority)) {
 		//simlint:allow hotalloc — refusal path: the capture or build ends here
@@ -379,9 +373,6 @@ func (b *builder) task(class, label string, priority, numThreads int, where sche
 	push(&a.classIdx, b.intern(class))
 	push(&a.labelIdx, b.intern(label))
 	push(&a.priority, int32(priority))
-	push(&a.ready, -1)
-	push(&a.numThr, clampI32(numThreads))
-	push(&a.where, uint8(where))
 	push(&a.duration, -1)
 	push(&a.depOff, int32(len(a.depPred)))
 	push(&a.fpOff, int32(len(a.fpHandle)))
@@ -414,11 +405,10 @@ func (b *builder) dep(d sched.Dep) {
 }
 
 // finish closes the columns, moves the sections down over the room the
-// stream left unused, validates the columns and derives the static views.
-// With ready not nil it then stamps the ready column in place
-// (Arena.ReadyOrder), and it seals the frame last. The builder must not be
-// used afterwards: the arena owns the buffer.
-func (b *builder) finish(label string, workers, handles int, ready *sched.Config) (*Arena, error) {
+// stream left unused, validates the columns, derives the static views and
+// seals the frame. The builder must not be used afterwards: the arena owns
+// the buffer.
+func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
 	a := b.a
 	if a.n == 0 {
 		return nil, fmt.Errorf("replay: empty DAG")
@@ -452,11 +442,6 @@ func (b *builder) finish(label string, workers, handles int, ready *sched.Config
 		return nil, err
 	}
 	a.deriveStatic()
-	if ready != nil {
-		if err := a.ReadyOrder(*ready, a.ready); err != nil {
-			return nil, err
-		}
-	}
 	a.seal()
 	return a, nil
 }
@@ -464,9 +449,9 @@ func (b *builder) finish(label string, workers, handles int, ready *sched.Config
 // BuildArena compiles a DAG's tasks, as they are now, into the
 // struct-of-arrays form — the way to replay a hand-built DAG or one edited
 // after capture (DAG.Arena does this on first use and memoizes it). It
-// performs the validation both executors rely on — dense non-gang
-// CPU-runnable tasks, predecessors strictly before successors — once, so
-// replays of the arena skip per-task checks entirely.
+// performs the validation both executors rely on — dense tasks,
+// predecessors strictly before successors — once, so replays of the arena
+// skip per-task checks entirely.
 func BuildArena(d *DAG) (*Arena, error) {
 	edges, feet, strBytes := 0, 0, len(d.Label)
 	for i := range d.Tasks {
@@ -478,11 +463,8 @@ func BuildArena(d *DAG) (*Arena, error) {
 	b := newBuilder(len(d.Tasks), feet, edges, strBytes)
 	for i := range d.Tasks {
 		t := &d.Tasks[i]
-		if err := b.task(t.Class, t.Label, t.Priority, t.NumThreads, t.Where); err != nil {
+		if err := b.task(t.Class, t.Label, t.Priority); err != nil {
 			return nil, err
-		}
-		if r := t.Ready; r == int(int32(r)) { // out of int32 range: leave it unknown
-			b.a.ready[i] = int32(r)
 		}
 		b.a.duration[i] = t.Duration
 		for _, f := range t.Footprint {
@@ -492,7 +474,7 @@ func BuildArena(d *DAG) (*Arena, error) {
 			b.dep(dep)
 		}
 	}
-	return b.finish(d.Label, d.Workers, d.Handles, nil)
+	return b.finish(d.Label, d.Workers, d.Handles)
 }
 
 // deriveStatic computes the redundant-but-hot views: the successor CSR
@@ -666,9 +648,6 @@ func (a *Arena) DAG() *DAG {
 		t.Class = a.str(a.classIdx[i])
 		t.Label = a.str(a.labelIdx[i])
 		t.Priority = int(a.priority[i])
-		t.Where = sched.Where(a.where[i])
-		t.NumThreads = int(a.numThr[i])
-		t.Ready = int(a.ready[i])
 		t.Duration = a.duration[i]
 		if lo, hi := a.depOff[i], a.depOff[i+1]; lo < hi {
 			t.Deps = deps[lo:hi:hi]

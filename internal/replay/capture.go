@@ -15,8 +15,8 @@ type observable interface {
 }
 
 // Recorder captures the fully-resolved task DAG from one instrumented
-// scheduler run, straight into an arena's columns: each engine callback
-// appends to (or stamps a row of) the slices the arena will own, through
+// scheduler run, straight into an arena's columns: each insertion the
+// engine reports appends a row to the slices the arena will own, through
 // the same builder BuildArena uses. Attach it to a runtime before
 // inserting tasks; after the barrier, Arena() returns the captured graph
 // ready to replay or encode, and DAG() its structured view. To also
@@ -30,12 +30,11 @@ type Recorder struct {
 	label   string
 	workers int
 
-	mu       sync.Mutex
-	b        *builder // guarded-by: mu — the arena under construction: made by Attach, dropped by Arena()
-	handles  int      // guarded-by: mu — distinct data handles seen (the ids are dense: highest + 1)
-	readySeq int32    // guarded-by: mu
-	arena    *Arena   // guarded-by: mu — the finished capture
-	err      error    // guarded-by: mu — first capture inconsistency or unrepresentable task
+	mu      sync.Mutex
+	b       *builder // guarded-by: mu — the arena under construction: made by Attach, dropped by Arena()
+	handles int      // guarded-by: mu — distinct data handles seen (the ids are dense: highest + 1)
+	arena   *Arena   // guarded-by: mu — the finished capture
+	err     error    // guarded-by: mu — first capture inconsistency or unrepresentable task
 }
 
 // Attach creates a Recorder and installs it as rt's dependence-stream
@@ -58,7 +57,8 @@ func Attach(rt sched.Runtime, label string) (*Recorder, error) {
 
 // TaskInserted implements sched.Observer: it appends the task's row —
 // identity, the argument footprint under the tracker's dense handle
-// numbering, the resolved dependence edges — to the columns. Called under
+// numbering, the resolved dependence edges — to the columns. A task the
+// capture cannot record (unrecordable) ends it with an error. Called under
 // the engine mutex; deps is the hazard tracker's reusable buffer and is
 // copied out here.
 //
@@ -69,12 +69,11 @@ func (r *Recorder) TaskInserted(t *sched.Task, handles []int32, deps []sched.Dep
 	if r.err != nil || r.arena != nil {
 		return
 	}
-	if t.ID() != r.b.a.n {
-		//simlint:allow hotalloc — refusal path: the capture ends here
-		r.err = fmt.Errorf("replay: capture started mid-run: saw task id %d, expected %d (attach the recorder before inserting)", t.ID(), r.b.a.n)
+	//simlint:allow hotalloc — refusal check: it allocates only the error that ends the capture
+	if r.err = unrecordable(t, r.b.a.n); r.err != nil {
 		return
 	}
-	if r.err = r.b.task(t.Class, t.Label, t.Priority, t.NumThreads, t.Where); r.err != nil {
+	if r.err = r.b.task(t.Class, t.Label, t.Priority); r.err != nil {
 		return
 	}
 	for i, h := range handles {
@@ -86,22 +85,20 @@ func (r *Recorder) TaskInserted(t *sched.Task, handles []int32, deps []sched.Dep
 	}
 }
 
-// TaskReady implements sched.Observer: it stamps the task with its
-// position in the capture run's ready order. Called under the engine
-// mutex.
-//
-//simlint:hotpath
-func (r *Recorder) TaskReady(t *sched.Task) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := t.ID()
-	if r.err != nil || r.b == nil || id < 0 || id >= r.b.a.n {
-		return
+// unrecordable returns why t, arriving as the capture's task n, cannot be
+// recorded, or nil: a recorder attached mid-run misses the tasks before
+// t, and a replay runs every task on one CPU worker, so a gang task or a
+// task no CPU worker may run has no replay.
+func unrecordable(t *sched.Task, n int) error {
+	switch {
+	case t.ID() != n:
+		return fmt.Errorf("replay: capture started mid-run: saw task id %d, expected %d (attach the recorder before inserting)", t.ID(), n)
+	case t.NumThreads > 1:
+		return fmt.Errorf("replay: task %d (%s) is a gang task (NumThreads=%d)", n, t.Label, t.NumThreads)
+	case !t.Where.Allows(sched.KindCPU):
+		return fmt.Errorf("replay: task %d (%s) cannot run on CPU workers (Where=%#x)", n, t.Label, t.Where)
 	}
-	if ready := r.b.a.ready; ready[id] < 0 { // first readiness only (defensive)
-		ready[id] = r.readySeq
-		r.readySeq++
-	}
+	return nil
 }
 
 // CompletionHook returns a callback for core.WithCompletionHook that
@@ -128,8 +125,8 @@ func (r *Recorder) taskCompleted(taskID, _ int, _ string, start, end float64) {
 // returns the captured graph in the form replays, the capture cache and
 // the .dag codec use; later calls return the same arena. A capture that
 // was inconsistent (recorder attached mid-run), held a task the columns
-// cannot represent, fails validation (a gang task, a task no CPU worker
-// may run) or is empty returns an error.
+// cannot represent (a gang task, a task no CPU worker may run) or is empty
+// returns an error.
 func (r *Recorder) Arena() (*Arena, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -140,7 +137,7 @@ func (r *Recorder) Arena() (*Arena, error) {
 		if r.b == nil || r.b.a.n == 0 {
 			return nil, fmt.Errorf("replay: no tasks captured")
 		}
-		r.arena, r.err = r.b.finish(r.label, r.workers, r.handles, nil)
+		r.arena, r.err = r.b.finish(r.label, r.workers, r.handles)
 		if r.err != nil {
 			return nil, r.err
 		}

@@ -5,7 +5,7 @@
 //
 //	header — 32 bytes
 //	  [0:4)   magic "SDAG"
-//	  [4:6)   format version (currently 1)
+//	  [4:6)   format version (currently 2)
 //	  [6:8)   flags (bit 0: payload is little-endian; always set)
 //	  [8:16)  payload length
 //	  [16:20) CRC-32 (IEEE) of the payload
@@ -18,17 +18,21 @@
 //	  classIdx   n × int32
 //	  labelIdx   n × int32
 //	  priority   n × int32
-//	  ready      n × int32
-//	  numThreads n × int32
 //	  depOff     (n+1) × int32
 //	  depPred    E × int32
 //	  fpOff      (n+1) × int32
 //	  fpHandle   F × int32
 //	  strOff     (S+1) × int32
-//	  where      n × uint8
 //	  depKind    E × uint8  (hazard.EdgeKind: 0 none, 1 RaW, 2 WaR, 3 WaW)
 //	  fpMode     F × uint8
 //	  strBytes   B bytes
+//
+// A frame holds the graph and nothing a replay does not read: each task's
+// class, label and priority, its footprint and its resolved dependences.
+// duration is -1 for every task of a capture made without a simulator.
+// Version 1 frames also carried a capture ready order, a thread count and
+// a placement mask per task; Load refuses them, and the capture cache
+// treats the refusal as any unreadable frame (drop, then recapture).
 //
 // A builder (arena.go) writes this layout in place as it captures a graph,
 // so a built arena already lives in its frame; Encode only copies it.
@@ -58,12 +62,11 @@ import (
 	"unsafe"
 
 	"supersim/internal/hazard"
-	"supersim/internal/sched"
 )
 
 const (
 	dagMagic   = "SDAG"
-	dagVersion = 1
+	dagVersion = 2
 	// dagFlagLE marks a little-endian payload. seal always sets it;
 	// Load requires it (no big-endian writer exists).
 	dagFlagLE     = 1 << 0
@@ -96,14 +99,11 @@ const (
 	secClass
 	secLabel
 	secPriority
-	secReady
-	secNumThr
 	secDepOff
 	secDepPred
 	secFpOff
 	secFpHandle
 	secStrOff
-	secWhere
 	secDepKind
 	secFpMode
 	secStrs
@@ -116,9 +116,9 @@ const (
 func (d dims) sizes() [numSections]uint64 {
 	return [numSections]uint64{
 		8 * d.n,
-		4 * d.n, 4 * d.n, 4 * d.n, 4 * d.n, 4 * d.n,
+		4 * d.n, 4 * d.n, 4 * d.n,
 		4 * (d.n + 1), 4 * d.e, 4 * (d.n + 1), 4 * d.f, 4 * (d.s + 1),
-		d.n, d.e, d.f, d.b,
+		d.e, d.f, d.b,
 	}
 }
 
@@ -147,8 +147,8 @@ func (d dims) sections(payload []byte) (secs [numSections][]byte) {
 }
 
 // seal writes the frame's counts, header and CRC around the finished
-// columns: the last step of a build (builder.finish), once the ready pass
-// has written its column. On a host whose integers are big-endian the
+// columns: the last step of a build (builder.finish), once the columns
+// are validated. On a host whose integers are big-endian the
 // columns were written in host order; the frame's copy is turned
 // little-endian and the arena takes copies of its own, as Load does there.
 func (a *Arena) seal() {
@@ -199,13 +199,13 @@ func (a *Arena) AliasesFrame() bool {
 	inside := func(p unsafe.Pointer, size int) bool {
 		return size == 0 || uintptr(p) >= lo && uintptr(p)+uintptr(size) <= hi
 	}
-	for _, col := range [...][]int32{a.classIdx, a.labelIdx, a.priority, a.ready, a.numThr,
+	for _, col := range [...][]int32{a.classIdx, a.labelIdx, a.priority,
 		a.depOff, a.depPred, a.fpOff, a.fpHandle, a.strOff} {
 		if !inside(unsafe.Pointer(unsafe.SliceData(col)), 4*len(col)) {
 			return false
 		}
 	}
-	for _, col := range [...][]uint8{a.where, a.depKind, a.fpMode} {
+	for _, col := range [...][]uint8{a.depKind, a.fpMode} {
 		if !inside(unsafe.Pointer(unsafe.SliceData(col)), len(col)) {
 			return false
 		}
@@ -314,14 +314,12 @@ func canAlias(b []byte) bool {
 // comment). The counts were checked against the payload length.
 func (a *Arena) adopt(payload []byte, d dims, alias bool) {
 	s := d.sections(payload)
-	a.where, a.depKind, a.fpMode = s[secWhere], s[secDepKind], s[secFpMode]
+	a.depKind, a.fpMode = s[secDepKind], s[secFpMode]
 	if alias {
 		a.duration = aliasF64(s[secDuration])
 		a.classIdx = aliasI32(s[secClass])
 		a.labelIdx = aliasI32(s[secLabel])
 		a.priority = aliasI32(s[secPriority])
-		a.ready = aliasI32(s[secReady])
-		a.numThr = aliasI32(s[secNumThr])
 		a.depOff = aliasI32(s[secDepOff])
 		a.depPred = aliasI32(s[secDepPred])
 		a.fpOff = aliasI32(s[secFpOff])
@@ -334,14 +332,11 @@ func (a *Arena) adopt(payload []byte, d dims, alias bool) {
 	a.classIdx = copyI32(s[secClass])
 	a.labelIdx = copyI32(s[secLabel])
 	a.priority = copyI32(s[secPriority])
-	a.ready = copyI32(s[secReady])
-	a.numThr = copyI32(s[secNumThr])
 	a.depOff = copyI32(s[secDepOff])
 	a.depPred = copyI32(s[secDepPred])
 	a.fpOff = copyI32(s[secFpOff])
 	a.fpHandle = copyI32(s[secFpHandle])
 	a.strOff = copyI32(s[secStrOff])
-	a.where = slices.Clone(a.where)
 	a.depKind = slices.Clone(a.depKind)
 	a.fpMode = slices.Clone(a.fpMode)
 	a.strs = string(s[secStrs])
@@ -350,7 +345,7 @@ func (a *Arena) adopt(payload []byte, d dims, alias bool) {
 // validateColumns enforces the executors' input contract on an arena's
 // columns, wherever they came from — a capture, BuildArena, a frame:
 // in-range string/handle indices, monotone CSR offsets, predecessors
-// strictly before successors, replayable tasks. Everything here is checked
+// strictly before successors, known dependence kinds. Everything here is checked
 // before the arena is released to callers, so the hot loops can index
 // without bounds anxiety.
 func (a *Arena) validateColumns() error {
@@ -362,12 +357,6 @@ func (a *Arena) validateColumns() error {
 	for i := 0; i < n; i++ {
 		if a.classIdx[i] < 0 || a.classIdx[i] >= s || a.labelIdx[i] < 0 || a.labelIdx[i] >= s {
 			return fmt.Errorf("replay: task %d string index out of range", i)
-		}
-		if a.numThr[i] > 1 {
-			return fmt.Errorf("replay: task %d is a gang task (NumThreads=%d)", i, a.numThr[i])
-		}
-		if !sched.Where(a.where[i]).Allows(sched.KindCPU) {
-			return fmt.Errorf("replay: task %d cannot run on CPU workers (Where=%#x)", i, a.where[i])
 		}
 		if a.depOff[i] > a.depOff[i+1] || a.fpOff[i] > a.fpOff[i+1] {
 			return fmt.Errorf("replay: task %d has non-monotone CSR offsets", i)

@@ -10,13 +10,11 @@ import (
 	"unsafe"
 
 	"supersim/internal/core"
-	"supersim/internal/sched"
 )
 
 // codecDAGs returns the two DAG shapes the codec tests run through: a real
-// capture (footprints, hazard kinds, dense ready order, observed
-// durations) and a synthetic graph (no footprints, kindless duplicate
-// edges, Ready = -1 so the PDES rank falls back to id).
+// capture (footprints, hazard kinds, observed durations) and a synthetic
+// graph (no footprints, kindless duplicate edges).
 func codecDAGs(t *testing.T) map[string]*DAG {
 	t.Helper()
 	captured, _ := captureRun(t, core.FixedModel(1e-3), 3)
@@ -209,7 +207,7 @@ func TestDecodeDoesNotRetainInput(t *testing.T) {
 // in place.
 func referenceEncode(a *Arena) []byte {
 	n, e, f, s, sb := len(a.classIdx), len(a.depPred), len(a.fpHandle), len(a.strOff)-1, len(a.strs)
-	size := dagHeaderLen + dagCountsLen + 8*n + 4*(5*n+2*(n+1)+e+f+s+1) + n + e + f + sb
+	size := dagHeaderLen + dagCountsLen + 8*n + 4*(3*n+2*(n+1)+e+f+s+1) + e + f + sb
 	buf := make([]byte, size)
 	copy(buf[0:4], dagMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], dagVersion)
@@ -239,14 +237,11 @@ func referenceEncode(a *Arena) []byte {
 	putI32(a.classIdx)
 	putI32(a.labelIdx)
 	putI32(a.priority)
-	putI32(a.ready)
-	putI32(a.numThr)
 	putI32(a.depOff)
 	putI32(a.depPred)
 	putI32(a.fpOff)
 	putI32(a.fpHandle)
 	putI32(a.strOff)
-	off += copy(payload[off:], a.where)
 	off += copy(payload[off:], a.depKind)
 	off += copy(payload[off:], a.fpMode)
 	copy(payload[off:], a.strs)
@@ -258,7 +253,7 @@ func referenceEncode(a *Arena) []byte {
 // the given counts, mirroring the layout in codec.go — the corruption
 // tests use it to hit specific columns.
 type frameLayout struct {
-	dur, thr, depOff, depPred, fpHandle, strOff, where, depKind int
+	dur, depOff, depPred, fpHandle, strOff, depKind int
 }
 
 func layoutOf(a *Arena) frameLayout {
@@ -268,15 +263,12 @@ func layoutOf(a *Arena) frameLayout {
 	class := l.dur + 8*n
 	label := class + 4*n
 	prio := label + 4*n
-	ready := prio + 4*n
-	l.thr = ready + 4*n
-	l.depOff = l.thr + 4*n
+	l.depOff = prio + 4*n
 	l.depPred = l.depOff + 4*(n+1)
 	fpOff := l.depPred + 4*e
 	l.fpHandle = fpOff + 4*(n+1)
 	l.strOff = l.fpHandle + 4*f
-	l.where = l.strOff + 4*(a.NumStrings()+1)
-	l.depKind = l.where + n
+	l.depKind = l.strOff + 4*(a.NumStrings()+1)
 	return l
 }
 
@@ -328,6 +320,11 @@ func TestDecodeRejectsHostileFrames(t *testing.T) {
 			binary.LittleEndian.PutUint16(b[4:6], dagVersion+1)
 			return b
 		}()},
+		{"previous version", func() []byte {
+			b := append([]byte(nil), enc...)
+			binary.LittleEndian.PutUint16(b[4:6], dagVersion-1)
+			return b
+		}()},
 		{"big-endian flag", func() []byte {
 			b := append([]byte(nil), enc...)
 			binary.LittleEndian.PutUint16(b[6:8], 0)
@@ -360,12 +357,6 @@ func TestDecodeRejectsHostileFrames(t *testing.T) {
 		})},
 		{"label index out of table", corrupt(enc, func(p []byte) {
 			binary.LittleEndian.PutUint64(p[56:64], uint64(a.NumStrings()))
-		})},
-		{"gang task", corrupt(enc, func(p []byte) {
-			binary.LittleEndian.PutUint32(p[l.thr:], 3)
-		})},
-		{"unrunnable task", corrupt(enc, func(p []byte) {
-			p[l.where] = uint8(sched.OnAccelerator) // accelerator-only: no CPU replay
 		})},
 		{"non-monotone dep offsets", corrupt(enc, func(p []byte) {
 			binary.LittleEndian.PutUint32(p[l.depOff+4:], ^uint32(0))

@@ -135,25 +135,23 @@ func FuzzLoadRun(f *testing.F) {
 // place against the column-at-a-time encoder it replaced
 // (referenceEncode). The input bytes become a stream of rows — classes
 // and labels that repeat, priorities over several levels, footprints,
-// dependences of every kind, captured durations and ready stamps — and
-// announce picks what the builder is told beforehand: the exact sizes,
-// fewer than the stream resolves (its sections regrow), more (finish
-// moves them down), or nothing, as for the Recorder. withReady runs the
-// ready pass, which writes its column after the rows and before the seal.
-// The arena must hold the rows, its frame must equal the reference
+// dependences of every kind and captured durations — and announce picks
+// what the builder is told beforehand: the exact sizes, fewer than the
+// stream resolves (its sections regrow), more (finish moves them down), or
+// nothing, as for the Recorder. The arena must hold the rows, its frame must equal the reference
 // encoding of its columns, Load must round-trip the frame, and BuildArena
 // of the arena's view must write the same bytes.
 func FuzzBuilderFrameMatchesReference(f *testing.F) {
 	rows := []byte{0, 1, 2, 2, 0, 1, 3, 7, 1, 2, 0, 5, 4, 3, 9, 1, 1, 2, 6, 2, 3, 3, 8, 0, 0, 7, 1, 2, 3, 4}
 	for announce := uint8(0); announce < 4; announce++ {
-		f.Add(announce, false, rows)
-		f.Add(announce, true, rows)
+		f.Add(announce, rows)
+		f.Add(announce, rows[1:])
 	}
-	f.Add(uint8(3), true, bytes.Repeat([]byte{3, 1, 2, 3, 3, 1, 2, 0, 3, 2}, 60))
-	f.Add(uint8(1), false, []byte{})
+	f.Add(uint8(3), bytes.Repeat([]byte{3, 1, 2, 3, 3, 1, 2, 0, 3, 2}, 60))
+	f.Add(uint8(1), []byte{})
 
 	classes := []string{"POTRF", "TRSM", "SYRK", "GEMM", "TRSM", ""}
-	f.Fuzz(func(t *testing.T, announce uint8, withReady bool, in []byte) {
+	f.Fuzz(func(t *testing.T, announce uint8, in []byte) {
 		if len(in) > 1<<12 {
 			t.Skip("oversized input")
 		}
@@ -170,7 +168,7 @@ func FuzzBuilderFrameMatchesReference(f *testing.F) {
 		seen := map[string]bool{"fuzz": true}
 		for len(want) == 0 || len(in) > 0 {
 			i := len(want)
-			tk := Task{ID: i, Class: classes[next()%len(classes)], Priority: next()%5 - 2, Ready: next() - 1}
+			tk := Task{ID: i, Class: classes[next()%len(classes)], Priority: next()%5 - 2}
 			if l := next(); l < 128 {
 				tk.Label = fmt.Sprint("t", l%8) // repeats
 			} else {
@@ -213,10 +211,9 @@ func FuzzBuilderFrameMatchesReference(f *testing.F) {
 			b = newBuilder(0, 0, 0, 0)
 		}
 		for i, tk := range want {
-			if err := b.task(tk.Class, tk.Label, tk.Priority, 0, 0); err != nil {
+			if err := b.task(tk.Class, tk.Label, tk.Priority); err != nil {
 				t.Fatal(err)
 			}
-			b.a.ready[i] = int32(tk.Ready)
 			b.a.duration[i] = tk.Duration
 			for _, fp := range tk.Footprint {
 				b.footprint(int32(fp.Handle), fp.Mode)
@@ -225,20 +222,11 @@ func FuzzBuilderFrameMatchesReference(f *testing.F) {
 				b.dep(d)
 			}
 		}
-		var ready *sched.Config
-		if withReady {
-			ready = &sched.Config{Workers: 1, Policy: sched.NewPriorityPolicy()}
-		}
-		a, err := b.finish("fuzz", 3, handles, ready)
+		a, err := b.finish("fuzz", 3, handles)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := a.DAG()
-		if withReady {
-			for i := range want {
-				want[i].Ready = got.Tasks[i].Ready
-			}
-		}
 		if !reflect.DeepEqual(got.Tasks, want) {
 			t.Fatalf("the arena does not hold the rows:\n got %+v\nwant %+v", got.Tasks, want)
 		}

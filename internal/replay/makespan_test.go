@@ -14,8 +14,8 @@ import (
 // Options value it returns the bits RunArena(...).Makespan() returns — the
 // serial executor's final clock is the maximum completion time, which is
 // what the trace method folds out of the events — across the three
-// algorithms, the three runtimes' capture orders and ready policies, every
-// duration-model shape and both executors.
+// algorithms, the three runtimes' ready policies, every duration-model
+// shape and both executors.
 func TestMakespanEqualsRunMakespan(t *testing.T) {
 	models := []struct {
 		name  string
@@ -69,9 +69,8 @@ func TestMakespanEqualsRunMakespan(t *testing.T) {
 // TestDigestEqualsRunArena pins replay.Digest's contract the same way: the
 // makespan and the fingerprint it folds while the loop runs are, bit for
 // bit, those of the trace RunArena builds — over the golden captures (the
-// three algorithms under each runtime's capture order, the specs whose
-// absolute fingerprints bench.TestGoldenFingerprints holds), both ready
-// orders, a sampled model and captured durations, worker counts from one to
+// three algorithms under each runtime, the specs whose absolute
+// fingerprints bench.TestGoldenFingerprints holds), both ready orders, a sampled model and captured durations, worker counts from one to
 // more than the graph is wide, and both executors.
 func TestDigestEqualsRunArena(t *testing.T) {
 	for _, alg := range []string{"cholesky", "qr", "lu"} {
@@ -115,7 +114,7 @@ func TestDigestEqualsRunArena(t *testing.T) {
 
 // TestMakespanErrors: Makespan and Digest report what RunArena reports.
 func TestMakespanErrors(t *testing.T) {
-	dag := &replay.DAG{Label: "nodur", Workers: 1, Tasks: []replay.Task{{Class: "K", Label: "k", Ready: -1, Duration: -1}}}
+	dag := &replay.DAG{Label: "nodur", Workers: 1, Tasks: []replay.Task{{Class: "K", Label: "k", Duration: -1}}}
 	arena, err := dag.Arena()
 	if err != nil {
 		t.Fatal(err)

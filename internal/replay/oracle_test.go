@@ -143,7 +143,7 @@ func layeredDAG(n, maxWidth int, seed uint64, prio func(src *rng.Source) int) *D
 		for k := 0; k < width; k++ {
 			t := Task{
 				ID: len(d.Tasks), Class: "K", Label: fmt.Sprintf("t%d", len(d.Tasks)),
-				Priority: prio(src), Ready: -1, Duration: float64(1+src.Intn(4)) * 1e-4,
+				Priority: prio(src), Duration: float64(1+src.Intn(4)) * 1e-4,
 			}
 			if first > prevLo {
 				for j := src.Intn(4); j > 0; j-- {
@@ -334,7 +334,7 @@ func TestLoadManyLevelsIsNotQuadratic(t *testing.T) {
 	d := &DAG{Label: "levels", Workers: 4, Handles: 1, Tasks: make([]Task, n)}
 	for i := range d.Tasks {
 		// A bijection on uint32: n distinct values in scrambled order.
-		d.Tasks[i] = Task{ID: i, Class: "K", Label: "k", Ready: -1, Duration: 1e-4,
+		d.Tasks[i] = Task{ID: i, Class: "K", Label: "k", Duration: 1e-4,
 			Priority: int(int32(uint32(i) * 2654435761))}
 	}
 	built, err := BuildArena(d)
@@ -390,106 +390,15 @@ func refSuccessors(a *Arena) (off, list []int32) {
 	return off, list
 }
 
-// refRank is the PDES static rank as the arena stored it before the
-// executor derived it per run: the ready column when it is a
-// duplicate-free in-range topological permutation, else task id.
-func refRank(a *Arena) (rank, order []int32) {
-	n := a.n
-	rank, order = make([]int32, n), make([]int32, n)
-	seen := make([]bool, n)
-	usable := true
-	for i := 0; i < n && usable; i++ {
-		r := a.ready[i]
-		if r < 0 || int(r) >= n || seen[r] {
-			usable = false
-			break
-		}
-		seen[r] = true
-	}
-	for i := 0; i < n && usable; i++ {
-		for _, p := range a.depPred[a.depOff[i]:a.depOff[i+1]] {
-			if a.ready[p] >= a.ready[i] {
-				usable = false
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		rank[i] = int32(i)
-		if usable {
-			rank[i] = a.ready[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		order[rank[i]] = int32(i)
-	}
-	return rank, order
-}
-
-// randomTopoOrder stamps the DAG's tasks with a random topological order:
-// Kahn's algorithm taking a random ready task at every step.
-func randomTopoOrder(d *DAG, src *rng.Source) {
-	n := len(d.Tasks)
-	waits := make([]int, n)
-	succs := make([][]int, n)
-	var ready []int
-	for i, t := range d.Tasks {
-		waits[i] = len(t.Deps)
-		for _, dep := range t.Deps {
-			succs[dep.Pred] = append(succs[dep.Pred], i)
-		}
-		if waits[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	for seq := 0; len(ready) > 0; seq++ {
-		k := src.Intn(len(ready))
-		id := ready[k]
-		ready = append(ready[:k], ready[k+1:]...)
-		d.Tasks[id].Ready = seq
-		for _, s := range succs[id] {
-			if waits[s]--; waits[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-	}
-}
-
 // TestDerivedViewsMatchReference: the successor CSR the arena fills with
-// its own offsets as cursors, and the rank/order the PDES plan derives per
-// run, equal the scratch-column constructions they replaced — on random
-// layered DAGs whose last layer has no successors, on one with no edges at
-// all, and under every kind of ready column: a random topological order,
-// the id order, a permutation that is not topological, a duplicate, an
-// out-of-range stamp and the unknown stamp. One pooled plan serves every
-// case, larger and smaller, as the pool would.
+// its own offsets as cursors equals the scratch-column construction it
+// replaced, and the PDES plan lays task t on lane t mod workers in id
+// order — on random layered DAGs whose last layer has no successors and on
+// one with no edges at all. One pooled plan serves every case, larger and
+// smaller, as the pool would.
 func TestDerivedViewsMatchReference(t *testing.T) {
-	readies := []struct {
-		name  string
-		stamp func(d *DAG, src *rng.Source)
-	}{
-		{"topological", randomTopoOrder},
-		{"ids", func(d *DAG, _ *rng.Source) {
-			for i := range d.Tasks {
-				d.Tasks[i].Ready = i
-			}
-		}},
-		{"reversed", func(d *DAG, _ *rng.Source) {
-			for i := range d.Tasks {
-				d.Tasks[i].Ready = len(d.Tasks) - 1 - i
-			}
-		}},
-		{"duplicate", func(d *DAG, src *rng.Source) {
-			randomTopoOrder(d, src)
-			d.Tasks[len(d.Tasks)-1].Ready = d.Tasks[0].Ready
-		}},
-		{"out-of-range", func(d *DAG, src *rng.Source) {
-			randomTopoOrder(d, src)
-			d.Tasks[len(d.Tasks)/2].Ready = len(d.Tasks)
-		}},
-		{"unknown", func(*DAG, *rng.Source) {}},
-	}
+	const workers = 3
 	pl := &pdesPlan{}
-	kept, fellBack := 0, 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		n := []int{700, 40}[seed%2]
 		dag := layeredDAG(n, 12, seed, func(src *rng.Source) int { return src.Intn(3) })
@@ -498,32 +407,25 @@ func TestDerivedViewsMatchReference(t *testing.T) {
 				dag.Tasks[i].Deps = nil
 			}
 		}
-		for _, r := range readies {
-			name := fmt.Sprintf("seed%d/%s", seed, r.name)
-			r.stamp(dag, rng.New(seed))
-			a, err := BuildArena(dag)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			off, list := refSuccessors(a)
-			if !slices.Equal(a.succOff, off) || !slices.Equal(a.succList, list) {
-				t.Errorf("%s: successor CSR differs from the scratch construction", name)
-			}
-			if err := pl.build(a, &Options{}, 3); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			rank, order := refRank(a)
-			if !slices.Equal(pl.rank, rank) || !slices.Equal(pl.order, order) {
-				t.Errorf("%s: derived rank/order differ from the stored tables", name)
-			}
-			if slices.Equal(rank, a.ready) {
-				kept++
-			} else {
-				fellBack++
+		a, err := BuildArena(dag)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		off, list := refSuccessors(a)
+		if !slices.Equal(a.succOff, off) || !slices.Equal(a.succList, list) {
+			t.Errorf("seed %d: successor CSR differs from the scratch construction", seed)
+		}
+		if err := pl.build(a, &Options{}, workers); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var want []int32
+		for w := int32(0); w < workers; w++ {
+			for id := w; id < int32(n); id += workers {
+				want = append(want, id)
 			}
 		}
-	}
-	if kept == 0 || fellBack == 0 {
-		t.Errorf("the ready columns kept the capture order %d times and fell back to ids %d times; want both", kept, fellBack)
+		if !slices.Equal(pl.laneTasks, want) {
+			t.Errorf("seed %d: lanes %v, want each task on lane id mod %d in id order", seed, pl.laneTasks, workers)
+		}
 	}
 }

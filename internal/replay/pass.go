@@ -6,17 +6,15 @@ import (
 	"unsafe"
 
 	"supersim/internal/hazard"
-	"supersim/internal/sched"
 )
 
 // Pass captures a serial task stream in one pass on the calling goroutine,
 // with no runtime: each task's operands go through one hazard tracker — the
 // one every runtime resolves its hazards with — and its row goes straight
 // into the arena's columns through the builder the Recorder and BuildArena
-// use. Arena finishes the columns and stamps the ready column by driving a
-// runtime's own policy through the 1-worker dispatch its engine performs
-// (sched.ReadyOrder), so the frame is, byte for byte, the one the Recorder
-// writes from a 1-worker run of that runtime over the same stream.
+// use. The frame is, byte for byte, the one the Recorder writes from a run
+// of any of the runtimes over the same stream: a frame holds the graph the
+// tracker resolved, and no runtime resolves it differently.
 //
 // A Pass serves one stream and is not safe for concurrent use.
 type Pass struct {
@@ -76,7 +74,7 @@ func (p *Pass) Row(class string, label []byte, priority int, args []hazard.Arg, 
 	// intern copies the label into the arena's region before it keys its
 	// map, so the string over the caller's bytes lives only for this call.
 	lab := unsafe.String(unsafe.SliceData(label), len(label))
-	if p.err = p.b.task(class, lab, priority, 0, 0); p.err != nil {
+	if p.err = p.b.task(class, lab, priority); p.err != nil {
 		return p.err
 	}
 	for i, h := range handles {
@@ -89,13 +87,10 @@ func (p *Pass) Row(class string, label []byte, priority int, args []hazard.Arg, 
 	return nil
 }
 
-// Arena finishes the capture and returns the captured graph. With ready
-// not nil, its ready column holds the order in which a 1-worker engine
-// built from *ready makes the tasks ready (Arena.ReadyOrder); with ready
-// nil the column says the order is unknown (-1). An empty stream, a task
-// the columns cannot hold or a ready pass the configuration refuses
-// returns an error. The Pass must not be used afterwards.
-func (p *Pass) Arena(ready *sched.Config) (*Arena, error) {
+// Arena finishes the capture and returns the captured graph. An empty
+// stream or a task the columns cannot hold returns an error. The Pass must
+// not be used afterwards.
+func (p *Pass) Arena() (*Arena, error) {
 	if p.tracker != nil {
 		p.tracker.Reset()
 		trackerPool.Put(p.tracker)
@@ -109,21 +104,5 @@ func (p *Pass) Arena(ready *sched.Config) (*Arena, error) {
 	}
 	b := p.b
 	p.b = nil
-	return b.finish(p.label, p.workers, p.handles, ready)
-}
-
-// ReadyOrder writes into ready (len NumTasks) the position at which each
-// task enters the ready queue when the arena's graph, in id order, runs on
-// a 1-worker engine built from cfg with bodies that do nothing
-// (sched.ReadyOrder): what the ready column of a capture under that
-// configuration records. The arena is not changed.
-func (a *Arena) ReadyOrder(cfg sched.Config, ready []int32) error {
-	return sched.ReadyOrder(cfg, &sched.Graph{
-		Priority: a.priority,
-		Class:    func(i int) string { return a.str(a.classIdx[i]) },
-		DepOff:   a.depOff, DepPred: a.depPred,
-		SuccOff: a.succOff, Succ: a.succList,
-		ArgOff: a.fpOff, ArgHandle: a.fpHandle, ArgMode: a.fpMode,
-		Handles: a.handles,
-	}, ready)
+	return b.finish(p.label, p.workers, p.handles)
 }

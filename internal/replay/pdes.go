@@ -7,15 +7,12 @@
 // *static cyclic list schedule* that is a pure function of
 // (DAG, Workers, Model, Seed):
 //
-//   - every task gets a rank: its position in the capture run's ready
-//     order when that order is a valid topological permutation (it is,
-//     for any complete 1-worker capture), else its insertion id (also
-//     topological — Validate requires predecessors to precede);
-//   - task t runs on worker lane rank(t) mod Workers; each lane executes
-//     its tasks in rank order;
+//   - task t runs on worker lane t mod Workers, its insertion id being a
+//     topological rank (predecessors precede their successors); each lane
+//     executes its tasks in id order;
 //   - start(t) = max(lane clock, max over predecessors end(p));
 //   - durations are sampled from per-lane streams seeded exactly like
-//     the serial per-worker streams, consumed in lane-rank order.
+//     the serial per-worker streams, consumed in lane order.
 //
 // Because nothing above mentions the partition count, the schedule — and
 // therefore the merged trace and its Fingerprint — is bit-identical for
@@ -72,24 +69,21 @@ type mergeHead struct {
 	hi  int32 // end of this lane's region
 }
 
-// pdesPlan is the pooled per-run state of one PDES replay: the static
-// rank/order permutation, the worker-count-dependent lane layout and the
-// execution scratch (wait counts, end times, per-lane clocks/cursors,
-// event slots). Both CSR edge views are the immutable arena's (arena.go),
-// aliased here; the rank is derived on every run (deriveRank), O(n+E), so
-// the arena carries nothing only this executor reads. Owned slices are
-// reused across runs; nothing here survives into the returned trace
-// except copied events.
+// pdesPlan is the pooled per-run state of one PDES replay: the
+// worker-count-dependent lane layout and the execution scratch (wait
+// counts, end times, per-lane clocks/cursors, event slots). Both CSR edge
+// views are the immutable arena's (arena.go), aliased here, so the arena
+// carries nothing only this executor reads. Owned slices are reused across
+// runs; nothing here survives into the returned trace except copied
+// events.
 type pdesPlan struct {
 	n       int
 	workers int
 
-	rank  []int32 // task -> schedule rank
-	order []int32 // rank -> task
-	lane  []int32 // task -> worker lane (rank mod workers)
+	lane []int32 // task -> worker lane (id mod workers)
 
 	laneOff   []int32 // lane -> start of its region in laneTasks/events; len workers+1
-	laneTasks []int32 // tasks grouped by lane, rank-ascending within a lane
+	laneTasks []int32 // tasks grouped by lane, id-ascending within a lane
 
 	predOff  []int32 // alias of Arena.depOff (CSR predecessors)
 	predList []int32 // alias of Arena.depPred
@@ -101,7 +95,7 @@ type pdesPlan struct {
 	laneClock  []float64
 	laneCursor []int32 // absolute index into laneTasks/events
 
-	events  []trace.Event // per-lane regions at laneOff, filled in rank order
+	events  []trace.Event // per-lane regions at laneOff, filled in id order
 	sources []*rng.Source // per-lane duration streams, reseeded each run
 	merge   *pq.Heap[mergeHead]
 }
@@ -113,7 +107,7 @@ var pdesPool = sync.Pool{New: func() any {
 		if ea.End != eb.End {
 			return ea.End < eb.End
 		}
-		return pl.rank[ea.TaskID] < pl.rank[eb.TaskID]
+		return ea.TaskID < eb.TaskID
 	})
 	return pl
 }}
@@ -155,8 +149,8 @@ func runPDES(a *Arena, opt *Options) (*trace.Trace, error) {
 	return pl.mergeTrace(label), nil
 }
 
-// build derives the static schedule's rank, lays it out over workers
-// lanes and sizes the per-run scratch. Task validation and both CSR views
+// build lays the static schedule out over workers lanes and sizes the
+// per-run scratch. Task validation and both CSR views
 // were done once at arena build time.
 func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 	if opt.Model == nil && !a.hasDur {
@@ -166,9 +160,6 @@ func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 	}
 	n := a.n
 	pl.n, pl.workers = n, workers
-	pl.rank = growInt32(pl.rank, n)
-	pl.order = growInt32(pl.order, n)
-	pl.deriveRank(a)
 	pl.predOff, pl.predList = a.depOff, a.depPred
 	pl.succOff, pl.succList = a.succOff, a.succList
 	pl.lane = growInt32(pl.lane, n)
@@ -188,10 +179,10 @@ func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 	}
 
 	// Lane assignment and counting sort of tasks into lane regions
-	// (rank-ascending within each lane, because the fill walks ranks).
+	// (id-ascending within each lane, because the fill walks ids).
 	w32 := int32(workers)
 	for i := 0; i < n; i++ {
-		pl.lane[i] = pl.rank[i] % w32
+		pl.lane[i] = int32(i) % w32
 	}
 	for w := 0; w <= workers; w++ {
 		pl.laneOff[w] = 0
@@ -206,10 +197,9 @@ func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 		pl.laneCursor[w] = pl.laneOff[w]
 		pl.laneClock[w] = 0
 	}
-	for r := 0; r < n; r++ {
-		t := pl.order[r]
+	for t := 0; t < n; t++ {
 		w := pl.lane[t]
-		pl.laneTasks[pl.laneCursor[w]] = t
+		pl.laneTasks[pl.laneCursor[w]] = int32(t)
 		pl.laneCursor[w]++
 	}
 	for w := 0; w < workers; w++ {
@@ -232,42 +222,6 @@ func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 		}
 	}
 	return nil
-}
-
-// deriveRank fills rank and its inverse order: the capture ready order
-// when it is a duplicate-free in-range topological permutation (it is for
-// any complete 1-worker capture), else task id. order doubles as the
-// duplicate check while the ready column is read.
-func (pl *pdesPlan) deriveRank(a *Arena) {
-	n := a.n
-	for r := range pl.order {
-		pl.order[r] = -1
-	}
-	usable := true
-	for i, r := range a.ready {
-		if r < 0 || int(r) >= n || pl.order[r] >= 0 {
-			usable = false
-			break
-		}
-		pl.order[r] = int32(i)
-	}
-check:
-	for i := 0; usable && i < n; i++ {
-		for _, p := range a.depPred[a.depOff[i]:a.depOff[i+1]] {
-			if a.ready[p] >= a.ready[i] {
-				usable = false
-				break check
-			}
-		}
-	}
-	if usable {
-		copy(pl.rank, a.ready)
-		return
-	}
-	for i := range pl.rank {
-		pl.rank[i] = int32(i)
-		pl.order[i] = int32(i)
-	}
 }
 
 // execTask runs one task on its lane: computes its start from the lane
@@ -308,16 +262,16 @@ func (pl *pdesPlan) execTask(a *Arena, opt *Options, t int32) {
 	pl.laneCursor[w]++
 }
 
-// runSerial executes the schedule on the calling goroutine. Global rank
-// order restricted to any lane is that lane's rank order, and ranks are
+// runSerial executes the schedule on the calling goroutine. Global id
+// order restricted to any lane is that lane's order, and ids are
 // topological, so every predecessor's end time exists when read — this
 // loop is the executable definition of the schedule the parallel path
 // must reproduce bit for bit.
 //
 //simlint:hotpath
 func (pl *pdesPlan) runSerial(a *Arena, opt *Options) {
-	for r := 0; r < pl.n; r++ {
-		pl.execTask(a, opt, pl.order[r])
+	for t := int32(0); t < int32(pl.n); t++ {
+		pl.execTask(a, opt, t)
 	}
 }
 
@@ -381,7 +335,7 @@ func (lp *lpRunner) run() {
 		if progress == 0 && drained == 0 {
 			// Every unfinished lane waits on a remote predecessor and all
 			// outgoing notifications are flushed: some peer owns the
-			// globally minimal-rank unexecuted task and will advance, so a
+			// globally minimal-id unexecuted task and will advance, so a
 			// notification for us is in flight or forthcoming.
 			lp.process(<-lp.inbox)
 		}
@@ -389,7 +343,7 @@ func (lp *lpRunner) run() {
 	lp.flushAll()
 }
 
-// advanceLane executes the lane's tasks in rank order until its cursor
+// advanceLane executes the lane's tasks in id order until its cursor
 // task still awaits a predecessor notification; returns the number
 // executed.
 //
@@ -528,8 +482,8 @@ func (pl *pdesPlan) runParallel(a *Arena, opt *Options, p int) {
 }
 
 // mergeTrace emits the per-lane event regions in canonical stamp order:
-// (end time, rank) ascending. Each lane's region is already sorted by
-// that key (lane clocks are monotone and ranks ascend within a lane), so
+// (end time, task id) ascending. Each lane's region is already sorted by
+// that key (lane clocks are monotone and ids ascend within a lane), so
 // a W-way heap merge suffices. The order depends only on the schedule,
 // never on the partitioning, so fingerprints match across all
 // parallelism values.

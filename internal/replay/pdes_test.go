@@ -6,7 +6,6 @@ import (
 	"supersim/internal/core"
 	"supersim/internal/rng"
 	"supersim/internal/sched"
-	"supersim/internal/trace"
 )
 
 // forceParallel lowers the crossover so the channel protocol runs even on
@@ -21,9 +20,8 @@ func forceParallel(t *testing.T) {
 
 // syntheticDAG builds a random layered-ish DAG directly (no scheduler):
 // task i depends on up to fan random earlier tasks, durations are a
-// deterministic function of the id, and Ready is left at -1 so the
-// executor falls back to id-rank. Duplicate predecessors are deliberately
-// possible — the per-edge notification accounting must tolerate them.
+// deterministic function of the id. Duplicate predecessors are
+// deliberately possible — the per-edge notification accounting must tolerate them.
 func syntheticDAG(n, fan, workers int, seed uint64) *DAG {
 	src := rng.New(seed)
 	d := &DAG{Label: "synthetic", Workers: workers, Handles: 1}
@@ -33,7 +31,6 @@ func syntheticDAG(n, fan, workers int, seed uint64) *DAG {
 		t.ID = i
 		t.Class = "K"
 		t.Label = "k"
-		t.Ready = -1
 		t.Duration = float64(i%7+1) * 1e-4
 		if i > 0 {
 			for j := src.Intn(fan + 1); j > 0; j-- {
@@ -90,77 +87,6 @@ func TestPartitionLanes(t *testing.T) {
 	}
 }
 
-// captureRunFIFO is captureRun on a FIFO-policy engine: on one worker a
-// FIFO run executes tasks exactly in readiness order, which is the PDES
-// schedule's rank order — the workload where PDES replay and direct
-// simulation must coincide.
-func captureRunFIFO(t *testing.T, model core.DurationModel, seed uint64) (*DAG, *trace.Trace) {
-	t.Helper()
-	e, err := sched.NewEngine(sched.Config{
-		Workers: 1, Policy: sched.NewFIFOPolicy(), Name: "direct-fifo",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Attach(e, "diamond-fifo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := core.NewSimulator(e, "direct", core.WithCompletionHook(rec.CompletionHook()))
-	tk := core.NewTasker(sim, model, seed)
-	insertDiamonds(t, e, tk)
-	e.Barrier()
-	e.Shutdown()
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	dag, err := rec.DAG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dag, sim.Trace()
-}
-
-// TestPDESMatchesDirectOneWorker grounds the PDES schedule in the real
-// engine: the schedule rank is the capture run's ready order, and on one
-// FIFO worker the ready order *is* the execution order, so the PDES
-// replay must reproduce the direct simulation bit for bit — the same
-// guarantee the serial greedy path gives, reached via a completely
-// different executor. (A priority-policy capture would not ground this
-// way: there, 1-worker execution order deviates from readiness order,
-// which is exactly the documented semantic difference between
-// Parallelism=0 and Parallelism>=1.)
-func TestPDESMatchesDirectOneWorker(t *testing.T) {
-	models := []struct {
-		name  string
-		model core.DurationModel
-	}{
-		{"fixed", core.FixedModel(1e-3)},
-		{"stochastic", jitterModel{base: 1e-3}},
-	}
-	for _, tc := range models {
-		dag, direct := captureRunFIFO(t, tc.model, 42)
-		for _, p := range []int{1, 4} {
-			replayed, err := Run(dag, Options{Workers: 1, Model: tc.model, Seed: 42, Parallelism: p})
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", tc.name, p, err)
-			}
-			if got, want := replayed.Fingerprint(), direct.Fingerprint(); got != want {
-				t.Errorf("%s p=%d: PDES fingerprint %#x != direct %#x\ndirect: %+v\nreplay: %+v",
-					tc.name, p, got, want, direct.Events, replayed.Events)
-			}
-		}
-		// Captured durations, no model.
-		fromCaptured, err := Run(dag, Options{Workers: 1, Seed: 9, Parallelism: 2})
-		if err != nil {
-			t.Fatalf("%s captured: %v", tc.name, err)
-		}
-		if got, want := fromCaptured.Fingerprint(), direct.Fingerprint(); got != want {
-			t.Errorf("%s: captured-duration PDES fingerprint %#x != direct %#x", tc.name, got, want)
-		}
-	}
-}
-
 // TestPDESForcedParallelTinyDAG forces the channel protocol on the
 // 7-task diamond — maximal blocking, every edge potentially a message —
 // and requires bit-identity with the serial PDES execution at every
@@ -184,8 +110,8 @@ func TestPDESForcedParallelTinyDAG(t *testing.T) {
 	}
 }
 
-// TestPDESRankFallback: a hand-built DAG with no ready stamps must fall
-// back to id-rank and still be partition-invariant, duplicates edges and
+// TestPDESRankFallback: a hand-built DAG replays on the id-ranked static
+// schedule, physically valid and partition-invariant, duplicate edges and
 // all.
 func TestPDESRankFallback(t *testing.T) {
 	forceParallel(t)
@@ -252,8 +178,5 @@ func TestPDESRejectsBadInput(t *testing.T) {
 	}
 	if _, err := RunArena(arena, Options{Workers: 2, Parallelism: 2}); err == nil {
 		t.Error("PDES accepted a captured-duration replay with a missing duration")
-	}
-	if _, err := Run(&DAG{Workers: 1, Tasks: []Task{{Class: "K", Label: "k", NumThreads: 3}}}, Options{Workers: 2, Model: core.FixedModel(1), Parallelism: 2}); err == nil {
-		t.Error("PDES accepted a gang task")
 	}
 }

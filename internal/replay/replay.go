@@ -44,25 +44,18 @@ type Footprint struct {
 type Task struct {
 	// ID is the serial insertion index (dense, 0-based).
 	ID int
-	// Class, Label, Priority, Where and NumThreads mirror the inserted
-	// sched.Task.
-	Class      string
-	Label      string
-	Priority   int
-	Where      sched.Where
-	NumThreads int
+	// Class, Label and Priority mirror the inserted sched.Task. A task a
+	// replay could not run — a gang task, one no CPU worker may run — is
+	// never captured.
+	Class    string
+	Label    string
+	Priority int
 	// Footprint is the argument list under dense handle renaming.
 	Footprint []Footprint
 	// Deps are the resolved dependence edges the hazard tracker derived at
 	// insertion (deduplicated, strongest kind per predecessor), in the
 	// tracker's derivation order.
 	Deps []sched.Dep
-	// Ready is the task's position in the capture run's ready order, or -1
-	// if the capture ended before the task became ready. The serial replay
-	// executor re-derives readiness from Deps; the PDES executor uses the
-	// ready order as its static task→lane mapping when it is a valid
-	// topological permutation (pdes.go).
-	Ready int
 	// Duration is the observed virtual duration from the capture run's
 	// completion hook, or -1 when the capture ran without a simulator.
 	Duration float64
@@ -174,7 +167,7 @@ type Options struct {
 	// sched.PriorityPolicy: priority descending, readiness order as the
 	// tiebreak — which degenerates to FIFO when no task sets a priority.
 	// The PDES executor (Parallelism >= 1) ignores this knob: its static
-	// schedule orders tasks by capture readiness rank (see pdes.go).
+	// schedule orders tasks by id (see pdes.go).
 	IgnorePriorities bool
 	// Parallelism selects the executor. 0 (the default) runs the serial
 	// greedy list scheduler above — the path whose 1-worker traces match

@@ -95,13 +95,7 @@ func TestCapturedDAGValidates(t *testing.T) {
 	if dag.NumEdges() == 0 {
 		t.Fatal("captured no dependence edges")
 	}
-	// 1-worker capture: the ready order must be a permutation of 0..n-1.
-	seen := make([]bool, len(dag.Tasks))
 	for _, task := range dag.Tasks {
-		if task.Ready < 0 || task.Ready >= len(seen) || seen[task.Ready] {
-			t.Fatalf("task %d has ready stamp %d (want a permutation)", task.ID, task.Ready)
-		}
-		seen[task.Ready] = true
 		if task.Duration < 0 {
 			t.Fatalf("task %d has no captured duration", task.ID)
 		}
@@ -353,8 +347,8 @@ func TestReplayWorkerScaling(t *testing.T) {
 	}
 }
 
-func TestRunRejectsGangAndMissingDurations(t *testing.T) {
-	// The edits are made to a capture's view, which replays the unedited
+func TestRunRejectsMissingDurations(t *testing.T) {
+	// The edit is made to a capture's view, which replays the unedited
 	// capture: BuildArena compiles the view as edited.
 	dag, _ := captureRun(t, core.FixedModel(1e-3), 5)
 	dag.Tasks[0].Duration = -1
@@ -365,14 +359,55 @@ func TestRunRejectsGangAndMissingDurations(t *testing.T) {
 	if _, err := RunArena(arena, Options{Workers: 2}); err == nil {
 		t.Error("RunArena accepted a captured-duration replay with a missing duration")
 	}
-	dag, _ = captureRun(t, core.FixedModel(1e-3), 5)
-	dag.Tasks[0].NumThreads = 3
-	if _, err := BuildArena(dag); err == nil {
-		t.Error("BuildArena accepted a gang task")
-	}
 	// A hand-built DAG has no compiled form yet: Run compiles, and rejects.
-	if _, err := Run(&DAG{Workers: 1, Tasks: []Task{{Class: "K", Label: "k", NumThreads: 3}}}, Options{Model: core.FixedModel(1)}); err == nil {
-		t.Error("Run accepted a gang task")
+	if _, err := Run(&DAG{Workers: 1, Tasks: []Task{{Class: "K", Label: "k", Duration: -1}}}, Options{}); err == nil {
+		t.Error("Run accepted a captured-duration replay with a missing duration")
+	}
+}
+
+// TestRecorderRefusesWhatReplayCannotRun: a replay runs every task on one
+// CPU worker, so a live run that inserts a gang task, or a task only an
+// accelerator may run, has no capture — the Recorder, the one way such a
+// task reaches a capture, returns an error instead of an arena.
+func TestRecorderRefusesWhatReplayCannotRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  sched.Config
+		task sched.Task
+	}{
+		{"gang", sched.Config{Workers: 2, Name: "gang"}, sched.Task{NumThreads: 2}},
+		{"accelerator-only", sched.Config{Workers: 2, Name: "hybrid", Kinds: []sched.WorkerKind{sched.KindCPU, sched.KindAccelerator}},
+			sched.Task{Where: sched.OnAccelerator}},
+	} {
+		e, err := sched.NewEngine(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Attach(e, tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := new(int)
+		noop := func(*sched.Ctx) {}
+		odd := tc.task
+		odd.Class, odd.Label, odd.Args, odd.Func = "ODD", "odd", []sched.Arg{sched.RW(h)}, noop
+		for _, task := range []*sched.Task{
+			{Class: "K", Label: "k0", Args: []sched.Arg{sched.RW(h)}, Func: noop},
+			&odd,
+			{Class: "K", Label: "k2", Args: []sched.Arg{sched.R(h)}, Func: noop},
+		} {
+			if err := e.Insert(task); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		e.Barrier()
+		e.Shutdown()
+		if err := e.Err(); err != nil {
+			t.Fatalf("%s: the live run failed: %v", tc.name, err)
+		}
+		if a, err := rec.Arena(); err == nil {
+			t.Errorf("%s: the capture returned an arena of %d tasks", tc.name, a.NumTasks())
+		}
 	}
 }
 
@@ -412,8 +447,7 @@ func captureChain(t *testing.T, n int) (*Recorder, *DAG) {
 }
 
 // passChain captures n chain tasks in a Pass told to expect tasks tasks,
-// args arguments and labelBytes bytes of class and label strings, with the
-// ready order of a 1-worker FIFO engine.
+// args arguments and labelBytes bytes of class and label strings.
 func passChain(t *testing.T, n, tasks, args, labelBytes int) *Arena {
 	t.Helper()
 	p := NewPass("chain", 1, tasks, args, labelBytes)
@@ -423,7 +457,7 @@ func passChain(t *testing.T, n, tasks, args, labelBytes int) *Arena {
 			t.Fatal(err)
 		}
 	}
-	arena, err := p.Arena(&sched.Config{Workers: 1, MasterParticipates: true})
+	arena, err := p.Arena()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +531,7 @@ func TestExactReserveKeepsOneStringRegion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a, err := p.Arena(nil)
+	a, err := p.Arena()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,12 +543,11 @@ func TestExactReserveKeepsOneStringRegion(t *testing.T) {
 	}
 }
 
-// TestMultiWorkerCaptureWithCompletionHook: on several workers the three
-// callbacks arrive from different goroutines — insertions and readiness
-// under the engine mutex, completions from whichever worker finished, with
-// columns that start empty and regrow while the hook writes into them. The
-// capture must still hold every task's observed duration and a ready order
-// that is a topological permutation. Meaningful under -race.
+// TestMultiWorkerCaptureWithCompletionHook: on several workers the two
+// callbacks arrive from different goroutines — insertions under the engine
+// mutex, completions from whichever worker finished, with columns that
+// start empty and regrow while the hook writes into them. The capture must
+// still hold every task's observed duration. Meaningful under -race.
 func TestMultiWorkerCaptureWithCompletionHook(t *testing.T) {
 	const n, workers = 400, 4
 	e, err := sched.NewEngine(sched.Config{Workers: workers, Policy: sched.NewPriorityPolicy(), Name: "multi"})
@@ -560,18 +593,6 @@ func TestMultiWorkerCaptureWithCompletionHook(t *testing.T) {
 	for _, ev := range events {
 		if got, want := dag.Tasks[ev.TaskID].Duration, ev.End-ev.Start; got != want {
 			t.Errorf("task %d: captured duration %g, the run's %g", ev.TaskID, got, want)
-		}
-	}
-	seen := make([]bool, n)
-	for _, task := range dag.Tasks {
-		if task.Ready < 0 || task.Ready >= n || seen[task.Ready] {
-			t.Fatalf("task %d has ready stamp %d (want a permutation)", task.ID, task.Ready)
-		}
-		seen[task.Ready] = true
-		for _, dep := range task.Deps {
-			if dag.Tasks[dep.Pred].Ready >= task.Ready {
-				t.Errorf("task %d became ready (%d) before its predecessor %d (%d)", task.ID, task.Ready, dep.Pred, dag.Tasks[dep.Pred].Ready)
-			}
 		}
 	}
 	if _, err := Run(dag, Options{}); err != nil { // captured durations, no model

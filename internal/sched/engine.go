@@ -513,12 +513,17 @@ func (e *Engine) stoppedLocked() error {
 // pushReady makes t available to workers. Caller holds e.mu. by is the
 // worker whose completion released t, or -1 for direct insertion.
 func (e *Engine) pushReady(t *Task, by int) {
-	t.affinity = readAffinity(t.Args, argMode, t.handles, e.owner)
+	// Data-locality affinity: prefer the worker that last wrote the
+	// task's first read operand (QUARK-style cache affinity).
+	t.affinity = -1
+	for i, a := range t.Args {
+		if a.Mode&Read != 0 {
+			t.affinity = int(e.owner[t.handles[i]])
+			break
+		}
+	}
 	t.seq = e.seq
 	e.seq++
-	if e.obs != nil {
-		e.obs.TaskReady(t)
-	}
 	e.cfg.Policy.Push(t, by)
 	if l := e.cfg.Policy.Len(); l > e.stats.MaxReadyLen {
 		e.stats.MaxReadyLen = l
@@ -537,7 +542,11 @@ func (e *Engine) complete(t *Task, w int, ctx *Ctx) {
 	e.stats.TasksCompleted++
 	e.stats.TasksPerWorker[w]++
 	e.outstanding--
-	recordWrites(t.Args, argMode, t.handles, e.owner, w)
+	for i, a := range t.Args {
+		if a.Mode&Write != 0 {
+			e.owner[t.handles[i]] = int32(w)
+		}
+	}
 	e.live[t.id-e.liveBase] = nil
 	for e.liveHead < len(e.live) && e.live[e.liveHead] == nil {
 		e.liveHead++

@@ -41,19 +41,6 @@ var _ sched.Runtime = (*Scheduler)(nil)
 // New starts an OmpSs scheduler with a team of nthreads threads (the master
 // included, joining execution during TaskWait).
 func New(nthreads int, opts ...Option) (*Scheduler, error) {
-	e, err := sched.NewEngine(EngineConfig(nthreads, opts...))
-	if err != nil {
-		return nil, err
-	}
-	s := &Scheduler{Engine: e}
-	e.SetSelf(s)
-	return s, nil
-}
-
-// EngineConfig is the engine configuration New starts, with a fresh
-// policy, for callers that drive the policy without starting an engine
-// (sched.ReadyOrder).
-func EngineConfig(nthreads int, opts ...Option) sched.Config {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
@@ -62,12 +49,18 @@ func EngineConfig(nthreads int, opts ...Option) sched.Config {
 	if cfg.priorities {
 		pol = sched.NewPriorityPolicy()
 	}
-	return sched.Config{
+	e, err := sched.NewEngine(sched.Config{
 		Name:               "ompss",
 		Workers:            nthreads,
 		Policy:             pol,
 		MasterParticipates: true,
+	})
+	if err != nil {
+		return nil, err
 	}
+	s := &Scheduler{Engine: e}
+	e.SetSelf(s)
+	return s, nil
 }
 
 // Task submits a task with the given dependence clauses, the analog of

@@ -71,30 +71,23 @@ var _ sched.Runtime = (*Scheduler)(nil)
 // New starts a QUARK scheduler with nthreads workers (including the master,
 // which executes tasks while waiting in Barrier, as QUARK's does).
 func New(nthreads int, opts ...Option) (*Scheduler, error) {
-	e, err := sched.NewEngine(EngineConfig(nthreads, opts...))
+	cfg := config{window: DefaultWindowPerWorker * nthreads}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	e, err := sched.NewEngine(sched.Config{
+		Name:               "quark",
+		Workers:            nthreads,
+		Policy:             sched.NewLocalityPolicy(nthreads),
+		Window:             cfg.window,
+		MasterParticipates: true,
+	})
 	if err != nil {
 		return nil, err
 	}
 	s := &Scheduler{Engine: e}
 	e.SetSelf(s)
 	return s, nil
-}
-
-// EngineConfig is the engine configuration New starts, with a fresh
-// policy, for callers that drive the policy without starting an engine
-// (sched.ReadyOrder).
-func EngineConfig(nthreads int, opts ...Option) sched.Config {
-	cfg := config{window: DefaultWindowPerWorker * nthreads}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return sched.Config{
-		Name:               "quark",
-		Workers:            nthreads,
-		Policy:             sched.NewLocalityPolicy(nthreads),
-		Window:             cfg.window,
-		MasterParticipates: true,
-	}
 }
 
 // InsertTask submits one task with QUARK-style flags. class names the

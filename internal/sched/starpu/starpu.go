@@ -70,28 +70,11 @@ var _ sched.Runtime = (*Scheduler)(nil)
 
 // New starts a StarPU scheduler.
 func New(conf Conf) (*Scheduler, error) {
-	cfg, err := EngineConfig(conf)
-	if err != nil {
-		return nil, err
-	}
-	e, err := sched.NewEngine(cfg)
-	if err != nil {
-		return nil, err
+	if conf.NCPUs < 0 || conf.NCPUs+conf.NAccelerators < 1 {
+		return nil, fmt.Errorf("starpu: invalid worker configuration %d CPUs + %d accelerators", conf.NCPUs, conf.NAccelerators)
 	}
 	if conf.Policy == "" {
 		conf.Policy = PolicyEager
-	}
-	s := &Scheduler{Engine: e, policy: conf.Policy}
-	e.SetSelf(s)
-	return s, nil
-}
-
-// EngineConfig is the engine configuration New starts, with a fresh
-// policy, for callers that drive the policy without starting an engine
-// (sched.ReadyOrder).
-func EngineConfig(conf Conf) (sched.Config, error) {
-	if conf.NCPUs < 0 || conf.NCPUs+conf.NAccelerators < 1 {
-		return sched.Config{}, fmt.Errorf("starpu: invalid worker configuration %d CPUs + %d accelerators", conf.NCPUs, conf.NAccelerators)
 	}
 	workers := conf.NCPUs + conf.NAccelerators
 	kinds := make([]sched.WorkerKind, workers)
@@ -104,7 +87,7 @@ func EngineConfig(conf Conf) (sched.Config, error) {
 	}
 	var pol sched.Policy
 	switch conf.Policy {
-	case "", PolicyEager:
+	case PolicyEager:
 		pol = sched.NewFIFOPolicy()
 	case PolicyPrio:
 		pol = sched.NewPriorityPolicy()
@@ -113,15 +96,21 @@ func EngineConfig(conf Conf) (sched.Config, error) {
 	case PolicyDM:
 		pol = sched.NewDMPolicy(kinds, conf.CostModel)
 	default:
-		return sched.Config{}, fmt.Errorf("starpu: unknown scheduling policy %q", conf.Policy)
+		return nil, fmt.Errorf("starpu: unknown scheduling policy %q", conf.Policy)
 	}
-	return sched.Config{
+	e, err := sched.NewEngine(sched.Config{
 		Name:               "starpu",
 		Workers:            workers,
 		Policy:             pol,
 		Kinds:              kinds,
 		MasterParticipates: false,
-	}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := &Scheduler{Engine: e, policy: conf.Policy}
+	e.SetSelf(s)
+	return s, nil
 }
 
 // Policy returns the active scheduling policy name.

@@ -2,11 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"supersim/internal/replay"
 )
 
 // shutdownServer drains srv mid-test so a second instance can reopen the
@@ -134,6 +138,61 @@ func TestDiskCacheHealsCorruptFrame(t *testing.T) {
 	}
 	if len(raw2) != len(raw) {
 		t.Fatalf("healed frame is %d bytes, want %d", len(raw2), len(raw))
+	}
+}
+
+// TestVersion1FrameIsRecaptured: a data dir written before frame format 2
+// holds version 1 frames, which also carried a ready order, a thread count
+// and a placement mask per task. Load refuses one, so the job that finds
+// it on disk takes the corrupt-frame path with no migration code: the
+// frame is dropped, the graph recaptured and served as a miss with the
+// fingerprint the version 1 frame gave, and the file rewritten as
+// version 2. The committed frame and its fingerprint come from a format-1
+// simd that captured this spec.
+func TestVersion1FrameIsRecaptured(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the fixture's fingerprint is from amd64")
+	}
+	const wantFingerprint = "28ce3c87f055e78b"
+	spec := JobSpec{Algorithm: "cholesky", Scheduler: "quark", NT: 4, NB: 8, Workers: 4, Seed: 3}
+	v1, err := os.ReadFile("testdata/v1-dag/cholesky-quark-nt4.dag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(v1[4:6]); v != 1 {
+		t.Fatalf("the fixture is a version %d frame, want 1", v)
+	}
+	dir := t.TempDir()
+	disk := &dagDisk{dir: filepath.Join(dir, "dags", "default")}
+	path := disk.path(cacheKey{algorithm: spec.Algorithm, scheduler: spec.Scheduler, nt: spec.NT, nb: spec.NB})
+	if err := os.MkdirAll(disk.dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newTestServer(t, Config{Pool: 2, DataDir: dir})
+	v := runDiskJob(t, srv, spec)
+	if v.Cache != cacheMiss {
+		t.Fatalf("a job over a version 1 frame was served %q, want %q (recapture)", v.Cache, cacheMiss)
+	}
+	if v.Result.Fingerprint != wantFingerprint {
+		t.Fatalf("recaptured fingerprint %s, the version 1 frame's %s", v.Result.Fingerprint, wantFingerprint)
+	}
+	m := srv.Metrics()
+	if m.Cache.DiskDrops != 1 || m.Cache.DiskWrites != 1 {
+		t.Fatalf("disk drops %d and writes %d, want 1 and 1 (the old frame dropped, the new one written)", m.Cache.DiskDrops, m.Cache.DiskWrites)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("the rewritten frame is unreadable: %v", err)
+	}
+	if v := binary.LittleEndian.Uint16(raw[4:6]); v != 2 {
+		t.Fatalf("the rewritten frame is version %d, want 2", v)
+	}
+	if _, err := replay.Load(raw); err != nil {
+		t.Fatalf("the rewritten frame does not load: %v", err)
 	}
 }
 
