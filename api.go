@@ -139,20 +139,18 @@ func WatchStalls(rt Runtime, sim *Simulator, deadline time.Duration) (*fault.Wat
 // WithSampleHook during a measured run.
 func NewCollector() *Collector { return perfmodel.NewCollector() }
 
-// CapturedDAG is a fully-resolved task graph recorded from one
-// instrumented scheduler run (see internal/replay): the structured view of
-// the capture, for inspection and Validate. It holds the graph — each
-// task's class, label, priority, footprint, resolved dependences and
-// observed duration — and nothing of the order the run executed it in, so
-// every runtime records the same graph from the same stream. A run that
-// inserts a gang task or a task no CPU worker may run has no capture: the
-// recorder returns an error. ReplayDAG replays the capture the view was
-// made from, not the view's Tasks — editing them does not change the
-// replay.
+// CapturedDAG is a fully-resolved task graph captured from a task stream
+// (see internal/replay): the structured view of the capture, for
+// inspection and Validate. It holds the graph — each task's class, label,
+// priority, footprint and resolved dependences — and no duration: every
+// replay samples its durations from a model. ReplayDAG replays the capture
+// the view was made from, not the view's Tasks — editing them does not
+// change the replay.
 type CapturedDAG = replay.DAG
 
-// DAGRecorder captures the task stream of the runtime it is attached to.
-type DAGRecorder = replay.Recorder
+// DAGCapture is the capture runtime CaptureDAG returns: a Runtime that
+// records the tasks inserted into it and runs none of them.
+type DAGCapture = replay.Capture
 
 // ReplayOptions parameterizes one replay of a captured DAG: worker count,
 // duration model, sampling seed, ready-queue ordering and the executor —
@@ -160,27 +158,26 @@ type DAGRecorder = replay.Recorder
 // partition-invariant PDES executor.
 type ReplayOptions = replay.Options
 
-// CaptureDAG attaches a DAG recorder to a runtime. Call before inserting
-// tasks; after the run's barrier, the recorder's DAG method returns the
-// captured graph. To also record observed virtual durations, pass the
-// recorder's CompletionHook to NewSimulator via WithCompletionHook.
-func CaptureDAG(rt Runtime, label string) (*DAGRecorder, error) {
-	return replay.Attach(rt, label)
+// CaptureDAG returns a runtime that captures the task DAG of whatever is
+// inserted into it, without running anything: insert tasks as into any
+// Runtime (task bodies are never called), then its DAG method returns the
+// captured graph. label names the graph and workers is its default replay
+// width. Insert refuses a gang task and a task no CPU worker may run — a
+// replay runs every task on one CPU worker — and the refusal ends the
+// capture.
+func CaptureDAG(label string, workers int) *DAGCapture {
+	return replay.NewCapture(label, workers)
 }
 
 // ReplayDAG re-simulates a captured DAG by virtual-time list scheduling —
 // no scheduler, no hazard tracking, no worker goroutines — and returns the
-// resulting trace. Identical inputs produce bit-identical traces. With
-// opts.Parallelism >= 1 the replay runs on the conservative PDES executor
-// across that many logical processes; results are bit-identical for every
-// parallelism value (DESIGN.md §12).
+// resulting trace; opts.Model is required. Identical inputs produce
+// bit-identical traces. With opts.Parallelism >= 1 the replay runs on the
+// conservative PDES executor across that many logical processes; results
+// are bit-identical for every parallelism value (DESIGN.md §12).
 func ReplayDAG(d *CapturedDAG, opts ReplayOptions) (*Trace, error) {
 	return replay.Run(d, opts)
 }
-
-// WithCompletionHook registers a per-task completion callback on a
-// Simulator (a DAGRecorder's CompletionHook, typically).
-var WithCompletionHook = core.WithCompletionHook
 
 // Server is the simulation service: a job queue, worker pool, capture
 // cache and observability endpoints over the simulator (see

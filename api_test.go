@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"supersim"
+	"supersim/internal/rng"
+	"supersim/internal/sched"
 )
 
 // TestFacadeQuickstart exercises the public API end to end: the doc.go
@@ -90,52 +92,76 @@ func TestFacadeCalibrationFlow(t *testing.T) {
 	}
 }
 
-// TestFacadeCaptureReplay exercises the capture/replay surface: record a
-// DAG with observed durations from one run, then re-simulate it without a
-// scheduler and check the replayed trace against the direct one.
+// jitter is a stochastic duration model: every draw consumes the worker's
+// stream, so a replay matches a direct run only if it derives the same
+// per-worker streams from the seed.
+type jitter struct{ base float64 }
+
+func (m jitter) Duration(class string, _ sched.WorkerKind, src *rng.Source) float64 {
+	return m.base * float64(len(class)) * (0.5 + src.Float64())
+}
+
+// TestFacadeCaptureReplay exercises the capture/replay surface: the
+// insertion code of a direct run captures unchanged through CaptureDAG,
+// and the captured DAG re-simulates without a scheduler. On one worker a
+// replay under the direct run's model and seed is the direct run, event
+// for event: Options.Seed derives the per-worker streams as NewTasker does.
 func TestFacadeCaptureReplay(t *testing.T) {
+	model := jitter{base: 1e-3}
+	insert := func(rt supersim.Runtime, tk *supersim.Tasker) {
+		a, b := new(int), new(int)
+		for i, task := range []*supersim.Task{
+			{Class: "TRSM", Label: "TRSM(0)", Args: []supersim.Arg{supersim.W(a)}},
+			{Class: "GEMM", Label: "GEMM(0)", Args: []supersim.Arg{supersim.R(a), supersim.W(b)}},
+			{Class: "GEMM", Label: "GEMM(1)", Args: []supersim.Arg{supersim.RW(b)}},
+		} {
+			task.Func = tk.SimTask(task.Class)
+			if err := rt.Insert(task); err != nil {
+				t.Fatalf("insert %d into %s: %v", i, rt.Name(), err)
+			}
+		}
+	}
 	rt, err := supersim.NewOmpSs(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := supersim.CaptureDAG(rt, "facade")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := supersim.NewSimulator(rt, "direct", supersim.WithCompletionHook(rec.CompletionHook()))
-	tk := supersim.NewTasker(sim, supersim.ClassMap{"GEMM": 1e-3, "TRSM": 2e-3}, 42)
-	a, b := new(int), new(int)
-	rt.Insert(&supersim.Task{Class: "TRSM", Label: "TRSM(0)",
-		Func: tk.SimTask("TRSM"),
-		Args: []supersim.Arg{supersim.W(a)}})
-	rt.Insert(&supersim.Task{Class: "GEMM", Label: "GEMM(0)",
-		Func: tk.SimTask("GEMM"),
-		Args: []supersim.Arg{supersim.R(a), supersim.W(b)}})
+	sim := supersim.NewSimulator(rt, "direct")
+	tk := supersim.NewTasker(sim, model, 42)
+	insert(rt, tk)
 	rt.Shutdown()
-	dag, err := rec.DAG()
+
+	capture := supersim.CaptureDAG("facade", 1)
+	insert(capture, tk)
+	dag, err := capture.DAG()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := dag.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Replay the captured durations (no model): identical trace content.
-	replayed, err := supersim.ReplayDAG(dag, supersim.ReplayOptions{IgnorePriorities: true})
+	if len(dag.Tasks) != 3 || dag.NumEdges() != 2 {
+		t.Fatalf("captured %d tasks and %d edges, want 3 and 2", len(dag.Tasks), dag.NumEdges())
+	}
+	replayed, err := supersim.ReplayDAG(dag, supersim.ReplayOptions{Model: model, Seed: 42, IgnorePriorities: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := replayed.Fingerprint(), sim.Trace().Fingerprint(); got != want {
 		t.Errorf("replay fingerprint %#x != direct %#x", got, want)
 	}
-	// Replay under a different model: same task set, different makespan.
+	// Replay under a constant model: same task set, the chain's makespan.
 	remodeled, err := supersim.ReplayDAG(dag, supersim.ReplayOptions{
 		Model: supersim.ClassMap{"GEMM": 2e-3, "TRSM": 4e-3}, IgnorePriorities: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := remodeled.Makespan(); math.Abs(got-6e-3) > 1e-12 {
-		t.Errorf("remodeled makespan %g, want 6e-3", got)
+	if got := remodeled.Makespan(); math.Abs(got-8e-3) > 1e-12 {
+		t.Errorf("remodeled makespan %g, want 8e-3", got)
+	}
+	// A replay needs a model: the frame holds no durations.
+	if _, err := supersim.ReplayDAG(dag, supersim.ReplayOptions{}); err == nil {
+		t.Error("ReplayDAG without a model returned a trace")
 	}
 }
 

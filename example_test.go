@@ -50,3 +50,28 @@ func ExampleTasker_SimTask() {
 	// Output:
 	// chain of 2 x 1.5s on 4 cores: 3.0s
 }
+
+// ExampleCaptureDAG captures a task DAG through ordinary insertion code —
+// the runtime CaptureDAG returns runs nothing — and replays it on the
+// virtual timeline under a duration model, with no scheduler: the same
+// producer and two consumers as ExampleSimulator, the same makespan.
+func ExampleCaptureDAG() {
+	capture := supersim.CaptureDAG("example", 2)
+	src := new(int)
+	capture.Insert(&supersim.Task{Class: "LOAD", Label: "load",
+		Args: []supersim.Arg{supersim.W(src)}})
+	for i := 0; i < 2; i++ {
+		capture.Insert(&supersim.Task{Class: "WORK", Label: "work",
+			Args: []supersim.Arg{supersim.R(src)}})
+	}
+	dag, _ := capture.DAG()
+	tr, _ := supersim.ReplayDAG(dag, supersim.ReplayOptions{
+		Model: supersim.ClassMap{"LOAD": 1.0, "WORK": 2.0},
+	})
+
+	fmt.Printf("captured: %d tasks, %d dependences\n", len(dag.Tasks), dag.NumEdges())
+	fmt.Printf("replayed makespan: %.1f virtual seconds\n", tr.Makespan())
+	// Output:
+	// captured: 3 tasks, 2 dependences
+	// replayed makespan: 3.0 virtual seconds
+}

@@ -75,12 +75,12 @@ func main() {
 	fmt.Printf("calibration took %.2fs of wall time total\n\n", calibWall.Seconds())
 
 	// --- screen tile sizes on the replay engine --------------------------
-	// One capture per nb through the public recorder (CaptureDAG on a
-	// 1-worker StarPU run with no-op bodies; the simulation service gets
-	// the same frame from one pass over the stream, with no runtime),
-	// then many model-sampled replays with no scheduler: the cheapest way
-	// to rank the algorithmic parameter. Policies are not compared here —
-	// a replay follows one fixed list-scheduling order.
+	// One capture per nb through the public capture runtime (CaptureDAG:
+	// the tasks are inserted as into any runtime, and nothing runs — the
+	// simulation service captures the same frame the same way), then many
+	// model-sampled replays with no scheduler: the cheapest way to rank
+	// the algorithmic parameter. Policies are not compared here — a replay
+	// follows one fixed list-scheduling order.
 	const screenReps = 8
 	type screened struct {
 		nb     int
@@ -91,26 +91,17 @@ func main() {
 	for _, nb := range tileSizes {
 		nt := *n / nb
 		a := tile.NewShape(nt, nb) // nothing executes: tile handles suffice
-		s, err := starpu.New(starpu.Conf{NCPUs: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		rec, err := supersim.CaptureDAG(s, fmt.Sprintf("cholesky-nb%d", nb))
-		if err != nil {
-			log.Fatal(err)
-		}
+		capture := supersim.CaptureDAG(fmt.Sprintf("cholesky-nb%d", nb), *workers)
 		t0 := time.Now()
 		for _, op := range factor.Cholesky(a) {
-			if err := s.TaskSubmit(&starpu.Codelet{
-				Name: string(op.Class),
-				CPU:  func(*supersim.Ctx) {},
-			}, op.SchedArgs(), starpu.WithPriority(op.Priority)); err != nil {
+			if err := capture.Insert(&supersim.Task{
+				Class: string(op.Class), Label: string(op.Class),
+				Args: op.SchedArgs(), Priority: op.Priority,
+			}); err != nil {
 				log.Fatal(err)
 			}
 		}
-		s.Barrier()
-		s.Shutdown()
-		dag, err := rec.DAG()
+		dag, err := capture.DAG()
 		if err != nil {
 			log.Fatal(err)
 		}

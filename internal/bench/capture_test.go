@@ -375,9 +375,9 @@ func TestCaptureFrameIndependentOfScheduler(t *testing.T) {
 
 // concurrentRefsDigest is the digest of TestConcurrentCapturesMatchSerial's
 // serial reference frames, each prefixed by its spec and length, in spec
-// order. It was taken from the format-2 frames of the one-pass capture,
+// order. It was taken from the format-3 frames of the one-pass capture,
 // whose serial references are also checked against goldenFrameDigests.
-const concurrentRefsDigest = "e1bfb9c864cbf995"
+const concurrentRefsDigest = "0c8c5a41c736ac96"
 
 // goldenFrameDigests are the leading 16 hex digits of the SHA-256 of the
 // .dag frame of each algorithm's golden specs: one per algorithm, since a
@@ -385,7 +385,7 @@ const concurrentRefsDigest = "e1bfb9c864cbf995"
 // (TestCaptureFrameIndependentOfScheduler). A frame holds no
 // floating-point result, so they hold on every platform.
 var goldenFrameDigests = map[string]string{
-	"cholesky": "1fb007ee88abd3d7", "qr": "a4cbc04879f70d9c", "lu": "033ed73c2dda7eff",
+	"cholesky": "0ab848086786990e", "qr": "20e6fc7017fa0d87", "lu": "c9e2a3c39163f0d4",
 }
 
 // goldenSpecs are the nine captures the golden tests pin: every algorithm

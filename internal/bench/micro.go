@@ -462,7 +462,7 @@ func manyLevelsDAG(n, levels int) *replay.DAG {
 	for len(d.Tasks) < n {
 		prev, first = first, len(d.Tasks)
 		for k := min(1+src.Intn(64), n-first); k > 0; k-- {
-			t := replay.Task{ID: len(d.Tasks), Class: "K", Label: "k", Priority: src.Intn(levels), Duration: -1}
+			t := replay.Task{ID: len(d.Tasks), Class: "K", Label: "k", Priority: src.Intn(levels)}
 			for j := src.Intn(4); j > 0 && first > prev; j-- {
 				t.Deps = append(t.Deps, sched.Dep{Pred: prev + src.Intn(first-prev)})
 			}

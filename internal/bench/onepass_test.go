@@ -14,31 +14,36 @@ import (
 	"supersim/internal/sched/starpu"
 )
 
-// observableRuntime is a runtime a replay.Recorder can attach to.
-type observableRuntime interface {
-	sched.Runtime
-	SetObserver(sched.Observer)
+// engineObserver is the engine's side of the oracle: it hands each
+// insertion's own resolution — the engine's dense handle ids and the deps
+// its hazard tracker derived — to Pass.Row, so the frame is written from
+// what the live engine resolved, not from a tracker of the pass's own.
+type engineObserver struct {
+	pass *replay.Pass
+	n    int   // tasks seen
+	err  error // first id out of sequence or row error
 }
 
-// widthRuntime reports a worker count of its own, so the recorder of a
-// 1-worker run writes the replay width the capture under test was given.
-type widthRuntime struct {
-	observableRuntime
-	width int
+func (o *engineObserver) TaskInserted(t *sched.Task, handles []int32, deps []sched.Dep) {
+	if o.err != nil {
+		return
+	}
+	if t.ID() != o.n {
+		o.err = fmt.Errorf("engine task id %d, want %d", t.ID(), o.n)
+		return
+	}
+	o.n++
+	o.err = o.pass.Row(t.Class, []byte(t.Label), t.Priority, t.Args, handles, deps)
 }
 
-func (w widthRuntime) NumWorkers() int { return w.width }
-
-// engineCapture is the oracle of the one pass: a replay.Recorder on a
-// 1-worker run of rt whose task bodies do nothing — the capture
-// CaptureArena made before it. insert submits the stream. width is the
-// DAG's replay width.
+// engineCapture is the oracle of the one pass: the frame of a 1-worker
+// run of rt, whose task bodies do nothing, written through an
+// engineObserver. insert submits the stream. width is the DAG's replay
+// width.
 func engineCapture(rt sched.Runtime, label string, width int, insert func(sched.Runtime) error) (*replay.Arena, error) {
 	defer rt.Shutdown()
-	rec, err := replay.Attach(widthRuntime{rt.(observableRuntime), width}, label)
-	if err != nil {
-		return nil, err
-	}
+	o := &engineObserver{pass: replay.NewPass(label, width, 0, 0, 0)}
+	rt.(interface{ SetObserver(sched.Observer) }).SetObserver(o)
 	if err := insert(rt); err != nil {
 		return nil, err
 	}
@@ -46,7 +51,10 @@ func engineCapture(rt sched.Runtime, label string, width int, insert func(sched.
 	if err := rt.Err(); err != nil {
 		return nil, err
 	}
-	return rec.Arena()
+	if o.err != nil {
+		return nil, o.err
+	}
+	return o.pass.Arena()
 }
 
 // engineCaptureSpec is engineCapture of the spec's stream through the
@@ -91,7 +99,7 @@ func requireSameFrame(t *testing.T, spec Spec) {
 }
 
 // TestCapturePassMatchesEngine: CaptureArena writes, byte for byte, the
-// frame a recorded 1-worker run of the spec's runtime writes — for every
+// frame of the graph a live 1-worker run of the spec's runtime resolves — for every
 // algorithm at nt 1..32 under the six configurations serve-miss's keys
 // spread over, QUARK under windows small enough that its master serves
 // while the stream goes in, and the spec fields the runtime constructors

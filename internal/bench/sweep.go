@@ -24,8 +24,8 @@ import (
 // resolves its hazards with — straight into the arena's columns. No
 // runtime is started. The DAG derives entirely from the serial stream
 // (footprints and hazard resolution), so it is independent of scheduler,
-// policy, worker count and durations; the frame is byte for byte the one a
-// recorded run of any runtime with no-op task bodies writes. The arena
+// policy, worker count and durations; the frame is byte for byte the one
+// the graph a live run of any runtime resolves gives. The arena
 // carries the spec's worker count as its default replay width
 // (captureWidth).
 func CaptureArena(spec Spec) (*replay.Arena, error) {
@@ -48,7 +48,7 @@ func CaptureSpec(spec Spec) (*replay.DAG, error) {
 	return arena.DAG(), nil
 }
 
-// captureOps is CaptureArena on a stream the caller built. The recorded
+// captureOps is CaptureArena on a stream the caller built. The captured
 // graph depends on the ops' classes, labels, priorities and argument
 // handles only — whether the tiles behind the handles hold data makes no
 // difference, which TestCaptureFrameSameOverShapesAndMatrices pins.
@@ -214,8 +214,8 @@ func ReplicaSeed(base uint64, nt, rep int) uint64 {
 
 // SweepParallel runs the simulation side of a Figs. 8-10 sweep on the
 // replay engine: each (algorithm, NT) point's DAG is captured once
-// (CaptureArena: one pass over the stream, no scheduler run, the ready
-// column from the scheduler's own policy), then opt.Reps replicas per
+// (CaptureArena: one pass over the stream, no scheduler run; the frame
+// holds the graph alone), then opt.Reps replicas per
 // point are replayed under opt.Model across opt.Shards goroutines. A point
 // whose model draws no randomness (replay.SeedFree) has the same makespan
 // in every replica: it is replayed once and the makespan copied. Results

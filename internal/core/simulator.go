@@ -188,16 +188,6 @@ func WithSampleHook(hook func(class string, worker int, duration float64)) Optio
 	return func(s *Simulator) { s.onSample = hook }
 }
 
-// WithCompletionHook installs a callback invoked for every completed
-// simulated task with its identity and virtual interval, in the same place
-// the trace event is recorded. The replay capture layer (internal/replay)
-// uses it to attach observed virtual durations and placements to the
-// recorded DAG. Like WithSampleHook, the hook must be safe for concurrent
-// use: it is called outside the simulator lock.
-func WithCompletionHook(hook func(taskID, worker int, class string, start, end float64)) Option {
-	return func(s *Simulator) { s.onComplete = hook }
-}
-
 // WithPerfCounters attaches contention counters to the simulator's hot
 // path (front handoffs, parks, quiescence waits). nil disables collection.
 func WithPerfCounters(c *perf.Counters) Option {
@@ -218,7 +208,6 @@ type Simulator struct {
 	policy       WaitPolicy
 	disableQueue bool
 	onSample     func(class string, worker int, duration float64)
-	onComplete   func(taskID, worker int, class string, start, end float64)
 	aborted      error // guarded-by: mu — abort reason; non-nil ends every wait in Execute
 	rt           sched.Runtime
 	perf         *perf.Counters
@@ -474,9 +463,6 @@ func (s *Simulator) deposit(ctx *sched.Ctx, class string, start, end float64, or
 	ln.mu.Unlock()
 	if s.onSample != nil {
 		s.onSample(class, ctx.Worker, end-start)
-	}
-	if s.onComplete != nil {
-		s.onComplete(ctx.Task.ID(), ctx.Worker, class, start, end)
 	}
 }
 

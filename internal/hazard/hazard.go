@@ -77,7 +77,7 @@ type state struct {
 // Handles are numbered densely in first-seen order. The number is the
 // handle's identity downstream of the tracker: Insert resolves each
 // argument's opaque handle through the map once and hands the numbers
-// out, so the engine's ownership table and the capture recorder's
+// out, so the engine's ownership table and the capture pass's
 // footprints index by it instead of hashing the handle again. The tracker
 // indexes by it too: a handle's state is a value in one array, and its
 // readers since the last write are a list in one node pool shared by all

@@ -4,31 +4,30 @@
 // An *Arena is the capture format, the execution format and the wire
 // format in one buffer: the .dag frame is the columns laid end to end
 // (codec.go), a capture writes each task's row into that frame as the
-// task's hazards are resolved (pass.go, capture.go), replays walk the
+// task's hazards are resolved (pass.go), replays walk the
 // columns where they lie, and the frame is what the capture cache stores,
 // persists and serves. Ids are implicit — task i is row i — every
 // index column is int32, the access modes and dependence kinds are bytes,
-// durations sit in one float64 column, and all strings are interned into
-// one byte region cut by an offset column, the frame's own layout,
-// indexed by int32. Dependence and footprint lists are CSR
-// (offset + flat list) so the hot loops are pure slice arithmetic with no
-// per-task pointers at all. A *DAG — []Task with per-task Footprint and
+// and all strings are interned into one byte region cut by an offset
+// column, the frame's own layout, indexed by int32. No column holds a
+// duration: every replay samples its durations from Options.Model.
+// Dependence and footprint lists are CSR (offset + flat list) so the hot
+// loops are pure slice arithmetic with no per-task pointers at all. A *DAG — []Task with per-task Footprint and
 // Deps slices — is the inspection view of the same graph, built from an
 // arena on request (Arena.DAG) or written by hand and compiled with
 // BuildArena; no replay walks it.
 //
 // Beyond what its frame holds, an arena keeps only what the serial
 // executor would otherwise recompute on every run: the successor CSR, the
-// ready queue's level tables, the default trace label, and whether every
-// task carries a captured duration. A run therefore touches only pooled
-// per-run scratch plus the returned trace — the alloc-ceiling tests pin
-// the serial executor at ≤ 2 allocations per run.
+// ready queue's level tables and the default trace label. A run therefore
+// touches only pooled per-run scratch plus the returned trace — the
+// alloc-ceiling tests pin the serial executor at ≤ 2 allocations per run.
 //
 // Arenas are immutable once built and safe for concurrent replay.
 // DAG.Arena memoizes the compilation, so the DAG's "do not mutate once
 // shared" contract sharpens to: do not mutate a DAG after its first Run or
 // Arena call — and a DAG that is an arena's view (Arena.DAG,
-// Recorder.DAG) already carries that arena.
+// Capture.DAG) already carries that arena.
 
 package replay
 
@@ -65,7 +64,6 @@ type Arena struct {
 	classIdx []int32
 	labelIdx []int32
 	priority []int32
-	duration []float64 // observed durations, -1 when captured without a simulator
 
 	depOff  []int32 // CSR dependences: len n+1
 	depPred []int32
@@ -85,7 +83,6 @@ type Arena struct {
 	// — three for the tile algorithms — never a per-task column.
 	levelPrio []int32
 	levelOff  []int32 // len(levelPrio)+1; level l owns slots [levelOff[l], levelOff[l+1])
-	hasDur    bool    // every task carries a captured duration
 	buf       []byte  // the .dag frame the columns live in: the builder's, or Load's input
 }
 
@@ -115,19 +112,14 @@ func (a *Arena) Handles() int { return a.handles }
 // Label returns the DAG label.
 func (a *Arena) Label() string { return a.label }
 
-// HasDurations reports whether every task carries a captured duration
-// (i.e. the arena can replay without a duration model).
-func (a *Arena) HasDurations() bool { return a.hasDur }
-
 // builder fills an arena's columns one task at a time, in place in the
 // arena's .dag frame. It is the one column-filling path: a Pass drives it
-// from the hazard tracker as a stream goes in, the Recorder from the
-// engine's observer callbacks as a capture run goes, BuildArena from the
-// tasks of a hand-built or edited DAG, so all three produce the same
-// columns, the same string table — strings are interned in the order
-// class, label per task, the DAG label last — and so the same frame, and
-// all end in the validation Load applies to a frame (validateColumns). The
-// appending methods refuse only what a column cannot hold.
+// from the hazard tracker as a stream goes in, BuildArena from the tasks
+// of a hand-built or edited DAG, so both produce the same columns, the
+// same string table — strings are interned in the order class, label per
+// task, the DAG label last — and so the same frame, and both end in the
+// validation Load applies to a frame (validateColumns). The appending
+// methods refuse only what a column cannot hold.
 //
 // The builder holds one buffer laid out as the codec's header, counts and
 // sections (codec.go), each section where the sizes newBuilder was given
@@ -191,7 +183,7 @@ func resized[T int32 | uint64](s []T, n int) []T {
 }
 
 // place lays the frame out for room in a fresh 8-aligned buffer and moves
-// the columns there.
+// the columns there (Load aliases a 4-aligned frame; see codec.go).
 //
 //simlint:hotpath
 func (b *builder) place(room dims) {
@@ -209,7 +201,6 @@ func (b *builder) place(room dims) {
 //simlint:hotpath
 func (b *builder) move(buf []byte, room dims) {
 	a, s := b.a, room.sections(buf[dagHeaderLen:])
-	a.duration = moveCol(a.duration, s[secDuration])
 	a.classIdx = moveCol(a.classIdx, s[secClass])
 	a.labelIdx = moveCol(a.labelIdx, s[secLabel])
 	a.priority = moveCol(a.priority, s[secPriority])
@@ -228,7 +219,7 @@ func (b *builder) move(buf []byte, room dims) {
 // its capacity the section's.
 //
 //simlint:hotpath
-func moveCol[T int32 | uint8 | float64](col []T, sec []byte) []T {
+func moveCol[T int32 | uint8](col []T, sec []byte) []T {
 	var zero T
 	dst := unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(sec))), uintptr(len(sec))/unsafe.Sizeof(zero))
 	copy(dst, col)
@@ -292,7 +283,7 @@ func (b *builder) interned(i int32) string {
 // its length, so a push costs no write barrier while a collection runs.
 //
 //simlint:hotpath
-func push[T int32 | uint8 | float64](col *[]T, v T) {
+func push[T int32 | uint8](col *[]T, v T) {
 	n := len(*col)
 	*col = (*col)[:n+1]
 	(*col)[n] = v
@@ -354,11 +345,11 @@ func (b *builder) rehash(strings int) {
 	}
 }
 
-// task opens the next task's row: no duration, and empty footprint and
-// dependence lists that the footprint and dep calls up to the next task
-// call extend. A priority outside the priority column's
-// int32 range is refused: stored truncated it would replay the task at a
-// different rank than the engine ran it.
+// task opens the next task's row: empty footprint and dependence lists
+// that the footprint and dep calls up to the next task call extend. A
+// priority outside the priority column's int32 range is refused: stored
+// truncated it would replay the task at a different rank than the engine
+// ran it.
 //
 //simlint:hotpath
 func (b *builder) task(class, label string, priority int) error {
@@ -373,7 +364,6 @@ func (b *builder) task(class, label string, priority int) error {
 	push(&a.classIdx, b.intern(class))
 	push(&a.labelIdx, b.intern(label))
 	push(&a.priority, int32(priority))
-	push(&a.duration, -1)
 	push(&a.depOff, int32(len(a.depPred)))
 	push(&a.fpOff, int32(len(a.fpHandle)))
 	a.n++
@@ -466,7 +456,6 @@ func BuildArena(d *DAG) (*Arena, error) {
 		if err := b.task(t.Class, t.Label, t.Priority); err != nil {
 			return nil, err
 		}
-		b.a.duration[i] = t.Duration
 		for _, f := range t.Footprint {
 			b.footprint(clampI32(f.Handle), f.Mode)
 		}
@@ -479,10 +468,9 @@ func BuildArena(d *DAG) (*Arena, error) {
 
 // deriveStatic computes the redundant-but-hot views: the successor CSR
 // (ascending task id within each region, reproducing the engine's
-// insertion release order), the ready-queue level tables and the
-// has-durations flag. Derived state is never taken from a frame or a
-// builder: it is recomputed from validated columns, which guarantees the
-// views agree with them.
+// insertion release order) and the ready-queue level tables. Derived
+// state is never taken from a frame or a builder: it is recomputed from
+// validated columns, which guarantees the views agree with them.
 //
 // The CSR needs no scratch column: each task's successor count goes into
 // its own offset slot, the prefix sums turn the counts into region ends,
@@ -510,14 +498,6 @@ func (a *Arena) deriveStatic() {
 	}
 
 	a.deriveLevels()
-
-	a.hasDur = true
-	for _, dur := range a.duration {
-		if dur < 0 {
-			a.hasDur = false
-			break
-		}
-	}
 }
 
 // levelStack is the widest priority span deriveLevels counts on the stack.
@@ -607,17 +587,6 @@ func (a *Arena) level(prio int32) int32 {
 	return int32(lo)
 }
 
-// firstMissingDuration returns the lowest task id without a captured
-// duration (callers check hasDur first).
-func (a *Arena) firstMissingDuration() int {
-	for i, dur := range a.duration {
-		if dur < 0 {
-			return i
-		}
-	}
-	return -1
-}
-
 // DAG returns the structured view of the arena — one Task per row, with
 // its footprint and dependence lists — for inspection tooling, Validate and
 // the public capture API. The tasks' lists are cut from two slabs with
@@ -648,7 +617,6 @@ func (a *Arena) DAG() *DAG {
 		t.Class = a.str(a.classIdx[i])
 		t.Label = a.str(a.labelIdx[i])
 		t.Priority = int(a.priority[i])
-		t.Duration = a.duration[i]
 		if lo, hi := a.depOff[i], a.depOff[i+1]; lo < hi {
 			t.Deps = deps[lo:hi:hi]
 		}
@@ -662,7 +630,7 @@ func (a *Arena) DAG() *DAG {
 
 // Arena returns the DAG compiled to struct-of-arrays form, building it on
 // first use and memoizing the result: every replay of a shared DAG walks
-// the same arena. A view (Arena.DAG, Recorder.DAG) returns the arena it
+// the same arena. A view (Arena.DAG, Capture.DAG) returns the arena it
 // was built from. Do not mutate a DAG after calling this (directly or via
 // Run), nor a view at all, and expect the change to replay — the compiled
 // form would not see it; BuildArena compiles the tasks as they are. Build
@@ -812,19 +780,14 @@ func (r *serialRun) pushReady(id int32) {
 }
 
 // start begins ready task id on worker w at the current clock, sampling
-// its duration from the worker's stream (or replaying the captured one).
+// its duration from the worker's stream.
 //
 //simlint:hotpath
 func (r *serialRun) start(id, w int32) runEntry {
 	a := r.a
-	var dur float64
-	if r.opt.Model != nil {
-		dur = r.opt.Model.Duration(a.str(a.classIdx[id]), sched.KindCPU, r.source(w))
-		if dur < 0 {
-			dur = 0
-		}
-	} else {
-		dur = a.duration[id]
+	dur := r.opt.Model.Duration(a.str(a.classIdx[id]), sched.KindCPU, r.source(w))
+	if dur < 0 {
+		dur = 0
 	}
 	e := runEntry{end: r.clock + dur, seq: r.startSeq, start: r.clock, id: id, worker: w}
 	r.startSeq++
@@ -844,10 +807,8 @@ func (r *serialRun) start(id, w int32) runEntry {
 // carry the hotpath annotation; this driver owns the cold error paths and
 // the scratch sizing.
 func runArenaSerial(a *Arena, opt *Options, tr *trace.Trace, dg *trace.Digest) (float64, error) {
-	if opt.Model == nil && !a.hasDur {
-		id := a.firstMissingDuration()
-		return 0, fmt.Errorf("replay: task %d (%s) has no captured duration and no model was given",
-			id, a.str(a.labelIdx[id]))
+	if opt.Model == nil {
+		return 0, errNoModel
 	}
 	n := a.n
 	workers := arenaWorkers(a, opt)

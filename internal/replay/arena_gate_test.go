@@ -127,17 +127,9 @@ func refRun(t *testing.T, d *replay.DAG, opt replay.Options) *trace.Trace {
 	var startSeq uint64
 	mkEntry := func(it refReady, w int32) refEntry {
 		tk := &d.Tasks[it.id]
-		var dur float64
-		if opt.Model != nil {
-			dur = opt.Model.Duration(tk.Class, sched.KindCPU, src(int(w)))
-			if dur < 0 {
-				dur = 0
-			}
-		} else {
-			if tk.Duration < 0 {
-				t.Fatalf("reference executor: task %d has no captured duration", tk.ID)
-			}
-			dur = tk.Duration
+		dur := opt.Model.Duration(tk.Class, sched.KindCPU, src(int(w)))
+		if dur < 0 {
+			dur = 0
 		}
 		e := refEntry{end: clock + dur, seq: startSeq, start: clock, id: it.id, worker: w}
 		startSeq++
@@ -209,7 +201,7 @@ func TestArenaRepresentationGate(t *testing.T) {
 	}{
 		{"fixed", core.FixedModel(1e-3)},
 		{"stochastic", jitter{base: 1e-3}},
-		{"captured", nil},
+		{"per-class", perClass{}},
 	}
 	for _, k := range kernels {
 		arena := captureKernel(t, k.algorithm, k.nt)

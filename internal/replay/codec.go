@@ -5,7 +5,7 @@
 //
 //	header — 32 bytes
 //	  [0:4)   magic "SDAG"
-//	  [4:6)   format version (currently 2)
+//	  [4:6)   format version (currently 3)
 //	  [6:8)   flags (bit 0: payload is little-endian; always set)
 //	  [8:16)  payload length
 //	  [16:20) CRC-32 (IEEE) of the payload
@@ -14,8 +14,7 @@
 //	  counts: 10 uint64 — tasks n, edges E, footprints F, strings S,
 //	          string bytes B, workers, handles, label string index,
 //	          two reserved
-//	  duration   n × float64   (offset 80 from payload start: 8-aligned)
-//	  classIdx   n × int32
+//	  classIdx   n × int32     (offset 80 from payload start)
 //	  labelIdx   n × int32
 //	  priority   n × int32
 //	  depOff     (n+1) × int32
@@ -29,23 +28,26 @@
 //
 // A frame holds the graph and nothing a replay does not read: each task's
 // class, label and priority, its footprint and its resolved dependences.
-// duration is -1 for every task of a capture made without a simulator.
-// Version 1 frames also carried a capture ready order, a thread count and
-// a placement mask per task; Load refuses them, and the capture cache
-// treats the refusal as any unreadable frame (drop, then recapture).
+// Durations are not part of it: every replay samples them from its model.
+// Version 2 frames also carried a float64 duration per task, and version 1
+// frames a capture ready order, a thread count and a placement mask per
+// task; Load refuses both, and the capture cache treats the refusal as any
+// unreadable frame (drop, then recapture).
 //
 // A builder (arena.go) writes this layout in place as it captures a graph,
 // so a built arena already lives in its frame; Encode only copies it.
 //
-// The section order — 8-byte column first, then the 4-byte columns, then
-// the byte columns — keeps every column naturally aligned relative to
-// the frame start, so Load can alias an 8-aligned byte slice in place
-// (unsafe.Slice over the column regions, unsafe.String over the string
-// bytes — the arena keeps its string table in this same form) and fall
-// back to a copying decode otherwise. Derived state (successor CSR,
-// ready-queue levels) is never encoded; Load recomputes it, which both
-// keeps frames smaller and guarantees the derived views are consistent
-// with the columns whatever the bytes claim.
+// The section order — the 4-byte columns first, at payload offset 80
+// (frame offset 112), then the byte columns — keeps every column
+// naturally aligned relative to the frame start: the int32 columns need
+// a 4-aligned frame, the byte columns and the string bytes none. So Load
+// can alias a 4-aligned byte slice in place (unsafe.Slice over the
+// column regions, unsafe.String over the string bytes — the arena keeps
+// its string table in this same form) and fall back to a copying decode
+// otherwise. Derived state (successor CSR, ready-queue levels) is never
+// encoded; Load recomputes it, which both keeps frames smaller and
+// guarantees the derived views are consistent with the columns whatever
+// the bytes claim.
 //
 // Every count and offset is validated against the frame length before
 // any sized allocation, so a hostile frame errors without panicking or
@@ -66,7 +68,7 @@ import (
 
 const (
 	dagMagic   = "SDAG"
-	dagVersion = 2
+	dagVersion = 3
 	// dagFlagLE marks a little-endian payload. seal always sets it;
 	// Load requires it (no big-endian writer exists).
 	dagFlagLE     = 1 << 0
@@ -95,8 +97,7 @@ func (a *Arena) dims() dims {
 
 // The sections of a payload, in frame order.
 const (
-	secDuration = iota
-	secClass
+	secClass = iota
 	secLabel
 	secPriority
 	secDepOff
@@ -115,7 +116,6 @@ const (
 //simlint:hotpath
 func (d dims) sizes() [numSections]uint64 {
 	return [numSections]uint64{
-		8 * d.n,
 		4 * d.n, 4 * d.n, 4 * d.n,
 		4 * (d.n + 1), 4 * d.e, 4 * (d.n + 1), 4 * d.f, 4 * (d.s + 1),
 		d.e, d.f, d.b,
@@ -159,13 +159,9 @@ func (a *Arena) seal() {
 	}
 	if !hostLittleEndian {
 		secs := d.sections(payload)
-		for i := secDuration; i <= secStrOff; i++ {
-			w := 4
-			if i == secDuration {
-				w = 8
-			}
-			for j := 0; j < len(secs[i]); j += w {
-				slices.Reverse(secs[i][j : j+w])
+		for i := secClass; i <= secStrOff; i++ {
+			for j := 0; j < len(secs[i]); j += 4 {
+				slices.Reverse(secs[i][j : j+4])
 			}
 		}
 		a.adopt(payload, d, false)
@@ -182,7 +178,7 @@ func (a *Arena) seal() {
 func (a *Arena) Encode() []byte { return slices.Clone(a.buf) }
 
 // Frame returns the .dag frame the arena lives in: the one its builder
-// wrote (a Pass, the Recorder, BuildArena) or Load's input. The bytes are
+// wrote (a Pass, BuildArena) or Load's input. The bytes are
 // shared: do not modify them.
 func (a *Arena) Frame() []byte { return a.buf }
 
@@ -210,8 +206,7 @@ func (a *Arena) AliasesFrame() bool {
 			return false
 		}
 	}
-	return inside(unsafe.Pointer(unsafe.SliceData(a.duration)), 8*len(a.duration)) &&
-		inside(unsafe.Pointer(unsafe.StringData(a.strs)), len(a.strs))
+	return inside(unsafe.Pointer(unsafe.StringData(a.strs)), len(a.strs))
 }
 
 // Decode parses a .dag frame into an Arena, copying out of b: the caller
@@ -223,7 +218,7 @@ func Decode(b []byte) (*Arena, error) {
 }
 
 // Load parses a .dag frame and adopts b as the arena's backing storage
-// and its Frame(): when the host is little-endian and b is 8-byte aligned,
+// and its Frame(): when the host is little-endian and b is 4-byte aligned,
 // every column and the string table alias b directly — no per-task
 // unmarshalling, no copies. The caller must not modify b after a
 // successful Load. Misaligned input (or a big-endian host) falls back to a
@@ -302,21 +297,20 @@ func Load(b []byte) (*Arena, error) {
 }
 
 // canAlias reports whether a frame's columns can alias b in place: a
-// little-endian host and an 8-aligned base, the float64 column's alignment.
+// little-endian host and a 4-aligned base, the int32 columns' alignment.
 func canAlias(b []byte) bool {
-	return hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0
+	return hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0
 }
 
 // adopt points the arena's columns and string table at a frame's payload
 // laid out for d: aliased in place when alias is set, copied out
-// otherwise. Section offsets are 8-aligned for the float64 column and
-// 4-aligned for the int32 columns by construction (see the layout
-// comment). The counts were checked against the payload length.
+// otherwise. Section offsets are 4-aligned for the int32 columns by
+// construction (see the layout comment). The counts were checked against
+// the payload length.
 func (a *Arena) adopt(payload []byte, d dims, alias bool) {
 	s := d.sections(payload)
 	a.depKind, a.fpMode = s[secDepKind], s[secFpMode]
 	if alias {
-		a.duration = aliasF64(s[secDuration])
 		a.classIdx = aliasI32(s[secClass])
 		a.labelIdx = aliasI32(s[secLabel])
 		a.priority = aliasI32(s[secPriority])
@@ -328,7 +322,6 @@ func (a *Arena) adopt(payload []byte, d dims, alias bool) {
 		a.strs = unsafe.String(unsafe.SliceData(s[secStrs]), len(s[secStrs]))
 		return
 	}
-	a.duration = copyF64(s[secDuration])
 	a.classIdx = copyI32(s[secClass])
 	a.labelIdx = copyI32(s[secLabel])
 	a.priority = copyI32(s[secPriority])
@@ -385,25 +378,10 @@ func aliasI32(b []byte) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-func aliasF64(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
 func copyI32(b []byte) []int32 {
 	out := make([]int32, len(b)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func copyF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }

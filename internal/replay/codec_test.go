@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -13,7 +12,7 @@ import (
 )
 
 // codecDAGs returns the two DAG shapes the codec tests run through: a real
-// capture (footprints, hazard kinds, observed durations) and a synthetic
+// capture (footprints, hazard kinds, priorities) and a synthetic
 // graph (no footprints, kindless duplicate edges).
 func codecDAGs(t *testing.T) map[string]*DAG {
 	t.Helper()
@@ -24,21 +23,12 @@ func codecDAGs(t *testing.T) map[string]*DAG {
 	}
 }
 
-// aligned8 copies src into a slice whose base address is 8-byte aligned —
-// the zero-copy precondition of Load.
-func aligned8(src []byte) []byte {
-	raw := make([]byte, len(src)+8)
-	off := (8 - int(uintptr(unsafe.Pointer(&raw[0]))%8)) % 8
-	dst := raw[off : off+len(src) : off+len(src)]
-	copy(dst, src)
-	return dst
-}
-
-// misaligned8 copies src to an address that is deliberately NOT 8-byte
-// aligned, forcing Load's copying fallback.
-func misaligned8(src []byte) []byte {
-	raw := make([]byte, len(src)+8)
-	off := (8-int(uintptr(unsafe.Pointer(&raw[0]))%8))%8 + 1
+// at copies src to an address that is skew bytes past an 8-byte
+// boundary: 0 and 4 meet the 4-byte alignment of Load's zero-copy path,
+// an odd skew forces its copying fallback.
+func at(skew int, src []byte) []byte {
+	raw := make([]byte, len(src)+8+skew)
+	off := (8-int(uintptr(unsafe.Pointer(&raw[0]))%8))%8 + skew
 	dst := raw[off : off+len(src) : off+len(src)]
 	copy(dst, src)
 	return dst
@@ -51,7 +41,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}{
 		{"fixed", core.FixedModel(1e-3)},
 		{"stochastic", jitterModel{base: 1e-3}},
-		{"captured", nil},
 	}
 	for name, dag := range codecDAGs(t) {
 		a, err := dag.Arena()
@@ -68,8 +57,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if dec.NumTasks() != a.NumTasks() || dec.NumEdges() != a.NumEdges() ||
 			dec.NumFootprints() != a.NumFootprints() || dec.Workers() != a.Workers() ||
-			dec.Handles() != a.Handles() || dec.Label() != a.Label() ||
-			dec.HasDurations() != a.HasDurations() {
+			dec.Handles() != a.Handles() || dec.Label() != a.Label() {
 			t.Fatalf("%s: decoded arena shape differs: %d/%d/%d/%d/%d/%q vs %d/%d/%d/%d/%d/%q",
 				name, dec.NumTasks(), dec.NumEdges(), dec.NumFootprints(), dec.Workers(), dec.Handles(), dec.Label(),
 				a.NumTasks(), a.NumEdges(), a.NumFootprints(), a.Workers(), a.Handles(), a.Label())
@@ -84,9 +72,6 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: reconstructed tasks differ from the capture", name)
 		}
 		for _, m := range models {
-			if m.model == nil && !a.HasDurations() {
-				continue
-			}
 			for _, parallelism := range []int{0, 2} {
 				opt := Options{Workers: 3, Model: m.model, Seed: 17, Parallelism: parallelism}
 				want, err := RunArena(a, opt)
@@ -106,10 +91,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadZeroCopy pins the adoption contract: an 8-aligned frame on a
+// TestLoadZeroCopy pins the adoption contract: a 4-aligned frame on a
 // little-endian host is aliased in place (no per-task unmarshalling), a
-// misaligned frame falls back to the copying decode, both keep their input
-// as the arena's Frame(), and both replay to the same bits as the original
+// misaligned frame falls back to the copying decode, all keep their input
+// as the arena's Frame(), and all replay to the same bits as the original
 // arena.
 func TestLoadZeroCopy(t *testing.T) {
 	dag, _ := captureRun(t, core.FixedModel(1e-3), 5)
@@ -118,38 +103,32 @@ func TestLoadZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := a.Encode()
-	want, err := RunArena(a, Options{Workers: 2, Seed: 1})
+	opt := Options{Workers: 2, Model: core.FixedModel(1e-3), Seed: 1}
+	want, err := RunArena(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	alignedBuf := aligned8(enc)
-	la, err := Load(alignedBuf)
-	if err != nil {
-		t.Fatalf("aligned Load: %v", err)
-	}
-	if hostLittleEndian && !la.AliasesFrame() {
-		t.Error("aligned Load on a little-endian host did not alias the frame")
-	}
-	if la.AliasesFrame() && &la.duration[0] != (*float64)(unsafe.Pointer(&alignedBuf[dagHeaderLen+dagCountsLen])) {
-		t.Error("aliasing Load did not point the duration column into the frame")
-	}
-
-	misalignedBuf := misaligned8(enc)
-	lm, err := Load(misalignedBuf)
-	if err != nil {
-		t.Fatalf("misaligned Load: %v", err)
-	}
-	if lm.AliasesFrame() {
-		t.Error("misaligned Load claimed the zero-copy path")
-	}
-	for label, c := range map[string]struct {
-		arena *Arena
-		input []byte
-	}{"aligned": {la, alignedBuf}, "misaligned": {lm, misalignedBuf}} {
-		if got := c.arena.Frame(); len(got) != len(c.input) || &got[0] != &c.input[0] {
-			t.Errorf("%s Load does not keep its input as the frame", label)
+	loaded := make(map[string]*Arena)
+	for _, c := range []struct {
+		name string
+		skew int
+	}{{"aligned", 0}, {"4-aligned", 4}, {"misaligned", 1}} {
+		input := at(c.skew, enc)
+		la, err := Load(input)
+		if err != nil {
+			t.Fatalf("%s Load: %v", c.name, err)
 		}
+		if aliasable := c.skew%4 == 0 && hostLittleEndian; la.AliasesFrame() != aliasable {
+			t.Errorf("%s Load aliases the frame: %v, want %v", c.name, la.AliasesFrame(), aliasable)
+		}
+		if la.AliasesFrame() && &la.classIdx[0] != (*int32)(unsafe.Pointer(&input[dagHeaderLen+dagCountsLen])) {
+			t.Errorf("%s Load did not point the class column into the frame", c.name)
+		}
+		if got := la.Frame(); len(got) != len(input) || &got[0] != &input[0] {
+			t.Errorf("%s Load does not keep its input as the frame", c.name)
+		}
+		loaded[c.name] = la
 	}
 
 	// The built arena lives in its own frame the way an aligned Load
@@ -161,8 +140,8 @@ func TestLoadZeroCopy(t *testing.T) {
 		t.Error("Encode is not a copy of the built arena's frame")
 	}
 
-	for label, arena := range map[string]*Arena{"aligned": la, "misaligned": lm} {
-		tr, err := RunArena(arena, Options{Workers: 2, Seed: 1})
+	for label, arena := range loaded {
+		tr, err := RunArena(arena, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -185,14 +164,15 @@ func TestDecodeDoesNotRetainInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := RunArena(dec, Options{Workers: 2, Seed: 4})
+	opt := Options{Workers: 2, Model: jitterModel{base: 1e-3}, Seed: 4}
+	before, err := RunArena(dec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range enc {
 		enc[i] = 0xA5
 	}
-	after, err := RunArena(dec, Options{Workers: 2, Seed: 4})
+	after, err := RunArena(dec, opt)
 	if err != nil {
 		t.Fatalf("decoded arena broke when the input was overwritten: %v", err)
 	}
@@ -207,7 +187,7 @@ func TestDecodeDoesNotRetainInput(t *testing.T) {
 // in place.
 func referenceEncode(a *Arena) []byte {
 	n, e, f, s, sb := len(a.classIdx), len(a.depPred), len(a.fpHandle), len(a.strOff)-1, len(a.strs)
-	size := dagHeaderLen + dagCountsLen + 8*n + 4*(3*n+2*(n+1)+e+f+s+1) + e + f + sb
+	size := dagHeaderLen + dagCountsLen + 4*(3*n+2*(n+1)+e+f+s+1) + e + f + sb
 	buf := make([]byte, size)
 	copy(buf[0:4], dagMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], dagVersion)
@@ -222,10 +202,6 @@ func referenceEncode(a *Arena) []byte {
 	off := 0
 	for _, c := range counts {
 		binary.LittleEndian.PutUint64(payload[off:], c)
-		off += 8
-	}
-	for _, d := range a.duration {
-		binary.LittleEndian.PutUint64(payload[off:], math.Float64bits(d))
 		off += 8
 	}
 	putI32 := func(col []int32) {
@@ -253,14 +229,13 @@ func referenceEncode(a *Arena) []byte {
 // the given counts, mirroring the layout in codec.go — the corruption
 // tests use it to hit specific columns.
 type frameLayout struct {
-	dur, depOff, depPred, fpHandle, strOff, depKind int
+	depOff, depPred, fpHandle, strOff, depKind int
 }
 
 func layoutOf(a *Arena) frameLayout {
 	n, e, f := a.n, len(a.depPred), len(a.fpHandle)
 	var l frameLayout
-	l.dur = dagCountsLen
-	class := l.dur + 8*n
+	class := dagCountsLen
 	label := class + 4*n
 	prio := label + 4*n
 	l.depOff = prio + 4*n

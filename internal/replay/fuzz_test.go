@@ -134,11 +134,12 @@ func FuzzLoadRun(f *testing.F) {
 // FuzzBuilderFrameMatchesReference pins the frame a builder writes in
 // place against the column-at-a-time encoder it replaced
 // (referenceEncode). The input bytes become a stream of rows — classes
-// and labels that repeat, priorities over several levels, footprints,
-// dependences of every kind and captured durations — and announce picks
-// what the builder is told beforehand: the exact sizes, fewer than the
-// stream resolves (its sections regrow), more (finish moves them down), or
-// nothing, as for the Recorder. The arena must hold the rows, its frame must equal the reference
+// and labels that repeat, priorities over several levels, footprints and
+// dependences of every kind — and announce picks what the builder is told
+// beforehand: the exact sizes, fewer than the stream resolves (its
+// sections regrow), more (finish moves them down), or nothing, as for the
+// facade's capture runtime. The arena must hold the rows, its frame must
+// equal the reference
 // encoding of its columns, Load must round-trip the frame, and BuildArena
 // of the arena's view must write the same bytes.
 func FuzzBuilderFrameMatchesReference(f *testing.F) {
@@ -174,11 +175,6 @@ func FuzzBuilderFrameMatchesReference(f *testing.F) {
 			} else {
 				tk.Label = fmt.Sprint("task-", i)
 			}
-			if d := next(); d == 0 {
-				tk.Duration = -1
-			} else {
-				tk.Duration = float64(d) * 1e-4
-			}
 			for range next() % 4 {
 				h := next() % 6
 				tk.Footprint = append(tk.Footprint, Footprint{Handle: h, Mode: hazard.Access(1 + next()%3)})
@@ -207,14 +203,13 @@ func FuzzBuilderFrameMatchesReference(f *testing.F) {
 			b = newBuilder(n/2, feet/2, edges/2, strBytes/2)
 		case 2: // fewer
 			b = newBuilder(2*n+1, feet+7, 2*edges+3, strBytes+11)
-		case 3: // nothing announced, as the Recorder builds
+		case 3: // nothing announced, as the facade capture (replay.Capture) builds
 			b = newBuilder(0, 0, 0, 0)
 		}
-		for i, tk := range want {
+		for _, tk := range want {
 			if err := b.task(tk.Class, tk.Label, tk.Priority); err != nil {
 				t.Fatal(err)
 			}
-			b.a.duration[i] = tk.Duration
 			for _, fp := range tk.Footprint {
 				b.footprint(int32(fp.Handle), fp.Mode)
 			}

@@ -23,19 +23,12 @@ func TestMakespanEqualsRunMakespan(t *testing.T) {
 	}{
 		{"fixed", core.FixedModel(1e-3)},
 		{"stochastic", jitter{base: 1e-3}},
-		{"captured", nil},
+		{"per-class", perClass{}},
 	}
 	for _, alg := range []string{"cholesky", "qr", "lu"} {
 		for _, scheduler := range []string{"quark", "starpu", "ompss"} {
 			spec := bench.Spec{Algorithm: alg, Scheduler: scheduler, NT: 9, NB: 8, Workers: 6, Seed: 1}
-			dag, err := bench.CaptureSpec(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range dag.Tasks { // CaptureSpec runs no-op bodies and records no durations
-				dag.Tasks[i].Duration = float64(i%11+1) * 1e-4
-			}
-			arena, err := replay.BuildArena(dag) // the edited view compiled; dag.Arena() is the unedited capture
+			arena, err := bench.CaptureArena(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,29 +63,23 @@ func TestMakespanEqualsRunMakespan(t *testing.T) {
 // makespan and the fingerprint it folds while the loop runs are, bit for
 // bit, those of the trace RunArena builds — over the golden captures (the
 // three algorithms under each runtime, the specs whose absolute
-// fingerprints bench.TestGoldenFingerprints holds), both ready orders, a sampled model and captured durations, worker counts from one to
+// fingerprints bench.TestGoldenFingerprints holds), both ready orders, a
+// sampled model and a seed-free per-class one, worker counts from one to
 // more than the graph is wide, and both executors.
 func TestDigestEqualsRunArena(t *testing.T) {
 	for _, alg := range []string{"cholesky", "qr", "lu"} {
 		for _, sp := range []struct{ scheduler, policy string }{{"quark", ""}, {"starpu", "prio"}, {"ompss", ""}} {
 			spec := bench.Spec{Algorithm: alg, Scheduler: sp.scheduler, Policy: sp.policy, NT: 6, NB: 8, Workers: 4, Seed: 1}
-			dag, err := bench.CaptureSpec(spec)
+			arena, err := bench.CaptureArena(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range dag.Tasks {
-				dag.Tasks[i].Duration = float64(i%11+1) * 1e-4
-			}
-			arena, err := replay.BuildArena(dag)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, model := range []core.DurationModel{jitter{base: 1e-3}, nil} {
+			for _, model := range []core.DurationModel{jitter{base: 1e-3}, perClass{}} {
 				for _, fifo := range []bool{false, true} {
 					for _, workers := range []int{1, 3, 4, 64} {
 						for _, parallelism := range []int{0, 1} {
 							opt := replay.Options{Workers: workers, Model: model, Seed: 42, IgnorePriorities: fifo, Parallelism: parallelism}
-							name := fmt.Sprintf("%s/%s/captured=%v/fifo=%v/w%d/p%d", alg, sp.scheduler, model == nil, fifo, workers, parallelism)
+							name := fmt.Sprintf("%s/%s/%T/fifo=%v/w%d/p%d", alg, sp.scheduler, model, fifo, workers, parallelism)
 							tr, err := replay.RunArena(arena, opt)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
@@ -112,9 +99,10 @@ func TestDigestEqualsRunArena(t *testing.T) {
 	}
 }
 
-// TestMakespanErrors: Makespan and Digest report what RunArena reports.
+// TestMakespanErrors: Makespan and Digest report what RunArena reports —
+// here, a replay given no model.
 func TestMakespanErrors(t *testing.T) {
-	dag := &replay.DAG{Label: "nodur", Workers: 1, Tasks: []replay.Task{{Class: "K", Label: "k", Duration: -1}}}
+	dag := &replay.DAG{Label: "nomodel", Workers: 1, Tasks: []replay.Task{{Class: "K", Label: "k"}}}
 	arena, err := dag.Arena()
 	if err != nil {
 		t.Fatal(err)

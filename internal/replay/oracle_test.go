@@ -73,13 +73,10 @@ func oracleRun(d *DAG, opt Options) *trace.Trace {
 	start := func(w int) {
 		id := ready[0].id
 		ready = ready[1:]
-		dur := d.Tasks[id].Duration
-		if opt.Model != nil {
-			if sources[w] == nil {
-				sources[w] = rng.New(opt.Seed ^ (0x9e3779b97f4a7c15 * (uint64(w) + 1)))
-			}
-			dur = math.Max(0, opt.Model.Duration(d.Tasks[id].Class, sched.KindCPU, sources[w]))
+		if sources[w] == nil {
+			sources[w] = rng.New(opt.Seed ^ (0x9e3779b97f4a7c15 * (uint64(w) + 1)))
 		}
+		dur := math.Max(0, opt.Model.Duration(d.Tasks[id].Class, sched.KindCPU, sources[w]))
 		e := runningTask{end: clock + dur, start: clock, seq: startSeq, id: id, worker: w}
 		startSeq++
 		busy[w] = true
@@ -131,8 +128,8 @@ func oracleRun(d *DAG, opt Options) *trace.Trace {
 // layeredDAG draws a random layered graph in the manner of Beránek et
 // al.'s scheduler-benchmark generator: layers of random width, each task
 // depending on up to three tasks of the two layers before it. Priorities
-// come from prio; durations are multiples of 1e-4 so captured-duration
-// replays tie often.
+// come from prio; the classes K0..K3 give tickModel durations that are
+// multiples of 1e-4, so its replays tie often.
 func layeredDAG(n, maxWidth int, seed uint64, prio func(src *rng.Source) int) *DAG {
 	src := rng.New(seed)
 	d := &DAG{Label: "layered", Workers: 4, Handles: 1, Tasks: make([]Task, 0, n)}
@@ -141,10 +138,8 @@ func layeredDAG(n, maxWidth int, seed uint64, prio func(src *rng.Source) int) *D
 		width := min(1+src.Intn(maxWidth), n-len(d.Tasks))
 		first := len(d.Tasks)
 		for k := 0; k < width; k++ {
-			t := Task{
-				ID: len(d.Tasks), Class: "K", Label: fmt.Sprintf("t%d", len(d.Tasks)),
-				Priority: prio(src), Duration: float64(1+src.Intn(4)) * 1e-4,
-			}
+			t := Task{ID: len(d.Tasks), Label: fmt.Sprintf("t%d", len(d.Tasks)), Priority: prio(src)}
+			t.Class = "K" + strconv.Itoa(src.Intn(4))
 			if first > prevLo {
 				for j := src.Intn(4); j > 0; j-- {
 					t.Deps = append(t.Deps, sched.Dep{Pred: prevLo + src.Intn(first-prevLo)})
@@ -185,7 +180,7 @@ func TestSerialReplayMatchesOracle(t *testing.T) {
 	}{
 		{"fixed", core.FixedModel(1e-3)}, // every running task ends together
 		{"stochastic", jitterModel{base: 1e-3}},
-		{"captured", nil},
+		{"per-class", tickModel{}}, // ties between tasks of a class, none within a stream
 	}
 	for pi, p := range oraclePriorities {
 		if testing.Short() && p.tasks > 2000 {
@@ -252,7 +247,8 @@ func TestSerialReplayMatchesOracle(t *testing.T) {
 // priority stored truncated would rank its task differently than the
 // engine's policy — and the oracle above, which compares the ints — does:
 // 1<<31 wraps to the lowest priority there is. Both ways of filling the
-// column must refuse such a task rather than replay a different schedule.
+// column, BuildArena and a capture, must refuse such a task rather than
+// replay a different schedule.
 func TestPriorityOutsideInt32IsRefused(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("int is int32 here: every priority fits")
@@ -264,29 +260,20 @@ func TestPriorityOutsideInt32IsRefused(t *testing.T) {
 		if a, err := BuildArena(dag); err == nil {
 			t.Errorf("BuildArena stored priority %d as %d", p, a.priority[7])
 		}
-		if _, err := Run(dag, Options{Workers: 2}); err == nil {
+		if _, err := Run(dag, Options{Workers: 2, Model: tickModel{}}); err == nil {
 			t.Errorf("Run replayed a DAG holding priority %d", p)
 		}
 
-		e, err := sched.NewEngine(sched.Config{Workers: 1, Policy: sched.NewPriorityPolicy(), Name: "wide"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := Attach(e, "wide")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, prio := range []int{0, p, 3} {
-			if err := e.Insert(&sched.Task{Class: "K", Label: "k", Priority: prio, Func: func(*sched.Ctx) {}}); err != nil {
-				t.Fatal(err)
+		c := NewCapture("wide", 1)
+		for i, prio := range []int{0, p, 3} {
+			if err := c.Insert(&sched.Task{Class: "K", Label: "k", Priority: prio}); (err == nil) != (i == 0) {
+				t.Errorf("capture: insert of priority %d returned %v", prio, err)
 			}
 		}
-		e.Barrier()
-		e.Shutdown()
-		if a, err := rec.Arena(); err == nil {
+		if a, err := c.Arena(); err == nil {
 			t.Errorf("capture stored priority %d as %d", p, a.priority[1])
 		}
-		if _, err := rec.DAG(); err == nil {
+		if _, err := c.DAG(); err == nil {
 			t.Errorf("capture holding priority %d has a view", p)
 		}
 	}
@@ -334,8 +321,7 @@ func TestLoadManyLevelsIsNotQuadratic(t *testing.T) {
 	d := &DAG{Label: "levels", Workers: 4, Handles: 1, Tasks: make([]Task, n)}
 	for i := range d.Tasks {
 		// A bijection on uint32: n distinct values in scrambled order.
-		d.Tasks[i] = Task{ID: i, Class: "K", Label: "k", Duration: 1e-4,
-			Priority: int(int32(uint32(i) * 2654435761))}
+		d.Tasks[i] = Task{ID: i, Class: "K", Label: "k", Priority: int(int32(uint32(i) * 2654435761))}
 	}
 	built, err := BuildArena(d)
 	if err != nil {
@@ -354,7 +340,7 @@ func TestLoadManyLevelsIsNotQuadratic(t *testing.T) {
 	if budget := 2 * time.Second; took > budget {
 		t.Errorf("Load of %d distinct priorities took %v, budget %v", n, took, budget)
 	}
-	ms, err := runArenaSerial(a, &Options{Workers: 3}, nil, nil)
+	ms, err := runArenaSerial(a, &Options{Workers: 3, Model: core.FixedModel(1e-4)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +401,7 @@ func TestDerivedViewsMatchReference(t *testing.T) {
 		if !slices.Equal(a.succOff, off) || !slices.Equal(a.succList, list) {
 			t.Errorf("seed %d: successor CSR differs from the scratch construction", seed)
 		}
-		if err := pl.build(a, &Options{}, workers); err != nil {
+		if err := pl.build(a, &Options{Model: tickModel{}}, workers); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		var want []int32

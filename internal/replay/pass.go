@@ -11,10 +11,12 @@ import (
 // Pass captures a serial task stream in one pass on the calling goroutine,
 // with no runtime: each task's operands go through one hazard tracker — the
 // one every runtime resolves its hazards with — and its row goes straight
-// into the arena's columns through the builder the Recorder and BuildArena
-// use. The frame is, byte for byte, the one the Recorder writes from a run
-// of any of the runtimes over the same stream: a frame holds the graph the
-// tracker resolved, and no runtime resolves it differently.
+// into the arena's columns through the builder BuildArena uses. It is the
+// one capture path: bench's captures drive it from an op stream, and the
+// Capture runtime from the tasks inserted into it. The frame is, byte for
+// byte, the one a run of any of the runtimes over the same stream resolves:
+// a frame holds the graph the tracker resolved, and no runtime resolves it
+// differently.
 //
 // A Pass serves one stream and is not safe for concurrent use.
 type Pass struct {
@@ -63,8 +65,9 @@ func (p *Pass) Task(class string, label []byte, priority int, args []hazard.Arg)
 // Row appends a task whose hazards are already resolved: handles[i] is the
 // dense id of args[i]'s datum and deps the task's dependences, as a
 // tracker's Insert returns them. Task is Row after the tracker; a caller
-// that resolved the stream itself (a stage benchmark) calls Row directly,
-// and must not mix the two in one Pass.
+// that resolved the stream itself (a stage benchmark, or a test handing
+// over an engine's own resolution) calls Row directly, and must not mix
+// the two in one Pass.
 //
 //simlint:hotpath
 func (p *Pass) Row(class string, label []byte, priority int, args []hazard.Arg, handles []int32, deps []hazard.Dep) error {

@@ -35,7 +35,6 @@
 package replay
 
 import (
-	"fmt"
 	"sync"
 
 	"supersim/internal/pq"
@@ -153,10 +152,8 @@ func runPDES(a *Arena, opt *Options) (*trace.Trace, error) {
 // per-run scratch. Task validation and both CSR views
 // were done once at arena build time.
 func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
-	if opt.Model == nil && !a.hasDur {
-		id := a.firstMissingDuration()
-		return fmt.Errorf("replay: task %d (%s) has no captured duration and no model was given",
-			id, a.str(a.labelIdx[id]))
+	if opt.Model == nil {
+		return errNoModel
 	}
 	n := a.n
 	pl.n, pl.workers = n, workers
@@ -226,7 +223,7 @@ func (pl *pdesPlan) build(a *Arena, opt *Options, workers int) error {
 
 // execTask runs one task on its lane: computes its start from the lane
 // clock and its predecessors' end times (all published by the time the
-// owner sees remWait reach zero), samples or replays its duration, and
+// owner sees remWait reach zero), samples its duration, and
 // records the event into the lane's region. Caller (the lane's owner)
 // guarantees exclusivity.
 //
@@ -239,14 +236,9 @@ func (pl *pdesPlan) execTask(a *Arena, opt *Options, t int32) {
 			start = e
 		}
 	}
-	var dur float64
-	if opt.Model != nil {
-		dur = opt.Model.Duration(a.str(a.classIdx[t]), sched.KindCPU, pl.sources[w])
-		if dur < 0 {
-			dur = 0
-		}
-	} else {
-		dur = a.duration[t]
+	dur := opt.Model.Duration(a.str(a.classIdx[t]), sched.KindCPU, pl.sources[w])
+	if dur < 0 {
+		dur = 0
 	}
 	end := start + dur
 	pl.endTime[t] = end

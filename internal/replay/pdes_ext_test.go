@@ -26,29 +26,32 @@ func (m jitter) Duration(_ string, _ sched.WorkerKind, src *rng.Source) float64 
 	return m.base * (0.5 + src.Float64())
 }
 
+// perClass gives each kernel class a constant duration of its own, a
+// multiple of 1e-4 picked by a hash of the name, and draws nothing from
+// the stream: a seed-free model under which tasks of one class tie.
+type perClass struct{}
+
+func (perClass) Duration(class string, _ sched.WorkerKind, _ *rng.Source) float64 {
+	h := uint64(0)
+	for i := 0; i < len(class); i++ {
+		h = 31*h + uint64(class[i])
+	}
+	return float64(h%11+1) * 1e-4
+}
+
 // captureKernel captures one algorithm's DAG at a size big enough to
-// clear the PDES crossover, and synthesizes per-task captured durations
-// (CaptureSpec runs no-op bodies, so it records none). The durations are
-// an edit of the capture's view, which replays the unedited capture; the
-// arena returned is the edited view compiled.
+// clear the PDES crossover.
 func captureKernel(t *testing.T, algorithm string, nt int) *replay.Arena {
 	t.Helper()
-	dag, err := bench.CaptureSpec(bench.Spec{
+	arena, err := bench.CaptureArena(bench.Spec{
 		Algorithm: algorithm, Scheduler: "quark",
 		NT: nt, NB: 8, Workers: 8, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dag.Tasks) < 1100 {
-		t.Fatalf("%s nt=%d captured only %d tasks; too small to exercise the parallel path", algorithm, nt, len(dag.Tasks))
-	}
-	for i := range dag.Tasks {
-		dag.Tasks[i].Duration = float64(i%11+1) * 1e-4
-	}
-	arena, err := replay.BuildArena(dag)
-	if err != nil {
-		t.Fatal(err)
+	if arena.NumTasks() < 1100 {
+		t.Fatalf("%s nt=%d captured only %d tasks; too small to exercise the parallel path", algorithm, nt, arena.NumTasks())
 	}
 	return arena
 }
@@ -68,7 +71,7 @@ func TestPDESPartitionCountInvariance(t *testing.T) {
 	}{
 		{"fixed", core.FixedModel(1e-3)},
 		{"stochastic", jitter{base: 1e-3}},
-		{"captured", nil},
+		{"per-class", perClass{}},
 	}
 	parallelisms := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, k := range kernels {

@@ -18,10 +18,20 @@ func forceParallel(t *testing.T) {
 	t.Cleanup(func() { pdesCrossover = old })
 }
 
+// tickModel gives a task of class "K<d>", d a digit, the duration
+// (d+1)·10⁻⁴ and draws nothing from the stream: durations that differ
+// between tasks and tie often, the same under every seed.
+type tickModel struct{}
+
+func (tickModel) Duration(class string, _ sched.WorkerKind, _ *rng.Source) float64 {
+	return float64(class[1]-'0'+1) * 1e-4
+}
+
 // syntheticDAG builds a random layered-ish DAG directly (no scheduler):
-// task i depends on up to fan random earlier tasks, durations are a
-// deterministic function of the id. Duplicate predecessors are
-// deliberately possible — the per-edge notification accounting must tolerate them.
+// task i depends on up to fan random earlier tasks, and its class K<i%7>
+// gives it a tickModel duration that is a deterministic function of the
+// id. Duplicate predecessors are deliberately possible — the per-edge
+// notification accounting must tolerate them.
 func syntheticDAG(n, fan, workers int, seed uint64) *DAG {
 	src := rng.New(seed)
 	d := &DAG{Label: "synthetic", Workers: workers, Handles: 1}
@@ -29,9 +39,8 @@ func syntheticDAG(n, fan, workers int, seed uint64) *DAG {
 	for i := range d.Tasks {
 		t := &d.Tasks[i]
 		t.ID = i
-		t.Class = "K"
+		t.Class = "K" + string(rune('0'+i%7))
 		t.Label = "k"
-		t.Duration = float64(i%7+1) * 1e-4
 		if i > 0 {
 			for j := src.Intn(fan + 1); j > 0; j-- {
 				t.Deps = append(t.Deps, sched.Dep{Pred: src.Intn(i)})
@@ -116,7 +125,7 @@ func TestPDESForcedParallelTinyDAG(t *testing.T) {
 func TestPDESRankFallback(t *testing.T) {
 	forceParallel(t)
 	dag := syntheticDAG(300, 3, 8, 5)
-	ref, err := Run(dag, Options{Parallelism: 1, Seed: 1})
+	ref, err := Run(dag, Options{Model: tickModel{}, Parallelism: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +136,7 @@ func TestPDESRankFallback(t *testing.T) {
 		t.Fatalf("PDES trace has physical violations: %+v", v[0])
 	}
 	for _, p := range []int{2, 4, 8} {
-		tr, err := Run(dag, Options{Parallelism: p, Seed: 1})
+		tr, err := Run(dag, Options{Model: tickModel{}, Parallelism: p, Seed: 1})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -168,15 +177,21 @@ func TestPDESChannelStress(t *testing.T) {
 }
 
 // TestPDESRejectsBadInput: the PDES path must enforce the same input
-// contract as the serial executor.
+// contract as the serial executor: no model, no replay — on the calling
+// goroutine and across logical processes.
 func TestPDESRejectsBadInput(t *testing.T) {
 	dag, _ := captureRun(t, core.FixedModel(1e-3), 5)
-	dag.Tasks[0].Duration = -1
-	arena, err := BuildArena(dag) // the edited view compiled
+	arena, err := dag.Arena()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, p := range []int{1, 2} {
+		if _, err := RunArena(arena, Options{Workers: 2, Parallelism: p}); err == nil {
+			t.Errorf("p=%d: PDES accepted a replay with no model", p)
+		}
+	}
+	forceParallel(t)
 	if _, err := RunArena(arena, Options{Workers: 2, Parallelism: 2}); err == nil {
-		t.Error("PDES accepted a captured-duration replay with a missing duration")
+		t.Error("the LP protocol accepted a replay with no model")
 	}
 }

@@ -1,11 +1,13 @@
 // Package replay separates the expensive part of a simulation — dependence
 // tracking, scheduling, mutex handoffs between worker goroutines — from the
-// cheap part: stochastic re-execution of a fixed task graph. A Recorder
-// (capture.go) records the fully-resolved task DAG from one instrumented
-// scheduler run; Run then re-simulates that DAG under any duration model,
-// worker count and seed via single-goroutine virtual-time list scheduling,
-// or — for large DAGs, with Options.Parallelism — via a conservative
-// multi-goroutine PDES executor (pdes.go).
+// cheap part: stochastic re-execution of a fixed task graph. A Pass
+// (pass.go) captures the fully-resolved task DAG of a task stream in one
+// pass through the hazard tracker, with no scheduler run — the Capture
+// runtime (capture.go) feeds it from ordinary insertion code; Run then
+// re-simulates that DAG under any duration model, worker count and seed
+// via single-goroutine virtual-time list scheduling, or — for large DAGs,
+// with Options.Parallelism — via a conservative multi-goroutine PDES
+// executor (pdes.go).
 //
 // This is the paper's design-space-exploration use case (Section VI-B) made
 // cheap: the DAG of a tile algorithm does not depend on the duration model,
@@ -20,6 +22,7 @@
 package replay
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -56,18 +59,15 @@ type Task struct {
 	// insertion (deduplicated, strongest kind per predecessor), in the
 	// tracker's derivation order.
 	Deps []sched.Dep
-	// Duration is the observed virtual duration from the capture run's
-	// completion hook, or -1 when the capture ran without a simulator.
-	Duration float64
 }
 
 // DAG is a task graph in structured form: the view Validate inspects and
 // hand-built graphs are written in. A capture does not
-// produce it — the Recorder fills an Arena's columns directly — and no
+// produce it — a Pass fills an Arena's columns directly — and no
 // replay walks it: Run executes the struct-of-arrays compilation
 // (arena.go). For a DAG assembled or edited in this form that is
 // BuildArena of its tasks, memoized by DAG.Arena on first use. A DAG
-// obtained from an arena (Arena.DAG, Recorder.DAG) is that arena's view
+// obtained from an arena (Arena.DAG, Capture.DAG) is that arena's view
 // and already carries it as its compiled form, so editing the view's tasks
 // does not change what Run or DAG.Arena replay: compile an edited view
 // with BuildArena and run the result with RunArena.
@@ -142,9 +142,9 @@ func (d *DAG) Validate() error {
 type Options struct {
 	// Workers is the virtual core count; 0 uses the capture run's.
 	Workers int
-	// Model supplies virtual durations. nil replays the capture run's
-	// observed durations (every task must then carry one). With
-	// Parallelism >= 1 the model is sampled from multiple goroutines
+	// Model supplies virtual durations, and is required: a frame holds
+	// the graph and no duration, so a replay with a nil Model returns an
+	// error. With Parallelism >= 1 the model is sampled from multiple goroutines
 	// (each with its own stream), so it must be safe for concurrent use —
 	// every model in this repository is: they read only fitted parameters
 	// and draw from the per-worker stream they are handed.
@@ -181,21 +181,21 @@ type Options struct {
 	Parallelism int
 }
 
+// errNoModel is the error of a replay given no duration model.
+var errNoModel = errors.New("replay: no duration model (Options.Model is required)")
+
 // seedFreeProbe seeds the stream SeedFree hands the model; any seed would
 // do, since the probe only asks whether the model draws from it.
 const seedFreeProbe = 0x9e3779b97f4a7c15
 
 // SeedFree reports whether every replay of a under m is the same whatever
-// Options.Seed is: m is nil (the captured durations replay), or m leaves a
-// freshly seeded stream untouched for every distinct class of a's tasks.
+// Options.Seed is: m leaves a freshly seeded stream untouched for every
+// distinct class of a's tasks.
 // A model draws all its randomness from the stream it is handed (the
 // Options.Model contract), so such a model is a constant per class, and
 // a replica of it is the same replay bit for bit. The probe costs one
 // Duration call per distinct class.
 func SeedFree(a *Arena, m core.DurationModel) bool {
-	if m == nil {
-		return true
-	}
 	seen := make([]uint64, (a.NumStrings()+63)/64) // class string indices probed
 	var src rng.Source
 	for _, c := range a.classIdx {

@@ -23,9 +23,9 @@ func (m jitterModel) Duration(class string, _ sched.WorkerKind, src *rng.Source)
 }
 
 // captureRun runs a small diamond-heavy workload on a 1-worker engine with
-// a priority policy, capturing the DAG (with observed durations) and
-// returning it together with the direct simulation's trace. The one worker
-// is the master, which runs nothing before the barrier: every task is in
+// a priority policy and returns the direct simulation's trace together
+// with the DAG a Capture of the same insertions holds. The one worker is
+// the master, which runs nothing before the barrier: every task is in
 // when the first one is picked, as replay assumes. (A dedicated worker
 // could pop src0 before src1, of higher priority, is inserted, depending
 // on goroutine timing.)
@@ -37,11 +37,7 @@ func captureRun(t *testing.T, model core.DurationModel, seed uint64) (*DAG, *tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Attach(e, "diamond")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := core.NewSimulator(e, "direct", core.WithCompletionHook(rec.CompletionHook()))
+	sim := core.NewSimulator(e, "direct")
 	tk := core.NewTasker(sim, model, seed)
 	insertDiamonds(t, e, tk)
 	e.Barrier()
@@ -49,11 +45,21 @@ func captureRun(t *testing.T, model core.DurationModel, seed uint64) (*DAG, *tra
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
-	dag, err := rec.DAG()
+	return captureOf(t, "diamond", 1, func(rt sched.Runtime) { insertDiamonds(t, rt, tk) }), sim.Trace()
+}
+
+// captureOf returns the DAG a Capture of the given label and replay width
+// holds once insert has inserted a stream into it — the insertion code of
+// a direct run, unchanged.
+func captureOf(t *testing.T, label string, workers int, insert func(rt sched.Runtime)) *DAG {
+	t.Helper()
+	c := NewCapture(label, workers)
+	insert(c)
+	dag, err := c.DAG()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dag, sim.Trace()
+	return dag
 }
 
 // insertDiamonds inserts three overlapping diamonds over four handles with
@@ -95,11 +101,6 @@ func TestCapturedDAGValidates(t *testing.T) {
 	if dag.NumEdges() == 0 {
 		t.Fatal("captured no dependence edges")
 	}
-	for _, task := range dag.Tasks {
-		if task.Duration < 0 {
-			t.Fatalf("task %d has no captured duration", task.ID)
-		}
-	}
 }
 
 func TestValidateDetectsCorruptedEdges(t *testing.T) {
@@ -112,9 +113,8 @@ func TestValidateDetectsCorruptedEdges(t *testing.T) {
 
 // TestReplayMatchesDirectOneWorker is the strongest equivalence check: on
 // one worker the direct simulation is fully deterministic, so the replayed
-// trace must be identical event for event — under a fixed model, under a
-// stochastic model (same per-worker stream derivation), and when replaying
-// the captured durations with no model at all.
+// trace must be identical event for event — under a fixed model and under
+// a stochastic model (same per-worker stream derivation).
 func TestReplayMatchesDirectOneWorker(t *testing.T) {
 	models := []struct {
 		name  string
@@ -133,14 +133,6 @@ func TestReplayMatchesDirectOneWorker(t *testing.T) {
 			t.Errorf("%s: replay fingerprint %#x != direct %#x\ndirect: %+v\nreplay: %+v",
 				tc.name, got, want, direct.Events, replayed.Events)
 		}
-		// Captured durations, no model: same schedule again.
-		fromCaptured, err := Run(dag, Options{Workers: 1, Seed: 99})
-		if err != nil {
-			t.Fatalf("%s captured-durations: %v", tc.name, err)
-		}
-		if got, want := fromCaptured.Fingerprint(), direct.Fingerprint(); got != want {
-			t.Errorf("%s: captured-duration replay fingerprint %#x != direct %#x", tc.name, got, want)
-		}
 	}
 }
 
@@ -156,11 +148,7 @@ func TestReplayMatchesDirectFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Attach(e, "diamond-fifo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := core.NewSimulator(e, "direct", core.WithCompletionHook(rec.CompletionHook()))
+	sim := core.NewSimulator(e, "direct")
 	tk := core.NewTasker(sim, model, 42)
 	insertDiamonds(t, e, tk)
 	e.Barrier()
@@ -168,10 +156,7 @@ func TestReplayMatchesDirectFIFO(t *testing.T) {
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
-	dag, err := rec.DAG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	dag := captureOf(t, "diamond-fifo", 1, func(rt sched.Runtime) { insertDiamonds(t, rt, tk) })
 	direct := sim.Trace()
 
 	fifo, err := Run(dag, Options{Workers: 1, Model: model, Seed: 42, IgnorePriorities: true})
@@ -223,35 +208,31 @@ func TestReplayMatchesDirectChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Attach(e, "chains")
-	if err != nil {
-		t.Fatal(err)
-	}
 	sim := core.NewSimulator(e, "direct")
 	tk := core.NewTasker(sim, model, 1)
-	for c := 0; c < chains; c++ {
-		h := new(int)
-		for k := 0; k < depth; k++ {
-			class := "K" + string(rune('0'+c)) + string(rune('0'+k))
-			if err := e.Insert(&sched.Task{
-				Class: class,
-				Label: chainLabel(c, k),
-				Func:  tk.SimTask(class),
-				Args:  []sched.Arg{sched.RW(h)},
-			}); err != nil {
-				t.Fatal(err)
+	insert := func(rt sched.Runtime) {
+		for c := 0; c < chains; c++ {
+			h := new(int)
+			for k := 0; k < depth; k++ {
+				class := "K" + string(rune('0'+c)) + string(rune('0'+k))
+				if err := rt.Insert(&sched.Task{
+					Class: class,
+					Label: chainLabel(c, k),
+					Func:  tk.SimTask(class),
+					Args:  []sched.Arg{sched.RW(h)},
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
+	insert(e)
 	e.Barrier()
 	e.Shutdown()
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
-	dag, err := rec.DAG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	dag := captureOf(t, "chains", workers, insert)
 	direct := sim.Trace()
 
 	replayed, err := Run(dag, Options{Workers: workers, Model: model, Seed: 1})
@@ -347,67 +328,88 @@ func TestReplayWorkerScaling(t *testing.T) {
 	}
 }
 
-func TestRunRejectsMissingDurations(t *testing.T) {
-	// The edit is made to a capture's view, which replays the unedited
-	// capture: BuildArena compiles the view as edited.
+// TestRunRejectsMissingModel: a frame holds no durations, so a replay
+// with no model has nothing to run: Run, RunArena, Makespan and Digest
+// error, on a capture and on a hand-built DAG alike.
+func TestRunRejectsMissingModel(t *testing.T) {
 	dag, _ := captureRun(t, core.FixedModel(1e-3), 5)
-	dag.Tasks[0].Duration = -1
-	arena, err := BuildArena(dag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunArena(arena, Options{Workers: 2}); err == nil {
-		t.Error("RunArena accepted a captured-duration replay with a missing duration")
-	}
-	// A hand-built DAG has no compiled form yet: Run compiles, and rejects.
-	if _, err := Run(&DAG{Workers: 1, Tasks: []Task{{Class: "K", Label: "k", Duration: -1}}}, Options{}); err == nil {
-		t.Error("Run accepted a captured-duration replay with a missing duration")
+	for name, d := range map[string]*DAG{
+		"capture":    dag,
+		"hand-built": {Workers: 1, Tasks: []Task{{Class: "K", Label: "k"}}},
+	} {
+		if _, err := Run(d, Options{Workers: 2}); err == nil {
+			t.Errorf("%s: Run accepted a replay with no model", name)
+		}
+		a, err := d.Arena()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Makespan(a, Options{}); err == nil {
+			t.Errorf("%s: Makespan accepted a replay with no model", name)
+		}
+		if _, _, err := Digest(a, Options{}); err == nil {
+			t.Errorf("%s: Digest accepted a replay with no model", name)
+		}
 	}
 }
 
-// TestRecorderRefusesWhatReplayCannotRun: a replay runs every task on one
-// CPU worker, so a live run that inserts a gang task, or a task only an
-// accelerator may run, has no capture — the Recorder, the one way such a
-// task reaches a capture, returns an error instead of an arena.
-func TestRecorderRefusesWhatReplayCannotRun(t *testing.T) {
+// TestCaptureRefusesWhatReplayCannotRun: a replay runs every task on one
+// CPU worker, so the capture runtime refuses a gang task and a task only
+// an accelerator may run at Insert. The refusal ends the capture: later
+// inserts, DAG and Arena return an error. A capture that DAG has finished
+// refuses further inserts and keeps the graph it had.
+func TestCaptureRefusesWhatReplayCannotRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  sched.Config
 		task sched.Task
 	}{
-		{"gang", sched.Config{Workers: 2, Name: "gang"}, sched.Task{NumThreads: 2}},
-		{"accelerator-only", sched.Config{Workers: 2, Name: "hybrid", Kinds: []sched.WorkerKind{sched.KindCPU, sched.KindAccelerator}},
-			sched.Task{Where: sched.OnAccelerator}},
+		{"gang", sched.Task{NumThreads: 2}},
+		{"accelerator-only", sched.Task{Where: sched.OnAccelerator}},
 	} {
-		e, err := sched.NewEngine(tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := Attach(e, tc.name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := NewCapture(tc.name, 2)
 		h := new(int)
-		noop := func(*sched.Ctx) {}
 		odd := tc.task
-		odd.Class, odd.Label, odd.Args, odd.Func = "ODD", "odd", []sched.Arg{sched.RW(h)}, noop
-		for _, task := range []*sched.Task{
-			{Class: "K", Label: "k0", Args: []sched.Arg{sched.RW(h)}, Func: noop},
-			&odd,
-			{Class: "K", Label: "k2", Args: []sched.Arg{sched.R(h)}, Func: noop},
-		} {
-			if err := e.Insert(task); err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
+		odd.Class, odd.Label, odd.Args = "ODD", "odd", []sched.Arg{sched.RW(h)}
+		if err := c.Insert(&sched.Task{Class: "K", Label: "k0", Args: []sched.Arg{sched.RW(h)}}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		e.Barrier()
-		e.Shutdown()
-		if err := e.Err(); err != nil {
-			t.Fatalf("%s: the live run failed: %v", tc.name, err)
+		if err := c.Insert(&odd); err == nil {
+			t.Errorf("%s: Insert accepted the task", tc.name)
 		}
-		if a, err := rec.Arena(); err == nil {
+		if err := c.Insert(&sched.Task{Class: "K", Label: "k2", Args: []sched.Arg{sched.R(h)}}); err == nil {
+			t.Errorf("%s: Insert after the refusal accepted a task", tc.name)
+		}
+		if c.Err() == nil {
+			t.Errorf("%s: Err is nil after the refusal", tc.name)
+		}
+		if a, err := c.Arena(); err == nil {
 			t.Errorf("%s: the capture returned an arena of %d tasks", tc.name, a.NumTasks())
 		}
+		if _, err := c.DAG(); err == nil {
+			t.Errorf("%s: the capture returned a view", tc.name)
+		}
+	}
+
+	c := NewCapture("finished", 1)
+	h := new(int)
+	for i := 0; i < 3; i++ {
+		if err := c.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Args: []sched.Arg{sched.RW(h)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dag, err := c.DAG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(&sched.Task{Class: "LATE", Label: "late"}); err == nil {
+		t.Error("Insert after DAG() accepted a task")
+	}
+	arena, err := c.Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiled, _ := dag.Arena(); compiled != arena || arena.NumTasks() != 3 {
+		t.Errorf("Arena() after DAG() returned %p of %d tasks, want the view's arena %p of 3", arena, arena.NumTasks(), compiled)
 	}
 }
 
@@ -418,32 +420,6 @@ func chainArgs(i int, a, b *int) []sched.Arg {
 		return []sched.Arg{sched.RW(a), sched.R(b)}
 	}
 	return []sched.Arg{sched.R(a), sched.RW(b)}
-}
-
-// captureChain records n chain tasks from an engine run.
-func captureChain(t *testing.T, n int) (*Recorder, *DAG) {
-	t.Helper()
-	e, err := sched.NewEngine(sched.Config{Workers: 1, Policy: sched.NewFIFOPolicy(), Name: "chain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Attach(e, "chain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := new(int), new(int)
-	for i := 0; i < n; i++ {
-		if err := e.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Args: chainArgs(i, a, b), Func: func(*sched.Ctx) {}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Barrier()
-	e.Shutdown()
-	dag, err := rec.DAG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec, dag
 }
 
 // passChain captures n chain tasks in a Pass told to expect tasks tasks,
@@ -474,10 +450,11 @@ func chainStringBytes(n int) int {
 	return b
 }
 
-func TestRecorderSlabsAndOwnership(t *testing.T) {
-	// The columns are pre-sized by NewPass: the capture must not depend on
-	// how much was announced — nothing, too little (columns regrow
-	// mid-stream, each on its own), or exactly.
+// TestPassSizingAndSlabs: the columns are pre-sized by NewPass, and the
+// capture must not depend on how much was announced — nothing, too little
+// (columns regrow mid-stream, each on its own), or exactly. The view's
+// per-task lists are clipped slabs.
+func TestPassSizingAndSlabs(t *testing.T) {
 	const n = 300
 	want := passChain(t, n, 0, 0, 0).DAG()
 	if err := want.Validate(); err != nil {
@@ -495,26 +472,6 @@ func TestRecorderSlabsAndOwnership(t *testing.T) {
 	_ = append(dag.Tasks[5].Footprint, Footprint{Handle: 99})
 	if dag.Tasks[6].Footprint[0] != next {
 		t.Error("append to a task's footprint overwrote the next task's")
-	}
-	// Arena() finishes the capture once: every later call returns the same
-	// arena, each DAG() a view of it, and late callbacks do not reach it.
-	rec, dag := captureChain(t, 4)
-	arena, err := rec.Arena()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.TaskInserted(&sched.Task{Class: "LATE"}, nil, nil)
-	rec.CompletionHook()(0, 0, "K", 1, 3)
-	again, err := rec.Arena()
-	if err != nil || again != arena {
-		t.Errorf("second Arena() returned %p, %v; want the first arena %p", again, err, arena)
-	}
-	view, err := rec.DAG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(view.Tasks, dag.Tasks) {
-		t.Error("callbacks after Arena() changed the captured graph")
 	}
 }
 
@@ -540,62 +497,5 @@ func TestExactReserveKeepsOneStringRegion(t *testing.T) {
 	}
 	if hostLittleEndian && !a.AliasesFrame() {
 		t.Error("the arena's columns do not lie inside its frame")
-	}
-}
-
-// TestMultiWorkerCaptureWithCompletionHook: on several workers the two
-// callbacks arrive from different goroutines — insertions under the engine
-// mutex, completions from whichever worker finished, with columns that
-// start empty and regrow while the hook writes into them. The capture must
-// still hold every task's observed duration. Meaningful under -race.
-func TestMultiWorkerCaptureWithCompletionHook(t *testing.T) {
-	const n, workers = 400, 4
-	e, err := sched.NewEngine(sched.Config{Workers: workers, Policy: sched.NewPriorityPolicy(), Name: "multi"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Attach(e, "multi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := core.NewSimulator(e, "multi", core.WithCompletionHook(rec.CompletionHook()))
-	tk := core.NewTasker(sim, jitterModel{base: 1e-3}, 9)
-	src := rng.New(4)
-	handles := make([]*int, 12)
-	for i := range handles {
-		handles[i] = new(int)
-	}
-	for i := 0; i < n; i++ {
-		args := []sched.Arg{sched.R(handles[src.Intn(len(handles))]), sched.RW(handles[src.Intn(len(handles))])}
-		if err := e.Insert(&sched.Task{Class: "K", Label: fmt.Sprint("k", i), Priority: src.Intn(3), Args: args, Func: tk.SimTask("K")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Barrier()
-	e.Shutdown()
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	dag, err := rec.DAG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dag.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(dag.Tasks) != n || dag.Workers != workers {
-		t.Fatalf("captured %d tasks for %d workers, want %d for %d", len(dag.Tasks), dag.Workers, n, workers)
-	}
-	events := sim.Trace().Events
-	if len(events) != n {
-		t.Fatalf("direct run has %d events, want %d", len(events), n)
-	}
-	for _, ev := range events {
-		if got, want := dag.Tasks[ev.TaskID].Duration, ev.End-ev.Start; got != want {
-			t.Errorf("task %d: captured duration %g, the run's %g", ev.TaskID, got, want)
-		}
-	}
-	if _, err := Run(dag, Options{}); err != nil { // captured durations, no model
-		t.Fatal(err)
 	}
 }

@@ -16,7 +16,7 @@ func shapeArena(t *testing.T, classes []string, deps [][]sched.Dep) *Arena {
 	t.Helper()
 	d := &DAG{Label: "shape", Workers: 1}
 	for i, class := range classes {
-		d.Tasks = append(d.Tasks, Task{ID: i, Class: class, Label: class, Duration: -1, Deps: deps[i]})
+		d.Tasks = append(d.Tasks, Task{ID: i, Class: class, Label: class, Deps: deps[i]})
 	}
 	a, err := BuildArena(d)
 	if err != nil {
@@ -93,8 +93,8 @@ func TestBuildArenaRefuses(t *testing.T) {
 		t.Error("BuildArena accepted an empty DAG")
 	}
 	d := &DAG{Label: "bad", Workers: 1, Tasks: []Task{
-		{ID: 0, Class: "K", Duration: -1},
-		{ID: 1, Class: "K", Duration: -1, Deps: []sched.Dep{{Pred: 0, Kind: 9}}},
+		{ID: 0, Class: "K"},
+		{ID: 1, Class: "K", Deps: []sched.Dep{{Pred: 0, Kind: 9}}},
 	}}
 	if _, err := BuildArena(d); err == nil || !strings.Contains(err.Error(), "unknown dependence kind") {
 		t.Errorf("BuildArena accepted dependence kind 9 (err %v)", err)

@@ -23,7 +23,7 @@ func noPeer() []byte { return nil }
 // has none); label tells two of them, and their frames, apart.
 func oneTaskArena(t *testing.T, label string) *replay.Arena {
 	t.Helper()
-	dag := &replay.DAG{Label: label, Workers: 1, Tasks: []replay.Task{{Class: "K", Label: "k", Duration: 1}}}
+	dag := &replay.DAG{Label: label, Workers: 1, Tasks: []replay.Task{{Class: "K", Label: "k"}}}
 	arena, err := dag.Arena()
 	if err != nil {
 		t.Fatal(err)

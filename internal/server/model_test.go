@@ -80,7 +80,4 @@ func TestModelStreamContract(t *testing.T) {
 			t.Errorf("%s: SeedFree %v, want %v", tc.name, got, tc.seedFree)
 		}
 	}
-	if !replay.SeedFree(arena, nil) {
-		t.Error("SeedFree(nil model) is false: captured durations never draw")
-	}
 }
