@@ -51,6 +51,26 @@ func TestDAGMatchesFig1(t *testing.T) {
 	}
 }
 
+// TestBadSizesFail: a spec without tiles ends the subcommand with an
+// error, which main prints and exits 1 on, instead of a panic.
+func TestBadSizesFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"dag", "-nt", "0"},
+		{"dag", "-nt", "-3", "-list"},
+		{"dag", "-alg", "cholesky", "-nt", "0", "-capture", filepath.Join(t.TempDir(), "c0.dag")},
+		{"fault", "-alg", "lu", "-nt", "0", "-workers", "2"},
+		{"fault", "-alg", "lu", "-nt", "2", "-nb", "0", "-workers", "2"},
+	} {
+		err := run(args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "at least 1") {
+			t.Errorf("sim %s: %v, want an error naming the sizes", strings.Join(args, " "), err)
+		}
+	}
+	if out := runOK(t, "dag", "-alg", "chol", "-nt", "3"); !strings.Contains(out, "DAG of tile chol, 3x3 tiles") {
+		t.Errorf("sim dag -alg chol printed %q", out)
+	}
+}
+
 // TestFlagDefaults pins every subcommand's flag set and defaults to those
 // of the standalone tool it replaced.
 func TestFlagDefaults(t *testing.T) {

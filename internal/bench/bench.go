@@ -208,17 +208,29 @@ func Run(spec Spec, label string, insert func(rt sched.Runtime, sim *core.Simula
 	return res, nil
 }
 
+// checkSize refuses a spec without tiles: nt and nb must be at least 1.
+func (s Spec) checkSize() error {
+	if s.NT < 1 || s.NB < 1 {
+		return fmt.Errorf("bench: %s with nt=%d and nb=%d: both must be at least 1", s.Algorithm, s.NT, s.NB)
+	}
+	return nil
+}
+
 // Ops builds the spec's task stream over shape-only tiles
 // (workload.Shapes): no matrix is generated, so the cost depends on NT and
-// not on NB. Everything that captures or simulates the stream — Simulated
-// and the simulation service's direct runs through the real scheduler,
-// CaptureArena through the hazard tracker alone — starts here; the ops'
-// bodies report an error if executed. Measured, the one run that executes
-// kernels, builds its stream over generated inputs itself.
+// not on NB. Everything that simulates the stream through the real
+// scheduler — Simulated and the simulation service's direct runs — starts
+// here; the ops' bodies report an error if executed. Measured, the one run
+// that executes kernels, builds its stream over generated inputs itself,
+// and CaptureArena, which needs no tiles, takes the tasks from the
+// algorithm's generator without building ops.
 func Ops(spec Spec) ([]factor.Op, error) { return opsIn(spec, nil) }
 
 // opsIn is Ops with the stream cut from buf (nil: allocated).
 func opsIn(spec Spec, buf *factor.Buffers) ([]factor.Op, error) {
+	if err := spec.checkSize(); err != nil {
+		return nil, err
+	}
 	a, t := workload.Shapes(spec.Algorithm, spec.NT, spec.NB)
 	if a == nil {
 		return nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
@@ -233,6 +245,9 @@ func opsIn(spec Spec, buf *factor.Buffers) ([]factor.Op, error) {
 // (Section V-B1: "using the actual execution of the algorithm to provide
 // the actual empirical data").
 func Measured(spec Spec) (Result, *perfmodel.Collector, error) {
+	if err := spec.checkSize(); err != nil {
+		return Result{}, nil, err
+	}
 	// The kernels need real operands: a seeded SPD, general or diagonally
 	// dominant matrix, so every factorization stays numerically valid.
 	a, t := workload.ForAlgorithm(spec.Algorithm, spec.NT, spec.NB, spec.Seed)
@@ -307,12 +322,11 @@ func SimulatedRun(spec Spec, label string, model core.DurationModel, seed uint64
 	return res, err
 }
 
-// scratchPool recycles the per-run scratch of the runs this package makes
-// over shape-only streams — CaptureArena's passes and SimulatedRun's
-// scheduler runs: the op stream, and for a direct run the sched.Tasks it
-// is given. A capture puts its set back once its pass is done, a direct
-// run only after a clean run, so either allocates little beyond what it
-// returns. Pooled memory lives at most two GC cycles.
+// scratchPool recycles the per-run scratch of SimulatedRun's scheduler
+// runs over shape-only streams: the op stream and the sched.Tasks it is
+// given. A run puts its set back only after a clean run, so it allocates
+// little beyond what it returns. Pooled memory lives at most two GC
+// cycles.
 var scratchPool = &sync.Pool{New: func() any { return new(factor.Buffers) }}
 
 // simBody gives each op's task a simulated body. With spec.GangPanels > 1

@@ -21,20 +21,13 @@ import (
 )
 
 // TestCaptureFrameSameOverShapesAndMatrices pins the claim the data-free
-// capture path rests on: the .dag frame of a spec captured over shape-only
-// tiles equals, byte for byte, the frame captured over the generated
+// capture path rests on: the .dag frame CaptureArena writes from the
+// algorithm's generator, which names tiles by index and holds none, equals
+// byte for byte the frame of a live engine run over the generated
 // matrices the same spec would factor. Frames carry labels, classes,
 // priorities, footprints and dependences, so equal bytes mean equal
 // fingerprints on every replay.
 func TestCaptureFrameSameOverShapesAndMatrices(t *testing.T) {
-	frame := func(spec Spec, ops []factor.Op) []byte {
-		t.Helper()
-		arena, err := captureOps(spec, ops, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return arena.Encode()
-	}
 	for _, alg := range []string{"cholesky", "qr", "lu"} {
 		for _, schedName := range Schedulers {
 			for _, size := range []struct{ nt, nb int }{{3, 4}, {7, 16}} {
@@ -48,8 +41,24 @@ func TestCaptureFrameSameOverShapesAndMatrices(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(frame(spec, shapeOps), frame(spec, dataOps)) {
-					t.Errorf("%s/%s nt=%d nb=%d: frame over shapes differs from frame over matrices", alg, schedName, size.nt, size.nb)
+				captured, err := CaptureArena(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oneWorker := spec
+				oneWorker.Workers = 1
+				rt, err := NewRuntime(oneWorker)
+				if err != nil {
+					t.Fatal(err)
+				}
+				overData, err := engineCapture(rt, captured.Label(), spec.Workers, func(rt sched.Runtime) error {
+					return factor.Insert(rt, nil, dataOps, func(_ *factor.Op, t *sched.Task) { t.Func = noopTask })
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(captured.Encode(), overData.Encode()) {
+					t.Errorf("%s/%s nt=%d nb=%d: the capture's frame differs from the engine's over matrices", alg, schedName, size.nt, size.nb)
 				}
 				// The data-backed stream is the one that can execute;
 				// the shape-backed one must say so rather than no-op.
@@ -111,11 +120,11 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 
 // Ceilings for one steady-state CaptureArena, per captured task and with
 // the finished arena included: cholesky nt=16 (816 tasks) through QUARK,
-// 0.19 objects and 118 B, and through StarPU's eager policy at nt=32
-// (5 984 tasks: serve-miss's dominant shape), 0.09 objects and 108 B.
-// Bytes are set 10 % above the larger; objects, a few hundred per capture,
-// get more room. What is left per task is the arena row and the task's
-// label. The op stream comes from a recycled factor.Buffers, and the pass
+// 0.02 objects and 87 B, and through StarPU's eager policy at nt=32
+// (5 984 tasks: serve-miss's dominant shape), 0.00 objects and 89 B.
+// Bytes are set 10 % above the larger; objects get more room. What is left
+// per task is the arena: its frame, which holds the task's row and label,
+// and the successor lists. The capture builds no op stream, and the pass
 // takes its hazard tracker and its intern slots from pools of their own;
 // no runtime runs.
 // History: 19.9 objects and 3.97 KB per task while the capture generated
@@ -130,13 +139,14 @@ func TestOpsAllocationIndependentOfNB(t *testing.T) {
 // 153 B) while a 1-worker engine run, with its labels string and handle
 // ids, made every capture; 0.22 objects and 136 B (0.09 and 119 B) while
 // the capture also ran each runtime's ready policy over the graph and the
-// frame held its ready order. The factor.Buffers pool is shared with the
-// direct simulation (SimulatedRun), so the two kinds of run hand each
-// other buffer sets; TestSimulatedAllocatesItsTrace holds the direct run
+// frame held its ready order; 0.19 objects and 118 B (0.09 and 108 B,
+// ceiling 130 B) while each capture built its op stream over tile shapes
+// from a factor.Buffers shared with the direct simulation and hashed every
+// handle and label. TestSimulatedAllocatesItsTrace holds the direct run
 // to ceilings of its own.
 const (
 	captureObjectsPerTaskCeiling = 0.4
-	captureBytesPerTaskCeiling   = 130
+	captureBytesPerTaskCeiling   = 98
 )
 
 func TestCaptureSpecAllocCeilings(t *testing.T) {
@@ -172,14 +182,16 @@ func TestCaptureSpecAllocCeilings(t *testing.T) {
 // keySpecs' six captures (cholesky nt=32, 484 738 B frames over 5 984
 // tasks) together. The cache keeps the arena CaptureArena returns and
 // writes its Frame() through, so the frame is most of it; the rest is the
-// successor lists, the op stream's tile shapes and what the sections left
-// unused. Measured at 1.33x and set 9 % above. History: 1.35x (1.31x to
+// successor lists and what the sections left unused (the dependence
+// columns get the room of the footprints). Measured at 1.22x and set 10 %
+// above. History: 1.33x (ceiling 1.45x) while each capture also built its
+// op stream over tile shapes; 1.35x (1.31x to
 // 1.33x each, 1.48x for starpu-dm, whose cost-model queue grew as the
 // stream went in) while the capture ran each runtime's ready policy and
 // the frame held its ready order; 2.35x (7.60 MB for the same
 // 3.23 MB of frames) while the builder filled column slabs and the cache
 // encoded them into a frame of their own, the slabs then dropped.
-const captureFrameRatioCeiling = 1.45
+const captureFrameRatioCeiling = 1.34
 
 func TestCaptureAsCachedAllocatesItsFrame(t *testing.T) {
 	if raceEnabled {
@@ -205,8 +217,8 @@ func TestCaptureAsCachedAllocatesItsFrame(t *testing.T) {
 }
 
 // TestConcurrentCapturesMatchSerial: captures recycle their scratch — the
-// op stream through scratchPool, the pass's hazard tracker and intern
-// slots through replay's pools — so scratch that went back while its capture still used it
+// pass's hazard tracker and intern slots through replay's pools — so
+// scratch that went back while its capture still used it
 // would let a concurrent capture zero and overwrite a live stream. Eight
 // goroutines capture a seeded mix of small and large specs, so pooled
 // memory shrinks and grows between uses, and every frame must equal, byte
@@ -243,11 +255,7 @@ func TestConcurrentCapturesMatchSerial(t *testing.T) {
 			}
 			draws[g] = append(draws[g], spec)
 			if want[keyOf(spec)] == nil {
-				ops, err := Ops(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				arena, err := captureOps(spec, ops, nil)
+				arena, err := CaptureArena(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -477,24 +485,33 @@ func TestLoadAllocatesOnlyDerivedViews(t *testing.T) {
 	}
 }
 
-// TestLabelBytesSizesTheStringTable: factor.LabelBytes is exactly the
-// string bytes a capture of the stream interns beside the DAG label — the
-// frame's string-byte count — so the region Reserve makes is never regrown
-// and never larger than the table.
-func TestLabelBytesSizesTheStringTable(t *testing.T) {
-	for name, spec := range goldenSpecs() {
-		ops, err := Ops(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arena, err := captureOps(spec, ops, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		const stringBytesCount = 32 + 4*8 // header, then the fifth count
-		got := binary.LittleEndian.Uint64(arena.Encode()[stringBytesCount:])
-		if want := factor.LabelBytes(ops) + len(arena.Label()); got != uint64(want) {
-			t.Errorf("%s: the frame holds %d string bytes, LabelBytes plus the label %d", name, got, want)
+// TestCaptureIsSizedExactly: factor.Measure announces exactly the tasks,
+// footprints and string bytes a capture's frame holds — beside the DAG
+// label, which the pass adds itself — and the tile algorithms resolve no
+// more edges than they declare operands, the room the pass gives the
+// dependence columns. So CaptureArena's frame is allocated once, at its
+// final size give or take the edges, and never regrows.
+func TestCaptureIsSizedExactly(t *testing.T) {
+	for _, alg := range []string{"cholesky", "qr", "lu"} {
+		for _, nt := range []int{1, 2, 6, 10, 16, 32} {
+			name := fmt.Sprintf("%s nt=%d", alg, nt)
+			size, err := factor.Measure(alg, nt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arena, err := CaptureArena(Spec{Algorithm: alg, Scheduler: "quark", NT: nt, NB: 8, Workers: 4, Seed: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			const stringBytesCount = 32 + 4*8 // header, then the fifth count
+			strBytes := binary.LittleEndian.Uint64(arena.Encode()[stringBytesCount:])
+			if size.Tasks != arena.NumTasks() || size.Args != arena.NumFootprints() || uint64(size.StringBytes+len(arena.Label())) != strBytes {
+				t.Errorf("%s: Measure announces %d tasks, %d operands and %d string bytes plus the label's %d; the frame holds %d, %d and %d",
+					name, size.Tasks, size.Args, size.StringBytes, len(arena.Label()), arena.NumTasks(), arena.NumFootprints(), strBytes)
+			}
+			if arena.NumEdges() > size.Args {
+				t.Errorf("%s: %d edges over %d operands: the dependence columns regrow", name, arena.NumEdges(), size.Args)
+			}
 		}
 	}
 }

@@ -213,23 +213,23 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			}
 		}},
 		{Name: "CaptureKeys32", Bench: func(b *testing.B) {
-			// The captures behind serve-miss's keys: cholesky nt=32 (5 984
-			// tasks), one CaptureArena per scheduler configuration the keys
-			// spread over: one pass each, whose stages are the four
-			// benchmarks below.
+			// The capture behind serve-miss's keys: cholesky nt=32 (5 984
+			// tasks). The keys spread over six scheduler configurations
+			// that all capture this one frame, so it is one CaptureArena,
+			// what a miss pays: one pass, whose stages are the three
+			// benchmarks after CaptureFrame32.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, spec := range keySpecs() {
-					if _, err := CaptureArena(spec); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := CaptureArena(captureKeySpec); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}},
 		{Name: "CaptureFrame32", Bench: func(b *testing.B) {
-			// CaptureKeys32's six captures, each as the capture cache keeps
-			// it: the arena, living in the frame the cache writes through.
-			// B/op is what serve-miss's captures cost the heap.
+			// serve-miss's six captures (keySpecs), each as the capture
+			// cache keeps it: the arena, living in the frame the cache
+			// writes through. B/op is what serve-miss's captures cost the
+			// heap.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, spec := range keySpecs() {
@@ -244,98 +244,67 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			}
 		}},
 		{Name: "CaptureStream32", Bench: func(b *testing.B) {
-			// CaptureKeys32's first stage: its six op streams built on one
-			// recycled buffer set, as CaptureArena builds each on one from
-			// scratchPool.
-			buf := new(factor.Buffers)
+			// CaptureKeys32's first stage: the generator walked twice, to
+			// size the pass and to emit the tasks, each task's label
+			// rendered and its operands keyed as CaptureArena's sink does.
+			spec := captureKeySpec
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, spec := range keySpecs() {
-					if _, err := opsIn(spec, buf); err != nil {
-						b.Fatal(err)
+				if _, err := factor.Measure(spec.Algorithm, spec.NT); err != nil {
+					b.Fatal(err)
+				}
+				var label [64]byte
+				var keys [4]hazard.KeyArg
+				n := 0
+				if err := factor.Generate(spec.Algorithm, spec.NT, func(t *factor.Task) {
+					k := keys[:0]
+					for _, o := range t.Args {
+						k = append(k, hazard.KeyArg{Key: int32(o.Tile(spec.NT)), Mode: o.Mode()})
 					}
-					buf.Reset()
+					n += len(t.AppendLabel(label[:0])) + len(k)
+				}); err != nil || n == 0 {
+					b.Fatal(err)
 				}
 			}
 		}},
 		{Name: "CaptureHazard32", Bench: func(b *testing.B) {
-			// CaptureKeys32's hazard analysis alone: the argument lists of its
-			// six streams through one tracker, Reset between streams as the
-			// pass's pooled tracker is.
-			var streams [][][]sched.Arg
-			for _, spec := range keySpecs() {
-				ops, err := Ops(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				args := make([][]sched.Arg, len(ops))
-				for i := range ops {
-					args[i] = ops[i].SchedArgs()
-				}
-				streams = append(streams, args)
-			}
+			// CaptureKeys32's hazard analysis alone: the stream's keyed
+			// operands through one tracker's InsertKeys, Reset between
+			// streams as the pass's pooled tracker is.
+			st := resolveCaptureKey(b)
 			tr := hazard.NewTracker()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, args := range streams {
-					tr.Reset()
-					for _, a := range args {
-						tr.Insert(a)
-					}
+				tr.Reset()
+				for _, r := range st {
+					tr.InsertKeys(r.keys)
 				}
 			}
 		}},
 		{Name: "CaptureColumns32", Bench: func(b *testing.B) {
-			// CaptureKeys32's rows without the tracker: each task's label and
-			// arguments rendered and its row appended, hazards resolved
+			// CaptureKeys32's rows without the generator and the tracker:
+			// each task's row appended with its hazards resolved
 			// beforehand, then the columns finished (validation and the
 			// successor and level tables).
-			type resolved struct {
-				handles []int32
-				deps    []hazard.Dep
+			spec := captureKeySpec
+			st := resolveCaptureKey(b)
+			size, err := factor.Measure(spec.Algorithm, spec.NT)
+			if err != nil {
+				b.Fatal(err)
 			}
-			type stream struct {
-				spec Spec
-				ops  []factor.Op
-				rows []resolved
-			}
-			var streams []stream
-			for _, spec := range keySpecs() {
-				ops, err := Ops(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr := hazard.NewTracker()
-				rows := make([]resolved, len(ops))
-				for i := range ops {
-					_, h, d := tr.Insert(ops[i].SchedArgs())
-					rows[i] = resolved{slices.Clone(h), slices.Clone(d)}
-				}
-				streams = append(streams, stream{spec, ops, rows})
-			}
+			label := fmt.Sprintf("%s-nt%d", spec.Algorithm, spec.NT)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, st := range streams {
-					nargs := 0
-					for j := range st.ops {
-						nargs += len(st.ops[j].Args)
-					}
-					pass := replay.NewPass(fmt.Sprintf("%s-nt%d", st.spec.Algorithm, st.spec.NT), st.spec.Workers, len(st.ops), nargs, factor.LabelBytes(st.ops))
-					var label [64]byte
-					var args []sched.Arg
-					for j := range st.ops {
-						op := &st.ops[j]
-						args = slices.Grow(args[:0], len(op.Args))[:len(op.Args)]
-						op.FillSchedArgs(args)
-						if err := pass.Row(string(op.Class), op.AppendLabel(label[:0]), op.Priority, args, st.rows[j].handles, st.rows[j].deps); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if _, err := pass.Arena(); err != nil {
+				pass := replay.NewKeyPass(label, spec.Workers, size.Tasks, size.Args, size.StringBytes)
+				for _, r := range st {
+					if err := pass.KeyRow(r.class, r.label, r.priority, r.keys, r.handles, r.deps); err != nil {
 						b.Fatal(err)
 					}
+				}
+				if _, err := pass.Arena(); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}},
@@ -577,7 +546,42 @@ func directSpecs() []Spec {
 	return specs
 }
 
-// keySpecs are CaptureKeys32's six captures: cholesky nt=32 under each of
+// captureKeySpec is the spec of CaptureKeys32 and its stage benchmarks:
+// cholesky nt=32, the one frame behind serve-miss's keys.
+var captureKeySpec = Spec{Algorithm: "cholesky", Scheduler: "quark", NT: 32, NB: 20, Workers: 8, Seed: 1}
+
+// resolvedTask is one task of captureKeySpec's stream with its hazards
+// resolved: what the stage benchmarks of a capture start from.
+type resolvedTask struct {
+	class    string
+	label    []byte
+	priority int
+	keys     []hazard.KeyArg
+	handles  []int32
+	deps     []hazard.Dep
+}
+
+// resolveCaptureKey generates captureKeySpec's stream and resolves it
+// through a tracker, keeping each task's row.
+func resolveCaptureKey(b *testing.B) []resolvedTask {
+	var st []resolvedTask
+	tr := hazard.NewTracker()
+	err := factor.Generate(captureKeySpec.Algorithm, captureKeySpec.NT, func(t *factor.Task) {
+		r := resolvedTask{class: string(t.Class), label: t.AppendLabel(nil), priority: t.Priority}
+		for _, o := range t.Args {
+			r.keys = append(r.keys, hazard.KeyArg{Key: int32(o.Tile(captureKeySpec.NT)), Mode: o.Mode()})
+		}
+		_, h, d := tr.InsertKeys(r.keys)
+		r.handles, r.deps = slices.Clone(h), slices.Clone(d)
+		st = append(st, r)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
+// keySpecs are CaptureFrame32's six captures: cholesky nt=32 under each of
 // keyConfigs.
 func keySpecs() []Spec {
 	specs := make([]Spec, len(keyConfigs))

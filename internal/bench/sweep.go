@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,29 +11,67 @@ import (
 
 	"supersim/internal/core"
 	"supersim/internal/factor"
+	"supersim/internal/hazard"
 	"supersim/internal/replay"
-	"supersim/internal/sched"
 	"supersim/internal/sched/starpu"
 	"supersim/internal/workload"
 )
 
 // CaptureArena captures the spec's task DAG, as the arena replays execute
 // and the capture cache stores, in one pass on the calling goroutine: the
-// spec's op stream goes through one hazard tracker — the one every runtime
-// resolves its hazards with — straight into the arena's columns. No
-// runtime is started. The DAG derives entirely from the serial stream
-// (footprints and hazard resolution), so it is independent of scheduler,
-// policy, worker count and durations; the frame is byte for byte the one
-// the graph a live run of any runtime resolves gives. The arena
-// carries the spec's worker count as its default replay width
+// spec's algorithm generates its tasks (factor.Generate) straight into a
+// replay.Pass, whose one hazard tracker — the one every runtime resolves
+// its hazards with — resolves them by tile index and whose builder writes
+// each row into the frame. No op stream, tile or runtime is made. The DAG
+// derives entirely from the serial stream (footprints and hazard
+// resolution), so it is independent of scheduler, policy, worker count,
+// tile size and durations; the frame is byte for byte the one the graph a
+// live run of any runtime resolves gives. The pass is sized exactly from
+// the generator (factor.Measure), so the frame is allocated once. The
+// arena carries the spec's worker count as its default replay width
 // (captureWidth).
 func CaptureArena(spec Spec) (*replay.Arena, error) {
-	buf := scratchPool.Get().(*factor.Buffers)
-	ops, err := opsIn(spec, buf)
+	if err := spec.checkSize(); err != nil {
+		return nil, err
+	}
+	size, err := factor.Measure(spec.Algorithm, spec.NT)
+	if err != nil {
+		return nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
+	}
+	workers, err := captureWidth(spec)
 	if err != nil {
 		return nil, err
 	}
-	return captureOps(spec, ops, buf)
+	s := &captureSink{
+		pass: replay.NewKeyPass(fmt.Sprintf("%s-nt%d", spec.Algorithm, spec.NT), workers, size.Tasks, size.Args, size.StringBytes),
+		nt:   spec.NT,
+	}
+	if err := factor.Generate(spec.Algorithm, spec.NT, s.task); err != nil {
+		return nil, err
+	}
+	return s.pass.Arena()
+}
+
+// captureSink writes a generator's tasks into a pass: each task's label
+// rendered into one reused buffer, its operands keyed by tile index. A
+// task the pass refuses ends the capture; Arena returns the refusal.
+type captureSink struct {
+	pass  *replay.Pass
+	nt    int
+	keys  [4]hazard.KeyArg
+	label [64]byte
+	err   error
+}
+
+func (s *captureSink) task(t *factor.Task) {
+	if s.err != nil {
+		return
+	}
+	keys := s.keys[:0]
+	for _, o := range t.Args {
+		keys = append(keys, hazard.KeyArg{Key: int32(o.Tile(s.nt)), Mode: o.Mode()})
+	}
+	s.err = s.pass.KeyTask(string(t.Class), t.AppendLabel(s.label[:0]), t.Priority, keys)
 }
 
 // CaptureSpec is CaptureArena returning the structured view of the capture
@@ -46,44 +83,6 @@ func CaptureSpec(spec Spec) (*replay.DAG, error) {
 		return nil, err
 	}
 	return arena.DAG(), nil
-}
-
-// captureOps is CaptureArena on a stream the caller built. The captured
-// graph depends on the ops' classes, labels, priorities and argument
-// handles only — whether the tiles behind the handles hold data makes no
-// difference, which TestCaptureFrameSameOverShapesAndMatrices pins.
-//
-// buf, when not nil, holds ops; captureOps owns it from then on and puts
-// it back in scratchPool once the pass is done with the stream: the arena
-// holds copies of every class and label, and nothing else of the pass
-// refers to the ops.
-func captureOps(spec Spec, ops []factor.Op, buf *factor.Buffers) (*replay.Arena, error) {
-	if buf != nil {
-		defer func() {
-			buf.Reset()
-			scratchPool.Put(buf)
-		}()
-	}
-	workers, err := captureWidth(spec)
-	if err != nil {
-		return nil, err
-	}
-	nargs := 0
-	for i := range ops {
-		nargs += len(ops[i].Args)
-	}
-	pass := replay.NewPass(fmt.Sprintf("%s-nt%d", spec.Algorithm, spec.NT), workers, len(ops), nargs, factor.LabelBytes(ops))
-	var label [64]byte
-	var args []sched.Arg
-	for i := range ops {
-		op := &ops[i]
-		args = slices.Grow(args[:0], len(op.Args))[:len(op.Args)]
-		op.FillSchedArgs(args)
-		if err := pass.Task(string(op.Class), op.AppendLabel(label[:0]), op.Priority, args); err != nil {
-			return nil, err
-		}
-	}
-	return pass.Arena()
 }
 
 // captureWidth is the default replay width of the spec's capture: the

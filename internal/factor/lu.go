@@ -14,43 +14,34 @@ import (
 // generator's diagonally dominant matrices guarantee it). A is factored in
 // place: U in the upper triangle (with diagonal), L strictly below (unit
 // diagonal implicit).
-func LU(a *tile.Matrix) []Op { return (*Buffers)(nil).lu(a) }
+func LU(a *tile.Matrix) []Op { return (*Buffers)(nil).build(luTasks, a, nil) }
 
-func (b *Buffers) lu(a *tile.Matrix) []Op {
-	nt := a.NT
-	nops, nargs := 0, 0
-	for r := 0; r < nt; r++ { // step k leaves r = nt-k-1 trailing tile rows and columns
-		nops += 1 + 2*r + r*r    // GETRF, r TRSMU, r TRSML, r² GEMM
-		nargs += 1 + 4*r + 3*r*r // with 1, 2, 2 and 3 arguments
-	}
-	s := b.newStream(nops, nargs)
-	A := newOperands("A", a)
+func luTasks(nt int, g *gen) {
 	for k := 0; k < nt; k++ {
-		s.add(kernels.ClassGETRF, prioPanel,
+		g.task(kernels.ClassGETRF, prioPanel,
 			func(t argTiles) error { return kernels.Getrf(t[0]) },
-			A.at(k, k, hazard.ReadWrite))
+			aTile(k, k, hazard.ReadWrite))
 		for j := k + 1; j < nt; j++ {
-			s.add(kernels.ClassTRSMU, prioSolve,
+			g.task(kernels.ClassTRSMU, prioSolve,
 				func(t argTiles) error { kernels.TrsmLowerUnit(t[0], t[1]); return nil },
-				A.at(k, k, hazard.Read), A.at(k, j, hazard.ReadWrite))
+				aTile(k, k, hazard.Read), aTile(k, j, hazard.ReadWrite))
 		}
 		for i := k + 1; i < nt; i++ {
-			s.add(kernels.ClassTRSML, prioSolve,
+			g.task(kernels.ClassTRSML, prioSolve,
 				func(t argTiles) error { kernels.TrsmUpperRight(t[0], t[1]); return nil },
-				A.at(k, k, hazard.Read), A.at(i, k, hazard.ReadWrite))
+				aTile(k, k, hazard.Read), aTile(i, k, hazard.ReadWrite))
 		}
 		for i := k + 1; i < nt; i++ {
 			for j := k + 1; j < nt; j++ {
-				s.add(kernels.ClassGEMM, prioUpdate,
+				g.task(kernels.ClassGEMM, prioUpdate,
 					func(t argTiles) error {
 						kernels.Gemm(false, false, -1, t[1], t[2], 1, t[0])
 						return nil
 					},
-					A.at(i, j, hazard.ReadWrite), A.at(i, k, hazard.Read), A.at(k, j, hazard.Read))
+					aTile(i, j, hazard.ReadWrite), aTile(i, k, hazard.Read), aTile(k, j, hazard.Read))
 			}
 		}
 	}
-	return s.ops
 }
 
 // LUResidual returns ||A - L*U||_F / ||A||_F where factored holds the

@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzTrackerMatchesReference drives the tracker and refTracker, the
-// map-and-slice tracker it replaced, with the same stream and requires the
-// same answer from every Insert: the task id, the handle ids and the
-// dependences, in the same order and of the same kinds. Order matters
+// FuzzTrackerMatchesReference drives the tracker's two entries — Insert
+// with opaque handles and InsertKeys with each handle's index as its key —
+// and refTracker, the map-and-slice tracker it replaced, with the same
+// stream and requires the same answer from every insertion: the task id,
+// the handle ids and the dependences, in the same order and of the same
+// kinds. Order matters
 // downstream: the engine registers successors, and the capture recorder
 // writes a frame's dependence column, in the order Insert returns them.
 //
@@ -30,26 +32,35 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 			handles[i] = &cells[i]
 		}
 		modes := [3]Access{Read, Write, ReadWrite}
-		got, want := NewTracker(), newRefTracker()
+		got, keyed, want := NewTracker(), NewTracker(), newRefTracker()
 		var args []Arg
+		var keys []KeyArg
 		for i, task := 2, 0; i < len(data); task++ {
 			if task == resetAt {
 				got.Reset()
+				keyed.Reset()
 				want.Reset()
 			}
 			n := int(data[i]) % 5
 			i++
-			args = args[:0]
+			args, keys = args[:0], keys[:0]
 			for ; n > 0 && i < len(data); n-- {
 				b := data[i]
 				i++
-				args = append(args, Arg{Handle: handles[int(b&15)%k], Mode: modes[int(b>>4)%3]})
+				h, mode := int(b&15)%k, modes[int(b>>4)%3]
+				args = append(args, Arg{Handle: handles[h], Mode: mode})
+				keys = append(keys, KeyArg{Key: int32(h), Mode: mode})
 			}
-			id, hids, deps := got.Insert(args)
 			wid, whids, wdeps := want.Insert(args)
+			id, hids, deps := got.Insert(args)
 			if id != wid || !slices.Equal(hids, whids) || !slices.Equal(deps, wdeps) {
 				t.Fatalf("task %d %v: tracker says id %d, handles %v, deps %v; reference says id %d, handles %v, deps %v",
 					task, args, id, hids, deps, wid, whids, wdeps)
+			}
+			id, hids, deps = keyed.InsertKeys(keys)
+			if id != wid || !slices.Equal(hids, whids) || !slices.Equal(deps, wdeps) {
+				t.Fatalf("task %d %v: InsertKeys says id %d, handles %v, deps %v; reference says id %d, handles %v, deps %v",
+					task, keys, id, hids, deps, wid, whids, wdeps)
 			}
 		}
 	})

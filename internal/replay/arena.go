@@ -139,15 +139,22 @@ type builder struct {
 	// linear probing, a slot holding 1 + a string's index, 0 when empty.
 	// It holds no string — a probe compares against the region — so it
 	// is one pointer-free array, kept at most half full.
-	slots  *[]int32
-	strBuf []byte // the string section; a.strs once finished
+	slots   *[]int32
+	slotted int    // strings in the slots: the interned ones (add appends one without)
+	strBuf  []byte // the string section; a.strs once finished
+	// class and classIdx are the last task's class and its index, which
+	// the next task, in a stream that runs of one kernel fill, mostly
+	// shares.
+	class    string
+	classIdx int32
 }
 
 // newBuilder returns a builder with room for tasks tasks declaring feet
 // footprint entries and edges dependences between them, and strBytes bytes
-// of interned strings. The string offsets get room for one label per task
-// plus the classes and the DAG label (internSlack).
-func newBuilder(tasks, feet, edges, strBytes int) *builder {
+// of strings. The string offsets get room for one label per task plus the
+// classes and the DAG label (internSlack), and intern's slots for slotted
+// strings.
+func newBuilder(tasks, feet, edges, strBytes, slotted int) *builder {
 	strs := tasks + internSlack
 	b := &builder{a: &Arena{}}
 	b.place(dims{n: uint64(tasks), e: uint64(edges), f: uint64(feet), s: uint64(strs), b: uint64(strBytes)})
@@ -156,7 +163,7 @@ func newBuilder(tasks, feet, edges, strBytes int) *builder {
 	if b.slots == nil {
 		b.slots = new([]int32)
 	}
-	b.sizeSlots(strs)
+	b.sizeSlots(slotted)
 	return b
 }
 
@@ -303,24 +310,17 @@ func clampI32(v int) int32 {
 //
 //simlint:hotpath
 func (b *builder) intern(s string) int32 {
-	n := int32(b.a.NumStrings())
-	if 2*int(n+1) > len(*b.slots) {
-		b.rehash(int(n + 1))
+	if 2*(b.slotted+1) > len(*b.slots) {
+		b.rehash(b.a.NumStrings() + 1)
 	}
 	slots := *b.slots
 	mask := uint64(len(slots) - 1)
 	for j := strHash(s) & mask; ; j = (j + 1) & mask {
 		v := slots[j]
 		if v == 0 {
-			slots[j] = n + 1
-			end := len(b.strBuf) + len(s)
-			if len(b.a.strOff) == cap(b.a.strOff) || end > cap(b.strBuf) {
-				b.grow(dims{s: uint64(n) + 1, b: uint64(end)})
-			}
-			b.strBuf = b.strBuf[:end]
-			copy(b.strBuf[end-len(s):], s)
-			push(&b.a.strOff, int32(end))
-			return n
+			slots[j] = int32(b.a.NumStrings()) + 1
+			b.slotted++
+			return b.add(s)
 		}
 		if b.interned(v-1) == s {
 			return v - 1
@@ -328,8 +328,27 @@ func (b *builder) intern(s string) int32 {
 	}
 }
 
-// rehash regrows the slots for strings strings and reinserts the table:
-// a stream that announced fewer strings than it has.
+// add appends s to the string table without looking it up and returns its
+// index: a string the caller knows to be new and never to be interned
+// again (a label of a stream whose labels are distinct, Pass.KeyRow). It
+// takes no slot, so a later intern of an equal string would add it again.
+//
+//simlint:hotpath
+func (b *builder) add(s string) int32 {
+	n := int32(b.a.NumStrings())
+	end := len(b.strBuf) + len(s)
+	if len(b.a.strOff) == cap(b.a.strOff) || end > cap(b.strBuf) {
+		b.grow(dims{s: uint64(n) + 1, b: uint64(end)})
+	}
+	b.strBuf = b.strBuf[:end]
+	copy(b.strBuf[end-len(s):], s)
+	push(&b.a.strOff, int32(end))
+	return n
+}
+
+// rehash regrows the slots for strings strings and reinserts the whole
+// table, added strings included: a stream that announced fewer strings
+// than it interns.
 //
 //simlint:hotpath
 func (b *builder) rehash(strings int) {
@@ -343,16 +362,18 @@ func (b *builder) rehash(strings int) {
 		}
 		slots[j] = i + 1
 	}
+	b.slotted = b.a.NumStrings()
 }
 
 // task opens the next task's row: empty footprint and dependence lists
 // that the footprint and dep calls up to the next task call extend. A
-// priority outside the priority column's int32 range is refused: stored
-// truncated it would replay the task at a different rank than the engine
-// ran it.
+// distinct label is added to the string table without a lookup (add), any
+// other interned. A priority outside the priority column's int32 range is
+// refused: stored truncated it would replay the task at a different rank
+// than the engine ran it.
 //
 //simlint:hotpath
-func (b *builder) task(class, label string, priority int) error {
+func (b *builder) task(class, label string, priority int, distinct bool) error {
 	a := b.a
 	if priority != int(int32(priority)) {
 		//simlint:allow hotalloc — refusal path: the capture or build ends here
@@ -361,8 +382,15 @@ func (b *builder) task(class, label string, priority int) error {
 	if a.n == cap(a.classIdx) {
 		b.grow(dims{n: uint64(a.n) + 1})
 	}
-	push(&a.classIdx, b.intern(class))
-	push(&a.labelIdx, b.intern(label))
+	if class != b.class || a.n == 0 {
+		b.class, b.classIdx = class, b.intern(class)
+	}
+	push(&a.classIdx, b.classIdx)
+	if distinct {
+		push(&a.labelIdx, b.add(label))
+	} else {
+		push(&a.labelIdx, b.intern(label))
+	}
 	push(&a.priority, int32(priority))
 	push(&a.depOff, int32(len(a.depPred)))
 	push(&a.fpOff, int32(len(a.fpHandle)))
@@ -450,10 +478,10 @@ func BuildArena(d *DAG) (*Arena, error) {
 		feet += len(t.Footprint)
 		strBytes += len(t.Class) + len(t.Label)
 	}
-	b := newBuilder(len(d.Tasks), feet, edges, strBytes)
+	b := newBuilder(len(d.Tasks), feet, edges, strBytes, len(d.Tasks)+internSlack)
 	for i := range d.Tasks {
 		t := &d.Tasks[i]
-		if err := b.task(t.Class, t.Label, t.Priority); err != nil {
+		if err := b.task(t.Class, t.Label, t.Priority, false); err != nil {
 			return nil, err
 		}
 		for _, f := range t.Footprint {

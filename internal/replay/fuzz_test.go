@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"supersim/internal/core"
@@ -134,8 +135,9 @@ func FuzzLoadRun(f *testing.F) {
 // FuzzBuilderFrameMatchesReference pins the frame a builder writes in
 // place against the column-at-a-time encoder it replaced
 // (referenceEncode). The input bytes become a stream of rows — classes
-// and labels that repeat, priorities over several levels, footprints and
-// dependences of every kind — and announce picks what the builder is told
+// and labels that repeat, distinct labels added without a lookup,
+// priorities over several levels, footprints and dependences of every
+// kind — and announce picks what the builder is told
 // beforehand: the exact sizes, fewer than the stream resolves (its
 // sections regrow), more (finish moves them down), or nothing, as for the
 // facade's capture runtime. The arena must hold the rows, its frame must
@@ -198,16 +200,19 @@ func FuzzBuilderFrameMatchesReference(f *testing.F) {
 		var b *builder
 		switch n := len(want); announce % 4 {
 		case 0: // exact
-			b = newBuilder(n, feet, edges, strBytes)
+			b = newBuilder(n, feet, edges, strBytes, n+internSlack)
 		case 1: // the stream resolves more than announced
-			b = newBuilder(n/2, feet/2, edges/2, strBytes/2)
+			b = newBuilder(n/2, feet/2, edges/2, strBytes/2, n/2)
 		case 2: // fewer
-			b = newBuilder(2*n+1, feet+7, 2*edges+3, strBytes+11)
+			b = newBuilder(2*n+1, feet+7, 2*edges+3, strBytes+11, 2*n+1+internSlack)
 		case 3: // nothing announced, as the facade capture (replay.Capture) builds
-			b = newBuilder(0, 0, 0, 0)
+			b = newBuilder(0, 0, 0, 0, 0)
 		}
 		for _, tk := range want {
-			if err := b.task(tk.Class, tk.Label, tk.Priority); err != nil {
+			// A "task-" label is distinct, as a tile algorithm's are
+			// (Pass.KeyRow): it is added without a lookup, between
+			// interned classes and repeating labels.
+			if err := b.task(tk.Class, tk.Label, tk.Priority, strings.HasPrefix(tk.Label, "task-")); err != nil {
 				t.Fatal(err)
 			}
 			for _, fp := range tk.Footprint {
