@@ -197,7 +197,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sim := supersim.NewSimulator(s, "validate")
-	sink := factor.InsertMeasured(s, sim, factor.Cholesky(a))
+	sink := factor.InsertMeasured(s, sim, "cholesky", a, nil)
 	s.Barrier()
 	s.Shutdown()
 	if err := sink.Err(); err != nil {

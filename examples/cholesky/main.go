@@ -37,9 +37,9 @@ func main() {
 	// --- measured (real) run ---------------------------------------------
 	a := workload.RandomSPD(*nt, *nb, 42)
 	orig := a.Clone()
-	ops := factor.Cholesky(a)
+	size, _ := factor.Measure("cholesky", *nt)
 	fmt.Printf("tile Cholesky of a %dx%d SPD matrix (%dx%d tiles of %d): %d tasks\n",
-		a.N(), a.N(), *nt, *nt, *nb, len(ops))
+		a.N(), a.N(), *nt, *nt, *nb, size.Tasks)
 
 	rt, err := ompss.New(*workers)
 	if err != nil {
@@ -47,7 +47,7 @@ func main() {
 	}
 	collector := supersim.NewCollector()
 	sim := supersim.NewSimulator(rt, "real", supersim.WithSampleHook(collector.Hook()))
-	sink := factor.InsertMeasured(rt, sim, ops)
+	sink := factor.InsertMeasured(rt, sim, "cholesky", a, nil)
 	rt.TaskWait()
 	rt.Shutdown()
 	if err := sink.Err(); err != nil {

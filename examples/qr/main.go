@@ -51,7 +51,7 @@ func main() {
 		}
 		collector := supersim.NewCollector()
 		sim := supersim.NewSimulator(q, "quark-real", supersim.WithSampleHook(collector.Hook()))
-		sink := factor.InsertMeasured(q, sim, factor.QR(a, tm))
+		sink := factor.InsertMeasured(q, sim, "qr", a, tm)
 		q.Barrier()
 		q.Shutdown()
 		if err := sink.Err(); err != nil {

@@ -63,7 +63,7 @@ func TestNumericalVerificationThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := supersim.NewSimulator(rt, "real")
-	sink := factor.InsertMeasured(rt, sim, factor.Cholesky(a))
+	sink := factor.InsertMeasured(rt, sim, "cholesky", a, nil)
 	rt.Shutdown()
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)

@@ -247,15 +247,15 @@ func AcceleratorExperiment(spec Spec, accelerators int, accelSpeedup float64, mo
 // simulatedHybrid is Simulated with codelet-style tasks that may run on
 // both worker kinds.
 func simulatedHybrid(spec Spec, model core.DurationModel) (Result, error) {
-	ops, err := Ops(spec)
+	a, t, err := shapes(spec)
 	if err != nil {
 		return Result{}, err
 	}
 	return Run(spec, "simulated-hybrid", func(rt sched.Runtime, sim *core.Simulator) error {
 		body := simBody(spec, core.NewTasker(sim, model, spec.Seed+1))
-		return factor.Insert(rt, sim, ops, func(op *factor.Op, t *sched.Task) {
-			body(op, t)
-			t.Where = sched.Anywhere
+		return factor.Insert(rt, sim, spec.Algorithm, a, t, func(task *factor.Task, st *sched.Task) {
+			body(task, st)
+			st.Where = sched.Anywhere
 		})
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"supersim/internal/sched/quark"
 	"supersim/internal/sched/starpu"
 	"supersim/internal/stats"
+	"supersim/internal/tile"
 	"supersim/internal/trace"
 	"supersim/internal/workload"
 )
@@ -217,25 +218,30 @@ func (s Spec) checkSize() error {
 }
 
 // Ops builds the spec's task stream over shape-only tiles
-// (workload.Shapes): no matrix is generated, so the cost depends on NT and
-// not on NB. Everything that simulates the stream through the real
-// scheduler — Simulated and the simulation service's direct runs — starts
-// here; the ops' bodies report an error if executed. Measured, the one run
-// that executes kernels, builds its stream over generated inputs itself,
-// and CaptureArena, which needs no tiles, takes the tasks from the
-// algorithm's generator without building ops.
-func Ops(spec Spec) ([]factor.Op, error) { return opsIn(spec, nil) }
-
-// opsIn is Ops with the stream cut from buf (nil: allocated).
-func opsIn(spec Spec, buf *factor.Buffers) ([]factor.Op, error) {
-	if err := spec.checkSize(); err != nil {
+// (workload.Shapes) as ops, the form listings and the benchmark harness
+// keep: no matrix is generated, so the cost depends on NT and not on NB,
+// and the ops' bodies report an error if executed. Runs build no ops: they
+// take their tasks from the algorithm's generator (factor.Insert,
+// CaptureArena).
+func Ops(spec Spec) ([]factor.Op, error) {
+	a, t, err := shapes(spec)
+	if err != nil {
 		return nil, err
 	}
-	a, t := workload.Shapes(spec.Algorithm, spec.NT, spec.NB)
-	if a == nil {
-		return nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
+	return factor.Stream(spec.Algorithm, a, t)
+}
+
+// shapes returns the spec's matrices as shape-only tiles: A and, for QR,
+// T.
+func shapes(spec Spec) (a, t *tile.Matrix, err error) {
+	if err := spec.checkSize(); err != nil {
+		return nil, nil, err
 	}
-	return buf.Stream(spec.Algorithm, a, t)
+	a, t = workload.Shapes(spec.Algorithm, spec.NT, spec.NB)
+	if a == nil {
+		return nil, nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
+	}
+	return a, t, nil
 }
 
 // Measured performs the reproduction's "real run": the scheduler executes
@@ -254,10 +260,6 @@ func Measured(spec Spec) (Result, *perfmodel.Collector, error) {
 	if a == nil {
 		return Result{}, nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algorithm)
 	}
-	ops, err := factor.Stream(spec.Algorithm, a, t)
-	if err != nil {
-		return Result{}, nil, err
-	}
 	// Collect garbage left by earlier runs before timing kernels:
 	// a GC cycle triggered mid-run by a previous experiment's heap would
 	// contaminate the measured durations (the pure-Go analog of the
@@ -266,7 +268,7 @@ func Measured(spec Spec) (Result, *perfmodel.Collector, error) {
 	collector := perfmodel.NewCollector()
 	var sink *factor.ErrorSink
 	res, err := Run(spec, "real", func(rt sched.Runtime, sim *core.Simulator) error {
-		sink = factor.InsertMeasured(rt, sim, ops)
+		sink = factor.InsertMeasured(rt, sim, spec.Algorithm, a, t)
 		return nil // a rejected insertion is in the sink
 	}, core.WithSampleHook(collector.Hook()))
 	if err != nil {
@@ -288,31 +290,32 @@ func Simulated(spec Spec, model core.DurationModel) (Result, error) {
 }
 
 // SimulatedRun is the direct simulation behind Simulated and the simulation
-// service's uncached jobs: the spec's stream over shape-only tiles through
-// Run, under a trace labelled label, each task's body sampling model from a
-// tasker seeded with seed. attach, when not nil, is called with the runtime
-// and the simulator before the stream goes in; the function it returns is
-// called once Run has returned, and must return only when nothing attach
-// started can touch the run any more (the service's deadline watcher).
+// service's uncached jobs: the spec's tasks over shape-only tiles through
+// Run (factor.Insert), under a trace labelled label, each task's body
+// sampling model from a tasker seeded with seed. attach, when not nil, is
+// called with the runtime and the simulator before the stream goes in; the
+// function it returns is called once Run has returned, and must return only
+// when nothing attach started can touch the run any more (the service's
+// deadline watcher).
 //
-// The stream and the sched.Tasks are cut from a factor.Buffers of
-// scratchPool, which goes back only after a clean run: Run returned no
-// error and Result.Err is nil, so Shutdown joined the workers — an aborted
-// engine's does not — and the detach function has returned. Any failure
-// drops it. The trace allocated by the run is the caller's, and so are the
-// labels its events alias: Insert allocates those per run.
+// The sched.Tasks are cut from a factor.Buffers of scratchPool, which goes
+// back only after a clean run: Run returned no error and Result.Err is
+// nil, so Shutdown joined the workers — an aborted engine's does not — and
+// the detach function has returned. Any failure drops it. The trace
+// allocated by the run is the caller's, and so are the labels its events
+// alias: Insert allocates those per run.
 func SimulatedRun(spec Spec, label string, model core.DurationModel, seed uint64, attach func(sched.Runtime, *core.Simulator) (detach func()), opts ...core.Option) (Result, error) {
-	buf := scratchPool.Get().(*factor.Buffers)
-	ops, err := opsIn(spec, buf)
+	a, t, err := shapes(spec)
 	if err != nil {
 		return Result{}, err
 	}
+	buf := scratchPool.Get().(*factor.Buffers)
 	detach := func() {}
 	res, err := Run(spec, label, func(rt sched.Runtime, sim *core.Simulator) error {
 		if attach != nil {
 			detach = attach(rt, sim)
 		}
-		return buf.Insert(rt, sim, ops, simBody(spec, core.NewTasker(sim, model, seed)))
+		return buf.Insert(rt, sim, spec.Algorithm, a, t, simBody(spec, core.NewTasker(sim, model, seed)))
 	}, opts...)
 	detach()
 	if err == nil && res.Err == nil {
@@ -323,18 +326,17 @@ func SimulatedRun(spec Spec, label string, model core.DurationModel, seed uint64
 }
 
 // scratchPool recycles the per-run scratch of SimulatedRun's scheduler
-// runs over shape-only streams: the op stream and the sched.Tasks it is
-// given. A run puts its set back only after a clean run, so it allocates
-// little beyond what it returns. Pooled memory lives at most two GC
-// cycles.
+// runs: the sched.Tasks and their argument lists. A run puts its set back
+// only after a clean run, so it allocates little beyond what it returns.
+// Pooled memory lives at most two GC cycles.
 var scratchPool = &sync.Pool{New: func() any { return new(factor.Buffers) }}
 
-// simBody gives each op's task a simulated body. With spec.GangPanels > 1
+// simBody gives each task a simulated body. With spec.GangPanels > 1
 // the panel kernels become multi-threaded gang tasks of that many workers
 // (Section VII extension). A body depends on the task's class alone, so
 // each class gets one, made when the class first appears: a stream has a
 // handful of classes and thousands of tasks.
-func simBody(spec Spec, tk *core.Tasker) func(*factor.Op, *sched.Task) {
+func simBody(spec Spec, tk *core.Tasker) func(*factor.Task, *sched.Task) {
 	eff := spec.GangEff
 	if eff <= 0 {
 		eff = 0.85 // typical panel-kernel scaling efficiency
@@ -345,14 +347,14 @@ func simBody(spec Spec, tk *core.Tasker) func(*factor.Op, *sched.Task) {
 		fn      sched.TaskFunc
 	}
 	var bodies []classBody
-	return func(op *factor.Op, t *sched.Task) {
+	return func(task *factor.Task, t *sched.Task) {
 		i := 0
 		for i < len(bodies) && bodies[i].class != t.Class {
 			i++
 		}
 		if i == len(bodies) {
 			b := classBody{class: t.Class}
-			if spec.GangPanels > 1 && (op.Class == kernels.ClassGEQRT || op.Class == kernels.ClassPOTRF) {
+			if spec.GangPanels > 1 && (task.Class == kernels.ClassGEQRT || task.Class == kernels.ClassPOTRF) {
 				b.threads, b.fn = spec.GangPanels, tk.SimGangTask(t.Class, spec.GangPanels, eff)
 			} else {
 				b.fn = tk.SimTask(t.Class)

@@ -52,7 +52,7 @@ func TestCaptureFrameSameOverShapesAndMatrices(t *testing.T) {
 					t.Fatal(err)
 				}
 				overData, err := engineCapture(rt, captured.Label(), spec.Workers, func(rt sched.Runtime) error {
-					return factor.Insert(rt, nil, dataOps, func(_ *factor.Op, t *sched.Task) { t.Func = noopTask })
+					return factor.Insert(rt, nil, alg, a, tm, func(_ *factor.Task, t *sched.Task) { t.Func = noopTask })
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -22,15 +22,19 @@ import (
 
 // Ceilings for one steady-state Simulated run of lib-direct's specs, per
 // simulated task and with the returned trace included (a trace event is 64
-// B). What is left per task is the event and the task's label; the op
-// stream and the sched.Tasks come from a recycled factor.Buffers, the
-// trace lanes from the lanes of the run before, and each class has one
-// task body. While a direct run built all of these afresh it allocated
-// 763 B and 1.23 objects per task: its stream, its task slabs, lanes of
-// 2n + 64 events at eight workers and a closure per task.
+// B): 0.05 objects and 121 B measured, bytes set about 10 % above and
+// objects at twice. What is left per task is the event, the task's label
+// and the run's shape-only tiles; the tasks come straight from the
+// algorithm's generator, the sched.Tasks from a recycled factor.Buffers,
+// the trace lanes from the lanes of the run before, and each class has one
+// task body.
+// History: 763 B and 1.23 objects per task while a direct run built all of
+// these afresh — its op stream, its task slabs, lanes of 2n + 64 events at
+// eight workers and a closure per task; 126 B and 0.22 objects while it
+// still built an op stream, with a name string per tile, and converted it.
 const (
-	directObjectsPerTaskCeiling = 0.4
-	directBytesPerTaskCeiling   = 200
+	directObjectsPerTaskCeiling = 0.1
+	directBytesPerTaskCeiling   = 135
 )
 
 func TestSimulatedAllocatesItsTrace(t *testing.T) {
@@ -63,8 +67,8 @@ func TestSimulatedAllocatesItsTrace(t *testing.T) {
 	t.Log(perTask)
 }
 
-// TestSimulatedTraceSurvivesRecycling: a direct run hands its op stream and
-// tasks to scratchPool and its trace lanes to core's pool, and its trace
+// TestSimulatedTraceSurvivesRecycling: a direct run hands its tasks to
+// scratchPool and its trace lanes to core's pool, and its trace
 // events alias its tasks' labels, so memory recycled too early or a label
 // cut from pooled memory would rewrite a trace its caller holds. A 1-worker
 // run is deterministic: its trace is recorded, then eight goroutines mix

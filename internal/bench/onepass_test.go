@@ -60,7 +60,7 @@ func engineCapture(rt sched.Runtime, label string, width int, insert func(sched.
 // engineCaptureSpec is engineCapture of the spec's stream through the
 // spec's runtime at one worker, labelled and sized as CaptureArena does.
 func engineCaptureSpec(spec Spec) (*replay.Arena, error) {
-	ops, err := Ops(spec)
+	a, tm, err := shapes(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func engineCaptureSpec(spec Spec) (*replay.Arena, error) {
 	}
 	label := fmt.Sprintf("%s-nt%d", spec.Algorithm, spec.NT)
 	return engineCapture(rt, label, width, func(rt sched.Runtime) error {
-		return factor.Insert(rt, nil, ops, func(_ *factor.Op, t *sched.Task) { t.Func = noopTask })
+		return factor.Insert(rt, nil, spec.Algorithm, a, tm, func(_ *factor.Task, t *sched.Task) { t.Func = noopTask })
 	})
 }
 

@@ -2,6 +2,7 @@ package factor
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"supersim/internal/core"
@@ -32,15 +33,11 @@ func TestScheduledExecutionBitIdenticalToSequential(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			for _, rtName := range []string{"quark", "starpu", "ompss"} {
 				a, tm := workload.ForAlgorithm(alg, nt, nb, 77)
-				ops, err := Stream(alg, a, tm)
-				if err != nil {
-					t.Fatal(err)
-				}
 				var sinkErr error
 				switch rtName {
 				case "quark":
 					q := mustQuark(4)
-					sink := InsertReal(q, ops)
+					sink := InsertReal(q, alg, a, tm)
 					q.Shutdown()
 					sinkErr = sink.Err()
 				case "starpu":
@@ -48,12 +45,12 @@ func TestScheduledExecutionBitIdenticalToSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sink := InsertReal(s, ops)
+					sink := InsertReal(s, alg, a, tm)
 					s.Shutdown()
 					sinkErr = sink.Err()
 				case "ompss":
 					o := mustOmpSs(4)
-					sink := InsertReal(o, ops)
+					sink := InsertReal(o, alg, a, tm)
 					o.Shutdown()
 					sinkErr = sink.Err()
 				}
@@ -91,7 +88,7 @@ func TestMeasuredModePreservesNumerics(t *testing.T) {
 	tm := tile.NewMatrix(nt, nb)
 	q := mustQuark(3)
 	sim := newTestSimulator(q)
-	sink := InsertMeasured(q, sim, QR(a, tm))
+	sink := InsertMeasured(q, sim, "qr", a, tm)
 	q.Shutdown()
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
@@ -106,17 +103,22 @@ func newTestSimulator(rt sched.Runtime) *core.Simulator {
 	return core.NewSimulator(rt, "test")
 }
 
-// Insert is the one Op → sched.Task mapping: the body only adds what the op
-// does not determine, and a rejected task ends the insertion with its error.
+// Insert is the one Task → sched.Task mapping: each generated task reaches
+// the runtime as the op Cholesky keeps of it — class, label, priority and
+// arguments — the body only adds what the task does not determine, and a
+// rejected task ends the insertion with its error.
 func TestInsertMapsOpsAndStopsAtRejection(t *testing.T) {
 	a, _ := workload.Shapes("cholesky", 3, 4)
 	ops := Cholesky(a)
 	q := mustQuark(2)
 	var seen []*sched.Task
-	err := Insert(q, nil, ops, func(op *Op, task *sched.Task) {
-		seen = append(seen, task)
-		task.NumThreads = 2
-		task.Func = func(*sched.Ctx) {}
+	err := Insert(q, nil, "cholesky", a, nil, func(task *Task, st *sched.Task) {
+		if op := ops[len(seen)]; task.Class != op.Class || !slices.Equal(task.Args, op.Args) {
+			t.Errorf("task %d reaches the body as %s%v, the op is %s", len(seen), task.Class, task.Args, op)
+		}
+		seen = append(seen, st)
+		st.NumThreads = 2
+		st.Func = func(*sched.Ctx) {}
 	})
 	q.Shutdown()
 	if err != nil || len(seen) != len(ops) {
@@ -125,16 +127,16 @@ func TestInsertMapsOpsAndStopsAtRejection(t *testing.T) {
 	for i, task := range seen {
 		op := ops[i]
 		if task.Class != string(op.Class) || task.Label != op.Label() ||
-			task.Priority != op.Priority || len(task.Args) != len(op.Args) {
+			task.Priority != op.Priority || !slices.Equal(task.Args, op.SchedArgs()) {
 			t.Errorf("op %d %s mapped to %+v", i, op, task)
 		}
 	}
 
 	// q is shut down: the first task is rejected and nothing after it tried.
 	calls := 0
-	err = Insert(q, nil, ops, func(_ *Op, task *sched.Task) {
+	err = Insert(q, nil, "cholesky", a, nil, func(_ *Task, st *sched.Task) {
 		calls++
-		task.Func = func(*sched.Ctx) {}
+		st.Func = func(*sched.Ctx) {}
 	})
 	if !errors.Is(err, sched.ErrShutdown) || calls != 1 {
 		t.Errorf("after shutdown: err %v after %d tasks, want ErrShutdown after 1", err, calls)
@@ -143,24 +145,15 @@ func TestInsertMapsOpsAndStopsAtRejection(t *testing.T) {
 
 // A Buffers hands its memory out again after Reset, zeroed: a recycled task
 // reaches the body as a fresh one would, with nothing an earlier body or
-// engine wrote into it, and a recycled stream equals a freshly built one.
+// engine wrote into it, and maps its op as a fresh one does.
 func TestBuffersRecycleZeroed(t *testing.T) {
 	a, _ := workload.Shapes("cholesky", 4, 4)
-	fresh := Cholesky(a)
+	ops := Cholesky(a)
 	var buf Buffers
 	run := func(body func(*sched.Task)) []*sched.Task {
-		ops, err := buf.Stream("cholesky", a, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ops {
-			if ops[i].String() != fresh[i].String() || ops[i].Priority != fresh[i].Priority {
-				t.Fatalf("op %d from the buffers is %s, fresh %s", i, ops[i], fresh[i])
-			}
-		}
 		q := mustQuark(1)
 		var seen []*sched.Task
-		err = buf.Insert(q, nil, ops, func(_ *Op, task *sched.Task) {
+		err := buf.Insert(q, nil, "cholesky", a, nil, func(_ *Task, task *sched.Task) {
 			if task.ID() != 0 || task.Affinity() != 0 || task.NumThreads != 0 || task.Slowdown != 0 || task.Func != nil {
 				t.Errorf("task %s reaches the body carrying id %d, affinity %d, %d threads, slowdown %g",
 					task.Label, task.ID(), task.Affinity(), task.NumThreads, task.Slowdown)
@@ -173,6 +166,11 @@ func TestBuffersRecycleZeroed(t *testing.T) {
 		q.Shutdown()
 		if err != nil || len(seen) != len(ops) {
 			t.Fatalf("inserted %d of %d ops, err %v", len(seen), len(ops), err)
+		}
+		for i, task := range seen {
+			if task.Label != ops[i].Label() || !slices.Equal(task.Args, ops[i].SchedArgs()) {
+				t.Fatalf("task %d from the buffers is %s%v, the op %s", i, task.Label, task.Args, ops[i])
+			}
 		}
 		return seen
 	}

@@ -1,10 +1,14 @@
 // Package factor expresses the paper's two case-study algorithms — tile
-// Cholesky (Algorithm 1) and tile QR (Algorithm 2) — as serial streams of
-// superscalar tasks with read/write data annotations, exactly as a PLASMA
-// user would insert them into QUARK, StarPU or OmpSs. The same stream can
-// be executed sequentially (reference), scheduled for real (measured mode),
-// scheduled in simulation (the paper's contribution), or analyzed into a
-// dependence DAG (Fig. 1).
+// Cholesky (Algorithm 1) and tile QR (Algorithm 2) — and the unpivoted
+// tile LU as serial streams of superscalar tasks with read/write data
+// annotations, exactly as a PLASMA user would insert them into QUARK,
+// StarPU or OmpSs. Each algorithm has one definition, a generator over
+// tile coordinates (Generate), and its consumers walk it: Insert submits
+// the tasks over the tiles of a matrix to a scheduler, for real (measured
+// mode) or in simulation (the paper's contribution), and a capture
+// analyzes them into a dependence DAG (Fig. 1). Stream keeps a stream as
+// []Op, each task with its matrices, to execute it sequentially
+// (reference) or list it (Fig. 2).
 package factor
 
 import (
@@ -19,28 +23,17 @@ import (
 	"supersim/internal/tile"
 )
 
-// OpArg is a named, access-annotated data reference of one task, carrying
-// the information shown in the paper's Fig. 2 decorations (A^rw, T^r, ...).
-type OpArg struct {
-	Name   string
-	Handle any
-	Mode   hazard.Access
-}
-
-// Op is one task of a tile algorithm: the kernel class, the
-// access-annotated arguments, a relative priority, and the real compute
-// body.
+// Op is one task of a tile algorithm kept with the matrices it runs on:
+// the generator's Task — kernel class, priority and operands — whose
+// operands name tiles of a and, for QR's T operands, of t. A []Op is the
+// retained form of a stream, for RunSequential and listings; a scheduler
+// run takes the generator's tasks straight from Insert.
 type Op struct {
-	Class    kernels.Class
-	Args     []OpArg
-	Priority int
-	// run is the kernel call on the argument tiles, which it receives in
-	// Args order. It captures nothing, so all ops of a kind share one
-	// function value and building a stream allocates no closures.
-	run func(t argTiles) error
+	Task
+	a, t *tile.Matrix
 }
 
-// argTiles holds an op's argument tiles by value, so Body allocates
+// argTiles holds a task's argument tiles by value, so Body allocates
 // nothing; TSMQR's four arguments are the most any kernel takes.
 type argTiles [4]*tile.Tile
 
@@ -50,14 +43,9 @@ type argTiles [4]*tile.Tile
 // tiles: such a stream exists to be captured or simulated, and executing
 // it is a caller bug that must not pass for a successful kernel.
 func (o Op) Body() error {
-	var tiles argTiles
-	for i, a := range o.Args {
-		t := a.Handle.(*tile.Tile)
-		if t.Data == nil {
-			return fmt.Errorf("factor: %s cannot execute: argument %s is a shape-only tile without element storage (build the stream over workload.ForAlgorithm matrices to run kernels)",
-				o.Label(), a.Name)
-		}
-		tiles[i] = t
+	tiles, err := o.tiles(o.a, o.t)
+	if err != nil {
+		return err
 	}
 	return o.run(tiles)
 }
@@ -69,28 +57,6 @@ func (o Op) Label() string {
 	return string(o.AppendLabel(b[:0]))
 }
 
-// labelLen is len(o.Label()): class, parentheses, names, commas.
-func (o *Op) labelLen() int {
-	n := len(o.Class) + 2 + max(len(o.Args)-1, 0)
-	for _, a := range o.Args {
-		n += len(a.Name)
-	}
-	return n
-}
-
-// AppendLabel appends the label to dst and returns the extended slice.
-func (o *Op) AppendLabel(dst []byte) []byte {
-	dst = append(dst, o.Class...)
-	dst = append(dst, '(')
-	for i, a := range o.Args {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, a.Name...)
-	}
-	return append(dst, ')')
-}
-
 // String renders the op in the style of the paper's Fig. 2 task listing,
 // for example "tsmqr( A01^rw, A11^rw, A10^r, T10^r )".
 func (o Op) String() string {
@@ -99,23 +65,17 @@ func (o Op) String() string {
 		if i > 0 {
 			s += ", "
 		}
-		s += fmt.Sprintf("%s^%s", a.Name, a.Mode)
+		s += fmt.Sprintf("%s^%s", a, a.Mode())
 	}
 	return s + ")"
 }
 
-// SchedArgs converts the op's arguments to scheduler arguments.
+// SchedArgs returns the op's scheduler arguments: each operand's tile and
+// mode.
 func (o Op) SchedArgs() []sched.Arg {
 	out := make([]sched.Arg, len(o.Args))
-	o.FillSchedArgs(out)
+	o.fillArgs(out, o.a, o.t)
 	return out
-}
-
-// FillSchedArgs writes the op's scheduler arguments into out (len(o.Args)).
-func (o *Op) FillSchedArgs(out []sched.Arg) {
-	for i, a := range o.Args {
-		out[i] = sched.Arg{Handle: a.Handle, Mode: a.Mode}
-	}
 }
 
 // Operand is one argument of a task as an algorithm's generator emits it:
@@ -156,18 +116,42 @@ func (o Operand) Tile(nt int) int {
 	return idx
 }
 
+// String renders the operand's argument name: matrix, tile row, tile
+// column, like "A10".
+func (o Operand) String() string {
+	var b [16]byte
+	return string(o.appendName(b[:0]))
+}
+
+func (o Operand) appendName(dst []byte) []byte {
+	return appendIndex(appendIndex(append(dst, o.Matrix()), o.I()), o.J())
+}
+
+// in returns the tile the operand names among the tiles of a and, for a
+// T operand, of t.
+func (o Operand) in(a, t *tile.Matrix) *tile.Tile {
+	m := a
+	if o.Matrix() == 'T' {
+		m = t
+	}
+	return m.Tiles[o.I()+o.J()*m.NT]
+}
+
 // Task is one task of a tile algorithm as its generator emits it: the
 // kernel class, the priority and the operands, in the order the task
-// declares them. An Op is a Task over the tiles of actual matrices.
+// declares them. An Op is a Task kept with the matrices it runs on.
 type Task struct {
 	Class    kernels.Class
 	Priority int
 	Args     []Operand
-	run      func(t argTiles) error
+	// run is the kernel call on the argument tiles, which it receives in
+	// Args order. It captures nothing, so all tasks of a kind share one
+	// function value and a walk allocates no closures.
+	run func(t argTiles) error
 }
 
-// AppendLabel appends the label of the task's op (Op.Label), like
-// "DTSMQR(A10,T10,A01,A11)", to dst and returns the extended slice.
+// AppendLabel appends the task's label, like "DTSMQR(A10,T10,A01,A11)" —
+// class plus argument names — to dst and returns the extended slice.
 func (t *Task) AppendLabel(dst []byte) []byte {
 	dst = append(dst, t.Class...)
 	dst = append(dst, '(')
@@ -175,10 +159,46 @@ func (t *Task) AppendLabel(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendIndex(append(dst, a.Matrix()), a.I())
-		dst = appendIndex(dst, a.J())
+		dst = a.appendName(dst)
 	}
 	return append(dst, ')')
+}
+
+// fillArgs writes the task's scheduler arguments over the tiles of a and
+// t into out (len(t.Args)).
+func (t *Task) fillArgs(out []sched.Arg, a, m *tile.Matrix) {
+	for i, o := range t.Args {
+		out[i] = sched.Arg{Handle: o.in(a, m), Mode: o.Mode()}
+	}
+}
+
+// tiles returns the task's argument tiles among those of a and m, in Args
+// order, or an error naming the first one that is a shape without
+// element storage.
+func (t *Task) tiles(a, m *tile.Matrix) (argTiles, error) {
+	var tiles argTiles
+	for i, o := range t.Args {
+		tl := o.in(a, m)
+		if tl.Data == nil {
+			var b [64]byte
+			return tiles, fmt.Errorf("factor: %s cannot execute: argument %s is a shape-only tile without element storage (build the stream over workload.ForAlgorithm matrices to run kernels)",
+				t.AppendLabel(b[:0]), o)
+		}
+		tiles[i] = tl
+	}
+	return tiles, nil
+}
+
+// thunk returns the task's kernel call bound to its tiles of a and m, for
+// a task body that outlives the generator's reuse of t; executing it
+// reports what Op.Body would.
+func (t *Task) thunk(a, m *tile.Matrix) func() error {
+	tiles, err := t.tiles(a, m)
+	if err != nil {
+		return func() error { return err }
+	}
+	run := t.run
+	return func() error { return run(tiles) }
 }
 
 // appendIndex appends the decimal rendering of the tile index v ≥ 0, with
@@ -259,11 +279,11 @@ func generator(algorithm string) func(nt int, g *gen) {
 
 // Generate calls emit with each task of the named algorithm's stream at nt
 // tiles per dimension, in stream order. It is the one definition of each
-// algorithm: Stream builds its ops from it, and a capture that needs no
-// tiles takes the tasks straight from it. emit receives a Task that is
-// reused for the next one, so it is valid only during the call. Supported
-// names: "cholesky" (alias "chol"), "qr" and "lu". An nt below 1 emits
-// nothing.
+// algorithm: Insert and Stream walk it over the tiles of matrices, and a
+// capture that needs no tiles takes the tasks straight from it. emit
+// receives a Task that is reused for the next one, so it is valid only
+// during the call. Supported names: "cholesky" (alias "chol"), "qr" and
+// "lu". An nt below 1 emits nothing.
 func Generate(algorithm string, nt int, emit func(*Task)) error {
 	walk := generator(algorithm)
 	if walk == nil {
@@ -319,90 +339,48 @@ func (m *sizer) emit(t *Task) {
 	m.last = t.Class
 }
 
-// operands hands out the tiles of an algorithm's matrices as task
-// arguments. A tile's argument name ("A10": matrix, tile row, tile column)
-// is built the first time the tile is used and shared by every op that
-// touches it.
-type operands struct {
-	a, t  *tile.Matrix
-	names []string // indexed by Operand.Tile; "" until first use
-}
-
-func (o *operands) at(op Operand) OpArg {
-	m := o.a
-	if op.Matrix() == 'T' {
-		m = o.t
-	}
-	idx := op.Tile(m.NT)
-	if o.names[idx] == "" {
-		o.names[idx] = string(op.Matrix()) + strconv.Itoa(op.I()) + strconv.Itoa(op.J())
-	}
-	return OpArg{Name: o.names[idx], Handle: m.Tiles[op.I()+op.J()*m.NT], Mode: op.Mode()}
-}
-
-// stream accumulates the ops of one algorithm from a walk of its
-// generator. Both slices are sized exactly by the caller; the ops'
-// argument lists are cut from args.
+// stream accumulates the ops of one algorithm over the tiles of a and t
+// from a walk of its generator. Both slices are sized exactly by the
+// caller; the ops' operand lists are cut from args.
 type stream struct {
 	gen
-	operands
+	a, t *tile.Matrix
 	ops  []Op
-	args []OpArg
+	args []Operand
 }
 
 func (s *stream) emit(t *Task) {
-	own := slab.Carve(&s.args, len(t.Args))
-	for i, op := range t.Args {
-		own[i] = s.at(op)
-	}
-	s.ops = append(s.ops, Op{Class: t.Class, Args: own, Priority: t.Priority, run: t.run})
+	op := Op{Task: *t, a: s.a, t: s.t}
+	op.Args = slab.Carve(&s.args, len(t.Args))
+	copy(op.Args, t.Args)
+	s.ops = append(s.ops, op)
 }
 
-// Buffers is scratch memory for streams and their scheduler runs that a
-// caller recycles instead of allocating per stream: the op slice and
-// argument slab Stream fills, and the task and argument slabs Insert cuts
-// the sched.Tasks from. A nil *Buffers is valid and allocates afresh on
-// every call, which is what the package-level Stream and Insert do.
-// Everything cut from a Buffers stays valid until Reset; the zero value is
-// ready to use. Not safe for concurrent use.
-type Buffers struct {
-	ops   []Op
-	args  []OpArg
-	tasks []sched.Task
-	targs []sched.Arg
-}
-
-// Reset zeroes everything cut from b since the last Reset and makes it
-// available again. Zeroed, b keeps no tile, task body or engine
-// bookkeeping alive, and a recycled sched.Task starts as a fresh one does.
-// Call it only once no stream, task or run uses that memory any more.
-func (b *Buffers) Reset() {
-	clear(b.ops)
-	clear(b.args)
-	clear(b.tasks)
-	clear(b.targs)
-	b.ops, b.args, b.tasks, b.targs = b.ops[:0], b.args[:0], b.tasks[:0], b.targs[:0]
-}
-
-// build returns walk's op stream over the tiles of a and, for QR, t, cut
-// from b or, when b is nil, allocated: each generated task becomes an op
-// whose arguments are the named tiles.
-func (b *Buffers) build(walk func(int, *gen), a, t *tile.Matrix) []Op {
+// build returns walk's op stream over the tiles of a and, for QR, t: each
+// generated task kept with the matrices, in two allocations sized by a
+// first walk.
+func build(walk func(int, *gen), a, t *tile.Matrix) []Op {
 	size := measure(walk, a.NT)
-	s := &stream{operands: operands{a: a, t: t}}
+	s := &stream{a: a, t: t, ops: make([]Op, 0, size.Tasks), args: make([]Operand, 0, size.Args)}
 	s.sink = s
-	tiles := len(a.Tiles)
-	if t != nil {
-		tiles += len(t.Tiles)
-	}
-	s.names = make([]string, tiles)
-	if b == nil {
-		s.ops, s.args = make([]Op, 0, size.Tasks), make([]OpArg, 0, size.Args)
-	} else {
-		s.ops, s.args = slab.Carve(&b.ops, size.Tasks)[:0], slab.Carve(&b.args, size.Args)[:0]
-	}
 	walk(a.NT, &s.gen)
 	return s.ops
+}
+
+// walkOver returns the named algorithm's generator after checking that a
+// and, for QR, t are matrices it can run over.
+func walkOver(algorithm string, a, t *tile.Matrix) (func(int, *gen), error) {
+	walk := generator(algorithm)
+	switch {
+	case walk == nil:
+		return nil, fmt.Errorf("factor: unknown algorithm %q", algorithm)
+	case algorithm != "qr":
+	case t == nil:
+		return nil, fmt.Errorf("factor: qr requires a T matrix")
+	case t.NT != a.NT || t.NB != a.NB:
+		return nil, fmt.Errorf("factor: QR T matrix shape mismatch")
+	}
+	return walk, nil
 }
 
 // Task priorities: panel-factorization kernels ahead of updates, so that
@@ -417,7 +395,7 @@ const (
 // Cholesky returns the serial task stream of the tile Cholesky
 // factorization A = L*L^T (Algorithm 1 of the paper). The matrix is
 // factored in place (lower triangle).
-func Cholesky(a *tile.Matrix) []Op { return (*Buffers)(nil).build(choleskyTasks, a, nil) }
+func Cholesky(a *tile.Matrix) []Op { return build(choleskyTasks, a, nil) }
 
 func choleskyTasks(nt int, g *gen) {
 	for k := 0; k < nt; k++ {
@@ -449,13 +427,11 @@ func choleskyTasks(nt int, g *gen) {
 // (Algorithm 2 of the paper). a is factored in place (R in the upper
 // triangle, Householder blocks below); t receives the block-reflector T
 // factors and must be an NT x NT tile matrix of the same tile size.
-func QR(a, t *tile.Matrix) []Op { return (*Buffers)(nil).qr(a, t) }
-
-func (b *Buffers) qr(a, t *tile.Matrix) []Op {
-	if t.NT != a.NT || t.NB != a.NB {
-		panic("factor: QR T matrix shape mismatch")
+func QR(a, t *tile.Matrix) []Op {
+	if _, err := walkOver("qr", a, t); err != nil {
+		panic(err)
 	}
-	return b.build(qrTasks, a, t)
+	return build(qrTasks, a, t)
 }
 
 func qrTasks(nt int, g *gen) {
@@ -487,23 +463,9 @@ func qrTasks(nt int, g *gen) {
 // Stream identifies a tile algorithm by name and builds its op stream.
 // Supported names: "cholesky" (alias "chol"), "qr" and "lu".
 func Stream(algorithm string, a, t *tile.Matrix) ([]Op, error) {
-	return (*Buffers)(nil).Stream(algorithm, a, t)
-}
-
-// Stream is the package-level Stream with the op slice and the argument
-// slab cut from b.
-func (b *Buffers) Stream(algorithm string, a, t *tile.Matrix) ([]Op, error) {
-	switch algorithm {
-	case "cholesky", "chol":
-		return b.build(choleskyTasks, a, nil), nil
-	case "qr":
-		if t == nil {
-			return nil, fmt.Errorf("factor: qr requires a T matrix")
-		}
-		return b.qr(a, t), nil
-	case "lu":
-		return b.build(luTasks, a, nil), nil
-	default:
-		return nil, fmt.Errorf("factor: unknown algorithm %q", algorithm)
+	walk, err := walkOver(algorithm, a, t)
+	if err != nil {
+		return nil, err
 	}
+	return build(walk, a, t), nil
 }

@@ -143,14 +143,11 @@ func TestScheduledFactorizationsCorrectOnAllRuntimes(t *testing.T) {
 		for _, rtName := range []string{"quark", "starpu", "ompss"} {
 			a, tm := workload.ForAlgorithm(alg, nt, nb, 31)
 			orig := a.Clone()
-			ops, err := Stream(alg, a, tm)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var err error
 			switch rtName {
 			case "quark":
 				q := mustQuark(3)
-				sink := InsertReal(q, ops)
+				sink := InsertReal(q, alg, a, tm)
 				q.Shutdown()
 				err = sink.Err()
 			case "starpu":
@@ -158,12 +155,12 @@ func TestScheduledFactorizationsCorrectOnAllRuntimes(t *testing.T) {
 				if serr != nil {
 					t.Fatal(serr)
 				}
-				sink := InsertReal(s, ops)
+				sink := InsertReal(s, alg, a, tm)
 				s.Shutdown()
 				err = sink.Err()
 			case "ompss":
 				o := mustOmpSs(3)
-				sink := InsertReal(o, ops)
+				sink := InsertReal(o, alg, a, tm)
 				o.Shutdown()
 				err = sink.Err()
 			}
@@ -280,7 +277,7 @@ func TestDAGSequentialOrderIsTopological(t *testing.T) {
 	// Serial insertion order must respect all edges (pred id < succ id).
 	for _, op := range Cholesky(a) {
 		args := make([]hazard.Arg, len(op.Args))
-		for i, arg := range op.Args {
+		for i, arg := range op.SchedArgs() {
 			args[i] = hazard.Arg{Handle: arg.Handle, Mode: arg.Mode}
 		}
 		id, _, deps := tracker.Insert(args)
@@ -313,10 +310,11 @@ func shapeStream(t *testing.T, alg string, nt int) ([]Op, map[string]*tile.Matri
 }
 
 func TestArgumentNamesAndLabels(t *testing.T) {
-	// Names are built once per tile and labels in one allocation; both must
-	// read exactly as the per-argument fmt.Sprintf("%s%d%d") and the
-	// concatenation they replace did — frames and fingerprints carry them.
-	// nt=12 covers two-digit tile indices.
+	// An operand's name and an op's label are rendered from tile
+	// coordinates; both must read exactly as the per-argument
+	// fmt.Sprintf("%s%d%d") and the concatenation they replace did — frames
+	// and fingerprints carry them — and the name must be that of the tile
+	// the op hands the scheduler. nt=12 covers two-digit tile indices.
 	for _, alg := range []string{"cholesky", "qr", "lu"} {
 		ops, ms := shapeStream(t, alg, 12)
 		want := map[any]string{}
@@ -329,11 +327,11 @@ func TestArgumentNamesAndLabels(t *testing.T) {
 		}
 		for _, op := range ops {
 			names := make([]string, len(op.Args))
-			for i, a := range op.Args {
-				if a.Name != want[a.Handle] {
-					t.Fatalf("%s: argument named %q, want %q", alg, a.Name, want[a.Handle])
+			for i, a := range op.SchedArgs() {
+				if name := op.Args[i].String(); name != want[a.Handle] || a.Mode != op.Args[i].Mode() {
+					t.Fatalf("%s: argument named %q in mode %s, want %q in mode %s", alg, name, op.Args[i].Mode(), want[a.Handle], a.Mode)
 				}
-				names[i] = a.Name
+				names[i] = want[a.Handle]
 			}
 			if label := string(op.Class) + "(" + strings.Join(names, ",") + ")"; op.Label() != label {
 				t.Fatalf("%s: label %q, want %q", alg, op.Label(), label)
@@ -343,9 +341,10 @@ func TestArgumentNamesAndLabels(t *testing.T) {
 }
 
 func TestStreamsAreSizedExactly(t *testing.T) {
-	// The op slice and the argument slab behind it are allocated once at
-	// their final size: beyond a fixed handful of objects a stream costs one
-	// allocation per tile it names, so an undersized slab shows as an extra.
+	// The op slice and the operand slab behind it are allocated once at
+	// their final size, and an op names its tiles by coordinates: a stream
+	// costs the same handful of objects at every nt, so an undersized slab
+	// or a per-tile name shows as an extra.
 	for _, alg := range []string{"cholesky", "qr", "lu"} {
 		var fixed float64
 		for nt := 1; nt <= 7; nt++ {
@@ -353,18 +352,12 @@ func TestStreamsAreSizedExactly(t *testing.T) {
 			if len(ops) != cap(ops) {
 				t.Errorf("%s nt=%d: %d ops in a slice of capacity %d", alg, nt, len(ops), cap(ops))
 			}
-			named := map[any]bool{}
-			for _, op := range ops {
-				for _, a := range op.Args {
-					named[a.Handle] = true
-				}
-			}
 			a, tm := ms["A"], ms["T"]
 			allocs := testing.AllocsPerRun(10, func() { Stream(alg, a, tm) })
 			if nt == 1 {
-				fixed = allocs - float64(len(named))
-			} else if allocs != fixed+float64(len(named)) {
-				t.Errorf("%s nt=%d: %.0f allocations for %d named tiles, want %.0f", alg, nt, allocs, len(named), fixed+float64(len(named)))
+				fixed = allocs
+			} else if allocs != fixed {
+				t.Errorf("%s nt=%d: %.0f allocations, %.0f at nt=1", alg, nt, allocs, fixed)
 			}
 		}
 	}

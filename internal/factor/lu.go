@@ -14,7 +14,7 @@ import (
 // generator's diagonally dominant matrices guarantee it). A is factored in
 // place: U in the upper triangle (with diagonal), L strictly below (unit
 // diagonal implicit).
-func LU(a *tile.Matrix) []Op { return (*Buffers)(nil).build(luTasks, a, nil) }
+func LU(a *tile.Matrix) []Op { return build(luTasks, a, nil) }
 
 func luTasks(nt int, g *gen) {
 	for k := 0; k < nt; k++ {

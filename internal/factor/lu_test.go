@@ -26,7 +26,7 @@ func TestLUScheduledCorrect(t *testing.T) {
 	a := workload.RandomDiagonallyDominant(4, 8, 22)
 	orig := a.Clone()
 	q := mustQuark(3)
-	sink := InsertReal(q, LU(a))
+	sink := InsertReal(q, "lu", a, nil)
 	q.Shutdown()
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"supersim/internal/core"
 	"supersim/internal/sched"
 	"supersim/internal/slab"
+	"supersim/internal/tile"
 )
 
 // RunSequential executes the op stream in insertion order on the calling
@@ -48,105 +49,128 @@ func (s *ErrorSink) Err() error {
 	return s.err
 }
 
-// insertBlock is how many ops' tasks share one set of slabs in Insert:
-// large enough that the slabs' three allocations vanish against a block's
-// tasks, small enough (~200 KB of tasks) that a windowed run over a long
-// stream gives memory back as it advances — a block is garbage once its
-// last task completed.
+// insertBlock is how many tasks' worth of memory the package-level Insert
+// cuts its slabs in at most: large enough that the slabs' allocations
+// vanish against a block's tasks, small enough (~200 KB of tasks) that a
+// windowed run over a long stream gives memory back as it advances — a
+// block is garbage once its last task completed.
 const insertBlock = 1024
 
-// Insert submits the op stream to rt in order, one task per op, and is the
-// one place an Op becomes a sched.Task: class, label, arguments and priority
-// come from the op, and body gives the task its function (it may also set
-// NumThreads and Where). sim, when the run has one, gets its trace buffers
-// sized for the stream first. Insertion stops at the first task rt rejects
-// (an aborted runtime, for example) and returns that error. Call
-// rt.Barrier() afterwards.
+// Insert submits the named algorithm's tasks over the tiles of a and, for
+// QR, t to rt in stream order, walking its generator once, and is the one
+// place a task becomes a sched.Task: class, label, arguments and priority
+// come from the generated Task — its arguments are the tiles its operands
+// name — and body gives the task its function (it may also set NumThreads
+// and Where). body receives the generator's Task, reused for the next
+// one, so a function that outlives the call must copy what it needs. sim,
+// when the run has one, gets its trace buffers sized for the stream first.
+// Insertion stops at the first task rt rejects (an aborted runtime, for
+// example) and returns that error. Call rt.Barrier() afterwards.
 //
 // The tasks, their argument lists and their labels live as long as the
-// stream's run and no longer, so they are not allocated one by one: each
-// block of insertBlock ops gets one array of tasks, one of arguments
-// (carved per task) and one string holding the block's labels back to back,
-// all sized exactly.
-func Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body func(op *Op, t *sched.Task)) error {
-	return (*Buffers)(nil).Insert(rt, sim, ops, body)
+// run and no longer, so they are not allocated one by one: the run is
+// sized by factor.Measure's count of the stream, its labels go back to
+// back into one string, and its tasks and argument lists are cut from
+// slabs that double up to a block each (slab.CarveChunk).
+func Insert(rt sched.Runtime, sim *core.Simulator, algorithm string, a, t *tile.Matrix, body func(task *Task, st *sched.Task)) error {
+	return (*Buffers)(nil).Insert(rt, sim, algorithm, a, t, body)
 }
 
 // Insert is the package-level Insert with the tasks and their argument
-// lists cut from b. The whole stream is one block: b's memory outlives the
-// run anyway, so there is nothing to give back while the run advances, and
-// a b recycled across runs of one size is never regrown. The labels are
-// still allocated per run.
-func (b *Buffers) Insert(rt sched.Runtime, sim *core.Simulator, ops []Op, body func(op *Op, t *sched.Task)) error {
+// lists cut from b, sized exactly: b's memory outlives the run anyway, so
+// there is nothing to give back while the run advances, and a b recycled
+// across runs of one size is never regrown. The labels are still
+// allocated per run.
+func (b *Buffers) Insert(rt sched.Runtime, sim *core.Simulator, algorithm string, a, t *tile.Matrix, body func(task *Task, st *sched.Task)) error {
+	walk, err := walkOver(algorithm, a, t)
+	if err != nil {
+		return err
+	}
+	size := measure(walk, a.NT)
 	if sim != nil {
-		sim.Reserve(len(ops)) // one trace event per op
+		sim.Reserve(size.Tasks) // one trace event per task
 	}
-	blockLen := insertBlock
+	in := &inserter{rt: rt, a: a, t: t, body: body}
+	in.sink = in
 	if b != nil {
-		blockLen = len(ops)
+		in.tasks, in.args = slab.Carve(&b.tasks, size.Tasks)[:0], slab.Carve(&b.targs, size.Args)[:0]
 	}
-	for len(ops) > 0 {
-		block := ops[:min(len(ops), blockLen)]
-		ops = ops[len(block):]
-		nargs, nlabel := 0, 0
-		for i := range block {
-			nargs += len(block[i].Args)
-			nlabel += block[i].labelLen()
-		}
-		tasks, args := b.cut(len(block), nargs)
-		var lb strings.Builder
-		lb.Grow(nlabel)
-		var label [64]byte
-		for i := range block {
-			lb.Write(block[i].AppendLabel(label[:0]))
-		}
-		labels := lb.String()
-		for i := range block {
-			op, t := &block[i], &tasks[i]
-			n := op.labelLen()
-			t.Class = string(op.Class)
-			t.Label, labels = labels[:n], labels[n:]
-			t.Args = slab.Carve(&args, len(op.Args))
-			op.FillSchedArgs(t.Args)
-			t.Priority = op.Priority
-			body(op, t)
-			if err := rt.Insert(t); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	in.labels.Grow(size.StringBytes)
+	walk(a.NT, &in.gen)
+	return in.err
 }
 
-// cut returns ntasks zero tasks and an empty slab with room for nargs
-// arguments, cut from b or, when b is nil, allocated.
-func (b *Buffers) cut(ntasks, nargs int) ([]sched.Task, []sched.Arg) {
-	if b == nil {
-		return make([]sched.Task, ntasks), make([]sched.Arg, 0, nargs)
-	}
-	return slab.Carve(&b.tasks, ntasks), slab.Carve(&b.targs, nargs)[:0]
+// inserter turns a walk's tasks into sched.Tasks and inserts them.
+type inserter struct {
+	gen
+	rt     sched.Runtime
+	a, t   *tile.Matrix
+	body   func(*Task, *sched.Task)
+	tasks  []sched.Task
+	args   []sched.Arg
+	labels strings.Builder
+	label  [64]byte
+	err    error // the first rejection; nothing is inserted after it
 }
 
-// InsertMeasured inserts the op stream in measured mode: each task executes
-// its real kernel body, and the measured time is accounted on sim's virtual
-// timeline. This is the reproduction's "real run" (see DESIGN.md). Check
-// sink.Err after the barrier; a rejected insertion is recorded there too.
-func InsertMeasured(rt sched.Runtime, sim *core.Simulator, ops []Op) *ErrorSink {
+func (in *inserter) emit(t *Task) {
+	if in.err != nil {
+		return
+	}
+	at := in.labels.Len()
+	in.labels.Write(t.AppendLabel(in.label[:0]))
+	st := &slab.CarveChunk(&in.tasks, 1, insertBlock)[0]
+	st.Class, st.Label, st.Priority = string(t.Class), in.labels.String()[at:], t.Priority
+	st.Args = slab.CarveChunk(&in.args, len(t.Args), 4*insertBlock) // ≤ 4 per task
+	t.fillArgs(st.Args, in.a, in.t)
+	in.body(t, st)
+	in.err = in.rt.Insert(st)
+}
+
+// Buffers is scratch memory for scheduler runs that a caller recycles
+// instead of allocating per run: the task and argument slabs Insert cuts
+// the sched.Tasks from. A nil *Buffers is valid and allocates afresh on
+// every call, which is what the package-level Insert does. Everything cut
+// from a Buffers stays valid until Reset; the zero value is ready to use.
+// Not safe for concurrent use.
+type Buffers struct {
+	tasks []sched.Task
+	targs []sched.Arg
+}
+
+// Reset zeroes everything cut from b since the last Reset and makes it
+// available again. Zeroed, b keeps no tile, task body or engine
+// bookkeeping alive, and a recycled sched.Task starts as a fresh one does.
+// Call it only once no task or run uses that memory any more.
+func (b *Buffers) Reset() {
+	clear(b.tasks)
+	clear(b.targs)
+	b.tasks, b.targs = b.tasks[:0], b.targs[:0]
+}
+
+// InsertMeasured inserts the named algorithm's tasks over a and t in
+// measured mode: each task executes its real kernel on its tiles, and the
+// measured time is accounted on sim's virtual timeline. This is the
+// reproduction's "real run" (see DESIGN.md). Check sink.Err after the
+// barrier; a rejected insertion is recorded there too.
+func InsertMeasured(rt sched.Runtime, sim *core.Simulator, algorithm string, a, t *tile.Matrix) *ErrorSink {
 	sink := &ErrorSink{}
-	sink.Record(Insert(rt, sim, ops, func(op *Op, t *sched.Task) {
-		t.Func = core.MeasuredTask(sim, t.Class, func(*sched.Ctx) { sink.Record(op.Body()) })
+	sink.Record(Insert(rt, sim, algorithm, a, t, func(task *Task, st *sched.Task) {
+		kernel := task.thunk(a, t)
+		st.Func = core.MeasuredTask(sim, st.Class, func(*sched.Ctx) { sink.Record(kernel()) })
 	}))
 	return sink
 }
 
-// InsertReal inserts the op stream for plain execution (no simulator, no
-// virtual timeline): tasks just run their bodies under the scheduler. Used
-// by tests that only care about numerical results. A rejected insertion is
-// recorded in the sink.
-func InsertReal(rt sched.Runtime, ops []Op) *ErrorSink {
+// InsertReal inserts the named algorithm's tasks over a and t for plain
+// execution (no simulator, no virtual timeline): tasks just run their
+// kernels under the scheduler. Used by tests that only care about
+// numerical results. A rejected insertion is recorded in the sink.
+func InsertReal(rt sched.Runtime, algorithm string, a, t *tile.Matrix) *ErrorSink {
 	sink := &ErrorSink{}
-	sink.Record(Insert(rt, nil, ops, func(op *Op, t *sched.Task) {
-		t.Func = func(*sched.Ctx) { sink.Record(op.Body()) }
+	sink.Record(Insert(rt, nil, algorithm, a, t, func(task *Task, st *sched.Task) {
+		kernel := task.thunk(a, t)
+		st.Func = func(*sched.Ctx) { sink.Record(kernel()) }
 	}))
 	return sink
 }

@@ -269,7 +269,7 @@ func (res *JobResult) summarize(r bench.Result) {
 }
 
 // runOne performs one direct repetition through bench.SimulatedRun, which
-// recycles the run's op stream and tasks after a clean run. The sampling
+// recycles the run's tasks after a clean run. The sampling
 // seed derivation matches the replay path (bench.ReplicaSeed), so a cached
 // and a direct run of the same repetition draw identical per-worker
 // duration streams.
