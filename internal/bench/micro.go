@@ -183,16 +183,20 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			// The capture half of one serve-sweep request (BENCHMARK.json),
 			// as SweepParallel does it: cholesky through QUARK at nt 2..16,
 			// nb 32, one capture per point, each straight into the arena
-			// its replicas replay. A sweep spends the rest of its time
-			// replaying these.
+			// its replicas replay, built in the point's own replay.Store,
+			// which the previous iteration's capture of that point left
+			// warm. So a frame or successor slab allocated per point shows
+			// here; CaptureKeys32 is the fresh capture a cache miss pays. A
+			// sweep spends the rest of its time replaying these.
 			points := workload.PerfSweep(32, 16) // SweepParallel's own point list
+			stores := make([]replay.Store, len(points))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, sw := range points {
-					if _, err := CaptureArena(Spec{
+				for p, sw := range points {
+					if _, err := captureArena(Spec{
 						Algorithm: "cholesky", Scheduler: "quark",
 						NT: sw.NT, NB: 32, Workers: 8, Seed: 1,
-					}); err != nil {
+					}, &stores[p]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -202,7 +206,11 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			// One whole serve-sweep request as the service runs it: the
 			// captures above plus 8 replicas per point under the service's
 			// default constant model, which draws nothing, so each point
-			// replays once (replay.SeedFree).
+			// replays once (replay.SeedFree). Warm, a request allocates
+			// about 13.5 KB in 184 objects on one P (TestSweepAllocCeiling)
+			// — no frame and no successor slab, which its points take from
+			// the pooled stores — where it allocated 357 KB in 261 objects
+			// while each point allocated its own.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := SweepParallel("quark", "cholesky", 32, 16, 8, SweepOptions{
@@ -297,7 +305,7 @@ func microSuite(counters *perf.Counters) []MicroBench {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pass := replay.NewKeyPass(label, spec.Workers, size.Tasks, size.Args, size.StringBytes)
+				pass := replay.NewKeyPass(label, spec.Workers, size.Tasks, size.Args, size.StringBytes, nil)
 				for _, r := range st {
 					if err := pass.KeyRow(r.class, r.label, r.priority, r.keys, r.handles, r.deps); err != nil {
 						b.Fatal(err)

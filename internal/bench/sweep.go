@@ -29,8 +29,16 @@ import (
 // live run of any runtime resolves gives. The pass is sized exactly from
 // the generator (factor.Measure), so the frame is allocated once. The
 // arena carries the spec's worker count as its default replay width
-// (captureWidth).
+// (captureWidth). It has a frame of its own and is never recycled, so the
+// capture cache, CaptureSpec and the facade may keep it.
 func CaptureArena(spec Spec) (*replay.Arena, error) {
+	return captureArena(spec, nil)
+}
+
+// captureArena is CaptureArena with the arena built in store
+// (replay.Store), where it is valid only until the store is used again; a
+// nil store gives the arena storage of its own.
+func captureArena(spec Spec, store *replay.Store) (*replay.Arena, error) {
 	if err := spec.checkSize(); err != nil {
 		return nil, err
 	}
@@ -43,7 +51,7 @@ func CaptureArena(spec Spec) (*replay.Arena, error) {
 		return nil, err
 	}
 	s := &captureSink{
-		pass: replay.NewKeyPass(fmt.Sprintf("%s-nt%d", spec.Algorithm, spec.NT), workers, size.Tasks, size.Args, size.StringBytes),
+		pass: replay.NewKeyPass(fmt.Sprintf("%s-nt%d", spec.Algorithm, spec.NT), workers, size.Tasks, size.Args, size.StringBytes, store),
 		nt:   spec.NT,
 	}
 	if err := factor.Generate(spec.Algorithm, spec.NT, s.task); err != nil {
@@ -211,14 +219,27 @@ func ReplicaSeed(base uint64, nt, rep int) uint64 {
 	return x
 }
 
+// sweepStores recycles SweepParallel's capture storage: a set of
+// per-point replay.Stores (*[]*replay.Store), point i captured in store i,
+// taken by one sweep and put back once all its shards have returned.
+// Pooled memory lives at most two GC cycles, so an idle service holds
+// none of it.
+var sweepStores sync.Pool
+
 // SweepParallel runs the simulation side of a Figs. 8-10 sweep on the
-// replay engine: each (algorithm, NT) point's DAG is captured once
-// (CaptureArena: one pass over the stream, no scheduler run; the frame
-// holds the graph alone), then opt.Reps replicas per
-// point are replayed under opt.Model across opt.Shards goroutines. A point
-// whose model draws no randomness (replay.SeedFree) has the same makespan
-// in every replica: it is replayed once and the makespan copied. Results
-// are bit-identical for any shard count.
+// replay engine: each (algorithm, NT) point's DAG is captured once (the
+// one pass CaptureArena makes, no scheduler run; the frame holds the graph
+// alone), then opt.Reps replicas per point are replayed under opt.Model
+// across opt.Shards goroutines. A point whose model draws no randomness
+// (replay.SeedFree) has the same makespan in every replica: it is replayed
+// once and the makespan copied. Results are bit-identical for any shard
+// count.
+//
+// The arenas live only as long as the call: each point is captured into a
+// pooled replay.Store (sweepStores), whose frame and successor slab the
+// previous sweep's point left there, so a warm sweep allocates no frame.
+// No arena, frame or view of one leaves the call; the points hold counts
+// and makespans alone.
 func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt SweepOptions) ([]SweepPoint, SweepWall, error) {
 	if opt.Model == nil {
 		return nil, SweepWall{}, fmt.Errorf("bench: SweepParallel requires a duration model")
@@ -251,6 +272,16 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	stores, _ := sweepStores.Get().(*[]*replay.Store)
+	if stores == nil {
+		stores = new([]*replay.Store)
+	}
+	for len(*stores) < np {
+		*stores = append(*stores, new(replay.Store))
+	}
+	// Every return below comes before the shards start or after they have
+	// all returned, so no replay reads a store that went back.
+	defer sweepStores.Put(stores)
 	arenas := make([]*replay.Arena, np)
 	points := make([]SweepPoint, np)
 	// Replay jobs are numbered point by point: point p owns jobs
@@ -264,10 +295,10 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 		}
 		c0 := time.Now()
 		var err error
-		if arenas[i], err = CaptureArena(Spec{
+		if arenas[i], err = captureArena(Spec{
 			Algorithm: algorithm, Scheduler: scheduler, Policy: opt.Policy,
 			NT: sw.NT, NB: nb, Workers: workers, Seed: opt.Seed,
-		}); err != nil {
+		}, (*stores)[i]); err != nil {
 			return nil, SweepWall{}, err
 		}
 		wall.CapturePerPoint[i] = time.Since(c0)

@@ -132,9 +132,12 @@ func (a *Arena) Label() string { return a.label }
 type builder struct {
 	a *Arena
 	// buf is the frame under construction, laid out for room; its header
-	// and counts stay zero until seal.
-	buf  []byte
-	room dims
+	// and counts stay zero until seal. words is the whole buffer buf
+	// starts, kept to hand back to store.
+	buf   []byte
+	room  dims
+	words []uint64
+	store *Store // where the arena is built; nil for an arena of its own
 	// slots indexes the string table for intern: open addressing with
 	// linear probing, a slot holding 1 + a string's index, 0 when empty.
 	// It holds no string — a probe compares against the region — so it
@@ -153,11 +156,21 @@ type builder struct {
 // footprint entries and edges dependences between them, and strBytes bytes
 // of strings. The string offsets get room for one label per task plus the
 // classes and the DAG label (internSlack), and intern's slots for slotted
-// strings.
-func newBuilder(tasks, feet, edges, strBytes, slotted int) *builder {
+// strings. With a store, the builder and its Arena are the store's records
+// and its first buffer the store's words (Store); with none, all three are
+// fresh.
+func newBuilder(tasks, feet, edges, strBytes, slotted int, store *Store) *builder {
 	strs := tasks + internSlack
-	b := &builder{a: &Arena{}}
-	b.place(dims{n: uint64(tasks), e: uint64(edges), f: uint64(feet), s: uint64(strs), b: uint64(strBytes)})
+	var b *builder
+	var words []uint64
+	if store == nil {
+		b = &builder{a: &Arena{}}
+	} else {
+		store.arena = Arena{}
+		store.b = builder{a: &store.arena, store: store}
+		b, words = &store.b, store.words
+	}
+	b.place(dims{n: uint64(tasks), e: uint64(edges), f: uint64(feet), s: uint64(strs), b: uint64(strBytes)}, words)
 	push(&b.a.strOff, 0)
 	b.slots, _ = slotPool.Get().(*[]int32)
 	if b.slots == nil {
@@ -169,6 +182,27 @@ func newBuilder(tasks, feet, edges, strBytes, slotted int) *builder {
 
 // internSlack is the room the string table gets beyond one label per task.
 const internSlack = 8
+
+// Store is the storage of a transient capture, handed back for the next
+// one: the words of its .dag frame, its successor slab, and the Arena and
+// builder records themselves. A Pass started with a Store (NewKeyPass)
+// writes its frame over the store's words when they are long enough and
+// cuts the successor lists from its slab, and the store keeps whichever
+// buffers the arena ends in, so capturing the same sizes again allocates
+// no frame. The frame is byte for byte the one a Pass of its own writes.
+//
+// An arena built in a store is valid only until that store is used
+// again: the next capture overwrites its frame, its successor lists and
+// the Arena record. Such an arena must not outlive that use — no cache,
+// trace, Frame() or DAG() view may keep it. A Store is not safe for
+// concurrent use; its zero value is empty and ready to use.
+type Store struct {
+	words []uint64
+	succ  []int32
+	arena Arena
+	b     builder
+	pass  Pass
+}
 
 // slotPool recycles the builders' intern slots, which die with the build:
 // finish puts its builder's slots here, so a capture's slots are usually a
@@ -189,14 +223,17 @@ func resized[T int32 | uint64](s []T, n int) []T {
 	return s
 }
 
-// place lays the frame out for room in a fresh 8-aligned buffer and moves
-// the columns there (Load aliases a 4-aligned frame; see codec.go).
+// place lays the frame out for room in an 8-aligned buffer and moves the
+// columns there (Load aliases a 4-aligned frame; see codec.go). The buffer
+// is words, cleared, when they are long enough, and a fresh one otherwise:
+// newBuilder hands over its store's words, grow none, since the columns
+// are moving out of the buffer they are in.
 //
 //simlint:hotpath
-func (b *builder) place(room dims) {
+func (b *builder) place(room dims, words []uint64) {
 	size := dagHeaderLen + room.payloadSize()
-	words := resized[uint64](nil, int((size+7)/8))
-	b.move(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size), room)
+	b.words = resized(words, int((size+7)/8))
+	b.move(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.words))), size), room)
 }
 
 // move points every column at its section of buf laid out for room,
@@ -239,7 +276,7 @@ func moveCol[T int32 | uint8](col []T, sec []byte) []T {
 //simlint:hotpath
 func (b *builder) grow(need dims) {
 	r := b.room
-	b.place(dims{doubled(r.n, need.n), doubled(r.e, need.e), doubled(r.f, need.f), doubled(r.s, need.s), doubled(r.b, need.b)})
+	b.place(dims{doubled(r.n, need.n), doubled(r.e, need.e), doubled(r.f, need.f), doubled(r.s, need.s), doubled(r.b, need.b)}, nil)
 }
 
 // doubled doubles have, from at least 16, until it reaches need.
@@ -459,8 +496,11 @@ func (b *builder) finish(label string, workers, handles int) (*Arena, error) {
 	if err := a.validateColumns(); err != nil {
 		return nil, err
 	}
-	a.deriveStatic()
+	a.deriveStatic(b.store)
 	a.seal()
+	if b.store != nil {
+		b.store.words = b.words
+	}
 	return a, nil
 }
 
@@ -478,7 +518,7 @@ func BuildArena(d *DAG) (*Arena, error) {
 		feet += len(t.Footprint)
 		strBytes += len(t.Class) + len(t.Label)
 	}
-	b := newBuilder(len(d.Tasks), feet, edges, strBytes, len(d.Tasks)+internSlack)
+	b := newBuilder(len(d.Tasks), feet, edges, strBytes, len(d.Tasks)+internSlack, nil)
 	for i := range d.Tasks {
 		t := &d.Tasks[i]
 		if err := b.task(t.Class, t.Label, t.Priority, false); err != nil {
@@ -503,10 +543,17 @@ func BuildArena(d *DAG) (*Arena, error) {
 // The CSR needs no scratch column: each task's successor count goes into
 // its own offset slot, the prefix sums turn the counts into region ends,
 // and a walk down the task ids fills every region back to front, leaving
-// it ascending and its offset at its start.
-func (a *Arena) deriveStatic() {
+// it ascending and its offset at its start. Its slab is the store's when
+// the arena is built in one, and a fresh one otherwise.
+func (a *Arena) deriveStatic(store *Store) {
 	n := a.n
-	slab := make([]int32, (n+1)+len(a.depPred))
+	var slab []int32
+	if size := (n + 1) + len(a.depPred); store == nil {
+		slab = make([]int32, size)
+	} else {
+		store.succ = resized(store.succ, size)
+		slab = store.succ
+	}
 	a.succOff = slab[: n+1 : n+1]
 	a.succList = slab[n+1:]
 	for _, p := range a.depPred {

@@ -292,7 +292,7 @@ func Load(b []byte) (*Arena, error) {
 		return nil, err
 	}
 
-	a.deriveStatic() // recomputed, never trusted from the wire
+	a.deriveStatic(nil) // recomputed, never trusted from the wire
 	return a, nil
 }
 

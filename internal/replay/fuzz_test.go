@@ -140,13 +140,17 @@ func FuzzLoadRun(f *testing.F) {
 // kind — and announce picks what the builder is told
 // beforehand: the exact sizes, fewer than the stream resolves (its
 // sections regrow), more (finish moves them down), or nothing, as for the
-// facade's capture runtime. The arena must hold the rows, its frame must
-// equal the reference
+// facade's capture runtime. Its bit of value 4 builds the arena in one
+// Store shared by every input, as a sweep recycles its captures' storage:
+// the store's buffers then come from the previous input's arena, longer or
+// shorter.
+// The arena must hold the rows, its frame must equal the reference
 // encoding of its columns, Load must round-trip the frame, and BuildArena
 // of the arena's view must write the same bytes.
 func FuzzBuilderFrameMatchesReference(f *testing.F) {
 	rows := []byte{0, 1, 2, 2, 0, 1, 3, 7, 1, 2, 0, 5, 4, 3, 9, 1, 1, 2, 6, 2, 3, 3, 8, 0, 0, 7, 1, 2, 3, 4}
-	for announce := uint8(0); announce < 4; announce++ {
+	var shared Store
+	for announce := uint8(0); announce < 8; announce++ {
 		f.Add(announce, rows)
 		f.Add(announce, rows[1:])
 	}
@@ -197,16 +201,20 @@ func FuzzBuilderFrameMatchesReference(f *testing.F) {
 			feet += len(tk.Footprint)
 			want = append(want, tk)
 		}
+		var store *Store
+		if announce&4 != 0 {
+			store = &shared
+		}
 		var b *builder
 		switch n := len(want); announce % 4 {
 		case 0: // exact
-			b = newBuilder(n, feet, edges, strBytes, n+internSlack)
+			b = newBuilder(n, feet, edges, strBytes, n+internSlack, store)
 		case 1: // the stream resolves more than announced
-			b = newBuilder(n/2, feet/2, edges/2, strBytes/2, n/2)
+			b = newBuilder(n/2, feet/2, edges/2, strBytes/2, n/2, store)
 		case 2: // fewer
-			b = newBuilder(2*n+1, feet+7, 2*edges+3, strBytes+11, 2*n+1+internSlack)
+			b = newBuilder(2*n+1, feet+7, 2*edges+3, strBytes+11, 2*n+1+internSlack, store)
 		case 3: // nothing announced, as the facade capture (replay.Capture) builds
-			b = newBuilder(0, 0, 0, 0, 0)
+			b = newBuilder(0, 0, 0, 0, 0, store)
 		}
 		for _, tk := range want {
 			// A "task-" label is distinct, as a tile algorithm's are

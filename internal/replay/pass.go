@@ -45,23 +45,33 @@ var trackerPool = sync.Pool{New: func() any { return hazard.NewTracker() }}
 // resolves more moves the sections to a bigger buffer. label names the DAG
 // and workers is its default replay width.
 func NewPass(label string, workers, tasks, args, labelBytes int) *Pass {
-	return newPass(label, workers, tasks, args, labelBytes, tasks+internSlack)
+	return newPass(label, workers, tasks, args, labelBytes, tasks+internSlack, nil)
 }
 
 // NewKeyPass is NewPass for a stream that goes in through KeyTask or
 // KeyRow: its labels take no room in the string table's index, which is
-// sized for the classes alone.
-func NewKeyPass(label string, workers, tasks, args, labelBytes int) *Pass {
-	return newPass(label, workers, tasks, args, labelBytes, internSlack)
+// sized for the classes alone. With a nil store the arena gets a frame of
+// its own, for any caller to keep. With a store it is built in the
+// store's storage (Store), and is valid only until the store is used
+// again; the Pass itself then lives in the store too.
+func NewKeyPass(label string, workers, tasks, args, labelBytes int, store *Store) *Pass {
+	return newPass(label, workers, tasks, args, labelBytes, internSlack, store)
 }
 
-func newPass(label string, workers, tasks, args, labelBytes, interned int) *Pass {
-	return &Pass{
+func newPass(label string, workers, tasks, args, labelBytes, interned int, store *Store) *Pass {
+	var p *Pass
+	if store == nil {
+		p = new(Pass)
+	} else {
+		p = &store.pass
+	}
+	*p = Pass{
 		label:   label,
 		workers: workers,
 		tracker: trackerPool.Get().(*hazard.Tracker),
-		b:       newBuilder(tasks, args, args, labelBytes+len(label), interned),
+		b:       newBuilder(tasks, args, args, labelBytes+len(label), interned, store),
 	}
+	return p
 }
 
 // Task appends the stream's next task: its class, its label, its priority
