@@ -27,6 +27,7 @@
 package journal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -267,6 +268,15 @@ func (j *Journal) Sync() error {
 // a whole file, the last rename winning; the temp file is removed on every
 // error path.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	return writeAtomic(path, perm, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is WriteFileAtomic for contents that write writes to the
+// temp file; an error from write leaves path as it was.
+func writeAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tempInfix+"*")
 	if err != nil {
 		return fmt.Errorf("journal: creating a temp file for %s: %w", path, err)
@@ -274,7 +284,7 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	tmp := f.Name()
 	err = f.Chmod(perm)
 	if err == nil {
-		_, err = f.Write(data)
+		err = write(f)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -322,22 +332,23 @@ func RemoveTemps(dir string) {
 // Compact atomically replaces the record history with state: the snapshot
 // is written via WriteFileAtomic (temp + fsync + rename over
 // snapshot.json), and the log is truncated. A crash at any point recovers
-// either the old history or the new snapshot, never a mix.
+// either the old history or the new snapshot, never a mix. A state that
+// is a StateEncoder is encoded a piece at a time straight into the
+// snapshot file; any other is encoded whole, as json.Marshal would, and
+// then written.
 func (j *Journal) Compact(state any) error {
-	raw, err := json.Marshal(state)
-	if err != nil {
-		return fmt.Errorf("journal: marshalling snapshot state: %w", err)
+	enc, ok := state.(StateEncoder)
+	if !ok {
+		enc = valueState{state}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return fmt.Errorf("journal: Compact after Close")
 	}
-	sn, err := json.Marshal(snapshot{V: Version, Seq: j.seq, State: raw, CRC: crc32.ChecksumIEEE(raw)})
-	if err != nil {
-		return fmt.Errorf("journal: marshalling snapshot: %w", err)
-	}
-	if err := WriteFileAtomic(filepath.Join(j.dir, snapshotName), sn, 0o644); err != nil {
+	if err := writeAtomic(filepath.Join(j.dir, snapshotName), 0o644, func(w io.Writer) error {
+		return writeSnapshot(w, j.seq, enc)
+	}); err != nil {
 		return err
 	}
 	// The snapshot now covers every appended record; drop the log. A crash
@@ -351,6 +362,60 @@ func (j *Journal) Compact(state any) error {
 	j.logRecs = 0
 	j.compact++
 	return nil
+}
+
+// StateEncoder is a snapshot state that writes its own JSON encoding,
+// for a state too large to marshal whole at every compaction. EncodeState
+// writes one JSON value to w in as many writes as it likes; a write may
+// end in a newline (a json.Encoder ends each value with one), which the
+// snapshot drops, so a json.Encoder on w can encode the state a piece at a
+// time. Once a write to w fails, every later one fails too, so an encoder
+// may check only the error of its last write.
+type StateEncoder interface {
+	EncodeState(w io.Writer) error
+}
+
+// valueState encodes any other state whole, as json.Marshal does.
+type valueState struct{ v any }
+
+func (s valueState) EncodeState(w io.Writer) error { return json.NewEncoder(w).Encode(s.v) }
+
+// writeSnapshot writes the snapshot of state at seq to w: the bytes
+// json.Marshal gives for snapshot{Version, seq, state's encoding, its
+// CRC}, with the state streamed through a stateWriter.
+func writeSnapshot(w io.Writer, seq uint64, state StateEncoder) error {
+	bw := bufio.NewWriterSize(w, snapshotBuffer)
+	fmt.Fprintf(bw, `{"v":%d,"seq":%d,"state":`, Version, seq)
+	sw := stateWriter{w: bw}
+	if err := state.EncodeState(&sw); err != nil {
+		return fmt.Errorf("journal: encoding snapshot state: %w", err)
+	}
+	fmt.Fprintf(bw, `,"crc":%d}`, sw.crc)
+	return bw.Flush() // reports the first failed write, if any
+}
+
+// snapshotBuffer is the write buffer between a state's encoder and the
+// snapshot file.
+const snapshotBuffer = 32 << 10
+
+// stateWriter passes a state's encoding on to the snapshot without the
+// newline that ends a write, and sums the CRC over exactly the bytes it
+// passes on.
+type stateWriter struct {
+	w   io.Writer
+	crc uint32
+}
+
+func (s *stateWriter) Write(p []byte) (int, error) {
+	b := p
+	if n := len(b); n > 0 && b[n-1] == '\n' {
+		b = b[:n-1]
+	}
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, b)
+	if _, err := s.w.Write(b); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // LogRecords returns the number of records in the live log (appended since

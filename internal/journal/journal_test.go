@@ -3,6 +3,8 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -315,5 +317,74 @@ func TestWriteFileAtomicConcurrentWriters(t *testing.T) {
 			names[i] = e.Name()
 		}
 		t.Errorf("directory holds %v, want only the published file", names)
+	}
+}
+
+// listState encodes a list of payloads one element at a time, each with
+// an encoder's trailing newline: a StateEncoder writing in pieces.
+type listState []payload
+
+func (l listState) EncodeState(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	io.WriteString(w, "[")
+	for i := range l {
+		if i > 0 {
+			io.WriteString(w, ",")
+		}
+		if err := enc.Encode(l[i]); err != nil {
+			return err
+		}
+	}
+	_, err := io.WriteString(w, "]")
+	return err
+}
+
+// TestCompactWritesMarshalledSnapshot: Compact streams the state into the
+// snapshot file instead of marshalling it, and the file must still be
+// byte for byte json.Marshal(snapshot{...}) of the state's json.Marshal
+// encoding, CRC included — for a plain value and for a StateEncoder that
+// writes in pieces ending in newlines — and Open must recover exactly
+// that encoding.
+func TestCompactWritesMarshalledSnapshot(t *testing.T) {
+	items := listState{{N: 1, S: "<a&b>"}, {N: 2}, {N: 3, S: "line\nbreak  "}}
+	for _, tc := range []struct {
+		name  string
+		state any
+		want  any // what json.Marshal must encode the state as
+	}{
+		{"value", payload{N: 7, S: "x<y"}, payload{N: 7, S: "x<y"}},
+		{"encoder", items, []payload(items)},
+		{"empty encoder", listState{}, []payload{}},
+	} {
+		dir := t.TempDir()
+		j, _ := mustOpen(t, dir)
+		if _, err := j.Append("pre", payload{N: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Compact(tc.state); err != nil {
+			t.Fatalf("%s: Compact: %v", tc.name, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(snapshot{V: Version, Seq: 1, State: raw, CRC: crc32.ChecksumIEEE(raw)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: snapshot\n%s\nwant\n%s", tc.name, got, want)
+		}
+		_, rec := mustOpen(t, dir)
+		if !bytes.Equal(rec.State, raw) {
+			t.Errorf("%s: recovered state %s, want %s", tc.name, rec.State, raw)
+		}
 	}
 }

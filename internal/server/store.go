@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 
@@ -97,6 +98,39 @@ type storeState struct {
 	NextCron uint64      `json:"next_cron,omitempty"`
 	Jobs     []JobRecord `json:"jobs,omitempty"`
 	Crons    []CronSpec  `json:"crons,omitempty"`
+}
+
+// EncodeState writes the bytes json.Marshal gives for the state, one job
+// record at a time (journal.StateEncoder), so a compaction never holds
+// the encoding of a full store, over a megabyte of sweep results, in
+// memory. Only the last write's error is checked: the journal's writer
+// fails every write after a failed one.
+func (s storeState) EncodeState(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	fmt.Fprintf(w, `{"next_id":%d`, s.NextID)
+	if s.NextCron != 0 {
+		fmt.Fprintf(w, `,"next_cron":%d`, s.NextCron)
+	}
+	if len(s.Jobs) > 0 {
+		io.WriteString(w, `,"jobs":[`)
+		for i := range s.Jobs {
+			if i > 0 {
+				io.WriteString(w, ",")
+			}
+			if err := enc.Encode(&s.Jobs[i]); err != nil {
+				return err
+			}
+		}
+		io.WriteString(w, "]")
+	}
+	if len(s.Crons) > 0 {
+		io.WriteString(w, `,"crons":`)
+		if err := enc.Encode(s.Crons); err != nil {
+			return err
+		}
+	}
+	_, err := io.WriteString(w, "}")
+	return err
 }
 
 // find returns the record with the given ID, or nil. It scans from the
