@@ -1,5 +1,5 @@
 // Command sim regenerates the paper's figures and the fault-resilience
-// study, one subcommand per experiment:
+// study, one subcommand per experiment, and writes EXPERIMENTS.md:
 //
 //	sim dag -alg qr -nt 4 -dot qr4.dot           # Fig. 1 (-list: Fig. 2)
 //	sim dag -alg cholesky -nt 6 -capture c6.dag  # capture + encode a frame
@@ -9,10 +9,12 @@
 //	sim trace -out traces/                       # Figs. 6-7: real vs simulated
 //	sim perf -sched quark -alg qr                # Figs. 8-10: GFLOP/s sweeps
 //	sim fault -scenario mixed -panic 0.05        # fault-resilience study
+//	sim report -out EXPERIMENTS.md               # every registry entry + Summary
 //
 // The spec flags (-alg -sched -nt -nb -workers -seed -timeout) mean the
 // same in every subcommand that takes them; each keeps its own defaults,
-// scaled for pure-Go kernels (the paper: nb 180-200 on 48 cores).
+// scaled for pure-Go kernels (the paper: nb 180-200 on 48 cores). Results
+// print through the experiment registry's renderers (bench.Section).
 package main
 
 import (
@@ -53,7 +55,7 @@ type command struct {
 
 var commands = []command{
 	{"dag", dagCmd}, {"fault", faultCmd}, {"kernels", kernelsCmd},
-	{"perf", perfCmd}, {"race", raceCmd}, {"trace", traceCmd},
+	{"perf", perfCmd}, {"race", raceCmd}, {"report", reportCmd}, {"trace", traceCmd},
 }
 
 // run executes the subcommand named by args[0] with the flags that follow,
@@ -147,7 +149,7 @@ func dagCmd(fs *flag.FlagSet) func(io.Writer) error {
 			fmt.Fprintf(w, "%s: valid frame, %d bytes\n", *in, len(raw))
 			fmt.Fprintf(w, "DAG %s, %d handles, captured at %d workers\n", arena.Label(), arena.Handles(), arena.Workers())
 			report = bench.ArenaReport(arena, arena.Label())
-			if err := bench.WriteDAGReport(w, report); err != nil {
+			if err := report.Section().WriteText(w); err != nil {
 				return err
 			}
 			if *validate {
@@ -163,7 +165,7 @@ func dagCmd(fs *flag.FlagSet) func(io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(w, "DAG of tile %s, %dx%d tiles\n", s.alg, s.nt, s.nt)
-			if err := bench.WriteDAGReport(w, report); err != nil {
+			if err := report.Section().WriteText(w); err != nil {
 				return err
 			}
 			if *list {
@@ -216,18 +218,7 @@ func faultCmd(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := bench.WriteFaultStudy(w, points); err != nil {
-			return err
-		}
-		// Degraded completions (skipped tasks after retry exhaustion) are
-		// the study's subject matter; only a wedged run is a failure.
-		var stall *fault.StallError
-		for _, p := range points {
-			if errors.As(p.Err, &stall) {
-				return fmt.Errorf("%s/%s wedged: %w", p.Scheduler, p.Scenario, p.Err)
-			}
-		}
-		return nil
+		return bench.FaultSection(points).WriteText(w)
 	}
 }
 
@@ -250,7 +241,7 @@ func kernelsCmd(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return bench.WriteKernelFitReport(w, report)
+		return report.Section().WriteText(w)
 	}
 }
 
@@ -269,19 +260,18 @@ func perfCmd(fs *flag.FlagSet) func(io.Writer) error {
 		if s.alg != "" {
 			algorithms = []string{s.alg}
 		}
+		var sweeps bench.Section
 		for _, sc := range schedulers {
 			for _, alg := range algorithms {
 				res, err := bench.PerfSweep(sc, alg, s.nb, *maxNT, s.workers, s.seed)
 				if err != nil {
 					return err
 				}
-				if err := bench.WritePerfSweep(w, res); err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
+				r := res.Section()
+				sweeps.Tables = append(sweeps.Tables, r.Tables...)
 			}
 		}
-		return nil
+		return sweeps.WriteText(w)
 	}
 }
 
@@ -294,21 +284,34 @@ func raceCmd(fs *flag.FlagSet) func(io.Writer) error {
 	return func(w io.Writer) error {
 		fmt.Fprint(w, "Fig. 5 scenario: 2 cores; A(1.0s) and B(1.5s) start at t=0; C(1.0s) depends on A.\n",
 			"correct trace: C starts at 1.0, makespan 2.0; raced trace: C starts at 1.5, makespan 2.5\n\n")
-		var reports []bench.RaceReport
-		var stall *fault.StallError
-		for _, policy := range []core.WaitPolicy{core.WaitNone, core.WaitSleepYield, core.WaitQuiescence} {
-			bs := s.bench()
-			bs.Wait = policy
-			rep, err := bench.RaceExperiment(bs, *trials)
-			if errors.As(err, &stall) {
-				return fmt.Errorf("policy %s: trial wedged; watchdog fired after %v: %w", policy, stall.After, err)
-			}
-			if err != nil {
-				return err
-			}
-			reports = append(reports, rep)
+		sec, err := bench.RaceStudy(s.bench(), *trials)
+		if err != nil {
+			return err
 		}
-		return bench.WriteRaceReport(w, reports)
+		return sec.WriteText(w)
+	}
+}
+
+// reportCmd runs every entry of the experiment registry and writes the
+// Markdown report with its computed Summary: EXPERIMENTS.md is
+// `sim report -out EXPERIMENTS.md`.
+func reportCmd(fs *flag.FlagSet) func(io.Writer) error {
+	out := fs.String("out", "-", "output file ('-' for stdout)")
+	quick := fs.Bool("quick", false, "small problem sizes for a fast smoke report")
+	return func(w io.Writer) error {
+		sizes := bench.FullSizes
+		if *quick {
+			sizes = bench.QuickSizes
+		}
+		var b bytes.Buffer
+		if err := bench.WriteReport(&b, sizes); err != nil {
+			return err
+		}
+		if *out == "-" {
+			_, err := w.Write(b.Bytes())
+			return err
+		}
+		return os.WriteFile(*out, b.Bytes(), 0o644)
 	}
 }
 
@@ -326,7 +329,7 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := bench.WriteTraceReport(w, report); err != nil || *out == "" {
+		if err := report.Section().WriteText(w); err != nil || *out == "" {
 			return err
 		}
 		if err := os.MkdirAll(*out, 0o755); err != nil {

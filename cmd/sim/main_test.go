@@ -28,7 +28,7 @@ func TestUnknownSubcommandListsAll(t *testing.T) {
 		if err == nil {
 			t.Fatalf("sim %v: no error", args)
 		}
-		for _, name := range []string{"dag", "fault", "kernels", "perf", "race", "trace"} {
+		for _, name := range []string{"dag", "fault", "kernels", "perf", "race", "report", "trace"} {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("sim %v: %q does not list %s", args, err, name)
 			}
@@ -81,6 +81,7 @@ func TestFlagDefaults(t *testing.T) {
 		"kernels": {"alg": "qr", "nt": "8", "nb": "120", "workers": "8", "sched": "quark", "seed": "42", "class": "", "bins": "20"},
 		"perf":    {"sched": "", "alg": "", "nb": "200", "maxnt": "8", "workers": "8", "seed": "42"},
 		"race":    {"sched": "quark", "timeout": "30s", "trials": "200"},
+		"report":  {"quick": "false", "out": "-"},
 		"trace":   {"alg": "qr", "sched": "quark", "nt": "8", "nb": "180", "workers": "16", "seed": "42", "out": ""},
 	}
 	if len(commands) != len(want) {

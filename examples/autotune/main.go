@@ -65,7 +65,7 @@ func main() {
 			NT: calibNT, NB: nb, Workers: *workers, Seed: 42,
 		}
 		t0 := time.Now()
-		model, _, err := bench.Calibrate(spec)
+		_, model, err := bench.Calibrate(spec)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,208 +10,125 @@ import (
 	"supersim/internal/sched"
 )
 
-// ------------------------------------------------------- A1: sim speedup
+// This file holds the ablations (A1-A3) and the paper's Section VII
+// extensions (A4-A6). Each returns its registry Section: the numbers as
+// notes or a table, and the metrics the benchmarks report and the
+// Summary checks.
 
-// SpeedupReport quantifies the paper's "Accelerated Simulation Time"
-// claim (Section III): wall-clock time of the measured run versus the
-// simulation of the same configuration.
-type SpeedupReport struct {
-	Spec        Spec
-	RealWallSec float64
-	SimWallSec  float64
-	Speedup     float64
-	// MakespanErrPct sanity-checks that the accelerated run still
-	// predicts the same virtual time.
-	MakespanErrPct float64
+// SpeedupExperiment (A1) quantifies the paper's "Accelerated Simulation
+// Time" claim (Section III): the wall clock of a measured run against
+// that of its simulation, which must still predict the same virtual time.
+// On the paper's testbed (MKL kernels) the speedup was about 2x; with
+// pure-Go kernels doing the real work it is much larger.
+func SpeedupExperiment(spec Spec) (Section, error) {
+	r, err := TraceExperiment(spec)
+	if err != nil {
+		return Section{}, err
+	}
+	return Section{
+		Notes: []string{fmt.Sprintf("Real run %.3fs wall, simulation %.4fs wall: %.0fx at %.2f%% makespan error.",
+			r.Real.Wall.Seconds(), r.Sim.Wall.Seconds(), r.WallSpeedup, r.Comparison.MakespanErrorPct),
+			`Our "real" kernels are pure Go, so skipping them buys much more than against MKL.`},
+		Metrics: []Metric{{"speedup_x", r.WallSpeedup}, {"err_%", r.Comparison.MakespanErrorPct}},
+	}, nil
 }
 
-// SpeedupExperiment measures the wall-clock acceleration of simulation
-// over measured execution. On the paper's testbed (MKL kernels) the
-// speedup was about 2x; with pure-Go kernels doing the real work the
-// factor is much larger, which only strengthens the claim.
-func SpeedupExperiment(spec Spec) (SpeedupReport, error) {
-	real, collector, err := Measured(spec)
-	if err != nil {
-		return SpeedupReport{}, err
-	}
-	model, _, err := perfmodel.Fit(collector, dist.PaperFamilies)
-	if err != nil {
-		return SpeedupReport{}, err
-	}
-	sim, err := Simulated(spec, model)
-	if err != nil {
-		return SpeedupReport{}, err
-	}
-	rep := SpeedupReport{
-		Spec:           spec,
-		RealWallSec:    real.Wall.Seconds(),
-		SimWallSec:     sim.Wall.Seconds(),
-		MakespanErrPct: ErrPct(sim.Makespan, real.Makespan),
-	}
-	if rep.SimWallSec > 0 {
-		rep.Speedup = rep.RealWallSec / rep.SimWallSec
-	}
-	return rep, nil
-}
-
-// -------------------------------------------------- A2: wait-policy study
-
-// WaitPolicyPoint is the accuracy of one race-mitigation policy
-// (Section V-E ablation).
-type WaitPolicyPoint struct {
-	Policy         string
-	MakespanErrPct float64
-	Violations     int
-	RaceAnomalies  int // from the Fig. 5 crafted scenario
-	RaceTrials     int
-}
-
-// WaitPolicyExperiment compares the three wait policies: simulation
-// accuracy against a measured reference on a real factorization, plus the
-// crafted Fig. 5 scenario anomaly rate.
-func WaitPolicyExperiment(spec Spec, raceTrials int) ([]WaitPolicyPoint, error) {
+// WaitPolicyExperiment (A2, Section V-E) compares the three wait policies:
+// simulation accuracy against a measured reference on a real
+// factorization, and the crafted Fig. 5 scenario's anomaly rate.
+func WaitPolicyExperiment(spec Spec, raceTrials int) (Section, error) {
 	refSpec := spec
 	refSpec.Wait = core.WaitQuiescence
-	real, collector, err := Measured(refSpec)
+	real, model, err := Calibrate(refSpec)
 	if err != nil {
-		return nil, err
+		return Section{}, err
 	}
-	model, _, err := perfmodel.Fit(collector, dist.PaperFamilies)
-	if err != nil {
-		return nil, err
-	}
-	var out []WaitPolicyPoint
+	t := Table{Header: []string{"policy", "makespan err %", "trace violations", "Fig. 5 anomalies"}}
+	var s Section
 	for _, policy := range []core.WaitPolicy{core.WaitQuiescence, core.WaitSleepYield, core.WaitNone} {
-		s := spec
-		s.Wait = policy
-		sim, err := Simulated(s, model)
+		spec.Wait = policy
+		sim, err := Simulated(spec, model)
 		if err != nil {
-			return nil, err
+			return Section{}, err
 		}
-		race, err := RaceExperiment(Spec{
-			Scheduler: spec.Scheduler, Workers: 2, Wait: policy,
-		}, raceTrials)
+		race, err := RaceExperiment(Spec{Scheduler: spec.Scheduler, Workers: 2, Wait: policy}, raceTrials)
 		if err != nil {
-			return nil, err
+			return Section{}, err
 		}
-		out = append(out, WaitPolicyPoint{
-			Policy:         policy.String(),
-			MakespanErrPct: ErrPct(sim.Makespan, real.Makespan),
-			Violations:     len(sim.Trace.Validate()),
-			RaceAnomalies:  race.Anomalies,
-			RaceTrials:     race.Trials,
-		})
+		errPct := ErrPct(sim.Makespan, real.Makespan)
+		t.Rows = append(t.Rows, row("%s|%.2f|%d|%d/%d", policy, errPct, len(sim.Trace.Validate()), race.Anomalies, race.Trials))
+		s.Metrics = append(s.Metrics, Metric{policy.String() + "_err_%", errPct})
 	}
-	return out, nil
+	s.Tables = []Table{t}
+	return s, nil
 }
 
-// ----------------------------------------------- A3: duration-model study
-
-// ModelFamilyPoint is the simulation accuracy achieved with one forced
-// duration-model family (Section V-B ablation: the paper argues simple
-// fitted distributions beat constant or uniform assumptions).
-type ModelFamilyPoint struct {
-	Family         string
-	MakespanErrPct float64
-	GFlopsErrPct   float64
-}
-
-// DurationModelExperiment calibrates one model per family from the same
-// measured run and compares each simulation against the measurement.
-func DurationModelExperiment(spec Spec, families []dist.Family) ([]ModelFamilyPoint, error) {
-	if len(families) == 0 {
-		families = dist.AllFamilies
-	}
+// DurationModelExperiment (A3, Section V-B: simple fitted distributions
+// beat constant or uniform assumptions) calibrates one model per family
+// from the same measured run and compares each simulation against the
+// measurement.
+func DurationModelExperiment(spec Spec, families []dist.Family) (Section, error) {
 	real, collector, err := Measured(spec)
 	if err != nil {
-		return nil, err
+		return Section{}, err
 	}
-	var out []ModelFamilyPoint
+	t := Table{Header: []string{"family", "makespan err %", "GFLOP/s err %"}}
+	var s Section
 	for _, fam := range families {
 		model, err := perfmodel.FitSingle(collector, fam)
 		if err != nil {
-			return nil, err
+			return Section{}, err
 		}
 		sim, err := Simulated(spec, model)
 		if err != nil {
-			return nil, err
+			return Section{}, err
 		}
-		out = append(out, ModelFamilyPoint{
-			Family:         string(fam),
-			MakespanErrPct: ErrPct(sim.Makespan, real.Makespan),
-			GFlopsErrPct:   ErrPct(sim.GFlops, real.GFlops),
-		})
+		errPct := ErrPct(sim.Makespan, real.Makespan)
+		t.Rows = append(t.Rows, row("%s|%.2f|%.2f", fam, errPct, ErrPct(sim.GFlops, real.GFlops)))
+		s.Metrics = append(s.Metrics, Metric{string(fam) + "_err_%", errPct})
 	}
-	return out, nil
+	s.Tables = []Table{t}
+	return s, nil
 }
 
-// -------------------------------------------- A4: multi-threaded tasks
-
-// GangReport compares simulated makespans with single-threaded panels
-// versus multi-threaded (gang) panel tasks, the first Section VII
-// extension.
-type GangReport struct {
-	Spec           Spec
-	SingleMakespan float64
-	GangMakespan   float64
-	GangThreads    int
-	SpeedupPct     float64 // improvement of gang over single, in percent
-}
-
-// GangExperiment simulates the spec with ordinary panels and with
-// gang-scheduled panels of the given width.
-func GangExperiment(spec Spec, threads int, model core.DurationModel) (GangReport, error) {
-	single := spec
-	single.GangPanels = 0
-	s1, err := Simulated(single, model)
+// GangExperiment (A4, the first Section VII extension) simulates the spec
+// with ordinary panels and with gang-scheduled panels of the given width.
+func GangExperiment(spec Spec, threads int, model core.DurationModel) (Section, error) {
+	spec.GangPanels = 0
+	single, err := Simulated(spec, model)
 	if err != nil {
-		return GangReport{}, err
+		return Section{}, err
 	}
-	ganged := spec
-	ganged.GangPanels = threads
-	s2, err := Simulated(ganged, model)
+	spec.GangPanels = threads
+	ganged, err := Simulated(spec, model)
 	if err != nil {
-		return GangReport{}, err
+		return Section{}, err
 	}
-	rep := GangReport{
-		Spec:           spec,
-		SingleMakespan: s1.Makespan,
-		GangMakespan:   s2.Makespan,
-		GangThreads:    threads,
-	}
-	if s1.Makespan > 0 {
-		rep.SpeedupPct = (s1.Makespan - s2.Makespan) / s1.Makespan * 100
-	}
-	return rep, nil
+	gain := (single.Makespan - ganged.Makespan) / single.Makespan * 100
+	return Section{
+		Notes: []string{fmt.Sprintf("Gang-scheduling the panel kernels over %d workers takes the simulated %s makespan", threads, spec.Algorithm),
+			fmt.Sprintf("from %.4fs to %.4fs (%.1f%% shorter) on a panel-bound model.", single.Makespan, ganged.Makespan, gain)},
+		Metrics: []Metric{{"gang_gain_%", gain}},
+	}, nil
 }
 
-// ---------------------------------------------- A5: accelerator workers
-
-// AcceleratorReport compares a CPU-only StarPU simulation against one with
-// accelerator workers under the dm policy, the second Section VII
-// extension.
-type AcceleratorReport struct {
-	Spec            Spec
-	CPUOnlyMakespan float64
-	HybridMakespan  float64
-	Accelerators    int
-	Speedup         float64
-	AccelTaskShare  float64 // fraction of tasks executed by accelerators
-}
-
-// AcceleratorExperiment simulates the spec on StarPU twice: CPU-only
-// (eager) and CPU+accelerator (dm with the calibrated cost model and a
+// AcceleratorExperiment (A5, the second Section VII extension) calibrates
+// on the spec, then simulates it on StarPU twice: CPU-only (eager) and
+// with accelerator workers (dm with the calibrated cost model and a
 // per-kind speed factor).
-func AcceleratorExperiment(spec Spec, accelerators int, accelSpeedup float64, model *perfmodel.Model) (AcceleratorReport, error) {
+func AcceleratorExperiment(spec Spec, accelerators int, accelSpeedup float64) (Section, error) {
 	if spec.Scheduler != "starpu" {
-		return AcceleratorReport{}, fmt.Errorf("bench: accelerator experiment requires starpu, got %q", spec.Scheduler)
+		return Section{}, fmt.Errorf("bench: accelerator experiment requires starpu, got %q", spec.Scheduler)
+	}
+	_, model, err := Calibrate(spec)
+	if err != nil {
+		return Section{}, err
 	}
 	cpuOnly := spec
-	cpuOnly.NAccelerators = 0
-	cpuOnly.Policy = "eager"
+	cpuOnly.NAccelerators, cpuOnly.Policy = 0, "eager"
 	s1, err := Simulated(cpuOnly, model)
 	if err != nil {
-		return AcceleratorReport{}, err
+		return Section{}, err
 	}
 	hybridModel := *model
 	hybridModel.KindSpeedup = map[sched.WorkerKind]float64{sched.KindAccelerator: accelSpeedup}
@@ -221,27 +138,19 @@ func AcceleratorExperiment(spec Spec, accelerators int, accelSpeedup float64, mo
 	hybrid.CostModel = hybridModel.CostModel()
 	s2, err := simulatedHybrid(hybrid, &hybridModel)
 	if err != nil {
-		return AcceleratorReport{}, err
-	}
-	rep := AcceleratorReport{
-		Spec:            spec,
-		CPUOnlyMakespan: s1.Makespan,
-		HybridMakespan:  s2.Makespan,
-		Accelerators:    accelerators,
-	}
-	if s2.Makespan > 0 {
-		rep.Speedup = s1.Makespan / s2.Makespan
+		return Section{}, err
 	}
 	accelTasks := 0
-	for w := spec.Workers; w < spec.Workers+accelerators; w++ {
-		if w < len(s2.Stats.TasksPerWorker) {
-			accelTasks += s2.Stats.TasksPerWorker[w]
-		}
+	for _, n := range s2.Stats.TasksPerWorker[min(spec.Workers, len(s2.Stats.TasksPerWorker)):] {
+		accelTasks += n
 	}
-	if s2.NumTasks > 0 {
-		rep.AccelTaskShare = float64(accelTasks) / float64(s2.NumTasks)
-	}
-	return rep, nil
+	speedup, share := s1.Makespan/s2.Makespan, 100*float64(accelTasks)/float64(s2.NumTasks)
+	return Section{
+		Notes: []string{fmt.Sprintf("Adding %d accelerator workers (%gx kernel speed) under the StarPU dm policy speeds the", accelerators, accelSpeedup),
+			fmt.Sprintf("simulated %s up %.2fx (%.4fs to %.4fs); accelerators run %.0f%% of the tasks.",
+				spec.Algorithm, speedup, s1.Makespan, s2.Makespan, share)},
+		Metrics: []Metric{{"hybrid_speedup_x", speedup}, {"accel_task_%", share}},
+	}, nil
 }
 
 // simulatedHybrid is Simulated with codelet-style tasks that may run on
@@ -260,28 +169,18 @@ func simulatedHybrid(spec Spec, model core.DurationModel) (Result, error) {
 	})
 }
 
-// ------------------------------------------------- A6: start-up penalty
-
-// WarmupReport measures whether modeling the per-worker start-up penalty
-// improves small-problem accuracy (the Section VII improvement).
-type WarmupReport struct {
-	Spec          Spec
-	PlainErrPct   float64 // |sim - real| makespan error without warmup term
-	WarmupErrPct  float64 // with the warmup term
-	FittedPenalty float64 // estimated first-call multiplier
-}
-
-// WarmupExperiment calibrates on the spec's problem, estimates the
-// first-call penalty from the trimmed-vs-untrimmed sample means, and
-// compares simulation error with and without the warmup model.
-func WarmupExperiment(spec Spec) (WarmupReport, error) {
+// WarmupExperiment (A6, the Section VII start-up penalty) calibrates on
+// the spec's problem, estimates the first-call penalty from the trimmed
+// and untrimmed sample means, and compares the simulation error with and
+// without the warmup model.
+func WarmupExperiment(spec Spec) (Section, error) {
 	real, collector, err := Measured(spec)
 	if err != nil {
-		return WarmupReport{}, err
+		return Section{}, err
 	}
 	model, _, err := perfmodel.Fit(collector, dist.PaperFamilies)
 	if err != nil {
-		return WarmupReport{}, err
+		return Section{}, err
 	}
 	// Estimate the penalty: mean of first-call samples over mean of the
 	// rest, averaged across classes that have both.
@@ -315,16 +214,16 @@ func WarmupExperiment(spec Spec) (WarmupReport, error) {
 	}
 	plain, err := Simulated(spec, model)
 	if err != nil {
-		return WarmupReport{}, err
+		return Section{}, err
 	}
 	warm, err := Simulated(spec, perfmodel.NewWarmup(model, penalty))
 	if err != nil {
-		return WarmupReport{}, err
+		return Section{}, err
 	}
-	return WarmupReport{
-		Spec:          spec,
-		PlainErrPct:   ErrPct(plain.Makespan, real.Makespan),
-		WarmupErrPct:  ErrPct(warm.Makespan, real.Makespan),
-		FittedPenalty: penalty,
+	plainErr, warmErr := ErrPct(plain.Makespan, real.Makespan), ErrPct(warm.Makespan, real.Makespan)
+	return Section{
+		Notes: []string{fmt.Sprintf("Fitted first-call penalty %.2fx; small-problem simulation error without the warmup term", penalty),
+			fmt.Sprintf("%.2f%%, with it %.2f%%.", plainErr, warmErr)},
+		Metrics: []Metric{{"penalty_x", penalty}, {"plain_err_%", plainErr}, {"warmup_err_%", warmErr}},
 	}, nil
 }

@@ -369,13 +369,15 @@ func simBody(spec Spec, tk *core.Tasker) func(*factor.Task, *sched.Task) {
 }
 
 // Calibrate runs a measured calibration problem and fits the paper's three
-// candidate families, returning the selected model (Section V-B).
-func Calibrate(spec Spec) (*perfmodel.Model, []perfmodel.ClassFit, error) {
-	_, collector, err := Measured(spec)
+// candidate families, returning the measured run and the selected model
+// (Section V-B).
+func Calibrate(spec Spec) (Result, *perfmodel.Model, error) {
+	real, collector, err := Measured(spec)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, nil, err
 	}
-	return perfmodel.Fit(collector, dist.PaperFamilies)
+	model, _, err := perfmodel.Fit(collector, dist.PaperFamilies)
+	return real, model, err
 }
 
 // ErrPct returns |a-b|/b*100 (0 if b is 0).

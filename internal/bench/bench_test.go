@@ -8,12 +8,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"supersim/internal/core"
 	"supersim/internal/dist"
 	"supersim/internal/fault"
 	"supersim/internal/kernels"
-	"supersim/internal/perfmodel"
 	"supersim/internal/sched"
 )
 
@@ -70,9 +70,6 @@ func TestSimulationTracksMeasurement(t *testing.T) {
 	}
 	if rep.Sim.NumTasks != rep.Real.NumTasks {
 		t.Errorf("task counts differ: sim %d, real %d", rep.Sim.NumTasks, rep.Real.NumTasks)
-	}
-	if len(rep.Fits) == 0 {
-		t.Error("no model fits produced")
 	}
 }
 
@@ -216,18 +213,18 @@ func TestPerfSweepShape(t *testing.T) {
 func TestDurationModelExperimentRanksFittedAboveNaive(t *testing.T) {
 	spec := smallSpec("cholesky", "ompss")
 	spec.NT = 6
-	points, err := DurationModelExperiment(spec, []dist.Family{
+	s, err := DurationModelExperiment(spec, []dist.Family{
 		dist.FamConstant, dist.FamNormal, dist.FamGamma, dist.FamLogNormal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 4 {
-		t.Fatalf("%d points, want 4", len(points))
+	if len(s.Metrics) != 4 || len(s.Tables[0].Rows) != 4 {
+		t.Fatalf("%d metrics, %d rows, want 4", len(s.Metrics), len(s.Tables[0].Rows))
 	}
-	for _, p := range points {
-		if p.MakespanErrPct > 50 {
-			t.Errorf("family %s error %.1f%% is out of any reasonable range", p.Family, p.MakespanErrPct)
+	for _, m := range s.Metrics {
+		if m.Value > 50 {
+			t.Errorf("%s %.1f is out of any reasonable range", m.Name, m.Value)
 		}
 	}
 }
@@ -235,12 +232,12 @@ func TestDurationModelExperimentRanksFittedAboveNaive(t *testing.T) {
 func TestSpeedupExperimentAccelerates(t *testing.T) {
 	spec := smallSpec("cholesky", "quark")
 	spec.NT = 6
-	rep, err := SpeedupExperiment(spec)
+	s, err := SpeedupExperiment(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Speedup < 1 {
-		t.Errorf("simulation slower than measured run: speedup %.2fx", rep.Speedup)
+	if v, _ := s.Metric("speedup_x"); v < 1 {
+		t.Errorf("simulation slower than measured run: speedup %.2fx", v)
 	}
 }
 
@@ -252,35 +249,46 @@ func TestGangExperimentShortensCriticalPath(t *testing.T) {
 		string(kernels.ClassTSQRT): 0.5,
 		string(kernels.ClassTSMQR): 0.5,
 	}
-	rep, err := GangExperiment(spec, 2, model)
+	s, err := GangExperiment(spec, 2, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.GangMakespan >= rep.SingleMakespan {
-		t.Errorf("gang panels did not help: single %.2f vs gang %.2f",
-			rep.SingleMakespan, rep.GangMakespan)
+	if v, _ := s.Metric("gang_gain_%"); v <= 0 {
+		t.Errorf("gang panels did not help: %s", s.Notes)
+	}
+}
+
+// TestGangPanelsDoNotWedge runs the A4 shapes whose gangs once filled the
+// last free workers without waking the parked front task, so every run
+// hung. The watchdog turns a regression into an error instead of a hang.
+func TestGangPanelsDoNotWedge(t *testing.T) {
+	model := core.ClassMap{"DGEQRT": 4e-3, "DORMQR": 1e-3, "DTSQRT": 1e-3, "DTSMQR": 1e-3}
+	for _, s := range []struct{ nt, workers int }{{6, 8}, {7, 8}, {6, 4}} {
+		for rep := 0; rep < 3; rep++ {
+			spec := Spec{Algorithm: "qr", Scheduler: "quark", NT: s.nt, NB: 96, Workers: s.workers, Seed: 42,
+				GangPanels: 4, StallDeadline: 5 * time.Second}
+			res, err := Simulated(spec, model)
+			if err == nil {
+				err = res.Err
+			}
+			if err != nil {
+				t.Fatalf("qr nt %d, %d workers, 4-thread panels: %v", s.nt, s.workers, err)
+			}
+		}
 	}
 }
 
 func TestAcceleratorExperimentSpeedsUp(t *testing.T) {
 	spec := smallSpec("cholesky", "starpu")
 	spec.NT = 6
-	_, collector, err := Measured(spec)
+	s, err := AcceleratorExperiment(spec, 2, 4.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, _, err := perfmodel.Fit(collector, dist.PaperFamilies)
-	if err != nil {
-		t.Fatal(err)
+	if v, _ := s.Metric("hybrid_speedup_x"); v <= 1.0 {
+		t.Errorf("accelerators did not speed up: %.2fx", v)
 	}
-	rep, err := AcceleratorExperiment(spec, 2, 4.0, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Speedup <= 1.0 {
-		t.Errorf("accelerators did not speed up: %.2fx", rep.Speedup)
-	}
-	if rep.AccelTaskShare <= 0 {
+	if v, _ := s.Metric("accel_task_%"); v <= 0 {
 		t.Error("accelerators executed no tasks")
 	}
 }
@@ -288,12 +296,12 @@ func TestAcceleratorExperimentSpeedsUp(t *testing.T) {
 func TestWarmupExperimentRuns(t *testing.T) {
 	spec := smallSpec("cholesky", "quark")
 	spec.NT = 5
-	rep, err := WarmupExperiment(spec)
+	s, err := WarmupExperiment(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FittedPenalty < 1 {
-		t.Errorf("fitted penalty %.2f < 1", rep.FittedPenalty)
+	if v, _ := s.Metric("penalty_x"); v < 1 {
+		t.Errorf("fitted penalty %.2f < 1", v)
 	}
 }
 

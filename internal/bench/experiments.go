@@ -19,8 +19,6 @@ import (
 
 // DAGReport summarizes the task DAG of a factorization (Fig. 1).
 type DAGReport struct {
-	Algorithm    string
-	NT           int
 	Nodes, Edges int
 	Depth        int
 	WidthProfile []int
@@ -38,9 +36,7 @@ func DAGExperiment(algorithm string, nt int) (DAGReport, error) {
 	if err != nil {
 		return DAGReport{}, err
 	}
-	r := ArenaReport(arena, fmt.Sprintf("%s %dx%d tiles", algorithm, nt, nt))
-	r.Algorithm, r.NT = algorithm, nt
-	return r, nil
+	return ArenaReport(arena, fmt.Sprintf("%s %dx%d tiles", algorithm, nt, nt)), nil
 }
 
 // ArenaReport summarizes a captured DAG, a fresh capture or a loaded
@@ -85,18 +81,17 @@ type DensityRow struct {
 	Center  float64
 	Hist    float64
 	KDE     float64
-	PerFits []float64 // one per FitNames entry
+	PerFits []float64 // one per Fits entry
 }
 
 // KernelFitReport reproduces a Fig. 3/4 panel for one kernel class.
 type KernelFitReport struct {
-	Class    string
-	Samples  int
-	Summary  stats.Summary
-	FitNames []string
-	Fits     []dist.FitResult
-	Rows     []DensityRow
-	AllFits  []perfmodel.ClassFit // the full per-class fit table
+	Class   string
+	Samples int
+	Summary stats.Summary
+	Fits    []dist.FitResult
+	Rows    []DensityRow
+	AllFits []perfmodel.ClassFit // the full per-class fit table
 }
 
 // KernelFitExperiment runs a measured execution of the spec and fits the
@@ -131,9 +126,6 @@ func KernelFitExperiment(spec Spec, class kernels.Class, bins int) (KernelFitRep
 		Fits:    fits,
 		AllFits: allFits,
 	}
-	for _, f := range fits {
-		report.FitNames = append(report.FitNames, f.Dist.Name())
-	}
 	for i := range h.Counts {
 		row := DensityRow{
 			Center: h.Center(i),
@@ -162,7 +154,6 @@ func centers(h *stats.Histogram) []float64 {
 type TraceReport struct {
 	Real, Sim  Result
 	Comparison trace.Comparison
-	Fits       []perfmodel.ClassFit
 	// WallSpeedup is wall(measured)/wall(simulated), the paper's
 	// accelerated-simulation-time claim (Section III).
 	WallSpeedup float64
@@ -172,11 +163,7 @@ type TraceReport struct {
 // spec, model calibration from that run's timings, then a simulated run of
 // the identical configuration, with fidelity metrics comparing the traces.
 func TraceExperiment(spec Spec) (TraceReport, error) {
-	real, collector, err := Measured(spec)
-	if err != nil {
-		return TraceReport{}, err
-	}
-	model, fits, err := perfmodel.Fit(collector, dist.PaperFamilies)
+	real, model, err := Calibrate(spec)
 	if err != nil {
 		return TraceReport{}, err
 	}
@@ -184,12 +171,7 @@ func TraceExperiment(spec Spec) (TraceReport, error) {
 	if err != nil {
 		return TraceReport{}, err
 	}
-	rep := TraceReport{
-		Real:       real,
-		Sim:        sim,
-		Comparison: trace.Compare(real.Trace, sim.Trace),
-		Fits:       fits,
-	}
+	rep := TraceReport{Real: real, Sim: sim, Comparison: trace.Compare(real.Trace, sim.Trace)}
 	if sim.Wall > 0 {
 		rep.WallSpeedup = float64(real.Wall) / float64(sim.Wall)
 	}
@@ -210,8 +192,6 @@ type PerfPoint struct {
 	RealMs   float64 // measured virtual makespan (s)
 	SimMs    float64 // simulated virtual makespan (s)
 	NumTasks int
-	WallReal float64 // host seconds for the measured run
-	WallSim  float64 // host seconds for the simulated run
 }
 
 // PerfSweepResult is one scheduler x algorithm performance curve.
@@ -222,7 +202,6 @@ type PerfSweepResult struct {
 	Workers   int
 	CalibNT   int
 	Points    []PerfPoint
-	ModelFits []perfmodel.ClassFit
 }
 
 // MaxErrPct returns the worst simulation error in the sweep, or 0 for a
@@ -263,15 +242,10 @@ func PerfSweep(scheduler, algorithm string, nb, maxNT, workers int, seed uint64)
 	if calibNT < 4 {
 		calibNT = maxNT
 	}
-	calibSpec := Spec{
+	calibReal, model, err := Calibrate(Spec{
 		Algorithm: algorithm, Scheduler: scheduler,
 		NT: calibNT, NB: nb, Workers: workers, Seed: seed,
-	}
-	calibReal, collector, err := Measured(calibSpec)
-	if err != nil {
-		return PerfSweepResult{}, err
-	}
-	model, fits, err := perfmodel.Fit(collector, dist.PaperFamilies)
+	})
 	if err != nil {
 		return PerfSweepResult{}, err
 	}
@@ -281,9 +255,8 @@ func PerfSweep(scheduler, algorithm string, nb, maxNT, workers int, seed uint64)
 		NB:        nb,
 		Workers:   workers,
 		CalibNT:   calibNT,
-		ModelFits: fits,
 	}
-	simPoints, wall, err := SweepParallel(scheduler, algorithm, nb, maxNT, workers,
+	simPoints, _, err := SweepParallel(scheduler, algorithm, nb, maxNT, workers,
 		SweepOptions{Reps: perfReps, Model: model, Seed: seed})
 	if err != nil {
 		return PerfSweepResult{}, err
@@ -314,8 +287,6 @@ func PerfSweep(scheduler, algorithm string, nb, maxNT, workers int, seed uint64)
 			RealMs:   rm,
 			SimMs:    sm,
 			NumTasks: p.NumTasks,
-			WallReal: real.Wall.Seconds(),
-			WallSim:  (wall.CapturePerPoint[i] + wall.ReplayPerPoint[i]).Seconds(),
 		})
 	}
 	return out, nil
@@ -405,4 +376,22 @@ func RaceExperiment(spec Spec, trials int) (RaceReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// RaceStudy is E5's result (Fig. 5): RaceExperiment under each wait
+// policy, one row per policy.
+func RaceStudy(spec Spec, trials int) (Section, error) {
+	t := Table{Header: []string{"wait policy", "trials", "anomalies", "violations", "makespan min", "makespan max"}}
+	var s Section
+	for _, policy := range []core.WaitPolicy{core.WaitNone, core.WaitSleepYield, core.WaitQuiescence} {
+		spec.Wait = policy
+		r, err := RaceExperiment(spec, trials)
+		if err != nil {
+			return Section{}, fmt.Errorf("policy %s: %w", policy, err)
+		}
+		t.Rows = append(t.Rows, row("%s|%d|%d|%d|%.3f|%.3f", r.Policy, r.Trials, r.Anomalies, r.Violations, r.MakespanMin, r.MakespanMax))
+		s.Metrics = append(s.Metrics, Metric{"anomalies_" + r.Policy, float64(r.Anomalies)})
+	}
+	s.Tables = []Table{t}
+	return s, nil
 }

@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"io"
 
 	"supersim/internal/core"
 	"supersim/internal/fault"
@@ -91,7 +91,6 @@ type FaultPoint struct {
 	Failed         int
 	Skipped        int
 	Remapped       int
-	Planted        fault.Stats
 	// Err is non-nil when the run did not complete cleanly even with the
 	// resilience layer (e.g. a permanently failed task poisoned part of
 	// the DAG, or a watchdog stall).
@@ -130,7 +129,6 @@ func FaultExperiment(spec Spec, model core.DurationModel, sc FaultScenario) (Fau
 		Failed:    res.Stats.TasksFailed,
 		Skipped:   res.Stats.TasksSkipped,
 		Remapped:  res.Stats.TasksRemapped,
-		Planted:   res.Faults,
 		Err:       res.Err,
 	}
 	if base.Makespan > 0 {
@@ -141,14 +139,20 @@ func FaultExperiment(spec Spec, model core.DurationModel, sc FaultScenario) (Fau
 
 // FaultStudy runs the scenario suite for every scheduler on the spec's
 // workload. Specs are varied only in the Scheduler field, so the rows are
-// directly comparable.
+// directly comparable. A degraded completion (tasks skipped after their
+// retries ran out) is a row, the study's subject matter; a run the
+// watchdog stopped is an error.
 func FaultStudy(spec Spec, model core.DurationModel, scenarios []FaultScenario) ([]FaultPoint, error) {
 	var out []FaultPoint
+	var stall *fault.StallError
 	for _, schedName := range Schedulers {
 		s := spec
 		s.Scheduler = schedName
 		for _, sc := range scenarios {
 			pt, err := FaultExperiment(s, model, sc)
+			if err == nil && errors.As(pt.Err, &stall) {
+				err = fmt.Errorf("wedged: %w", pt.Err)
+			}
 			if err != nil {
 				return out, fmt.Errorf("bench: %s/%s: %w", schedName, sc.Name, err)
 			}
@@ -156,35 +160,4 @@ func FaultStudy(spec Spec, model core.DurationModel, scenarios []FaultScenario) 
 		}
 	}
 	return out, nil
-}
-
-// WriteFaultStudy renders the fault-resilience table.
-func WriteFaultStudy(w io.Writer, points []FaultPoint) error {
-	if len(points) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "%-8s %-10s %12s %12s %8s %8s %7s %8s %9s  %s\n",
-		"sched", "scenario", "clean ms(s)", "fault ms(s)", "degr %",
-		"retried", "failed", "skipped", "remapped", "status"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		status := "ok"
-		if p.Err != nil {
-			status = "degraded: " + firstLine(p.Err.Error())
-		}
-		fmt.Fprintf(w, "%-8s %-10s %12.4f %12.4f %8.2f %8d %7d %8d %9d  %s\n",
-			p.Scheduler, p.Scenario, p.Baseline, p.Makespan, p.DegradationPct,
-			p.Retried, p.Failed, p.Skipped, p.Remapped, status)
-	}
-	return nil
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

@@ -2,12 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"math"
 
 	"supersim/internal/core"
 	"supersim/internal/kernels"
 	"supersim/internal/perfmodel"
-	"supersim/internal/rng"
 	"supersim/internal/sched"
 	"supersim/internal/sched/starpu"
 	"supersim/internal/workload"
@@ -20,31 +19,17 @@ import (
 
 // ----------------------------------------------------- policy comparison
 
-// PolicyPoint is the simulated outcome of one StarPU scheduling policy on
-// one workload.
-type PolicyPoint struct {
-	Policy   string
-	Workload string
-	Makespan float64
-	// Efficiency is busy/(workers*makespan): the lane packing quality.
-	Efficiency float64
-	Steals     int
-}
-
-// synthModel adapts a SynthWorkload's per-class weights to a DurationModel.
-type synthModel map[string]float64
-
-func (m synthModel) Duration(class string, _ sched.WorkerKind, _ *rng.Source) float64 {
-	return m[class]
-}
-
-// PolicyStudy simulates one synthetic workload under every StarPU
+// PolicyStudy (S1) simulates one synthetic workload under every StarPU
 // scheduling policy with the same constant duration model, isolating the
 // effect of the scheduling decisions themselves — exactly the kind of
-// study the paper's simulator exists to make cheap.
-func PolicyStudy(w workload.SynthWorkload, workers int) ([]PolicyPoint, error) {
-	model := synthModel(w.Model())
-	var out []PolicyPoint
+// study the paper's simulator exists to make cheap. Each policy reports
+// its makespan and its efficiency, busy/(workers*makespan): the lane
+// packing quality.
+func PolicyStudy(w workload.SynthWorkload, workers int) (Section, error) {
+	model := core.ClassMap(w.Model())
+	t := Table{Header: []string{"policy", "makespan (s)", "efficiency", "steals"}}
+	var out Section
+	best, worst := math.Inf(1), 0.0
 	for _, policy := range []string{starpu.PolicyEager, starpu.PolicyPrio, starpu.PolicyWS, starpu.PolicyDM} {
 		var cost sched.CostModel
 		if policy == starpu.PolicyDM {
@@ -54,7 +39,7 @@ func PolicyStudy(w workload.SynthWorkload, workers int) ([]PolicyPoint, error) {
 		}
 		s, err := starpu.New(starpu.Conf{NCPUs: workers, Policy: policy, CostModel: cost})
 		if err != nil {
-			return nil, err
+			return Section{}, err
 		}
 		sim := core.NewSimulator(s, "policy-"+policy)
 		tk := core.NewTasker(sim, model, 11)
@@ -65,7 +50,7 @@ func PolicyStudy(w workload.SynthWorkload, workers int) ([]PolicyPoint, error) {
 			}, task.Args,
 				starpu.WithPriority(task.Priority),
 				starpu.WithLabel(fmt.Sprintf("%s#%d", task.Class, i))); err != nil {
-				return nil, err
+				return Section{}, err
 			}
 		}
 		s.Barrier()
@@ -73,32 +58,15 @@ func PolicyStudy(w workload.SynthWorkload, workers int) ([]PolicyPoint, error) {
 		s.Shutdown()
 		tr := sim.Trace()
 		if v := tr.Validate(); len(v) != 0 {
-			return nil, fmt.Errorf("bench: policy %s produced %d trace violations", policy, len(v))
+			return Section{}, fmt.Errorf("bench: policy %s produced %d trace violations", policy, len(v))
 		}
-		out = append(out, PolicyPoint{
-			Policy:     policy,
-			Workload:   w.Name,
-			Makespan:   tr.Makespan(),
-			Efficiency: tr.Efficiency(),
-			Steals:     stats.Steals,
-		})
+		t.Rows = append(t.Rows, row("%s|%.4f|%.3f|%d", policy, tr.Makespan(), tr.Efficiency(), stats.Steals))
+		out.Metrics = append(out.Metrics, Metric{policy + "_makespan_s", tr.Makespan()}, Metric{policy + "_efficiency", tr.Efficiency()})
+		best, worst = min(best, tr.Makespan()), max(worst, tr.Makespan())
 	}
+	out.Tables = []Table{t}
+	out.Metrics = append(out.Metrics, Metric{"worst_best_ratio", worst / best})
 	return out, nil
-}
-
-// WritePolicyStudy renders a policy comparison table.
-func WritePolicyStudy(w io.Writer, points []PolicyPoint) error {
-	if len(points) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "workload %s:\n%-8s %12s %12s %8s\n",
-		points[0].Workload, "policy", "makespan(s)", "efficiency", "steals"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		fmt.Fprintf(w, "%-8s %12.4f %12.3f %8d\n", p.Policy, p.Makespan, p.Efficiency, p.Steals)
-	}
-	return nil
 }
 
 // --------------------------------------------------------- strong scaling
@@ -109,10 +77,9 @@ type ScalingPoint struct {
 	Makespan float64
 	GFlops   float64
 	Speedup  float64 // vs. the 1-worker simulation
-	// RealMakespan/RealGF are filled for the core counts that were also
-	// measured for validation (0 otherwise).
+	// RealMakespan is filled for the core counts that were also measured
+	// for validation (0 otherwise).
 	RealMakespan float64
-	RealGF       float64
 	ErrPct       float64
 }
 
@@ -126,7 +93,7 @@ func ScalingStudy(spec Spec, maxWorkers int, validate []int) ([]ScalingPoint, er
 	if calib.Workers < 2 {
 		calib.Workers = 2
 	}
-	model, _, err := Calibrate(calib)
+	_, model, err := Calibrate(calib)
 	if err != nil {
 		return nil, err
 	}
@@ -165,31 +132,9 @@ func scalingWithModel(spec Spec, maxWorkers int, validate []int, model *perfmode
 				return nil, err
 			}
 			pt.RealMakespan = real.Makespan
-			pt.RealGF = real.GFlops
 			pt.ErrPct = ErrPct(sim.Makespan, real.Makespan)
 		}
 		out = append(out, pt)
 	}
 	return out, nil
-}
-
-// WriteScalingStudy renders the strong-scaling table.
-func WriteScalingStudy(w io.Writer, spec Spec, points []ScalingPoint) error {
-	if _, err := fmt.Fprintf(w, "strong scaling, %s on %s, N=%d (nb=%d):\n",
-		spec.Algorithm, spec.Scheduler, spec.N(), spec.NB); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %12s %10s %9s %14s %8s\n",
-		"workers", "sim ms(s)", "sim GF/s", "speedup", "real ms(s)", "err %")
-	for _, p := range points {
-		real := "-"
-		errs := "-"
-		if p.RealMakespan > 0 {
-			real = fmt.Sprintf("%.4f", p.RealMakespan)
-			errs = fmt.Sprintf("%.2f", p.ErrPct)
-		}
-		fmt.Fprintf(w, "%8d %12.4f %10.3f %9.2f %14s %8s\n",
-			p.Workers, p.Makespan, p.GFlops, p.Speedup, real, errs)
-	}
-	return nil
 }

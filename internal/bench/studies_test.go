@@ -13,30 +13,21 @@ import (
 
 func TestPolicyStudyRunsAllPolicies(t *testing.T) {
 	w := workload.Chains(8, 5, 0.01)
-	points, err := PolicyStudy(w, 4)
+	s, err := PolicyStudy(w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 4 {
-		t.Fatalf("%d policies, want 4", len(points))
+	if len(s.Tables[0].Rows) != 4 || len(s.Metrics) != 9 {
+		t.Fatalf("%d policies, %d metrics; want 4 and 9", len(s.Tables[0].Rows), len(s.Metrics))
 	}
 	// 8 chains of 5 x 10ms on 4 workers: the ideal makespan is 0.1s
 	// (two chains per worker); every policy must land exactly there for
 	// this embarrassingly-balanced workload.
-	for _, p := range points {
-		if math.Abs(p.Makespan-0.1) > 1e-9 {
-			t.Errorf("%s: makespan %g, want 0.1", p.Policy, p.Makespan)
+	for _, m := range s.Metrics {
+		if strings.HasSuffix(m.Name, "_makespan_s") && math.Abs(m.Value-0.1) > 1e-9 ||
+			strings.HasSuffix(m.Name, "_efficiency") && m.Value < 0.99 {
+			t.Errorf("%s = %g", m.Name, m.Value)
 		}
-		if p.Efficiency < 0.99 {
-			t.Errorf("%s: efficiency %g", p.Policy, p.Efficiency)
-		}
-	}
-	var sb strings.Builder
-	if err := WritePolicyStudy(&sb, points); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "eager") {
-		t.Error("study table missing policies")
 	}
 }
 
@@ -45,26 +36,26 @@ func TestPolicyStudyForkJoin(t *testing.T) {
 	// ceil(6/3)*0.01 + 0.0025 = 0.0225; total 0.0675 for every policy
 	// that keeps the workers busy.
 	w := workload.ForkJoin(3, 6, 0.01)
-	points, err := PolicyStudy(w, 3)
+	s, err := PolicyStudy(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range points {
-		if math.Abs(p.Makespan-0.0675) > 1e-9 {
-			t.Errorf("%s: makespan %g, want 0.0675", p.Policy, p.Makespan)
+	for _, m := range s.Metrics {
+		if strings.HasSuffix(m.Name, "_makespan_s") && math.Abs(m.Value-0.0675) > 1e-9 {
+			t.Errorf("%s = %g, want 0.0675", m.Name, m.Value)
 		}
 	}
 }
 
 func TestPolicyStudyRandomDAGValid(t *testing.T) {
 	w := workload.RandomLayeredDAG(6, 8, 3, 0.005, 42)
-	points, err := PolicyStudy(w, 4)
+	s, err := PolicyStudy(w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range points {
-		if p.Makespan <= 0 {
-			t.Errorf("%s: degenerate makespan", p.Policy)
+	for _, m := range s.Metrics {
+		if strings.HasSuffix(m.Name, "_makespan_s") && m.Value <= 0 {
+			t.Errorf("%s: degenerate makespan", m.Name)
 		}
 	}
 }
@@ -116,13 +107,6 @@ func TestScalingStudyShape(t *testing.T) {
 	}
 	if points[1].RealMakespan != 0 {
 		t.Error("non-validation point was measured")
-	}
-	var sb strings.Builder
-	if err := WriteScalingStudy(&sb, spec, points); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "strong scaling") {
-		t.Error("scaling table header missing")
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -224,18 +225,7 @@ func (j *Journal) append(typ string, data any, sync bool) (Record, error) {
 		TimeMS: time.Now().UnixMilli(), //simlint:allow vclock — operator timestamp, never read by recovery
 		Data:   payload,
 	}
-	body, err := json.Marshal(r)
-	if err != nil {
-		j.seq--
-		return Record{}, fmt.Errorf("journal: marshalling record: %w", err)
-	}
-	line, err := json.Marshal(envelope{CRC: crc32.ChecksumIEEE(body), Rec: body})
-	if err != nil {
-		j.seq--
-		return Record{}, fmt.Errorf("journal: framing record: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := j.log.Write(line); err != nil {
+	if _, err := j.log.Write(encodeLine(r)); err != nil {
 		j.seq--
 		return Record{}, fmt.Errorf("journal: appending %s: %w", typ, err)
 	}
@@ -246,6 +236,38 @@ func (j *Journal) append(typ string, data any, sync bool) (Record, error) {
 		}
 	}
 	return r, nil
+}
+
+// envelopeRoom is the longest envelope head, `{"crc":4294967295,"rec":`.
+const envelopeRoom = len(`{"crc":4294967295,"rec":`)
+
+// encodeLine writes r's log line: the bytes json.Marshal gives for the
+// envelope around json.Marshal(r), newline-terminated, with r.Data (an
+// already marshalled, compact payload) copied once instead of re-encoded
+// twice. The record goes in after room for the envelope's head, whose
+// CRC is known only once the record is written.
+func encodeLine(r Record) []byte {
+	typ, _ := json.Marshal(r.Type) // a string always marshals
+	buf := make([]byte, envelopeRoom, envelopeRoom+len(typ)+len(r.Data)+80)
+	buf = append(buf, `{"seq":`...)
+	buf = strconv.AppendUint(buf, r.Seq, 10)
+	buf = append(buf, `,"type":`...)
+	buf = append(buf, typ...)
+	if r.TimeMS != 0 {
+		buf = append(buf, `,"t_ms":`...)
+		buf = strconv.AppendInt(buf, r.TimeMS, 10)
+	}
+	if len(r.Data) > 0 {
+		buf = append(buf, `,"data":`...)
+		buf = append(buf, r.Data...)
+	}
+	buf = append(buf, '}')
+	head := strconv.AppendUint(append(make([]byte, 0, envelopeRoom), `{"crc":`...),
+		uint64(crc32.ChecksumIEEE(buf[envelopeRoom:])), 10)
+	head = append(head, `,"rec":`...)
+	start := envelopeRoom - len(head)
+	copy(buf[start:], head)
+	return append(buf[start:], '}', '\n')
 }
 
 // Sync forces every appended record to disk.

@@ -388,3 +388,48 @@ func TestCompactWritesMarshalledSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestLogLinesMatchThreeMarshalEncoding: a record's payload is marshalled
+// once and the record and envelope written around it, byte for byte the
+// line a parent build wrote with three nested json.Marshal calls, so logs
+// written either way recover alike.
+func TestLogLinesMatchThreeMarshalEncoding(t *testing.T) {
+	reference := func(r Record) []byte {
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(envelope{CRC: crc32.ChecksumIEEE(body), Rec: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(line, '\n')
+	}
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir)
+	var want []byte
+	for _, typ := range []string{"job.accepted", "", "a<b>&c", "résumé", "q\"uo\\te", "tab\there", "\u2028", "bad\xffutf8"} {
+		for _, p := range []any{nil, payload{N: -7, S: "<script>&amp;</script>"}, json.RawMessage(`{ "spaced" : [1, 2] }`),
+			map[string]any{"ü": "日本語", "html": "a<b && c>d", "list": []int{1, 2, 3}}, "\u2029 line separator"} {
+			r, err := j.Append(typ, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, reference(r)...)
+			if r.TimeMS = 0; !bytes.Equal(encodeLine(r), reference(r)) {
+				t.Fatalf("record without a timestamp:\n got %s\nwant %s", encodeLine(r), reference(r))
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, logName)); err != nil || !bytes.Equal(raw, want) {
+		t.Fatalf("appended log differs from the three-marshal encoding (%v)", err)
+	}
+	j2, rec := mustOpen(t, dir)
+	defer j2.Close()
+	if len(rec.Records) != 40 {
+		t.Fatalf("recovered %d of 40 records", len(rec.Records))
+	}
+}

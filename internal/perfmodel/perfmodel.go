@@ -10,8 +10,6 @@ package perfmodel
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"sort"
 	"sync"
 
@@ -242,26 +240,6 @@ func FitSingle(c *Collector, family dist.Family) (*Model, error) {
 		return nil, fmt.Errorf("perfmodel: no samples collected")
 	}
 	return m, nil
-}
-
-// WriteTable renders the fit report as an aligned text table (the numeric
-// counterpart of the paper's Figs. 3-4 fit panels).
-func WriteTable(w io.Writer, fits []ClassFit) error {
-	if _, err := fmt.Fprintf(w, "%-8s %7s %12s %12s %-34s %10s %8s\n",
-		"class", "n", "mean(s)", "std(s)", "chosen", "loglik", "KS"); err != nil {
-		return err
-	}
-	for _, f := range fits {
-		ll, ks := math.NaN(), math.NaN()
-		if len(f.Candidates) > 0 {
-			ll, ks = f.Candidates[0].LogLikelihood, f.Candidates[0].KS
-		}
-		if _, err := fmt.Fprintf(w, "%-8s %7d %12.6g %12.6g %-34s %10.2f %8.4f\n",
-			f.Class, f.Summary.N, f.Summary.Mean, f.Summary.Std, f.Chosen, ll, ks); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ------------------------------------------------------------ persistence

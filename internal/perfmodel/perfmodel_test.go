@@ -3,7 +3,6 @@ package perfmodel
 import (
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"supersim/internal/dist"
@@ -185,22 +184,6 @@ func TestModelJSONRejectsUnknownFamily(t *testing.T) {
 	err := json.Unmarshal([]byte(`{"classes":{"K":{"family":"weibull","params":[1,2]}}}`), &m)
 	if err == nil {
 		t.Error("unknown family accepted")
-	}
-}
-
-func TestWriteTable(t *testing.T) {
-	c := NewCollector()
-	fill(c, "DGEMM", dist.Normal{Mu: 0.002, Sigma: 0.0001}, 200, 2, 5)
-	_, fits, err := Fit(c, dist.PaperFamilies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteTable(&sb, fits); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "DGEMM") || !strings.Contains(sb.String(), "class") {
-		t.Errorf("table output:\n%s", sb.String())
 	}
 }
 

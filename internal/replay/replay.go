@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -188,25 +189,44 @@ var errNoModel = errors.New("replay: no duration model (Options.Model is require
 // do, since the probe only asks whether the model draws from it.
 const seedFreeProbe = 0x9e3779b97f4a7c15
 
+// probeSources lends SeedFree its stream: handed to the model through an
+// interface, a local one would escape to the heap on every call.
+var probeSources = sync.Pool{New: func() any { return new(rng.Source) }}
+
 // SeedFree reports whether every replay of a under m is the same whatever
 // Options.Seed is: m leaves a freshly seeded stream untouched for every
 // distinct class of a's tasks.
 // A model draws all its randomness from the stream it is handed (the
 // Options.Model contract), so such a model is a constant per class, and
 // a replica of it is the same replay bit for bit. The probe costs one
-// Duration call per distinct class.
+// Duration call per distinct class, and allocates only for a frame of
+// more distinct classes than a factorization has.
 func SeedFree(a *Arena, m core.DurationModel) bool {
-	seen := make([]uint64, (a.NumStrings()+63)/64) // class string indices probed
-	var src rng.Source
+	src := probeSources.Get().(*rng.Source)
+	defer probeSources.Put(src)
+	var few [8]int32 // class string indices probed
+	probed, many := few[:0], []uint64(nil)
 	for _, c := range a.classIdx {
-		if seen[c/64]&(1<<(c%64)) != 0 {
+		switch {
+		case many != nil:
+			if many[c/64]&(1<<(c%64)) != 0 {
+				continue
+			}
+			many[c/64] |= 1 << (c % 64)
+		case slices.Contains(probed, c):
 			continue
+		case len(probed) < len(few):
+			probed = append(probed, c)
+		default: // more classes than few holds: one bit per string from here on
+			many = make([]uint64, (a.NumStrings()+63)/64)
+			for _, p := range append(probed, c) {
+				many[p/64] |= 1 << (p % 64)
+			}
 		}
-		seen[c/64] |= 1 << (c % 64)
 		src.Seed(seedFreeProbe)
-		fresh := src
-		m.Duration(a.str(c), sched.KindCPU, &src)
-		if src != fresh {
+		fresh := *src
+		m.Duration(a.str(c), sched.KindCPU, src)
+		if *src != fresh {
 			return false
 		}
 	}

@@ -499,3 +499,40 @@ func TestExactReserveKeepsOneStringRegion(t *testing.T) {
 		t.Error("the arena's columns do not lie inside its frame")
 	}
 }
+
+// drawsFor is a model constant per class except for class draw, whose
+// duration draws from the stream.
+type drawsFor struct{ draw string }
+
+func (m drawsFor) Duration(class string, _ sched.WorkerKind, src *rng.Source) float64 {
+	if class == m.draw {
+		return src.Float64()
+	}
+	return float64(len(class))
+}
+
+// TestSeedFreeProbesEveryClass: a model is seed-free only if it draws for
+// none of the frame's classes, whether they fit the probe's fixed set or
+// overflow it into the per-string bitmap.
+func TestSeedFreeProbesEveryClass(t *testing.T) {
+	const classes = 12
+	p := NewPass("classes", 1, 3*classes, 3*classes, 0)
+	a, b := new(int), new(int)
+	for i := 0; i < 3*classes; i++ {
+		if err := p.Task(fmt.Sprint("C", i%classes), []byte(fmt.Sprint("t", i)), 0, chainArgs(i, a, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arena, err := p.Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !SeedFree(arena, drawsFor{}) {
+		t.Error("a constant per-class model is not seed-free")
+	}
+	for _, class := range []string{"C0", "C7", "C8", "C11"} {
+		if SeedFree(arena, drawsFor{class}) {
+			t.Errorf("a model drawing for %s is seed-free", class)
+		}
+	}
+}

@@ -794,6 +794,11 @@ func (e *Engine) serveOne(w int) bool {
 			e.pendingGang = nil
 			e.gangCond.Broadcast() //simlint:allow wakeup — gang fill completes: all members start together
 		} else {
+			// Joining may have taken the last free worker, which turns the
+			// leader from launching into stalled (quiescentLocked): the
+			// front task parked in QuiescentWait must re-check, or no
+			// completion ever frees a worker to fill the gang.
+			e.kickQuiescence()
 			for g.joined < g.needed && !e.aborted {
 				e.gangCond.Wait()
 			}
@@ -822,6 +827,7 @@ func (e *Engine) serveOne(w int) bool {
 		}
 		e.pendingGang = g
 		e.wakeAllWorkers() // wake idle workers to join the gang
+		e.kickQuiescence() // as a joining member does: the leader may have taken the last free worker
 		for g.joined < g.needed && !e.aborted {
 			e.gangCond.Wait()
 		}
