@@ -6,8 +6,8 @@
 //
 //	go test -run '^$' -bench . -benchtime 1x -v
 //
-// Sizes are those of EXPERIMENTS.md (bench.FullSizes), or of
-// `sim report -quick` under -short.
+// Sizes are those of EXPERIMENTS.md (bench.FullSizes); `sim report
+// -quick` is the smoke run at small sizes.
 package supersim_test
 
 import (
@@ -18,16 +18,12 @@ import (
 )
 
 func BenchmarkExperiments(b *testing.B) {
-	sizes := bench.FullSizes
-	if testing.Short() {
-		sizes = bench.QuickSizes
-	}
 	for _, e := range bench.Experiments {
 		b.Run(e.ID, func(b *testing.B) {
 			var s bench.Section
 			for i := 0; i < b.N; i++ {
 				var err error
-				if s, err = e.Run(sizes); err != nil {
+				if s, err = e.Run(bench.FullSizes); err != nil {
 					b.Fatal(err)
 				}
 			}

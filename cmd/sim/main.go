@@ -137,44 +137,41 @@ func dagCmd(fs *flag.FlagSet) func(io.Writer) error {
 			return nil
 		}
 		var report bench.DAGReport
+		var arena *replay.Arena // the loaded frame, with -in
 		if *in != "" {
 			raw, err := os.ReadFile(*in)
 			if err != nil {
 				return err
 			}
-			arena, err := replay.Load(raw)
-			if err != nil {
+			if arena, err = replay.Load(raw); err != nil {
 				return fmt.Errorf("%s: invalid frame: %w", *in, err)
 			}
 			fmt.Fprintf(w, "%s: valid frame, %d bytes\n", *in, len(raw))
 			fmt.Fprintf(w, "DAG %s, %d handles, captured at %d workers\n", arena.Label(), arena.Handles(), arena.Workers())
 			report = bench.ArenaReport(arena, arena.Label())
-			if err := report.Section().WriteText(w); err != nil {
-				return err
-			}
-			if *validate {
-				tr, err := replay.RunArena(arena, replay.Options{Workers: arena.Workers(), Model: core.FixedModel(1e-3), Seed: 1})
-				if err != nil {
-					return fmt.Errorf("%s: frame does not replay: %w", *in, err)
-				}
-				fmt.Fprintf(w, "  replay: %d events, makespan %.6g, fingerprint %016x\n", len(tr.Events), tr.Makespan(), tr.Fingerprint())
-			}
 		} else {
 			var err error
 			if report, err = bench.DAGExperiment(s.alg, s.nt); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "DAG of tile %s, %dx%d tiles\n", s.alg, s.nt, s.nt)
-			if err := report.Section().WriteText(w); err != nil {
+		}
+		if err := report.Section().WriteText(w); err != nil {
+			return err
+		}
+		if *validate && arena != nil {
+			tr, err := replay.RunArena(arena, replay.Options{Workers: arena.Workers(), Model: core.FixedModel(1e-3), Seed: 1})
+			if err != nil {
+				return fmt.Errorf("%s: frame does not replay: %w", *in, err)
+			}
+			fmt.Fprintf(w, "  replay: %d events, makespan %.6g, fingerprint %016x\n", len(tr.Events), tr.Makespan(), tr.Fingerprint())
+		}
+		if *list && arena == nil {
+			lines, err := bench.TaskListExperiment(s.alg, s.nt)
+			if err != nil {
 				return err
 			}
-			if *list {
-				lines, err := bench.TaskListExperiment(s.alg, s.nt)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "\nserial task stream (%d tasks):\n%s\n", len(lines), strings.Join(lines, "\n"))
-			}
+			fmt.Fprintf(w, "\nserial task stream (%d tasks):\n%s\n", len(lines), strings.Join(lines, "\n"))
 		}
 		switch *dot {
 		case "":
@@ -215,10 +212,10 @@ func faultCmd(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		fmt.Fprintf(w, "fault resilience: %s NT=%d NB=%d on %d cores (fault seed %d)\n\n", s.alg, s.nt, s.nb, s.workers, *seed)
 		points, err := bench.FaultStudy(s.bench(), bench.FaultModel(s.alg, s.nb), scenarios)
-		if err != nil {
-			return err
+		if werr := bench.FaultSection(points).WriteText(w); err == nil {
+			err = werr
 		}
-		return bench.FaultSection(points).WriteText(w)
+		return err
 	}
 }
 
@@ -267,8 +264,7 @@ func perfCmd(fs *flag.FlagSet) func(io.Writer) error {
 				if err != nil {
 					return err
 				}
-				r := res.Section()
-				sweeps.Tables = append(sweeps.Tables, r.Tables...)
+				sweeps.Tables = append(sweeps.Tables, res.Section().Tables...)
 			}
 		}
 		return sweeps.WriteText(w)

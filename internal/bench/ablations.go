@@ -8,30 +8,13 @@ import (
 	"supersim/internal/factor"
 	"supersim/internal/perfmodel"
 	"supersim/internal/sched"
+	"supersim/internal/stats"
 )
 
-// This file holds the ablations (A1-A3) and the paper's Section VII
+// This file holds the ablations (A2-A3) and the paper's Section VII
 // extensions (A4-A6). Each returns its registry Section: the numbers as
 // notes or a table, and the metrics the benchmarks report and the
 // Summary checks.
-
-// SpeedupExperiment (A1) quantifies the paper's "Accelerated Simulation
-// Time" claim (Section III): the wall clock of a measured run against
-// that of its simulation, which must still predict the same virtual time.
-// On the paper's testbed (MKL kernels) the speedup was about 2x; with
-// pure-Go kernels doing the real work it is much larger.
-func SpeedupExperiment(spec Spec) (Section, error) {
-	r, err := TraceExperiment(spec)
-	if err != nil {
-		return Section{}, err
-	}
-	return Section{
-		Notes: []string{fmt.Sprintf("Real run %.3fs wall, simulation %.4fs wall: %.0fx at %.2f%% makespan error.",
-			r.Real.Wall.Seconds(), r.Sim.Wall.Seconds(), r.WallSpeedup, r.Comparison.MakespanErrorPct),
-			`Our "real" kernels are pure Go, so skipping them buys much more than against MKL.`},
-		Metrics: []Metric{{"speedup_x", r.WallSpeedup}, {"err_%", r.Comparison.MakespanErrorPct}},
-	}, nil
-}
 
 // WaitPolicyExperiment (A2, Section V-E) compares the three wait policies:
 // simulation accuracy against a measured reference on a real
@@ -187,21 +170,13 @@ func WarmupExperiment(spec Spec) (Section, error) {
 	var penalty float64
 	var nClasses int
 	for _, class := range collector.Classes() {
-		all := collector.Durations(class)
-		trimmed := collector.TrimmedDurations(class, 2)
-		if len(all) <= len(trimmed) || len(trimmed) == 0 {
+		all, trimmed := collector.Durations(class), collector.TrimmedDurations(class, 2)
+		n, k := float64(len(all)), float64(len(trimmed))
+		if n <= k || k == 0 {
 			continue
 		}
-		firstSum := 0.0
-		for _, v := range all {
-			firstSum += v
-		}
-		trimSum := 0.0
-		for _, v := range trimmed {
-			trimSum += v
-		}
-		firstMean := (firstSum - trimSum) / float64(len(all)-len(trimmed))
-		trimMean := trimSum / float64(len(trimmed))
+		trimMean := stats.Mean(trimmed)
+		firstMean := (stats.Mean(all)*n - trimMean*k) / (n - k)
 		if trimMean > 0 && firstMean > trimMean {
 			penalty += firstMean / trimMean
 			nClasses++

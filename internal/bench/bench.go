@@ -6,6 +6,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -385,9 +386,5 @@ func ErrPct(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
-	d := (a - b) / b * 100
-	if d < 0 {
-		d = -d
-	}
-	return d
+	return math.Abs((a - b) / b * 100)
 }

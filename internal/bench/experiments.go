@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"supersim/internal/core"
@@ -20,8 +21,7 @@ import (
 // DAGReport summarizes the task DAG of a factorization (Fig. 1).
 type DAGReport struct {
 	Nodes, Edges int
-	Depth        int
-	WidthProfile []int
+	WidthProfile []int // one entry per level: the depth is its length
 	CountByKind  map[string]int
 	DOT          string
 }
@@ -48,7 +48,6 @@ func ArenaReport(a *replay.Arena, title string) DAGReport {
 	return DAGReport{
 		Nodes:        a.NumTasks(),
 		Edges:        a.NumEdges(),
-		Depth:        len(widths),
 		WidthProfile: widths,
 		CountByKind:  a.ClassCounts(),
 		DOT:          dot.String(),
@@ -87,8 +86,7 @@ type DensityRow struct {
 // KernelFitReport reproduces a Fig. 3/4 panel for one kernel class.
 type KernelFitReport struct {
 	Class   string
-	Samples int
-	Summary stats.Summary
+	Summary stats.Summary // of the class's samples
 	Fits    []dist.FitResult
 	Rows    []DensityRow
 	AllFits []perfmodel.ClassFit // the full per-class fit table
@@ -117,20 +115,22 @@ func KernelFitExperiment(spec Spec, class kernels.Class, bins int) (KernelFitRep
 	if err != nil {
 		return KernelFitReport{}, err
 	}
-	h := stats.NewHistogram(xs, bins)
-	kde := stats.KDE(xs, centers(h), 0)
 	report := KernelFitReport{
 		Class:   string(class),
-		Samples: len(xs),
 		Summary: stats.Summarize(xs),
 		Fits:    fits,
 		AllFits: allFits,
 	}
-	for i := range h.Counts {
+	h := stats.NewHistogram(xs, bins)
+	at := make([]float64, len(h.Counts))
+	for i := range at {
+		at[i] = h.Center(i)
+	}
+	for i, kde := range stats.KDE(xs, at, 0) {
 		row := DensityRow{
-			Center: h.Center(i),
+			Center: at[i],
 			Hist:   h.Density(i),
-			KDE:    kde[i],
+			KDE:    kde,
 		}
 		for _, f := range fits {
 			row.PerFits = append(row.PerFits, f.Dist.PDF(row.Center))
@@ -138,14 +138,6 @@ func KernelFitExperiment(spec Spec, class kernels.Class, bins int) (KernelFitRep
 		report.Rows = append(report.Rows, row)
 	}
 	return report, nil
-}
-
-func centers(h *stats.Histogram) []float64 {
-	out := make([]float64, len(h.Counts))
-	for i := range out {
-		out[i] = h.Center(i)
-	}
-	return out
 }
 
 // ------------------------------------------------------- E6/E7 (Figs. 6-7)
@@ -207,14 +199,9 @@ type PerfSweepResult struct {
 // MaxErrPct returns the worst simulation error in the sweep, or 0 for a
 // curve with no points (a sweep that failed before producing any).
 func (r PerfSweepResult) MaxErrPct() float64 {
-	if len(r.Points) == 0 {
-		return 0
-	}
 	var m float64
 	for _, p := range r.Points {
-		if p.ErrPct > m {
-			m = p.ErrPct
-		}
+		m = max(m, p.ErrPct)
 	}
 	return m
 }
@@ -235,13 +222,7 @@ const perfReps = 5
 // each point's DAG captured once and re-simulated perfReps times in
 // parallel shards (SweepParallel).
 func PerfSweep(scheduler, algorithm string, nb, maxNT, workers int, seed uint64) (PerfSweepResult, error) {
-	calibNT := maxNT
-	if calibNT > 7 {
-		calibNT = 7 // enough instances of every kernel class to fit
-	}
-	if calibNT < 4 {
-		calibNT = maxNT
-	}
+	calibNT := min(maxNT, 7) // enough instances of every kernel class to fit
 	calibReal, model, err := Calibrate(Spec{
 		Algorithm: algorithm, Scheduler: scheduler,
 		NT: calibNT, NB: nb, Workers: workers, Seed: seed,
@@ -362,18 +343,14 @@ func RaceExperiment(spec Spec, trials int) (RaceReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		cDrifted := cStart-1.0 > 1e-9 || cStart-1.0 < -1e-9
-		msDrifted := ms-2.0 > 1e-9 || ms-2.0 < -1e-9
-		if cDrifted || msDrifted {
+		if math.Abs(cStart-1) > 1e-9 || math.Abs(ms-2) > 1e-9 {
 			rep.Anomalies++
 		}
 		rep.Violations += viol
-		if i == 0 || ms < rep.MakespanMin {
-			rep.MakespanMin = ms
+		if i == 0 {
+			rep.MakespanMin, rep.MakespanMax = ms, ms
 		}
-		if ms > rep.MakespanMax {
-			rep.MakespanMax = ms
-		}
+		rep.MakespanMin, rep.MakespanMax = min(rep.MakespanMin, ms), max(rep.MakespanMax, ms)
 	}
 	return rep, nil
 }

@@ -140,24 +140,26 @@ func FaultExperiment(spec Spec, model core.DurationModel, sc FaultScenario) (Fau
 // FaultStudy runs the scenario suite for every scheduler on the spec's
 // workload. Specs are varied only in the Scheduler field, so the rows are
 // directly comparable. A degraded completion (tasks skipped after their
-// retries ran out) is a row, the study's subject matter; a run the
-// watchdog stopped is an error.
+// retries ran out) is a row, the study's subject matter. A run the
+// watchdog stopped is a row too, and the study's error once every
+// scenario has run, so the table around the wedged row still renders.
 func FaultStudy(spec Spec, model core.DurationModel, scenarios []FaultScenario) ([]FaultPoint, error) {
 	var out []FaultPoint
+	var wedged error
 	var stall *fault.StallError
 	for _, schedName := range Schedulers {
 		s := spec
 		s.Scheduler = schedName
 		for _, sc := range scenarios {
 			pt, err := FaultExperiment(s, model, sc)
-			if err == nil && errors.As(pt.Err, &stall) {
-				err = fmt.Errorf("wedged: %w", pt.Err)
-			}
 			if err != nil {
 				return out, fmt.Errorf("bench: %s/%s: %w", schedName, sc.Name, err)
+			}
+			if wedged == nil && errors.As(pt.Err, &stall) {
+				wedged = fmt.Errorf("bench: %s/%s wedged: %w", schedName, sc.Name, pt.Err)
 			}
 			out = append(out, pt)
 		}
 	}
-	return out, nil
+	return out, wedged
 }

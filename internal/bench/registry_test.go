@@ -36,6 +36,28 @@ func TestReportWritesEverySection(t *testing.T) {
 	}
 }
 
+// TestFigs6And7ShareOneRun: E7 compares against the run E6 shows, not a
+// second measurement; E7 without E6 before it makes its own.
+func TestFigs6And7ShareOneRun(t *testing.T) {
+	z := Sizes{TraceNT: 2, Workers: 1}
+	e6, err := Experiments[5].Run(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e7, err := Experiments[6].Run(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Measured GFLOP/s come from wall-timed kernels: two runs differ.
+	gf6, _ := e6.Metric("GFLOP/s")
+	if gf7, _ := e7.Metric("real_GFLOP/s"); gf6 != gf7 || gf6 == 0 {
+		t.Errorf("E7 compares against %g real GFLOP/s, E6 shows %g", gf7, gf6)
+	}
+	if _, err := Experiments[6].Run(z); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSummaryMarksMisses feeds the Summary results on both sides of a
 // bound, and one without the bounded metric.
 func TestSummaryMarksMisses(t *testing.T) {

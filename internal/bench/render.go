@@ -152,11 +152,11 @@ func (r DAGReport) Section() Section {
 	}
 	return Section{
 		Tables: []Table{{Header: []string{"quantity", "value"}, Rows: [][]string{
-			row("vertices|%d", r.Nodes), row("edges|%d", r.Edges), row("depth|%d", r.Depth),
+			row("vertices|%d", r.Nodes), row("edges|%d", r.Edges), row("depth|%d", len(r.WidthProfile)),
 			row("tasks by kernel|%s", strings.Join(mix, " ")),
 			row("width profile (parallelism per level)|%v", r.WidthProfile),
 		}}},
-		Metrics: []Metric{{"vertices", float64(r.Nodes)}, {"edges", float64(r.Edges)}, {"depth", float64(r.Depth)}},
+		Metrics: []Metric{{"vertices", float64(r.Nodes)}, {"edges", float64(r.Edges)}, {"depth", float64(len(r.WidthProfile))}},
 	}
 }
 
@@ -185,9 +185,9 @@ func (r KernelFitReport) Section() Section {
 		all.Rows = append(all.Rows, row("%s|%d|%.6g|%.6g|%s|%s|%s", f.Class, f.Summary.N, f.Summary.Mean, f.Summary.Std, f.Chosen, ll, ks))
 	}
 	return Section{
-		Notes:   []string{fmt.Sprintf("%s kernel timings: %d samples, mean %.3gs, std %.3gs, skew %.2f.", r.Class, r.Samples, r.Summary.Mean, r.Summary.Std, r.Summary.Skew)},
+		Notes:   []string{fmt.Sprintf("%s kernel timings: %d samples, mean %.3gs, std %.3gs, skew %.2f.", r.Class, r.Summary.N, r.Summary.Mean, r.Summary.Std, r.Summary.Skew)},
 		Tables:  []Table{fits, density, all},
-		Metrics: []Metric{{"samples", float64(r.Samples)}, {"KS_best", r.Fits[0].KS}},
+		Metrics: []Metric{{"samples", float64(r.Summary.N)}, {"KS_best", r.Fits[0].KS}},
 	}
 }
 

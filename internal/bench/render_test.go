@@ -2,27 +2,18 @@ package bench
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"supersim/internal/kernels"
 )
 
-// text renders s as aligned text.
-func text(t *testing.T, s Section) string {
+// render returns what a Section writer writes.
+func render(t *testing.T, write func(io.Writer) error) string {
 	t.Helper()
 	var sb strings.Builder
-	if err := s.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
-// markdown renders s as Markdown.
-func markdown(t *testing.T, s Section) string {
-	t.Helper()
-	var sb strings.Builder
-	if err := s.WriteMarkdown(&sb); err != nil {
+	if err := write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
@@ -33,7 +24,7 @@ func TestWriteDAGReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := text(t, rep.Section())
+	out := render(t, rep.Section().WriteText)
 	for _, frag := range []string{"vertices", "14", "DGEQRT=3", "width profile"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("DAG report missing %q:\n%s", frag, out)
@@ -48,7 +39,7 @@ func TestWriteKernelFitReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := text(t, rep.Section())
+	out := render(t, rep.Section().WriteText)
 	for _, frag := range []string{"DGEMM kernel timings", "density series", "fits of every class", "normal"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("fit report missing %q", frag)
@@ -64,7 +55,7 @@ func TestWriteRaceReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := text(t, s); !strings.Contains(out, "none") || !strings.Contains(out, "sleep-yield") || !strings.Contains(out, "quiescence") {
+	if out := render(t, s.WriteText); !strings.Contains(out, "none") || !strings.Contains(out, "sleep-yield") || !strings.Contains(out, "quiescence") {
 		t.Errorf("race report incomplete:\n%s", out)
 	}
 	if v, ok := s.Metric("anomalies_quiescence"); !ok || v != 0 {
@@ -77,7 +68,7 @@ func TestWriteTraceReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := text(t, rep.Section())
+	out := render(t, rep.Section().WriteText)
 	for _, frag := range []string{"real", "simulated", "Makespan error", "tasks per worker"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("trace report missing %q", frag)
@@ -97,7 +88,7 @@ func TestWritePerfSweep(t *testing.T) {
  192   2      1.500     1.450     3.30             0.0000            0.0000      5
 1920  20      0.000     0.000    12.00             0.0000            0.0000      0
 `
-	if got := text(t, s); got != wantText {
+	if got := render(t, s.WriteText); got != wantText {
 		t.Errorf("text:\n%s\nwant:\n%s", got, wantText)
 	}
 	wantMD := `qr on quark (nb=96, 8 workers, calibrated at NT=7): worst-case error 12.00%.
@@ -108,7 +99,7 @@ func TestWritePerfSweep(t *testing.T) {
 | 1920 | 20 | 0.000 | 0.000 | 12.00 | 0.0000 | 0.0000 | 0 |
 
 `
-	if got := markdown(t, s); got != wantMD {
+	if got := render(t, s.WriteMarkdown); got != wantMD {
 		t.Errorf("markdown:\n%s\nwant:\n%s", got, wantMD)
 	}
 }
@@ -120,7 +111,7 @@ func TestWriteStudiesTables(t *testing.T) {
 		{Scheduler: "quark", Scenario: "panic", Baseline: 1, Makespan: 1.5, DegradationPct: 50, Retried: 3},
 		{Scheduler: "ompss", Scenario: "mixed", Baseline: 1, Makespan: 2, DegradationPct: 100, Err: errors.New("2 tasks failed\nsecond line")},
 	})
-	out := text(t, s)
+	out := render(t, s.WriteText)
 	if !strings.Contains(out, "quark  panic") || !strings.Contains(out, "ok") || !strings.Contains(out, "degraded: 2 tasks failed\n") {
 		t.Errorf("fault table wrong:\n%s", out)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"supersim/internal/core"
 	"supersim/internal/kernels"
-	"supersim/internal/perfmodel"
 	"supersim/internal/sched"
 	"supersim/internal/sched/starpu"
 	"supersim/internal/workload"
@@ -84,23 +83,11 @@ type ScalingPoint struct {
 }
 
 // ScalingStudy predicts strong scaling of a factorization across worker
-// counts from one calibration (the paper's autotuning promise: explore
-// configurations in simulation, validate a few for real). Core counts
-// 1..maxWorkers are simulated; the counts listed in validate are also run
-// measured and compared.
-func ScalingStudy(spec Spec, maxWorkers int, validate []int) ([]ScalingPoint, error) {
-	calib := spec
-	if calib.Workers < 2 {
-		calib.Workers = 2
-	}
-	_, model, err := Calibrate(calib)
-	if err != nil {
-		return nil, err
-	}
-	return scalingWithModel(spec, maxWorkers, validate, model)
-}
-
-func scalingWithModel(spec Spec, maxWorkers int, validate []int, model *perfmodel.Model) ([]ScalingPoint, error) {
+// counts from one calibrated model (the paper's autotuning promise:
+// explore configurations in simulation, validate a few for real). Core
+// counts 1..maxWorkers are simulated; the counts listed in validate are
+// also run measured and compared.
+func ScalingStudy(spec Spec, model core.DurationModel, maxWorkers int, validate []int) ([]ScalingPoint, error) {
 	validateSet := make(map[int]bool, len(validate))
 	for _, v := range validate {
 		validateSet[v] = true

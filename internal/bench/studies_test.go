@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"supersim/internal/dist"
+	"supersim/internal/fault"
 	"supersim/internal/kernels"
 	"supersim/internal/perfmodel"
 	"supersim/internal/workload"
@@ -74,7 +77,7 @@ func TestScalingStudyShape(t *testing.T) {
 	for i, class := range kernels.CholeskyClasses {
 		fixed.Dists[string(class)] = dist.Constant{Value: float64(i+1) * 1e-3}
 	}
-	points, err := scalingWithModel(spec, 6, nil, fixed)
+	points, err := ScalingStudy(spec, fixed, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,11 @@ func TestScalingStudyShape(t *testing.T) {
 	}
 
 	// The calibrated study: shape only.
-	points, err = ScalingStudy(spec, 6, []int{1, 4})
+	_, model, err := Calibrate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err = ScalingStudy(spec, model, 6, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,5 +164,27 @@ func TestFaultModelPricesEveryClass(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaultStudyReportsAWedgedRun: a run the watchdog stops is the
+// study's error, and every scenario still runs and keeps its row, so the
+// table around the wedged row renders.
+func TestFaultStudyReportsAWedgedRun(t *testing.T) {
+	spec := Spec{Algorithm: "cholesky", NT: 2, NB: 8, Workers: 2, Seed: 1, StallDeadline: 50 * time.Millisecond}
+	wedge := FaultScenario{Name: "wedge", Fault: fault.Config{Seed: 1, Default: fault.Rates{Stall: 1}, StallWall: 500 * time.Millisecond}}
+	clean := FaultScenario{Name: "clean", Fault: fault.Config{Seed: 1}}
+	points, err := FaultStudy(spec, FaultModel(spec.Algorithm, spec.NB), []FaultScenario{wedge, clean})
+	var stall *fault.StallError
+	if !errors.As(err, &stall) || !strings.Contains(err.Error(), Schedulers[0]+"/wedge wedged") {
+		t.Fatalf("FaultStudy returned %.80v, want the first wedged run's stall", err)
+	}
+	if len(points) != 2*len(Schedulers) {
+		t.Fatalf("%d rows, want every scheduler's two scenarios (%d)", len(points), 2*len(Schedulers))
+	}
+	for _, p := range points {
+		if wedged := errors.As(p.Err, &stall); wedged != (p.Scenario == "wedge") {
+			t.Errorf("%s/%s: stall %v, error %v", p.Scheduler, p.Scenario, wedged, p.Err)
+		}
 	}
 }
